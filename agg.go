@@ -3,7 +3,6 @@ package viewcube
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"viewcube/internal/assembly"
 	"viewcube/internal/freq"
@@ -167,6 +166,56 @@ func (a *AggEngine) maybeReselect() error {
 	return a.cnt.maybeReselect()
 }
 
+// The vector engine's reads.
+var (
+	groupByAggRead = read[*AggEngine, aggKeep, map[string]float64]{kind: "groupby", name: aggKeep.traceName, body: (*AggEngine).groupByAggInner}
+	rangeAggRead   = read[*AggEngine, aggRanges, float64]{kind: "range", name: aggRanges.traceName, body: (*AggEngine).rangeAggInner}
+	aggSQLRead     = read[*AggEngine, string, *QueryResult]{kind: "sql", name: sqlName, body: (*AggEngine).queryInner}
+)
+
+// aggKeep is GroupByAgg's argument pair.
+type aggKeep struct {
+	kind AggKind
+	keep []string
+}
+
+func (g aggKeep) traceName() string {
+	return "groupby_agg " + g.kind.String() + " " + strings.Join(g.keep, ",")
+}
+
+// aggRanges is RangeAgg's argument pair.
+type aggRanges struct {
+	kind   AggKind
+	ranges map[string]ValueRange
+}
+
+func (r aggRanges) traceName() string { return "range_agg " + r.kind.String() }
+
+// runAgg is run for the vector engine's public entry points: the read is
+// timed and counted in the SUM view's Metrics (the registry both views
+// report into), then both views drain inline like a plain Engine.
+func runAgg[A, T any](a *AggEngine, traced bool, r read[*AggEngine, A, T], args A) (T, *QueryTrace, error) {
+	out, qt, err := run(a.sum.met, a, traced, r, args)
+	if err == nil {
+		err = a.maybeReselect()
+	}
+	return settle(out, qt, err)
+}
+
+// aggregateSpan opens the "aggregate KIND" span every traced GroupByAgg /
+// RangeAgg nests its execution under, carrying the aggregate kind and
+// measure width. Untraced it returns x unchanged and a nil span, whose End
+// is a no-op.
+func (a *AggEngine) aggregateSpan(x *obs.ExecCtx, kind AggKind) (*obs.ExecCtx, *obs.Span) {
+	if !x.Tracing() {
+		return x, nil
+	}
+	sp := x.Start("aggregate " + kind.String())
+	sp.SetAttr("agg_kind", int64(kind))
+	sp.SetAttr("measure_width", int64(a.spec.Width))
+	return x.Under(sp), sp
+}
+
 // Optimize selects and materialises the best vector element set for an
 // anticipated workload (expressed against the SUM-plane cube). One shared
 // store serves every aggregate, so one optimisation covers them all.
@@ -204,24 +253,15 @@ func (s aggElementSource) ElementMulti(x *obs.ExecCtx, r freq.Rect) (*ndarray.Mu
 }
 
 // groupByVector assembles the measure-vector view keeping the named
-// dimensions and returns it with its physical plan. The caller owns the
-// array (recycle it via ndarray.RecycleMulti).
-func (a *AggEngine) groupByVector(x *obs.ExecCtx, kind AggKind, keep ...string) (*ndarray.MultiArray, Element, error) {
+// dimensions. The caller owns the array (recycle it via
+// ndarray.RecycleMulti).
+func (a *AggEngine) groupByVector(x *obs.ExecCtx, keep ...string) (*ndarray.MultiArray, Element, error) {
 	el, err := a.cube.ViewKeeping(keep...)
 	if err != nil {
 		return nil, Element{}, err
 	}
-	ph, err := a.pl.Element(x, el.rect)
-	if err != nil {
-		return nil, Element{}, err
-	}
-	ph.Agg = kind
-	ma, err := a.veng.Execute(x, ph.Assembly)
-	if err != nil {
-		return nil, Element{}, err
-	}
-	a.observeServed(el.rect, ph.Cost)
-	return ma, el, nil
+	ma, err := aggElementSource{a}.ElementMulti(x, el.rect)
+	return ma, el, err
 }
 
 // componentGroups interprets one component plane of an assembled vector
@@ -240,33 +280,28 @@ func (a *AggEngine) componentGroups(ma *ndarray.MultiArray, el Element, comp int
 // their finalisers are undefined there — while SUM and COUNT report every
 // group of the cube's group space (a zero where no tuples fall).
 func (a *AggEngine) GroupByAgg(kind AggKind, keep ...string) (map[string]float64, error) {
-	out, err := a.groupByAggObserved(nil, kind, keep...)
-	if err == nil {
-		err = a.maybeReselect()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return untraced(runAgg(a, false, groupByAggRead, aggKeep{kind, keep}))
 }
 
-func (a *AggEngine) groupByAggObserved(x *obs.ExecCtx, kind AggKind, keep ...string) (map[string]float64, error) {
-	start := time.Now()
-	out, err := a.groupByAggInner(x, kind, keep...)
-	a.sum.met.observe("groupby", start, err)
-	return out, err
+// TraceGroupByAgg is GroupByAgg with per-span tracing: an "aggregate KIND"
+// span under the root carries agg_kind and measure_width attributes, and
+// every assembly span below it reports the vector execution.
+func (a *AggEngine) TraceGroupByAgg(kind AggKind, keep ...string) (map[string]float64, *QueryTrace, error) {
+	return runAgg(a, true, groupByAggRead, aggKeep{kind, keep})
 }
 
-func (a *AggEngine) groupByAggInner(x *obs.ExecCtx, kind AggKind, keep ...string) (map[string]float64, error) {
-	if err := a.spec.Supports(kind); err != nil {
+func (a *AggEngine) groupByAggInner(x *obs.ExecCtx, g aggKeep) (map[string]float64, error) {
+	x, sp := a.aggregateSpan(x, g.kind)
+	defer sp.End()
+	if err := a.spec.Supports(g.kind); err != nil {
 		return nil, err
 	}
-	ma, el, err := a.groupByVector(x, kind, keep...)
+	ma, el, err := a.groupByVector(x, g.keep...)
 	if err != nil {
 		return nil, err
 	}
 	defer ndarray.RecycleMulti(ma)
-	return a.finalizeGroups(kind, ma, el)
+	return a.finalizeGroups(g.kind, ma, el)
 }
 
 // finalizeGroups applies the aggregate's finaliser per group of the
@@ -310,28 +345,21 @@ func (a *AggEngine) finalizeGroups(kind AggKind, ma *ndarray.MultiArray, el Elem
 // vector view elements (§6). Count-dividing kinds (AVG, VAR, STDDEV) return
 // an error when the box holds no tuples; SUM and COUNT return 0.
 func (a *AggEngine) RangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, error) {
-	v, err := a.rangeAggObserved(nil, kind, ranges)
-	if err == nil {
-		err = a.maybeReselect()
-	}
-	if err != nil {
-		return 0, err
-	}
-	return v, nil
+	return untraced(runAgg(a, false, rangeAggRead, aggRanges{kind, ranges}))
 }
 
-func (a *AggEngine) rangeAggObserved(x *obs.ExecCtx, kind AggKind, ranges map[string]ValueRange) (float64, error) {
-	start := time.Now()
-	v, err := a.rangeAggInner(x, kind, ranges)
-	a.sum.met.observe("range", start, err)
-	return v, err
+// TraceRangeAgg is RangeAgg with per-span tracing.
+func (a *AggEngine) TraceRangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, *QueryTrace, error) {
+	return runAgg(a, true, rangeAggRead, aggRanges{kind, ranges})
 }
 
-func (a *AggEngine) rangeAggInner(x *obs.ExecCtx, kind AggKind, ranges map[string]ValueRange) (float64, error) {
-	if err := a.spec.Supports(kind); err != nil {
+func (a *AggEngine) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) {
+	x, sp := a.aggregateSpan(x, r.kind)
+	defer sp.End()
+	if err := a.spec.Supports(r.kind); err != nil {
 		return 0, err
 	}
-	box, err := a.sum.resolveBox(ranges)
+	_, box, err := a.sum.resolveGroupedBox(nil, r.ranges)
 	if err != nil {
 		return 0, err
 	}
@@ -339,7 +367,7 @@ func (a *AggEngine) rangeAggInner(x *obs.ExecCtx, kind AggKind, ranges map[strin
 	if err := a.vq.RangeVecCtx(x, box, vec); err != nil {
 		return 0, err
 	}
-	v, ok := a.spec.Finalize(kind, vec)
+	v, ok := a.spec.Finalize(r.kind, vec)
 	if !ok {
 		return 0, fmt.Errorf("viewcube: no tuples in range")
 	}
@@ -453,48 +481,6 @@ func (a *AggEngine) ExplainAgg(kind AggKind, keep ...string) (string, error) {
 	var b strings.Builder
 	plan.Render(&b, el.String(), ph, a.sum.describer())
 	return b.String(), nil
-}
-
-// TraceGroupByAgg is GroupByAgg with per-span tracing: the root span
-// carries agg and measure_width attributes, and every assembly span below
-// it reports the vector execution.
-func (a *AggEngine) TraceGroupByAgg(kind AggKind, keep ...string) (map[string]float64, *QueryTrace, error) {
-	var out map[string]float64
-	tr, err := a.sum.withTrace("groupby_agg "+kind.String()+" "+strings.Join(keep, ","), func(x *obs.ExecCtx) (err error) {
-		sp := x.Start("aggregate " + kind.String())
-		sp.SetAttr("agg_kind", int64(kind))
-		sp.SetAttr("measure_width", int64(a.spec.Width))
-		defer sp.End()
-		out, err = a.groupByAggObserved(x.Under(sp), kind, keep...)
-		return err
-	})
-	if err == nil {
-		err = a.maybeReselect()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, tr, nil
-}
-
-// TraceRangeAgg is RangeAgg with per-span tracing.
-func (a *AggEngine) TraceRangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, *QueryTrace, error) {
-	var v float64
-	tr, err := a.sum.withTrace("range_agg "+kind.String(), func(x *obs.ExecCtx) (err error) {
-		sp := x.Start("aggregate " + kind.String())
-		sp.SetAttr("agg_kind", int64(kind))
-		sp.SetAttr("measure_width", int64(a.spec.Width))
-		defer sp.End()
-		v, err = a.rangeAggObserved(x.Under(sp), kind, ranges)
-		return err
-	})
-	if err == nil {
-		err = a.maybeReselect()
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return v, tr, nil
 }
 
 // Stats returns the SUM-plane view's adaptive counters (both views serve

@@ -614,7 +614,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 	case "info":
 		return catalogInfo(lease)
 	case "total":
-		groups, err := h.GroupBy()
+		groups, _, err := h.GroupBy(false)
 		if err != nil {
 			return err
 		}
@@ -632,7 +632,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 		if err != nil {
 			return err
 		}
-		groups, err := h.GroupBy(keep...)
+		groups, _, err := h.GroupBy(false, keep...)
 		if err != nil {
 			return err
 		}
@@ -648,7 +648,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 		if err != nil {
 			return err
 		}
-		got, err := h.RangeSum(resolved)
+		got, _, err := h.RangeSum(false, resolved)
 		if err != nil {
 			return err
 		}
@@ -662,7 +662,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 		if err != nil {
 			return err
 		}
-		res, err := h.Query(sql)
+		res, _, err := h.Query(false, sql)
 		if err != nil {
 			return err
 		}
@@ -681,7 +681,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 		if err != nil {
 			return err
 		}
-		groups, err := h.GroupBy(keep...)
+		groups, _, err := h.GroupBy(false, keep...)
 		if err != nil {
 			return err
 		}

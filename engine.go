@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"viewcube/internal/adaptive"
 	"viewcube/internal/assembly"
@@ -221,9 +220,8 @@ func (s engineElementSource) ElementCtx(x *obs.ExecCtx, r freq.Rect) (*ndarray.A
 }
 
 // maybeReselect performs a due automatic reselection. Only the plain
-// Engine's public entry points call it (queries on a plain engine are
-// single-threaded by contract); SafeEngine instead drains the due flag
-// under its write lock after the read completes.
+// Engine's entry points call it (through runInline); SafeEngine instead
+// drains the due flag under its write lock after the read completes.
 func (e *Engine) maybeReselect() error {
 	if !e.inner.ReselectDue() {
 		return nil
@@ -253,23 +251,7 @@ func (e *Engine) Reconfigure() (bool, error) { return e.inner.Reconfigure(nil) }
 // View answers a view-element query, assembling it from the materialised
 // set.
 func (e *Engine) View(el Element) (*View, error) {
-	v, err := e.viewObserved(nil, el)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// viewObserved is the timed-and-counted read path: it never reselects, so
-// SafeEngine may call it under a read lock.
-func (e *Engine) viewObserved(x *obs.ExecCtx, el Element) (*View, error) {
-	start := time.Now()
-	v, err := e.viewInner(x, el)
-	e.met.observe("view", start, err)
-	return v, err
+	return untraced(runInline(e, false, viewRead, el))
 }
 
 func (e *Engine) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
@@ -286,24 +268,10 @@ func (e *Engine) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
 // GroupBy answers the aggregated view that keeps the named dimensions and
 // SUM-aggregates all others.
 func (e *Engine) GroupBy(keep ...string) (*View, error) {
-	v, err := e.groupByObserved(nil, keep...)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	return untraced(runInline(e, false, groupByRead, keep))
 }
 
-func (e *Engine) groupByObserved(x *obs.ExecCtx, keep ...string) (*View, error) {
-	start := time.Now()
-	v, err := e.groupByInner(x, keep...)
-	e.met.observe("groupby", start, err)
-	return v, err
-}
-
-func (e *Engine) groupByInner(x *obs.ExecCtx, keep ...string) (*View, error) {
+func (e *Engine) groupByInner(x *obs.ExecCtx, keep []string) (*View, error) {
 	el, err := e.cube.ViewKeeping(keep...)
 	if err != nil {
 		return nil, err
@@ -314,21 +282,10 @@ func (e *Engine) groupByInner(x *obs.ExecCtx, keep ...string) (*View, error) {
 // Total returns the grand total via the engine (exercising assembly rather
 // than scanning the cube).
 func (e *Engine) Total() (float64, error) {
-	total, err := e.totalObserved(nil)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	return total, err
+	return untraced(runInline(e, false, totalRead, struct{}{}))
 }
 
-func (e *Engine) totalObserved(x *obs.ExecCtx) (float64, error) {
-	start := time.Now()
-	total, err := e.totalInner(x)
-	e.met.observe("total", start, err)
-	return total, err
-}
-
-func (e *Engine) totalInner(x *obs.ExecCtx) (float64, error) {
+func (e *Engine) totalInner(x *obs.ExecCtx, _ struct{}) (float64, error) {
 	v, err := e.viewInner(x, e.cube.GrandTotal())
 	if err != nil {
 		return 0, err
@@ -348,58 +305,18 @@ type ValueRange struct {
 // per-dimension value ranges (unnamed dimensions are unrestricted),
 // answered through intermediate view elements (§6 of the paper).
 func (e *Engine) RangeSum(ranges map[string]ValueRange) (float64, error) {
-	sum, err := e.rangeSumObserved(nil, ranges)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	return sum, err
-}
-
-func (e *Engine) rangeSumObserved(x *obs.ExecCtx, ranges map[string]ValueRange) (float64, error) {
-	start := time.Now()
-	sum, err := e.rangeSumInner(x, ranges)
-	e.met.observe("range", start, err)
-	return sum, err
+	return untraced(runInline(e, false, rangeSumRead, ranges))
 }
 
 func (e *Engine) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (float64, error) {
 	if e.cube.enc == nil {
 		return 0, fmt.Errorf("viewcube: RangeSum by value needs a dictionary-encoded cube; use RangeSumIndex")
 	}
-	box, err := e.resolveBox(ranges)
+	_, box, err := e.resolveGroupedBox(nil, ranges)
 	if err != nil {
 		return 0, err
 	}
 	return e.rq.RangeSumCtx(x, box)
-}
-
-// resolveBox maps per-dimension value ranges onto the coordinate box the
-// range queriers consume: named dimensions resolve through resolveRange,
-// unnamed dimensions default to their real (non-padding) domain. The cube
-// must be dictionary-encoded.
-func (e *Engine) resolveBox(ranges map[string]ValueRange) (rangeagg.Box, error) {
-	shape := e.cube.Shape()
-	lo := make([]int, len(shape))
-	ext := make([]int, len(shape))
-	for m := range shape {
-		// Default: the real (non-padding) domain of the dimension.
-		ext[m] = e.cube.enc.Dicts[m].Len()
-		if ext[m] == 0 {
-			ext[m] = 1
-		}
-	}
-	for name, vr := range ranges {
-		m, err := e.cube.DimIndex(name)
-		if err != nil {
-			return rangeagg.Box{}, err
-		}
-		loCode, extCode, err := e.resolveRange(m, vr)
-		if err != nil {
-			return rangeagg.Box{}, err
-		}
-		lo[m], ext[m] = loCode, extCode
-	}
-	return rangeagg.Box{Lo: lo, Ext: ext}, nil
 }
 
 // RangeSumWithin is RangeSum with lexicographic bounds: each restricted
@@ -412,16 +329,13 @@ func (e *Engine) resolveBox(ranges map[string]ValueRange) (rangeagg.Box, error) 
 // an arbitrary subset of each dimension's values, so exact-bound lookup
 // would spuriously fail on shards that lack the endpoint values.
 func (e *Engine) RangeSumWithin(ranges map[string]ValueRange) (float64, bool, error) {
-	sum, ok, err := e.rangeSumWithinObserved(nil, ranges)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	return sum, ok, err
+	w, err := untraced(runInline(e, false, rangeWithinRead, ranges))
+	return w.sum, w.ok, err
 }
 
-func (e *Engine) rangeSumWithinObserved(x *obs.ExecCtx, ranges map[string]ValueRange) (float64, bool, error) {
+func (e *Engine) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRange) (withinSum, error) {
 	if e.cube.enc == nil {
-		return 0, false, fmt.Errorf("viewcube: RangeSumWithin needs a dictionary-encoded cube; use RangeSumIndex")
+		return withinSum{}, fmt.Errorf("viewcube: RangeSumWithin needs a dictionary-encoded cube; use RangeSumIndex")
 	}
 	shape := e.cube.Shape()
 	lo := make([]int, len(shape))
@@ -429,42 +343,35 @@ func (e *Engine) rangeSumWithinObserved(x *obs.ExecCtx, ranges map[string]ValueR
 	for m := range shape {
 		ext[m] = e.cube.enc.Dicts[m].Len()
 		if ext[m] == 0 {
-			return 0, false, nil // empty dictionary: this sub-cube holds nothing
+			return withinSum{}, nil // empty dictionary: this sub-cube holds nothing
 		}
 	}
 	for name, vr := range ranges {
 		m, err := e.cube.DimIndex(name)
 		if err != nil {
-			return 0, false, err
+			return withinSum{}, err
 		}
 		loCode, hiCode, ok, err := e.cube.enc.Dicts[m].BoundsWithin(vr.Lo, vr.Hi)
 		if err != nil {
-			return 0, false, err
+			return withinSum{}, err
 		}
 		if !ok {
-			return 0, false, nil // no values in range here
+			return withinSum{}, nil // no values in range here
 		}
 		lo[m], ext[m] = loCode, hiCode-loCode+1
 	}
-	sum, err := e.rangeSumIndexObserved(x, lo, ext)
-	return sum, err == nil, err
+	sum, err := e.rq.RangeSumCtx(x, rangeagg.Box{Lo: lo, Ext: ext})
+	return withinSum{sum: sum, ok: err == nil}, err
 }
 
 // RangeSumIndex computes the SUM over the half-open coordinate box
 // [lo, lo+ext).
 func (e *Engine) RangeSumIndex(lo, ext []int) (float64, error) {
-	sum, err := e.rangeSumIndexObserved(nil, lo, ext)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	return sum, err
+	return untraced(runInline(e, false, rangeIndexRead, rangeagg.Box{Lo: lo, Ext: ext}))
 }
 
-func (e *Engine) rangeSumIndexObserved(x *obs.ExecCtx, lo, ext []int) (float64, error) {
-	start := time.Now()
-	sum, err := e.rq.RangeSumCtx(x, rangeagg.Box{Lo: lo, Ext: ext})
-	e.met.observe("range", start, err)
-	return sum, err
+func (e *Engine) rangeSumIndexInner(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
+	return e.rq.RangeSumCtx(x, box)
 }
 
 // GroupByWhere answers the OLAP "dice" query: SUM grouped by the kept
@@ -474,28 +381,14 @@ func (e *Engine) rangeSumIndexObserved(x *obs.ExecCtx, lo, ext []int) (float64, 
 // instead of scanning the filtered region. Kept dimensions cannot also be
 // filtered.
 func (e *Engine) GroupByWhere(keep []string, ranges map[string]ValueRange) (*View, error) {
-	v, err := e.groupByWhereObserved(nil, keep, ranges)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	return untraced(runInline(e, false, groupByWhereRead, dice{keep, ranges}))
 }
 
-func (e *Engine) groupByWhereObserved(x *obs.ExecCtx, keep []string, ranges map[string]ValueRange) (*View, error) {
-	start := time.Now()
-	v, err := e.groupByWhereInner(x, keep, ranges)
-	e.met.observe("groupby_where", start, err)
-	return v, err
-}
-
-func (e *Engine) groupByWhereInner(x *obs.ExecCtx, keep []string, ranges map[string]ValueRange) (*View, error) {
+func (e *Engine) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
 	if e.cube.enc == nil {
 		return nil, fmt.Errorf("viewcube: GroupByWhere needs a dictionary-encoded cube")
 	}
-	keepMask, box, err := e.resolveGroupedBox(keep, ranges)
+	keepMask, box, err := e.resolveGroupedBox(d.keep, d.ranges)
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +396,7 @@ func (e *Engine) groupByWhereInner(x *obs.ExecCtx, keep []string, ranges map[str
 	if err != nil {
 		return nil, err
 	}
-	el, err := e.cube.ViewKeeping(keep...)
+	el, err := e.cube.ViewKeeping(d.keep...)
 	if err != nil {
 		return nil, err
 	}
@@ -513,7 +406,8 @@ func (e *Engine) groupByWhereInner(x *obs.ExecCtx, keep []string, ranges map[str
 // resolveGroupedBox builds the keep mask and coordinate box of a grouped
 // "dice" query: kept dimensions are full-extent and unfiltered, filtered
 // dimensions resolve through resolveRange, remaining dimensions default to
-// their real (non-padding) domains.
+// their real (non-padding) domains. With nothing kept it is the box of a
+// plain range query. The cube must be dictionary-encoded.
 func (e *Engine) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, rangeagg.Box, error) {
 	shape := e.cube.Shape()
 	keepMask := make([]bool, len(shape))

@@ -7,6 +7,7 @@
 package viewcube
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -56,9 +57,76 @@ func mustFinish(t *testing.T, what string, unlock func(), fn func()) {
 	}
 }
 
+// safeReads lists every SafeEngine read as (name, answer) rows; a TraceX row
+// names the untraced read whose answer it must reproduce bit-for-bit. Views
+// are projected to their group maps so answers compare with DeepEqual.
+func safeReads(s *SafeEngine) []struct {
+	name, same string
+	read       func() (any, error)
+} {
+	groups := func(v *View, err error) (any, error) {
+		if err != nil {
+			return nil, err
+		}
+		return v.Groups()
+	}
+	days := map[string]ValueRange{"day": {Lo: "d1", Hi: "d2"}}
+	const sql = "SELECT SUM(sales) GROUP BY product WHERE day BETWEEN 'd1' AND 'd3'"
+	type within struct {
+		sum float64
+		ok  bool
+	}
+	return []struct {
+		name, same string
+		read       func() (any, error)
+	}{
+		{"View", "", func() (any, error) {
+			el, err := s.eng.cube.ViewKeeping("region")
+			if err != nil {
+				return nil, err
+			}
+			return groups(s.View(el))
+		}},
+		{"GroupBy", "", func() (any, error) { return groups(s.GroupBy("product")) }},
+		{"GroupByWhere", "", func() (any, error) { return groups(s.GroupByWhere([]string{"product"}, days)) }},
+		{"Total", "", func() (any, error) { return s.Total() }},
+		{"RangeSum", "", func() (any, error) { return s.RangeSum(days) }},
+		{"RangeSumWithin", "", func() (any, error) {
+			sum, ok, err := s.RangeSumWithin(days)
+			return within{sum, ok}, err
+		}},
+		{"RangeSumIndex", "", func() (any, error) { return s.RangeSumIndex([]int{0, 0, 0}, []int{2, 2, 2}) }},
+		{"Query", "", func() (any, error) { return s.Query(sql) }},
+		{"TraceQuery", "Query", func() (any, error) {
+			res, _, err := s.TraceQuery(sql)
+			return res, err
+		}},
+		{"TraceGroupBy", "GroupBy", func() (any, error) {
+			v, _, err := s.TraceGroupBy("product")
+			return groups(v, err)
+		}},
+		{"TraceTotal", "Total", func() (any, error) {
+			total, _, err := s.TraceTotal()
+			return total, err
+		}},
+		{"TraceRangeSum", "RangeSum", func() (any, error) {
+			sum, _, err := s.TraceRangeSum(days)
+			return sum, err
+		}},
+		{"TraceRangeSumWithin", "RangeSumWithin", func() (any, error) {
+			sum, ok, _, err := s.TraceRangeSumWithin(days)
+			return within{sum, ok}, err
+		}},
+		{"Explain", "", func() (any, error) { return s.Explain(s.eng.cube.GrandTotal()) }},
+		{"ExplainGroupBy", "", func() (any, error) { return s.ExplainGroupBy("product") }},
+	}
+}
+
 // TestIngestReadersIgnoreWriteLock is the barrier test for the MVCC
 // contract: with the write lock held (as the merger or a reconfiguration
-// would), snapshot-pinned reads and streamed appends both complete.
+// would), every snapshot-pinned read — each SafeEngine read method, traced
+// and untraced, and both explains — and streamed appends all complete, and
+// each read returns exactly what it returned before the lock was taken.
 func TestIngestReadersIgnoreWriteLock(t *testing.T) {
 	s := internalSafeEngine(t)
 	if err := s.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
@@ -74,30 +142,45 @@ func TestIngestReadersIgnoreWriteLock(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Unlocked answers. Each read runs twice so the second (kept) answer is
+	// the plan-cache-warm one an explain renders under the lock too.
+	reads := safeReads(s)
+	want := make(map[string]any, len(reads))
+	for _, r := range reads {
+		for i := 0; i < 2; i++ {
+			got, err := r.read()
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			want[r.name] = got
+		}
+	}
+	if want["Total"] != 43.0 {
+		t.Fatalf("total = %v, want 43", want["Total"])
+	}
+	for _, r := range reads {
+		if r.same != "" && !reflect.DeepEqual(want[r.name], want[r.same]) {
+			t.Fatalf("%s answered %v, %s answered %v", r.name, want[r.name], r.same, want[r.same])
+		}
+	}
+
 	s.mu.Lock()
 	unlock := s.mu.Unlock
 
-	var total float64
-	var totalErr error
-	mustFinish(t, "snapshot-pinned Total", unlock, func() {
-		total, totalErr = s.Total()
-	})
-	if totalErr != nil {
-		unlock()
-		t.Fatal(totalErr)
-	}
-	if total != 43 {
-		unlock()
-		t.Fatalf("total under held write lock = %g, want 43", total)
-	}
-
-	var gbErr error
-	mustFinish(t, "snapshot-pinned GroupBy", unlock, func() {
-		_, gbErr = s.GroupBy("product")
-	})
-	if gbErr != nil {
-		unlock()
-		t.Fatal(gbErr)
+	for _, r := range reads {
+		var (
+			got any
+			err error
+		)
+		mustFinish(t, "snapshot-pinned "+r.name, unlock, func() { got, err = r.read() })
+		if err != nil {
+			unlock()
+			t.Fatalf("%s under held write lock: %v", r.name, err)
+		}
+		if !reflect.DeepEqual(got, want[r.name]) {
+			unlock()
+			t.Fatalf("%s under held write lock = %v, want %v", r.name, got, want[r.name])
+		}
 	}
 
 	// Appends acknowledge without the lock too; visibility waits for the

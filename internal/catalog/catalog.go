@@ -94,14 +94,17 @@ type Stats struct {
 // implemented over a SafeEngine, an AggEngine or a PartitionedEngine.
 // Handles must be safe for concurrent use; operations a backing engine
 // cannot perform fail with ErrUnsupported.
+//
+// The three reads take the trace request as an argument: traced asks for
+// the query's span tree next to its answer. The returned trace is nil when
+// traced is false, and also when the backing engine has no traced form of
+// the read (a PartitionedEngine's fan-out); callers treat nil as "not
+// traced".
 type CubeHandle interface {
 	Info() Info
-	Query(sql string) (*viewcube.QueryResult, error)
-	TraceQuery(sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error)
-	GroupBy(keep ...string) (map[string]float64, error)
-	TraceGroupBy(keep ...string) (map[string]float64, *viewcube.QueryTrace, error)
-	RangeSum(ranges map[string]viewcube.ValueRange) (float64, error)
-	TraceRangeSum(ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error)
+	Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error)
+	GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error)
+	RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error)
 	UpdateValue(delta float64, values map[string]string) error
 	Optimize(views []HotView) error
 	ExplainGroupBy(keep ...string) (string, error)

@@ -29,22 +29,25 @@ func (h *safeHandle) Info() Info {
 	}
 }
 
-func (h *safeHandle) Query(sql string) (*viewcube.QueryResult, error) { return h.eng.Query(sql) }
-
-func (h *safeHandle) TraceQuery(sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
-	return h.eng.TraceQuery(sql)
-}
-
-func (h *safeHandle) GroupBy(keep ...string) (map[string]float64, error) {
-	v, err := h.eng.GroupBy(keep...)
-	if err != nil {
-		return nil, err
+func (h *safeHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
+	if traced {
+		return h.eng.TraceQuery(sql)
 	}
-	return v.Groups()
+	res, err := h.eng.Query(sql)
+	return res, nil, err
 }
 
-func (h *safeHandle) TraceGroupBy(keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
-	v, tr, err := h.eng.TraceGroupBy(keep...)
+func (h *safeHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
+	var (
+		v   *viewcube.View
+		tr  *viewcube.QueryTrace
+		err error
+	)
+	if traced {
+		v, tr, err = h.eng.TraceGroupBy(keep...)
+	} else {
+		v, err = h.eng.GroupBy(keep...)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -55,12 +58,12 @@ func (h *safeHandle) TraceGroupBy(keep ...string) (map[string]float64, *viewcube
 	return groups, tr, nil
 }
 
-func (h *safeHandle) RangeSum(ranges map[string]viewcube.ValueRange) (float64, error) {
-	return h.eng.RangeSum(ranges)
-}
-
-func (h *safeHandle) TraceRangeSum(ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
-	return h.eng.TraceRangeSum(ranges)
+func (h *safeHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
+	if traced {
+		return h.eng.TraceRangeSum(ranges)
+	}
+	sum, err := h.eng.RangeSum(ranges)
+	return sum, nil, err
 }
 
 func (h *safeHandle) UpdateValue(delta float64, values map[string]string) error {
@@ -145,41 +148,34 @@ func (h *aggHandle) Info() Info {
 	}
 }
 
-func (h *aggHandle) Query(sql string) (*viewcube.QueryResult, error) {
+func (h *aggHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.eng.Query(sql)
-}
-
-// TraceQuery answers the query untraced (the vector SQL path has no traced
-// variant); callers treat a nil trace as "not traced".
-func (h *aggHandle) TraceQuery(sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
-	res, err := h.Query(sql)
+	if traced {
+		return h.eng.TraceQuery(sql)
+	}
+	res, err := h.eng.Query(sql)
 	return res, nil, err
 }
 
-func (h *aggHandle) GroupBy(keep ...string) (map[string]float64, error) {
+func (h *aggHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.eng.GroupByAgg(viewcube.AggSum, keep...)
+	if traced {
+		return h.eng.TraceGroupByAgg(viewcube.AggSum, keep...)
+	}
+	groups, err := h.eng.GroupByAgg(viewcube.AggSum, keep...)
+	return groups, nil, err
 }
 
-func (h *aggHandle) TraceGroupBy(keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
+func (h *aggHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.eng.TraceGroupByAgg(viewcube.AggSum, keep...)
-}
-
-func (h *aggHandle) RangeSum(ranges map[string]viewcube.ValueRange) (float64, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.eng.RangeAgg(viewcube.AggSum, ranges)
-}
-
-func (h *aggHandle) TraceRangeSum(ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.eng.TraceRangeAgg(viewcube.AggSum, ranges)
+	if traced {
+		return h.eng.TraceRangeAgg(viewcube.AggSum, ranges)
+	}
+	sum, err := h.eng.RangeAgg(viewcube.AggSum, ranges)
+	return sum, nil, err
 }
 
 func (h *aggHandle) UpdateValue(delta float64, values map[string]string) error {
@@ -279,7 +275,8 @@ func (h *aggHandle) CloseIngest() error {
 }
 
 // NewPartitionedHandle wraps a sharded PartitionedEngine as a CubeHandle.
-// Distributive reads (GroupBy, RangeSum) fan out to the shards; SQL,
+// Distributive reads (GroupBy, RangeSum) fan out to the shards — the
+// in-process fan-out has no traced form, so their trace is always nil; SQL,
 // updates and explains are not distributive across shard encodings and
 // fail with ErrUnsupported. Shape/Volume are per-shard properties and are
 // left zero in Info.
@@ -298,29 +295,16 @@ func (h *partitionedHandle) Info() Info {
 	}
 }
 
-func (h *partitionedHandle) Query(string) (*viewcube.QueryResult, error) {
-	return nil, fmt.Errorf("sql over a partitioned cube: %w", ErrUnsupported)
+func (h *partitionedHandle) Query(bool, string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
+	return nil, nil, fmt.Errorf("sql over a partitioned cube: %w", ErrUnsupported)
 }
 
-func (h *partitionedHandle) TraceQuery(sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
-	res, err := h.Query(sql)
-	return res, nil, err
-}
-
-func (h *partitionedHandle) GroupBy(keep ...string) (map[string]float64, error) {
-	return h.eng.GroupBy(keep...)
-}
-
-func (h *partitionedHandle) TraceGroupBy(keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
+func (h *partitionedHandle) GroupBy(_ bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
 	groups, err := h.eng.GroupBy(keep...)
 	return groups, nil, err
 }
 
-func (h *partitionedHandle) RangeSum(ranges map[string]viewcube.ValueRange) (float64, error) {
-	return h.eng.RangeSum(ranges)
-}
-
-func (h *partitionedHandle) TraceRangeSum(ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
+func (h *partitionedHandle) RangeSum(_ bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
 	sum, err := h.eng.RangeSum(ranges)
 	return sum, nil, err
 }

@@ -145,7 +145,7 @@ func TestApplyUpdateAddsDropsRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lease.Handle.GroupBy("product"); err != nil {
+	if _, _, err := lease.Handle.GroupBy(false, "product"); err != nil {
 		t.Fatal(err)
 	}
 	lease.Release()
@@ -164,7 +164,7 @@ func TestApplyUpdateAddsDropsRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := lease.Handle.GroupBy("product")
+	g, _, err := lease.Handle.GroupBy(false, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestApplyUpdateBadRebuildKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lease.Release()
-	g, err := lease.Handle.GroupBy("product")
+	g, _, err := lease.Handle.GroupBy(false, "product")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,6 +114,39 @@ func (l *Lease) Cached() bool { return l.cache != nil }
 // when no cache is enabled).
 func (l *Lease) ResultCacheStats() rescache.Stats { return l.cache.Stats() }
 
+// serve is the one cached-or-direct read behind ServeGroupBy, ServeRangeSum
+// and ServeQuery. With no cache it is read() and a nil hit. Otherwise it
+// syncs the cache, answers key() from it — running read at most once, on a
+// computing miss — and, for a traced query, labels the trace: the one place
+// result-cache trace labelling lives. key and name (the root-span name of a
+// hit's zero-op trace) are built only on the paths that use them.
+func (l *Lease) serve(traced bool, key, name func() string, read func() (Answer, *viewcube.QueryTrace, error)) (Answer, *viewcube.QueryTrace, *bool, error) {
+	if l.cache == nil {
+		ans, tr, err := read()
+		return ans, tr, nil, err
+	}
+	l.sync()
+	var tr *viewcube.QueryTrace
+	ans, hit, err := l.cache.GetOrCompute(key(), func() (Answer, error) {
+		ans, t, err := read()
+		tr = t // captured out-of-band: traces are per-request, never cached
+		return ans, err
+	})
+	if err != nil {
+		return Answer{}, nil, &hit, err
+	}
+	if traced {
+		if hit || tr == nil {
+			// Served from cache, or coalesced onto another caller's flight
+			// (whose trace belongs to that caller): the zero-op hit trace.
+			tr = viewcube.CacheHitTrace(name())
+		} else {
+			tr.SetLabel("result_cache", "miss")
+		}
+	}
+	return ans, tr, &hit, nil
+}
+
 // ServeGroupBy answers a group-by over the resolved (underlying-name) keep
 // list through the result cache. hit is nil when no cache is enabled,
 // otherwise whether the underlying query was skipped. When traced, the
@@ -121,104 +154,39 @@ func (l *Lease) ResultCacheStats() rescache.Stats { return l.cache.Stats() }
 // result_cache=miss), or a zero-op CacheHitTrace on a hit or coalesced
 // wait. The returned map is shared with the cache: read-only.
 func (l *Lease) ServeGroupBy(traced bool, resolved ...string) (map[string]float64, *viewcube.QueryTrace, *bool, error) {
-	if l.cache == nil {
-		if traced {
-			g, tr, err := l.Handle.TraceGroupBy(resolved...)
-			return g, tr, nil, err
-		}
-		g, err := l.Handle.GroupBy(resolved...)
-		return g, nil, nil, err
-	}
-	l.sync()
-	var tr *viewcube.QueryTrace
-	ans, hit, err := l.cache.GetOrCompute(groupByKey(resolved), func() (Answer, error) {
-		if traced {
-			g, t, err := l.Handle.TraceGroupBy(resolved...)
-			tr = t // captured out-of-band: traces are per-request, never cached
-			return Answer{Groups: g}, err
-		}
-		g, err := l.Handle.GroupBy(resolved...)
-		return Answer{Groups: g}, err
-	})
-	if err != nil {
-		return nil, nil, &hit, err
-	}
-	if traced {
-		tr = l.finishTrace(tr, hit, "groupby "+strings.Join(resolved, ","))
-	}
-	return ans.Groups, tr, &hit, nil
+	ans, tr, hit, err := l.serve(traced,
+		func() string { return groupByKey(resolved) },
+		func() string { return "groupby " + strings.Join(resolved, ",") },
+		func() (Answer, *viewcube.QueryTrace, error) {
+			g, tr, err := l.Handle.GroupBy(traced, resolved...)
+			return Answer{Groups: g}, tr, err
+		})
+	return ans.Groups, tr, hit, err
 }
 
 // ServeRangeSum answers a range-SUM over resolved ranges through the result
 // cache; semantics as ServeGroupBy.
 func (l *Lease) ServeRangeSum(traced bool, resolved map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, *bool, error) {
-	if l.cache == nil {
-		if traced {
-			sum, tr, err := l.Handle.TraceRangeSum(resolved)
-			return sum, tr, nil, err
-		}
-		sum, err := l.Handle.RangeSum(resolved)
-		return sum, nil, nil, err
-	}
-	l.sync()
-	var tr *viewcube.QueryTrace
-	ans, hit, err := l.cache.GetOrCompute(rangeKey(resolved), func() (Answer, error) {
-		if traced {
-			sum, t, err := l.Handle.TraceRangeSum(resolved)
-			tr = t
-			return Answer{Sum: sum}, err
-		}
-		sum, err := l.Handle.RangeSum(resolved)
-		return Answer{Sum: sum}, err
-	})
-	if err != nil {
-		return 0, nil, &hit, err
-	}
-	if traced {
-		tr = l.finishTrace(tr, hit, "range")
-	}
-	return ans.Sum, tr, &hit, nil
+	ans, tr, hit, err := l.serve(traced,
+		func() string { return rangeKey(resolved) },
+		func() string { return "range" },
+		func() (Answer, *viewcube.QueryTrace, error) {
+			sum, tr, err := l.Handle.RangeSum(traced, resolved)
+			return Answer{Sum: sum}, tr, err
+		})
+	return ans.Sum, tr, hit, err
 }
 
 // ServeQuery answers a rewritten (underlying-name) SQL statement through
 // the result cache; semantics as ServeGroupBy. The returned result is
 // shared with the cache: read-only.
 func (l *Lease) ServeQuery(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, *bool, error) {
-	if l.cache == nil {
-		if traced {
-			res, tr, err := l.Handle.TraceQuery(sql)
-			return res, tr, nil, err
-		}
-		res, err := l.Handle.Query(sql)
-		return res, nil, nil, err
-	}
-	l.sync()
-	var tr *viewcube.QueryTrace
-	ans, hit, err := l.cache.GetOrCompute("query\x00"+sql, func() (Answer, error) {
-		if traced {
-			res, t, err := l.Handle.TraceQuery(sql)
-			tr = t
-			return Answer{Result: res}, err
-		}
-		res, err := l.Handle.Query(sql)
-		return Answer{Result: res}, err
-	})
-	if err != nil {
-		return nil, nil, &hit, err
-	}
-	if traced {
-		tr = l.finishTrace(tr, hit, "query")
-	}
-	return ans.Result, tr, &hit, nil
-}
-
-// finishTrace labels a computing miss's real trace, or substitutes the
-// zero-op hit trace when the query was served from cache (or coalesced onto
-// another caller's flight, whose trace belongs to that caller).
-func (l *Lease) finishTrace(tr *viewcube.QueryTrace, hit bool, name string) *viewcube.QueryTrace {
-	if hit || tr == nil {
-		return viewcube.CacheHitTrace(name)
-	}
-	tr.SetLabel("result_cache", "miss")
-	return tr
+	ans, tr, hit, err := l.serve(traced,
+		func() string { return "query\x00" + sql },
+		func() string { return "query" },
+		func() (Answer, *viewcube.QueryTrace, error) {
+			res, tr, err := l.Handle.Query(traced, sql)
+			return Answer{Result: res}, tr, err
+		})
+	return ans.Result, tr, hit, err
 }

@@ -19,19 +19,19 @@ type countingHandle struct {
 	ranges   atomic.Int64
 }
 
-func (h *countingHandle) GroupBy(keep ...string) (map[string]float64, error) {
+func (h *countingHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
 	h.groupBys.Add(1)
-	return h.CubeHandle.GroupBy(keep...)
+	return h.CubeHandle.GroupBy(traced, keep...)
 }
 
-func (h *countingHandle) Query(sql string) (*viewcube.QueryResult, error) {
+func (h *countingHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
 	h.queries.Add(1)
-	return h.CubeHandle.Query(sql)
+	return h.CubeHandle.Query(traced, sql)
 }
 
-func (h *countingHandle) RangeSum(ranges map[string]viewcube.ValueRange) (float64, error) {
+func (h *countingHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
 	h.ranges.Add(1)
-	return h.CubeHandle.RangeSum(ranges)
+	return h.CubeHandle.RangeSum(traced, ranges)
 }
 
 // cachedSalesRegistry registers one sales cube and enables result caching.
@@ -182,7 +182,7 @@ func TestServeCacheSerialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := lease.Handle.GroupBy("product", "region")
+		direct, _, err := lease.Handle.GroupBy(false, "product", "region")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestServeCacheConcurrentUpdateStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := lease.Handle.GroupBy("product")
+	direct, _, err := lease.Handle.GroupBy(false, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestServeCacheConcurrentUpdateStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dsum, err := lease.Handle.RangeSum(map[string]viewcube.ValueRange{"day": {Lo: "d1", Hi: "d3"}})
+	dsum, _, err := lease.Handle.RangeSum(false, map[string]viewcube.ValueRange{"day": {Lo: "d1", Hi: "d3"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,97 +42,73 @@ func NewShardEngine(cube *viewcube.Cube, eng *viewcube.SafeEngine) *ShardEngine 
 // Engine returns the wrapped SafeEngine (for the shard's HTTP surface).
 func (s *ShardEngine) Engine() *viewcube.SafeEngine { return s.eng }
 
+// traceable calls a shard read in its plain or its traced form — the one
+// place a request's Trace flag is consulted. The trace is nil when trace is
+// false.
+func traceable[T any](trace bool, plain func() (T, error), traced func() (T, *viewcube.QueryTrace, error)) (T, *viewcube.QueryTrace, error) {
+	if trace {
+		return traced()
+	}
+	out, err := plain()
+	return out, nil, err
+}
+
 // Execute answers one request with the shard's partial aggregate. Execution
 // failures are carried in Response.Err, never as a transport error: a
 // malformed query must not tear down the connection serving it. A request
 // with Trace set runs through the shard's traced read path and returns its
-// span subtree on the response (dropped again if execution errored).
+// span subtree on the response (errors never carry spans on the wire).
 func (s *ShardEngine) Execute(req *Request) *Response {
 	s.met.Served.Inc()
 	s.met.InFlight.Add(1)
 	defer s.met.InFlight.Add(-1)
 	resp := &Response{ID: req.ID, Kind: req.Kind}
+	var (
+		qt  *viewcube.QueryTrace
+		err error
+	)
 	switch req.Kind {
 	case KindGroupBy:
-		var (
-			v   *viewcube.View
-			err error
-		)
-		if req.Trace {
-			var qt *viewcube.QueryTrace
-			v, qt, err = s.eng.TraceGroupBy(req.Keep...)
-			if err == nil {
-				resp.Spans = qt.Tree()
-			}
-		} else {
-			v, err = s.eng.GroupBy(req.Keep...)
-		}
+		var v *viewcube.View
+		v, qt, err = traceable(req.Trace,
+			func() (*viewcube.View, error) { return s.eng.GroupBy(req.Keep...) },
+			func() (*viewcube.View, *viewcube.QueryTrace, error) { return s.eng.TraceGroupBy(req.Keep...) })
 		if err == nil {
 			resp.Groups, err = v.Groups()
 		}
-		if err != nil {
-			resp.Err = err.Error()
-		}
 	case KindTotal:
-		var (
-			t   float64
-			err error
-		)
-		if req.Trace {
-			var qt *viewcube.QueryTrace
-			t, qt, err = s.eng.TraceTotal()
-			if err == nil {
-				resp.Spans = qt.Tree()
-			}
-		} else {
-			t, err = s.eng.Total()
-		}
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Sum = t
-		}
+		resp.Sum, qt, err = traceable(req.Trace, s.eng.Total, s.eng.TraceTotal)
 	case KindRangeSum:
 		ranges := make(map[string]viewcube.ValueRange, len(req.Ranges))
 		for _, vr := range req.Ranges {
 			ranges[vr.Dim] = viewcube.ValueRange{Lo: vr.Lo, Hi: vr.Hi}
 		}
-		var (
-			sum float64
-			ok  bool
-			err error
-		)
-		if req.Trace {
-			var qt *viewcube.QueryTrace
-			sum, ok, qt, err = s.eng.TraceRangeSumWithin(ranges)
-			if err == nil {
-				resp.Spans = qt.Tree()
-			}
-		} else {
-			sum, ok, err = s.eng.RangeSumWithin(ranges)
-		}
-		switch {
-		case err != nil:
-			resp.Err = err.Error()
-		case ok:
-			resp.Sum = sum
-		default:
-			resp.Sum = 0 // no values in range on this shard
-		}
+		// ok is dropped: with no values in range on this shard the sum is
+		// already 0, the distributive identity.
+		resp.Sum, qt, err = traceable(req.Trace,
+			func() (float64, error) {
+				sum, _, err := s.eng.RangeSumWithin(ranges)
+				return sum, err
+			},
+			func() (float64, *viewcube.QueryTrace, error) {
+				sum, _, qt, err := s.eng.TraceRangeSumWithin(ranges)
+				return sum, qt, err
+			})
 	default:
-		resp.Err = fmt.Sprintf("cluster: unsupported request kind %d", req.Kind)
+		err = fmt.Errorf("cluster: unsupported request kind %d", req.Kind)
 	}
-	if resp.Err != "" {
-		resp.Spans = nil // errors never carry spans on the wire
+	if err != nil {
+		resp.Err = err.Error()
 		s.met.ServedErrors.Inc()
-	} else {
-		// Piggyback the shard's combined data version: plan-cache epoch
-		// (locked writes, optimize, reconfigure) plus ingest snapshot epoch
-		// (streamed merges). Both are monotone, so the sum is too — the
-		// coordinator folds it into its result cache's upstream version.
-		st := s.eng.PlanCacheStats()
-		resp.Epoch = st.Epoch + st.Snapshot
+		return resp
 	}
+	resp.Spans = qt.Tree() // nil for an untraced request
+	// Piggyback the shard's combined data version: plan-cache epoch
+	// (locked writes, optimize, reconfigure) plus ingest snapshot epoch
+	// (streamed merges). Both are monotone, so the sum is too — the
+	// coordinator folds it into its result cache's upstream version.
+	st := s.eng.PlanCacheStats()
+	resp.Epoch = st.Epoch + st.Snapshot
 	return resp
 }
 

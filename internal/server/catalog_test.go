@@ -395,3 +395,59 @@ func TestUnsupportedOnPartitioned(t *testing.T) {
 		t.Fatalf("sharded sql: %d %v", resp.StatusCode, out)
 	}
 }
+
+// TestAggQueryTraceOpsMatchExplain mirrors TestTraceOpsMatchExplain for the
+// vector SQL path: ?trace=1 on a measure-vector cube's /query returns a real
+// span tree, and its summed "ops" reproduce exactly the cost ExplainAgg
+// reports for the same group-by — the trace is the executed plan, Explain
+// the predicted one.
+func TestAggQueryTraceOpsMatchExplain(t *testing.T) {
+	reg := catalog.NewRegistry()
+	tbl, err := viewcube.ReadTable(strings.NewReader(salesCSV), "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := viewcube.NewAggEngine(tbl, viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.RegisterHandle("stats", catalog.NewAggHandle(agg)); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, NewCatalog(reg, quiet))
+
+	var nonZero bool
+	for _, keep := range []string{"product", "region", "product,day"} {
+		var out struct {
+			Trace *obs.SpanNode `json:"trace"`
+		}
+		resp, err := http.Post(ts.URL+"/cubes/stats/query?trace=1", "application/json",
+			strings.NewReader(`{"sql":"SELECT AVG(sales), COUNT(*) GROUP BY `+keep+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Trace == nil || out.Trace.Name != "query" || out.Trace.Find("plan ") == nil {
+			t.Fatalf("keep=%s: no real span tree on the agg SQL path: %+v", keep, out.Trace)
+		}
+		want, err := agg.ExplainAgg(viewcube.AggAvg, strings.Split(keep, ",")...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cost int64
+		if _, err := fmt.Sscanf(want[strings.LastIndex(want, "total cost "):], "total cost %d ops", &cost); err != nil {
+			t.Fatalf("no cost in explain output:\n%s", want)
+		}
+		if got := out.Trace.SumAttr("ops"); got != cost {
+			t.Fatalf("keep=%s: trace ops %d != explain cost %d", keep, got, cost)
+		}
+		nonZero = nonZero || cost > 0
+	}
+	if !nonZero {
+		t.Fatal("every tested view was free to assemble; test exercised nothing")
+	}
+}

@@ -3,10 +3,10 @@ package viewcube
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
+	"viewcube/internal/plan"
 	"viewcube/internal/query"
 )
 
@@ -33,34 +33,7 @@ type QueryResult struct {
 // Only SUM aggregates are supported on a plain Engine; use AvgEngine.Query
 // for COUNT and AVG. Grouped dimensions cannot also be filtered.
 func (e *Engine) Query(sql string) (*QueryResult, error) {
-	res, err := e.queryObserved(nil, sql)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// queryObserved is the timed-and-counted read path: it never reselects, so
-// SafeEngine may call it under a read lock.
-func (e *Engine) queryObserved(x *obs.ExecCtx, sql string) (*QueryResult, error) {
-	start := time.Now()
-	res, err := e.queryInner(x, sql)
-	e.met.observe("sql", start, err)
-	return res, err
-}
-
-func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error) {
-	q, err := query.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	if q.NeedsCount() {
-		return nil, fmt.Errorf("viewcube: COUNT/AVG need an AvgEngine (this engine has only the SUM cube)")
-	}
-	return executeQuery(x, q, e, nil)
+	return untraced(runInline(e, false, sqlRead, sql))
 }
 
 // Query parses and executes a SQL-like statement supporting SUM, COUNT(*)
@@ -74,31 +47,18 @@ func (a *AvgEngine) Query(sql string) (*QueryResult, error) { return a.agg.Query
 // assembled component planes — one plan, one execution, however many
 // aggregates are selected.
 func (a *AggEngine) Query(sql string) (*QueryResult, error) {
-	start := time.Now()
-	q, err := query.Parse(sql)
-	if err != nil {
-		a.sum.met.observe("sql", start, err)
-		return nil, err
-	}
-	res, err := a.executeVectorQuery(nil, q)
-	a.sum.met.observe("sql", start, err)
-	if err == nil {
-		err = a.maybeReselect()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return untraced(runAgg(a, false, aggSQLRead, sql))
 }
 
-// executeVectorQuery runs the parsed query through the measure-vector
-// path: one vector GROUP BY (or grouped range query), then per-aggregate
-// finalisers over the component planes. Result semantics match the
-// historical two-engine executeQuery exactly: the canonical group set is
-// the count plane's, filtered groups with zero tuples are skipped, rows
-// are sorted by group key.
-func (a *AggEngine) executeVectorQuery(x *obs.ExecCtx, q *query.Query) (*QueryResult, error) {
-	cube := a.cube
+// TraceQuery is Query with per-span tracing.
+func (a *AggEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
+	return runAgg(a, true, aggSQLRead, sql)
+}
+
+// sqlRanges validates the SELECT list's measure arguments and the WHERE
+// clause's dimensions against the cube, and returns the WHERE clause as
+// per-dimension value ranges.
+func sqlRanges(cube *Cube, q *query.Query) (map[string]ValueRange, error) {
 	for _, agg := range q.Aggregates {
 		if agg.Arg == "*" {
 			continue
@@ -107,7 +67,6 @@ func (a *AggEngine) executeVectorQuery(x *obs.ExecCtx, q *query.Query) (*QueryRe
 			return nil, fmt.Errorf("viewcube: unknown measure %q (cube measure is %q)", agg.Arg, cube.measure)
 		}
 	}
-
 	ranges := make(map[string]ValueRange, len(q.Where))
 	for _, r := range q.Where {
 		if _, err := cube.DimIndex(r.Dim); err != nil {
@@ -115,7 +74,72 @@ func (a *AggEngine) executeVectorQuery(x *obs.ExecCtx, q *query.Query) (*QueryRe
 		}
 		ranges[r.Dim] = ValueRange{Lo: r.Lo, Hi: r.Hi}
 	}
+	return ranges, nil
+}
 
+// sqlResult tabulates per-group component values into the query's rows, one
+// value per selected aggregate, sorted by group key. The canonical group set
+// is the keys of counts when present (filtered groups with zero tuples are
+// skipped), else the keys of sums. sumsqs and counts may be nil when no
+// selected aggregate needs them — the plain Engine, whose queries select
+// only SUM, passes neither (and a zero spec).
+func sqlResult(q *query.Query, spec plan.MeasureSpec, sums, sumsqs, counts map[string]float64) *QueryResult {
+	res := &QueryResult{Columns: append([]string(nil), q.GroupBy...)}
+	for _, agg := range q.Aggregates {
+		res.Columns = append(res.Columns, agg.Label())
+	}
+	keySet := sums
+	if counts != nil {
+		keySet = counts
+	}
+	keys := make([]string, 0, len(keySet))
+	for k := range keySet {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	comps := make([]float64, spec.Width)
+	for _, k := range keys {
+		if counts != nil && counts[k] == 0 {
+			continue // no tuples in this group under the filter
+		}
+		row := QueryRow{Key: SplitGroupKey(k)}
+		for _, agg := range q.Aggregates {
+			switch agg.Kind {
+			case query.AggSum:
+				row.Values = append(row.Values, sums[k])
+			case query.AggCount:
+				row.Values = append(row.Values, counts[k])
+			case query.AggAvg:
+				row.Values = append(row.Values, sums[k]/counts[k])
+			case query.AggVar, query.AggStdDev:
+				comps[spec.Sum] = sums[k]
+				comps[spec.SumSq] = sumsqs[k]
+				comps[spec.Count] = counts[k]
+				kind := AggVar
+				if agg.Kind == query.AggStdDev {
+					kind = AggStdDev
+				}
+				v, _ := spec.Finalize(kind, comps)
+				row.Values = append(row.Values, v)
+			}
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return res
+}
+
+// queryInner runs the statement through the measure-vector path: one vector
+// GROUP BY (or grouped range query), then per-aggregate finalisers over the
+// component planes.
+func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error) {
+	q, err := query.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	ranges, err := sqlRanges(a.cube, q)
+	if err != nil {
+		return nil, err
+	}
 	needVar := false
 	for _, agg := range q.Aggregates {
 		if agg.Kind == query.AggVar || agg.Kind == query.AggStdDev {
@@ -125,12 +149,11 @@ func (a *AggEngine) executeVectorQuery(x *obs.ExecCtx, q *query.Query) (*QueryRe
 
 	// One vector query materialises every component plane at once.
 	var (
-		ma  *ndarray.MultiArray
-		el  Element
-		err error
+		ma *ndarray.MultiArray
+		el Element
 	)
 	if len(ranges) == 0 {
-		ma, el, err = a.groupByVector(x, sqlAggKind(q), q.GroupBy...)
+		ma, el, err = a.groupByVector(x, q.GroupBy...)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +165,7 @@ func (a *AggEngine) executeVectorQuery(x *obs.ExecCtx, q *query.Query) (*QueryRe
 		if ma, err = a.vq.GroupedRangeVecCtx(x, box, keepMask); err != nil {
 			return nil, err
 		}
-		if el, err = cube.ViewKeeping(q.GroupBy...); err != nil {
+		if el, err = a.cube.ViewKeeping(q.GroupBy...); err != nil {
 			return nil, err
 		}
 	}
@@ -163,180 +186,50 @@ func (a *AggEngine) executeVectorQuery(x *obs.ExecCtx, q *query.Query) (*QueryRe
 			return nil, err
 		}
 	}
-
-	res := &QueryResult{Columns: append([]string(nil), q.GroupBy...)}
-	for _, agg := range q.Aggregates {
-		res.Columns = append(res.Columns, agg.Label())
-	}
-
-	// Canonical group set: keys of counts when present (count > 0 means
-	// tuples exist), else keys of sums.
-	keySet := sums
-	if counts != nil {
-		keySet = counts
-	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	comps := make([]float64, a.spec.Width)
-	for _, k := range keys {
-		if counts != nil && counts[k] == 0 {
-			continue // no tuples in this group under the filter
-		}
-		row := QueryRow{Key: SplitGroupKey(k)}
-		for _, agg := range q.Aggregates {
-			switch agg.Kind {
-			case query.AggSum:
-				row.Values = append(row.Values, sums[k])
-			case query.AggCount:
-				row.Values = append(row.Values, counts[k])
-			case query.AggAvg:
-				row.Values = append(row.Values, sums[k]/counts[k])
-			case query.AggVar, query.AggStdDev:
-				comps[a.spec.Sum] = sums[k]
-				comps[a.spec.SumSq] = sumsqs[k]
-				comps[a.spec.Count] = counts[k]
-				kind := AggVar
-				if agg.Kind == query.AggStdDev {
-					kind = AggStdDev
-				}
-				v, _ := a.spec.Finalize(kind, comps)
-				row.Values = append(row.Values, v)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
+	return sqlResult(q, a.spec, sums, sumsqs, counts), nil
 }
 
-// sqlAggKind maps a parsed SELECT list to the aggregate kind annotated on
-// the vector plan (for Explain/trace/query-log rendering): the "strongest"
-// finaliser selected.
-func sqlAggKind(q *query.Query) AggKind {
-	kind := AggSum
-	for _, agg := range q.Aggregates {
-		var k AggKind
-		switch agg.Kind {
-		case query.AggCount:
-			k = AggCount
-		case query.AggAvg:
-			k = AggAvg
-		case query.AggVar:
-			k = AggVar
-		case query.AggStdDev:
-			k = AggStdDev
-		default:
-			continue
-		}
-		if k > kind {
-			kind = k
-		}
-	}
-	return kind
-}
-
-// executeQuery runs the parsed query against the SUM engine and, when
-// needed, the COUNT engine. It remains the scalar (width-1) SQL path of the
-// plain Engine; the measure-vector engines use executeVectorQuery.
-func executeQuery(x *obs.ExecCtx, q *query.Query, sumEng, countEng *Engine) (*QueryResult, error) {
-	cube := sumEng.cube
-	if cube.enc == nil && len(q.Where) > 0 {
-		return nil, fmt.Errorf("viewcube: WHERE needs a dictionary-encoded cube")
-	}
-	for _, agg := range q.Aggregates {
-		if agg.Arg == "*" {
-			continue
-		}
-		if cube.measure != "" && agg.Arg != cube.measure {
-			return nil, fmt.Errorf("viewcube: unknown measure %q (cube measure is %q)", agg.Arg, cube.measure)
-		}
-	}
-
-	ranges := make(map[string]ValueRange, len(q.Where))
-	for _, r := range q.Where {
-		if _, err := cube.DimIndex(r.Dim); err != nil {
-			return nil, err
-		}
-		ranges[r.Dim] = ValueRange{Lo: r.Lo, Hi: r.Hi}
-	}
-
-	// Queries route through the uninstrumented inner methods: the SQL
-	// entry point records one "sql" observation, not one per sub-query.
-	groupsOf := func(eng *Engine) (map[string]float64, error) {
-		if len(ranges) == 0 {
-			v, err := eng.groupByInner(x, q.GroupBy...)
-			if err != nil {
-				return nil, err
-			}
-			if eng.cube.enc == nil {
-				// Raw cube, no dictionaries: only the ungrouped total works.
-				if len(q.GroupBy) > 0 {
-					return nil, fmt.Errorf("viewcube: GROUP BY needs a dictionary-encoded cube")
-				}
-				val, err := v.Value()
-				if err != nil {
-					return nil, err
-				}
-				return map[string]float64{"": val}, nil
-			}
-			return v.Groups()
-		}
-		v, err := eng.groupByWhereInner(x, q.GroupBy, ranges)
-		if err != nil {
-			return nil, err
-		}
-		return v.Groups()
-	}
-
-	sums, err := groupsOf(sumEng)
+// queryInner is the scalar (width-1) SQL path of the plain Engine: SUM-only.
+// Its one sub-query goes through the uninstrumented bodies, so the SQL entry
+// point records one "sql" observation, not one per sub-query.
+func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error) {
+	q, err := query.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	var counts map[string]float64
 	if q.NeedsCount() {
-		if countEng == nil {
-			return nil, fmt.Errorf("viewcube: COUNT/AVG need a count cube")
-		}
-		counts, err = groupsOf(countEng)
-		if err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("viewcube: COUNT/AVG need an AvgEngine (this engine has only the SUM cube)")
 	}
-
-	res := &QueryResult{Columns: append([]string(nil), q.GroupBy...)}
-	for _, agg := range q.Aggregates {
-		res.Columns = append(res.Columns, agg.Label())
+	if e.cube.enc == nil && len(q.Where) > 0 {
+		return nil, fmt.Errorf("viewcube: WHERE needs a dictionary-encoded cube")
 	}
-
-	// Canonical group set: keys of counts when present (count > 0 means
-	// tuples exist), else keys of sums.
-	keySet := sums
-	if counts != nil {
-		keySet = counts
+	ranges, err := sqlRanges(e.cube, q)
+	if err != nil {
+		return nil, err
 	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
+	var v *View
+	if len(ranges) > 0 {
+		v, err = e.groupByWhereInner(x, dice{q.GroupBy, ranges})
+	} else {
+		v, err = e.groupByInner(x, q.GroupBy)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if counts != nil && counts[k] == 0 {
-			continue // no tuples in this group under the filter
-		}
-		row := QueryRow{Key: SplitGroupKey(k)}
-		for _, agg := range q.Aggregates {
-			switch agg.Kind {
-			case query.AggSum:
-				row.Values = append(row.Values, sums[k])
-			case query.AggCount:
-				row.Values = append(row.Values, counts[k])
-			case query.AggAvg:
-				row.Values = append(row.Values, sums[k]/counts[k])
-			}
-		}
-		res.Rows = append(res.Rows, row)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	var sums map[string]float64
+	switch {
+	case e.cube.enc != nil:
+		sums, err = v.Groups()
+	case len(q.GroupBy) > 0:
+		// Raw cube, no dictionaries: only the ungrouped total works.
+		err = fmt.Errorf("viewcube: GROUP BY needs a dictionary-encoded cube")
+	default:
+		var total float64
+		total, err = v.Value()
+		sums = map[string]float64{"": total}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sqlResult(q, plan.MeasureSpec{}, sums, nil, nil), nil
 }

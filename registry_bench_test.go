@@ -52,7 +52,7 @@ func registryOverheadFixture(b *testing.B) *catalog.Registry {
 		b.Fatal(err)
 	}
 	defer lease.Release()
-	if _, err := lease.Handle.GroupBy("product"); err != nil {
+	if _, _, err := lease.Handle.GroupBy(false, "product"); err != nil {
 		b.Fatal(err)
 	}
 	return reg
@@ -71,7 +71,7 @@ func BenchmarkLeasedGroupBy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lease.Handle.GroupBy("product"); err != nil {
+		if _, _, err := lease.Handle.GroupBy(false, "product"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func BenchmarkRegistryResolve(b *testing.B) {
 			lease.Release()
 			b.Fatal(err)
 		}
-		if _, err := lease.Handle.GroupBy(keep...); err != nil {
+		if _, _, err := lease.Handle.GroupBy(false, keep...); err != nil {
 			lease.Release()
 			b.Fatal(err)
 		}

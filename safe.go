@@ -4,6 +4,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+
+	"viewcube/internal/rangeagg"
 )
 
 // SafeEngine shares an Engine across goroutines with a read/write split:
@@ -72,105 +74,87 @@ func (s *SafeEngine) reselectIfDue() error {
 	return err
 }
 
-// GroupBy is Engine.GroupBy against the pinned snapshot (or under the read
-// lock when ingest is off).
-func (s *SafeEngine) GroupBy(keep ...string) (*View, error) {
+// runSafe is the SafeEngine read seam, the one place a shared read is
+// pinned and drained: it runs r through the read seam against whatever
+// reader() hands out, releases the pin, then drains a due reselection under
+// the write lock. Every query method below is a one-line instance of it.
+func runSafe[A, T any](s *SafeEngine, traced bool, r read[*Engine, A, T], args A) (T, *QueryTrace, error) {
 	eng, release := s.reader()
-	v, err := eng.groupByObserved(nil, keep...)
+	out, qt, err := run(eng.met, eng, traced, r, args)
 	release()
 	if err == nil {
 		err = s.reselectIfDue()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	return settle(out, qt, err)
+}
+
+// GroupBy is Engine.GroupBy against the pinned snapshot (or under the read
+// lock when ingest is off).
+func (s *SafeEngine) GroupBy(keep ...string) (*View, error) {
+	return untraced(runSafe(s, false, groupByRead, keep))
 }
 
 // GroupByWhere is Engine.GroupByWhere on the read path.
 func (s *SafeEngine) GroupByWhere(keep []string, ranges map[string]ValueRange) (*View, error) {
-	eng, release := s.reader()
-	v, err := eng.groupByWhereObserved(nil, keep, ranges)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	return untraced(runSafe(s, false, groupByWhereRead, dice{keep, ranges}))
 }
 
 // View is Engine.View on the read path.
 func (s *SafeEngine) View(el Element) (*View, error) {
-	eng, release := s.reader()
-	v, err := eng.viewObserved(nil, el)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return v, nil
+	return untraced(runSafe(s, false, viewRead, el))
 }
 
 // Total is Engine.Total on the read path.
 func (s *SafeEngine) Total() (float64, error) {
-	eng, release := s.reader()
-	total, err := eng.totalObserved(nil)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	return total, err
+	return untraced(runSafe(s, false, totalRead, struct{}{}))
 }
 
 // RangeSum is Engine.RangeSum on the read path.
 func (s *SafeEngine) RangeSum(ranges map[string]ValueRange) (float64, error) {
-	eng, release := s.reader()
-	sum, err := eng.rangeSumObserved(nil, ranges)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	return sum, err
+	return untraced(runSafe(s, false, rangeSumRead, ranges))
 }
 
 // RangeSumWithin is Engine.RangeSumWithin on the read path.
 func (s *SafeEngine) RangeSumWithin(ranges map[string]ValueRange) (float64, bool, error) {
-	eng, release := s.reader()
-	sum, ok, err := eng.rangeSumWithinObserved(nil, ranges)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	return sum, ok, err
+	w, err := untraced(runSafe(s, false, rangeWithinRead, ranges))
+	return w.sum, w.ok, err
 }
 
 // RangeSumIndex is Engine.RangeSumIndex on the read path.
 func (s *SafeEngine) RangeSumIndex(lo, ext []int) (float64, error) {
-	eng, release := s.reader()
-	sum, err := eng.rangeSumIndexObserved(nil, lo, ext)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	return sum, err
+	return untraced(runSafe(s, false, rangeIndexRead, rangeagg.Box{Lo: lo, Ext: ext}))
 }
 
 // Query is Engine.Query on the read path.
 func (s *SafeEngine) Query(sql string) (*QueryResult, error) {
-	eng, release := s.reader()
-	res, err := eng.queryObserved(nil, sql)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return untraced(runSafe(s, false, sqlRead, sql))
+}
+
+// TraceQuery is Engine.TraceQuery on the read path: each traced query owns
+// its execution context, so traced and untraced queries overlap freely.
+func (s *SafeEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
+	return runSafe(s, true, sqlRead, sql)
+}
+
+// TraceGroupBy is Engine.TraceGroupBy on the read path.
+func (s *SafeEngine) TraceGroupBy(keep ...string) (*View, *QueryTrace, error) {
+	return runSafe(s, true, groupByRead, keep)
+}
+
+// TraceRangeSum is Engine.TraceRangeSum on the read path.
+func (s *SafeEngine) TraceRangeSum(ranges map[string]ValueRange) (float64, *QueryTrace, error) {
+	return runSafe(s, true, rangeSumRead, ranges)
+}
+
+// TraceTotal is Engine.TraceTotal on the read path.
+func (s *SafeEngine) TraceTotal() (float64, *QueryTrace, error) {
+	return runSafe(s, true, totalRead, struct{}{})
+}
+
+// TraceRangeSumWithin is Engine.TraceRangeSumWithin on the read path.
+func (s *SafeEngine) TraceRangeSumWithin(ranges map[string]ValueRange) (float64, bool, *QueryTrace, error) {
+	w, qt, err := runSafe(s, true, rangeWithinRead, ranges)
+	return w.sum, w.ok, qt, err
 }
 
 // Optimize is Engine.Optimize under the write lock. Under ingest, the new
@@ -274,20 +258,23 @@ func (s *SafeEngine) SnapshotEpoch() uint64 {
 	return 0
 }
 
-// Explain is Engine.Explain under the read lock: planning is a pure read of
-// the materialised set (and of the shared plan cache, which is
-// concurrency-safe), so explains overlap queries freely.
+// Explain is Engine.Explain against the engine a query would run on —
+// the pinned snapshot under ingest, the base engine under the read lock
+// otherwise — so it renders the plan queries actually execute and never
+// waits out the merger. Planning is a pure read of the materialised set (and
+// of the shared plan cache, which is concurrency-safe), so explains overlap
+// queries freely; it records no access, so there is nothing to drain.
 func (s *SafeEngine) Explain(el Element) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.Explain(el)
+	eng, release := s.reader()
+	defer release()
+	return eng.Explain(el)
 }
 
-// ExplainGroupBy is Engine.ExplainGroupBy under the read lock.
+// ExplainGroupBy is Engine.ExplainGroupBy on the same pinned read.
 func (s *SafeEngine) ExplainGroupBy(keep ...string) (string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.ExplainGroupBy(keep...)
+	eng, release := s.reader()
+	defer release()
+	return eng.ExplainGroupBy(keep...)
 }
 
 // MaterializedElements is Engine.MaterializedElements under the read lock.
@@ -308,77 +295,6 @@ func (s *SafeEngine) StorageCells() int {
 // safe for concurrent use, so no lock is taken to read instruments.
 func (s *SafeEngine) Metrics() *Metrics {
 	return s.eng.Metrics()
-}
-
-// TraceQuery is Engine.TraceQuery on the read path: each traced query owns
-// its execution context, so traced and untraced queries overlap freely.
-func (s *SafeEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	eng, release := s.reader()
-	res, tr, err := eng.traceQuery(sql)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// TraceGroupBy is Engine.TraceGroupBy on the read path.
-func (s *SafeEngine) TraceGroupBy(keep ...string) (*View, *QueryTrace, error) {
-	eng, release := s.reader()
-	v, tr, err := eng.traceGroupBy(keep...)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, tr, nil
-}
-
-// TraceRangeSum is Engine.TraceRangeSum on the read path.
-func (s *SafeEngine) TraceRangeSum(ranges map[string]ValueRange) (float64, *QueryTrace, error) {
-	eng, release := s.reader()
-	sum, tr, err := eng.traceRangeSum(ranges)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return sum, tr, nil
-}
-
-// TraceTotal is Engine.TraceTotal on the read path.
-func (s *SafeEngine) TraceTotal() (float64, *QueryTrace, error) {
-	eng, release := s.reader()
-	total, tr, err := eng.traceTotal()
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return total, tr, nil
-}
-
-// TraceRangeSumWithin is Engine.TraceRangeSumWithin on the read path.
-func (s *SafeEngine) TraceRangeSumWithin(ranges map[string]ValueRange) (float64, bool, *QueryTrace, error) {
-	eng, release := s.reader()
-	sum, ok, tr, err := eng.traceRangeSumWithin(ranges)
-	release()
-	if err == nil {
-		err = s.reselectIfDue()
-	}
-	if err != nil {
-		return 0, false, nil, err
-	}
-	return sum, ok, tr, nil
 }
 
 // SaveState is Engine.SaveState under the read lock.

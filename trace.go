@@ -2,7 +2,6 @@ package viewcube
 
 import (
 	"encoding/json"
-	"strings"
 
 	"viewcube/internal/obs"
 )
@@ -75,142 +74,32 @@ func CacheHitTrace(name string) *QueryTrace {
 	return &QueryTrace{t: t}
 }
 
-// withTrace runs fn with a fresh per-query execution context and returns
-// the finished trace. Nothing is attached to the engine: the context is
-// threaded explicitly through the read path, so concurrent queries (traced
-// or not) never observe each other's spans.
-func (e *Engine) withTrace(name string, fn func(x *obs.ExecCtx) error) (*QueryTrace, error) {
-	t := obs.NewTrace(name)
-	err := fn(obs.Traced(t))
-	t.Finish()
-	return &QueryTrace{t: t}, err
-}
-
 // TraceQuery is Query with per-span tracing: it answers the SQL-like
 // statement and returns the span tree of its execution alongside the
 // result.
 func (e *Engine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	res, tr, err := e.traceQuery(sql)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
-}
-
-// traceQuery is the reselect-free traced read path (SafeEngine calls it
-// under a read lock).
-func (e *Engine) traceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	var res *QueryResult
-	tr, err := e.withTrace("query", func(x *obs.ExecCtx) (err error) {
-		res, err = e.queryObserved(x, sql)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr, nil
+	return runInline(e, true, sqlRead, sql)
 }
 
 // TraceGroupBy is GroupBy with per-span tracing.
 func (e *Engine) TraceGroupBy(keep ...string) (*View, *QueryTrace, error) {
-	v, tr, err := e.traceGroupBy(keep...)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, tr, nil
-}
-
-func (e *Engine) traceGroupBy(keep ...string) (*View, *QueryTrace, error) {
-	var v *View
-	tr, err := e.withTrace("groupby "+strings.Join(keep, ","), func(x *obs.ExecCtx) (err error) {
-		v, err = e.groupByObserved(x, keep...)
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, tr, nil
+	return runInline(e, true, groupByRead, keep)
 }
 
 // TraceTotal is Total with per-span tracing.
 func (e *Engine) TraceTotal() (float64, *QueryTrace, error) {
-	total, tr, err := e.traceTotal()
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return total, tr, nil
-}
-
-func (e *Engine) traceTotal() (float64, *QueryTrace, error) {
-	var total float64
-	tr, err := e.withTrace("total", func(x *obs.ExecCtx) (err error) {
-		total, err = e.totalObserved(x)
-		return err
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return total, tr, nil
+	return runInline(e, true, totalRead, struct{}{})
 }
 
 // TraceRangeSum is RangeSum with per-span tracing.
 func (e *Engine) TraceRangeSum(ranges map[string]ValueRange) (float64, *QueryTrace, error) {
-	sum, tr, err := e.traceRangeSum(ranges)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	return sum, tr, nil
-}
-
-func (e *Engine) traceRangeSum(ranges map[string]ValueRange) (float64, *QueryTrace, error) {
-	var sum float64
-	tr, err := e.withTrace("range", func(x *obs.ExecCtx) (err error) {
-		sum, err = e.rangeSumObserved(x, ranges)
-		return err
-	})
-	if err != nil {
-		return 0, nil, err
-	}
-	return sum, tr, nil
+	return runInline(e, true, rangeSumRead, ranges)
 }
 
 // TraceRangeSumWithin is RangeSumWithin with per-span tracing (the shard
 // servers' traced range path: out-of-domain ranges report ok=false rather
 // than erroring).
 func (e *Engine) TraceRangeSumWithin(ranges map[string]ValueRange) (float64, bool, *QueryTrace, error) {
-	sum, ok, tr, err := e.traceRangeSumWithin(ranges)
-	if err == nil {
-		err = e.maybeReselect()
-	}
-	if err != nil {
-		return 0, false, nil, err
-	}
-	return sum, ok, tr, nil
-}
-
-func (e *Engine) traceRangeSumWithin(ranges map[string]ValueRange) (float64, bool, *QueryTrace, error) {
-	var (
-		sum float64
-		ok  bool
-	)
-	tr, err := e.withTrace("range", func(x *obs.ExecCtx) (err error) {
-		sum, ok, err = e.rangeSumWithinObserved(x, ranges)
-		return err
-	})
-	if err != nil {
-		return 0, false, nil, err
-	}
-	return sum, ok, tr, nil
+	w, qt, err := runInline(e, true, rangeWithinRead, ranges)
+	return w.sum, w.ok, qt, err
 }
