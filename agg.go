@@ -48,11 +48,12 @@ const (
 // identical iteration order, per plane), which is what lets AvgEngine sit
 // on top of AggEngine without changing a single answered value.
 //
-// Like a plain Engine, an AggEngine is not safe for concurrent mutation;
-// concurrent reads are safe while no Optimize/Update is in flight.
+// Like a plain Engine, an AggEngine is not safe for concurrent use: its
+// public query methods perform any due automatic reselection inline. Wrap it
+// with Safe to share it across goroutines.
 type AggEngine struct {
-	cube  *Cube // sum-plane cube: dimension metadata, encoding, workloads
-	mdata *ndarray.MultiArray
+	cube  *Cube               // sum-plane cube: dimension metadata, encoding, workloads
+	mdata *ndarray.MultiArray // nil on a snapshot generation, which is never updated
 	spec  plan.MeasureSpec
 
 	mst  *assembly.MemMultiStore
@@ -159,11 +160,78 @@ func (a *AggEngine) observeServed(r freq.Rect, cost int) {
 
 // maybeReselect runs any due automatic reselection on both component views
 // (they share the vector store, so the second reconfiguration is a no-op).
-func (a *AggEngine) maybeReselect() error {
-	if err := a.sum.maybeReselect(); err != nil {
+func (a *AggEngine) maybeReselect() (bool, error) {
+	changed, err := a.sum.maybeReselect()
+	if err != nil {
+		return changed, err
+	}
+	again, err := a.cnt.maybeReselect()
+	return changed || again, err
+}
+
+// The measure-vector engine's side of the guarded constraint (safe.go).
+
+func (a *AggEngine) metrics() *Metrics { return a.sum.met }
+
+func (a *AggEngine) reselectDue() bool { return a.sum.reselectDue() || a.cnt.reselectDue() }
+
+// ingestable: the vector store is always in-memory (NewAggEngine rejects
+// DiskDir).
+func (a *AggEngine) ingestable() error { return nil }
+
+func (a *AggEngine) checkCell(idx []int) error { return a.sum.checkCell(idx) }
+
+// applyDeltaRaw folds one component-vector delta — [Σv, Σv², Σn] summed over
+// the tuples coalesced at the cell — into the base cube and incrementally
+// into every stored vector element (each changes in exactly one cell per
+// component: the scalar linearity argument, applied per component).
+func (a *AggEngine) applyDeltaRaw(vals []float64, idx []int) error {
+	if len(vals) != a.spec.Width {
+		return fmt.Errorf("viewcube: delta width %d on a width-%d vector cube", len(vals), a.spec.Width)
+	}
+	if err := assembly.UpdateCellMulti(a.cube.space, a.mst, vals, idx); err != nil {
 		return err
 	}
-	return a.cnt.maybeReselect()
+	a.mdata.AddVec(vals, idx...)
+	a.sum.met.updates.Inc()
+	if a.cnt.met != a.sum.met {
+		a.cnt.met.updates.Inc()
+	}
+	return nil
+}
+
+// resetDerived drops the range-element caches layered over the vector store
+// (the vector querier's and both scalar views').
+func (a *AggEngine) resetDerived() {
+	a.vq.Reset()
+	a.sum.rq.Reset()
+	a.cnt.rq.Reset()
+}
+
+// snapshot deep-copies every stored vector element into a fresh store and
+// derives a read-only generation over it: its own vector executor and range
+// querier, the (epoch-pinned) shared plan cache, and the base's two scalar
+// facades — which a vector read touches only for the workload recorder,
+// the metrics and the dictionaries, never for their stores.
+func (a *AggEngine) snapshot() (*AggEngine, error) {
+	mst := assembly.NewMemMultiStore()
+	for _, r := range a.mst.Elements() {
+		ma, ok := a.mst.Get(r)
+		if !ok {
+			return nil, fmt.Errorf("viewcube: snapshot element %v vanished mid-clone", r)
+		}
+		if err := mst.Put(r, ma.Clone()); err != nil {
+			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
+		}
+	}
+	g := &AggEngine{cube: a.cube, spec: a.spec, mst: mst, sum: a.sum, cnt: a.cnt}
+	g.veng = assembly.NewVectorEngine(a.cube.space, mst, a.spec.Width)
+	g.veng.SetExecutor(a.sum.opts.ExecWorkers, a.sum.opts.ParallelExecCells)
+	g.veng.SetMetrics(a.sum.met.assembly)
+	g.pl = a.pl.ForSource(g.veng)
+	g.vq = rangeagg.NewVecQuerier(a.cube.space, aggElementSource{g}, a.spec.Width)
+	g.vq.SetMetrics(a.sum.met.ranges)
+	return g, nil
 }
 
 // The vector engine's reads.
@@ -197,7 +265,7 @@ func (r aggRanges) traceName() string { return "range_agg " + r.kind.String() }
 func runAgg[A, T any](a *AggEngine, traced bool, r read[*AggEngine, A, T], args A) (T, *QueryTrace, error) {
 	out, qt, err := run(a.sum.met, a, traced, r, args)
 	if err == nil {
-		err = a.maybeReselect()
+		_, err = a.maybeReselect()
 	}
 	return settle(out, qt, err)
 }
@@ -376,37 +444,19 @@ func (a *AggEngine) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) 
 
 // Update applies one new observation with the given measure to the cube
 // cell at idx: the component delta [v, v², 1] is folded into the base cube
-// and incrementally into every stored vector element (each changes in
-// exactly one cell per component). All plan and element caches are
-// invalidated across the vector engine and both scalar views.
+// and incrementally into every stored vector element. All plan and element
+// caches are invalidated across the vector engine and both scalar views.
 func (a *AggEngine) Update(measure float64, idx ...int) error {
-	delta := make([]float64, a.spec.Width)
-	delta[a.spec.Sum] = measure
-	delta[a.spec.SumSq] = measure * measure
-	delta[a.spec.Count] = 1
-	if err := assembly.UpdateCellMulti(a.cube.space, a.mst, delta, idx); err != nil {
+	if err := a.applyDeltaRaw(a.observation(measure), idx); err != nil {
 		return err
 	}
-	a.mdata.AddVec(delta, idx...)
 	a.invalidate()
-	a.sum.met.updates.Inc()
-	if a.cnt.met != a.sum.met {
-		a.cnt.met.updates.Inc()
-	}
 	return nil
 }
 
-// AggDelta is one accumulated component-vector delta for the batched write
-// path: Vals carries [Σv, Σv², Σn] summed over the tuples coalesced at the
-// cell (a single observation v is [v, v², 1]).
-type AggDelta struct {
-	Idx  []int
-	Vals []float64
-}
-
-// ObservationDelta builds the component-vector delta of one new tuple with
-// the given measure value.
-func (a *AggEngine) ObservationDelta(measure float64) []float64 {
+// observation is the component-vector delta of one new tuple with the given
+// measure value.
+func (a *AggEngine) observation(measure float64) []float64 {
 	delta := make([]float64, a.spec.Width)
 	delta[a.spec.Sum] = measure
 	delta[a.spec.SumSq] = measure * measure
@@ -414,50 +464,12 @@ func (a *AggEngine) ObservationDelta(measure float64) []float64 {
 	return delta
 }
 
-// ApplyDeltaBatch folds accumulated component-vector deltas into the vector
-// cube with ONE cache invalidation for the whole batch — the batched-ingest
-// analogue of calling Update per tuple (which invalidates every plan and
-// element cache each time). Exact by the same linearity argument as scalar
-// maintenance, applied per component. The caller serialises it against
-// queries exactly like Update.
-func (a *AggEngine) ApplyDeltaBatch(batch []AggDelta) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	for _, d := range batch {
-		if len(d.Vals) != a.spec.Width {
-			return fmt.Errorf("viewcube: delta width %d, want %d", len(d.Vals), a.spec.Width)
-		}
-		if err := assembly.UpdateCellMulti(a.cube.space, a.mst, d.Vals, d.Idx); err != nil {
-			return err
-		}
-		a.mdata.AddVec(d.Vals, d.Idx...)
-		a.sum.met.updates.Inc()
-		if a.cnt.met != a.sum.met {
-			a.cnt.met.updates.Inc()
-		}
-	}
-	a.invalidate()
-	return nil
-}
-
 // UpdateValue is Update addressed by dimension values: one new tuple with
 // the given measure, located through the dictionaries.
 func (a *AggEngine) UpdateValue(measure float64, values map[string]string) error {
-	if len(values) != len(a.cube.dims) {
-		return fmt.Errorf("viewcube: need a value for each of the %d dimensions", len(a.cube.dims))
-	}
-	idx := make([]int, len(a.cube.dims))
-	for name, val := range values {
-		m, err := a.cube.DimIndex(name)
-		if err != nil {
-			return err
-		}
-		code, ok := a.cube.enc.Dicts[m].Code(val)
-		if !ok {
-			return fmt.Errorf("viewcube: value %q not in dimension %q", val, name)
-		}
-		idx[m] = code
+	idx, err := a.sum.resolveUpdateIndex(values)
+	if err != nil {
+		return err
 	}
 	return a.Update(measure, idx...)
 }

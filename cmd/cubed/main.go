@@ -245,12 +245,13 @@ func runCatalog(cfg config) error {
 		})
 		logger.Info("catalog hot-reload enabled", "interval", cfg.catalogReload.String())
 	}
+	// Registered before ready is announced: a SIGTERM that arrives in between
+	// must drain the server, not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if cfg.ready != nil {
 		cfg.ready(httpLn.Addr().String(), "")
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		if stopReload != nil {
@@ -362,12 +363,11 @@ func runNode(cfg config) error {
 			errCh <- shardSrv.Serve(shardLn)
 		}()
 	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if cfg.ready != nil {
 		cfg.ready(httpLn.Addr().String(), shardAddr)
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		srv.Close()
@@ -454,12 +454,11 @@ func runCoordinator(cfg config) error {
 		logger.Info("serving coordinator", "addr", httpLn.Addr().String(), "shards", len(shards))
 		errCh <- srv.Serve(httpLn)
 	}()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	if cfg.ready != nil {
 		cfg.ready(httpLn.Addr().String(), "")
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err

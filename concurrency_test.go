@@ -267,3 +267,111 @@ func TestConcurrentTraceIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestConcurrentSafeAggEngineAgainstSerialOracle is the measure-vector twin
+// of the stress above: readers mixing every aggregate kind, range, SQL and
+// traced queries overlap under one SafeAggEngine's read lock while automatic
+// reselection and a background Optimize keep rewriting the shared vector
+// store under its write lock. Every answer must match the serial oracle.
+func TestConcurrentSafeAggEngineAgainstSerialOracle(t *testing.T) {
+	agg, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{ReselectEvery: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	safe := agg.Safe()
+	kinds := []viewcube.AggKind{viewcube.AggSum, viewcube.AggCount, viewcube.AggAvg, viewcube.AggVar}
+	dayRange := map[string]viewcube.ValueRange{"day": {Lo: "d1", Hi: "d2"}}
+	const sql = "SELECT AVG(sales), COUNT(*) GROUP BY region"
+	oracleGroups := make(map[viewcube.AggKind]map[string]float64)
+	oracleRange := make(map[viewcube.AggKind]float64)
+	for _, kind := range kinds {
+		if oracleGroups[kind], err = safe.GroupByAgg(kind, "product"); err != nil {
+			t.Fatal(err)
+		}
+		if oracleRange[kind], err = safe.RangeAgg(kind, dayRange); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracleSQL, err := safe.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(1)
+	go func() {
+		defer bg.Done()
+		keeps := [][]string{{"product"}, {"region", "day"}, {"day"}}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w := safe.Cube().NewWorkload()
+			if err := w.AddViewKeeping(1, keeps[i%len(keeps)]...); err != nil {
+				t.Errorf("workload: %v", err)
+				return
+			}
+			if err := safe.Optimize(w); err != nil {
+				t.Errorf("background optimize: %v", err)
+				return
+			}
+		}
+	}()
+
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; i < 60; i++ {
+				kind := kinds[(r+i)%len(kinds)]
+				var (
+					groups map[string]float64
+					err    error
+				)
+				if i%2 == 0 {
+					groups, err = safe.GroupByAgg(kind, "product")
+				} else {
+					groups, _, err = safe.TraceGroupByAgg(kind, "product")
+				}
+				if err != nil {
+					t.Errorf("GroupByAgg %v: %v", kind, err)
+					return
+				}
+				for k, w := range oracleGroups[kind] {
+					if !almostEqual(groups[k], w) {
+						t.Errorf("kind %v group %q = %g, want %g", kind, k, groups[k], w)
+						return
+					}
+				}
+				v, err := safe.RangeAgg(kind, dayRange)
+				if err != nil || !almostEqual(v, oracleRange[kind]) {
+					t.Errorf("RangeAgg %v = %g (%v), want %g", kind, v, err, oracleRange[kind])
+					return
+				}
+				res, err := safe.Query(sql)
+				if err != nil || len(res.Rows) != len(oracleSQL.Rows) {
+					t.Errorf("Query: %v rows %v, want %v", err, res, oracleSQL.Rows)
+					return
+				}
+				for j, row := range res.Rows {
+					for c, val := range row.Values {
+						if !almostEqual(val, oracleSQL.Rows[j].Values[c]) {
+							t.Errorf("Query row %v = %v, want %v", row.Key, row.Values, oracleSQL.Rows[j].Values)
+							return
+						}
+					}
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	bg.Wait()
+	if st := safe.Stats(); st.Reconfigs == 0 {
+		t.Fatalf("stats %+v: no reconfiguration ran under the readers", st)
+	}
+}

@@ -172,37 +172,68 @@ func newEngineWith(c *Cube, st assembly.Store, opts EngineOptions) (*Engine, err
 // EngineOptions, or the engine's private registry).
 func (e *Engine) Metrics() *Metrics { return e.met }
 
-// forStore derives a read-only sibling engine over st, an immutable
-// snapshot clone of this engine's store. The sibling shares the cube, the
-// metrics, the adaptive workload profile and the (epoch-pinned) plan cache;
-// the store, the assembly executor and the range-element cache are
-// generation-local. It is the payload of one MVCC snapshot: queries against
-// it never touch the base engine's mutable store.
-func (e *Engine) forStore(st assembly.Store) *Engine {
+// The scalar engine's side of the guarded constraint (safe.go).
+
+func (e *Engine) metrics() *Metrics { return e.met }
+
+func (e *Engine) reselectDue() bool { return e.inner.ReselectDue() }
+
+// ingestable: only MemStore contents are cloneable cheaply, and a WAL
+// replayed into a disk store that already absorbed the deltas would
+// double-apply.
+func (e *Engine) ingestable() error {
+	if _, ok := e.st.(*assembly.MemStore); !ok {
+		return fmt.Errorf("viewcube: ingest requires the in-memory element store (no DiskDir)")
+	}
+	return nil
+}
+
+// checkCell: UpdateCell with a zero delta validates the index against the
+// space and touches nothing.
+func (e *Engine) checkCell(idx []int) error {
+	return assembly.UpdateCell(e.cube.space, e.st, 0, idx)
+}
+
+// applyDeltaRaw is incremental maintenance of every materialised element
+// (each changes in exactly one cell, by ±delta — O(elements · rank),
+// independent of element volumes) plus the raw cube.
+func (e *Engine) applyDeltaRaw(vals []float64, idx []int) error {
+	if len(vals) != 1 {
+		return fmt.Errorf("viewcube: delta width %d on a scalar cube", len(vals))
+	}
+	if err := assembly.UpdateCell(e.cube.space, e.st, vals[0], idx); err != nil || vals[0] == 0 {
+		return err
+	}
+	e.cube.data.Add(vals[0], idx...)
+	e.met.updates.Inc()
+	return nil
+}
+
+func (e *Engine) resetDerived() { e.rq.Reset() }
+
+// snapshot deep-copies every materialised element into a fresh MemStore and
+// derives a read-only sibling engine over it. The sibling shares the cube,
+// the metrics, the adaptive workload profile and the (epoch-pinned) plan
+// cache; the store, the assembly executor and the range-element cache are
+// generation-local, so queries against it never touch the base engine's
+// mutable store.
+func (e *Engine) snapshot() (*Engine, error) {
+	st := assembly.NewMemStore()
+	for _, r := range e.st.Elements() {
+		a, ok := e.st.Get(r)
+		if !ok {
+			return nil, fmt.Errorf("viewcube: snapshot element %v vanished mid-clone", r)
+		}
+		if err := st.Put(r, a.Clone()); err != nil {
+			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
+		}
+	}
 	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, opts: e.opts}
 	g.rq = rangeagg.NewQuerier(e.cube.space, engineElementSource{g})
 	g.inner.Assembler().SetMetrics(e.met.assembly)
 	g.inner.Assembler().SetExecutor(e.opts.ExecWorkers, e.opts.ParallelExecCells)
 	g.rq.SetMetrics(e.met.ranges)
-	return g
-}
-
-// cloneStore deep-copies every materialised element of st into a fresh
-// MemStore — the immutable snapshot the merger publishes. Only MemStore
-// contents are cloneable cheaply; the ingest path enforces MemStore backing
-// at EnableIngest time.
-func cloneStore(st assembly.Store) (*assembly.MemStore, error) {
-	out := assembly.NewMemStore()
-	for _, r := range st.Elements() {
-		a, ok := st.Get(r)
-		if !ok {
-			return nil, fmt.Errorf("viewcube: snapshot element %v vanished mid-clone", r)
-		}
-		if err := out.Put(r, a.Clone()); err != nil {
-			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
-		}
-	}
-	return out, nil
+	return g, nil
 }
 
 // engineElementSource feeds the range querier with assembled elements,
@@ -219,15 +250,15 @@ func (s engineElementSource) ElementCtx(x *obs.ExecCtx, r freq.Rect) (*ndarray.A
 	return s.e.inner.Query(x, r)
 }
 
-// maybeReselect performs a due automatic reselection. Only the plain
-// Engine's entry points call it (through runInline); SafeEngine instead
-// drains the due flag under its write lock after the read completes.
-func (e *Engine) maybeReselect() error {
+// maybeReselect performs a due automatic reselection, reporting whether the
+// materialised set changed. The plain Engine's entry points call it inline
+// (runInline); a guard instead drains the due flag under its write lock
+// after the read completes.
+func (e *Engine) maybeReselect() (bool, error) {
 	if !e.inner.ReselectDue() {
-		return nil
+		return false, nil
 	}
-	_, err := e.inner.AutoReconfigure(nil)
-	return err
+	return e.inner.AutoReconfigure(nil)
 }
 
 // Optimize selects and materialises the best element set for an
@@ -479,18 +510,13 @@ func (e *Engine) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
 // range-query elements are invalidated, and the plan-cache epoch is bumped
 // so no query serves a plan derived from pre-update state.
 func (e *Engine) Update(delta float64, idx ...int) error {
-	if err := assembly.UpdateCell(e.cube.space, e.st, delta, idx); err != nil {
+	if err := e.applyDeltaRaw([]float64{delta}, idx); err != nil || delta == 0 {
+		// A zero delta validated the index and touched nothing: it must not
+		// invalidate plans, cached range elements or result caches.
 		return err
 	}
-	if delta == 0 {
-		// UpdateCell validated the index and touched nothing: a no-op delta
-		// must not invalidate plans, cached range elements or result caches.
-		return nil
-	}
-	e.cube.data.Add(delta, idx...)
 	e.rq.Reset()
 	e.inner.InvalidatePlans()
-	e.met.updates.Inc()
 	return nil
 }
 

@@ -6,11 +6,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"viewcube/internal/assembly"
 	"viewcube/internal/ingest"
 )
 
-// IngestOptions configures a SafeEngine's streaming write path.
+// IngestOptions configures the streaming write path of a SafeEngine or a
+// SafeAggEngine.
 type IngestOptions struct {
 	// WALPath, when non-empty, makes acknowledged updates durable in an
 	// append-only write-ahead log at that path. On EnableIngest the segment
@@ -51,22 +51,24 @@ type IngestStats struct {
 	LagSeqs       uint64 `json:"lag_seqs"`       // acknowledged but not yet visible
 }
 
-// ingestRuntime is the machinery EnableIngest installs on a SafeEngine: the
-// WAL, the coalescing buffer, the background merger, and the snapshot
-// lifecycle readers pin. The base engine (s.eng) stays the mutable truth,
-// touched only under s.mu's write lock; every published snapshot is an
-// immutable clone derived from it.
-type ingestRuntime struct {
-	s    *SafeEngine
+// ingestRuntime is the machinery EnableIngest installs on a guard: the WAL,
+// the coalescing buffer, the background merger, and the snapshot lifecycle
+// readers pin. The base engine (g.eng) stays the mutable truth, touched only
+// under g.mu's write lock; every published snapshot is an immutable
+// generation derived from it. It is stated once for both engine kinds: a
+// scalar cube streams width-1 deltas, a measure-vector cube width-w ones,
+// and everything that differs is behind the guarded constraint.
+type ingestRuntime[E guarded[E]] struct {
+	g    *guard[E]
 	opts IngestOptions
 
 	buf *ingest.Buffer
 	wal *ingest.WAL // nil without a WALPath
-	lc  *ingest.Lifecycle[*Engine]
+	lc  *ingest.Lifecycle[E]
 
 	// appendMu serialises sequence assignment with buffer absorption so no
 	// acknowledged sequence at or below a drain's watermark can be missing
-	// from that drain.
+	// from that drain. It is also the lock WAL.Append's callers serialise on.
 	appendMu sync.Mutex
 	seqNoWAL uint64        // sequence source when running without a WAL
 	appended atomic.Uint64 // last acknowledged sequence
@@ -92,27 +94,30 @@ type ingestRuntime struct {
 // EnableIngest switches the engine's write path to streaming ingest:
 // Update/UpdateValue append to a WAL-backed coalescing buffer and return,
 // a background merger folds accumulated deltas into immutable snapshots
-// (exact, by linearity of the Haar P/R operators — DESIGN §16), and every
-// query pins the current snapshot instead of taking the read lock, so reads
-// never block on ingest. Requires the in-memory element store; disk-backed
-// stores would double-apply on WAL replay.
-func (s *SafeEngine) EnableIngest(opts IngestOptions) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ing.Load() != nil {
+// (exact, by linearity of the Haar P/R operators, per component — DESIGN
+// §16), and every query pins the current snapshot instead of taking the read
+// lock, so reads never block on ingest. Requires the in-memory element
+// store; disk-backed stores would double-apply on WAL replay.
+func (g *guard[E]) EnableIngest(opts IngestOptions) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ing.Load() != nil {
 		return fmt.Errorf("viewcube: ingest already enabled")
 	}
-	if _, ok := s.eng.st.(*assembly.MemStore); !ok {
-		return fmt.Errorf("viewcube: ingest requires the in-memory element store (no DiskDir)")
+	if err := g.eng.ingestable(); err != nil {
+		return err
 	}
+	// On every path from here: a WAL replay changes the data even when
+	// enabling then fails.
+	defer g.version.Add(1)
 	if opts.MaxPending == 0 {
 		opts.MaxPending = 1 << 16
 	}
 	if opts.Interval <= 0 {
 		opts.Interval = 25 * time.Millisecond
 	}
-	rt := &ingestRuntime{
-		s:       s,
+	rt := &ingestRuntime[E]{
+		g:       g,
 		opts:    opts,
 		buf:     ingest.NewBuffer(opts.MaxPending),
 		flushCh: make(chan struct{}, 1),
@@ -120,14 +125,12 @@ func (s *SafeEngine) EnableIngest(opts IngestOptions) error {
 		done:    make(chan struct{}),
 	}
 	rt.pubCond = sync.NewCond(&rt.pubMu)
+	met := g.eng.metrics().ingest
 
 	if opts.WALPath != "" {
 		wal, err := ingest.OpenWAL(opts.WALPath, ingest.WALOptions{Fsync: opts.Fsync}, func(d ingest.Delta) error {
-			if len(d.Vals) != 1 {
-				return fmt.Errorf("delta width %d on a scalar cube", len(d.Vals))
-			}
 			rt.replayed++
-			return s.eng.applyDeltaRaw(d.Vals[0], d.Idx)
+			return g.eng.applyDeltaRaw(d.Vals, d.Idx)
 		})
 		if err != nil {
 			return err
@@ -136,25 +139,24 @@ func (s *SafeEngine) EnableIngest(opts IngestOptions) error {
 		rt.appended.Store(wal.LastSeq())
 		rt.published = wal.LastSeq()
 		if rt.replayed > 0 {
-			s.eng.rq.Reset()
-			s.eng.met.ingest.WALReplayed.Add(rt.replayed)
+			g.eng.resetDerived()
+			met.WALReplayed.Add(rt.replayed)
 		}
 	}
 
-	clone, err := cloneStore(s.eng.st)
+	first, err := g.eng.snapshot()
 	if err != nil {
 		if rt.wal != nil {
 			rt.wal.Close()
 		}
 		return err
 	}
-	met := s.eng.met.ingest
-	rt.lc = ingest.NewLifecycle(s.eng.forStore(clone), func(uint64) { met.Retired.Inc() })
+	rt.lc = ingest.NewLifecycle(first, func(uint64) { met.Retired.Inc() })
 	met.Published.Inc()
 	met.SnapshotEpoch.Set(int64(rt.lc.Current()))
 
 	go rt.loop()
-	s.ing.Store(rt)
+	g.ing.Store(rt)
 	return nil
 }
 
@@ -162,8 +164,8 @@ func (s *SafeEngine) EnableIngest(opts IngestOptions) error {
 // stops the merger, closes the WAL, and returns the engine to the locked
 // write path. In-flight appends racing the shutdown fail with a closed
 // error.
-func (s *SafeEngine) DisableIngest() error {
-	rt := s.ing.Swap(nil)
+func (g *guard[E]) DisableIngest() error {
+	rt := g.ing.Swap(nil)
 	if rt == nil {
 		return nil
 	}
@@ -171,6 +173,7 @@ func (s *SafeEngine) DisableIngest() error {
 	rt.buf.Close()
 	close(rt.stop)
 	<-rt.done
+	g.version.Add(1)
 	if rt.wal != nil {
 		return rt.wal.Close()
 	}
@@ -178,12 +181,12 @@ func (s *SafeEngine) DisableIngest() error {
 }
 
 // IngestEnabled reports whether the streaming write path is active.
-func (s *SafeEngine) IngestEnabled() bool { return s.ing.Load() != nil }
+func (g *guard[E]) IngestEnabled() bool { return g.ing.Load() != nil }
 
 // IngestStats snapshots the streaming write path's counters; the zero value
 // is returned when ingest is not enabled.
-func (s *SafeEngine) IngestStats() IngestStats {
-	rt := s.ing.Load()
+func (g *guard[E]) IngestStats() IngestStats {
+	rt := g.ing.Load()
 	if rt == nil {
 		return IngestStats{}
 	}
@@ -206,11 +209,8 @@ func (s *SafeEngine) IngestStats() IngestStats {
 	if rt.wal != nil {
 		st.WALBytes = rt.wal.Bytes()
 	}
-	rt.pubMu.Lock()
-	pub := rt.published
-	rt.pubMu.Unlock()
-	if app := st.Appended; app > pub {
-		st.LagSeqs = app - pub
+	if pub := rt.watermark(); st.Appended > pub {
+		st.LagSeqs = st.Appended - pub
 	}
 	return st
 }
@@ -219,59 +219,43 @@ func (s *SafeEngine) IngestStats() IngestStats {
 // into a published snapshot — the read-your-writes barrier for tests and
 // for clients that need immediate visibility. A no-op when ingest is off
 // (locked writes are immediately visible).
-func (s *SafeEngine) Flush() error {
-	rt := s.ing.Load()
-	if rt == nil {
-		return nil
+func (g *guard[E]) Flush() error {
+	if rt := g.ing.Load(); rt != nil {
+		rt.waitPublished(rt.appended.Load())
 	}
-	rt.waitPublished(rt.appended.Load())
 	return nil
 }
 
-// applyDeltaRaw is the merger's per-delta maintenance: incremental update
-// of every materialised element plus the raw cube, with no cache
-// invalidation — the merger invalidates the generation-local caches once
-// per batch, and plan geometry is value-independent so cached plans stay
-// warm across merges.
-func (e *Engine) applyDeltaRaw(delta float64, idx []int) error {
-	if err := assembly.UpdateCell(e.cube.space, e.st, delta, idx); err != nil {
-		return err
+// SnapshotEpoch returns the current published snapshot epoch, 0 when ingest
+// is not enabled.
+func (g *guard[E]) SnapshotEpoch() uint64 {
+	if rt := g.ing.Load(); rt != nil {
+		return rt.lc.Current()
 	}
-	if delta == 0 {
-		return nil
-	}
-	e.cube.data.Add(delta, idx...)
-	e.met.updates.Inc()
-	return nil
+	return 0
 }
 
-// ingestAppend is SafeEngine.Update's streaming path: validate lock-free,
-// assign a sequence (through the WAL when configured), absorb into the
-// coalescing buffer, return. Visibility comes later, at the next publish;
-// Flush() waits for it.
-func (rt *ingestRuntime) ingestAppend(delta float64, idx []int) error {
-	s := rt.s
-	// UpdateCell with a zero delta validates the index against the space and
-	// touches nothing, so this needs no lock even while the merger runs.
-	if err := assembly.UpdateCell(s.eng.cube.space, s.eng.st, 0, idx); err != nil {
-		return err
-	}
-	if delta == 0 {
-		return nil
-	}
-	d := ingest.Delta{Idx: idx, Vals: []float64{delta}}
+// ingestAppend is the streaming half of guard.write: assign a sequence to
+// the validated, non-zero delta (through the WAL when configured), absorb it
+// into the coalescing buffer, return. Visibility comes later, at the next
+// publish; Flush() waits for it.
+func (rt *ingestRuntime[E]) ingestAppend(vals []float64, idx []int) error {
+	d := ingest.Delta{Idx: idx, Vals: vals}
+	var walBytes uint64
 	rt.appendMu.Lock()
 	if rt.closed.Load() {
 		rt.appendMu.Unlock()
 		return ingest.ErrClosed
 	}
 	if rt.wal != nil {
+		before := rt.wal.Bytes()
 		seq, err := rt.wal.Append(d)
 		if err != nil {
 			rt.appendMu.Unlock()
 			return err
 		}
 		d.Seq = seq
+		walBytes = rt.wal.Bytes() - before
 	} else {
 		rt.seqNoWAL++
 		d.Seq = rt.seqNoWAL
@@ -282,19 +266,15 @@ func (rt *ingestRuntime) ingestAppend(delta float64, idx []int) error {
 	if err != nil {
 		return err
 	}
-	met := s.eng.met.ingest
+	met := rt.g.eng.metrics().ingest
 	met.Appended.Inc()
-	if rt.wal != nil {
-		// Bytes is read under appendMu-free Stats; counter set is fine since
-		// WAL appends are appendMu-serialised.
-		met.WALBytes.Add(uint64(len(idx)*4 + 8*3 + 21)) // approximate record size
-	}
+	met.WALBytes.Add(walBytes)
 	return nil
 }
 
 // loop is the background merger: wait for dirt, accumulate for Interval
 // (short-circuited by Flush/ForcePublish pokes and shutdown), fold, publish.
-func (rt *ingestRuntime) loop() {
+func (rt *ingestRuntime[E]) loop() {
 	defer close(rt.done)
 	defer func() {
 		rt.pubMu.Lock()
@@ -327,21 +307,21 @@ func (rt *ingestRuntime) loop() {
 }
 
 // mergeOnce drains the buffer and, under the engine write lock, folds the
-// batch into the base engine, clones the store, and publishes the clone as
-// the next snapshot. Publishing under the write lock serialises snapshots
-// with every other mutation (Optimize, Reconfigure, reselection), so a
-// published generation always reflects a prefix-consistent engine state.
-// With an empty batch it normally just advances the watermark; republish
-// forces a fresh generation anyway (ForcePublish after a reconfigure).
-func (rt *ingestRuntime) mergeOnce(republish bool) {
-	s := rt.s
-	met := s.eng.met.ingest
+// batch into the base engine and publishes a fresh snapshot generation of
+// it. Publishing under the write lock serialises snapshots with every other
+// mutation (Optimize, Reconfigure, reselection), so a published generation
+// always reflects a prefix-consistent engine state. With an empty batch it
+// normally just advances the watermark; republish forces a fresh generation
+// anyway (forcePublish after a reconfigure).
+func (rt *ingestRuntime[E]) mergeOnce(republish bool) {
+	g := rt.g
+	met := g.eng.metrics().ingest
 	start := time.Now()
 
-	s.mu.Lock()
+	g.mu.Lock()
 	batch := rt.buf.Drain()
 	if len(batch.Deltas) == 0 && !republish {
-		s.mu.Unlock()
+		g.mu.Unlock()
 		rt.pubMu.Lock()
 		if batch.Watermark > rt.published {
 			rt.published = batch.Watermark
@@ -352,30 +332,32 @@ func (rt *ingestRuntime) mergeOnce(republish bool) {
 	}
 	for _, d := range batch.Deltas {
 		// Validated at append time; the only failure mode left is a bug.
-		if err := s.eng.applyDeltaRaw(d.Vals[0], d.Idx); err != nil {
+		if err := g.eng.applyDeltaRaw(d.Vals, d.Idx); err != nil {
 			panic(fmt.Sprintf("viewcube: ingest merge applying validated delta: %v", err))
 		}
 	}
 	if len(batch.Deltas) > 0 {
-		s.eng.rq.Reset()
+		g.eng.resetDerived()
 	}
-	clone, err := cloneStore(s.eng.st)
+	gen, err := g.eng.snapshot()
 	if err != nil {
 		// The store vanished an element mid-clone under the write lock: a
 		// bug, not an operational error.
-		s.mu.Unlock()
-		panic(fmt.Sprintf("viewcube: ingest snapshot clone: %v", err))
+		g.mu.Unlock()
+		panic(fmt.Sprintf("viewcube: ingest snapshot: %v", err))
 	}
-	gen := s.eng.forStore(clone)
 	rt.pubMu.Lock()
 	epoch := rt.lc.Publish(gen)
+	// After Publish, never before: a reader that syncs its result cache to
+	// the new version must already pin the generation that earned it.
+	g.version.Add(1)
 	if batch.Watermark > rt.published {
 		rt.published = batch.Watermark
 	}
 	rt.publishSerial++
 	rt.pubCond.Broadcast()
 	rt.pubMu.Unlock()
-	s.mu.Unlock()
+	g.mu.Unlock()
 
 	rt.merges.Add(1)
 	rt.mergedCells.Add(uint64(len(batch.Deltas)))
@@ -384,10 +366,7 @@ func (rt *ingestRuntime) mergeOnce(republish bool) {
 	met.Published.Inc()
 	met.SnapshotEpoch.Set(int64(epoch))
 	met.PendingCells.Set(int64(rt.buf.Pending()))
-	rt.pubMu.Lock()
-	pub := rt.published
-	rt.pubMu.Unlock()
-	if app := rt.appended.Load(); app > pub {
+	if app, pub := rt.appended.Load(), rt.watermark(); app > pub {
 		met.LagSeqs.Set(int64(app - pub))
 	} else {
 		met.LagSeqs.Set(0)
@@ -395,10 +374,18 @@ func (rt *ingestRuntime) mergeOnce(republish bool) {
 	met.MergeSeconds.Observe(time.Since(start).Seconds())
 }
 
+// watermark returns the publish watermark: every sequence at or below it is
+// visible to readers.
+func (rt *ingestRuntime[E]) watermark() uint64 {
+	rt.pubMu.Lock()
+	defer rt.pubMu.Unlock()
+	return rt.published
+}
+
 // waitPublished blocks until the publish watermark reaches target,
 // repeatedly poking the merger so the wait is bounded by merge time rather
 // than the accumulation interval.
-func (rt *ingestRuntime) waitPublished(target uint64) {
+func (rt *ingestRuntime[E]) waitPublished(target uint64) {
 	rt.pubMu.Lock()
 	for rt.published < target && !rt.stopped {
 		select {
@@ -411,9 +398,9 @@ func (rt *ingestRuntime) waitPublished(target uint64) {
 }
 
 // forcePublish blocks until a snapshot generation published after the call
-// — the barrier mutators use so readers stop pinning a pre-mutation
-// generation. Call without holding s.mu (the merger needs it to publish).
-func (rt *ingestRuntime) forcePublish() {
+// — the barrier guard.mutate uses so readers stop pinning a pre-mutation
+// generation. Call without holding g.mu (the merger needs it to publish).
+func (rt *ingestRuntime[E]) forcePublish() {
 	rt.pubMu.Lock()
 	serial := rt.publishSerial
 	for rt.publishSerial == serial && !rt.stopped {

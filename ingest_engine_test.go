@@ -446,12 +446,14 @@ func TestIngestConcurrentPublishesMatchSerialOracle(t *testing.T) {
 	}
 }
 
-// TestAggIngestConcurrentMatchesOracle runs the measure-vector batched
-// write path against a serial AggEngine oracle: concurrent observation
-// streams, one lock hold per merge batch, and every aggregate (SUM, COUNT,
-// AVG, VAR) must come out identical because vector deltas coalesce
-// linearly. Then the agg WAL replays into a fresh engine.
-func TestAggIngestConcurrentMatchesOracle(t *testing.T) {
+// TestAggConcurrentIngestMatchesOracle runs the measure-vector cube through
+// the same streaming runtime as the scalar one, against a serial AggEngine
+// oracle: concurrent observation streams fold in as width-3 deltas
+// [v, v², 1], unlocked readers pin snapshots mid-stream and must see COUNT
+// totals that only grow and never pass the oracle, and after Flush every
+// aggregate (SUM, COUNT, AVG, VAR) must come out identical because vector
+// deltas coalesce linearly. Then the agg WAL replays into a fresh engine.
+func TestAggConcurrentIngestMatchesOracle(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "agg.wal")
 	cells := []map[string]string{
 		{"product": "ale", "region": "east", "day": "d2"},
@@ -487,25 +489,75 @@ func TestAggIngestConcurrentMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+	count := func(groups map[string]float64) float64 {
+		n := 0.0
+		for _, c := range groups {
+			n += c
+		}
+		return n
+	}
+	oracleCounts, err := oracle.GroupByAgg(viewcube.AggCount, "product")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleCount := count(oracleCounts)
 
-	live, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
+	build := func() *viewcube.SafeAggEngine {
+		t.Helper()
+		agg, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg.Safe()
+	}
+	live := build()
+	if err := live.EnableIngest(viewcube.IngestOptions{WALPath: walPath, Interval: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	baseCounts, err := live.GroupByAgg(viewcube.AggCount, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	ai, err := viewcube.NewAggIngest(live, &mu, viewcube.IngestOptions{
-		WALPath: walPath, Interval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := count(baseCounts)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				groups, err := live.GroupByAgg(viewcube.AggCount, "product")
+				if err != nil {
+					t.Errorf("concurrent GroupByAgg: %v", err)
+					return
+				}
+				n := count(groups)
+				if n < last {
+					t.Errorf("count went backwards: %g after %g", n, last)
+					return
+				}
+				if n > oracleCount {
+					t.Errorf("count %g past the serial oracle %g", n, oracleCount)
+					return
+				}
+				last = n
+			}
+		}()
 	}
+
 	var wg sync.WaitGroup
 	for _, batch := range batches {
 		wg.Add(1)
 		go func(batch []obs) {
 			defer wg.Done()
 			for _, o := range batch {
-				if err := ai.IngestValue(o.measure, o.values); err != nil {
+				if err := live.UpdateValue(o.measure, o.values); err != nil {
 					t.Errorf("agg ingest: %v", err)
 					return
 				}
@@ -513,15 +565,16 @@ func TestAggIngestConcurrentMatchesOracle(t *testing.T) {
 		}(batch)
 	}
 	wg.Wait()
-	if err := ai.Flush(); err != nil {
+	if err := live.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	close(done)
+	readers.Wait()
 
-	compare := func(eng *viewcube.AggEngine, label string) {
+	kinds := []viewcube.AggKind{viewcube.AggSum, viewcube.AggCount, viewcube.AggAvg, viewcube.AggVar}
+	compare := func(eng *viewcube.SafeAggEngine, label string) {
 		t.Helper()
-		mu.Lock()
-		defer mu.Unlock()
-		for _, kind := range []viewcube.AggKind{viewcube.AggSum, viewcube.AggCount, viewcube.AggAvg, viewcube.AggVar} {
+		for _, kind := range kinds {
 			want, err := oracle.GroupByAgg(kind, "product")
 			if err != nil {
 				t.Fatal(err)
@@ -542,35 +595,43 @@ func TestAggIngestConcurrentMatchesOracle(t *testing.T) {
 	}
 	compare(live, "live")
 
-	st := ai.Stats()
+	st := live.IngestStats()
 	if st.Appended != writers*perWriter {
 		t.Fatalf("appended %d, want %d", st.Appended, writers*perWriter)
 	}
-	if st.Merges == 0 || st.SnapshotEpoch != ai.Batches() {
-		t.Fatalf("merge counters %+v (batches %d), want progress", st, ai.Batches())
+	if st.LagSeqs != 0 {
+		t.Fatalf("lag %d after Flush, want 0", st.LagSeqs)
 	}
-	if err := ai.Close(); err != nil {
+	if st.Merges == 0 || st.MergedCells == 0 || st.SnapshotEpoch != live.SnapshotEpoch() {
+		t.Fatalf("merge counters %+v (snapshot epoch %d), want progress", st, live.SnapshotEpoch())
+	}
+	if st.WALBytes == 0 {
+		t.Fatal("WAL bytes 0 after streaming through a WAL")
+	}
+	if err := live.DisableIngest(); err != nil {
 		t.Fatal(err)
-	}
-	if err := ai.IngestValue(1, cells[0]); err == nil {
-		t.Fatal("ingest after Close must fail")
 	}
 
 	// Crash replay: a fresh engine over the same base table replays the
-	// vector WAL in one batch and matches the oracle too.
-	fresh, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
-	if err != nil {
+	// vector WAL and matches the oracle too.
+	fresh := build()
+	if err := fresh.EnableIngest(viewcube.IngestOptions{WALPath: walPath}); err != nil {
 		t.Fatal(err)
 	}
-	ai2, err := viewcube.NewAggIngest(fresh, &mu, viewcube.IngestOptions{WALPath: walPath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ai2.Stats().WALReplayed; got != writers*perWriter {
+	if got := fresh.IngestStats().WALReplayed; got != writers*perWriter {
 		t.Fatalf("replayed %d observations, want %d", got, writers*perWriter)
 	}
 	compare(fresh, "replayed")
-	if err := ai2.Close(); err != nil {
+	if err := fresh.DisableIngest(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Back on the locked write path, an update is immediately visible.
+	if err := oracle.UpdateValue(4, cells[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := live.UpdateValue(4, cells[0]); err != nil {
+		t.Fatal(err)
+	}
+	compare(live, "after disable")
 }

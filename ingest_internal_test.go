@@ -1,14 +1,16 @@
-// Internal proofs of the non-blocking guarantees: these tests hold the
-// SafeEngine's write lock directly — something no public API can do — and
-// assert the paths that claim to be lock-free really are. With ingest
-// enabled, readers pin snapshots and appends go through the buffer, so
-// both must complete while the lock is held; zero-delta updates skip the
-// lock on either write path.
+// Internal proofs of the non-blocking guarantees: these tests hold a
+// guard's write lock directly — something no public API can do — and assert
+// the paths that claim to be lock-free really are, for both engine kinds.
+// With ingest enabled, readers pin snapshots and appends go through the
+// buffer, so both must complete while the lock is held; zero-delta updates
+// skip the lock on either write path; DataVersion never takes it.
 package viewcube
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -39,6 +41,19 @@ func internalSafeEngine(t *testing.T) *SafeEngine {
 	return eng.Safe()
 }
 
+func internalSafeAggEngine(t *testing.T, opts EngineOptions) *SafeAggEngine {
+	t.Helper()
+	tbl, err := ReadTable(strings.NewReader(ingestInternalCSV), "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := NewAggEngine(tbl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return agg.Safe()
+}
+
 // mustFinish fails the test if fn does not return within the deadline while
 // the caller deliberately holds the engine write lock. unlock releases it
 // before Fatal so cleanup can proceed.
@@ -57,13 +72,16 @@ func mustFinish(t *testing.T, what string, unlock func(), fn func()) {
 	}
 }
 
-// safeReads lists every SafeEngine read as (name, answer) rows; a TraceX row
-// names the untraced read whose answer it must reproduce bit-for-bit. Views
-// are projected to their group maps so answers compare with DeepEqual.
-func safeReads(s *SafeEngine) []struct {
+// readRow is one read of a guarded engine: a TraceX row names the untraced
+// read whose answer it must reproduce bit-for-bit.
+type readRow struct {
 	name, same string
 	read       func() (any, error)
-} {
+}
+
+// safeReads lists every SafeEngine read. Views are projected to their group
+// maps so answers compare with DeepEqual.
+func safeReads(s *SafeEngine) []readRow {
 	groups := func(v *View, err error) (any, error) {
 		if err != nil {
 			return nil, err
@@ -76,10 +94,7 @@ func safeReads(s *SafeEngine) []struct {
 		sum float64
 		ok  bool
 	}
-	return []struct {
-		name, same string
-		read       func() (any, error)
-	}{
+	return []readRow{
 		{"View", "", func() (any, error) {
 			el, err := s.eng.cube.ViewKeeping("region")
 			if err != nil {
@@ -122,29 +137,73 @@ func safeReads(s *SafeEngine) []struct {
 	}
 }
 
+// safeAggReads lists every SafeAggEngine read, each aggregate kind its own
+// row.
+func safeAggReads(s *SafeAggEngine) []readRow {
+	days := map[string]ValueRange{"day": {Lo: "d1", Hi: "d2"}}
+	const sql = "SELECT SUM(sales), COUNT(*), AVG(sales), VAR(sales) GROUP BY product WHERE day BETWEEN 'd1' AND 'd3'"
+	rows := []readRow{
+		{"Total", "", func() (any, error) { return s.RangeAgg(AggSum, nil) }},
+		{"Query", "", func() (any, error) { return s.Query(sql) }},
+		{"TraceQuery", "Query", func() (any, error) {
+			res, _, err := s.TraceQuery(sql)
+			return res, err
+		}},
+	}
+	for _, kind := range []AggKind{AggSum, AggCount, AggAvg, AggVar} {
+		kind := kind
+		rows = append(rows,
+			readRow{"GroupByAgg " + kind.String(), "", func() (any, error) { return s.GroupByAgg(kind, "product") }},
+			readRow{"TraceGroupByAgg " + kind.String(), "GroupByAgg " + kind.String(), func() (any, error) {
+				groups, _, err := s.TraceGroupByAgg(kind, "product")
+				return groups, err
+			}},
+			readRow{"RangeAgg " + kind.String(), "", func() (any, error) { return s.RangeAgg(kind, days) }},
+			readRow{"TraceRangeAgg " + kind.String(), "RangeAgg " + kind.String(), func() (any, error) {
+				v, _, err := s.TraceRangeAgg(kind, days)
+				return v, err
+			}},
+			readRow{"ExplainAgg " + kind.String(), "", func() (any, error) { return s.ExplainAgg(kind, "product") }},
+		)
+	}
+	return rows
+}
+
 // TestIngestReadersIgnoreWriteLock is the barrier test for the MVCC
-// contract: with the write lock held (as the merger or a reconfiguration
-// would), every snapshot-pinned read — each SafeEngine read method, traced
-// and untraced, and both explains — and streamed appends all complete, and
-// each read returns exactly what it returned before the lock was taken.
+// contract, on both engine kinds: with the guard's write lock held (as the
+// merger or a reconfiguration would), every snapshot-pinned read — each read
+// method, traced and untraced, and the explains — and streamed appends all
+// complete, and each read returns exactly what it returned before the lock
+// was taken.
 func TestIngestReadersIgnoreWriteLock(t *testing.T) {
-	s := internalSafeEngine(t)
-	if err := s.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
+	cell := map[string]string{"product": "ale", "region": "east", "day": "d2"}
+	t.Run("SafeEngine", func(t *testing.T) {
+		s := internalSafeEngine(t)
+		readersIgnoreWriteLock(t, &s.guard, safeReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
+	})
+	t.Run("SafeAggEngine", func(t *testing.T) {
+		s := internalSafeAggEngine(t, EngineOptions{})
+		readersIgnoreWriteLock(t, &s.guard, safeAggReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
+	})
+}
+
+// readersIgnoreWriteLock is the body of TestIngestReadersIgnoreWriteLock.
+// update streams one write adding v to the cube total; the "Total" row reads
+// that total (38 on the fixture).
+func readersIgnoreWriteLock[E guarded[E]](t *testing.T, g *guard[E], reads []readRow, update func(v float64) error) {
+	if err := g.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	defer s.DisableIngest()
-	if err := s.UpdateValue(5, map[string]string{
-		"product": "ale", "region": "east", "day": "d2",
-	}); err != nil {
+	defer g.DisableIngest()
+	if err := update(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
+	if err := g.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Unlocked answers. Each read runs twice so the second (kept) answer is
 	// the plan-cache-warm one an explain renders under the lock too.
-	reads := safeReads(s)
 	want := make(map[string]any, len(reads))
 	for _, r := range reads {
 		for i := 0; i < 2; i++ {
@@ -164,8 +223,8 @@ func TestIngestReadersIgnoreWriteLock(t *testing.T) {
 		}
 	}
 
-	s.mu.Lock()
-	unlock := s.mu.Unlock
+	g.mu.Lock()
+	unlock := g.mu.Unlock
 
 	for _, r := range reads {
 		var (
@@ -184,34 +243,33 @@ func TestIngestReadersIgnoreWriteLock(t *testing.T) {
 	}
 
 	// Appends acknowledge without the lock too; visibility waits for the
-	// merger, which needs the lock we hold — so no Flush here.
-	var upErr error
-	mustFinish(t, "streamed append", unlock, func() {
-		upErr = s.Update(2, 0, 0, 0)
-	})
-	if upErr != nil {
-		unlock()
-		t.Fatal(upErr)
-	}
-	var zeroErr error
-	mustFinish(t, "zero-delta streamed update", unlock, func() {
-		zeroErr = s.Update(0, 0, 0, 0)
-	})
-	if zeroErr != nil {
-		unlock()
-		t.Fatal(zeroErr)
+	// merger, which needs the lock we hold — so no Flush here. The zero is
+	// the lock-free zero-delta path on a scalar cube and a zero-measure
+	// observation (still one more tuple) on a vector cube.
+	for _, v := range []float64{2, 0} {
+		var upErr error
+		mustFinish(t, "streamed append", unlock, func() { upErr = update(v) })
+		if upErr != nil {
+			unlock()
+			t.Fatal(upErr)
+		}
 	}
 
-	s.mu.Unlock()
-	if err := s.Flush(); err != nil {
+	g.mu.Unlock()
+	if err := g.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	total, err := s.Total()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 45 { // 38 + 5 + 2
-		t.Fatalf("total after unlock+flush = %g, want 45", total)
+	for _, r := range reads {
+		if r.name != "Total" {
+			continue
+		}
+		total, err := r.read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total != 45.0 { // 38 + 5 + 2
+			t.Fatalf("total after unlock+flush = %v, want 45", total)
+		}
 	}
 }
 
@@ -251,4 +309,188 @@ func TestZeroDeltaUpdateIgnoresWriteLock(t *testing.T) {
 		t.Fatal("zero-delta update with out-of-range index must fail")
 	}
 	s.mu.Unlock()
+}
+
+// TestIngestStatsDuringWALAppend races GET /stats against POST /ingest in
+// miniature: IngestStats reads the WAL byte count with no lock while appends
+// advance it (a data race under -race before WAL.bytes became atomic), and
+// the viewcube_ingest_wal_bytes_total counter ends exactly equal to it — the
+// runtime adds the Bytes() difference observed under appendMu, not a guess.
+func TestIngestStatsDuringWALAppend(t *testing.T) {
+	cell := map[string]string{"product": "ale", "region": "east", "day": "d2"}
+	t.Run("SafeEngine", func(t *testing.T) {
+		s := internalSafeEngine(t)
+		statsDuringWALAppend(t, &s.guard, func() error { return s.UpdateValue(1, cell) })
+	})
+	t.Run("SafeAggEngine", func(t *testing.T) {
+		s := internalSafeAggEngine(t, EngineOptions{})
+		statsDuringWALAppend(t, &s.guard, func() error { return s.UpdateValue(1, cell) })
+	})
+}
+
+func statsDuringWALAppend[E guarded[E]](t *testing.T, g *guard[E], update func() error) {
+	opts := IngestOptions{WALPath: filepath.Join(t.TempDir(), "cube.wal"), Interval: time.Millisecond}
+	if err := g.EnableIngest(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer g.DisableIngest()
+	const appends = 200
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < appends; i++ {
+			if err := update(); err != nil {
+				t.Errorf("streamed update: %v", err)
+				return
+			}
+		}
+	}()
+	var last uint64
+	for last == 0 || g.IngestStats().Appended < appends {
+		b := g.IngestStats().WALBytes
+		if b < last {
+			t.Fatalf("WAL bytes went backwards: %d after %d", b, last)
+		}
+		last = b
+		if t.Failed() {
+			break
+		}
+	}
+	wg.Wait()
+	st := g.IngestStats()
+	if st.Appended != appends || st.WALBytes == 0 {
+		t.Fatalf("stats %+v, want %d appends and WAL bytes", st, appends)
+	}
+	if got := g.eng.metrics().ingest.WALBytes.Value(); got != st.WALBytes {
+		t.Fatalf("viewcube_ingest_wal_bytes_total = %d, want the WAL's exact %d", got, st.WALBytes)
+	}
+}
+
+// TestDataVersion is the property the result caches rest on, for both engine
+// kinds: DataVersion strictly increases across every change to the data or
+// the materialised set — locked update, optimize, automatic reselection,
+// ingest enable, snapshot publish, disable, WAL replay — is left alone by
+// reads and zero deltas, and returns while the write lock is held.
+func TestDataVersion(t *testing.T) {
+	cell := map[string]string{"product": "ale", "region": "east", "day": "d2"}
+	opts := EngineOptions{ReselectEvery: 4}
+	hot := func(c *Cube) *Workload {
+		w := c.NewWorkload()
+		if err := w.AddViewKeeping(1, "product"); err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	t.Run("SafeEngine", func(t *testing.T) {
+		build := func() *SafeEngine {
+			c, err := Load(strings.NewReader(ingestInternalCSV), "sales")
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := c.NewEngine(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng.Safe()
+		}
+		s, replay := build(), build()
+		dataVersion(t, &s.guard, &replay.guard, versionOps{
+			read:     func(keep ...string) error { _, err := s.GroupBy(keep...); return err },
+			update:   func(v float64) error { return s.UpdateValue(v, cell) },
+			zero:     true,
+			optimize: func() error { return s.Optimize(hot(s.eng.cube)) },
+		})
+	})
+	t.Run("SafeAggEngine", func(t *testing.T) {
+		s, replay := internalSafeAggEngine(t, opts), internalSafeAggEngine(t, opts)
+		dataVersion(t, &s.guard, &replay.guard, versionOps{
+			read:     func(keep ...string) error { _, err := s.GroupByAgg(AggAvg, keep...); return err },
+			update:   func(v float64) error { return s.UpdateValue(v, cell) },
+			optimize: func() error { return s.Optimize(hot(s.eng.cube)) },
+		})
+	})
+}
+
+// versionOps is what TestDataVersion drives on an engine: a group-by, one
+// write (zero says a zero value is a no-op delta rather than an observation),
+// and an optimize for a product-only workload.
+type versionOps struct {
+	read     func(keep ...string) error
+	update   func(v float64) error
+	zero     bool
+	optimize func() error
+}
+
+func dataVersion[E guarded[E]](t *testing.T, g, replay *guard[E], ops versionOps) {
+	last := g.DataVersion()
+	moved := func(what string) {
+		t.Helper()
+		v := g.DataVersion()
+		if v <= last {
+			t.Fatalf("%s: data version %d after %d, want an increase", what, v, last)
+		}
+		last = v
+	}
+	still := func(what string) {
+		t.Helper()
+		if v := g.DataVersion(); v != last {
+			t.Fatalf("%s moved the data version %d -> %d", what, last, v)
+		}
+	}
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	check(ops.read("product"))
+	still("a read")
+	if ops.zero {
+		check(ops.update(0))
+		still("a zero delta")
+	}
+	check(ops.update(3))
+	moved("locked update")
+	check(ops.optimize())
+	moved("optimize")
+
+	// Automatic reselection: a run of queries the product-only set serves
+	// badly pushes the recorder past ReselectEvery and rewrites the set.
+	before := last
+	for i := 0; i < 12 && g.DataVersion() == before; i++ {
+		check(ops.read("region", "day"))
+	}
+	moved("automatic reselection")
+
+	walPath := filepath.Join(t.TempDir(), "cube.wal")
+	check(g.EnableIngest(IngestOptions{WALPath: walPath, Interval: time.Millisecond}))
+	moved("enabling ingest")
+	check(ops.read("product"))
+	still("a snapshot read")
+	if ops.zero {
+		check(ops.update(0))
+		still("a streamed zero delta")
+	}
+	check(ops.update(2))
+	check(g.Flush())
+	moved("snapshot publish")
+
+	g.mu.Lock()
+	mustFinish(t, "DataVersion", g.mu.Unlock, func() { still("reading the version under the write lock") })
+	g.mu.Unlock()
+
+	check(g.DisableIngest())
+	moved("disabling ingest")
+
+	// A fresh engine replaying the log starts from its own version and moves.
+	if v := replay.DataVersion(); v != 0 {
+		t.Fatalf("fresh engine at data version %d, want 0", v)
+	}
+	check(replay.EnableIngest(IngestOptions{WALPath: walPath}))
+	if replay.IngestStats().WALReplayed != 1 || replay.DataVersion() == 0 {
+		t.Fatalf("after WAL replay: stats %+v, data version %d", replay.IngestStats(), replay.DataVersion())
+	}
+	check(replay.DisableIngest())
 }

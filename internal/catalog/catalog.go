@@ -91,7 +91,7 @@ type Stats struct {
 }
 
 // CubeHandle is the uniform serving surface of one catalog entry,
-// implemented over a SafeEngine, an AggEngine or a PartitionedEngine.
+// implemented over a SafeEngine, a SafeAggEngine or a PartitionedEngine.
 // Handles must be safe for concurrent use; operations a backing engine
 // cannot perform fail with ErrUnsupported.
 //
@@ -112,6 +112,10 @@ type CubeHandle interface {
 	// PlanCacheStats is the cheap subset of Stats the per-query logging
 	// path reads; it must not aggregate store statistics.
 	PlanCacheStats() viewcube.PlanCacheStats
+	// DataVersion is the counter result caches sync against: it never
+	// decreases or repeats, moves on every change to the handle's data or
+	// materialised set, and is read without any engine lock.
+	DataVersion() uint64
 	Metrics() *viewcube.Metrics
 }
 

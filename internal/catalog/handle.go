@@ -2,25 +2,41 @@ package catalog
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"viewcube"
 )
 
-// NewSafeHandle wraps a SafeEngine (and the cube it serves) as a
-// CubeHandle. The SafeEngine already provides the read/write split, so the
-// handle adds no locking of its own.
-func NewSafeHandle(cube *viewcube.Cube, eng *viewcube.SafeEngine) CubeHandle {
-	return &safeHandle{cube: cube, eng: eng}
+// engine is what the two guarded engines — SafeEngine over a scalar cube,
+// SafeAggEngine over a measure-vector cube — have in common: everything a
+// handle does that does not name an aggregate. Both already provide the
+// read/write split and snapshot readers under ingest, so a handle adds no
+// locking of its own.
+type engine interface {
+	Query(sql string) (*viewcube.QueryResult, error)
+	TraceQuery(sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error)
+	UpdateValue(delta float64, values map[string]string) error
+	Optimize(w *viewcube.Workload) error
+	Stats() viewcube.Stats
+	StoreStats() viewcube.StoreStats
+	PlanCacheStats() viewcube.PlanCacheStats
+	MaterializedElements() int
+	StorageCells() int
+	DataVersion() uint64
+	Metrics() *viewcube.Metrics
+	IngestEnabled() bool
+	Flush() error
+	IngestStats() viewcube.IngestStats
+	DisableIngest() error
 }
 
-type safeHandle struct {
+// engineHandle is the part of a CubeHandle (and of Ingester / IngestCloser)
+// the two adapters share; each adds only the reads that name SUM.
+type engineHandle struct {
 	cube *viewcube.Cube
-	eng  *viewcube.SafeEngine
+	eng  engine
 }
 
-func (h *safeHandle) Info() Info {
+func (h *engineHandle) Info() Info {
 	return Info{
 		Dimensions: h.cube.Dimensions(),
 		Shape:      h.cube.Shape(),
@@ -29,12 +45,66 @@ func (h *safeHandle) Info() Info {
 	}
 }
 
-func (h *safeHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
+func (h *engineHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
 	if traced {
 		return h.eng.TraceQuery(sql)
 	}
 	res, err := h.eng.Query(sql)
 	return res, nil, err
+}
+
+func (h *engineHandle) UpdateValue(delta float64, values map[string]string) error {
+	return h.eng.UpdateValue(delta, values)
+}
+
+func (h *engineHandle) Optimize(views []HotView) error {
+	w, err := buildWorkload(h.cube, views)
+	if err != nil {
+		return err
+	}
+	return h.eng.Optimize(w)
+}
+
+func (h *engineHandle) Stats() Stats {
+	return Stats{
+		Engine:               h.eng.Stats(),
+		Store:                h.eng.StoreStats(),
+		PlanCache:            h.eng.PlanCacheStats(),
+		MaterializedElements: h.eng.MaterializedElements(),
+		StorageCells:         h.eng.StorageCells(),
+	}
+}
+
+func (h *engineHandle) PlanCacheStats() viewcube.PlanCacheStats { return h.eng.PlanCacheStats() }
+
+func (h *engineHandle) DataVersion() uint64 { return h.eng.DataVersion() }
+
+func (h *engineHandle) Metrics() *viewcube.Metrics { return h.eng.Metrics() }
+
+func (h *engineHandle) IngestEnabled() bool { return h.eng.IngestEnabled() }
+
+// IngestValue delegates to UpdateValue, which routes through the ingest
+// buffer whenever the streaming path is enabled and degrades to the locked
+// write otherwise.
+func (h *engineHandle) IngestValue(delta float64, values map[string]string) error {
+	return h.eng.UpdateValue(delta, values)
+}
+
+func (h *engineHandle) FlushIngest() error { return h.eng.Flush() }
+
+func (h *engineHandle) IngestStats() viewcube.IngestStats { return h.eng.IngestStats() }
+
+func (h *engineHandle) CloseIngest() error { return h.eng.DisableIngest() }
+
+// NewSafeHandle wraps a SafeEngine (and the cube it serves) as a
+// CubeHandle.
+func NewSafeHandle(cube *viewcube.Cube, eng *viewcube.SafeEngine) CubeHandle {
+	return &safeHandle{engineHandle{cube, eng}, eng}
+}
+
+type safeHandle struct {
+	engineHandle
+	eng *viewcube.SafeEngine
 }
 
 func (h *safeHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
@@ -66,101 +136,22 @@ func (h *safeHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange
 	return sum, nil, err
 }
 
-func (h *safeHandle) UpdateValue(delta float64, values map[string]string) error {
-	return h.eng.UpdateValue(delta, values)
-}
-
-func (h *safeHandle) Optimize(views []HotView) error {
-	w, err := buildWorkload(h.cube, views)
-	if err != nil {
-		return err
-	}
-	return h.eng.Optimize(w)
-}
-
 func (h *safeHandle) ExplainGroupBy(keep ...string) (string, error) {
 	return h.eng.ExplainGroupBy(keep...)
 }
 
-func (h *safeHandle) Stats() Stats {
-	return Stats{
-		Engine:               h.eng.Stats(),
-		Store:                h.eng.StoreStats(),
-		PlanCache:            h.eng.PlanCacheStats(),
-		MaterializedElements: h.eng.MaterializedElements(),
-		StorageCells:         h.eng.StorageCells(),
-	}
-}
-
-func (h *safeHandle) PlanCacheStats() viewcube.PlanCacheStats { return h.eng.PlanCacheStats() }
-
-func (h *safeHandle) Metrics() *viewcube.Metrics { return h.eng.Metrics() }
-
-// EnableIngest switches the handle's SafeEngine to the streaming write
-// path; see SafeEngine.EnableIngest.
-func (h *safeHandle) EnableIngest(opts viewcube.IngestOptions) error {
-	return h.eng.EnableIngest(opts)
-}
-
-func (h *safeHandle) IngestEnabled() bool { return h.eng.IngestEnabled() }
-
-// IngestValue delegates to UpdateValue, which routes through the ingest
-// buffer whenever the streaming path is enabled and degrades to the locked
-// write otherwise.
-func (h *safeHandle) IngestValue(delta float64, values map[string]string) error {
-	return h.eng.UpdateValue(delta, values)
-}
-
-func (h *safeHandle) FlushIngest() error { return h.eng.Flush() }
-
-func (h *safeHandle) IngestStats() viewcube.IngestStats { return h.eng.IngestStats() }
-
-func (h *safeHandle) CloseIngest() error {
-	if !h.eng.IngestEnabled() {
-		return nil
-	}
-	return h.eng.DisableIngest()
-}
-
-// NewAggHandle wraps a measure-vector AggEngine as a CubeHandle. AggEngine
-// is not internally synchronised, so the handle serialises every call on
-// one mutex — correct first; the scalar SafeEngine path stays the
-// concurrent fast path.
-func NewAggHandle(eng *viewcube.AggEngine) CubeHandle {
-	return &aggHandle{eng: eng}
+// NewAggHandle wraps a measure-vector SafeAggEngine as a CubeHandle serving
+// its SUM aggregate; the other aggregate kinds are reachable through Query.
+func NewAggHandle(eng *viewcube.SafeAggEngine) CubeHandle {
+	return &aggHandle{engineHandle{eng.Cube(), eng}, eng}
 }
 
 type aggHandle struct {
-	mu  sync.Mutex
-	eng *viewcube.AggEngine
-	ing atomic.Pointer[viewcube.AggIngest]
-}
-
-func (h *aggHandle) Info() Info {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	c := h.eng.Cube()
-	return Info{
-		Dimensions: c.Dimensions(),
-		Shape:      c.Shape(),
-		Volume:     c.Volume(),
-		Measure:    c.Measure(),
-	}
-}
-
-func (h *aggHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if traced {
-		return h.eng.TraceQuery(sql)
-	}
-	res, err := h.eng.Query(sql)
-	return res, nil, err
+	engineHandle
+	eng *viewcube.SafeAggEngine
 }
 
 func (h *aggHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if traced {
 		return h.eng.TraceGroupByAgg(viewcube.AggSum, keep...)
 	}
@@ -169,8 +160,6 @@ func (h *aggHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *v
 }
 
 func (h *aggHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if traced {
 		return h.eng.TraceRangeAgg(viewcube.AggSum, ranges)
 	}
@@ -178,100 +167,8 @@ func (h *aggHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange)
 	return sum, nil, err
 }
 
-func (h *aggHandle) UpdateValue(delta float64, values map[string]string) error {
-	if ai := h.ing.Load(); ai != nil {
-		return ai.IngestValue(delta, values)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.eng.UpdateValue(delta, values)
-}
-
-func (h *aggHandle) Optimize(views []HotView) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	w, err := buildWorkload(h.eng.Cube(), views)
-	if err != nil {
-		return err
-	}
-	return h.eng.Optimize(w)
-}
-
 func (h *aggHandle) ExplainGroupBy(keep ...string) (string, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.eng.ExplainAgg(viewcube.AggSum, keep...)
-}
-
-func (h *aggHandle) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return Stats{
-		Engine:               h.eng.Stats(),
-		Store:                h.eng.SumEngine().StoreStats(),
-		PlanCache:            h.eng.SumEngine().PlanCacheStats(),
-		MaterializedElements: h.eng.MaterializedElements(),
-		StorageCells:         h.eng.StorageCells(),
-	}
-}
-
-func (h *aggHandle) PlanCacheStats() viewcube.PlanCacheStats {
-	h.mu.Lock()
-	st := h.eng.SumEngine().PlanCacheStats()
-	h.mu.Unlock()
-	if ai := h.ing.Load(); ai != nil {
-		st.Snapshot = ai.Batches()
-	}
-	return st
-}
-
-func (h *aggHandle) Metrics() *viewcube.Metrics {
-	return h.eng.SumEngine().Metrics()
-}
-
-// EnableIngest starts the batched streaming write path over the vector
-// engine: observations coalesce in a buffer and a background merger folds
-// them in under the handle's own mutex, one invalidation per batch.
-func (h *aggHandle) EnableIngest(opts viewcube.IngestOptions) error {
-	if h.ing.Load() != nil {
-		return fmt.Errorf("catalog: ingest already enabled")
-	}
-	ai, err := viewcube.NewAggIngest(h.eng, &h.mu, opts)
-	if err != nil {
-		return err
-	}
-	if !h.ing.CompareAndSwap(nil, ai) {
-		ai.Close()
-		return fmt.Errorf("catalog: ingest already enabled")
-	}
-	return nil
-}
-
-func (h *aggHandle) IngestEnabled() bool { return h.ing.Load() != nil }
-
-func (h *aggHandle) IngestValue(delta float64, values map[string]string) error {
-	return h.UpdateValue(delta, values)
-}
-
-func (h *aggHandle) FlushIngest() error {
-	if ai := h.ing.Load(); ai != nil {
-		return ai.Flush()
-	}
-	return nil
-}
-
-func (h *aggHandle) IngestStats() viewcube.IngestStats {
-	if ai := h.ing.Load(); ai != nil {
-		return ai.Stats()
-	}
-	return viewcube.IngestStats{}
-}
-
-func (h *aggHandle) CloseIngest() error {
-	if ai := h.ing.Swap(nil); ai != nil {
-		return ai.Close()
-	}
-	return nil
 }
 
 // NewPartitionedHandle wraps a sharded PartitionedEngine as a CubeHandle.
@@ -340,6 +237,8 @@ func (h *partitionedHandle) Stats() Stats {
 func (h *partitionedHandle) PlanCacheStats() viewcube.PlanCacheStats {
 	return h.eng.PlanCacheStats()
 }
+
+func (h *partitionedHandle) DataVersion() uint64 { return h.eng.DataVersion() }
 
 func (h *partitionedHandle) Metrics() *viewcube.Metrics {
 	return h.eng.Shard(0).Metrics()

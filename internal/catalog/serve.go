@@ -23,10 +23,10 @@ import (
 // Invalidation is two-tier, mirroring the plan cache's epoch discipline:
 // the registry's lifecycle operations (Load/Unload/Rebuild, and catalog
 // hot-reload on top of them) invalidate explicitly on generation changes,
-// and every read first syncs the cache against the handle's plan-cache
-// epoch — which Update/Optimize/Reconfigure already bump under the engine's
-// write lock — so in-generation mutations invalidate without the write path
-// knowing this cache exists.
+// and every read first syncs the cache against the handle's data version —
+// which Update/Optimize/Reconfigure and ingest publishes already move — so
+// in-generation mutations invalidate without the write path knowing this
+// cache exists.
 
 // Answer is the cached result of one read: exactly one field is populated,
 // per the query kind. Cached answers are shared across callers and must be
@@ -96,16 +96,12 @@ func rangeKey(resolved map[string]viewcube.ValueRange) string {
 	return b.String()
 }
 
-// sync aligns the cache's epoch with the handle's combined data version:
-// the plan-cache epoch (bumped by update/optimize/reconfigure under the
-// engine's write lock) plus the ingest snapshot epoch (bumped by every
-// published merge). Both counters are monotone, so their sum is too — any
-// in-generation mutation, locked or streamed, invalidates answers without
-// the write path knowing this cache exists.
-func (l *Lease) sync() {
-	st := l.Handle.PlanCacheStats()
-	l.cache.SyncUpstream(st.Epoch + st.Snapshot)
-}
+// sync aligns the cache's epoch with the handle's data version, which every
+// in-generation mutation moves — locked update, optimize, reconfigure,
+// published ingest merge — so answers invalidate without the write path
+// knowing this cache exists. Reading it takes no engine lock, so a hit never
+// waits out a merge.
+func (l *Lease) sync() { l.cache.SyncUpstream(l.Handle.DataVersion()) }
 
 // Cached reports whether this lease serves through a result cache.
 func (l *Lease) Cached() bool { return l.cache != nil }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"viewcube"
 	"viewcube/internal/rescache"
@@ -379,4 +380,151 @@ func TestUncachedLeaseServesDirect(t *testing.T) {
 	if st := lease.ResultCacheStats(); st != (rescache.Stats{}) {
 		t.Fatalf("uncached stats = %+v", st)
 	}
+}
+
+// TestPartitionedUpdateInvalidatesCachedAnswer: an update to ANY shard of a
+// partitioned cube must invalidate cached answers. The handle's data version
+// is the sum of its shards' versions; a max (the plan-cache display epoch)
+// would hide an update to a shard whose version is not the highest and serve
+// the old total as a hit.
+func TestPartitionedUpdateInvalidatesCachedAnswer(t *testing.T) {
+	tbl, err := viewcube.ReadTable(strings.NewReader(salesCSV), "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := viewcube.PartitionTable(tbl, "product", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := viewcube.NewPartitionedEngine(shards, viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Shards() != 2 {
+		t.Fatalf("fixture hashes into %d live shards, want 2", p.Shards())
+	}
+	reg := NewRegistry()
+	if err := reg.RegisterHandle("sharded", NewPartitionedHandle(p)); err != nil {
+		t.Fatal(err)
+	}
+	reg.EnableResultCache(rescache.Options{})
+	lease := acquire(t, reg)
+	total := func(wantHit bool) float64 {
+		t.Helper()
+		groups, _, hit, err := lease.ServeGroupBy(false)
+		if err != nil || hit == nil {
+			t.Fatalf("ServeGroupBy: hit=%v err=%v", hit, err)
+		}
+		if *hit != wantHit {
+			t.Fatalf("ServeGroupBy: hit=%v, want %v (total %g)", *hit, wantHit, groups[""])
+		}
+		return groups[""]
+	}
+
+	// Shard 0 runs ahead: two updates that cancel out.
+	for _, delta := range []float64{1, -1} {
+		if err := p.Shard(0).Update(delta, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := total(false)
+	if got := total(true); got != before {
+		t.Fatalf("warm total %g, cold total %g", got, before)
+	}
+	if err := p.Shard(1).Update(100, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := total(false); got != before+100 {
+		t.Fatalf("total after updating shard 1 = %g, want %g", got, before+100)
+	}
+}
+
+// TestCacheHitIgnoresEngineWriteLock: a result-cache hit reads the handle's
+// data version with no engine lock, so it completes while a writer holds (or
+// waits for) the engine's write lock — a merge, a reconfiguration. The lock
+// is contended from outside: SaveState holds the read lock on a writer that
+// never returns, an Update queues for the write lock behind it, and from then
+// on every new read-lock acquisition blocks.
+func TestCacheHitIgnoresEngineWriteLock(t *testing.T) {
+	cube, err := viewcube.Load(strings.NewReader(salesCSV), "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	safe := eng.Safe()
+	reg := NewRegistry()
+	if err := reg.RegisterHandle("sales", NewSafeHandle(cube, safe)); err != nil {
+		t.Fatal(err)
+	}
+	reg.EnableResultCache(rescache.Options{})
+	lease := acquire(t, reg)
+	want, _, _, err := lease.ServeGroupBy(false, "product")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	w := blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	var held sync.WaitGroup
+	held.Add(2)
+	go func() {
+		defer held.Done()
+		safe.SaveState(w)
+	}()
+	<-w.entered // the read lock is held
+	go func() {
+		defer held.Done()
+		if err := safe.Update(1, 0, 0, 0); err != nil {
+			t.Errorf("queued update: %v", err)
+		}
+	}()
+	defer held.Wait()
+	defer close(w.release)
+	// Wait until the writer is queued: a read-locking call stops returning.
+	for blocked := false; !blocked; {
+		probe := make(chan struct{})
+		go func() {
+			safe.Stats()
+			close(probe)
+		}()
+		select {
+		case <-probe:
+		case <-time.After(50 * time.Millisecond):
+			blocked = true
+		}
+	}
+
+	done := make(chan struct{})
+	var (
+		got map[string]float64
+		hit *bool
+	)
+	go func() {
+		defer close(done)
+		got, _, hit, err = lease.ServeGroupBy(false, "product")
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("result-cache hit blocked on the engine's write lock")
+	}
+	if err != nil || hit == nil || !*hit || got["ale"] != want["ale"] {
+		t.Fatalf("read under contended lock: hit=%v err=%v groups=%v, want a hit of %v", hit, err, got, want)
+	}
+}
+
+// blockingWriter announces its first Write on entered, then blocks every
+// Write until release closes.
+type blockingWriter struct{ entered, release chan struct{} }
+
+func (w blockingWriter) Write(p []byte) (int, error) {
+	select {
+	case <-w.entered:
+	default:
+		close(w.entered)
+	}
+	<-w.release
+	return len(p), nil
 }

@@ -90,9 +90,8 @@ type Options struct {
 	// answer sizer). Degraded partial answers are never stored, and traced
 	// queries bypass the cache. Invalidation is twofold: explicit via
 	// InvalidateResults (reshards, reloads), and automatic via the epoch
-	// piggyback — every complete answer carries each shard's combined
-	// plan-cache + ingest snapshot epoch (wire v3), and a change in the sum
-	// invalidates cached answers on the next query.
+	// piggyback — every complete answer carries each shard's data version,
+	// and a change in the sum invalidates cached answers on the next query.
 	Cache *rescache.Options
 }
 
@@ -573,9 +572,9 @@ func (c *Coordinator) scatter(ctx context.Context, allowPartial bool, tr *obs.Tr
 		return nil, nil, err
 	}
 	if part == nil {
-		// Epoch piggyback: a complete answer carries every shard's combined
-		// data version (v3 peers; older peers contribute 0, stably). The sum
-		// is monotone per shard, so feeding it to SyncUpstream invalidates
+		// Epoch piggyback: a complete answer carries every shard's data
+		// version (a shard that never changed reports none and contributes 0,
+		// stably). Each is monotone, so feeding the sum to SyncUpstream invalidates
 		// coordinator-cached answers exactly when some shard's state moved —
 		// including streamed ingest merges the coordinator never sees as
 		// requests. Degraded answers skip the sync: a missing shard's epoch

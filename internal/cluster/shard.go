@@ -103,12 +103,9 @@ func (s *ShardEngine) Execute(req *Request) *Response {
 		return resp
 	}
 	resp.Spans = qt.Tree() // nil for an untraced request
-	// Piggyback the shard's combined data version: plan-cache epoch
-	// (locked writes, optimize, reconfigure) plus ingest snapshot epoch
-	// (streamed merges). Both are monotone, so the sum is too — the
-	// coordinator folds it into its result cache's upstream version.
-	st := s.eng.PlanCacheStats()
-	resp.Epoch = st.Epoch + st.Snapshot
+	// Piggyback the shard's data version; the coordinator folds it into its
+	// result cache's upstream version.
+	resp.Epoch = s.eng.DataVersion()
 	return resp
 }
 

@@ -41,23 +41,15 @@ import (
 // truncated fields and trailing garbage are all errors — which keeps the
 // fuzz target honest.
 //
-// Version history. v1 carries plain requests/responses. v2 adds distributed
-// tracing: a flags byte after the request kind (bit 0 = "record and return
-// a trace"), and a serialized span subtree on responses (flags bit 1). v3
-// adds epoch piggybacking: a shard's combined data version (plan-cache
-// epoch + ingest snapshot epoch) rides on successful responses (flags bit
-// 2, a trailing uvarint after any spans), so coordinators learn about
-// shard-side streamed writes without a probe round-trip. The encoder picks
-// the lowest version that can express a message — traceless, epochless
-// traffic is byte-identical to v1, so older peers interoperate until a
-// field they don't speak actually reaches them (a v2 decoder never sees an
-// epoch: shards only attach one when the epoch is non-zero, and the flag
-// rejects cleanly on a strict v2 peer rather than corrupting the frame).
+// There is one wire version. Coordinator and shards are always the same
+// binary, so every frame encodes at Version and a frame at any other version
+// is rejected. A request carries a flags byte after its kind (bit 0 = "record
+// and return a trace"); a response carries a flags byte too (bit 0 = error,
+// bit 1 = a serialized span subtree follows the aggregate, bit 2 = the
+// shard's data version follows as a trailing uvarint), so coordinators learn
+// about shard-side writes without a probe round-trip.
 const (
 	Version = 3
-
-	// minVersion is the oldest peer version this decoder still accepts.
-	minVersion = 1
 
 	// MaxFrame bounds a frame payload; a decoder never allocates more than
 	// this from a length prefix, so a hostile peer cannot OOM the process.
@@ -73,12 +65,11 @@ const (
 	// depth (tens of levels at most).
 	maxSpanDepth = 64
 
-	reqFlagTrace     = 1 << 0
-	respFlagErr      = 1 << 0
-	respFlagSpans    = 1 << 1
-	respFlagEpoch    = 1 << 2
-	respFlagsKnownV2 = respFlagErr | respFlagSpans
-	respFlagsKnown   = respFlagErr | respFlagSpans | respFlagEpoch
+	reqFlagTrace   = 1 << 0
+	respFlagErr    = 1 << 0
+	respFlagSpans  = 1 << 1
+	respFlagEpoch  = 1 << 2
+	respFlagsKnown = respFlagErr | respFlagSpans | respFlagEpoch
 )
 
 var magic = [2]byte{'v', 'c'}
@@ -129,7 +120,7 @@ type Request struct {
 	// Ranges restricts a KindRangeSum request.
 	Ranges []DimRange
 	// Trace asks the shard to execute under a trace and return its span
-	// subtree on the response. Trace-bearing requests encode as wire v2.
+	// subtree on the response.
 	Trace bool
 }
 
@@ -145,15 +136,14 @@ type Response struct {
 	// Groups holds the per-group partial SUMs of KindGroupBy.
 	Groups map[string]float64
 	// Spans is the shard-internal span subtree of a traced request, which
-	// the coordinator grafts under its per-shard span. Responses carrying
-	// spans encode as wire v2; error responses never carry spans.
+	// the coordinator grafts under its per-shard span. Error responses never
+	// carry spans.
 	Spans *obs.SpanNode
-	// Epoch is the shard's combined data version (plan-cache epoch plus
-	// ingest snapshot epoch) at serving time. Zero means "not reported";
-	// non-zero epochs encode as wire v3 and error responses never carry
-	// one. Coordinators sum shard epochs into their result cache's
-	// upstream version, so a streamed write on any shard invalidates
-	// coordinator-cached answers at the next fan-out.
+	// Epoch is the shard's data version (SafeEngine.DataVersion) at serving
+	// time. Zero means "not reported" and error responses never carry one.
+	// Coordinators sum shard epochs into their result cache's upstream
+	// version, so a write on any shard invalidates coordinator-cached
+	// answers at the next fan-out.
 	Epoch uint64
 }
 
@@ -168,11 +158,11 @@ func appendFloat(dst []byte, f float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
-func appendFrame(dst []byte, version, ftype byte, payload []byte) ([]byte, error) {
+func appendFrame(dst []byte, ftype byte, payload []byte) ([]byte, error) {
 	if len(payload) > MaxFrame {
 		return nil, fmt.Errorf("cluster: frame payload %d bytes exceeds MaxFrame %d", len(payload), MaxFrame)
 	}
-	dst = append(dst, magic[0], magic[1], version, ftype)
+	dst = append(dst, magic[0], magic[1], Version, ftype)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
 	return append(dst, payload...), nil
 }
@@ -203,21 +193,18 @@ func appendSpanNode(dst []byte, n *obs.SpanNode) []byte {
 	return dst
 }
 
-// AppendRequest appends the request's frame encoding to dst. A traceless
-// request encodes as wire v1, byte-identical to the pre-trace protocol; a
-// trace-bearing request encodes as v2 with a flags byte after the kind.
+// AppendRequest appends the request's frame encoding to dst.
 func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	if !r.Kind.valid() {
 		return nil, fmt.Errorf("cluster: cannot encode request of invalid kind %d", r.Kind)
 	}
 	p := make([]byte, 0, 64)
 	p = binary.AppendUvarint(p, r.ID)
-	p = append(p, byte(r.Kind))
-	version := byte(1)
+	var flags byte
 	if r.Trace {
-		version = 2
-		p = append(p, byte(reqFlagTrace))
+		flags |= reqFlagTrace
 	}
+	p = append(p, byte(r.Kind), flags)
 	p = binary.AppendUvarint(p, uint64(len(r.Keep)))
 	for _, k := range r.Keep {
 		p = appendString(p, k)
@@ -228,14 +215,12 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 		p = appendString(p, vr.Lo)
 		p = appendString(p, vr.Hi)
 	}
-	return appendFrame(dst, version, frameRequest, p)
+	return appendFrame(dst, frameRequest, p)
 }
 
 // AppendResponse appends the response's frame encoding to dst. Group keys
-// are written in sorted order, so equal responses encode to equal bytes.
-// Span-free, epochless responses (and error responses, which carry
-// neither) encode as wire v1; responses with a span subtree encode as v2
-// and responses with a non-zero epoch as v3.
+// are written in sorted order, so equal responses encode to equal bytes. An
+// error response carries only its message: spans and epoch are dropped.
 func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	if !r.Kind.valid() {
 		return nil, fmt.Errorf("cluster: cannot encode response of invalid kind %d", r.Kind)
@@ -243,30 +228,19 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	p := make([]byte, 0, 64)
 	p = binary.AppendUvarint(p, r.ID)
 	p = append(p, byte(r.Kind))
-	var flags byte
-	version := byte(1)
 	if r.Err != "" {
-		flags |= respFlagErr
+		p = append(p, respFlagErr)
+		p = appendString(p, r.Err)
+		return appendFrame(dst, frameResponse, p)
 	}
-	spans := r.Spans
-	if spans != nil && r.Err == "" {
+	var flags byte
+	if r.Spans != nil {
 		flags |= respFlagSpans
-		version = 2
-	} else {
-		spans = nil
 	}
-	epoch := r.Epoch
-	if epoch != 0 && r.Err == "" {
+	if r.Epoch != 0 {
 		flags |= respFlagEpoch
-		version = 3
-	} else {
-		epoch = 0
 	}
 	p = append(p, flags)
-	if r.Err != "" {
-		p = appendString(p, r.Err)
-		return appendFrame(dst, version, frameResponse, p)
-	}
 	p = appendFloat(p, r.Sum)
 	keys := make([]string, 0, len(r.Groups))
 	for k := range r.Groups {
@@ -278,13 +252,13 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		p = appendString(p, k)
 		p = appendFloat(p, r.Groups[k])
 	}
-	if spans != nil {
-		p = appendSpanNode(p, spans)
+	if r.Spans != nil {
+		p = appendSpanNode(p, r.Spans)
 	}
-	if epoch != 0 {
-		p = binary.AppendUvarint(p, epoch)
+	if r.Epoch != 0 {
+		p = binary.AppendUvarint(p, r.Epoch)
 	}
-	return appendFrame(dst, version, frameResponse, p)
+	return appendFrame(dst, frameResponse, p)
 }
 
 // --- decoding ---
@@ -367,27 +341,38 @@ func (d *decoder) finish() error {
 	return nil
 }
 
-func decodeHeader(b []byte, wantType byte) (payload []byte, version byte, err error) {
-	if len(b) < headerLen {
-		return nil, 0, fmt.Errorf("cluster: frame shorter than header (%d bytes)", len(b))
+// checkHeader validates a frame header — magic, the one wire version, the
+// expected frame type, the MaxFrame bound — and returns the payload length
+// it announces.
+func checkHeader(hdr []byte, wantType byte) (uint32, error) {
+	if hdr[0] != magic[0] || hdr[1] != magic[1] {
+		return 0, fmt.Errorf("cluster: bad magic %q", hdr[:2])
 	}
-	if b[0] != magic[0] || b[1] != magic[1] {
-		return nil, 0, fmt.Errorf("cluster: bad magic %q", b[:2])
+	if hdr[2] != Version {
+		return 0, fmt.Errorf("cluster: unsupported wire version %d (have %d)", hdr[2], Version)
 	}
-	if b[2] < minVersion || b[2] > Version {
-		return nil, 0, fmt.Errorf("cluster: unsupported wire version %d (have %d)", b[2], Version)
+	if hdr[3] != wantType {
+		return 0, fmt.Errorf("cluster: frame type %d, want %d", hdr[3], wantType)
 	}
-	if b[3] != wantType {
-		return nil, 0, fmt.Errorf("cluster: frame type %d, want %d", b[3], wantType)
-	}
-	n := binary.BigEndian.Uint32(b[4:8])
+	n := binary.BigEndian.Uint32(hdr[4:8])
 	if n > MaxFrame {
-		return nil, 0, fmt.Errorf("cluster: frame payload %d bytes exceeds MaxFrame %d", n, MaxFrame)
+		return 0, fmt.Errorf("cluster: frame payload %d bytes exceeds MaxFrame %d", n, MaxFrame)
+	}
+	return n, nil
+}
+
+func decodeHeader(b []byte, wantType byte) (payload []byte, err error) {
+	if len(b) < headerLen {
+		return nil, fmt.Errorf("cluster: frame shorter than header (%d bytes)", len(b))
+	}
+	n, err := checkHeader(b, wantType)
+	if err != nil {
+		return nil, err
 	}
 	if uint64(n) != uint64(len(b)-headerLen) {
-		return nil, 0, fmt.Errorf("cluster: frame length %d, have %d payload bytes", n, len(b)-headerLen)
+		return nil, fmt.Errorf("cluster: frame length %d, have %d payload bytes", n, len(b)-headerLen)
 	}
-	return b[headerLen:], b[2], nil
+	return b[headerLen:], nil
 }
 
 // decodeSpanNode decodes one span subtree. total counts nodes across the
@@ -448,9 +433,9 @@ func (d *decoder) spanNode(total *int, depth int) (*obs.SpanNode, error) {
 	return n, nil
 }
 
-// DecodeRequest decodes one complete request frame (wire v1 or v2).
+// DecodeRequest decodes one complete request frame.
 func DecodeRequest(b []byte) (*Request, error) {
-	p, version, err := decodeHeader(b, frameRequest)
+	p, err := decodeHeader(b, frameRequest)
 	if err != nil {
 		return nil, err
 	}
@@ -467,16 +452,14 @@ func DecodeRequest(b []byte) (*Request, error) {
 	if !r.Kind.valid() {
 		return nil, fmt.Errorf("cluster: invalid request kind %d", k)
 	}
-	if version >= 2 {
-		flags, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if flags&^byte(reqFlagTrace) != 0 {
-			return nil, fmt.Errorf("cluster: unknown request flags %#x", flags)
-		}
-		r.Trace = flags&reqFlagTrace != 0
+	flags, err := d.byte()
+	if err != nil {
+		return nil, err
 	}
+	if flags&^byte(reqFlagTrace) != 0 {
+		return nil, fmt.Errorf("cluster: unknown request flags %#x", flags)
+	}
+	r.Trace = flags&reqFlagTrace != 0
 	nkeep, err := d.count(1)
 	if err != nil {
 		return nil, err
@@ -508,9 +491,9 @@ func DecodeRequest(b []byte) (*Request, error) {
 	return r, d.finish()
 }
 
-// DecodeResponse decodes one complete response frame (wire v1 or v2).
+// DecodeResponse decodes one complete response frame.
 func DecodeResponse(b []byte) (*Response, error) {
-	p, version, err := decodeHeader(b, frameResponse)
+	p, err := decodeHeader(b, frameResponse)
 	if err != nil {
 		return nil, err
 	}
@@ -531,14 +514,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	known := byte(respFlagErr)
-	switch {
-	case version >= 3:
-		known = respFlagsKnown
-	case version == 2:
-		known = respFlagsKnownV2
-	}
-	if flags&^known != 0 {
+	if flags&^byte(respFlagsKnown) != 0 {
 		return nil, fmt.Errorf("cluster: unknown response flags %#x", flags)
 	}
 	if flags&respFlagErr != 0 {
@@ -602,18 +578,9 @@ func readFrame(r io.Reader, wantType byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	if hdr[0] != magic[0] || hdr[1] != magic[1] {
-		return nil, fmt.Errorf("cluster: bad magic %q", hdr[:2])
-	}
-	if hdr[2] < minVersion || hdr[2] > Version {
-		return nil, fmt.Errorf("cluster: unsupported wire version %d (have %d)", hdr[2], Version)
-	}
-	if hdr[3] != wantType {
-		return nil, fmt.Errorf("cluster: frame type %d, want %d", hdr[3], wantType)
-	}
-	n := binary.BigEndian.Uint32(hdr[4:8])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("cluster: frame payload %d bytes exceeds MaxFrame %d", n, MaxFrame)
+	n, err := checkHeader(hdr, wantType)
+	if err != nil {
+		return nil, err
 	}
 	frame := make([]byte, headerLen+int(n))
 	copy(frame, hdr)

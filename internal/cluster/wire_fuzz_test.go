@@ -21,7 +21,7 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add(resp)
 	errResp, _ := AppendResponse(nil, &Response{ID: 7, Kind: KindTotal, Err: "boom"})
 	f.Add(errResp)
-	// Wire v2: trace-bearing frames.
+	// Trace-bearing and epoch-bearing frames.
 	tracedReq, _ := AppendRequest(nil, &Request{ID: 3, Kind: KindTotal, Trace: true})
 	f.Add(tracedReq)
 	spanResp, _ := AppendResponse(nil, &Response{ID: 3, Kind: KindTotal, Sum: 7, Spans: &obs.SpanNode{
@@ -34,11 +34,13 @@ func FuzzWireCodec(f *testing.F) {
 		},
 	}})
 	f.Add(spanResp)
+	epochResp, _ := AppendResponse(nil, &Response{ID: 5, Kind: KindRangeSum, Sum: -2, Epoch: 1<<40 + 3})
+	f.Add(epochResp)
 	flip := append([]byte(nil), resp...)
 	flip[9] ^= 0xFF
 	f.Add(flip)
 	f.Add(req[:len(req)-2])
-	f.Add([]byte{'v', 'c', 1, 1, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'v', 'c', Version, 1, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,8 +1,7 @@
 package cluster
 
-// Wire v2 tests: version negotiation (traceless traffic must stay
-// byte-identical to v1 so old peers interoperate), bit-exact span-subtree
-// round-trips, and the decode hardening around hostile span trees.
+// Trace tests: the one wire version, bit-exact span-subtree round-trips, and
+// the decode hardening around hostile span trees.
 
 import (
 	"bytes"
@@ -14,61 +13,77 @@ import (
 	"viewcube/internal/obs"
 )
 
-// TestTracelessTrafficIsV1 pins the interop contract of the version bump:
-// a message with no trace content encodes as wire v1 — byte for byte the
-// pre-trace protocol — and only trace-bearing messages use v2.
-func TestTracelessTrafficIsV1(t *testing.T) {
-	req, err := AppendRequest(nil, &Request{ID: 9, Kind: KindGroupBy, Keep: []string{"product"}})
-	if err != nil {
-		t.Fatal(err)
+// TestDownLevelFrameRejected pins the one-version contract: every frame —
+// traced or not, with or without spans or an epoch — encodes at Version, and
+// a frame at any other version (the retired v1/v2 ladder, or a future one)
+// is rejected by both the buffer and the stream decoders. An error response
+// carries neither spans nor epoch: both fields are dropped and the frame is
+// byte-identical to the same error without them.
+func TestDownLevelFrameRejected(t *testing.T) {
+	reqs := []*Request{
+		{ID: 9, Kind: KindGroupBy, Keep: []string{"product"}},
+		{ID: 9, Kind: KindGroupBy, Keep: []string{"product"}, Trace: true},
 	}
-	if req[2] != 1 {
-		t.Fatalf("traceless request encoded as version %d, want 1", req[2])
+	for _, r := range reqs {
+		b, err := AppendRequest(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[2] != Version {
+			t.Fatalf("request %+v encoded as version %d, want %d", r, b[2], Version)
+		}
+		for _, v := range []byte{1, 2, Version + 1} {
+			bad := bytes.Clone(b)
+			bad[2] = v
+			if _, err := DecodeRequest(bad); err == nil {
+				t.Errorf("DecodeRequest accepted a version-%d frame", v)
+			}
+			if _, err := ReadRequest(bytes.NewReader(bad)); err == nil {
+				t.Errorf("ReadRequest accepted a version-%d frame", v)
+			}
+		}
 	}
-	traced, err := AppendRequest(nil, &Request{ID: 9, Kind: KindGroupBy, Keep: []string{"product"}, Trace: true})
-	if err != nil {
-		t.Fatal(err)
+	resps := []*Response{
+		{ID: 9, Kind: KindTotal, Sum: 4},
+		{ID: 9, Kind: KindTotal, Sum: 4, Spans: &obs.SpanNode{Name: "total"}},
+		{ID: 9, Kind: KindTotal, Sum: 4, Epoch: 42},
+		{ID: 9, Kind: KindTotal, Err: "boom"},
 	}
-	if traced[2] != 2 {
-		t.Fatalf("traced request encoded as version %d, want 2", traced[2])
+	for _, r := range resps {
+		b, err := AppendResponse(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[2] != Version {
+			t.Fatalf("response %+v encoded as version %d, want %d", r, b[2], Version)
+		}
+		for _, v := range []byte{1, 2, Version + 1} {
+			bad := bytes.Clone(b)
+			bad[2] = v
+			if _, err := DecodeResponse(bad); err == nil {
+				t.Errorf("DecodeResponse accepted a version-%d frame", v)
+			}
+			if _, err := ReadResponse(bytes.NewReader(bad)); err == nil {
+				t.Errorf("ReadResponse accepted a version-%d frame", v)
+			}
+		}
 	}
 
-	resp, err := AppendResponse(nil, &Response{ID: 9, Kind: KindTotal, Sum: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp[2] != 1 {
-		t.Fatalf("spanless response encoded as version %d, want 1", resp[2])
-	}
-	withSpans, err := AppendResponse(nil, &Response{ID: 9, Kind: KindTotal, Sum: 4,
-		Spans: &obs.SpanNode{Name: "total"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withSpans[2] != 2 {
-		t.Fatalf("span-bearing response encoded as version %d, want 2", withSpans[2])
-	}
-
-	// An error response never carries spans: the trace field is dropped and
-	// the frame stays v1, identical to the same error without spans.
 	plainErr, err := AppendResponse(nil, &Response{ID: 1, Kind: KindTotal, Err: "boom"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spannedErr, err := AppendResponse(nil, &Response{ID: 1, Kind: KindTotal, Err: "boom",
-		Spans: &obs.SpanNode{Name: "total"}})
+	loadedErr, err := AppendResponse(nil, &Response{ID: 1, Kind: KindTotal, Err: "boom",
+		Spans: &obs.SpanNode{Name: "total"}, Epoch: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(plainErr, spannedErr) {
-		t.Fatal("error response with spans did not encode identically to one without")
-	}
-	if plainErr[2] != 1 {
-		t.Fatalf("error response encoded as version %d, want 1", plainErr[2])
+	if !bytes.Equal(plainErr, loadedErr) {
+		t.Fatal("error response with spans and epoch did not encode identically to one without")
 	}
 }
 
-// TestTracedRequestRoundTrip: the v2 trace flag survives the codec.
+// TestTracedRequestRoundTrip: the trace flag survives the codec.
 func TestTracedRequestRoundTrip(t *testing.T) {
 	reqs := []*Request{
 		{ID: 1, Kind: KindTotal, Trace: true},
@@ -113,7 +128,7 @@ func randSpanTree(rng *rand.Rand, budget *int, depth int) *obs.SpanNode {
 }
 
 // TestSpanSubtreeRoundTripBitExact is the property test pinning the span
-// codec across the version bump: for arbitrary subtrees, decode∘encode is
+// codec: for arbitrary subtrees, decode∘encode is
 // the identity and re-encoding the decoded tree reproduces the exact same
 // bytes (the canonical encoding is stable).
 func TestSpanSubtreeRoundTripBitExact(t *testing.T) {
@@ -193,23 +208,11 @@ func TestSpanDecodeHardening(t *testing.T) {
 	p = appendString(p, "dup")
 	p = append(p, 4) // varint 2
 	p = append(p, 0) // 0 children
-	frame, err := appendFrame(nil, 2, frameResponse, p)
+	frame, err := appendFrame(nil, frameResponse, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeResponse(frame); err == nil {
 		t.Error("duplicate span attr accepted")
-	}
-
-	// A v1 frame cannot carry the spans flag at all.
-	good, err := AppendResponse(nil, &Response{ID: 1, Kind: KindTotal, Sum: 1,
-		Spans: &obs.SpanNode{Name: "total"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := append([]byte(nil), good...)
-	v1[2] = 1
-	if _, err := DecodeResponse(v1); err == nil {
-		t.Error("v1 frame with spans flag accepted")
 	}
 }

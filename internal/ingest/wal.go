@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 )
 
 // The write-ahead log is one append-only binary segment:
@@ -45,14 +46,16 @@ type WALOptions struct {
 	Fsync bool
 }
 
-// WAL is an append-only, crash-replayable delta log. Append is safe for
-// concurrent use; Close is not concurrent with Append.
+// WAL is an append-only, crash-replayable delta log. It has no lock:
+// callers serialise Append (and LastSeq and Close against it). Bytes alone
+// may be read concurrently with Append — a stats scrape must not wait on the
+// write path.
 type WAL struct {
 	f     *os.File
 	path  string
 	fsync bool
-	seq   uint64 // last sequence number appended (or recovered)
-	bytes uint64 // bytes appended this process lifetime
+	seq   uint64        // last sequence number appended (or recovered)
+	bytes atomic.Uint64 // bytes appended this process lifetime
 }
 
 // OpenWAL opens (or creates) the segment at path, scans existing records —
@@ -161,7 +164,7 @@ func (w *WAL) Append(d Delta) (uint64, error) {
 			return 0, fmt.Errorf("ingest: syncing WAL: %w", err)
 		}
 	}
-	w.bytes += uint64(len(rec))
+	w.bytes.Add(uint64(len(rec)))
 	return d.Seq, nil
 }
 
@@ -169,7 +172,7 @@ func (w *WAL) Append(d Delta) (uint64, error) {
 func (w *WAL) LastSeq() uint64 { return w.seq }
 
 // Bytes returns the bytes appended by this process (recovery excluded).
-func (w *WAL) Bytes() uint64 { return w.bytes }
+func (w *WAL) Bytes() uint64 { return w.bytes.Load() }
 
 // Sync forces the segment to stable storage.
 func (w *WAL) Sync() error { return w.f.Sync() }

@@ -200,7 +200,10 @@ func (c *registryCore) family(name, help, typ string) *family {
 	return f
 }
 
-func (r *Registry) lookup(name, help, typ string, labels []string) *series {
+// lookup returns the series for name and labels, creating it — and its
+// instrument of the given type, under the registry lock, so two first uses
+// racing each other share one instrument — on first use.
+func (r *Registry) lookup(name, help, typ string, buckets []float64, labels []string) *series {
 	if len(labels)%2 != 0 {
 		panic("obs: labels must be key/value pairs")
 	}
@@ -218,6 +221,14 @@ func (r *Registry) lookup(name, help, typ string, labels []string) *series {
 		f.byLabel[lk] = s
 		f.series = append(f.series, s)
 	}
+	switch {
+	case typ == "counter" && s.ctr == nil:
+		s.ctr = &Counter{}
+	case typ == "gauge" && s.gge == nil:
+		s.gge = &Gauge{}
+	case typ == "histogram" && s.hst == nil:
+		s.hst = newHistogram(buckets)
+	}
 	return s
 }
 
@@ -228,11 +239,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, "counter", labels)
-	if s.ctr == nil {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
+	return r.lookup(name, help, "counter", nil, labels).ctr
 }
 
 // Gauge registers (or returns the existing) gauge. Safe on a nil receiver.
@@ -240,11 +247,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, "gauge", labels)
-	if s.gge == nil {
-		s.gge = &Gauge{}
-	}
-	return s.gge
+	return r.lookup(name, help, "gauge", nil, labels).gge
 }
 
 // Histogram registers (or returns the existing) histogram with the given
@@ -253,11 +256,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 	if r == nil {
 		return nil
 	}
-	s := r.lookup(name, help, "histogram", labels)
-	if s.hst == nil {
-		s.hst = newHistogram(buckets)
-	}
-	return s.hst
+	return r.lookup(name, help, "histogram", buckets, labels).hst
 }
 
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

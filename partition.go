@@ -183,26 +183,25 @@ func (p *PartitionedEngine) GroupBy(keep ...string) (map[string]float64, error) 
 	return out, nil
 }
 
-// Total sums the shard totals.
-func (p *PartitionedEngine) Total() (float64, error) {
-	totals := make([]float64, len(p.engines))
-	err := p.fanOut(func(i int, eng *SafeEngine) error {
-		t, err := eng.Total()
-		if err != nil {
-			return err
-		}
-		totals[i] = t
-		return nil
+// sumShards adds up one partial aggregate per shard, in shard order.
+func (p *PartitionedEngine) sumShards(part func(eng *SafeEngine) (float64, error)) (float64, error) {
+	parts := make([]float64, len(p.engines))
+	err := p.fanOut(func(i int, eng *SafeEngine) (err error) {
+		parts[i], err = part(eng)
+		return err
 	})
 	if err != nil {
 		return 0, err
 	}
 	sum := 0.0
-	for _, t := range totals {
-		sum += t
+	for _, v := range parts {
+		sum += v
 	}
 	return sum, nil
 }
+
+// Total sums the shard totals.
+func (p *PartitionedEngine) Total() (float64, error) { return p.sumShards((*SafeEngine).Total) }
 
 // RangeSum answers a value-range SUM across shards. Unlike Engine.RangeSum,
 // bounds are interpreted lexicographically (first value ≥ Lo through last
@@ -221,29 +220,28 @@ func (p *PartitionedEngine) RangeSum(ranges map[string]ValueRange) (float64, err
 			return 0, fmt.Errorf("viewcube: unknown dimension %q", name)
 		}
 	}
-	sums := make([]float64, len(p.engines))
-	err := p.fanOut(func(i int, eng *SafeEngine) error {
-		s, ok, err := eng.RangeSumWithin(ranges)
-		if err != nil || !ok {
-			return err // !ok: no values in range here, shard contributes 0
-		}
-		sums[i] = s
-		return nil
+	return p.sumShards(func(eng *SafeEngine) (float64, error) {
+		// ok is dropped: with no values in range a shard contributes 0.
+		sum, _, err := eng.RangeSumWithin(ranges)
+		return sum, err
 	})
-	if err != nil {
-		return 0, err
+}
+
+// DataVersion is the sum of the shards' data versions: each is monotone, so
+// the sum moves whenever any shard's does (a max would hide an update to a
+// shard whose version is not the highest).
+func (p *PartitionedEngine) DataVersion() uint64 {
+	var v uint64
+	for _, eng := range p.engines {
+		v += eng.DataVersion()
 	}
-	sum := 0.0
-	for _, s := range sums {
-		sum += s
-	}
-	return sum, nil
+	return v
 }
 
 // PlanCacheStats aggregates the per-shard plan-cache counters (each shard
-// engine owns an epoch-keyed cache of the same type as the root engine's).
-// Hits, misses, invalidations and entries are summed; Epoch reports the
-// highest shard epoch.
+// engine owns an epoch-keyed cache of the same type as the root engine's)
+// for display. Hits, misses, invalidations and entries are summed; Epoch
+// reports the highest shard epoch — caches sync against DataVersion.
 func (p *PartitionedEngine) PlanCacheStats() PlanCacheStats {
 	var out PlanCacheStats
 	for _, eng := range p.engines {

@@ -95,7 +95,7 @@ func untraced[T any](out T, _ *QueryTrace, err error) (T, error) { return out, e
 func runInline[A, T any](e *Engine, traced bool, r read[*Engine, A, T], args A) (T, *QueryTrace, error) {
 	out, qt, err := run(e.met, e, traced, r, args)
 	if err == nil {
-		err = e.maybeReselect()
+		_, err = e.maybeReselect()
 	}
 	return settle(out, qt, err)
 }

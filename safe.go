@@ -8,180 +8,277 @@ import (
 	"viewcube/internal/rangeagg"
 )
 
-// SafeEngine shares an Engine across goroutines with a read/write split:
-// queries are semantically pure reads of the materialised set (Procedure 3
-// planning plus Haar synthesis allocate only per-query state), so any
-// number of them overlap under the read lock; only operations that rewrite
-// the materialised set — Optimize, Update, Reconfigure, and automatic
-// reselection — take the write lock.
+// guarded is what a guard and its ingest runtime ask of the engine they
+// share — everything that differs between the scalar *Engine (width-1
+// deltas) and the measure-vector *AggEngine (width-w deltas). E is the
+// implementing type itself: snapshot hands back a read-only sibling.
+type guarded[E any] interface {
+	// metrics is the registry the engine's reads and writes report into.
+	metrics() *Metrics
+	// The counters that have no snapshot form: read off the base engine
+	// under the read lock.
+	Stats() Stats
+	MaterializedElements() int
+	StorageCells() int
+	// reselectDue is the lock-free "an automatic reselection is pending"
+	// flag; maybeReselect performs it (re-checking the flag, so racing
+	// drainers are idempotent) and reports whether the materialised set
+	// changed.
+	reselectDue() bool
+	maybeReselect() (bool, error)
+	// ingestable rejects engines whose store a WAL replay would double-apply
+	// into.
+	ingestable() error
+	// checkCell validates a cell index; it reads only immutable state, so it
+	// needs no lock even while the merger runs.
+	checkCell(idx []int) error
+	// applyDeltaRaw is per-delta maintenance — every stored element plus the
+	// raw cube, one cell per component — with no cache invalidation;
+	// resetDerived is the once-per-batch reset of the caches derived from
+	// stored values. Plan geometry is value-independent, so neither touches
+	// the plan cache.
+	applyDeltaRaw(vals []float64, idx []int) error
+	resetDerived()
+	// snapshot clones the store and derives a read-only generation over the
+	// clone: the payload of one MVCC snapshot.
+	snapshot() (E, error)
+}
+
+// guard shares one engine across goroutines with a read/write split — the
+// package's one concurrency wrapper, instantiated as SafeEngine (scalar
+// cubes) and SafeAggEngine (measure-vector cubes).
 //
-// Reads route through the engine's reselect-free read path, so a query
-// never mutates shared state; when a query pushes the adaptive recorder
-// past its reselection threshold, the due flag is drained afterwards under
-// the write lock (see reselectIfDue). Traced queries carry their own
-// execution context, so concurrent traces never observe each other.
+// Queries are semantically pure reads of the materialised set (Procedure 3
+// planning plus Haar synthesis allocate only per-query state), so any number
+// of them overlap under the read lock; only operations that rewrite the
+// materialised set or its values — Optimize, Update, Reconfigure, and
+// automatic reselection — take the write lock, through mutate.
 //
 // With streaming ingest enabled (EnableIngest), the locking regime changes:
 // reads pin the current immutable snapshot for their whole duration instead
 // of taking the read lock, so they never block on (or are blocked by) the
-// write path; Update/UpdateValue append to the ingest buffer and return,
-// and the background merger is the only mutator of the base engine.
-type SafeEngine struct {
+// write path; writes append to the ingest buffer and return, and the
+// background merger is the only mutator of the base engine's values.
+type guard[E guarded[E]] struct {
 	mu  sync.RWMutex
-	eng *Engine
-	ing atomic.Pointer[ingestRuntime]
+	eng E
+	ing atomic.Pointer[ingestRuntime[E]]
+	// version is the data version: see DataVersion.
+	version atomic.Uint64
 }
 
-// Safe wraps the engine for concurrent use. The wrapped engine must not be
-// used directly afterwards.
-func (e *Engine) Safe() *SafeEngine { return &SafeEngine{eng: e} }
+// DataVersion is the one counter caches of this engine's answers sync
+// against. It never decreases and never repeats a value: every locked
+// mutation, every published snapshot and every ingest enable/disable moves
+// it, and nothing else does (reads and zero deltas leave it alone). It is a
+// single atomic load — no engine lock — so a cache hit never waits out a
+// merge or a reconfiguration.
+func (g *guard[E]) DataVersion() uint64 { return g.version.Load() }
 
 // reader returns the engine a query should run against plus its release.
 // With ingest enabled it pins the current snapshot (no lock, never blocks);
 // otherwise it read-locks the base engine. Every read path goes through it,
 // which is the non-blocking-readers guarantee in one place.
-func (s *SafeEngine) reader() (*Engine, func()) {
-	if rt := s.ing.Load(); rt != nil {
+func (g *guard[E]) reader() (E, func()) {
+	if rt := g.ing.Load(); rt != nil {
 		snap := rt.lc.Acquire()
 		return snap.Payload(), snap.Release
 	}
-	s.mu.RLock()
-	return s.eng, s.mu.RUnlock
+	g.mu.RLock()
+	return g.eng, g.mu.RUnlock
 }
 
-// reselectIfDue performs a pending automatic reselection under the write
-// lock. The unlocked fast path keeps the query path lock-free when nothing
-// is due; the double-check under the lock makes racing drainers idempotent
-// (Reconfigure clears the flag before reselecting). Under ingest, the
-// reconfigured materialised set becomes visible to readers at the forced
-// republish that follows.
-func (s *SafeEngine) reselectIfDue() error {
-	if !s.eng.inner.ReselectDue() {
-		return nil
+// mutate is the one locked mutation: fn runs on the base engine under the
+// write lock and reports whether it changed anything. A change moves the
+// data version and, under ingest, waits for a snapshot generation published
+// after it, so readers stop pinning the pre-mutation materialised set.
+func (g *guard[E]) mutate(fn func(E) (bool, error)) error {
+	g.mu.Lock()
+	changed, err := fn(g.eng)
+	if changed {
+		g.version.Add(1)
 	}
-	s.mu.Lock()
-	if !s.eng.inner.ReselectDue() {
-		s.mu.Unlock()
-		return nil
-	}
-	_, err := s.eng.inner.AutoReconfigure(nil)
-	s.mu.Unlock()
-	if err == nil {
-		if rt := s.ing.Load(); rt != nil {
+	g.mu.Unlock()
+	if changed {
+		if rt := g.ing.Load(); rt != nil {
 			rt.forcePublish()
 		}
 	}
 	return err
 }
 
-// runSafe is the SafeEngine read seam, the one place a shared read is
-// pinned and drained: it runs r through the read seam against whatever
-// reader() hands out, releases the pin, then drains a due reselection under
-// the write lock. Every query method below is a one-line instance of it.
-func runSafe[A, T any](s *SafeEngine, traced bool, r read[*Engine, A, T], args A) (T, *QueryTrace, error) {
-	eng, release := s.reader()
-	out, qt, err := run(eng.met, eng, traced, r, args)
+// reselectIfDue performs a pending automatic reselection under the write
+// lock. The unlocked fast path keeps the query path lock-free when nothing
+// is due; maybeReselect's re-check under the lock makes racing drainers
+// idempotent (reconfiguring clears the flag first).
+func (g *guard[E]) reselectIfDue() error {
+	if !g.eng.reselectDue() {
+		return nil
+	}
+	return g.mutate(E.maybeReselect)
+}
+
+// write is the one write: validate the cell lock-free, drop a zero delta
+// (nothing to fold, no lock, no version move), then append to the ingest
+// runtime — visibility comes at the next snapshot publish, Flush waits for
+// it — or, with ingest off, run the engine's own update under the write
+// lock.
+func (g *guard[E]) write(vals []float64, idx []int, apply func(E) error) error {
+	if err := g.eng.checkCell(idx); err != nil {
+		return err
+	}
+	zero := true
+	for _, v := range vals {
+		zero = zero && v == 0
+	}
+	if zero {
+		return nil
+	}
+	if rt := g.ing.Load(); rt != nil {
+		return rt.ingestAppend(vals, idx)
+	}
+	return g.mutate(func(e E) (bool, error) {
+		err := apply(e)
+		return err == nil, err
+	})
+}
+
+// locked runs a read of engine state that has no snapshot form (adaptive
+// counters, store statistics, the workload profile) on the base engine under
+// the read lock.
+func locked[E guarded[E], T any](g *guard[E], fn func(E) T) T {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return fn(g.eng)
+}
+
+// Stats returns the adaptive counters of the shared materialised set.
+func (g *guard[E]) Stats() Stats { return locked(g, E.Stats) }
+
+// MaterializedElements returns how many elements are materialised.
+func (g *guard[E]) MaterializedElements() int { return locked(g, E.MaterializedElements) }
+
+// StorageCells returns the materialised volume in stored scalars.
+func (g *guard[E]) StorageCells() int { return locked(g, E.StorageCells) }
+
+// Metrics returns the engine's metrics registry. The registry itself is
+// safe for concurrent use, so no lock is taken to read instruments.
+func (g *guard[E]) Metrics() *Metrics { return g.eng.metrics() }
+
+// runSafe is the guard's read seam, the one place a shared read is pinned
+// and drained: it runs r through the read seam against whatever reader()
+// hands out, releases the pin, then drains a due reselection under the write
+// lock. Every query method below is a one-line instance of it.
+func runSafe[E guarded[E], A, T any](g *guard[E], traced bool, r read[E, A, T], args A) (T, *QueryTrace, error) {
+	eng, release := g.reader()
+	out, qt, err := run(eng.metrics(), eng, traced, r, args)
 	release()
 	if err == nil {
-		err = s.reselectIfDue()
+		err = g.reselectIfDue()
 	}
 	return settle(out, qt, err)
 }
 
+// SafeEngine shares an Engine across goroutines: the guard over a scalar
+// cube. Reads route through the engine's reselect-free read path, so a query
+// never mutates shared state; when a query pushes the adaptive recorder past
+// its reselection threshold, the due flag is drained afterwards under the
+// write lock. Traced queries carry their own execution context, so
+// concurrent traces never observe each other. The write-path switches
+// (EnableIngest, DisableIngest, IngestEnabled, IngestStats, Flush,
+// SnapshotEpoch), DataVersion and the counters (Stats, MaterializedElements,
+// StorageCells, Metrics) are the guard's.
+type SafeEngine struct {
+	guard[*Engine]
+}
+
+// Safe wraps the engine for concurrent use. The wrapped engine must not be
+// used directly afterwards.
+func (e *Engine) Safe() *SafeEngine { return &SafeEngine{guard[*Engine]{eng: e}} }
+
 // GroupBy is Engine.GroupBy against the pinned snapshot (or under the read
 // lock when ingest is off).
 func (s *SafeEngine) GroupBy(keep ...string) (*View, error) {
-	return untraced(runSafe(s, false, groupByRead, keep))
+	return untraced(runSafe(&s.guard, false, groupByRead, keep))
 }
 
 // GroupByWhere is Engine.GroupByWhere on the read path.
 func (s *SafeEngine) GroupByWhere(keep []string, ranges map[string]ValueRange) (*View, error) {
-	return untraced(runSafe(s, false, groupByWhereRead, dice{keep, ranges}))
+	return untraced(runSafe(&s.guard, false, groupByWhereRead, dice{keep, ranges}))
 }
 
 // View is Engine.View on the read path.
 func (s *SafeEngine) View(el Element) (*View, error) {
-	return untraced(runSafe(s, false, viewRead, el))
+	return untraced(runSafe(&s.guard, false, viewRead, el))
 }
 
 // Total is Engine.Total on the read path.
 func (s *SafeEngine) Total() (float64, error) {
-	return untraced(runSafe(s, false, totalRead, struct{}{}))
+	return untraced(runSafe(&s.guard, false, totalRead, struct{}{}))
 }
 
 // RangeSum is Engine.RangeSum on the read path.
 func (s *SafeEngine) RangeSum(ranges map[string]ValueRange) (float64, error) {
-	return untraced(runSafe(s, false, rangeSumRead, ranges))
+	return untraced(runSafe(&s.guard, false, rangeSumRead, ranges))
 }
 
 // RangeSumWithin is Engine.RangeSumWithin on the read path.
 func (s *SafeEngine) RangeSumWithin(ranges map[string]ValueRange) (float64, bool, error) {
-	w, err := untraced(runSafe(s, false, rangeWithinRead, ranges))
+	w, err := untraced(runSafe(&s.guard, false, rangeWithinRead, ranges))
 	return w.sum, w.ok, err
 }
 
 // RangeSumIndex is Engine.RangeSumIndex on the read path.
 func (s *SafeEngine) RangeSumIndex(lo, ext []int) (float64, error) {
-	return untraced(runSafe(s, false, rangeIndexRead, rangeagg.Box{Lo: lo, Ext: ext}))
+	return untraced(runSafe(&s.guard, false, rangeIndexRead, rangeagg.Box{Lo: lo, Ext: ext}))
 }
 
 // Query is Engine.Query on the read path.
 func (s *SafeEngine) Query(sql string) (*QueryResult, error) {
-	return untraced(runSafe(s, false, sqlRead, sql))
+	return untraced(runSafe(&s.guard, false, sqlRead, sql))
 }
 
 // TraceQuery is Engine.TraceQuery on the read path: each traced query owns
 // its execution context, so traced and untraced queries overlap freely.
 func (s *SafeEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	return runSafe(s, true, sqlRead, sql)
+	return runSafe(&s.guard, true, sqlRead, sql)
 }
 
 // TraceGroupBy is Engine.TraceGroupBy on the read path.
 func (s *SafeEngine) TraceGroupBy(keep ...string) (*View, *QueryTrace, error) {
-	return runSafe(s, true, groupByRead, keep)
+	return runSafe(&s.guard, true, groupByRead, keep)
 }
 
 // TraceRangeSum is Engine.TraceRangeSum on the read path.
 func (s *SafeEngine) TraceRangeSum(ranges map[string]ValueRange) (float64, *QueryTrace, error) {
-	return runSafe(s, true, rangeSumRead, ranges)
+	return runSafe(&s.guard, true, rangeSumRead, ranges)
 }
 
 // TraceTotal is Engine.TraceTotal on the read path.
 func (s *SafeEngine) TraceTotal() (float64, *QueryTrace, error) {
-	return runSafe(s, true, totalRead, struct{}{})
+	return runSafe(&s.guard, true, totalRead, struct{}{})
 }
 
 // TraceRangeSumWithin is Engine.TraceRangeSumWithin on the read path.
 func (s *SafeEngine) TraceRangeSumWithin(ranges map[string]ValueRange) (float64, bool, *QueryTrace, error) {
-	w, qt, err := runSafe(s, true, rangeWithinRead, ranges)
+	w, qt, err := runSafe(&s.guard, true, rangeWithinRead, ranges)
 	return w.sum, w.ok, qt, err
 }
 
 // Optimize is Engine.Optimize under the write lock. Under ingest, the new
 // materialised set reaches readers at the forced republish.
 func (s *SafeEngine) Optimize(w *Workload) error {
-	s.mu.Lock()
-	err := s.eng.Optimize(w)
-	s.mu.Unlock()
-	if err == nil {
-		if rt := s.ing.Load(); rt != nil {
-			rt.forcePublish()
-		}
-	}
-	return err
+	return s.mutate(func(e *Engine) (bool, error) { return true, e.Optimize(w) })
 }
 
 // Reconfigure is Engine.Reconfigure under the write lock. Under ingest, the
 // new materialised set reaches readers at the forced republish.
-func (s *SafeEngine) Reconfigure() (bool, error) {
-	s.mu.Lock()
-	changed, err := s.eng.Reconfigure()
-	s.mu.Unlock()
-	if err == nil && changed {
-		if rt := s.ing.Load(); rt != nil {
-			rt.forcePublish()
-		}
-	}
+func (s *SafeEngine) Reconfigure() (changed bool, err error) {
+	err = s.mutate(func(e *Engine) (bool, error) {
+		var err error
+		changed, err = e.Reconfigure()
+		return changed, err
+	})
 	return changed, err
 }
 
@@ -190,72 +287,29 @@ func (s *SafeEngine) Reconfigure() (bool, error) {
 // publish (Flush waits for it). Otherwise it runs under the write lock.
 // Zero deltas validate and return without locking either way.
 func (s *SafeEngine) Update(delta float64, idx ...int) error {
-	if rt := s.ing.Load(); rt != nil {
-		return rt.ingestAppend(delta, idx)
-	}
-	if delta == 0 {
-		// Engine.Update's zero-delta path validates and touches nothing, so
-		// no lock, no plan-epoch bump, no result-cache invalidation.
-		return s.eng.Update(0, idx...)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.Update(delta, idx...)
+	return s.write([]float64{delta}, idx, func(e *Engine) error { return e.Update(delta, idx...) })
 }
 
 // UpdateValue is Update addressed by dimension values.
 func (s *SafeEngine) UpdateValue(delta float64, values map[string]string) error {
-	if rt := s.ing.Load(); rt != nil {
-		idx, err := s.eng.resolveUpdateIndex(values)
-		if err != nil {
-			return err
-		}
-		return rt.ingestAppend(delta, idx)
+	idx, err := s.eng.resolveUpdateIndex(values)
+	if err != nil {
+		return err
 	}
-	if delta == 0 {
-		return s.eng.UpdateValue(0, values)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.eng.UpdateValue(delta, values)
-}
-
-// Stats is Engine.Stats under the read lock.
-func (s *SafeEngine) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.Stats()
+	return s.Update(delta, idx...)
 }
 
 // StoreStats is Engine.StoreStats under the read lock.
-func (s *SafeEngine) StoreStats() StoreStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.StoreStats()
-}
+func (s *SafeEngine) StoreStats() StoreStats { return locked(&s.guard, (*Engine).StoreStats) }
 
-// PlanCacheStats is Engine.PlanCacheStats under the read lock, with the
-// streaming snapshot epoch folded in when ingest is enabled. Epoch+Snapshot
-// is the monotone data-version counter result caches sync against: locked
-// writes bump Epoch, ingest publishes bump Snapshot, and the sum never
-// repeats a value.
+// PlanCacheStats is Engine.PlanCacheStats with the streaming snapshot epoch
+// folded in when ingest is enabled — for display and the query log; caches
+// sync against DataVersion. It takes no engine lock: the planner's counters
+// are atomics behind the plan cache's own lock.
 func (s *SafeEngine) PlanCacheStats() PlanCacheStats {
-	s.mu.RLock()
 	st := s.eng.PlanCacheStats()
-	s.mu.RUnlock()
-	if rt := s.ing.Load(); rt != nil {
-		st.Snapshot = rt.lc.Current()
-	}
+	st.Snapshot = s.SnapshotEpoch()
 	return st
-}
-
-// SnapshotEpoch returns the current published snapshot epoch, 0 when ingest
-// is not enabled.
-func (s *SafeEngine) SnapshotEpoch() uint64 {
-	if rt := s.ing.Load(); rt != nil {
-		return rt.lc.Current()
-	}
-	return 0
 }
 
 // Explain is Engine.Explain against the engine a query would run on —
@@ -263,7 +317,7 @@ func (s *SafeEngine) SnapshotEpoch() uint64 {
 // otherwise — so it renders the plan queries actually execute and never
 // waits out the merger. Planning is a pure read of the materialised set (and
 // of the shared plan cache, which is concurrency-safe), so explains overlap
-// queries freely; it records no access, so there is nothing to drain.
+// queries freely.
 func (s *SafeEngine) Explain(el Element) (string, error) {
 	eng, release := s.reader()
 	defer release()
@@ -277,29 +331,96 @@ func (s *SafeEngine) ExplainGroupBy(keep ...string) (string, error) {
 	return eng.ExplainGroupBy(keep...)
 }
 
-// MaterializedElements is Engine.MaterializedElements under the read lock.
-func (s *SafeEngine) MaterializedElements() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.MaterializedElements()
-}
-
-// StorageCells is Engine.StorageCells under the read lock.
-func (s *SafeEngine) StorageCells() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.StorageCells()
-}
-
-// Metrics returns the engine's metrics registry. The registry itself is
-// safe for concurrent use, so no lock is taken to read instruments.
-func (s *SafeEngine) Metrics() *Metrics {
-	return s.eng.Metrics()
-}
-
 // SaveState is Engine.SaveState under the read lock.
 func (s *SafeEngine) SaveState(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.eng.SaveState(w)
+	return locked(&s.guard, func(e *Engine) error { return e.SaveState(w) })
+}
+
+// SafeAggEngine shares an AggEngine across goroutines: the guard over a
+// measure-vector cube. Reads overlap under the read lock and, under ingest,
+// pin snapshot generations exactly like a SafeEngine's; observations stream
+// as width-w deltas [v, v², 1] through the same runtime. As on SafeEngine,
+// the write-path switches, DataVersion and the counters are the guard's.
+type SafeAggEngine struct {
+	guard[*AggEngine]
+}
+
+// Safe wraps the engine for concurrent use. The wrapped engine must not be
+// used directly afterwards.
+func (a *AggEngine) Safe() *SafeAggEngine { return &SafeAggEngine{guard[*AggEngine]{eng: a}} }
+
+// Cube returns the SUM-plane cube (dimension metadata, workloads, ...).
+func (s *SafeAggEngine) Cube() *Cube { return s.eng.cube }
+
+// GroupByAgg is AggEngine.GroupByAgg on the read path.
+func (s *SafeAggEngine) GroupByAgg(kind AggKind, keep ...string) (map[string]float64, error) {
+	return untraced(runSafe(&s.guard, false, groupByAggRead, aggKeep{kind, keep}))
+}
+
+// TraceGroupByAgg is AggEngine.TraceGroupByAgg on the read path.
+func (s *SafeAggEngine) TraceGroupByAgg(kind AggKind, keep ...string) (map[string]float64, *QueryTrace, error) {
+	return runSafe(&s.guard, true, groupByAggRead, aggKeep{kind, keep})
+}
+
+// RangeAgg is AggEngine.RangeAgg on the read path.
+func (s *SafeAggEngine) RangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, error) {
+	return untraced(runSafe(&s.guard, false, rangeAggRead, aggRanges{kind, ranges}))
+}
+
+// TraceRangeAgg is AggEngine.TraceRangeAgg on the read path.
+func (s *SafeAggEngine) TraceRangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, *QueryTrace, error) {
+	return runSafe(&s.guard, true, rangeAggRead, aggRanges{kind, ranges})
+}
+
+// Query is AggEngine.Query on the read path.
+func (s *SafeAggEngine) Query(sql string) (*QueryResult, error) {
+	return untraced(runSafe(&s.guard, false, aggSQLRead, sql))
+}
+
+// TraceQuery is AggEngine.TraceQuery on the read path.
+func (s *SafeAggEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
+	return runSafe(&s.guard, true, aggSQLRead, sql)
+}
+
+// ExplainAgg is AggEngine.ExplainAgg against the engine a query would run
+// on, like SafeEngine.Explain.
+func (s *SafeAggEngine) ExplainAgg(kind AggKind, keep ...string) (string, error) {
+	eng, release := s.reader()
+	defer release()
+	return eng.ExplainAgg(kind, keep...)
+}
+
+// Optimize is AggEngine.Optimize under the write lock. Under ingest, the new
+// materialised set reaches readers at the forced republish.
+func (s *SafeAggEngine) Optimize(w *Workload) error {
+	return s.mutate(func(a *AggEngine) (bool, error) { return true, a.Optimize(w) })
+}
+
+// Update applies one new observation with the given measure. With ingest
+// enabled its component delta [v, v², 1] is appended to the WAL and
+// coalescing buffer — visibility comes at the next snapshot publish (Flush
+// waits for it). Otherwise it runs under the write lock.
+func (s *SafeAggEngine) Update(measure float64, idx ...int) error {
+	return s.write(s.eng.observation(measure), idx, func(a *AggEngine) error { return a.Update(measure, idx...) })
+}
+
+// UpdateValue is Update addressed by dimension values.
+func (s *SafeAggEngine) UpdateValue(measure float64, values map[string]string) error {
+	idx, err := s.eng.sum.resolveUpdateIndex(values)
+	if err != nil {
+		return err
+	}
+	return s.Update(measure, idx...)
+}
+
+// StoreStats is always the zero value: the vector store is in-memory.
+func (s *SafeAggEngine) StoreStats() StoreStats { return StoreStats{} }
+
+// PlanCacheStats reports the SUM-plane view's plan cache (the one Optimize
+// and reselection plan through), with the streaming snapshot epoch folded
+// in; lock-free like SafeEngine.PlanCacheStats.
+func (s *SafeAggEngine) PlanCacheStats() PlanCacheStats {
+	st := s.eng.sum.PlanCacheStats()
+	st.Snapshot = s.SnapshotEpoch()
+	return st
 }
