@@ -1,6 +1,7 @@
 package viewcube_test
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -682,5 +683,53 @@ func TestSafeEngineConcurrentUse(t *testing.T) {
 	groups, _ := v.Groups()
 	if groups["ale"] != 17 {
 		t.Fatalf("concurrent use corrupted answers: %v", groups)
+	}
+}
+
+// TestCubeLimits: a cube past what an element key can address (8 dimensions,
+// extent 32 768) is refused where it is built — NewCube, Load/FromTable,
+// NewAggEngine — instead of panicking inside the first query's planner; the
+// largest allowed extent plans and answers.
+func TestCubeLimits(t *testing.T) {
+	if _, err := viewcube.NewCube([]string{"customer", "k"}, []int{65536, 2}); err == nil ||
+		!strings.Contains(err.Error(), "dimension 0") || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("extent 65536: err = %v", err)
+	}
+	names := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i"}
+	if _, err := viewcube.NewCube(names, []int{2, 2, 2, 2, 2, 2, 2, 2, 2}); err == nil || !strings.Contains(err.Error(), "maximum of 8") {
+		t.Fatalf("rank 9: err = %v", err)
+	}
+
+	tbl, err := viewcube.NewTable([]string{"customer", "k"}, "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 32768; i++ {
+		if err := tbl.Append([]string{fmt.Sprintf("c%05d", i), "x"}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := viewcube.FromRelation(tbl); err == nil || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("32 769 distinct values: FromRelation err = %v", err)
+	}
+	if _, err := viewcube.NewAggEngine(tbl, viewcube.EngineOptions{}); err == nil || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("32 769 distinct values: NewAggEngine err = %v", err)
+	}
+
+	cube, err := viewcube.NewCube([]string{"customer", "k"}, []int{32768, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube.Add(3, 32767, 1)
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := eng.GroupBy("k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.At(1); got != 3 {
+		t.Fatalf("GroupBy(k)[1] = %v, want 3", got)
 	}
 }

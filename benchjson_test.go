@@ -62,6 +62,11 @@ func TestBenchJSON(t *testing.T) {
 		{"FileStoreRoundTrip", BenchmarkFileStoreRoundTrip},
 		{"QueryLanguage", BenchmarkQueryLanguage},
 		{"AdaptiveReconfigure", BenchmarkAdaptiveReconfigure},
+		{"Optimize131kBudget1", benchOptimize131kBudget1},
+		{"Optimize131kBudget2", benchOptimize131kBudget2},
+		{"PlanCompileViewBasis", benchPlanCompileViewBasis},
+		{"PlanCompileViewRoot", benchPlanCompileViewRoot},
+		{"SelectBasis2M", BenchmarkSelectBasis2M},
 		{"WaveletTransform", BenchmarkWaveletTransform},
 		{"HaarPartial", BenchmarkHaarPartial},
 		{"MaterializeWaveletBasis", BenchmarkMaterializeWaveletBasis},

@@ -373,3 +373,29 @@ func TestCatalogMode(t *testing.T) {
 	sigterm(t)
 	waitStopped(t, done, "catalog cubed")
 }
+
+// TestOversizeDimensionRefusedAtLoad: a CSV dimension with more than 32 768
+// distinct values cannot be keyed by the planner; -csv and -catalog must
+// refuse it at start-up with an error naming the limit, not serve a cube
+// whose every query panics.
+func TestOversizeDimensionRefusedAtLoad(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	b.WriteString("customer,k,sales\n")
+	for i := 0; i <= 32768; i++ {
+		fmt.Fprintf(&b, "c%05d,x,1\n", i)
+	}
+	if err := os.WriteFile(dir+"/big.csv", []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(config{csvPath: dir + "/big.csv", measure: "sales"}); err == nil || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("-csv: err = %v", err)
+	}
+	cat := dir + "/catalog.json"
+	if err := os.WriteFile(cat, []byte(`{"cubes": [{"name": "big", "csv": "big.csv"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(config{catalogPath: cat}); err == nil || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("-catalog: err = %v", err)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"viewcube/internal/assembly"
 	"viewcube/internal/core"
@@ -344,6 +345,16 @@ func (e *Engine) greedyCandidates(queries []core.Query) []freq.Rect {
 	return out
 }
 
+// phase times one stage of a reconfiguration: a child span of x and a sample
+// of viewcube_reselection_seconds{phase=name} when the returned func runs.
+func (e *Engine) phase(x *obs.ExecCtx, name string) (*obs.ExecCtx, func()) {
+	sp, start := x.Start(name), time.Now()
+	return x.Under(sp), func() {
+		sp.End()
+		e.met.PhaseSeconds[name].Observe(time.Since(start).Seconds())
+	}
+}
+
 // Reconfigure re-selects the materialised set for the observed frequencies:
 // Algorithm 1 for the basis, then Algorithm 2 up to the storage budget. New
 // elements are assembled from the current set before anything is dropped,
@@ -365,13 +376,18 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 	sp := x.Start("reconfigure")
 	sp.SetAttr("observed_queries", int64(len(queries)))
 	defer sp.End()
+	x = x.Under(sp)
+	_, done := e.phase(x, "select_basis")
 	res, err := core.SelectBasis(e.space, queries)
+	done()
 	if err != nil {
 		return false, err
 	}
 	target := res.Basis
 	if e.opts.StorageBudget > e.space.SetVolume(target) {
+		_, done := e.phase(x, "greedy")
 		greedy, err := core.GreedyRedundantPruned(e.space, target, e.greedyCandidates(queries), queries, e.opts.StorageBudget)
+		done()
 		if err != nil {
 			return false, err
 		}
@@ -397,6 +413,8 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 	}
 
 	changed := false
+	x, done = e.phase(x, "migrate")
+	defer done()
 	// Any store mutation invalidates cached plans — deferred so error
 	// returns after a partially-applied migration invalidate too. Unchanged
 	// reconfigurations leave the epoch (and every cached plan) intact.

@@ -3,12 +3,14 @@ package adaptive
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"viewcube/internal/assembly"
 	"viewcube/internal/freq"
 	"viewcube/internal/haar"
 	"viewcube/internal/ndarray"
+	"viewcube/internal/obs"
 	"viewcube/internal/velement"
 )
 
@@ -320,5 +322,58 @@ func TestLastTotalCostTracked(t *testing.T) {
 	}
 	if e.Stats().LastTotalCost != 0 {
 		t.Fatalf("single hot view should reach zero cost, got %g", e.Stats().LastTotalCost)
+	}
+}
+
+// TestReconfigurePhases: a traced reconfiguration says where its time went —
+// select_basis, greedy and migrate child spans under "reconfigure", with the
+// migration's plan/execute spans inside migrate — and the same three phases
+// land in viewcube_reselection_seconds. Without a storage budget there is no
+// greedy phase.
+func TestReconfigurePhases(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	cube := randomCube(rng, 8, 8, 4)
+	for _, c := range []struct {
+		budget int
+		phases []string
+	}{
+		{0, []string{"select_basis", "migrate"}},
+		{2 * 8 * 8 * 4, []string{"select_basis", "greedy", "migrate"}},
+	} {
+		e, s := newEngine(t, cube, Options{StorageBudget: c.budget})
+		met := obs.NewAdaptiveMetrics(obs.NewRegistry())
+		e.SetMetrics(met)
+		e.Observe(s.ViewForMask(0b011), 3)
+		e.Observe(s.ViewForMask(0b101), 1)
+		tr := obs.NewTrace("test")
+		if changed, err := e.Reconfigure(obs.Traced(tr)); err != nil || !changed {
+			t.Fatalf("budget %d: changed=%v err=%v", c.budget, changed, err)
+		}
+		tr.Finish()
+		root := tr.Tree()
+		if len(root.Children) != 1 || root.Children[0].Name != "reconfigure" {
+			t.Fatalf("budget %d: trace root children %+v", c.budget, root.Children)
+		}
+		var got []string
+		for _, ch := range root.Children[0].Children {
+			got = append(got, ch.Name)
+			if ch.Name == "migrate" && len(ch.Children) == 0 {
+				t.Fatalf("budget %d: migrate span has no plan/execute children", c.budget)
+			}
+		}
+		if !reflect.DeepEqual(got, c.phases) {
+			t.Fatalf("budget %d: phases %v, want %v", c.budget, got, c.phases)
+		}
+		for phase, h := range met.PhaseSeconds {
+			want := uint64(0)
+			for _, p := range c.phases {
+				if p == phase {
+					want = 1
+				}
+			}
+			if h.Count() != want {
+				t.Fatalf("budget %d: %d samples for phase %s, want %d", c.budget, h.Count(), phase, want)
+			}
+		}
 	}
 }

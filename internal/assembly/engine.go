@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"viewcube/internal/core"
 	"viewcube/internal/freq"
 	"viewcube/internal/haar"
 	"viewcube/internal/ndarray"
@@ -129,8 +130,11 @@ func (e *Engine) Store() Store { return e.store }
 // goes through plan.Planner, which caches ComputePlan results per
 // materialised-set epoch.
 func (e *Engine) Plan(x *obs.ExecCtx, r freq.Rect) (*Plan, error) {
-	sp := x.Start("plan " + r.String())
-	defer sp.End()
+	var sp *obs.Span
+	if x.Tracing() {
+		sp = x.Start("plan " + r.String())
+		defer sp.End()
+	}
 	plan, err := e.ComputePlan(r)
 	if err != nil {
 		return nil, err
@@ -146,16 +150,7 @@ func (e *Engine) Plan(x *obs.ExecCtx, r freq.Rect) (*Plan, error) {
 // The returned tree is freshly built, immutable under execution, and safe
 // to share between concurrent executors.
 func (e *Engine) ComputePlan(r freq.Rect) (*Plan, error) {
-	if !e.space.Valid(r) {
-		return nil, fmt.Errorf("assembly: %v is not a view element of the space", r)
-	}
-	e.met.Plans.Inc()
-	pl := e.planner()
-	plan, cost := pl.plan(r)
-	if math.IsInf(cost, 1) {
-		return nil, fmt.Errorf("assembly: stored set cannot generate %v (incomplete)", r)
-	}
-	return plan, nil
+	return computePlan(e.space, e.store.Elements(), e.met, r)
 }
 
 // Answer plans and executes the query for element r, returning the
@@ -188,98 +183,52 @@ func (e *Engine) get(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, bool) {
 	return e.store.Get(r)
 }
 
-// planner mirrors the Procedure 3 recursion of core.SetEvaluator but
-// records the argmin decisions so they can be executed. It is rebuilt per
-// Plan call; the memo makes repeated sub-elements cheap within one call.
-// It depends only on the space geometry and the stored rectangle set —
-// never on cell contents or measure width — so the scalar Engine and the
-// measure-vector VectorEngine share it unchanged.
-type planner struct {
-	space  *velement.Space
-	stored []freq.Rect
-	vols   []int
-	memo   map[freq.Key]plannedEntry
+// computePlan reads the argmin tree of Procedure 3 (core.Proc3) for element
+// r over one stored rectangle set. It depends only on the space geometry
+// and that set — never on cell contents or measure width — so the scalar
+// Engine and the measure-vector VectorEngine share it unchanged. The kernel
+// and its memo live for this one compile.
+func computePlan(space *velement.Space, stored []freq.Rect, met *obs.AssemblyMetrics, r freq.Rect) (*Plan, error) {
+	if !space.Valid(r) {
+		return nil, fmt.Errorf("assembly: %v is not a view element of the space", r)
+	}
+	met.Plans.Inc()
+	k := core.NewProc3(space, stored)
+	plan := buildPlan(k, r.Clone())
+	met.NodesVisited.Add(uint64(k.Visited()))
+	if plan == nil {
+		return nil, fmt.Errorf("assembly: stored set cannot generate %v (incomplete)", r)
+	}
+	return plan, nil
 }
 
-type plannedEntry struct {
-	plan *Plan
-	cost float64
-}
-
-// newPlanner builds the Procedure 3 DP state for one stored set.
-func newPlanner(space *velement.Space, stored []freq.Rect) *planner {
-	pl := &planner{
-		space:  space,
-		stored: stored,
-		vols:   make([]int, len(stored)),
-		memo:   make(map[freq.Key]plannedEntry),
-	}
-	for i, r := range stored {
-		pl.vols[i] = space.Volume(r)
-	}
-	return pl
-}
-
-func (e *Engine) planner() *planner {
-	return newPlanner(e.space, e.store.Elements())
-}
-
-func (pl *planner) plan(r freq.Rect) (*Plan, float64) {
-	k := r.Key()
-	if got, ok := pl.memo[k]; ok {
-		return got.plan, got.cost
-	}
-	s := pl.space
-	volR := s.Volume(r)
-	var best *Plan
-	bestCost := math.Inf(1)
-	for i, vs := range pl.stored {
-		if !vs.Contains(r) {
-			continue
+// buildPlan materialises the winning alternative at r and, for a synthesis,
+// below it; nil means the stored set cannot generate r. Only winners get a
+// Plan node and fused cascades — the kernel's other candidates never do.
+func buildPlan(k *core.Proc3, r freq.Rect) *Plan {
+	d := k.Decide(r)
+	switch {
+	case math.IsInf(d.Cost, 1):
+		return nil
+	case d.Dim >= 0:
+		return &Plan{
+			Rect:     r,
+			Kind:     PlanSynthesize,
+			Dim:      d.Dim,
+			Partial:  buildPlan(k, r.Child(d.Dim, false)),
+			Residual: buildPlan(k, r.Child(d.Dim, true)),
+			Ops:      int(d.Cost),
 		}
-		cost := float64(pl.vols[i] - volR)
-		if cost < bestCost {
-			bestCost = cost
-			if vs.Equal(r) {
-				best = &Plan{Rect: r.Clone(), Kind: PlanStored}
-			} else {
-				best = &Plan{Rect: r.Clone(), Kind: PlanAggregate, Source: vs.Clone(), Ops: pl.vols[i] - volR}
-			}
-		}
+	case d.Source.Equal(r):
+		return &Plan{Rect: r, Kind: PlanStored}
+	default:
+		p := &Plan{Rect: r, Kind: PlanAggregate, Source: d.Source.Clone(), Ops: int(d.Cost)}
+		// Source contains r, so PathFolds cannot fail; a nil Folds on any
+		// unexpected error just defers derivation to the executor (which
+		// will surface it).
+		p.Folds, _ = haar.PathFolds(p.Source, p.Rect)
+		return p
 	}
-	if best != nil && best.Kind == PlanAggregate {
-		// vs.Contains(r) held for the winning source, so PathFolds cannot
-		// fail; a nil Folds on any unexpected error just defers derivation
-		// to the executor (which will surface it).
-		best.Folds, _ = haar.PathFolds(best.Source, best.Rect)
-	}
-	// Seed the memo with the aggregation-only answer before recursing:
-	// synthesis recursion below may revisit r through a different path, and
-	// the seeded bound keeps that recursion finite (children are always
-	// strictly deeper, so true cycles are impossible, but the bound prunes).
-	pl.memo[k] = plannedEntry{plan: best, cost: bestCost}
-	for m := 0; m < s.Rank(); m++ {
-		p, res, ok := s.Children(r, m)
-		if !ok {
-			continue
-		}
-		pPlan, pCost := pl.plan(p)
-		rPlan, rCost := pl.plan(res)
-		cost := float64(volR) + pCost + rCost
-		if cost < bestCost {
-			bestCost = cost
-			best = &Plan{
-				Rect:     r.Clone(),
-				Kind:     PlanSynthesize,
-				Dim:      m,
-				Partial:  pPlan,
-				Residual: rPlan,
-				Ops:      volR + pPlan.Ops + rPlan.Ops,
-			}
-		}
-	}
-	pl.memo[k] = plannedEntry{plan: best, cost: bestCost}
-	return best, bestCost
 }
 
 // PlanCost returns the modelled operation count of the plan tree. It

@@ -2,7 +2,6 @@ package assembly
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 
 	"viewcube/internal/freq"
@@ -63,16 +62,7 @@ func (e *VectorEngine) Width() int { return e.width }
 // cells (as everywhere else); the executor does width× the scalar work per
 // modelled op.
 func (e *VectorEngine) ComputePlan(r freq.Rect) (*Plan, error) {
-	if !e.space.Valid(r) {
-		return nil, fmt.Errorf("assembly: %v is not a view element of the space", r)
-	}
-	e.met.Plans.Inc()
-	pl := newPlanner(e.space, e.store.Elements())
-	plan, cost := pl.plan(r)
-	if math.IsInf(cost, 1) {
-		return nil, fmt.Errorf("assembly: stored set cannot generate %v (incomplete)", r)
-	}
-	return plan, nil
+	return computePlan(e.space, e.store.Elements(), e.met, r)
 }
 
 // Answer plans and executes the query for element r. The result is a

@@ -16,27 +16,18 @@ import (
 // where C(V) is the element's support cost (Eq. 29) and m ranges over the
 // dimensions on which V can still be decomposed. The optimal basis is
 // extracted by replaying the argmin choices from the root (Procedure 2).
-// Memoisation is over the mixed-radix linearisation of the element graph,
-// so each of the N_ve elements is costed exactly once — O((d+1)·N_ve)
-// comparisons, as the paper states.
-
-// stopChoice marks an element at which the DP terminates (the element
-// itself joins the basis); unvisited marks a memo slot not yet computed.
-const (
-	stopChoice int8 = -1
-	unvisited  int8 = -2
-)
+//
+// The recursion runs on the walker of walk.go with the positive-frequency
+// queries as landmarks, and stops where they run out: C(V) = 0 ⇒ D(V) = 0,
+// because a split must be strictly cheaper than C(V) to be chosen and costs
+// are non-negative. The worst case is still the paper's O((d+1)·N_ve)
+// comparisons; the work done follows the population's support.
 
 // BasisResult is the outcome of Algorithm 1.
 type BasisResult struct {
 	Basis []freq.Rect // the selected complete, non-redundant basis
 	Cost  float64     // its total processing cost Σ_n C_n (the DP optimum)
 }
-
-// maxFlatMemo bounds the flat-array memo size; larger graphs fall back to
-// map-based memoisation. 64M float64 + int8 entries ≈ 576 MB, comfortably
-// beyond every cube in the paper (Table 1 maxes at 5,764,801 elements).
-const maxFlatMemo = 64 << 20
 
 // SelectBasis runs Algorithm 1 and returns the optimal non-redundant view
 // element basis for the query population together with its cost.
@@ -45,132 +36,61 @@ func SelectBasis(s *velement.Space, queries []Query) (BasisResult, error) {
 		return BasisResult{}, err
 	}
 	sel := newSelector(s, queries)
-	cost := sel.solve(s.Root())
-	basis := s.ExtractBasis(func(r freq.Rect) int { return sel.choice(r) })
+	cost := sel.solve(s.Root()).cost
+	// The dimension to split, or −1 to terminate (element joins the basis).
+	basis := s.ExtractBasis(func(r freq.Rect) int { return int(sel.solve(r).dim) })
 	return BasisResult{Basis: basis, Cost: cost}, nil
 }
 
-// selector carries the DP state. It memoises D(V) and the argmin choice per
-// element, in flat arrays when the graph fits and in maps otherwise.
+// selector is the Algorithm 1 DP; freqs[i] weighs landmark marks[i].
 type selector struct {
-	s       *velement.Space
-	queries []Query
-
-	flat       bool
-	flatCost   []float64
-	flatChoice []int8
-	mapCost    map[freq.Key]float64
-	mapChoice  map[freq.Key]int8
+	walker
+	freqs    []float64
+	expanded int // elements whose splits were tried
 }
 
 func newSelector(s *velement.Space, queries []Query) *selector {
-	sel := &selector{s: s, queries: queries}
-	if n := s.NumElements(); n <= maxFlatMemo {
-		sel.flat = true
-		sel.flatCost = make([]float64, n)
-		sel.flatChoice = make([]int8, n)
-		for i := range sel.flatChoice {
-			sel.flatChoice[i] = unvisited
+	sel := &selector{walker: walker{s: s, memo: make(map[freq.Key]node)}}
+	sel.at = sel.best
+	for _, q := range queries {
+		if q.Freq != 0 {
+			sel.marks = append(sel.marks, q.Rect)
+			sel.freqs = append(sel.freqs, q.Freq)
 		}
-	} else {
-		sel.mapCost = make(map[freq.Key]float64)
-		sel.mapChoice = make(map[freq.Key]int8)
 	}
 	return sel
 }
 
-func (sel *selector) load(r freq.Rect) (float64, int8, bool) {
-	if sel.flat {
-		i := sel.s.LinearIndex(r)
-		if sel.flatChoice[i] == unvisited {
-			return 0, 0, false
-		}
-		return sel.flatCost[i], sel.flatChoice[i], true
-	}
-	k := r.Key()
-	ch, ok := sel.mapChoice[k]
-	if !ok {
-		return 0, 0, false
-	}
-	return sel.mapCost[k], ch, true
-}
-
-func (sel *selector) store(r freq.Rect, cost float64, ch int8) {
-	if sel.flat {
-		i := sel.s.LinearIndex(r)
-		sel.flatCost[i] = cost
-		sel.flatChoice[i] = ch
-		return
-	}
-	k := r.Key()
-	sel.mapCost[k] = cost
-	sel.mapChoice[k] = ch
-}
-
-// solve computes D(r) with memoisation.
-func (sel *selector) solve(r freq.Rect) float64 {
-	if cost, _, ok := sel.load(r); ok {
-		return cost
-	}
-	best := elementSupportCostFast(sel.s, r, sel.queries)
-	choice := stopChoice
-	for m := 0; m < sel.s.Rank(); m++ {
-		p, res, ok := sel.s.Children(r, m)
-		if !ok {
-			continue
-		}
-		// Step 4 of Algorithm 1: stop as soon as the element's own support
+// best is the recurrence above at cur.
+func (sel *selector) best(lo, hi int) node {
+	n := node{cost: sel.supportCost(lo, hi), dim: -1, src: -1}
+	if n.cost > 0 {
+		sel.expanded++
+		// Step 4 of Algorithm 1 stops as soon as the element's own support
 		// cost does not exceed the best split — but to find the global
 		// optimum we still compare against every dimension's split cost.
-		if t := sel.solve(p) + sel.solve(res); t < best {
-			best = t
-			choice = int8(m)
-		}
-	}
-	sel.store(r, best, choice)
-	return best
-}
-
-// choice returns the recorded argmin decision for extraction: the dimension
-// to split, or −1 to terminate (element joins the basis).
-func (sel *selector) choice(r freq.Rect) int {
-	_, ch, ok := sel.load(r)
-	if !ok {
-		// Extraction only walks elements the DP visited; reaching an
-		// unvisited element indicates a bug in the DP itself.
-		panic("core: basis extraction reached an element the DP never visited")
-	}
-	return int(ch)
-}
-
-// elementSupportCostFast is ElementSupportCost with the intersection test
-// inlined and no allocation: the hot inner loop of the DP visits every
-// element of the graph once per query.
-func elementSupportCostFast(s *velement.Space, r freq.Rect, queries []Query) float64 {
-	total := 0.0
-	volR := s.Volume(r)
-	for qi := range queries {
-		q := &queries[qi]
-		if q.Freq == 0 {
-			continue
-		}
-		// Intersection volume: per dimension the deeper of the two nodes if
-		// nested, else the rectangles are disjoint and the cost is zero.
-		vl := 1
-		disjoint := false
-		for m, a := range r {
-			b := q.Rect[m]
-			deeper, ok := freq.Nested(a, b)
-			if !ok {
-				disjoint = true
-				break
+		for m := range sel.cur {
+			if t, ok := sel.split(m, lo, hi); ok && t < n.cost {
+				n.cost, n.dim = t, int8(m)
 			}
-			vl *= s.Dim(m) >> deeper.Depth()
 		}
-		if disjoint {
-			continue
+	}
+	return n
+}
+
+// supportCost is C(cur) of Eq. 29 over the live queries, each of which
+// overlaps cur: per dimension the two nodes are nested, so the
+// intersection's extent is that of the deeper.
+func (sel *selector) supportCost(lo, hi int) float64 {
+	total := 0.0
+	volR := sel.s.Volume(sel.cur)
+	for _, i := range sel.live[lo:hi] {
+		q := sel.marks[i]
+		vl := 1
+		for m, v := range sel.cur {
+			vl *= sel.s.Dim(m) >> max(v.Depth(), q[m].Depth())
 		}
-		total += q.Freq * float64(volR+s.Volume(q.Rect)-2*vl)
+		total += sel.freqs[i] * float64(volR+sel.s.Volume(q)-2*vl)
 	}
 	return total
 }

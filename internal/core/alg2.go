@@ -138,10 +138,7 @@ func greedy(s *velement.Space, initial, candidates []freq.Rect, queries []Query,
 		pool[bestIdx] = nil
 		ev.Add(chosen)
 		if prune {
-			kept, _ := PruneObsolete(s, ev.Selected(), queries)
-			if len(kept) < len(ev.Selected()) {
-				ev = NewSetEvaluator(s, kept)
-			}
+			ev.pruneObsolete(queries)
 		}
 		cur = ev.TotalCost(queries)
 		res.Steps = append(res.Steps, GreedyStep{
@@ -158,7 +155,7 @@ func greedy(s *velement.Space, initial, candidates []freq.Rect, queries []Query,
 // pool for Algorithm 2 on small spaces. It allocates NumElements rects;
 // callers on large spaces should restrict the pool instead.
 func AllElements(s *velement.Space) []freq.Rect {
-	out := make([]freq.Rect, 0, s.NumElements())
+	var out []freq.Rect
 	s.Elements(func(r freq.Rect) bool {
 		out = append(out, r.Clone())
 		return true
@@ -183,35 +180,37 @@ func GreedyViews(s *velement.Space, queries []Query, targetStorage int) (*Greedy
 // cube, so it must stay able to reconstruct it. The reduced set and its
 // cost are returned; the input slice is not modified.
 func PruneObsolete(s *velement.Space, selected []freq.Rect, queries []Query) ([]freq.Rect, float64) {
-	set := make([]freq.Rect, len(selected))
-	for i, r := range selected {
-		set[i] = r.Clone()
-	}
+	ev := NewSetEvaluator(s, selected)
+	cost := ev.pruneObsolete(queries)
+	return ev.Selected(), cost
+}
+
+// pruneObsolete is PruneObsolete on the evaluator's own selected set. Each
+// trial removal re-costs only the queries that overlap the removed element.
+func (e *SetEvaluator) pruneObsolete(queries []Query) float64 {
 	needed := make(map[freq.Key]bool)
 	for _, q := range queries {
 		if q.Freq > 0 {
 			needed[q.Rect.Key()] = true
 		}
 	}
-	root := s.Root()
-	maxDepths := s.MaxDepths()
-	wasComplete := freq.Complete(set, root, maxDepths)
-	cost := TotalProcessingCost(s, set, queries)
-	for i := 0; i < len(set); {
-		if needed[set[i].Key()] {
+	root := e.s.Root()
+	maxDepths := e.s.MaxDepths()
+	wasComplete := freq.Complete(e.base.marks, root, maxDepths)
+	cost := e.TotalCost(queries)
+	for i := 0; i < len(e.base.marks); {
+		if needed[e.base.marks[i].Key()] {
 			i++
 			continue
 		}
-		trial := make([]freq.Rect, 0, len(set)-1)
-		trial = append(trial, set[:i]...)
-		trial = append(trial, set[i+1:]...)
-		if c := TotalProcessingCost(s, trial, queries); c <= cost &&
-			(!wasComplete || freq.Complete(trial, root, maxDepths)) {
-			set = trial
+		var c float64
+		e.without(i, func() { c = e.TotalCost(queries) })
+		if c <= cost && (!wasComplete || freq.Complete(e.trial.marks, root, maxDepths)) {
+			e.remove(i)
 			cost = c
 			continue // re-test index i, which now holds the next element
 		}
 		i++
 	}
-	return set, cost
+	return cost
 }

@@ -7,83 +7,153 @@ import (
 	"viewcube/internal/velement"
 )
 
-// This file implements Procedure 3: the total processing cost of answering
-// a query population from a *redundant* view element set. Each element's
-// generation cost T(V) is the cheaper of
+// This file implements Procedure 3: the processing cost of generating a view
+// element from a *redundant* stored set. Each element's generation cost T(V)
+// is the cheaper of
 //
-//   - aggregation: cascade down from some selected ancestor V_s, costing
-//     F = Vol(V_s) − Vol(V) add/subtracts (Eq. 28), or
+//   - aggregation: cascade down from some stored ancestor V_s, costing
+//     F = Vol(V_s) − Vol(V) add/subtracts (Eq. 28; 0 when V itself is
+//     stored), or
 //   - synthesis: perfectly reconstruct V from its partial and residual
 //     children on some dimension, costing Vol(V) plus the children's own
-//     generation costs (Eq. 32–33),
+//     generation costs (Eq. 32–33).
 //
-// and T(V) = 0 when V itself is selected. The recursion only ever descends
-// in the element graph, so it terminates at single-cell leaves.
+// The recurrence is stated once, in Proc3.best. SetEvaluator reads costs
+// from it (Algorithm 2's probes) and the assembly planner reads the argmin
+// tree from it (the executable plan). It runs on the walker of walk.go with
+// the stored set as landmarks, so it visits only what the stored set can
+// reach, and four rules stop it (DESIGN.md §2, "planning complexity"):
+//
+//  1. no live element ⇒ T = +Inf (Eq. 26: nothing contributes);
+//  2. every live element contains the target ⇒ T = Vol(smallest) − Vol(V):
+//     by induction every descendant is aggregate-only too, so synthesis
+//     costs 2·Vol(smallest), more than aggregation;
+//  3. aggregation already costs ≤ Vol(V) ⇒ synthesis (≥ Vol(V), and it must
+//     be strictly cheaper to win) is not tried — this stops at every stored
+//     element;
+//  4. memoisation over the symmetry classes actually visited.
 
-// SetEvaluator computes Procedure 3 costs for one selected element set. It
-// memoises per-element costs and supports cheap "what if we also selected
-// candidate c?" probes, which is exactly the inner loop of Algorithm 2.
+// Decision is Procedure 3's answer for one element: its minimum generation
+// cost and the alternative that achieves it.
+type Decision struct {
+	// Cost is T(V), or +Inf when the stored set cannot generate V.
+	Cost float64
+	// Dim ≥ 0 synthesizes V from its children on Dim. Dim < 0 with a finite
+	// Cost aggregates from Source (Source equal to V reads it directly).
+	Dim    int
+	Source freq.Rect
+}
+
+// Proc3 is the Procedure 3 kernel for one stored set (the walker's marks;
+// vols[i] is Vol(marks[i])). It is not safe for concurrent use.
+type Proc3 struct {
+	walker
+	vols []int
+}
+
+// NewProc3 returns the kernel over the given stored set. Ties between
+// aggregation sources go to the earliest element of stored.
+func NewProc3(s *velement.Space, stored []freq.Rect) *Proc3 {
+	k := &Proc3{walker: walker{s: s, memo: make(map[freq.Key]node)}}
+	k.at = k.best
+	k.reset(stored)
+	return k
+}
+
+// reset re-targets the kernel at another stored set, given in parts.
+func (k *Proc3) reset(parts ...[]freq.Rect) {
+	k.marks, k.vols = k.marks[:0], k.vols[:0]
+	for _, part := range parts {
+		for _, r := range part {
+			k.marks = append(k.marks, r)
+			k.vols = append(k.vols, k.s.Volume(r))
+		}
+	}
+	k.forget()
+}
+
+// Visited returns how many elements the kernel has costed (memo hits
+// excluded) — the planning work actually done.
+func (k *Proc3) Visited() int { return k.visited }
+
+// Decide returns the Procedure 3 decision for element r.
+func (k *Proc3) Decide(r freq.Rect) Decision {
+	n := k.solve(r)
+	d := Decision{Cost: n.cost, Dim: int(n.dim)}
+	if n.src >= 0 {
+		d.Source = k.marks[n.src]
+	}
+	return d
+}
+
+// best is the recurrence above at cur.
+func (k *Proc3) best(lo, hi int) node {
+	n := node{cost: math.Inf(1), dim: -1, src: -1}
+	volR := k.s.Volume(k.cur)
+	allContain := true
+	for _, i := range k.live[lo:hi] {
+		if !k.marks[i].Contains(k.cur) {
+			allContain = false
+		} else if c := float64(k.vols[i] - volR); c < n.cost {
+			n.cost, n.src = c, i
+		}
+	}
+	if !allContain && n.cost > float64(volR) { // else rule 1, 2 or 3
+		for m := range k.cur {
+			if c, ok := k.split(m, lo, hi); ok && float64(volR)+c < n.cost {
+				n = node{cost: float64(volR) + c, dim: int8(m), src: -1}
+			}
+		}
+	}
+	return n
+}
+
+// SetEvaluator computes Procedure 3 costs for one selected element set and
+// supports cheap "what if we also selected candidate c?" probes, which is
+// exactly the inner loop of Algorithm 2. A probe re-costs only the elements
+// whose rectangle overlaps the candidate: the others cannot see it (Eq. 26).
 // A SetEvaluator is not safe for concurrent use.
 type SetEvaluator struct {
-	s        *velement.Space
-	selected []freq.Rect
-	volumes  []int // cached Vol of each selected element
-
-	// Flat memo with epoch stamps: bumping the epoch invalidates every slot
-	// in O(1), so each candidate probe starts from a clean memo without
-	// reallocating. Falls back to a map for graphs past maxFlatMemo.
-	flat     bool
-	memo     []float64
-	epoch    []uint32
-	curEpoch uint32
-	memoMap  map[freq.Key]float64
-
+	s          *velement.Space
+	base       *Proc3 // over the selected set
 	isSelected map[freq.Key]bool
 
-	hasCand bool
-	cand    freq.Rect
-	candVol int
+	// During a probe delta is non-nil and trial is the kernel over the
+	// selected set with delta added (WithCandidate) or removed (without).
+	trial *Proc3
+	delta freq.Rect
 }
 
 // NewSetEvaluator returns an evaluator for the given selected set.
 func NewSetEvaluator(s *velement.Space, selected []freq.Rect) *SetEvaluator {
 	e := &SetEvaluator{
 		s:          s,
+		base:       NewProc3(s, nil),
+		trial:      NewProc3(s, nil),
 		isSelected: make(map[freq.Key]bool, len(selected)),
 	}
-	if n := s.NumElements(); n <= maxFlatMemo {
-		e.flat = true
-		e.memo = make([]float64, n)
-		e.epoch = make([]uint32, n)
-		e.curEpoch = 1
-	} else {
-		e.memoMap = make(map[freq.Key]float64)
-	}
 	for _, r := range selected {
-		e.add(r)
+		e.Add(r)
 	}
 	return e
 }
 
-// add permanently selects one more element and invalidates the memo.
-func (e *SetEvaluator) add(r freq.Rect) {
+// Add permanently selects one more element (idempotent).
+func (e *SetEvaluator) Add(r freq.Rect) {
 	k := r.Key()
 	if e.isSelected[k] {
 		return
 	}
 	e.isSelected[k] = true
-	e.selected = append(e.selected, r.Clone())
-	e.volumes = append(e.volumes, e.s.Volume(r))
-	e.invalidate()
+	e.base.marks = append(e.base.marks, r.Clone())
+	e.base.vols = append(e.base.vols, e.s.Volume(r))
+	e.base.forget()
 }
-
-// Add permanently selects one more element (idempotent).
-func (e *SetEvaluator) Add(r freq.Rect) { e.add(r) }
 
 // Selected returns a copy of the currently selected set.
 func (e *SetEvaluator) Selected() []freq.Rect {
-	out := make([]freq.Rect, len(e.selected))
-	for i, r := range e.selected {
+	out := make([]freq.Rect, len(e.base.marks))
+	for i, r := range e.base.marks {
 		out[i] = r.Clone()
 	}
 	return out
@@ -92,98 +162,49 @@ func (e *SetEvaluator) Selected() []freq.Rect {
 // Storage returns the summed data-cell volume of the selected set.
 func (e *SetEvaluator) Storage() int {
 	v := 0
-	for _, vol := range e.volumes {
+	for _, vol := range e.base.vols {
 		v += vol
 	}
 	return v
-}
-
-func (e *SetEvaluator) invalidate() {
-	if e.flat {
-		e.curEpoch++
-		if e.curEpoch == 0 { // wrapped: hard reset
-			for i := range e.epoch {
-				e.epoch[i] = 0
-			}
-			e.curEpoch = 1
-		}
-		return
-	}
-	e.memoMap = make(map[freq.Key]float64)
 }
 
 // WithCandidate evaluates fn as if c were also selected, then restores the
 // evaluator. It is the "select, compute, de-select" probe of Algorithm 2
 // step 2.
 func (e *SetEvaluator) WithCandidate(c freq.Rect, fn func()) {
-	e.hasCand = true
-	e.cand = c
-	e.candVol = e.s.Volume(c)
-	e.invalidate()
+	e.trial.reset(e.base.marks, []freq.Rect{c})
+	e.probe(c, fn)
+}
+
+// without evaluates fn as if selected element i were not selected.
+func (e *SetEvaluator) without(i int, fn func()) {
+	sel := e.base.marks
+	e.trial.reset(sel[:i], sel[i+1:])
+	e.probe(sel[i], fn)
+}
+
+func (e *SetEvaluator) probe(delta freq.Rect, fn func()) {
+	e.delta = delta
 	fn()
-	e.hasCand = false
-	e.cand = nil
-	e.invalidate()
+	e.delta = nil
+}
+
+// remove permanently de-selects selected element i.
+func (e *SetEvaluator) remove(i int) {
+	delete(e.isSelected, e.base.marks[i].Key())
+	e.base.marks = append(e.base.marks[:i], e.base.marks[i+1:]...)
+	e.base.vols = append(e.base.vols[:i], e.base.vols[i+1:]...)
+	e.base.forget()
 }
 
 // ElementCost returns T(r): the minimum number of add/subtract operations
 // to generate element r from the selected set, or +Inf if the set cannot
 // generate it (the set is not complete with respect to r).
 func (e *SetEvaluator) ElementCost(r freq.Rect) float64 {
-	if e.flat {
-		i := e.s.LinearIndex(r)
-		if e.epoch[i] == e.curEpoch {
-			return e.memo[i]
-		}
-		cost := e.computeCost(r)
-		e.memo[i] = cost
-		e.epoch[i] = e.curEpoch
-		return cost
+	if e.delta != nil && e.delta.Overlaps(r) {
+		return e.trial.Decide(r).Cost
 	}
-	k := r.Key()
-	if cost, ok := e.memoMap[k]; ok {
-		return cost
-	}
-	cost := e.computeCost(r)
-	e.memoMap[k] = cost
-	return cost
-}
-
-func (e *SetEvaluator) computeCost(r freq.Rect) float64 {
-	if e.isSelected[r.Key()] {
-		return 0
-	}
-	if e.hasCand && e.cand.Equal(r) {
-		return 0
-	}
-	volR := e.s.Volume(r)
-	// Aggregation from the cheapest selected ancestor (Eq. 28 with V a
-	// descendant of V_s: F = Vol(V_s) − Vol(V)).
-	best := math.Inf(1)
-	for i, vs := range e.selected {
-		if vs.Contains(r) {
-			if c := float64(e.volumes[i] - volR); c < best {
-				best = c
-			}
-		}
-	}
-	if e.hasCand && e.cand.Contains(r) {
-		if c := float64(e.candVol - volR); c < best {
-			best = c
-		}
-	}
-	// Synthesis from children on the cheapest dimension (Eq. 32): costs
-	// Vol(r) operations plus whatever the children cost to generate.
-	for m := 0; m < e.s.Rank(); m++ {
-		p, res, ok := e.s.Children(r, m)
-		if !ok {
-			continue
-		}
-		if c := float64(volR) + e.ElementCost(p) + e.ElementCost(res); c < best {
-			best = c
-		}
-	}
-	return best
+	return e.base.Decide(r).Cost
 }
 
 // TotalCost returns T = Σ f_k · T(Z_k) (Eq. 34): the expected processing

@@ -197,10 +197,19 @@ func (r Rect) Intersect(s Rect) (Rect, bool) {
 	return out, true
 }
 
-// Overlaps reports whether the rectangles intersect.
+// Overlaps reports whether the rectangles intersect: nested in every
+// dimension. It allocates nothing — the selection and planning kernels call
+// it once per stored element per top-level target.
 func (r Rect) Overlaps(s Rect) bool {
-	_, ok := r.Intersect(s)
-	return ok
+	if len(r) != len(s) {
+		panic(fmt.Sprintf("freq: rank mismatch %d vs %d", len(r), len(s)))
+	}
+	for m := range r {
+		if Disjoint(r[m], s[m]) {
+			return false
+		}
+	}
+	return true
 }
 
 // FreqVolume returns the exact frequency-plane volume Π 2^-depth_m of the
@@ -240,7 +249,7 @@ func (r Rect) String() string {
 // covers every cube in this reproduction (Table 1 tops out at d=8, n=256,
 // i.e. nodes < 512). Key panics outside that envelope.
 func (r Rect) Key() Key {
-	if len(r) > 8 {
+	if len(r) > MaxRank {
 		panic("freq: Key supports rank ≤ 8")
 	}
 	var k Key
@@ -254,9 +263,12 @@ func (r Rect) Key() Key {
 	return k
 }
 
+// MaxRank is the largest rectangle rank a Key can identify.
+const MaxRank = 8
+
 // Key is a comparable, allocation-free identifier for a Rect.
 type Key struct {
-	nodes [8]uint16
+	nodes [MaxRank]uint16
 	rank  uint8
 }
 

@@ -31,6 +31,7 @@ func NewStoreMetrics(r *Registry) *StoreMetrics {
 // AssemblyMetrics instruments the plan/execute hot path.
 type AssemblyMetrics struct {
 	Plans           *Counter
+	NodesVisited    *Counter // view elements Procedure 3 costed across those plans
 	Executions      *Counter
 	CellsRead       *Counter // cells fetched from stored elements
 	OpsModeled      *Counter // modelled add/subtract operations executed
@@ -45,6 +46,7 @@ type AssemblyMetrics struct {
 func NewAssemblyMetrics(r *Registry) *AssemblyMetrics {
 	return &AssemblyMetrics{
 		Plans:           r.Counter("viewcube_assembly_plans_total", "Procedure 3 plans computed."),
+		NodesVisited:    r.Counter("viewcube_plan_nodes_visited_total", "View elements the Procedure 3 kernel costed while computing plans."),
 		Executions:      r.Counter("viewcube_assembly_executions_total", "Plans executed (elements assembled)."),
 		CellsRead:       r.Counter("viewcube_assembly_cells_read_total", "Cells read from stored elements during plan execution."),
 		OpsModeled:      r.Counter("viewcube_assembly_ops_total", "Modelled add/subtract operations executed (the paper's processing cost)."),
@@ -82,11 +84,21 @@ type AdaptiveMetrics struct {
 	DecayApplied     *Counter
 	BasisElements    *Gauge
 	StorageCells     *Gauge
+	// PhaseSeconds observes each reselection's time by phase: select_basis
+	// (Algorithm 1), greedy (Algorithm 2, when the budget allows one) and
+	// migrate (assembling and dropping elements).
+	PhaseSeconds map[string]*Histogram
 }
 
 // NewAdaptiveMetrics registers the adaptive instrument set.
 func NewAdaptiveMetrics(r *Registry) *AdaptiveMetrics {
+	phases := make(map[string]*Histogram, 3)
+	for _, phase := range []string{"select_basis", "greedy", "migrate"} {
+		phases[phase] = r.Histogram("viewcube_reselection_seconds",
+			"Time spent in each phase of a materialised-set reselection.", nil, "phase", phase)
+	}
 	return &AdaptiveMetrics{
+		PhaseSeconds:     phases,
 		Reselections:     r.Counter("viewcube_reselections_total", "Materialised-set reselections run (Algorithm 1/2 invocations)."),
 		AutoReselects:    r.Counter("viewcube_reselections_auto_total", "Reselections triggered automatically by ReselectEvery."),
 		ChangedReconfigs: r.Counter("viewcube_reselections_changed_total", "Reselections that changed the materialised set."),

@@ -299,3 +299,25 @@ func TestPlannerLowerDispatch(t *testing.T) {
 		t.Fatalf("range lowering %+v", ph)
 	}
 }
+
+// TestPlannerHitAllocs pins the untraced plan-cache hit at the Physical, its
+// Logical and the compile closure. Building the "plan <rect>" span name
+// before checking for a trace used to add a Sprintf per dimension (8
+// allocations on this 3-dimension cube).
+func TestPlannerHitAllocs(t *testing.T) {
+	eng := newTestEngine(t)
+	p := NewPlanner(eng)
+	target := eng.Space().AggregatedViews()[1]
+	if _, err := p.Element(nil, target); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []*obs.ExecCtx{nil, obs.Traced(nil)} {
+		if got := testing.AllocsPerRun(100, func() {
+			if ph, err := p.Element(x, target); err != nil || !ph.CacheHit {
+				t.Fatalf("hit=%v err=%v", ph != nil && ph.CacheHit, err)
+			}
+		}); got > 3 {
+			t.Fatalf("untraced plan-cache hit allocates %v times, want ≤ 3", got)
+		}
+	}
+}

@@ -90,8 +90,11 @@ func (p *Planner) Stats() Stats { return p.cache.Stats() }
 // entirely. While x carries a trace, a "plan" span is recorded with a
 // cache_hit attribute; a nil x means untraced.
 func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
-	sp := x.Start("plan " + r.String())
-	defer sp.End()
+	var sp *obs.Span
+	if x.Tracing() { // the name costs a Sprintf per dimension: traced queries only
+		sp = x.Start("plan " + r.String())
+		defer sp.End()
+	}
 	epoch := p.cache.Epoch()
 	var pl *assembly.Plan
 	var hit bool

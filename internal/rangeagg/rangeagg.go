@@ -151,8 +151,11 @@ func (q *Querier) element(x *obs.ExecCtx, depths []int) (*ndarray.Array, error) 
 		r[m] = freq.Node(1 << uint(k))
 	}
 	a, _, err := q.cache.GetOrCompute(r.Key(), func() (*ndarray.Array, error) {
-		sp := x.Start("element " + r.String())
-		defer sp.End()
+		var sp *obs.Span
+		if x.Tracing() {
+			sp = x.Start("element " + r.String())
+			defer sp.End()
+		}
 		a, err := q.fetch(x.Under(sp), r)
 		if err != nil {
 			return nil, err

@@ -73,8 +73,11 @@ func (q *VecQuerier) element(x *obs.ExecCtx, depths []int) (*ndarray.MultiArray,
 		r[m] = freq.Node(1 << uint(k))
 	}
 	a, _, err := q.cache.GetOrCompute(r.Key(), func() (*ndarray.MultiArray, error) {
-		sp := x.Start("element " + r.String())
-		defer sp.End()
+		var sp *obs.Span
+		if x.Tracing() {
+			sp = x.Start("element " + r.String())
+			defer sp.End()
+		}
 		a, err := q.src.ElementMulti(x.Under(sp), r)
 		if err != nil {
 			return nil, err

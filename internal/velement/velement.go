@@ -6,8 +6,7 @@
 // maximum decomposition depth, the data-cell volume of every element, the
 // classification of elements into aggregated views / intermediate /
 // residual (Definitions 1–4), the closed-form element counts of Eq. 17–20
-// (Table 1), and a mixed-radix linearisation that lets selection algorithms
-// memoise over the whole graph with flat arrays.
+// (Table 1), and a mixed-radix linearisation of the graph.
 package velement
 
 import (
@@ -27,12 +26,21 @@ type Space struct {
 	total  int   // N_ve = Π (2·n_m − 1), may be large but fits int here
 }
 
+// MaxExtent bounds a dimension (and freq.MaxRank the rank) of the cubes a
+// Space can model: freq.Key, which identifies elements in every store, cache
+// and memo, packs freq.MaxRank nodes of 16 bits, and a dimension of extent n
+// has nodes up to 2n−1.
+const MaxExtent = 1 << 15
+
 // NewSpace returns the view element space for a cube with the given shape.
 // Every extent must be a power of two (the paper's standing assumption
-// n_m = 2^k_m).
+// n_m = 2^k_m) no larger than MaxExtent, and the rank at most freq.MaxRank.
 func NewSpace(shape []int) (*Space, error) {
 	if len(shape) == 0 {
 		return nil, fmt.Errorf("velement: empty shape")
+	}
+	if len(shape) > freq.MaxRank {
+		return nil, fmt.Errorf("velement: %d dimensions exceed the supported maximum of %d", len(shape), freq.MaxRank)
 	}
 	s := &Space{
 		shape:  append([]int(nil), shape...),
@@ -44,6 +52,9 @@ func NewSpace(shape []int) (*Space, error) {
 	for m, n := range shape {
 		if n <= 0 || n&(n-1) != 0 {
 			return nil, fmt.Errorf("velement: dimension %d extent %d is not a power of two", m, n)
+		}
+		if n > MaxExtent {
+			return nil, fmt.Errorf("velement: dimension %d extent %d exceeds the supported maximum of %d", m, n, MaxExtent)
 		}
 		s.depths[m] = bits.Len(uint(n)) - 1
 		s.nodes[m] = 2*n - 1
@@ -185,9 +196,8 @@ func (s *Space) Count() Counts {
 func (s *Space) NumElements() int { return s.total }
 
 // LinearIndex maps a view element to a unique integer in [0, NumElements())
-// via mixed-radix positional encoding of its per-dimension node indices.
-// Selection algorithms use it to memoise over the whole graph with flat
-// arrays (923,521 entries for the paper's Experiment 1 cube).
+// via mixed-radix positional encoding of its per-dimension node indices
+// (923,521 values for the paper's Experiment 1 cube).
 func (s *Space) LinearIndex(r freq.Rect) int {
 	idx := 0
 	for m, n := range r {

@@ -2,6 +2,7 @@ package velement
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -366,5 +367,26 @@ func TestVolumeConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewSpaceLimits pins the envelope freq.Key can identify: a space past
+// it must be refused when built, not panic at the first query.
+func TestNewSpaceLimits(t *testing.T) {
+	if _, err := NewSpace(make([]int, 9)); err == nil || !strings.Contains(err.Error(), "maximum of 8") {
+		t.Fatalf("rank 9: err = %v", err)
+	}
+	if _, err := NewSpace([]int{2, 65536}); err == nil ||
+		!strings.Contains(err.Error(), "dimension 1") || !strings.Contains(err.Error(), "32768") {
+		t.Fatalf("extent 65536: err = %v", err)
+	}
+	s, err := NewSpace([]int{MaxExtent, 2, 1, 1, 1, 1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deepest := s.Root()
+	deepest[0] = freq.Node(2*MaxExtent - 1)
+	if !s.Valid(deepest) || !deepest.Key().Rect().Equal(deepest) {
+		t.Fatalf("the deepest node of a maximal dimension must round-trip through Key")
 	}
 }
