@@ -236,9 +236,9 @@ func (a *AggEngine) snapshot() (*AggEngine, error) {
 
 // The vector engine's reads.
 var (
-	groupByAggRead = read[*AggEngine, aggKeep, map[string]float64]{kind: "groupby", name: aggKeep.traceName, body: (*AggEngine).groupByAggInner}
+	groupByAggRead = read[*AggEngine, aggKeep, *Result]{kind: "groupby", name: aggKeep.traceName, body: (*AggEngine).groupByAggInner}
 	rangeAggRead   = read[*AggEngine, aggRanges, float64]{kind: "range", name: aggRanges.traceName, body: (*AggEngine).rangeAggInner}
-	aggSQLRead     = read[*AggEngine, string, *QueryResult]{kind: "sql", name: sqlName, body: (*AggEngine).queryInner}
+	aggSQLRead     = read[*AggEngine, string, *Result]{kind: "sql", name: sqlName, body: (*AggEngine).queryInner}
 )
 
 // aggKeep is GroupByAgg's argument pair.
@@ -321,8 +321,7 @@ func (s aggElementSource) ElementMulti(x *obs.ExecCtx, r freq.Rect) (*ndarray.Mu
 }
 
 // groupByVector assembles the measure-vector view keeping the named
-// dimensions. The caller owns the array (recycle it via
-// ndarray.RecycleMulti).
+// dimensions. The caller owns the array.
 func (a *AggEngine) groupByVector(x *obs.ExecCtx, keep ...string) (*ndarray.MultiArray, Element, error) {
 	el, err := a.cube.ViewKeeping(keep...)
 	if err != nil {
@@ -332,33 +331,38 @@ func (a *AggEngine) groupByVector(x *obs.ExecCtx, keep ...string) (*ndarray.Mult
 	return ma, el, err
 }
 
-// componentGroups interprets one component plane of an assembled vector
-// view relationally (group key → plane value).
-func (a *AggEngine) componentGroups(ma *ndarray.MultiArray, el Element, comp int) (map[string]float64, error) {
-	v, err := newView(a.cube, el, ma.Component(comp))
+// result wraps an assembled vector view as the Result reporting aggs per
+// group: one header, every component plane, the finalisers applied per row
+// as it is emitted — no per-component maps in between. The result keeps the
+// array, so it is not recycled. Zero-count semantics are uniform: with
+// dropEmpty, groups with no tuples are not rows (the count-dividing
+// finalisers are undefined there); without it every group of the cube's
+// group space is reported, a zero where no tuples fall.
+func (a *AggEngine) result(ma *ndarray.MultiArray, el Element, aggs []AggKind, dropEmpty bool) (*Result, error) {
+	r, err := viewResult(a.cube, el.kept(), ma.Shape(), ma.Data(), a.spec.Width)
 	if err != nil {
 		return nil, err
 	}
-	return v.Groups()
+	r.spec, r.aggs, r.dropEmpty = a.spec, aggs, dropEmpty
+	return r, nil
 }
 
 // GroupByAgg answers GROUP BY keep... for any aggregate kind from one
-// assembled vector view. Zero-count semantics are uniform: groups with no
-// tuples are dropped for the count-dividing kinds (AVG, VAR, STDDEV) —
-// their finalisers are undefined there — while SUM and COUNT report every
-// group of the cube's group space (a zero where no tuples fall).
+// assembled vector view, as the map form of GroupByResult. Groups with no
+// tuples are dropped for the count-dividing kinds (AVG, VAR, STDDEV), while
+// SUM and COUNT report every group of the cube's group space.
 func (a *AggEngine) GroupByAgg(kind AggKind, keep ...string) (map[string]float64, error) {
-	return untraced(runAgg(a, false, groupByAggRead, aggKeep{kind, keep}))
+	return untraced(asGroups(runAgg(a, false, groupByAggRead, aggKeep{kind, keep})))
 }
 
 // TraceGroupByAgg is GroupByAgg with per-span tracing: an "aggregate KIND"
 // span under the root carries agg_kind and measure_width attributes, and
 // every assembly span below it reports the vector execution.
 func (a *AggEngine) TraceGroupByAgg(kind AggKind, keep ...string) (map[string]float64, *QueryTrace, error) {
-	return runAgg(a, true, groupByAggRead, aggKeep{kind, keep})
+	return asGroups(runAgg(a, true, groupByAggRead, aggKeep{kind, keep}))
 }
 
-func (a *AggEngine) groupByAggInner(x *obs.ExecCtx, g aggKeep) (map[string]float64, error) {
+func (a *AggEngine) groupByAggInner(x *obs.ExecCtx, g aggKeep) (*Result, error) {
 	x, sp := a.aggregateSpan(x, g.kind)
 	defer sp.End()
 	if err := a.spec.Supports(g.kind); err != nil {
@@ -368,44 +372,7 @@ func (a *AggEngine) groupByAggInner(x *obs.ExecCtx, g aggKeep) (map[string]float
 	if err != nil {
 		return nil, err
 	}
-	defer ndarray.RecycleMulti(ma)
-	return a.finalizeGroups(g.kind, ma, el)
-}
-
-// finalizeGroups applies the aggregate's finaliser per group of the
-// assembled vector view. The count-dividing kinds finalise in ONE pass over
-// the group space (keys built once, no intermediate per-component maps), so
-// AVG/VAR/STDDEV carry the allocation profile of a single scalar GROUP BY
-// rather than one per ingredient.
-func (a *AggEngine) finalizeGroups(kind AggKind, ma *ndarray.MultiArray, el Element) (map[string]float64, error) {
-	switch kind {
-	case AggSum:
-		return a.componentGroups(ma, el, a.spec.Sum)
-	case AggCount:
-		return a.componentGroups(ma, el, a.spec.Count)
-	}
-	aggregated := make([]bool, len(a.cube.dims))
-	for m := range aggregated {
-		aggregated[m] = true
-	}
-	for m, node := range el.rect {
-		if node == freq.Root {
-			aggregated[m] = false
-		}
-	}
-	out := make(map[string]float64)
-	err := a.cube.enc.ViewGroupsVec(ma, aggregated, func(key string, vec []float64) {
-		if vec[a.spec.Count] == 0 {
-			return // no tuples: the finaliser is undefined, drop the group
-		}
-		if v, ok := a.spec.Finalize(kind, vec); ok {
-			out[key] = v
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return a.result(ma, el, []AggKind{g.kind}, g.kind.NeedsCount())
 }
 
 // RangeAgg answers the aggregate over the box selected by per-dimension

@@ -4,7 +4,8 @@
 //	go test -run TestBenchJSON -benchjson [-benchjson.out results.json]
 //
 // Each line is one benchmark: {"name", "iterations", "ns_per_op",
-// "bytes_per_op", "allocs_per_op"}.
+// "bytes_per_op", "allocs_per_op"}, plus "extra" where the benchmark reports
+// metrics of its own.
 package viewcube_test
 
 import (
@@ -26,6 +27,9 @@ type benchResult struct {
 	NsPerOp     int64  `json:"ns_per_op"`
 	BytesPerOp  int64  `json:"bytes_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
+	// Extra carries a benchmark's own metrics (b.ReportMetric): ns/group,
+	// B/group, encode-us/op, ...
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // TestBenchJSON runs a representative slice of the benchmark suite under
@@ -77,6 +81,17 @@ func TestBenchJSON(t *testing.T) {
 		{"ResultCacheHit", BenchmarkResultCacheHit},
 		{"ResultCacheHitParallel", BenchmarkResultCacheHitParallel},
 		{"ResultCacheMiss", BenchmarkResultCacheMiss},
+		{"ResultEncodeGroups/16/columnar", benchEncodeGroups(16, true)},
+		{"ResultEncodeGroups/16/map", benchEncodeGroups(16, false)},
+		{"ResultEncodeGroups/1024/columnar", benchEncodeGroups(1024, true)},
+		{"ResultEncodeGroups/1024/map", benchEncodeGroups(1024, false)},
+		{"ResultEncodeGroups/8192/columnar", benchEncodeGroups(8192, true)},
+		{"ResultEncodeGroups/8192/map", benchEncodeGroups(8192, false)},
+		{"LeaseHitBody", BenchmarkLeaseHitBody},
+		{"WireResponse/columnar", benchWireResponse(true)},
+		{"WireResponse/map", benchWireResponse(false)},
+		{"CoordinatorMerge16k/columnar", benchCoordinatorMerge16k(true)},
+		{"CoordinatorMerge16k/map", benchCoordinatorMerge16k(false)},
 		{"IngestThroughput", BenchmarkIngestThroughput},
 		{"QueryUnderIngest", BenchmarkQueryUnderIngest},
 		{"TracedQueryOverheadOff", benchTracedOff},
@@ -90,6 +105,7 @@ func TestBenchJSON(t *testing.T) {
 			NsPerOp:     r.NsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
+			Extra:       r.Extra,
 		}); err != nil {
 			t.Fatal(err)
 		}

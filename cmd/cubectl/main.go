@@ -614,7 +614,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 	case "info":
 		return catalogInfo(lease)
 	case "total":
-		groups, _, err := h.GroupBy(false)
+		groups, err := handleGroups(h)
 		if err != nil {
 			return err
 		}
@@ -632,7 +632,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 		if err != nil {
 			return err
 		}
-		groups, _, err := h.GroupBy(false, keep...)
+		groups, err := handleGroups(h, keep...)
 		if err != nil {
 			return err
 		}
@@ -662,7 +662,11 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 		if err != nil {
 			return err
 		}
-		res, _, err := h.Query(false, sql)
+		rows, _, err := h.Query(false, sql)
+		if err != nil {
+			return err
+		}
+		res, err := rows.QueryResult()
 		if err != nil {
 			return err
 		}
@@ -681,7 +685,7 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 		if err != nil {
 			return err
 		}
-		groups, _, err := h.GroupBy(false, keep...)
+		groups, err := handleGroups(h, keep...)
 		if err != nil {
 			return err
 		}
@@ -709,6 +713,15 @@ func runCatalogShell(path, cubeName, viewName string, hot hotFlags, cmd string, 
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
+}
+
+// handleGroups is a handle's group-by in the map form the printers take.
+func handleGroups(h catalog.CubeHandle, keep ...string) (map[string]float64, error) {
+	res, _, err := h.GroupBy(false, keep...)
+	if err != nil {
+		return nil, err
+	}
+	return res.Groups()
 }
 
 func catalogInfo(lease *catalog.Lease) error {

@@ -43,6 +43,10 @@
 //
 //	cubed -gen 50000 -ingest -wal /var/lib/cubed/ingest.wal
 //	curl -s -X POST localhost:8080/ingest -d '{"rows":[{"delta":5,"values":{"region":"east",...}}],"flush":true}'
+//
+// Logging: start-up, shutdown, reload and error lines always; a request that
+// does not end in a 2xx at WARN; the one-line-per-request access log only
+// with -accesslog (it is measurable on the hit path — DESIGN.md §17).
 package main
 
 import (
@@ -84,6 +88,7 @@ type config struct {
 	diskDir     string
 	enablePprof bool
 	logJSON     bool
+	accessLog   bool // log every HTTP request, not only the failed ones
 
 	shard       bool          // serve this cube as one cluster shard
 	shardAddr   string        // binary-protocol listen address in -shard mode
@@ -121,7 +126,8 @@ func main() {
 	flag.IntVar(&cfg.reselect, "reselect", 0, "adapt the materialised set every N queries (0 = off)")
 	flag.StringVar(&cfg.diskDir, "store", "", "directory for the durable element store (default: in memory)")
 	flag.BoolVar(&cfg.enablePprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
-	flag.BoolVar(&cfg.logJSON, "logjson", false, "emit request logs as JSON instead of text")
+	flag.BoolVar(&cfg.logJSON, "logjson", false, "emit logs as JSON instead of text")
+	flag.BoolVar(&cfg.accessLog, "accesslog", false, "log one line per HTTP request (default: only non-2xx responses, at WARN)")
 	flag.BoolVar(&cfg.shard, "shard", false, "serve this cube as a cluster shard (binary protocol on -shardaddr)")
 	flag.StringVar(&cfg.shardAddr, "shardaddr", ":9090", "shard-protocol listen address in -shard mode")
 	flag.StringVar(&cfg.coordinator, "coordinator", "", "comma-separated shard addresses; run as a scatter-gather coordinator instead of loading a cube (replicas of one shard pipe-separated: addr|replica)")
@@ -136,7 +142,7 @@ func main() {
 	flag.BoolVar(&cfg.ingest, "ingest", false, "enable the streaming ingest path: updates buffer and merge in the background, reads never block on writes")
 	flag.StringVar(&cfg.walPath, "wal", "", "write-ahead-log path for -ingest; replayed on startup (\"\" = no WAL, acknowledged writes may be lost on crash)")
 	flag.BoolVar(&cfg.walFsync, "walfsync", false, "fsync the -wal after every append (durable per-write, slower)")
-	flag.DurationVar(&cfg.ingestInterval, "ingestinterval", 0, "background merge interval for -ingest (0 = 25ms default)")
+	flag.DurationVar(&cfg.ingestInterval, "ingestinterval", 0, "background merge interval for -ingest (0 = 5ms default)")
 	flag.IntVar(&cfg.ingestPending, "ingestpending", 0, "max buffered distinct cells before ingest appends block (0 = 65536 default, negative = unbounded)")
 	flag.Parse()
 
@@ -146,16 +152,29 @@ func main() {
 	}
 }
 
-func (cfg *config) logger() *slog.Logger {
+func (cfg *config) logger() *slog.Logger { return cfg.loggerAt(slog.LevelInfo) }
+
+// requestLogger is what the HTTP handlers log through. Their per-request
+// access line is an Info record, so without -accesslog they get a logger that
+// starts at Warn: a request that fails is still logged, one that succeeds
+// costs neither the line nor its attributes.
+func (cfg *config) requestLogger() *slog.Logger {
+	if cfg.accessLog {
+		return cfg.logger()
+	}
+	return cfg.loggerAt(slog.LevelWarn)
+}
+
+func (cfg *config) loggerAt(level slog.Level) *slog.Logger {
 	w := cfg.logW
 	if w == nil {
 		w = os.Stderr
 	}
-	var handler slog.Handler = slog.NewTextHandler(w, nil)
+	opts := &slog.HandlerOptions{Level: level}
 	if cfg.logJSON {
-		handler = slog.NewJSONHandler(w, nil)
+		return slog.New(slog.NewJSONHandler(w, opts))
 	}
-	return slog.New(handler)
+	return slog.New(slog.NewTextHandler(w, opts))
 }
 
 func run(cfg config) error {
@@ -205,7 +224,7 @@ func runCatalog(cfg config) error {
 		return err
 	}
 	defer qlog.Close()
-	opts := []server.Option{server.WithLogger(logger), server.WithQueryLog(qlog)}
+	opts := []server.Option{server.WithLogger(cfg.requestLogger()), server.WithQueryLog(qlog)}
 	if cfg.traceSample > 0 {
 		opts = append(opts, server.WithTraceSampling(cfg.traceSample))
 		logger.Info("sampled tracing enabled", "rate", cfg.traceSample)
@@ -316,7 +335,7 @@ func runNode(cfg config) error {
 		return err
 	}
 	defer qlog.Close()
-	opts := []server.Option{server.WithLogger(logger), server.WithQueryLog(qlog)}
+	opts := []server.Option{server.WithLogger(cfg.requestLogger()), server.WithQueryLog(qlog)}
 	if cfg.resCacheMB > 0 {
 		opts = append(opts, server.WithResultCache(rescache.Options{MaxBytes: int64(cfg.resCacheMB) << 20}))
 		logger.Info("result cache enabled", "max_mb", cfg.resCacheMB)
@@ -447,7 +466,7 @@ func runCoordinator(cfg config) error {
 		return err
 	}
 	srv := &http.Server{Handler: server.NewCoordinator(coord,
-		server.WithCoordinatorLogger(logger),
+		server.WithCoordinatorLogger(cfg.requestLogger()),
 		server.WithCoordinatorQueryLog(qlog))}
 	errCh := make(chan error, 1)
 	go func() {

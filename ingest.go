@@ -29,7 +29,7 @@ type IngestOptions struct {
 	MaxPending int
 	// Interval is how long the merger accumulates deltas after the first
 	// dirty cell before folding them into a new snapshot — the freshness /
-	// merge-amortisation trade. 0 defaults to 25ms.
+	// merge-amortisation trade. 0 defaults to 5ms.
 	Interval time.Duration
 }
 
@@ -114,7 +114,7 @@ func (g *guard[E]) EnableIngest(opts IngestOptions) error {
 		opts.MaxPending = 1 << 16
 	}
 	if opts.Interval <= 0 {
-		opts.Interval = 25 * time.Millisecond
+		opts.Interval = 5 * time.Millisecond
 	}
 	rt := &ingestRuntime[E]{
 		g:       g,

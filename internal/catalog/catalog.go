@@ -102,8 +102,8 @@ type Stats struct {
 // traced".
 type CubeHandle interface {
 	Info() Info
-	Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error)
-	GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error)
+	Query(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error)
+	GroupBy(traced bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error)
 	RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error)
 	UpdateValue(delta float64, values map[string]string) error
 	Optimize(views []HotView) error

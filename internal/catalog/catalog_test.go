@@ -103,11 +103,11 @@ func TestViewCompileResolveAndRewrite(t *testing.T) {
 	}
 
 	// An aliased query answers identically to the raw one.
-	aliased, _, err := lease.Handle.Query(false, sql)
+	aliased, _, err := rowsOf(lease.Handle.Query(false, sql))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, _, err := lease.Handle.Query(false, want)
+	raw, _, err := rowsOf(lease.Handle.Query(false, want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestConcurrentQueriesDuringLifecycle(t *testing.T) {
 					}
 					continue
 				}
-				groups, _, err := lease.Handle.GroupBy(false, "product")
+				groups, _, err := groupsOf(lease.Handle.GroupBy(false, "product"))
 				if err != nil {
 					t.Errorf("groupby under lease: %v", err)
 				} else if got := groups["ale"]; got != 17 {
@@ -392,7 +392,7 @@ func TestFileBuildAndRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups, _, err := lease.Handle.GroupBy(false, "product")
+	groups, _, err := groupsOf(lease.Handle.GroupBy(false, "product"))
 	if err != nil || groups["ale"] != 17 {
 		t.Fatalf("groups = %v, %v", groups, err)
 	}
@@ -410,7 +410,7 @@ func TestFileBuildAndRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lease2.Release()
-	groups, _, err = lease2.Handle.GroupBy(false, "product")
+	groups, _, err = groupsOf(lease2.Handle.GroupBy(false, "product"))
 	if err != nil || groups["ale"] != 20 {
 		t.Fatalf("groups after rebuild = %v, %v", groups, err)
 	}

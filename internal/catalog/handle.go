@@ -12,8 +12,7 @@ import (
 // read/write split and snapshot readers under ingest, so a handle adds no
 // locking of its own.
 type engine interface {
-	Query(sql string) (*viewcube.QueryResult, error)
-	TraceQuery(sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error)
+	Select(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error)
 	UpdateValue(delta float64, values map[string]string) error
 	Optimize(w *viewcube.Workload) error
 	Stats() viewcube.Stats
@@ -45,12 +44,8 @@ func (h *engineHandle) Info() Info {
 	}
 }
 
-func (h *engineHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
-	if traced {
-		return h.eng.TraceQuery(sql)
-	}
-	res, err := h.eng.Query(sql)
-	return res, nil, err
+func (h *engineHandle) Query(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error) {
+	return h.eng.Select(traced, sql)
 }
 
 func (h *engineHandle) UpdateValue(delta float64, values map[string]string) error {
@@ -107,25 +102,8 @@ type safeHandle struct {
 	eng *viewcube.SafeEngine
 }
 
-func (h *safeHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
-	var (
-		v   *viewcube.View
-		tr  *viewcube.QueryTrace
-		err error
-	)
-	if traced {
-		v, tr, err = h.eng.TraceGroupBy(keep...)
-	} else {
-		v, err = h.eng.GroupBy(keep...)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	groups, err := v.Groups()
-	if err != nil {
-		return nil, nil, err
-	}
-	return groups, tr, nil
+func (h *safeHandle) GroupBy(traced bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error) {
+	return h.eng.GroupByResult(traced, keep...)
 }
 
 func (h *safeHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
@@ -151,12 +129,8 @@ type aggHandle struct {
 	eng *viewcube.SafeAggEngine
 }
 
-func (h *aggHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
-	if traced {
-		return h.eng.TraceGroupByAgg(viewcube.AggSum, keep...)
-	}
-	groups, err := h.eng.GroupByAgg(viewcube.AggSum, keep...)
-	return groups, nil, err
+func (h *aggHandle) GroupBy(traced bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error) {
+	return h.eng.GroupByResult(traced, viewcube.AggSum, keep...)
 }
 
 func (h *aggHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
@@ -192,13 +166,13 @@ func (h *partitionedHandle) Info() Info {
 	}
 }
 
-func (h *partitionedHandle) Query(bool, string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
+func (h *partitionedHandle) Query(bool, string) (*viewcube.Result, *viewcube.QueryTrace, error) {
 	return nil, nil, fmt.Errorf("sql over a partitioned cube: %w", ErrUnsupported)
 }
 
-func (h *partitionedHandle) GroupBy(_ bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
-	groups, err := h.eng.GroupBy(keep...)
-	return groups, nil, err
+func (h *partitionedHandle) GroupBy(_ bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error) {
+	res, err := h.eng.GroupByResult(keep...)
+	return res, nil, err
 }
 
 func (h *partitionedHandle) RangeSum(_ bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {

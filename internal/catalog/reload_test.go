@@ -128,7 +128,7 @@ func TestApplyUpdateAddsDropsRebuilds(t *testing.T) {
 	if st := lease.ResultCacheStats(); st.Invalidations == 0 {
 		t.Fatalf("alpha result cache not invalidated by rebuild: %+v", st)
 	}
-	groups, _, _, err := lease.ServeGroupBy(false, "product")
+	groups, _, _, err := servedGroups(lease.ServeGroupBy(false, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestApplyUpdateAddsDropsRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := lease.Handle.GroupBy(false, "product")
+	g, _, err := groupsOf(lease.Handle.GroupBy(false, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestApplyUpdateBadRebuildKeepsServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lease.Release()
-	g, _, err := lease.Handle.GroupBy(false, "product")
+	g, _, err := groupsOf(lease.Handle.GroupBy(false, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}

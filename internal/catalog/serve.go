@@ -17,7 +17,10 @@ import (
 //
 // Keys are formed from the *resolved* query shape (after view aliases
 // rewrite to underlying dimension names), so every view over a cube shares
-// one entry per underlying query; responses are re-rendered per view by the
+// one entry per underlying query. What an entry holds is the response body
+// itself — the engine's columnar Result encoded once, on the miss — so a
+// hit is the cached bytes written out; the only per-view part of a response
+// (a SQL answer's aliased column names) is spliced around them by the
 // caller, which never mutates the cached value.
 //
 // Invalidation is two-tier, mirroring the plan cache's epoch discipline:
@@ -28,45 +31,34 @@ import (
 // in-generation mutations invalidate without the write path knowing this
 // cache exists.
 
-// Answer is the cached result of one read: exactly one field is populated,
-// per the query kind. Cached answers are shared across callers and must be
-// treated as read-only.
+// Answer is the cached result of one read, in the one form it is served in.
+// A group-by's Body is its whole JSON response ({"ale":17,...} and the
+// encoder's trailing newline); a SQL answer's Body is the JSON value of
+// "rows", with Columns (underlying names — the caller aliases them per view)
+// and Agg (the query-log label) beside it; a range's answer is Sum. Cached
+// answers are shared across callers and must be treated as read-only.
 type Answer struct {
-	Groups map[string]float64
-	Sum    float64
-	Result *viewcube.QueryResult
-}
-
-// AnswerSize estimates an Answer's resident footprint in bytes for the
-// cache's byte bound. It intentionally over-counts per-entry map and slice
-// overheads rather than under-counting payloads.
-func AnswerSize(a Answer) int {
-	n := 64
-	for k := range a.Groups {
-		n += len(k) + 48 // key bytes + map bucket + float64
-	}
-	if a.Result != nil {
-		for _, c := range a.Result.Columns {
-			n += len(c) + 16
-		}
-		for _, r := range a.Result.Rows {
-			n += 48
-			for _, k := range r.Key {
-				n += len(k) + 16
-			}
-			n += 8 * len(r.Values)
-		}
-	}
-	return n
+	Body    []byte
+	Columns []string
+	Agg     string
+	Sum     float64
 }
 
 // answerCache instantiates the generic cache at the catalog's answer type.
 type answerCache = rescache.Cache[Answer]
 
-// newAnswerCache builds an entry's cache: the caller's bounds plus the
-// Answer sizer.
+// newAnswerCache builds an entry's cache: the caller's bounds, with an answer
+// sized by what is resident — its body's capacity (the encoder sizes the
+// buffer from an estimate), plus the struct and its column names.
 func newAnswerCache(opt rescache.Options) *answerCache {
-	opt.Size = func(v any) int { return AnswerSize(v.(Answer)) }
+	opt.Size = func(v any) int {
+		a := v.(Answer)
+		n := 64 + cap(a.Body)
+		for _, c := range a.Columns {
+			n += len(c) + 16
+		}
+		return n
+	}
 	return rescache.New[Answer](opt)
 }
 
@@ -148,16 +140,19 @@ func (l *Lease) serve(traced bool, key, name func() string, read func() (Answer,
 // otherwise whether the underlying query was skipped. When traced, the
 // returned trace is the real execution tree on a computing miss (labelled
 // result_cache=miss), or a zero-op CacheHitTrace on a hit or coalesced
-// wait. The returned map is shared with the cache: read-only.
-func (l *Lease) ServeGroupBy(traced bool, resolved ...string) (map[string]float64, *viewcube.QueryTrace, *bool, error) {
-	ans, tr, hit, err := l.serve(traced,
+// wait. The answer's Body is shared with the cache: read-only.
+func (l *Lease) ServeGroupBy(traced bool, resolved ...string) (Answer, *viewcube.QueryTrace, *bool, error) {
+	return l.serve(traced,
 		func() string { return groupByKey(resolved) },
 		func() string { return "groupby " + strings.Join(resolved, ",") },
 		func() (Answer, *viewcube.QueryTrace, error) {
-			g, tr, err := l.Handle.GroupBy(traced, resolved...)
-			return Answer{Groups: g}, tr, err
+			res, tr, err := l.Handle.GroupBy(traced, resolved...)
+			if err != nil {
+				return Answer{}, nil, err
+			}
+			body, err := res.AppendGroupsJSON(nil)
+			return Answer{Body: append(body, '\n')}, tr, err
 		})
-	return ans.Groups, tr, hit, err
 }
 
 // ServeRangeSum answers a range-SUM over resolved ranges through the result
@@ -174,15 +169,17 @@ func (l *Lease) ServeRangeSum(traced bool, resolved map[string]viewcube.ValueRan
 }
 
 // ServeQuery answers a rewritten (underlying-name) SQL statement through
-// the result cache; semantics as ServeGroupBy. The returned result is
-// shared with the cache: read-only.
-func (l *Lease) ServeQuery(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, *bool, error) {
-	ans, tr, hit, err := l.serve(traced,
+// the result cache; semantics as ServeGroupBy.
+func (l *Lease) ServeQuery(traced bool, sql string) (Answer, *viewcube.QueryTrace, *bool, error) {
+	return l.serve(traced,
 		func() string { return "query\x00" + sql },
 		func() string { return "query" },
 		func() (Answer, *viewcube.QueryTrace, error) {
 			res, tr, err := l.Handle.Query(traced, sql)
-			return Answer{Result: res}, tr, err
+			if err != nil {
+				return Answer{}, nil, err
+			}
+			body, err := res.AppendRowsJSON(nil)
+			return Answer{Body: body, Columns: res.Columns(), Agg: res.AggLabel()}, tr, err
 		})
-	return ans.Result, tr, hit, err
 }

@@ -20,12 +20,12 @@ type countingHandle struct {
 	ranges   atomic.Int64
 }
 
-func (h *countingHandle) GroupBy(traced bool, keep ...string) (map[string]float64, *viewcube.QueryTrace, error) {
+func (h *countingHandle) GroupBy(traced bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error) {
 	h.groupBys.Add(1)
 	return h.CubeHandle.GroupBy(traced, keep...)
 }
 
-func (h *countingHandle) Query(traced bool, sql string) (*viewcube.QueryResult, *viewcube.QueryTrace, error) {
+func (h *countingHandle) Query(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error) {
 	h.queries.Add(1)
 	return h.CubeHandle.Query(traced, sql)
 }
@@ -67,11 +67,11 @@ func TestServeGroupByCachesAndInvalidatesOnUpdate(t *testing.T) {
 		t.Fatal("lease should carry the result cache")
 	}
 
-	g1, _, hit, err := lease.ServeGroupBy(false, "product")
+	g1, _, hit, err := servedGroups(lease.ServeGroupBy(false, "product"))
 	if err != nil || hit == nil || *hit {
 		t.Fatalf("cold read: hit=%v err=%v", hit, err)
 	}
-	g2, _, hit, err := lease.ServeGroupBy(false, "product")
+	g2, _, hit, err := servedGroups(lease.ServeGroupBy(false, "product"))
 	if err != nil || hit == nil || !*hit {
 		t.Fatalf("warm read: hit=%v err=%v", hit, err)
 	}
@@ -87,7 +87,7 @@ func TestServeGroupByCachesAndInvalidatesOnUpdate(t *testing.T) {
 	if err := lease.Handle.UpdateValue(3, map[string]string{"product": "ale", "region": "east", "day": "d1"}); err != nil {
 		t.Fatal(err)
 	}
-	g3, _, hit, err := lease.ServeGroupBy(false, "product")
+	g3, _, hit, err := servedGroups(lease.ServeGroupBy(false, "product"))
 	if err != nil || *hit {
 		t.Fatalf("post-update read: hit=%v err=%v", *hit, err)
 	}
@@ -117,15 +117,15 @@ func TestServeRangeAndQueryCached(t *testing.T) {
 	}
 
 	const sql = "SELECT SUM(sales) GROUP BY product"
-	r1, _, _, err := lease.ServeQuery(false, sql)
+	a1, _, _, err := lease.ServeQuery(false, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, hit, err := lease.ServeQuery(false, sql)
+	a2, _, hit, err := lease.ServeQuery(false, sql)
 	if err != nil || !*hit {
 		t.Fatalf("query warm: hit=%v err=%v", *hit, err)
 	}
-	if r2 != r1 {
+	if r1, r2 := &a1.Body[0], &a2.Body[0]; r2 != r1 {
 		t.Fatal("warm query should return the cached result pointer")
 	}
 	if n := h.queries.Load(); n != 1 {
@@ -152,7 +152,7 @@ func TestServeSingleflightExactlyOnce(t *testing.T) {
 			}
 			defer lease.Release()
 			<-start
-			g, _, _, err := lease.ServeGroupBy(false, "product")
+			g, _, _, err := servedGroups(lease.ServeGroupBy(false, "product"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -179,11 +179,11 @@ func TestServeCacheSerialOracle(t *testing.T) {
 		if err := lease.Handle.UpdateValue(float64(i+1), map[string]string{"product": "bock", "region": "west", "day": "d2"}); err != nil {
 			t.Fatal(err)
 		}
-		cached, _, _, err := lease.ServeGroupBy(false, "product", "region")
+		cached, _, _, err := servedGroups(lease.ServeGroupBy(false, "product", "region"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, _, err := lease.Handle.GroupBy(false, "product", "region")
+		direct, _, err := groupsOf(lease.Handle.GroupBy(false, "product", "region"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,11 +271,11 @@ func TestServeCacheConcurrentUpdateStorm(t *testing.T) {
 
 	// Quiesced: cached reads must now equal direct reads exactly.
 	lease := acquire(t, reg)
-	cached, _, _, err := lease.ServeGroupBy(false, "product")
+	cached, _, _, err := servedGroups(lease.ServeGroupBy(false, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := lease.Handle.GroupBy(false, "product")
+	direct, _, err := groupsOf(lease.Handle.GroupBy(false, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestUncachedLeaseServesDirect(t *testing.T) {
 	if lease.Cached() {
 		t.Fatal("no cache was enabled")
 	}
-	g, tr, hit, err := lease.ServeGroupBy(false, "product")
+	g, tr, hit, err := servedGroups(lease.ServeGroupBy(false, "product"))
 	if err != nil || hit != nil || tr != nil {
 		t.Fatalf("uncached read: hit=%v tr=%v err=%v", hit, tr, err)
 	}
@@ -411,7 +411,7 @@ func TestPartitionedUpdateInvalidatesCachedAnswer(t *testing.T) {
 	lease := acquire(t, reg)
 	total := func(wantHit bool) float64 {
 		t.Helper()
-		groups, _, hit, err := lease.ServeGroupBy(false)
+		groups, _, hit, err := servedGroups(lease.ServeGroupBy(false))
 		if err != nil || hit == nil {
 			t.Fatalf("ServeGroupBy: hit=%v err=%v", hit, err)
 		}
@@ -461,7 +461,7 @@ func TestCacheHitIgnoresEngineWriteLock(t *testing.T) {
 	}
 	reg.EnableResultCache(rescache.Options{})
 	lease := acquire(t, reg)
-	want, _, _, err := lease.ServeGroupBy(false, "product")
+	want, _, _, err := servedGroups(lease.ServeGroupBy(false, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestCacheHitIgnoresEngineWriteLock(t *testing.T) {
 	)
 	go func() {
 		defer close(done)
-		got, _, hit, err = lease.ServeGroupBy(false, "product")
+		got, _, hit, err = servedGroups(lease.ServeGroupBy(false, "product"))
 	}()
 	select {
 	case <-done:

@@ -254,10 +254,40 @@ func (c *Coordinator) ResultCacheStats() rescache.Stats { return c.cache.Stats()
 
 // --- exact-mode Querier surface ---
 
-// GroupBy merges per-shard GROUP BY partials; it fails if any shard is
-// unreachable after retries (use GroupByPartial to degrade instead).
+// GroupByResult merges per-shard GROUP BY partials into one columnar Result
+// — the form the HTTP face encodes and the result cache holds. Without
+// allowPartial it fails if any shard is unreachable after retries; with it,
+// shards still unreachable are dropped from the merge and named in the
+// PartialResult, and the error is non-nil only for query errors or when no
+// shard at all answered. traced runs the query under a full distributed
+// trace (which bypasses the cache): the scatter fans out concurrently (span
+// attachment is concurrency-safe), every leg records its retries, hedging
+// and group count on a "shard <name>" span, and each shard's own span
+// subtree — plan-cache hits, Haar ops, store reads — is stitched underneath
+// it, so the tree prices the whole cluster query.
+func (c *Coordinator) GroupByResult(ctx context.Context, allowPartial, traced bool, keep ...string) (*viewcube.Result, *PartialResult, *obs.Trace, error) {
+	var tr *obs.Trace
+	if traced {
+		tr = obs.NewTrace("cluster groupby " + strings.Join(keep, ","))
+		defer tr.Finish()
+	}
+	a, err := c.answer(ctx, allowPartial, tr, &Request{Kind: KindGroupBy, Keep: keep})
+	return a.res, a.part, tr, err
+}
+
+// asGroups is the map form of GroupByResult, for library callers.
+func asGroups(res *viewcube.Result, part *PartialResult, tr *obs.Trace, err error) (map[string]float64, *PartialResult, *obs.Trace, error) {
+	if err != nil {
+		return nil, nil, tr, err
+	}
+	g, err := res.Groups()
+	return g, part, tr, err
+}
+
+// GroupBy is the exact-mode GroupByResult in map form, keyed by joined
+// group key (use GroupByPartial to degrade instead of failing).
 func (c *Coordinator) GroupBy(keep ...string) (map[string]float64, error) {
-	g, _, err := c.groupBy(context.Background(), false, nil, keep)
+	g, _, _, err := asGroups(c.GroupByResult(context.Background(), false, false, keep...))
 	return g, err
 }
 
@@ -276,12 +306,11 @@ func (c *Coordinator) RangeSum(ranges map[string]viewcube.ValueRange) (float64, 
 
 // --- degraded-mode surface (the caller opts into partial answers) ---
 
-// GroupByPartial is GroupBy that degrades instead of failing: shards still
-// unreachable after retries are dropped from the merge and named in the
-// PartialResult. The error is non-nil only for query errors or when no
-// shard at all answered.
+// GroupByPartial is GroupBy that degrades instead of failing (GroupByResult
+// with allowPartial, in map form).
 func (c *Coordinator) GroupByPartial(ctx context.Context, keep ...string) (map[string]float64, *PartialResult, error) {
-	return c.groupBy(ctx, true, nil, keep)
+	g, part, _, err := asGroups(c.GroupByResult(ctx, true, false, keep...))
+	return g, part, err
 }
 
 // TotalPartial is Total with degraded mode.
@@ -294,16 +323,10 @@ func (c *Coordinator) RangeSumPartial(ctx context.Context, ranges map[string]vie
 	return c.sumQuery(ctx, true, nil, rangeRequest(ranges))
 }
 
-// TraceGroupBy is GroupByPartial with a full distributed trace: the scatter
-// fans out concurrently (span attachment is concurrency-safe), every leg
-// records its retries, hedging and group count on a "shard <name>" span, and
-// each shard's own span subtree — plan-cache hits, Haar ops, store reads —
-// is stitched underneath it, so the tree prices the whole cluster query.
+// TraceGroupBy is GroupByPartial with a full distributed trace (GroupByResult
+// traced, in map form).
 func (c *Coordinator) TraceGroupBy(ctx context.Context, keep ...string) (map[string]float64, *PartialResult, *obs.Trace, error) {
-	tr := obs.NewTrace("cluster groupby " + strings.Join(keep, ","))
-	g, part, err := c.groupBy(ctx, true, tr, keep)
-	tr.Finish()
-	return g, part, tr, err
+	return asGroups(c.GroupByResult(ctx, true, true, keep...))
 }
 
 // TraceTotal is TotalPartial with a full distributed trace.
@@ -336,40 +359,38 @@ func rangeRequest(ranges map[string]viewcube.ValueRange) *Request {
 	return req
 }
 
-func (c *Coordinator) groupBy(ctx context.Context, allowPartial bool, tr *obs.Trace, keep []string) (map[string]float64, *PartialResult, error) {
-	req := &Request{Kind: KindGroupBy, Keep: keep}
-	if c.cache != nil && tr == nil {
-		a, part, err := c.cached(ctx, allowPartial, req)
-		return a.groups, part, err
-	}
-	resps, part, err := c.scatter(ctx, allowPartial, tr, req, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return mergeAnswer(req.Kind, resps, part).groups, part, nil
+func (c *Coordinator) sumQuery(ctx context.Context, allowPartial bool, tr *obs.Trace, req *Request) (float64, *PartialResult, error) {
+	a, err := c.answer(ctx, allowPartial, tr, req)
+	return a.sum, a.part, err
 }
 
-func (c *Coordinator) sumQuery(ctx context.Context, allowPartial bool, tr *obs.Trace, req *Request) (float64, *PartialResult, error) {
+// answer serves req from the result cache when there is one and the query is
+// untraced, and by a scatter of its own otherwise.
+func (c *Coordinator) answer(ctx context.Context, allowPartial bool, tr *obs.Trace, req *Request) (cachedAnswer, error) {
 	if c.cache != nil && tr == nil {
-		a, part, err := c.cached(ctx, allowPartial, req)
-		return a.sum, part, err
+		return c.cached(ctx, allowPartial, req)
 	}
-	resps, part, err := c.scatter(ctx, allowPartial, tr, req, nil)
+	return c.scatterMerge(ctx, allowPartial, tr, req, nil)
+}
+
+// scatterMerge is one scatter and the merge of what came back.
+func (c *Coordinator) scatterMerge(ctx context.Context, allowPartial bool, tr *obs.Trace, req *Request, rcHit *bool) (cachedAnswer, error) {
+	resps, part, err := c.scatter(ctx, allowPartial, tr, req, rcHit)
 	if err != nil {
-		return 0, nil, err
+		return cachedAnswer{}, err
 	}
-	return mergeAnswer(req.Kind, resps, part).sum, part, nil
+	return mergeAnswer(req.Kind, resps, part)
 }
 
 // --- coordinator result cache ---
 
-// cachedAnswer is one fully merged answer. Cached answers are shared
-// read-only across every caller that hits them; the groups map must not be
-// mutated (the HTTP face copies during rendering).
+// cachedAnswer is one fully merged answer: a group-by's columnar Result
+// (immutable, so every caller that hits it encodes from the same one) or a
+// sum.
 type cachedAnswer struct {
-	groups map[string]float64
-	sum    float64
-	part   *PartialResult // non-nil answers are degraded and never stored
+	res  *viewcube.Result
+	sum  float64
+	part *PartialResult // non-nil answers are degraded and never stored
 }
 
 // answerSize estimates a merged answer's footprint for the cache's byte
@@ -381,8 +402,10 @@ func answerSize(v any) int {
 		return -1
 	}
 	n := 64
-	for k := range a.groups {
-		n += len(k) + 16
+	if a.res != nil {
+		// Eight bytes a group plus the dictionaries, where the map this
+		// replaced cost a key string and sixteen bytes a group.
+		n += a.res.Size()
 	}
 	return n
 }
@@ -406,19 +429,12 @@ func cacheKey(req *Request, allowPartial bool) string {
 // queries coalesce onto that single flight (singleflight). Only complete
 // answers are stored: a degraded answer reaches its caller and any
 // coalesced waiters but the next query re-tries the dead shards.
-func (c *Coordinator) cached(ctx context.Context, allowPartial bool, req *Request) (cachedAnswer, *PartialResult, error) {
+func (c *Coordinator) cached(ctx context.Context, allowPartial bool, req *Request) (cachedAnswer, error) {
 	start := time.Now()
 	a, hit, err := c.cache.GetOrCompute(cacheKey(req, allowPartial), func() (cachedAnswer, error) {
-		resps, part, err := c.scatter(ctx, allowPartial, nil, req, boolPtr(false))
-		if err != nil {
-			return cachedAnswer{}, err
-		}
-		return mergeAnswer(req.Kind, resps, part), nil
+		return c.scatterMerge(ctx, allowPartial, nil, req, boolPtr(false))
 	})
-	if err != nil {
-		return cachedAnswer{}, nil, err
-	}
-	if hit {
+	if err == nil && hit {
 		// The miss path logged and metered inside scatter; a hit still
 		// counts as a query and still feeds the latency histogram and the
 		// query log — with no shard legs, because no shard was asked.
@@ -427,34 +443,32 @@ func (c *Coordinator) cached(ctx context.Context, allowPartial bool, req *Reques
 		c.met.ObserveQuery(req.Kind.String(), dur.Seconds())
 		c.logCacheHit(req, dur)
 	}
-	return a, a.part, nil
+	return a, err
 }
 
 // mergeAnswer folds per-shard responses into one answer in fixed shard
 // order (the distributivity merge that reproduces the single-machine
-// result bit for bit).
-func mergeAnswer(kind Kind, resps []*Response, part *PartialResult) cachedAnswer {
+// result bit for bit): viewcube.MergeResults for a group-by — index addition
+// when the shards' dictionaries agree — and plain addition for a sum.
+func mergeAnswer(kind Kind, resps []*Response, part *PartialResult) (cachedAnswer, error) {
 	a := cachedAnswer{part: part}
-	switch kind {
-	case KindGroupBy:
-		a.groups = make(map[string]float64)
-		for _, r := range resps {
-			if r == nil {
-				continue
-			}
-			for k, v := range r.Groups {
-				a.groups[k] += v
+	if kind == KindGroupBy {
+		parts := make([]*viewcube.Result, len(resps))
+		for i, r := range resps {
+			if r != nil {
+				parts[i] = r.Result
 			}
 		}
-	default:
-		for _, r := range resps {
-			if r == nil {
-				continue
-			}
+		var err error
+		a.res, err = viewcube.MergeResults(parts)
+		return a, err
+	}
+	for _, r := range resps {
+		if r != nil {
 			a.sum += r.Sum
 		}
 	}
-	return a
+	return a, nil
 }
 
 // logCacheHit records a result-cache hit into the query log: same shape
@@ -552,7 +566,7 @@ func (c *Coordinator) scatter(ctx context.Context, allowPartial bool, tr *obs.Tr
 				sp.SetAttr("hedged", boolAttr(outs[i].hedged))
 				sp.SetAttr("ok", boolAttr(outs[i].err == nil))
 				if r := outs[i].resp; r != nil {
-					sp.SetAttr("groups", int64(len(r.Groups)))
+					sp.SetAttr("groups", int64(r.Result.Len()))
 					sp.Graft(r.Spans)
 				}
 				sp.End()
@@ -665,7 +679,7 @@ func (c *Coordinator) logQuery(req *Request, tr *obs.Trace, sampled bool, outs [
 			OK:         o.err == nil,
 		}
 		if o.resp != nil {
-			leg.Groups = len(o.resp.Groups)
+			leg.Groups = o.resp.Result.Len()
 			leg.Ops = o.resp.Spans.SumAttr("ops")
 		}
 		e.Shards = append(e.Shards, leg)

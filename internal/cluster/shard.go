@@ -69,13 +69,7 @@ func (s *ShardEngine) Execute(req *Request) *Response {
 	)
 	switch req.Kind {
 	case KindGroupBy:
-		var v *viewcube.View
-		v, qt, err = traceable(req.Trace,
-			func() (*viewcube.View, error) { return s.eng.GroupBy(req.Keep...) },
-			func() (*viewcube.View, *viewcube.QueryTrace, error) { return s.eng.TraceGroupBy(req.Keep...) })
-		if err == nil {
-			resp.Groups, err = v.Groups()
-		}
+		resp.Result, qt, err = s.eng.GroupByResult(req.Trace, req.Keep...)
 	case KindTotal:
 		resp.Sum, qt, err = traceable(req.Trace, s.eng.Total, s.eng.TraceTotal)
 	case KindRangeSum:

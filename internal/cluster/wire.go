@@ -25,8 +25,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
+	"viewcube"
 	"viewcube/internal/obs"
 )
 
@@ -36,20 +38,26 @@ import (
 //
 // Payloads are built from uvarints, length-prefixed UTF-8 strings and
 // float64 bit patterns (8 bytes, BE), so encoding is deterministic: the
-// same message always serialises to the same bytes (map entries are sorted
-// by key). Decoding is strict — unknown versions, unknown frame types,
-// truncated fields and trailing garbage are all errors — which keeps the
-// fuzz target honest.
+// same message always serialises to the same bytes. Decoding is strict —
+// unknown versions, unknown frame types, truncated fields and trailing
+// garbage are all errors — which keeps the fuzz target honest.
 //
 // There is one wire version. Coordinator and shards are always the same
 // binary, so every frame encodes at Version and a frame at any other version
 // is rejected. A request carries a flags byte after its kind (bit 0 = "record
 // and return a trace"); a response carries a flags byte too (bit 0 = error,
 // bit 1 = a serialized span subtree follows the aggregate, bit 2 = the
-// shard's data version follows as a trailing uvarint), so coordinators learn
-// about shard-side writes without a probe round-trip.
+// shard's data version follows as a trailing uvarint, bit 3 = a group-by
+// result follows the sum), so coordinators learn about shard-side writes
+// without a probe round-trip.
+//
+// A group-by result travels in the columnar form it has everywhere else
+// (viewcube.Result): a header — component width, then per kept dimension its
+// name and its members in code order — and the value count followed by that
+// many floats, width dense planes in row-major order. No group key is ever
+// built, sorted or sent: a group's key is its position.
 const (
-	Version = 3
+	Version = 4
 
 	// MaxFrame bounds a frame payload; a decoder never allocates more than
 	// this from a length prefix, so a hostile peer cannot OOM the process.
@@ -69,7 +77,8 @@ const (
 	respFlagErr    = 1 << 0
 	respFlagSpans  = 1 << 1
 	respFlagEpoch  = 1 << 2
-	respFlagsKnown = respFlagErr | respFlagSpans | respFlagEpoch
+	respFlagResult = 1 << 3
+	respFlagsKnown = respFlagErr | respFlagSpans | respFlagEpoch | respFlagResult
 )
 
 var magic = [2]byte{'v', 'c'}
@@ -133,8 +142,8 @@ type Response struct {
 	Err string
 	// Sum is the partial aggregate of KindTotal and KindRangeSum.
 	Sum float64
-	// Groups holds the per-group partial SUMs of KindGroupBy.
-	Groups map[string]float64
+	// Result holds the per-group partial SUMs of KindGroupBy.
+	Result *viewcube.Result
 	// Spans is the shard-internal span subtree of a traced request, which
 	// the coordinator grafts under its per-shard span. Error responses never
 	// carry spans.
@@ -218,9 +227,33 @@ func AppendRequest(dst []byte, r *Request) ([]byte, error) {
 	return appendFrame(dst, frameRequest, p)
 }
 
-// AppendResponse appends the response's frame encoding to dst. Group keys
-// are written in sorted order, so equal responses encode to equal bytes. An
-// error response carries only its message: spans and epoch are dropped.
+// appendResult appends a group-by result: header, value count, values.
+func appendResult(p []byte, res *viewcube.Result) ([]byte, error) {
+	vals, err := res.Dense()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: cannot encode result: %w", err)
+	}
+	dims, members, width := res.Header()
+	p = binary.AppendUvarint(p, uint64(width))
+	p = binary.AppendUvarint(p, uint64(len(dims)))
+	for i, dim := range dims {
+		p = appendString(p, dim)
+		p = binary.AppendUvarint(p, uint64(len(members[i])))
+		for _, m := range members[i] {
+			p = appendString(p, m)
+		}
+	}
+	p = binary.AppendUvarint(p, uint64(len(vals)))
+	p = slices.Grow(p, 8*len(vals))
+	for _, v := range vals {
+		p = appendFloat(p, v)
+	}
+	return p, nil
+}
+
+// AppendResponse appends the response's frame encoding to dst. Equal
+// responses encode to equal bytes. An error response carries only its
+// message: spans and epoch are dropped.
 func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	if !r.Kind.valid() {
 		return nil, fmt.Errorf("cluster: cannot encode response of invalid kind %d", r.Kind)
@@ -240,17 +273,16 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 	if r.Epoch != 0 {
 		flags |= respFlagEpoch
 	}
+	if r.Result != nil {
+		flags |= respFlagResult
+	}
 	p = append(p, flags)
 	p = appendFloat(p, r.Sum)
-	keys := make([]string, 0, len(r.Groups))
-	for k := range r.Groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	p = binary.AppendUvarint(p, uint64(len(keys)))
-	for _, k := range keys {
-		p = appendString(p, k)
-		p = appendFloat(p, r.Groups[k])
+	if r.Result != nil {
+		var err error
+		if p, err = appendResult(p, r.Result); err != nil {
+			return nil, err
+		}
 	}
 	if r.Spans != nil {
 		p = appendSpanNode(p, r.Spans)
@@ -433,6 +465,49 @@ func (d *decoder) spanNode(total *int, depth int) (*obs.SpanNode, error) {
 	return n, nil
 }
 
+// result decodes a group-by result. Every count is bounded by the bytes left
+// before anything is allocated, and viewcube.NewResult rejects a value count
+// that is not width × the product of the dictionary lengths.
+func (d *decoder) result() (*viewcube.Result, error) {
+	width, err := d.count(1)
+	if err != nil {
+		return nil, err
+	}
+	ndims, err := d.count(2)
+	if err != nil {
+		return nil, err
+	}
+	dims, members := make([]string, ndims), make([][]string, ndims)
+	for i := range dims {
+		if dims[i], err = d.string(); err != nil {
+			return nil, err
+		}
+		n, err := d.count(1)
+		if err != nil {
+			return nil, err
+		}
+		members[i] = make([]string, n)
+		for j := range members[i] {
+			if members[i][j], err = d.string(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	nvals, err := d.count(8)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]float64, nvals)
+	for i := range vals {
+		vals[i], _ = d.float() // count(8) checked the bytes are there
+	}
+	res, err := viewcube.NewResult(dims, members, width, vals)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: malformed result: %w", err)
+	}
+	return res, nil
+}
+
 // DecodeRequest decodes one complete request frame.
 func DecodeRequest(b []byte) (*Request, error) {
 	p, err := decodeHeader(b, frameRequest)
@@ -532,26 +607,10 @@ func DecodeResponse(b []byte) (*Response, error) {
 	if r.Sum, err = d.float(); err != nil {
 		return nil, err
 	}
-	ngroups, err := d.count(9)
-	if err != nil {
-		return nil, err
-	}
-	if ngroups > 0 {
-		r.Groups = make(map[string]float64, ngroups)
-	}
-	for i := 0; i < ngroups; i++ {
-		key, err := d.string()
-		if err != nil {
+	if flags&respFlagResult != 0 {
+		if r.Result, err = d.result(); err != nil {
 			return nil, err
 		}
-		v, err := d.float()
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := r.Groups[key]; dup {
-			return nil, fmt.Errorf("cluster: duplicate group key %q", key)
-		}
-		r.Groups[key] = v
 	}
 	if flags&respFlagSpans != 0 {
 		total := 0

@@ -6,7 +6,24 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"viewcube"
 )
+
+// groupsResult is the columnar form of a one-dimension group map — what a
+// shard puts in Response.Result where it used to put the map itself.
+func groupsResult(groups map[string]float64) *viewcube.Result {
+	members := viewcube.SortedGroupKeys(groups)
+	vals := make([]float64, len(members))
+	for i, k := range members {
+		vals[i] = groups[k]
+	}
+	r, err := viewcube.NewResult([]string{"key"}, [][]string{members}, 1, vals)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
 
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []*Request{
@@ -49,11 +66,11 @@ func TestResponseRoundTrip(t *testing.T) {
 	resps := []*Response{
 		{ID: 3, Kind: KindTotal, Sum: 1234.5},
 		{ID: 4, Kind: KindRangeSum, Sum: -0.125},
-		{ID: 5, Kind: KindGroupBy, Groups: map[string]float64{
+		{ID: 5, Kind: KindGroupBy, Result: groupsResult(map[string]float64{
 			"ale":          1.5,
 			"lager\x00pse": -2,
 			"":             99,
-		}},
+		})},
 		{ID: 6, Kind: KindGroupBy, Err: "shard exploded"},
 		{ID: 7, Kind: KindTotal, Sum: math.Inf(1)},
 	}
@@ -73,10 +90,11 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestResponseEncodingDeterministic(t *testing.T) {
-	r := &Response{ID: 9, Kind: KindGroupBy, Groups: map[string]float64{}}
+	groups := map[string]float64{}
 	for i := 0; i < 64; i++ {
-		r.Groups[strings.Repeat("k", i+1)] = float64(i)
+		groups[strings.Repeat("k", i+1)] = float64(i)
 	}
+	r := &Response{ID: 9, Kind: KindGroupBy, Result: groupsResult(groups)}
 	a, err := AppendResponse(nil, r)
 	if err != nil {
 		t.Fatal(err)

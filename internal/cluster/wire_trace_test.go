@@ -142,7 +142,7 @@ func TestSpanSubtreeRoundTripBitExact(t *testing.T) {
 			Spans: randSpanTree(rng, &budget, 1),
 		}
 		if rng.Intn(2) == 0 {
-			want.Groups = map[string]float64{"a": 1, "b": rng.Float64()}
+			want.Result = groupsResult(map[string]float64{"a": 1, "b": rng.Float64()})
 		}
 		enc, err := AppendResponse(nil, want)
 		if err != nil {

@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"viewcube/internal/ndarray"
 )
@@ -17,6 +18,7 @@ import (
 type Dictionary struct {
 	values []string
 	index  map[string]int
+	order  atomic.Pointer[Order] // derived on first use; see Order
 }
 
 // NewDictionary returns an empty dictionary.
@@ -176,114 +178,6 @@ func BuildMultiCube(t *Table) (*ndarray.MultiArray, *Encoding, error) {
 		cube.AddVec(vec[:], idx...)
 	}
 	return cube, enc, nil
-}
-
-// ViewGroups converts a materialised aggregated view array back into
-// relational GROUP-BY form: a map from the group key (the values of the
-// non-aggregated dimensions, in dimension order) to the summed measure.
-// aggregated[m] reports whether dimension m was totally aggregated.
-// Padding cells (codes beyond the dictionary) are skipped; they are always
-// zero for views built from relations.
-func (e *Encoding) ViewGroups(view *ndarray.Array, aggregated []bool) (map[string]float64, error) {
-	if len(aggregated) != len(e.Dicts) {
-		return nil, fmt.Errorf("relation: aggregated mask rank %d, want %d", len(aggregated), len(e.Dicts))
-	}
-	for m := range aggregated {
-		want := 1
-		if !aggregated[m] {
-			want = e.Shape[m]
-		}
-		if view.Dim(m) != want {
-			return nil, fmt.Errorf("relation: view extent %d on dimension %d, want %d", view.Dim(m), m, want)
-		}
-	}
-	out := make(map[string]float64)
-	var bad error
-	view.Each(func(idx []int, v float64) {
-		if bad != nil {
-			return
-		}
-		var parts []string
-		for m, i := range idx {
-			if aggregated[m] {
-				continue
-			}
-			val, ok := e.Dicts[m].Value(i)
-			if !ok {
-				// Padding cell: must be empty.
-				if v != 0 {
-					bad = fmt.Errorf("relation: nonzero padding cell at %v", idx)
-				}
-				return
-			}
-			parts = append(parts, val)
-		}
-		out[GroupKey(parts...)] += v
-	})
-	if bad != nil {
-		return nil, bad
-	}
-	// Sorting determinism is provided by the caller iterating keys; nothing
-	// further to do here.
-	return out, nil
-}
-
-// ViewGroupsVec is the measure-vector counterpart of ViewGroups: one pass
-// over the group space of an aggregated vector view, invoking fn with each
-// group's key and its full component vector. vec is reused between calls —
-// copy it if it must outlive fn. Building the keys once for all components
-// (instead of once per component plane) is what keeps multi-component
-// finalisers at the allocation profile of a single scalar GROUP BY.
-func (e *Encoding) ViewGroupsVec(view *ndarray.MultiArray, aggregated []bool, fn func(key string, vec []float64)) error {
-	if len(aggregated) != len(e.Dicts) {
-		return fmt.Errorf("relation: aggregated mask rank %d, want %d", len(aggregated), len(e.Dicts))
-	}
-	for m := range aggregated {
-		want := 1
-		if !aggregated[m] {
-			want = e.Shape[m]
-		}
-		if view.Dim(m) != want {
-			return fmt.Errorf("relation: view extent %d on dimension %d, want %d", view.Dim(m), m, want)
-		}
-	}
-	var (
-		bad   error
-		comp0 = view.Component(0)
-		width = view.Width()
-		cells = view.Cells()
-		data  = view.Data()
-		vec   = make([]float64, width)
-		parts = make([]string, 0, len(e.Dicts))
-	)
-	comp0.Each(func(idx []int, _ float64) {
-		if bad != nil {
-			return
-		}
-		off := comp0.Offset(idx)
-		parts = parts[:0]
-		for m, i := range idx {
-			if aggregated[m] {
-				continue
-			}
-			val, ok := e.Dicts[m].Value(i)
-			if !ok {
-				// Padding cell: every component must be empty.
-				for c := 0; c < width; c++ {
-					if data[c*cells+off] != 0 {
-						bad = fmt.Errorf("relation: nonzero padding cell at %v", idx)
-					}
-				}
-				return
-			}
-			parts = append(parts, val)
-		}
-		for c := 0; c < width; c++ {
-			vec[c] = data[c*cells+off]
-		}
-		fn(GroupKey(parts...), vec)
-	})
-	return bad
 }
 
 // SortedKeys returns a group map's keys in sorted order, for deterministic

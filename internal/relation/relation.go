@@ -155,7 +155,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 
 // groupKeySep joins group-by key parts; it is a non-printing separator that
 // cannot collide with reasonable attribute values.
-const groupKeySep = "\x1f"
+const groupKeySep = string(rune(UnitSep))
 
 // GroupKey joins dimension values into the map key used by GroupBy.
 func GroupKey(values ...string) string { return strings.Join(values, groupKeySep) }

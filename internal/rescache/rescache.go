@@ -309,6 +309,13 @@ func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (val V, h
 		<-f.done
 		return f.val, f.err == nil, f.err
 	}
+	// A flight stores its value before it leaves the table, so a caller whose
+	// lookup missed while that flight was finishing finds the value here
+	// instead of computing it a second time.
+	if v, ok := c.get(epoch, key); ok {
+		c.fmu.Unlock()
+		return v, true, nil
+	}
 	f := &flight[V]{done: make(chan struct{})}
 	c.inflight[fk] = f
 	c.fmu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -78,19 +79,14 @@ func NewCoordinator(coord *cluster.Coordinator, opts ...CoordinatorOption) *Coor
 	return s
 }
 
-// ServeHTTP implements http.Handler with the same structured request
-// logging as the single-node server.
+// ServeHTTP implements http.Handler with the same access logging as the
+// single-node server: the request line at Info (cubed -accesslog), non-2xx
+// responses always, at Warn.
 func (s *CoordinatorServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	s.mux.ServeHTTP(rec, r)
-	s.log.Info("request",
-		"method", r.Method,
-		"path", r.URL.Path,
-		"status", rec.status,
-		"bytes", rec.bytes,
-		"duration_ms", float64(time.Since(start).Microseconds())/1000,
-	)
+	logRequest(s.log, r, rec, time.Since(start))
 }
 
 func (s *CoordinatorServer) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -101,7 +97,7 @@ func (s *CoordinatorServer) writeErr(w http.ResponseWriter, status int, err erro
 	s.writeJSON(w, status, errorBody{Error: err.Error(), Code: status})
 }
 
-func wantPartial(r *http.Request) bool { return r.URL.Query().Get("partial") == "1" }
+func wantPartial(q url.Values) bool { return q.Get("partial") == "1" }
 
 // queryStatus maps a coordinator error to an HTTP status: admission shed
 // is 429 (retry later, the tier is saturated), a fully unreachable tier is
@@ -119,49 +115,42 @@ func queryStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// handleGroupBy answers from the coordinator's merged columnar Result with
+// the encoder the single-node /groupby uses, so composite keys render with
+// the same "/" separator and the bodies are the same bytes.
 func (s *CoordinatorServer) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	keep := parseKeep(r)
-	if wantTrace(r) {
-		groups, pr, tr, err := s.coord.TraceGroupBy(r.Context(), keep...)
-		if err != nil {
-			s.writeErr(w, queryStatus(err), err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{
-			"groups": splitGroups(groups), "partial": pr, "trace": tr.Tree(),
-		})
-		return
-	}
-	if wantPartial(r) {
-		groups, pr, err := s.coord.GroupByPartial(r.Context(), keep...)
-		if err != nil {
-			s.writeErr(w, queryStatus(err), err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{"groups": splitGroups(groups), "partial": pr})
-		return
-	}
-	groups, err := s.coord.GroupBy(keep...)
+	q := r.URL.Query()
+	traced, partial := wantTrace(q), wantPartial(q)
+	res, pr, tr, err := s.coord.GroupByResult(r.Context(), partial || traced, traced, parseKeep(q)...)
 	if err != nil {
 		s.writeErr(w, queryStatus(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, splitGroups(groups))
-}
-
-// splitGroups renders composite group keys with the same "/" separator the
-// single-node /groupby endpoint uses.
-func splitGroups(groups map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(groups))
-	for k, v := range groups {
-		out[strings.Join(viewcube.SplitGroupKey(k), "/")] = v
-	}
-	return out
+	respond(s.log, w, func(b []byte) ([]byte, error) {
+		if !traced && !partial {
+			b, err := res.AppendGroupsJSON(b)
+			return append(b, '\n'), err
+		}
+		b, err := res.AppendGroupsJSON(append(b, `{"groups":`...))
+		if err != nil {
+			return nil, err
+		}
+		if b, err = appendJSON(append(b, `,"partial":`...), pr); err != nil {
+			return nil, err
+		}
+		if traced {
+			if b, err = appendJSON(append(b, `,"trace":`...), tr.Tree()); err != nil {
+				return nil, err
+			}
+		}
+		return append(b, '}', '\n'), nil
+	})
 }
 
 func (s *CoordinatorServer) handleRange(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
 	ranges := make(map[string]viewcube.ValueRange)
-	for dim, vals := range r.URL.Query() {
+	for dim, vals := range q {
 		if dim == "partial" || dim == "trace" || len(vals) == 0 {
 			continue
 		}
@@ -172,7 +161,7 @@ func (s *CoordinatorServer) handleRange(w http.ResponseWriter, r *http.Request) 
 		}
 		ranges[dim] = viewcube.ValueRange{Lo: lo, Hi: hi}
 	}
-	if wantTrace(r) {
+	if wantTrace(q) {
 		sum, pr, tr, err := s.coord.TraceRangeSum(r.Context(), ranges)
 		if err != nil {
 			s.writeErr(w, queryStatus(err), err)
@@ -181,7 +170,7 @@ func (s *CoordinatorServer) handleRange(w http.ResponseWriter, r *http.Request) 
 		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr, "trace": tr.Tree()})
 		return
 	}
-	if wantPartial(r) {
+	if wantPartial(q) {
 		sum, pr, err := s.coord.RangeSumPartial(r.Context(), ranges)
 		if err != nil {
 			s.writeErr(w, queryStatus(err), err)
@@ -199,7 +188,8 @@ func (s *CoordinatorServer) handleRange(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *CoordinatorServer) handleTotal(w http.ResponseWriter, r *http.Request) {
-	if wantTrace(r) {
+	q := r.URL.Query()
+	if wantTrace(q) {
 		sum, pr, tr, err := s.coord.TraceTotal(r.Context())
 		if err != nil {
 			s.writeErr(w, queryStatus(err), err)
@@ -208,7 +198,7 @@ func (s *CoordinatorServer) handleTotal(w http.ResponseWriter, r *http.Request) 
 		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr, "trace": tr.Tree()})
 		return
 	}
-	if wantPartial(r) {
+	if wantPartial(q) {
 		sum, pr, err := s.coord.TotalPartial(r.Context())
 		if err != nil {
 			s.writeErr(w, queryStatus(err), err)

@@ -1,0 +1,267 @@
+package server
+
+// The encoded-body serving path pinned through the HTTP face: what a hit
+// costs, what an uncached answer costs, and which bytes come out.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"viewcube"
+	"viewcube/internal/catalog"
+	"viewcube/internal/cluster"
+	"viewcube/internal/obs"
+	"viewcube/internal/rescache"
+)
+
+// discardWriter is a ResponseWriter that keeps nothing, so AllocsPerRun
+// counts the handler and not a recorder's growing buffer.
+type discardWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header { return w.h }
+func (w *discardWriter) WriteHeader(code int) {
+	w.status = code
+}
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// gridServer serves a 128×64×16×1 cube: /groupby?keep=x,y answers 8 192
+// groups, /groupby?keep=z,w answers 16. The logger starts at Warn, as
+// cubed's does without -accesslog.
+func gridServer(t *testing.T, opts ...Option) *Server {
+	t.Helper()
+	tbl, err := viewcube.NewTable([]string{"x", "y", "z", "w"}, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 128*64; i++ {
+		row := []string{fmt.Sprintf("x%03d", i%128), fmt.Sprintf("y%02d", i/128), fmt.Sprintf("z%02d", i%16), "w0"}
+		if err := tbl.Append(row, float64(i%97)+0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cube, err := viewcube.FromRelation(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warn := slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	return New(cube, eng, append([]Option{WithLogger(warn)}, opts...)...)
+}
+
+// allocsPerRequest serves target repeatedly and reports allocations per
+// request and the response size.
+func allocsPerRequest(t *testing.T, s http.Handler, target string) (allocs float64, bytes int) {
+	t.Helper()
+	w := &discardWriter{h: http.Header{}}
+	req := httptest.NewRequest("GET", target, nil)
+	allocs = testing.AllocsPerRun(50, func() {
+		clear(w.h)
+		w.status, w.n = 0, 0
+		s.ServeHTTP(w, req)
+	})
+	if w.status != http.StatusOK {
+		t.Fatalf("%s: status %d", target, w.status)
+	}
+	return allocs, w.n
+}
+
+// TestGroupByHitAllocs: a cached hit performs the same number of
+// allocations whether the answer has 16 groups or 8 192 — it is the cached
+// bytes and one Write — and an uncached /groupby allocates O(1) objects per
+// request, not per group. The bounds also pin the per-request fixes that
+// ride along: counters resolved once, the query string parsed once, no
+// access-log attributes built, no SQL re-parse for the query log.
+func TestGroupByHitAllocs(t *testing.T) {
+	qlog, err := obs.NewQueryLog(obs.QueryLogOptions{RingSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := gridServer(t, WithResultCache(rescache.Options{}), WithQueryLog(qlog))
+	small, smallBytes := allocsPerRequest(t, cached, "/groupby?keep=z,w")
+	big, bigBytes := allocsPerRequest(t, cached, "/groupby?keep=x,y")
+	if smallBytes >= 1<<10 || bigBytes <= 100<<10 {
+		t.Fatalf("fixture: %d-byte and %d-byte answers", smallBytes, bigBytes)
+	}
+	if small != big {
+		t.Errorf("cached hit: %v allocations for 16 groups, %v for 8192", small, big)
+	}
+	if big > 30 {
+		t.Errorf("cached hit allocates %v objects per request, want ≤ 30", big)
+	}
+
+	uncached := gridServer(t, WithQueryLog(qlog))
+	few, _ := allocsPerRequest(t, uncached, "/groupby?keep=z,w")
+	many, _ := allocsPerRequest(t, uncached, "/groupby?keep=x,y")
+	// The body grows by doubling, so 512× the groups costs a handful more
+	// allocations — not 8 192 × (key + map entry + ...), as it did.
+	if many > few+40 || many > 200 {
+		t.Errorf("uncached /groupby: %v allocations for 16 groups, %v for 8192", few, many)
+	}
+
+	// A cached /query hit through a view: the rows are cached bytes too.
+	q := httptest.NewRequest("POST", "/query", nil)
+	w := &discardWriter{h: http.Header{}}
+	sql := func() {
+		q.Body = io.NopCloser(strings.NewReader(`{"sql":"SELECT SUM(m), SUM(m) GROUP BY x, y"}`))
+		clear(w.h)
+		cached.ServeHTTP(w, q)
+	}
+	sql()
+	if got := testing.AllocsPerRun(50, sql); got > 60 {
+		t.Errorf("cached /query hit allocates %v objects per request, want ≤ 60", got)
+	}
+}
+
+// TestAccessLogLevels: the request line is an Info record — absent from a
+// logger that starts at Warn, where a failed request is still logged.
+func TestAccessLogLevels(t *testing.T) {
+	cube, eng := newCubeEngine(t)
+	for _, tc := range []struct {
+		level      slog.Level
+		ok, failed bool
+	}{{slog.LevelInfo, true, true}, {slog.LevelWarn, false, true}} {
+		var buf bytes.Buffer
+		s := NewSafe(cube, eng.Safe(), WithLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: tc.level}))))
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/groupby?keep=product", nil))
+		if got := strings.Contains(buf.String(), "msg=request"); got != tc.ok {
+			t.Errorf("level %v: 200 logged = %v, want %v: %s", tc.level, got, tc.ok, buf.String())
+		}
+		buf.Reset()
+		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/groupby?keep=nope", nil))
+		if got := strings.Contains(buf.String(), "level=WARN msg=request") && strings.Contains(buf.String(), "status=400"); got != tc.failed {
+			t.Errorf("level %v: 400 logged at WARN = %v, want %v: %s", tc.level, got, tc.failed, buf.String())
+		}
+	}
+}
+
+func serve(t *testing.T, h http.Handler, method, target, body string) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, target, rec.Code, rec.Body)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != fmt.Sprint(rec.Body.Len()) {
+		t.Fatalf("%s %s: Content-Length %q for a %d-byte body", method, target, cl, rec.Body.Len())
+	}
+	return rec.Body.String()
+}
+
+// TestEncodedBodyIdentity: the miss and the hit of one query are the same
+// bytes; a query cached through one view is served, with that view's own
+// column aliases, as a hit through another; and the ?trace=1 forms wrap the
+// same body.
+func TestEncodedBodyIdentity(t *testing.T) {
+	reg := newCatalogRegistry(t)
+	s := NewCatalog(reg, quiet, WithResultCache(rescache.Options{}))
+
+	const raw = `{"sql":"SELECT SUM(sales) GROUP BY product"}`
+	miss := serve(t, s, "POST", "/query", raw)
+	if want := `{"columns":["product","SUM(sales)"],"rows":[{"key":["ale"],"values":[17]},{"key":["bock"],"values":[11]},{"key":["cider"],"values":[3]}]}` + "\n"; miss != want {
+		t.Fatalf("/query body %q, want %q", miss, want)
+	}
+	if hit := serve(t, s, "POST", "/query", raw); hit != miss {
+		t.Fatalf("hit %q differs from miss %q", hit, miss)
+	}
+	before := stats(t, reg).Hits
+	aliased := serve(t, s, "POST", "/cubes/sales/views/aliased/query", `{"sql":"SELECT SUM(sales) GROUP BY item"}`)
+	if want := strings.Replace(miss, `"product"`, `"item"`, 1); aliased != want {
+		t.Fatalf("aliased view body %q, want %q", aliased, want)
+	}
+	if got := stats(t, reg).Hits; got != before+1 {
+		t.Fatalf("the aliased view's query was not a hit on the raw cube's entry (hits %d → %d)", before, got)
+	}
+
+	groups := serve(t, s, "GET", "/groupby?keep=product,region", "")
+	if want := `{"ale/east":12,"ale/west":5,"bock/east":7,"bock/west":4,"cider/east":0,"cider/west":3}` + "\n"; groups != want {
+		t.Fatalf("/groupby body %q, want %q", groups, want)
+	}
+	if hit := serve(t, s, "GET", "/cubes/sales/views/aliased/groupby?keep=item,region", ""); hit != groups {
+		t.Fatalf("view hit %q differs from miss %q", hit, groups)
+	}
+	traced := serve(t, s, "GET", "/groupby?keep=product,region&trace=1", "")
+	if prefix := `{"groups":` + strings.TrimSuffix(groups, "\n") + `,"trace":{`; !strings.HasPrefix(traced, prefix) || !strings.HasSuffix(traced, "}}\n") {
+		t.Fatalf("traced /groupby %q does not wrap %q", traced, prefix)
+	}
+	tracedQ := serve(t, s, "POST", "/query?trace=1", raw)
+	if prefix := strings.TrimSuffix(miss, "}\n") + `,"trace":{`; !strings.HasPrefix(tracedQ, prefix) {
+		t.Fatalf("traced /query %q does not wrap %q", tracedQ, prefix)
+	}
+	var decoded struct {
+		Trace map[string]any `json:"trace"`
+	}
+	if err := json.Unmarshal([]byte(tracedQ), &decoded); err != nil || decoded.Trace == nil {
+		t.Fatalf("traced /query does not decode: %v", err)
+	}
+
+	// A statement whose filter leaves no group: "rows" is null, as it was.
+	empty := serve(t, s, "POST", "/cubes/inventory/query", `{"sql":"SELECT SUM(stock) GROUP BY item"}`)
+	if !strings.Contains(empty, `"rows":[{"key":["ale"]`) {
+		t.Fatalf("inventory rows: %q", empty)
+	}
+}
+
+func stats(t *testing.T, reg *catalog.Registry) rescache.Stats {
+	t.Helper()
+	lease, err := reg.Acquire("sales", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lease.Release()
+	return lease.ResultCacheStats()
+}
+
+// TestCoordinatorGroupByBodies: the coordinator's /groupby writes the merged
+// columnar result with the single-node encoder — plain, ?partial=1 and
+// ?trace=1 wrap the same groups object — and a cached answer is the same
+// bytes again.
+func TestCoordinatorGroupByBodies(t *testing.T) {
+	// The two shards hold different values of every dimension, so the merge
+	// unions dictionaries; together they hold exactly salesCSV.
+	coord, err := cluster.NewCoordinator(coordShards(t), cluster.Options{Cache: &rescache.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	s := NewCoordinator(coord, WithCoordinatorLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	cube, eng := newCubeEngine(t)
+	single := New(cube, eng, quiet)
+	for _, keep := range []string{"product", "product,region", ""} {
+		want := serve(t, single, "GET", "/groupby?keep="+keep, "")
+		plain := serve(t, s, "GET", "/groupby?keep="+keep, "")
+		if plain != want {
+			t.Fatalf("keep=%q: coordinator %q, single node %q", keep, plain, want)
+		}
+		if again := serve(t, s, "GET", "/groupby?keep="+keep, ""); again != plain {
+			t.Fatalf("keep=%q: cached answer %q differs from %q", keep, again, plain)
+		}
+		groups := strings.TrimSuffix(want, "\n")
+		if partial := serve(t, s, "GET", "/groupby?partial=1&keep="+keep, ""); partial != `{"groups":`+groups+`,"partial":null}`+"\n" {
+			t.Fatalf("keep=%q partial body %q", keep, partial)
+		}
+		traced := serve(t, s, "GET", "/groupby?trace=1&keep="+keep, "")
+		if prefix := `{"groups":` + groups + `,"partial":null,"trace":{`; !strings.HasPrefix(traced, prefix) {
+			t.Fatalf("keep=%q traced body %q does not start %q", keep, traced, prefix)
+		}
+	}
+	if st := coord.ResultCacheStats(); st.Hits == 0 {
+		t.Fatalf("no coordinator cache hit: %+v", st)
+	}
+}

@@ -37,42 +37,18 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"viewcube"
 	"viewcube/internal/catalog"
 	"viewcube/internal/obs"
-	"viewcube/internal/query"
 	"viewcube/internal/rescache"
 )
-
-// aggLabel derives the aggregate label recorded in the query log. SQL
-// statements are parsed for their strongest aggregate (the same annotation
-// the vector planner uses); the other serving paths are native SUM reads.
-// Pure-SUM queries report "" — the QueryEntry convention for the scalar
-// default.
-func aggLabel(kind, shape string) string {
-	if kind != "query" {
-		return ""
-	}
-	q, err := query.Parse(shape)
-	if err != nil {
-		return ""
-	}
-	best := query.AggSum
-	for _, agg := range q.Aggregates {
-		if agg.Kind > best {
-			best = agg.Kind
-		}
-	}
-	if best == query.AggSum {
-		return ""
-	}
-	return strings.ToLower(best.String())
-}
 
 // Server is an http.Handler over a catalog of cubes.
 type Server struct {
@@ -85,6 +61,9 @@ type Server struct {
 
 	reqLatency  *obs.Histogram
 	reqInFlight *obs.Gauge
+	// The two labelled request counters, resolved once per status code and
+	// once per cube instead of looked up by name on every request.
+	byCode, byCube sync.Map // int, string → *obs.Counter
 }
 
 // Option configures the server.
@@ -233,8 +212,10 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ServeHTTP implements http.Handler: it dispatches through the mux with
-// structured request logging and HTTP metrics around every call.
+// ServeHTTP implements http.Handler: it dispatches through the mux with HTTP
+// metrics around every call. The per-request access line is logged at Info,
+// so it costs nothing unless the logger enables that level (cubed
+// -accesslog); a non-2xx response is always logged, at Warn.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.reqInFlight.Add(1)
@@ -243,15 +224,40 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	dur := time.Since(start)
 	s.reqInFlight.Add(-1)
 	s.reqLatency.Observe(dur.Seconds())
-	s.met.Registry().Counter("viewcube_http_requests_total",
-		"HTTP requests served, by status code.", "code", fmt.Sprintf("%d", rec.status)).Inc()
-	s.log.Info("request",
+	s.counter(&s.byCode, rec.status, "viewcube_http_requests_total",
+		"HTTP requests served, by status code.", "code", strconv.Itoa(rec.status)).Inc()
+	logRequest(s.log, r, rec, dur)
+}
+
+// logRequest writes one request's access line: Info for a 2xx, Warn for
+// anything else. The attributes are built only when the level is enabled.
+func logRequest(log *slog.Logger, r *http.Request, rec *statusRecorder, dur time.Duration) {
+	level := slog.LevelInfo
+	if rec.status < 200 || rec.status > 299 {
+		level = slog.LevelWarn
+	}
+	if !log.Enabled(r.Context(), level) {
+		return
+	}
+	log.Log(r.Context(), level, "request",
 		"method", r.Method,
 		"path", r.URL.Path,
 		"status", rec.status,
 		"bytes", rec.bytes,
 		"duration_ms", float64(dur.Microseconds())/1000,
 	)
+}
+
+// counter returns the labelled request counter for key — a status code in
+// viewcube_http_requests_total, a cube in viewcube_http_cube_requests_total
+// — resolving it in the registry on the key's first request only.
+func (s *Server) counter(cache *sync.Map, key any, name, help, label, value string) *obs.Counter {
+	if c, ok := cache.Load(key); ok {
+		return c.(*obs.Counter)
+	}
+	c := s.met.Registry().Counter(name, help, label, value)
+	cache.Store(key, c)
+	return c
 }
 
 // routed acquires the catalog lease a cube-scoped handler runs under: the
@@ -267,7 +273,7 @@ func (s *Server) routed(h func(http.ResponseWriter, *http.Request, *catalog.Leas
 			return
 		}
 		defer lease.Release()
-		s.met.Registry().Counter("viewcube_http_cube_requests_total",
+		s.counter(&s.byCube, lease.Cube, "viewcube_http_cube_requests_total",
 			"HTTP requests routed, by cube.", "cube", lease.Cube).Inc()
 		h(w, r, lease)
 	}
@@ -296,6 +302,46 @@ func writeJSONWith(log *slog.Logger, w http.ResponseWriter, status int, v any) {
 		// The status line is already on the wire; all we can do is log.
 		log.Error("encoding response", "error", err)
 	}
+}
+
+// writeBody sends an already encoded JSON response: Content-Length set, one
+// Write.
+func writeBody(log *slog.Logger, w http.ResponseWriter, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		log.Error("writing response", "error", err)
+	}
+}
+
+// bodyPool recycles the buffers responses are built in, so a response
+// assembled around cached bytes allocates nothing of its size.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// respond builds a JSON response into a pooled buffer and sends it with
+// writeBody; a build error (a NaN the encoder refuses, say) becomes a 500
+// before any byte of the response is on the wire.
+func respond(log *slog.Logger, w http.ResponseWriter, build func(buf []byte) ([]byte, error)) {
+	bp := bodyPool.Get().(*[]byte)
+	buf, err := build((*bp)[:0])
+	if err != nil {
+		const status = http.StatusInternalServerError
+		writeJSONWith(log, w, status, errorBody{Error: "encoding response: " + err.Error(), Code: status})
+		return
+	}
+	writeBody(log, w, buf)
+	if cap(buf) <= 1<<20 {
+		*bp = buf
+		bodyPool.Put(bp)
+	}
+}
+
+// appendJSON appends v as encoding/json marshals it.
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	enc, err := json.Marshal(v)
+	return append(dst, enc...), err
 }
 
 // errorBody is the one JSON shape of every error response, server and
@@ -328,7 +374,9 @@ func statusFor(err error) int {
 	}
 }
 
-func wantTrace(r *http.Request) bool { return r.URL.Query().Get("trace") == "1" }
+// wantTrace reads ?trace=1 from a request's parsed query — parsed once per
+// request by the handler and shared by everything that reads a parameter.
+func wantTrace(q url.Values) bool { return q.Get("trace") == "1" }
 
 // labelTrace stamps the serving cube (and view, if any) onto a trace's root
 // span, so sampled trees in the query log and explicit ?trace=1 responses
@@ -350,8 +398,9 @@ func labelTrace(tr *viewcube.QueryTrace, lease *catalog.Lease) {
 // one): its cube and view, shape, duration, plan-cache epoch and — when the
 // query ran traced — the costs mined from the span tree, plus the full tree
 // for sampled queries. Shape is the client-facing form: view aliases are
-// logged as the client wrote them.
-func (s *Server) logQuery(lease *catalog.Lease, kind, shape string, start time.Time, qt *viewcube.QueryTrace, sampled bool, rcHit *bool, qerr error) {
+// logged as the client wrote them. agg is the answer's own aggregate label
+// ("" for the native SUM reads), so logging never re-parses the statement.
+func (s *Server) logQuery(lease *catalog.Lease, kind, shape, agg string, start time.Time, qt *viewcube.QueryTrace, sampled bool, rcHit *bool, qerr error) {
 	if s.qlog == nil {
 		return
 	}
@@ -365,7 +414,7 @@ func (s *Server) logQuery(lease *catalog.Lease, kind, shape string, start time.T
 		Epoch:          pcs.Epoch,
 		SnapshotEpoch:  pcs.Snapshot,
 		Sampled:        sampled,
-		Agg:            aggLabel(kind, shape),
+		Agg:            agg,
 		ResultCacheHit: rcHit,
 	}
 	if qt != nil {
@@ -430,17 +479,6 @@ type queryRequest struct {
 	SQL string `json:"sql"`
 }
 
-type queryResponse struct {
-	Columns []string             `json:"columns"`
-	Rows    []queryRow           `json:"rows"`
-	Trace   *viewcube.QueryTrace `json:"trace,omitempty"`
-}
-
-type queryRow struct {
-	Key    []string  `json:"key"`
-	Values []float64 `json:"values"`
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -454,30 +492,32 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, lease *cata
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	explicit := wantTrace(r)
+	explicit := wantTrace(r.URL.Query())
 	sampled := s.sample(explicit)
 	start := time.Now()
-	res, tr, rcHit, err := lease.ServeQuery(explicit || sampled, sql)
+	ans, tr, rcHit, err := lease.ServeQuery(explicit || sampled, sql)
 	labelTrace(tr, lease)
-	s.logQuery(lease, "query", req.SQL, start, tr, sampled, rcHit, err)
+	s.logQuery(lease, "query", req.SQL, ans.Agg, start, tr, sampled, rcHit, err)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	resp := queryResponse{Columns: lease.View.RewriteColumns(res.Columns)}
-	if explicit {
-		// A sampled trace feeds the query log only; the response shape must
-		// not depend on the sampling decision.
-		resp.Trace = tr
-	}
-	for _, row := range res.Rows {
-		key := row.Key
-		if key == nil {
-			key = []string{}
+	respond(s.log, w, func(b []byte) ([]byte, error) {
+		// The rows are the cached bytes; only the column names are per view.
+		b, err := appendJSON(append(b, `{"columns":`...), lease.View.RewriteColumns(ans.Columns))
+		if err != nil {
+			return nil, err
 		}
-		resp.Rows = append(resp.Rows, queryRow{Key: key, Values: row.Values})
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+		b = append(append(b, `,"rows":`...), ans.Body...)
+		if explicit && tr != nil {
+			// A sampled trace feeds the query log only; the response shape
+			// must not depend on the sampling decision.
+			if b, err = appendJSON(append(b, `,"trace":`...), tr); err != nil {
+				return nil, err
+			}
+		}
+		return append(b, '}', '\n'), nil
+	})
 }
 
 type updateRequest struct {
@@ -584,8 +624,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, lease *c
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func parseKeep(r *http.Request) []string {
-	keepParam := r.URL.Query().Get("keep")
+func parseKeep(q url.Values) []string {
+	keepParam := q.Get("keep")
 	if keepParam == "" {
 		return nil
 	}
@@ -593,31 +633,32 @@ func parseKeep(r *http.Request) []string {
 }
 
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
-	keep := parseKeep(r)
+	q := r.URL.Query()
+	keep := parseKeep(q)
 	resolved, err := lease.View.ResolveKeep(keep)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	explicit := wantTrace(r)
+	explicit := wantTrace(q)
 	sampled := s.sample(explicit)
 	start := time.Now()
-	groups, tr, rcHit, err := lease.ServeGroupBy(explicit || sampled, resolved...)
+	ans, tr, rcHit, err := lease.ServeGroupBy(explicit || sampled, resolved...)
 	labelTrace(tr, lease)
-	s.logQuery(lease, "groupby", strings.Join(keep, ","), start, tr, sampled, rcHit, err)
+	s.logQuery(lease, "groupby", strings.Join(keep, ","), "", start, tr, sampled, rcHit, err)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	out := make(map[string]float64, len(groups))
-	for k, val := range groups {
-		out[strings.Join(viewcube.SplitGroupKey(k), "/")] = val
-	}
-	if explicit {
-		s.writeJSON(w, http.StatusOK, map[string]any{"groups": out, "trace": tr})
+	if !explicit {
+		writeBody(s.log, w, ans.Body) // a hit is the cached bytes and one Write
 		return
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	respond(s.log, w, func(b []byte) ([]byte, error) {
+		groups := ans.Body[:len(ans.Body)-1] // without the trailing newline
+		b, err := appendJSON(append(append(append(b, `{"groups":`...), groups...), `,"trace":`...), tr)
+		return append(b, '}', '\n'), err
+	})
 }
 
 // rangeShape renders a range query's shape canonically (dimensions sorted)
@@ -636,8 +677,9 @@ func rangeShape(ranges map[string]viewcube.ValueRange) string {
 }
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
+	q := r.URL.Query()
 	ranges := make(map[string]viewcube.ValueRange)
-	for dim, vals := range r.URL.Query() {
+	for dim, vals := range q {
 		if dim == "trace" || len(vals) == 0 {
 			continue
 		}
@@ -653,12 +695,12 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, lease *cata
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
-	explicit := wantTrace(r)
+	explicit := wantTrace(q)
 	sampled := s.sample(explicit)
 	start := time.Now()
 	sum, tr, rcHit, err := lease.ServeRangeSum(explicit || sampled, resolved)
 	labelTrace(tr, lease)
-	s.logQuery(lease, "range", rangeShape(ranges), start, tr, sampled, rcHit, err)
+	s.logQuery(lease, "range", rangeShape(ranges), "", start, tr, sampled, rcHit, err)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
@@ -671,7 +713,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, lease *cata
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
-	keep, err := lease.View.ResolveKeep(parseKeep(r))
+	keep, err := lease.View.ResolveKeep(parseKeep(r.URL.Query()))
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return

@@ -155,32 +155,25 @@ func (p *PartitionedEngine) fanOut(fn func(i int, eng *SafeEngine) error) error 
 	return nil
 }
 
-// GroupBy merges the per-shard GROUP BY results (SUM is distributive, so
-// addition per group key is exact).
-func (p *PartitionedEngine) GroupBy(keep ...string) (map[string]float64, error) {
-	partial := make([]map[string]float64, len(p.engines))
-	err := p.fanOut(func(i int, eng *SafeEngine) error {
-		v, err := eng.GroupBy(keep...)
-		if err != nil {
-			return err
-		}
-		g, err := v.Groups()
-		if err != nil {
-			return err
-		}
-		partial[i] = g
-		return nil
+// GroupByResult merges the per-shard GROUP BY results in shard order (SUM is
+// distributive, so addition per group is exact): MergeResults over each
+// shard's columnar Result.
+func (p *PartitionedEngine) GroupByResult(keep ...string) (*Result, error) {
+	partial := make([]*Result, len(p.engines))
+	err := p.fanOut(func(i int, eng *SafeEngine) (err error) {
+		partial[i], _, err = eng.GroupByResult(false, keep...)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64)
-	for _, g := range partial {
-		for k, v := range g {
-			out[k] += v
-		}
-	}
-	return out, nil
+	return MergeResults(partial)
+}
+
+// GroupBy is GroupByResult in map form, keyed by joined group key.
+func (p *PartitionedEngine) GroupBy(keep ...string) (map[string]float64, error) {
+	r, err := p.GroupByResult(keep...)
+	return untraced(asGroups(r, nil, err))
 }
 
 // sumShards adds up one partial aggregate per shard, in shard order.

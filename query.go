@@ -2,11 +2,9 @@ package viewcube
 
 import (
 	"fmt"
-	"sort"
 
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
-	"viewcube/internal/plan"
 	"viewcube/internal/query"
 )
 
@@ -33,7 +31,7 @@ type QueryResult struct {
 // Only SUM aggregates are supported on a plain Engine; use AvgEngine.Query
 // for COUNT and AVG. Grouped dimensions cannot also be filtered.
 func (e *Engine) Query(sql string) (*QueryResult, error) {
-	return untraced(runInline(e, false, sqlRead, sql))
+	return untraced(asQuery(runInline(e, false, sqlRead, sql)))
 }
 
 // Query parses and executes a SQL-like statement supporting SUM, COUNT(*)
@@ -47,12 +45,12 @@ func (a *AvgEngine) Query(sql string) (*QueryResult, error) { return a.agg.Query
 // assembled component planes — one plan, one execution, however many
 // aggregates are selected.
 func (a *AggEngine) Query(sql string) (*QueryResult, error) {
-	return untraced(runAgg(a, false, aggSQLRead, sql))
+	return untraced(asQuery(runAgg(a, false, aggSQLRead, sql)))
 }
 
 // TraceQuery is Query with per-span tracing.
 func (a *AggEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	return runAgg(a, true, aggSQLRead, sql)
+	return asQuery(runAgg(a, true, aggSQLRead, sql))
 }
 
 // sqlRanges validates the SELECT list's measure arguments and the WHERE
@@ -77,61 +75,36 @@ func sqlRanges(cube *Cube, q *query.Query) (map[string]ValueRange, error) {
 	return ranges, nil
 }
 
-// sqlResult tabulates per-group component values into the query's rows, one
-// value per selected aggregate, sorted by group key. The canonical group set
-// is the keys of counts when present (filtered groups with zero tuples are
-// skipped), else the keys of sums. sumsqs and counts may be nil when no
-// selected aggregate needs them — the plain Engine, whose queries select
-// only SUM, passes neither (and a zero spec).
-func sqlResult(q *query.Query, spec plan.MeasureSpec, sums, sumsqs, counts map[string]float64) *QueryResult {
-	res := &QueryResult{Columns: append([]string(nil), q.GroupBy...)}
-	for _, agg := range q.Aggregates {
-		res.Columns = append(res.Columns, agg.Label())
+// sqlAggKinds maps the parser's aggregate kinds onto the engine's; the two
+// enums are declared in the same order.
+var sqlAggKinds = map[query.AggKind]AggKind{
+	query.AggSum:    AggSum,
+	query.AggCount:  AggCount,
+	query.AggAvg:    AggAvg,
+	query.AggVar:    AggVar,
+	query.AggStdDev: AggStdDev,
+}
+
+// sqlResult dresses a statement's assembled answer as its Result: the
+// column names, one finaliser per selected aggregate, and — when any
+// aggregate counts tuples — the rule that groups with no tuples under the
+// filter are not rows. r is fresh from newResult/NewResult and not yet
+// shared.
+func sqlResult(r *Result, q *query.Query) *Result {
+	r.columns = append([]string(nil), q.GroupBy...)
+	r.aggs = make([]AggKind, len(q.Aggregates))
+	for i, agg := range q.Aggregates {
+		r.columns = append(r.columns, agg.Label())
+		r.aggs[i] = sqlAggKinds[agg.Kind]
 	}
-	keySet := sums
-	if counts != nil {
-		keySet = counts
-	}
-	keys := make([]string, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	comps := make([]float64, spec.Width)
-	for _, k := range keys {
-		if counts != nil && counts[k] == 0 {
-			continue // no tuples in this group under the filter
-		}
-		row := QueryRow{Key: SplitGroupKey(k)}
-		for _, agg := range q.Aggregates {
-			switch agg.Kind {
-			case query.AggSum:
-				row.Values = append(row.Values, sums[k])
-			case query.AggCount:
-				row.Values = append(row.Values, counts[k])
-			case query.AggAvg:
-				row.Values = append(row.Values, sums[k]/counts[k])
-			case query.AggVar, query.AggStdDev:
-				comps[spec.Sum] = sums[k]
-				comps[spec.SumSq] = sumsqs[k]
-				comps[spec.Count] = counts[k]
-				kind := AggVar
-				if agg.Kind == query.AggStdDev {
-					kind = AggStdDev
-				}
-				v, _ := spec.Finalize(kind, comps)
-				row.Values = append(row.Values, v)
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
+	r.dropEmpty = q.NeedsCount()
+	return r
 }
 
 // queryInner runs the statement through the measure-vector path: one vector
-// GROUP BY (or grouped range query), then per-aggregate finalisers over the
-// component planes.
-func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error) {
+// GROUP BY (or grouped range query), whose Result finalises every selected
+// aggregate from the component planes as rows are emitted.
+func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -139,12 +112,6 @@ func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error)
 	ranges, err := sqlRanges(a.cube, q)
 	if err != nil {
 		return nil, err
-	}
-	needVar := false
-	for _, agg := range q.Aggregates {
-		if agg.Kind == query.AggVar || agg.Kind == query.AggStdDev {
-			needVar = true
-		}
 	}
 
 	// One vector query materialises every component plane at once.
@@ -169,30 +136,17 @@ func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error)
 			return nil, err
 		}
 	}
-	defer ndarray.RecycleMulti(ma)
-
-	sums, err := a.componentGroups(ma, el, a.spec.Sum)
+	r, err := a.result(ma, el, nil, false)
 	if err != nil {
 		return nil, err
 	}
-	var counts, sumsqs map[string]float64
-	if q.NeedsCount() {
-		if counts, err = a.componentGroups(ma, el, a.spec.Count); err != nil {
-			return nil, err
-		}
-	}
-	if needVar {
-		if sumsqs, err = a.componentGroups(ma, el, a.spec.SumSq); err != nil {
-			return nil, err
-		}
-	}
-	return sqlResult(q, a.spec, sums, sumsqs, counts), nil
+	return sqlResult(r, q), nil
 }
 
 // queryInner is the scalar (width-1) SQL path of the plain Engine: SUM-only.
 // Its one sub-query goes through the uninstrumented bodies, so the SQL entry
 // point records one "sql" observation, not one per sub-query.
-func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error) {
+func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
 		return nil, err
@@ -216,20 +170,21 @@ func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*QueryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sums map[string]float64
+	var r *Result
 	switch {
 	case e.cube.enc != nil:
-		sums, err = v.Groups()
+		r, err = v.Result()
 	case len(q.GroupBy) > 0:
 		// Raw cube, no dictionaries: only the ungrouped total works.
 		err = fmt.Errorf("viewcube: GROUP BY needs a dictionary-encoded cube")
 	default:
 		var total float64
-		total, err = v.Value()
-		sums = map[string]float64{"": total}
+		if total, err = v.Value(); err == nil {
+			r, err = NewResult(nil, nil, 1, []float64{total})
+		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	return sqlResult(q, plan.MeasureSpec{}, sums, nil, nil), nil
+	return sqlResult(r, q), nil
 }

@@ -30,7 +30,7 @@ var (
 	rangeSumRead     = read[*Engine, map[string]ValueRange, float64]{kind: "range", body: (*Engine).rangeSumInner}
 	rangeWithinRead  = read[*Engine, map[string]ValueRange, withinSum]{kind: "range", body: (*Engine).rangeSumWithinInner}
 	rangeIndexRead   = read[*Engine, rangeagg.Box, float64]{kind: "range", body: (*Engine).rangeSumIndexInner}
-	sqlRead          = read[*Engine, string, *QueryResult]{kind: "sql", name: sqlName, body: (*Engine).queryInner}
+	sqlRead          = read[*Engine, string, *Result]{kind: "sql", name: sqlName, body: (*Engine).queryInner}
 )
 
 func groupByName(keep []string) string { return "groupby " + strings.Join(keep, ",") }
@@ -88,6 +88,24 @@ func settle[T any](out T, qt *QueryTrace, err error) (T, *QueryTrace, error) {
 
 // untraced drops the (nil) trace of a read run with traced=false.
 func untraced[T any](out T, _ *QueryTrace, err error) (T, error) { return out, err }
+
+// asGroups and asQuery are the compatibility forms of a read that answers a
+// Result: the group map and the row table library callers know.
+func asGroups(r *Result, qt *QueryTrace, err error) (map[string]float64, *QueryTrace, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	g, err := r.Groups()
+	return settle(g, qt, err)
+}
+
+func asQuery(r *Result, qt *QueryTrace, err error) (*QueryResult, *QueryTrace, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := r.QueryResult()
+	return settle(res, qt, err)
+}
 
 // runInline is run for the plain Engine's public entry points: queries on a
 // plain engine are single-threaded by contract, so a due automatic

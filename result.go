@@ -1,0 +1,511 @@
+package viewcube
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+
+	"viewcube/internal/plan"
+	"viewcube/internal/relation"
+)
+
+// Result is a query answer as a relation in columnar form — what Gray et
+// al. define the CUBE answer to be: ordered rows over dictionary-coded
+// dimensions, not a hash map. The header names the kept dimensions and
+// holds their member lists, shared with the cube's dictionaries and never
+// copied; the body is the assembled array's own value slice, addressed so
+// that padding coordinates (codes past a dictionary's end) are stepped over
+// rather than compacted away. Rows exist only on demand (DESIGN.md §17): a
+// row's reported values are finalised from its component vector as it is
+// emitted, the zero-count rule — a result of count-dividing aggregates has
+// no row where no tuple fell — is applied there too, and a negative zero
+// cell reads as 0, as the map path's += always made it. A Result is
+// immutable and safe for concurrent use.
+type Result struct {
+	dims    []string          // kept dimensions in cube order: the key columns
+	members [][]string        // per key position, the members in code order (read-only)
+	orders  []*relation.Order // per key position: escaped text and key-order permutations
+	ext     []int             // per key position, the array's extent (≥ the member count)
+
+	vals  []float64 // width planes of plane cells, row-major over ext
+	plane int
+	width int
+	mask  []bool // non-nil: only cells marked true are rows (a merge of differing dictionaries)
+
+	spec      plan.MeasureSpec
+	aggs      []AggKind // one reported value per row and entry
+	columns   []string  // SQL answers: the GROUP BY names, then the aggregate labels
+	dropEmpty bool      // rows whose tuple count is zero are not part of the answer
+}
+
+// newResult checks a header against its body: width planes of Π ext cells.
+// The division keeps a forged width or extent from overflowing the product.
+func newResult(r Result) (*Result, error) {
+	r.plane, r.spec, r.aggs = 1, plan.ScalarMeasure(), []AggKind{AggSum}
+	for _, e := range r.ext {
+		if r.plane *= e; r.plane > len(r.vals) {
+			break
+		}
+	}
+	if len(r.dims) != len(r.members) || r.width < 1 || len(r.vals)%r.width != 0 || len(r.vals)/r.width != r.plane {
+		return nil, fmt.Errorf("viewcube: %d values for a width-%d result of extents %v", len(r.vals), r.width, r.ext)
+	}
+	return &r, nil
+}
+
+// NewResult builds a scalar-SUM result from its parts — the form a result
+// has on the cluster wire: dimension names, each dimension's members in code
+// order, and width dense planes of Π len(members[i]) values, row-major.
+func NewResult(dims []string, members [][]string, width int, values []float64) (*Result, error) {
+	r := Result{dims: dims, members: members, vals: values, width: width}
+	for _, ms := range members {
+		r.orders, r.ext = append(r.orders, relation.NewOrder(ms)), append(r.ext, len(ms))
+	}
+	return newResult(r)
+}
+
+// viewResult wraps the array of an aggregated view of an encoded cube:
+// width planes of shape cells, the cube's extent on each kept dimension and 1
+// on every other — which therefore drops out of the addressing.
+func viewResult(c *Cube, kept []int, shape []int, vals []float64, width int) (*Result, error) {
+	r := Result{vals: vals, width: width}
+	want := make([]int, len(c.dims))
+	for m := range want {
+		want[m] = 1
+	}
+	for _, m := range kept {
+		dict := c.enc.Dicts[m]
+		r.dims, r.members = append(r.dims, c.dims[m]), append(r.members, dict.Values())
+		r.orders, r.ext = append(r.orders, dict.Order()), append(r.ext, c.enc.Shape[m])
+		want[m] = c.enc.Shape[m]
+	}
+	if !slices.Equal(shape, want) {
+		return nil, fmt.Errorf("viewcube: view shape %v, want %v", shape, want)
+	}
+	return newResult(r)
+}
+
+// Header returns the kept dimensions in key order, each one's members in
+// code order (read-only), and the number of component planes.
+func (r *Result) Header() (dims []string, members [][]string, width int) {
+	return r.dims, r.members, r.width
+}
+
+// Columns returns a SQL answer's column names — the GROUP BY dimensions,
+// then one label per aggregate — and nil for any other result.
+func (r *Result) Columns() []string { return r.columns }
+
+// AggLabel names the strongest aggregate the result reports, lower-cased,
+// with the all-SUM default as "" (the query log's convention).
+func (r *Result) AggLabel() string {
+	if best := slices.Max(r.aggs); best != AggSum {
+		return best.String()
+	}
+	return ""
+}
+
+// groups is the size of the group space: the product of the member counts.
+func (r *Result) groups() int {
+	n := 1
+	for _, ms := range r.members {
+		n *= len(ms)
+	}
+	return n
+}
+
+// Len returns the number of rows; 0 for a nil result.
+func (r *Result) Len() int {
+	if r == nil {
+		return 0
+	}
+	if r.mask == nil && !r.dropEmpty {
+		return r.groups()
+	}
+	n := 0
+	r.walk(0, func([]int, int) error { n++; return nil })
+	return n
+}
+
+// Size estimates the resident footprint in bytes, for caches that hold the
+// result: the value planes, the row mask and the member strings.
+func (r *Result) Size() int {
+	n := 8*len(r.vals) + len(r.mask)
+	for _, ms := range r.members {
+		for _, m := range ms {
+			n += len(m) + 16
+		}
+	}
+	return n
+}
+
+// strides returns each key position's cell-offset step within a plane.
+func (r *Result) strides() []int {
+	st := make([]int, len(r.ext))
+	step := 1
+	for i := len(r.ext) - 1; i >= 0; i-- {
+		st[i], step = step, step*r.ext[i]
+	}
+	return st
+}
+
+// runs calls fn for every run of cells along the last key position: off is
+// the run's offset in vals, n its length, and live how many of its leading
+// cells lie inside every dictionary (0 when an outer coordinate is padding).
+func (r *Result) runs(fn func(off, live, n int)) {
+	last := max(len(r.ext)-1, 0)
+	n, live := 1, 1
+	if len(r.ext) > 0 {
+		n, live = r.ext[last], len(r.members[last])
+	}
+	idx := make([]int, last)
+	for off := 0; off < len(r.vals); off += n {
+		in := live
+		for i, c := range idx {
+			if c >= len(r.members[i]) {
+				in = 0
+			}
+		}
+		fn(off, in, n)
+		for i := last - 1; i >= 0; i-- {
+			if idx[i]++; idx[i] < r.ext[i] {
+				break
+			}
+			idx[i] = 0 // carries past position 0 at each plane's end
+		}
+	}
+}
+
+// checkPadding fails when a cell outside a dictionary holds a value: padding
+// is zero for views built from relations, so anything else means the array
+// is not the aggregated view it claims to be.
+func (r *Result) checkPadding() (err error) {
+	r.runs(func(off, live, n int) {
+		for _, v := range r.vals[off+live : off+n] {
+			if v != 0 {
+				err = fmt.Errorf("viewcube: nonzero padding cell in cells %d..%d of the view", off+live, off+n-1)
+			}
+		}
+	})
+	return err
+}
+
+// Dense returns the values without padding — width planes of Π member-count
+// cells, row-major: the body of the result's wire form. It is the result's
+// own slice (read-only) unless padding had to be stepped over. A result with
+// dropped rows has no such form.
+func (r *Result) Dense() ([]float64, error) {
+	if r.mask != nil || r.dropEmpty {
+		return nil, fmt.Errorf("viewcube: a result with dropped rows has no dense form")
+	}
+	if err := r.checkPadding(); err != nil || r.groups() == r.plane {
+		return r.vals, err
+	}
+	out := make([]float64, 0, r.width*r.groups())
+	r.runs(func(off, live, _ int) { out = append(out, r.vals[off:off+live]...) })
+	return out, nil
+}
+
+// walk calls fn once per row with the row's member codes (valid only during
+// the call) and cell offset: in coordinate order when sep is 0, otherwise in
+// the byte order of the keys joined by sep — what sort.Strings over the map
+// keys, and so encoding/json, produced. No key is built to get there: each
+// position steps through its dictionary's permutation by value+sep (by value
+// for the last) and the nesting of the loops does the rest — unless a member
+// of a non-last position itself contains sep (walkSorted).
+func (r *Result) walk(sep byte, fn func(codes []int, off int) error) error {
+	if err := r.checkPadding(); err != nil || r.groups() == 0 {
+		return err
+	}
+	k := len(r.dims)
+	perms := make([][]int32, k)
+	for i := 0; i < k && sep != 0; i++ {
+		if i < k-1 && r.orders[i].Ambiguous(sep) {
+			return r.walkSorted(sep, fn)
+		}
+		perms[i] = r.orders[i].Perm(sep, i == k-1)
+	}
+	code := func(i, pos int) int {
+		if perms[i] != nil {
+			return int(perms[i][pos])
+		}
+		return pos
+	}
+	st, pos, codes, off := r.strides(), make([]int, k), make([]int, k), 0
+	for i := range codes {
+		codes[i] = code(i, 0)
+		off += codes[i] * st[i]
+	}
+	for {
+		if (r.mask == nil || r.mask[off]) && (!r.dropEmpty || r.vals[r.spec.Count*r.plane+off] != 0) {
+			if err := fn(codes, off); err != nil {
+				return err
+			}
+		}
+		i := k - 1
+		for ; i >= 0; i-- {
+			off -= codes[i] * st[i]
+			pos[i] = (pos[i] + 1) % len(r.members[i])
+			codes[i] = code(i, pos[i])
+			off += codes[i] * st[i]
+			if pos[i] != 0 {
+				break
+			}
+		}
+		if i < 0 {
+			return nil
+		}
+	}
+}
+
+// walkSorted is walk for dictionaries whose members contain the separator,
+// the one path that builds a key per row: rows are collected in coordinate
+// order and stable-sorted by whole key, so equal keys keep that order.
+func (r *Result) walkSorted(sep byte, fn func(codes []int, off int) error) error {
+	type row struct {
+		key   string
+		codes []int
+		off   int
+	}
+	var rows []row
+	r.walk(0, func(codes []int, off int) error {
+		rows = append(rows, row{r.key(codes, string(sep)), slices.Clone(codes), off})
+		return nil
+	})
+	slices.SortStableFunc(rows, func(a, b row) int { return strings.Compare(a.key, b.key) })
+	for _, w := range rows {
+		if err := fn(w.codes, w.off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// key joins a row's member values.
+func (r *Result) key(codes []int, sep string) string {
+	parts := make([]string, len(codes))
+	for i, c := range codes {
+		parts[i] = r.members[i][c]
+	}
+	return strings.Join(parts, sep)
+}
+
+// values finalises the reported values of the row at off into out. comps is
+// scratch of the result's width.
+func (r *Result) values(off int, comps, out []float64) {
+	for c := range comps {
+		if comps[c] = r.vals[c*r.plane+off]; comps[c] == 0 {
+			comps[c] = 0 // a negative zero reads as 0
+		}
+	}
+	for j, kind := range r.aggs {
+		out[j], _ = r.spec.Finalize(kind, comps)
+	}
+}
+
+// Groups renders the result as the map View.Groups always returned: the kept
+// values joined by the group-key separator → the row's first reported value.
+// It is the compatibility form; nothing on a serving path builds it.
+func (r *Result) Groups() (map[string]float64, error) {
+	out := make(map[string]float64, r.groups())
+	comps, vals := make([]float64, r.width), make([]float64, len(r.aggs))
+	err := r.walk(0, func(codes []int, off int) error {
+		r.values(off, comps, vals)
+		out[r.key(codes, string(relation.UnitSep))] += vals[0]
+		return nil
+	})
+	return out, err
+}
+
+// QueryResult renders a SQL answer in its tabular library form, rows sorted
+// by group key.
+func (r *Result) QueryResult() (*QueryResult, error) {
+	res := &QueryResult{Columns: r.columns}
+	comps := make([]float64, r.width)
+	err := r.walk(relation.UnitSep, func(codes []int, off int) error {
+		row := QueryRow{Values: make([]float64, len(r.aggs))}
+		for i, c := range codes {
+			row.Key = append(row.Key, r.members[i][c])
+		}
+		r.values(off, comps, row.Values)
+		res.Rows = append(res.Rows, row)
+		return nil
+	})
+	return res, err
+}
+
+// AppendGroupsJSON appends the result as the JSON object /groupby answers
+// with — {"ale/east":12,...}, keys the kept values joined by "/", one value
+// per key. AppendRowsJSON appends it as the JSON array POST /query answers
+// with in "rows" — [{"key":["ale","east"],"values":[12,3]},...], sorted by
+// group key, null when there are no rows. Both are byte for byte what
+// encoding/json writes for the same map or rows: keys in byte order,
+// HTML-safe escaping, its float format, an error for NaN and ±Inf. Two
+// groups whose values contain "/" can render the same /groupby key; both
+// rows are written, in coordinate order.
+func (r *Result) AppendGroupsJSON(dst []byte) ([]byte, error) {
+	return r.appendJSON(dst, relation.PathSep, "{}", `"`, "", `":`, "")
+}
+
+// AppendRowsJSON is described with AppendGroupsJSON.
+func (r *Result) AppendRowsJSON(dst []byte) ([]byte, error) {
+	return r.appendJSON(dst, relation.UnitSep, "[]", `{"key":[`, `"`, `],"values":[`, "]}")
+}
+
+// appendJSON is the one encoder: per row, open, the key's members — each
+// wrapped in quote, joined by "/" inside one string or "," between strings —
+// then mid, the reported values (all of them in an array, the first alone in
+// an object) and end. dst is grown once, by rows × the mean row length.
+func (r *Result) appendJSON(dst []byte, order byte, brackets, open, quote, mid, end string) ([]byte, error) {
+	array := brackets == "[]"
+	sep, nvals := byte(','), len(r.aggs)
+	if !array {
+		sep, nvals = relation.PathSep, 1
+	}
+	perRow := len(open) + len(mid) + len(end) + 1 + 13*nvals
+	for _, o := range r.orders {
+		perRow += o.TextLen()/max(o.Len(), 1) + 2*len(quote) + 2
+	}
+	dst = slices.Grow(dst, r.groups()*perRow+2)
+	start := len(dst)
+	dst = append(dst, brackets[0])
+	comps, vals := make([]float64, r.width), make([]float64, len(r.aggs))
+	err := r.walk(order, func(codes []int, off int) (err error) {
+		if len(dst) > start+1 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, open...)
+		for i, c := range codes {
+			if i > 0 {
+				dst = append(dst, sep)
+			}
+			dst = append(append(append(dst, quote...), r.orders[i].Escaped(c)...), quote...)
+		}
+		dst = append(dst, mid...)
+		r.values(off, comps, vals)
+		for j, v := range vals[:nvals] {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendJSONFloat(dst, v); err != nil {
+				return err
+			}
+		}
+		dst = append(dst, end...)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if array && len(dst) == start+1 {
+		return append(dst[:start], "null"...), nil
+	}
+	return append(dst, brackets[1]), nil
+}
+
+// appendJSONFloat appends f as encoding/json formats a float64: the shortest
+// representation that round-trips, 'f' form except 'e' below 1e-6 and from
+// 1e21 with a two-digit exponent's leading zero dropped, and an error for
+// values JSON cannot carry.
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	abs := math.Abs(f)
+	switch i := int64(f); {
+	case math.IsInf(f, 0) || math.IsNaN(f):
+		return dst, fmt.Errorf("viewcube: unsupported JSON value %v", f)
+	case abs < 1<<53 && float64(i) == f && (i != 0 || !math.Signbit(f)):
+		return strconv.AppendInt(dst, i, 10), nil // the common case, and the same digits
+	case abs != 0 && (abs < 1e-6 || abs >= 1e21):
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		// clean up e-09 to e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst, nil
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
+}
+
+// MergeResults adds per-shard partial results into one, in slice order — the
+// distributivity merge of §3, bit-identical to the single-machine sums
+// because every cell is 0 + shard₀ + shard₁ + … as the map merge computed it.
+// nil entries (shards missing from a degraded answer) are skipped. When every
+// result has the same dictionaries the merge is index addition over dense
+// planes. When they differ — each shard encodes only the values it holds —
+// the merged dictionaries are the sorted unions and the merged rows are the
+// union of the shards' rows, not the cross product of the unions: a group no
+// shard has is absent, as it was from the merged map.
+func MergeResults(parts []*Result) (*Result, error) {
+	parts = slices.DeleteFunc(slices.Clone(parts), func(p *Result) bool { return p == nil })
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("viewcube: no results to merge")
+	}
+	out, same := *parts[0], true
+	for _, p := range parts {
+		if len(p.dims) != len(out.dims) || p.width != out.width {
+			return nil, fmt.Errorf("viewcube: merging results of different shape")
+		}
+		same = same && p.mask == nil && !p.dropEmpty && slices.Equal(p.dims, out.dims) &&
+			slices.EqualFunc(p.members, out.members, slices.Equal[[]string])
+	}
+	if !same {
+		out.members, out.orders = make([][]string, len(out.dims)), make([]*relation.Order, len(out.dims))
+		for i := range out.members {
+			var union []string
+			for _, p := range parts {
+				union = append(union, p.members[i]...)
+			}
+			slices.Sort(union)
+			out.members[i] = slices.Compact(union)
+			out.orders[i] = relation.NewOrder(out.members[i])
+		}
+	}
+	out.ext = make([]int, len(out.members))
+	for i, ms := range out.members {
+		out.ext[i] = len(ms)
+	}
+	out.plane = out.groups()
+	out.vals = make([]float64, out.width*out.plane)
+	if same {
+		for _, p := range parts {
+			dense, err := p.Dense()
+			if err != nil {
+				return nil, err
+			}
+			for j, v := range dense {
+				out.vals[j] += v
+			}
+		}
+		return &out, nil
+	}
+	out.mask = make([]bool, out.plane)
+	st := out.strides()
+	for _, p := range parts {
+		to := make([][]int, len(p.dims)) // per key position: p's code → the merged code
+		for i, ms := range p.members {
+			to[i] = make([]int, len(ms))
+			for c, m := range ms {
+				to[i][c], _ = slices.BinarySearch(out.members[i], m)
+			}
+		}
+		err := p.walk(0, func(codes []int, off int) error {
+			at := 0
+			for i, c := range codes {
+				at += to[i][c] * st[i]
+			}
+			for c := 0; c < out.width; c++ {
+				out.vals[c*out.plane+at] += p.vals[c*p.plane+off]
+			}
+			out.mask[at] = true
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if !slices.Contains(out.mask, false) {
+		out.mask = nil
+	}
+	return &out, nil
+}

@@ -1,0 +1,285 @@
+// Result-representation benchmarks: what it costs to turn an assembled view
+// into response bytes, to serve those bytes from the result cache, to carry a
+// group-by answer between shard and coordinator, and to merge two of them —
+// each against the map[string]float64 path it replaced, kept here as a
+// test-only reference.
+package viewcube_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"math"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"viewcube"
+	"viewcube/internal/catalog"
+	"viewcube/internal/cluster"
+	"viewcube/internal/rescache"
+)
+
+// gridCube is a 128×ny×16 cube with one tuple per (x, y). At ny = 64,
+// keeping z answers 16 groups, y and z 1 024, x and y 8 192; at ny = 128,
+// keeping x and y answers 16 384.
+func gridCube(tb testing.TB, ny int) *viewcube.Cube {
+	tb.Helper()
+	tbl, err := viewcube.NewTable([]string{"x", "y", "z"}, "m")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 128*ny; i++ {
+		row := []string{fmt.Sprintf("x-%03d", i%128), fmt.Sprintf("y-%03d", i/128), fmt.Sprintf("z-%02d", i%16)}
+		if err := tbl.Append(row, float64(i%997)+0.25); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cube, err := viewcube.FromRelation(tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cube
+}
+
+// gridView assembles the grid cube's view keeping the named dimensions.
+func gridView(tb testing.TB, ny int, keep ...string) *viewcube.View {
+	tb.Helper()
+	eng, err := gridCube(tb, ny).NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v, err := eng.GroupBy(keep...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
+// mapGroupsJSON is the retired /groupby encode: explode the view into a map,
+// re-key it with "/", reflect it through encoding/json.
+func mapGroupsJSON(v *viewcube.View, buf *bytes.Buffer) error {
+	groups, err := v.Groups()
+	if err != nil {
+		return err
+	}
+	out := make(map[string]float64, len(groups))
+	for k, val := range groups {
+		out[strings.Join(viewcube.SplitGroupKey(k), "/")] = val
+	}
+	return json.NewEncoder(buf).Encode(out)
+}
+
+// BenchmarkResultEncodeGroups is view → /groupby response bytes, columnar
+// encoder against the retired map path, reporting ns and B per group.
+func BenchmarkResultEncodeGroups(b *testing.B) {
+	for _, groups := range []int{16, 1024, 8192} {
+		b.Run(fmt.Sprintf("%d/columnar", groups), benchEncodeGroups(groups, true))
+		b.Run(fmt.Sprintf("%d/map", groups), benchEncodeGroups(groups, false))
+	}
+}
+
+func benchEncodeGroups(groups int, columnar bool) func(*testing.B) {
+	keep := map[int][]string{16: {"z"}, 1024: {"y", "z"}, 8192: {"x", "y"}}[groups]
+	return func(b *testing.B) {
+		v := gridView(b, 64, keep...)
+		var buf bytes.Buffer
+		run := func() error {
+			buf.Reset()
+			return mapGroupsJSON(v, &buf)
+		}
+		if columnar {
+			run = func() error {
+				res, err := v.Result()
+				if err != nil {
+					return err
+				}
+				_, err = res.AppendGroupsJSON(nil)
+				return err
+			}
+		}
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		n := float64(b.N) * float64(groups)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/group")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/group")
+	}
+}
+
+// BenchmarkLeaseHitBody is a served 8 192-group /groupby whose answer is
+// cached: the lease hands back the encoded response body, whatever its size.
+func BenchmarkLeaseHitBody(b *testing.B) {
+	cube := gridCube(b, 64)
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg := catalog.NewRegistry()
+	if err := reg.RegisterHandle("grid", catalog.NewSafeHandle(cube, eng.Safe())); err != nil {
+		b.Fatal(err)
+	}
+	reg.EnableResultCache(rescache.Options{})
+	lease, err := reg.Acquire("grid", "")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(lease.Release)
+	b.ReportAllocs()
+	for i := 0; i < b.N+1; i++ { // the first call is the miss that fills the cache
+		if i == 1 {
+			b.ResetTimer()
+		}
+		ans, _, hit, err := lease.ServeGroupBy(false, "x", "y")
+		if err != nil || len(ans.Body) < 8192*8 || *hit != (i > 0) {
+			b.Fatalf("call %d: %d-byte body, hit %v, err %v", i, len(ans.Body), *hit, err)
+		}
+	}
+}
+
+// appendMapResponse and decodeMapResponse are the retired wire payload of a
+// group-by response: keys sorted on encode, one length-prefixed string and
+// one float per group, a map rebuilt on decode.
+func appendMapResponse(p []byte, groups map[string]float64) []byte {
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	p = binary.AppendUvarint(p, uint64(len(keys)))
+	for _, k := range keys {
+		p = binary.AppendUvarint(p, uint64(len(k)))
+		p = append(p, k...)
+		p = binary.BigEndian.AppendUint64(p, math.Float64bits(groups[k]))
+	}
+	return p
+}
+
+func decodeMapResponse(p []byte) map[string]float64 {
+	n, w := binary.Uvarint(p)
+	p = p[w:]
+	groups := make(map[string]float64, n)
+	for i := uint64(0); i < n; i++ {
+		l, w := binary.Uvarint(p)
+		key := string(p[w : w+int(l)])
+		p = p[w+int(l):]
+		groups[key] = math.Float64frombits(binary.BigEndian.Uint64(p))
+		p = p[8:]
+	}
+	return groups
+}
+
+// BenchmarkWireResponse is one shard leg's codec work for a 16 384-group
+// answer — encode on the shard, decode on the coordinator — in the columnar
+// form and in the retired keyed form.
+func BenchmarkWireResponse(b *testing.B) {
+	b.Run("columnar", benchWireResponse(true))
+	b.Run("map", benchWireResponse(false))
+}
+
+func benchWireResponse(columnar bool) func(*testing.B) {
+	return func(b *testing.B) {
+		v := gridView(b, 128, "x", "y")
+		groups, err := v.Groups()
+		if err != nil {
+			b.Fatal(err)
+		}
+		encode := func() []byte { return appendMapResponse(nil, groups) }
+		decode := func(frame []byte) error {
+			if got := decodeMapResponse(frame); len(got) != len(groups) {
+				return fmt.Errorf("round trip lost groups")
+			}
+			return nil
+		}
+		if columnar {
+			res, err := v.Result()
+			if err != nil {
+				b.Fatal(err)
+			}
+			resp := &cluster.Response{ID: 1, Kind: cluster.KindGroupBy, Result: res}
+			encode = func() []byte {
+				frame, err := cluster.AppendResponse(nil, resp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return frame
+			}
+			decode = func(frame []byte) error {
+				_, err := cluster.DecodeResponse(frame)
+				return err
+			}
+		}
+		// The two halves are reported separately: the shard pays encode, the
+		// coordinator decode.
+		b.ReportAllocs()
+		b.ResetTimer()
+		var enc, dec time.Duration
+		for i := 0; i < b.N; i++ {
+			t0 := time.Now()
+			frame := encode()
+			t1 := time.Now()
+			if err := decode(frame); err != nil {
+				b.Fatal(err)
+			}
+			enc, dec = enc+t1.Sub(t0), dec+time.Since(t1)
+			b.SetBytes(int64(len(frame)))
+		}
+		b.ReportMetric(float64(enc.Microseconds())/float64(b.N), "encode-us/op")
+		b.ReportMetric(float64(dec.Microseconds())/float64(b.N), "decode-us/op")
+	}
+}
+
+// BenchmarkCoordinatorMerge16k merges two shards' 16 384-group answers: index
+// addition over equal headers, against the retired map-by-map merge.
+func BenchmarkCoordinatorMerge16k(b *testing.B) {
+	b.Run("columnar", benchCoordinatorMerge16k(true))
+	b.Run("map", benchCoordinatorMerge16k(false))
+}
+
+func benchCoordinatorMerge16k(columnar bool) func(*testing.B) {
+	return func(b *testing.B) {
+		v := gridView(b, 128, "x", "y")
+		res, err := v.Result()
+		if err != nil {
+			b.Fatal(err)
+		}
+		groups, err := res.Groups()
+		if err != nil {
+			b.Fatal(err)
+		}
+		merge := func() error {
+			out := make(map[string]float64)
+			for _, g := range []map[string]float64{groups, groups} {
+				for k, val := range g {
+					out[k] += val
+				}
+			}
+			return nil
+		}
+		if columnar {
+			parts := []*viewcube.Result{res, res}
+			merge = func() error {
+				_, err := viewcube.MergeResults(parts)
+				return err
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := merge(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -233,15 +233,31 @@ func (s *SafeEngine) RangeSumIndex(lo, ext []int) (float64, error) {
 	return untraced(runSafe(&s.guard, false, rangeIndexRead, rangeagg.Box{Lo: lo, Ext: ext}))
 }
 
+// GroupByResult is GroupBy answered as the columnar Result servers encode
+// directly; the trace is nil unless traced.
+func (s *SafeEngine) GroupByResult(traced bool, keep ...string) (*Result, *QueryTrace, error) {
+	v, qt, err := runSafe(&s.guard, traced, groupByRead, keep)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := v.Result()
+	return settle(r, qt, err)
+}
+
+// Select answers a SQL statement on the read path as a columnar Result.
+func (s *SafeEngine) Select(traced bool, sql string) (*Result, *QueryTrace, error) {
+	return runSafe(&s.guard, traced, sqlRead, sql)
+}
+
 // Query is Engine.Query on the read path.
 func (s *SafeEngine) Query(sql string) (*QueryResult, error) {
-	return untraced(runSafe(&s.guard, false, sqlRead, sql))
+	return untraced(asQuery(s.Select(false, sql)))
 }
 
 // TraceQuery is Engine.TraceQuery on the read path: each traced query owns
 // its execution context, so traced and untraced queries overlap freely.
 func (s *SafeEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	return runSafe(&s.guard, true, sqlRead, sql)
+	return asQuery(s.Select(true, sql))
 }
 
 // TraceGroupBy is Engine.TraceGroupBy on the read path.
@@ -352,14 +368,20 @@ func (a *AggEngine) Safe() *SafeAggEngine { return &SafeAggEngine{guard[*AggEngi
 // Cube returns the SUM-plane cube (dimension metadata, workloads, ...).
 func (s *SafeAggEngine) Cube() *Cube { return s.eng.cube }
 
+// GroupByResult answers GROUP BY keep... for any aggregate kind on the read
+// path as the columnar Result; the trace is nil unless traced.
+func (s *SafeAggEngine) GroupByResult(traced bool, kind AggKind, keep ...string) (*Result, *QueryTrace, error) {
+	return runSafe(&s.guard, traced, groupByAggRead, aggKeep{kind, keep})
+}
+
 // GroupByAgg is AggEngine.GroupByAgg on the read path.
 func (s *SafeAggEngine) GroupByAgg(kind AggKind, keep ...string) (map[string]float64, error) {
-	return untraced(runSafe(&s.guard, false, groupByAggRead, aggKeep{kind, keep}))
+	return untraced(asGroups(s.GroupByResult(false, kind, keep...)))
 }
 
 // TraceGroupByAgg is AggEngine.TraceGroupByAgg on the read path.
 func (s *SafeAggEngine) TraceGroupByAgg(kind AggKind, keep ...string) (map[string]float64, *QueryTrace, error) {
-	return runSafe(&s.guard, true, groupByAggRead, aggKeep{kind, keep})
+	return asGroups(s.GroupByResult(true, kind, keep...))
 }
 
 // RangeAgg is AggEngine.RangeAgg on the read path.
@@ -372,14 +394,20 @@ func (s *SafeAggEngine) TraceRangeAgg(kind AggKind, ranges map[string]ValueRange
 	return runSafe(&s.guard, true, rangeAggRead, aggRanges{kind, ranges})
 }
 
+// Select is SafeEngine.Select over the measure-vector cube: every selected
+// aggregate finalises from one assembled vector.
+func (s *SafeAggEngine) Select(traced bool, sql string) (*Result, *QueryTrace, error) {
+	return runSafe(&s.guard, traced, aggSQLRead, sql)
+}
+
 // Query is AggEngine.Query on the read path.
 func (s *SafeAggEngine) Query(sql string) (*QueryResult, error) {
-	return untraced(runSafe(&s.guard, false, aggSQLRead, sql))
+	return untraced(asQuery(s.Select(false, sql)))
 }
 
 // TraceQuery is AggEngine.TraceQuery on the read path.
 func (s *SafeAggEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	return runSafe(&s.guard, true, aggSQLRead, sql)
+	return asQuery(s.Select(true, sql))
 }
 
 // ExplainAgg is AggEngine.ExplainAgg against the engine a query would run

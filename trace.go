@@ -78,7 +78,7 @@ func CacheHitTrace(name string) *QueryTrace {
 // statement and returns the span tree of its execution alongside the
 // result.
 func (e *Engine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	return runInline(e, true, sqlRead, sql)
+	return asQuery(runInline(e, true, sqlRead, sql))
 }
 
 // TraceGroupBy is GroupBy with per-span tracing.

@@ -20,13 +20,18 @@ type View struct {
 }
 
 func newView(c *Cube, el Element, arr *ndarray.Array) (*View, error) {
-	v := &View{cube: c, el: el, arr: arr}
+	return &View{cube: c, el: el, arr: arr, kept: el.kept()}, nil
+}
+
+// kept lists the cube dimension indices the element keeps unaggregated.
+func (el Element) kept() []int {
+	var kept []int
 	for m, node := range el.rect {
 		if node == freq.Root {
-			v.kept = append(v.kept, m)
+			kept = append(kept, m)
 		}
 	}
-	return v, nil
+	return kept
 }
 
 // Element returns the view element identity this view materialises.
@@ -79,24 +84,30 @@ func (v *View) KeptDimensions() []string {
 	return out
 }
 
-// Groups interprets an aggregated view of an encoded cube relationally:
-// a map from the kept dimensions' values (joined by GroupKeySeparator when
-// several are kept) to the summed measure. Padding coordinates are skipped.
-func (v *View) Groups() (map[string]float64, error) {
+// Result interprets an aggregated view of an encoded cube relationally, as
+// the columnar Result every serving path carries: the kept dimensions'
+// dictionaries as its header, the view's own array as its body. Nothing is
+// copied and nothing is allocated per group.
+func (v *View) Result() (*Result, error) {
 	if v.cube.enc == nil {
 		return nil, fmt.Errorf("viewcube: cube has no dictionary encoding")
 	}
 	if !v.cube.IsAggregatedView(v.el) {
 		return nil, fmt.Errorf("viewcube: %v is not an aggregated view", v.el)
 	}
-	aggregated := make([]bool, len(v.cube.dims))
-	for m := range aggregated {
-		aggregated[m] = true
+	return viewResult(v.cube, v.kept, v.arr.Shape(), v.arr.Data(), 1)
+}
+
+// Groups is Result().Groups(): a map from the kept dimensions' values
+// (joined by GroupKeySeparator when several are kept) to the summed measure,
+// padding coordinates skipped. It is the compatibility shim for library
+// callers; servers encode the Result directly.
+func (v *View) Groups() (map[string]float64, error) {
+	r, err := v.Result()
+	if err != nil {
+		return nil, err
 	}
-	for _, m := range v.kept {
-		aggregated[m] = false
-	}
-	return v.cube.enc.ViewGroups(v.arr, aggregated)
+	return r.Groups()
 }
 
 // Group returns the measure for one combination of kept-dimension values
