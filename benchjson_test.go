@@ -81,13 +81,17 @@ func TestBenchJSON(t *testing.T) {
 		{"ResultCacheHit", BenchmarkResultCacheHit},
 		{"ResultCacheHitParallel", BenchmarkResultCacheHitParallel},
 		{"ResultCacheMiss", BenchmarkResultCacheMiss},
-		{"ResultEncodeGroups/16/columnar", benchEncodeGroups(16, true)},
-		{"ResultEncodeGroups/16/map", benchEncodeGroups(16, false)},
-		{"ResultEncodeGroups/1024/columnar", benchEncodeGroups(1024, true)},
-		{"ResultEncodeGroups/1024/map", benchEncodeGroups(1024, false)},
-		{"ResultEncodeGroups/8192/columnar", benchEncodeGroups(8192, true)},
-		{"ResultEncodeGroups/8192/map", benchEncodeGroups(8192, false)},
+		{"ResultEncodeGroups/16/columnar", benchEncodeGroups(16, "columnar")},
+		{"ResultEncodeGroups/16/reuse", benchEncodeGroups(16, "reuse")},
+		{"ResultEncodeGroups/16/map", benchEncodeGroups(16, "map")},
+		{"ResultEncodeGroups/1024/columnar", benchEncodeGroups(1024, "columnar")},
+		{"ResultEncodeGroups/1024/reuse", benchEncodeGroups(1024, "reuse")},
+		{"ResultEncodeGroups/1024/map", benchEncodeGroups(1024, "map")},
+		{"ResultEncodeGroups/8192/columnar", benchEncodeGroups(8192, "columnar")},
+		{"ResultEncodeGroups/8192/reuse", benchEncodeGroups(8192, "reuse")},
+		{"ResultEncodeGroups/8192/map", benchEncodeGroups(8192, "map")},
 		{"LeaseHitBody", BenchmarkLeaseHitBody},
+		{"CoordinatorHitBody", BenchmarkCoordinatorHitBody},
 		{"WireResponse/columnar", benchWireResponse(true)},
 		{"WireResponse/map", benchWireResponse(false)},
 		{"CoordinatorMerge16k/columnar", benchCoordinatorMerge16k(true)},

@@ -438,6 +438,12 @@ type Lease struct {
 	Handle CubeHandle
 	Epoch  uint64
 
+	// Scratch is the buffer ServeGroupBy and ServeQuery encode into and leave
+	// here, grown to what the body took — the caller's, if it lent one. With no
+	// result cache an Answer's Body is this buffer: the next Serve* call on
+	// the lease overwrites it.
+	Scratch []byte
+
 	reg      *Registry
 	ent      *entry
 	cache    *answerCache // nil unless the registry enabled result caching

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 
@@ -23,6 +24,11 @@ import (
 // (a SQL answer's aliased column names) is spliced around them by the
 // caller, which never mutates the cached value.
 //
+// A body is encoded into the lease's Scratch. With no cache the answer's Body
+// is that buffer — valid until the next Serve* call on the lease, or until the
+// buffer's owner reuses it; with one, the miss copies it once and the entry,
+// the caller and every coalesced waiter hold the copy.
+//
 // Invalidation is two-tier, mirroring the plan cache's epoch discipline:
 // the registry's lifecycle operations (Load/Unload/Rebuild, and catalog
 // hot-reload on top of them) invalidate explicitly on generation changes,
@@ -31,8 +37,8 @@ import (
 // in-generation mutations invalidate without the write path knowing this
 // cache exists.
 
-// Answer is the cached result of one read, in the one form it is served in.
-// A group-by's Body is its whole JSON response ({"ale":17,...} and the
+// Answer is the result of one read, in the one form it is served in. A
+// group-by's Body is its whole JSON response ({"ale":17,...} and the
 // encoder's trailing newline); a SQL answer's Body is the JSON value of
 // "rows", with Columns (underlying names — the caller aliases them per view)
 // and Agg (the query-log label) beside it; a range's answer is Sum. Cached
@@ -48,12 +54,12 @@ type Answer struct {
 type answerCache = rescache.Cache[Answer]
 
 // newAnswerCache builds an entry's cache: the caller's bounds, with an answer
-// sized by what is resident — its body's capacity (the encoder sizes the
-// buffer from an estimate), plus the struct and its column names.
+// sized by what is resident — its body (an exact copy, see serve), plus the
+// struct and its column names.
 func newAnswerCache(opt rescache.Options) *answerCache {
 	opt.Size = func(v any) int {
 		a := v.(Answer)
-		n := 64 + cap(a.Body)
+		n := 64 + len(a.Body)
 		for _, c := range a.Columns {
 			n += len(c) + 16
 		}
@@ -118,6 +124,8 @@ func (l *Lease) serve(traced bool, key, name func() string, read func() (Answer,
 	ans, hit, err := l.cache.GetOrCompute(key(), func() (Answer, error) {
 		ans, t, err := read()
 		tr = t // captured out-of-band: traces are per-request, never cached
+		// The entry and every coalesced waiter outlive the caller's scratch.
+		ans.Body = bytes.Clone(ans.Body)
 		return ans, err
 	})
 	if err != nil {
@@ -140,7 +148,8 @@ func (l *Lease) serve(traced bool, key, name func() string, read func() (Answer,
 // otherwise whether the underlying query was skipped. When traced, the
 // returned trace is the real execution tree on a computing miss (labelled
 // result_cache=miss), or a zero-op CacheHitTrace on a hit or coalesced
-// wait. The answer's Body is shared with the cache: read-only.
+// wait. The answer's Body is read-only: shared with the cache, or — with no
+// cache — the lease's Scratch itself, which the next Serve* call overwrites.
 func (l *Lease) ServeGroupBy(traced bool, resolved ...string) (Answer, *viewcube.QueryTrace, *bool, error) {
 	return l.serve(traced,
 		func() string { return groupByKey(resolved) },
@@ -150,8 +159,12 @@ func (l *Lease) ServeGroupBy(traced bool, resolved ...string) (Answer, *viewcube
 			if err != nil {
 				return Answer{}, nil, err
 			}
-			body, err := res.AppendGroupsJSON(nil)
-			return Answer{Body: append(body, '\n')}, tr, err
+			body, err := res.AppendGroupsJSON(l.Scratch[:0])
+			if err != nil {
+				return Answer{}, tr, err
+			}
+			l.Scratch = append(body, '\n')
+			return Answer{Body: l.Scratch}, tr, nil
 		})
 }
 
@@ -179,7 +192,11 @@ func (l *Lease) ServeQuery(traced bool, sql string) (Answer, *viewcube.QueryTrac
 			if err != nil {
 				return Answer{}, nil, err
 			}
-			body, err := res.AppendRowsJSON(nil)
-			return Answer{Body: body, Columns: res.Columns(), Agg: res.AggLabel()}, tr, err
+			body, err := res.AppendRowsJSON(l.Scratch[:0])
+			if err != nil {
+				return Answer{}, tr, err
+			}
+			l.Scratch = body
+			return Answer{Body: body, Columns: res.Columns(), Agg: res.AggLabel()}, tr, nil
 		})
 }

@@ -1,8 +1,11 @@
 package relation
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 )
@@ -23,9 +26,10 @@ const (
 type Order struct {
 	esc     []byte  // every member's JSON-escaped text (no quotes), back to back
 	end     []int32 // member i is esc[end[i-1]:end[i]]
-	byValue []int32 // codes sorted by value; nil when codes already are
+	coord   []int32 // the codes in coordinate order: 0, 1, 2, ...
+	byValue []int32 // codes sorted by value; coord itself when codes already are
 	bySep   [2]struct {
-		perm      []int32 // codes sorted by value+sep (PathSep, UnitSep); nil when they are
+		perm      []int32 // codes sorted by value+sep (PathSep, UnitSep); coord when they are
 		ambiguous bool    // some member contains the separator
 	}
 }
@@ -33,18 +37,18 @@ type Order struct {
 // NewOrder derives the encoder view of a member list (members[i] has code
 // i). The list is not retained.
 func NewOrder(members []string) *Order {
-	o := &Order{end: make([]int32, len(members))}
+	o := &Order{end: make([]int32, len(members)), coord: make([]int32, len(members))}
 	for i, v := range members {
 		o.esc = AppendJSONEscaped(o.esc, v)
-		o.end[i] = int32(len(o.esc))
+		o.end[i], o.coord[i] = int32(len(o.esc)), int32(i)
 	}
-	o.byValue = sortedCodes(members, func(a, b string) bool { return a < b })
+	o.byValue = o.sortedCodes(members, func(a, b string) bool { return a < b })
 	for i, sep := range [2]byte{PathSep, UnitSep} {
 		sep := sep
 		// a+sep < b+sep, without building either string. It differs from
 		// a < b only when one value is a proper prefix of the other: "ale" <
 		// "ale-dark", but "ale-dark/" < "ale/".
-		o.bySep[i].perm = sortedCodes(members, func(a, b string) bool {
+		o.bySep[i].perm = o.sortedCodes(members, func(a, b string) bool {
 			n := min(len(a), len(b))
 			switch {
 			case a[:n] != b[:n]:
@@ -59,17 +63,14 @@ func NewOrder(members []string) *Order {
 	return o
 }
 
-// sortedCodes returns the codes of members in less order, or nil when the
-// codes are already in that order (dictionaries are built sorted, so this is
-// the common case and costs one pass).
-func sortedCodes(members []string, less func(a, b string) bool) []int32 {
+// sortedCodes returns the codes of members in less order: the shared
+// coordinate order when the codes are already in that order (dictionaries are
+// built sorted, so this is the common case and costs one pass).
+func (o *Order) sortedCodes(members []string, less func(a, b string) bool) []int32 {
 	if sort.SliceIsSorted(members, func(i, j int) bool { return less(members[i], members[j]) }) {
-		return nil
+		return o.coord
 	}
-	perm := make([]int32, len(members))
-	for i := range perm {
-		perm[i] = int32(i)
-	}
+	perm := slices.Clone(o.coord)
 	sort.SliceStable(perm, func(i, j int) bool { return less(members[perm[i]], members[perm[j]]) })
 	return perm
 }
@@ -88,11 +89,15 @@ func (o *Order) Escaped(code int) []byte {
 	return o.esc[o.end[code-1]:o.end[code]]
 }
 
-// Perm returns the codes in output-key order for a key position: by value
-// when the position is the key's last, by value+sep (PathSep or UnitSep)
-// when more of the key follows. nil means the codes are already in order.
+// Perm returns the codes in output-key order for a key position: coordinate
+// order when sep is 0, otherwise by value when the position is the key's
+// last and by value+sep (PathSep or UnitSep) when more of the key follows.
+// The slice aliases the Order: read-only.
 func (o *Order) Perm(sep byte, last bool) []int32 {
-	if last {
+	switch {
+	case sep == 0:
+		return o.coord
+	case last:
 		return o.byValue
 	}
 	return o.bySep[sepIndex(sep)].perm
@@ -177,4 +182,58 @@ func AppendJSONEscaped(dst []byte, s string) []byte {
 		start = i
 	}
 	return append(dst, s[start:]...)
+}
+
+// digitPairs is "00", "01", ... "99", back to back.
+const digitPairs = "00010203040506070809101112131415161718192021222324" +
+	"25262728293031323334353637383940414243444546474849" +
+	"50515253545556575859606162636465666768697071727374" +
+	"75767778798081828384858687888990919293949596979899"
+
+// appendInt appends i in decimal, written in place from its last digit, two
+// digits per division.
+func appendInt(dst []byte, i int64) []byte {
+	u := uint64(i)
+	if i < 0 {
+		dst, u = append(dst, '-'), -u
+	}
+	n := 1 // the number of digits
+	for v := u; v >= 10; v, n = v/10, n+1 {
+		if v >= 1e4 {
+			v, n = v/1e3, n+3
+		}
+	}
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	p := len(dst)
+	for ; u >= 10; u /= 100 {
+		p -= 2
+		dst[p], dst[p+1] = digitPairs[u%100*2], digitPairs[u%100*2+1]
+	}
+	if n%2 == 1 {
+		dst[p-1] = '0' + byte(u)
+	}
+	return dst
+}
+
+// AppendJSONFloat appends f as encoding/json formats a float64: the shortest
+// representation that round-trips, 'f' form except 'e' below 1e-6 and from
+// 1e21 with a two-digit exponent's leading zero dropped, and an error for
+// values JSON cannot carry.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	abs := math.Abs(f)
+	switch i := int64(f); {
+	case abs < 1<<53 && float64(i) == f && (i != 0 || !math.Signbit(f)):
+		return appendInt(dst, i), nil // the common case, and the same digits
+	case math.IsInf(f, 0) || math.IsNaN(f):
+		return dst, fmt.Errorf("relation: unsupported JSON value %v", f)
+	case abs != 0 && (abs < 1e-6 || abs >= 1e21):
+		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
+		// clean up e-09 to e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+		return dst, nil
+	}
+	return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
 }

@@ -184,7 +184,7 @@ func (s *CoordinatorServer) handleRange(w http.ResponseWriter, r *http.Request) 
 		s.writeErr(w, queryStatus(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]float64{"sum": sum})
+	writeSum(s.log, w, sum)
 }
 
 func (s *CoordinatorServer) handleTotal(w http.ResponseWriter, r *http.Request) {
@@ -212,7 +212,7 @@ func (s *CoordinatorServer) handleTotal(w http.ResponseWriter, r *http.Request) 
 		s.writeErr(w, queryStatus(err), err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]float64{"sum": sum})
+	writeSum(s.log, w, sum)
 }
 
 func (s *CoordinatorServer) handleShards(w http.ResponseWriter, r *http.Request) {

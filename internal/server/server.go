@@ -47,6 +47,7 @@ import (
 	"viewcube"
 	"viewcube/internal/catalog"
 	"viewcube/internal/obs"
+	"viewcube/internal/relation"
 	"viewcube/internal/rescache"
 )
 
@@ -316,26 +317,47 @@ func writeBody(log *slog.Logger, w http.ResponseWriter, body []byte) {
 	}
 }
 
-// bodyPool recycles the buffers responses are built in, so a response
-// assembled around cached bytes allocates nothing of its size.
+// bodyPool recycles the buffers response bodies are encoded and assembled
+// in, so a request allocates nothing of its answer's size. A buffer belongs to
+// one request until putBuf; nothing may hold its bytes afterwards.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func putBuf(bp *[]byte) {
+	if cap(*bp) <= 1<<20 {
+		bodyPool.Put(bp)
+	}
+}
+
+// lendScratch lends the lease a pooled buffer to encode its body into; the
+// returned func takes it back, grown, once the response is written.
+func lendScratch(lease *catalog.Lease) func() {
+	bp := bodyPool.Get().(*[]byte)
+	lease.Scratch = *bp
+	return func() { *bp = lease.Scratch; putBuf(bp) }
+}
 
 // respond builds a JSON response into a pooled buffer and sends it with
 // writeBody; a build error (a NaN the encoder refuses, say) becomes a 500
 // before any byte of the response is on the wire.
 func respond(log *slog.Logger, w http.ResponseWriter, build func(buf []byte) ([]byte, error)) {
 	bp := bodyPool.Get().(*[]byte)
+	defer putBuf(bp)
 	buf, err := build((*bp)[:0])
 	if err != nil {
 		const status = http.StatusInternalServerError
 		writeJSONWith(log, w, status, errorBody{Error: "encoding response: " + err.Error(), Code: status})
 		return
 	}
+	*bp = buf
 	writeBody(log, w, buf)
-	if cap(buf) <= 1<<20 {
-		*bp = buf
-		bodyPool.Put(bp)
-	}
+}
+
+// writeSum answers {"sum":x}: /range and /total, here and on the coordinator.
+func writeSum(log *slog.Logger, w http.ResponseWriter, sum float64) {
+	respond(log, w, func(b []byte) ([]byte, error) {
+		b, err := relation.AppendJSONFloat(append(b, `{"sum":`...), sum)
+		return append(b, '}', '\n'), err
+	})
 }
 
 // appendJSON appends v as encoding/json marshals it.
@@ -397,10 +419,10 @@ func labelTrace(tr *viewcube.QueryTrace, lease *catalog.Lease) {
 // logQuery records one finished query into the query log (no-op without
 // one): its cube and view, shape, duration, plan-cache epoch and — when the
 // query ran traced — the costs mined from the span tree, plus the full tree
-// for sampled queries. Shape is the client-facing form: view aliases are
-// logged as the client wrote them. agg is the answer's own aggregate label
-// ("" for the native SUM reads), so logging never re-parses the statement.
-func (s *Server) logQuery(lease *catalog.Lease, kind, shape, agg string, start time.Time, qt *viewcube.QueryTrace, sampled bool, rcHit *bool, qerr error) {
+// for sampled queries. shape renders the client-facing form — view aliases as
+// the client wrote them — and only when there is a log. agg is the answer's
+// own label ("" for the native SUM reads), so logging never re-parses SQL.
+func (s *Server) logQuery(lease *catalog.Lease, kind string, shape func() string, agg string, start time.Time, qt *viewcube.QueryTrace, sampled bool, rcHit *bool, qerr error) {
 	if s.qlog == nil {
 		return
 	}
@@ -409,7 +431,7 @@ func (s *Server) logQuery(lease *catalog.Lease, kind, shape, agg string, start t
 		Kind:           kind,
 		Cube:           lease.Cube,
 		View:           lease.View.Name(),
-		Shape:          shape,
+		Shape:          shape(),
 		DurationUS:     time.Since(start).Microseconds(),
 		Epoch:          pcs.Epoch,
 		SnapshotEpoch:  pcs.Snapshot,
@@ -495,15 +517,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, lease *cata
 	explicit := wantTrace(r.URL.Query())
 	sampled := s.sample(explicit)
 	start := time.Now()
+	defer lendScratch(lease)()
 	ans, tr, rcHit, err := lease.ServeQuery(explicit || sampled, sql)
 	labelTrace(tr, lease)
-	s.logQuery(lease, "query", req.SQL, ans.Agg, start, tr, sampled, rcHit, err)
+	s.logQuery(lease, "query", func() string { return req.SQL }, ans.Agg, start, tr, sampled, rcHit, err)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
 	respond(s.log, w, func(b []byte) ([]byte, error) {
-		// The rows are the cached bytes; only the column names are per view.
+		// The rows are the cached bytes (or the lease's scratch); only the
+		// column names are per view.
 		b, err := appendJSON(append(b, `{"columns":`...), lease.View.RewriteColumns(ans.Columns))
 		if err != nil {
 			return nil, err
@@ -643,15 +667,16 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request, lease *ca
 	explicit := wantTrace(q)
 	sampled := s.sample(explicit)
 	start := time.Now()
+	defer lendScratch(lease)()
 	ans, tr, rcHit, err := lease.ServeGroupBy(explicit || sampled, resolved...)
 	labelTrace(tr, lease)
-	s.logQuery(lease, "groupby", strings.Join(keep, ","), "", start, tr, sampled, rcHit, err)
+	s.logQuery(lease, "groupby", func() string { return strings.Join(keep, ",") }, "", start, tr, sampled, rcHit, err)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
 	}
 	if !explicit {
-		writeBody(s.log, w, ans.Body) // a hit is the cached bytes and one Write
+		writeBody(s.log, w, ans.Body) // the cached bytes or the scratch, and one Write
 		return
 	}
 	respond(s.log, w, func(b []byte) ([]byte, error) {
@@ -700,7 +725,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, lease *cata
 	start := time.Now()
 	sum, tr, rcHit, err := lease.ServeRangeSum(explicit || sampled, resolved)
 	labelTrace(tr, lease)
-	s.logQuery(lease, "range", rangeShape(ranges), "", start, tr, sampled, rcHit, err)
+	s.logQuery(lease, "range", func() string { return rangeShape(ranges) }, "", start, tr, sampled, rcHit, err)
 	if err != nil {
 		s.writeErr(w, statusFor(err), err)
 		return
@@ -709,7 +734,7 @@ func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, lease *cata
 		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "trace": tr})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]float64{"sum": sum})
+	writeSum(s.log, w, sum)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {

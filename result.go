@@ -2,9 +2,7 @@ package viewcube
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"strconv"
 	"strings"
 
 	"viewcube/internal/plan"
@@ -124,7 +122,14 @@ func (r *Result) Len() int {
 		return r.groups()
 	}
 	n := 0
-	r.walk(0, func([]int, int) error { n++; return nil })
+	r.walk(0, func(_ []int, base int, last []int32) error {
+		for _, c := range last {
+			if r.row(base + int(c)) {
+				n++
+			}
+		}
+		return nil
+	})
 	return n
 }
 
@@ -181,6 +186,9 @@ func (r *Result) runs(fn func(off, live, n int)) {
 // is zero for views built from relations, so anything else means the array
 // is not the aggregated view it claims to be.
 func (r *Result) checkPadding() (err error) {
+	if r.groups() == r.plane {
+		return nil // no padding to check
+	}
 	r.runs(func(off, live, n int) {
 		for _, v := range r.vals[off+live : off+n] {
 			if v != 0 {
@@ -207,48 +215,49 @@ func (r *Result) Dense() ([]float64, error) {
 	return out, nil
 }
 
-// walk calls fn once per row with the row's member codes (valid only during
-// the call) and cell offset: in coordinate order when sep is 0, otherwise in
-// the byte order of the keys joined by sep — what sort.Strings over the map
-// keys, and so encoding/json, produced. No key is built to get there: each
-// position steps through its dictionary's permutation by value+sep (by value
-// for the last) and the nesting of the loops does the rest — unless a member
-// of a non-last position itself contains sep (walkSorted).
-func (r *Result) walk(sep byte, fn func(codes []int, off int) error) error {
+// walk calls fn once per run of rows — the rows that share every key
+// position but the last: outer holds their codes at those positions (valid
+// only during the call), base the offset of the run's cell with last code 0,
+// and last the last position's codes in output order, so the run's rows are
+// the cells base+last[j] that pass r.row. Runs come in coordinate order when
+// sep is 0, otherwise in the byte order of the keys joined by sep — what
+// sort.Strings over the map keys, and so encoding/json, produced. No key is
+// built to get there: each position steps through its dictionary's permutation
+// by value+sep (by value for the last) and the nesting of the loops does the
+// rest — unless a member of a non-last position itself contains sep
+// (walkSorted). A result without key positions is one run of one row.
+func (r *Result) walk(sep byte, fn func(outer []int, base int, last []int32) error) error {
 	if err := r.checkPadding(); err != nil || r.groups() == 0 {
 		return err
 	}
-	k := len(r.dims)
-	perms := make([][]int32, k)
-	for i := 0; i < k && sep != 0; i++ {
-		if i < k-1 && r.orders[i].Ambiguous(sep) {
+	n := len(r.dims) - 1 // the last key position
+	if n < 0 {
+		return fn(nil, 0, []int32{0})
+	}
+	perms := make([][]int32, n+1)
+	for i := range perms {
+		if sep != 0 && i < n && r.orders[i].Ambiguous(sep) {
 			return r.walkSorted(sep, fn)
 		}
-		perms[i] = r.orders[i].Perm(sep, i == k-1)
+		perms[i] = r.orders[i].Perm(sep, i == n)
 	}
-	code := func(i, pos int) int {
-		if perms[i] != nil {
-			return int(perms[i][pos])
-		}
-		return pos
-	}
-	st, pos, codes, off := r.strides(), make([]int, k), make([]int, k), 0
-	for i := range codes {
-		codes[i] = code(i, 0)
-		off += codes[i] * st[i]
+	st, pos, outer, base := r.strides(), make([]int, n), make([]int, n), 0
+	for i := range outer {
+		outer[i] = int(perms[i][0])
+		base += outer[i] * st[i]
 	}
 	for {
-		if (r.mask == nil || r.mask[off]) && (!r.dropEmpty || r.vals[r.spec.Count*r.plane+off] != 0) {
-			if err := fn(codes, off); err != nil {
-				return err
-			}
+		if err := fn(outer, base, perms[n]); err != nil {
+			return err
 		}
-		i := k - 1
+		i := n - 1
 		for ; i >= 0; i-- {
-			off -= codes[i] * st[i]
-			pos[i] = (pos[i] + 1) % len(r.members[i])
-			codes[i] = code(i, pos[i])
-			off += codes[i] * st[i]
+			base -= outer[i] * st[i]
+			if pos[i]++; pos[i] == len(perms[i]) {
+				pos[i] = 0
+			}
+			outer[i] = int(perms[i][pos[i]])
+			base += outer[i] * st[i]
 			if pos[i] != 0 {
 				break
 			}
@@ -261,34 +270,46 @@ func (r *Result) walk(sep byte, fn func(codes []int, off int) error) error {
 
 // walkSorted is walk for dictionaries whose members contain the separator,
 // the one path that builds a key per row: rows are collected in coordinate
-// order and stable-sorted by whole key, so equal keys keep that order.
-func (r *Result) walkSorted(sep byte, fn func(codes []int, off int) error) error {
+// order and stable-sorted by whole key, so equal keys keep that order, and
+// each is handed on as a run of its own.
+func (r *Result) walkSorted(sep byte, fn func(outer []int, base int, last []int32) error) error {
 	type row struct {
 		key   string
-		codes []int
-		off   int
+		outer []int
+		base  int
+		last  []int32
 	}
 	var rows []row
-	r.walk(0, func(codes []int, off int) error {
-		rows = append(rows, row{r.key(codes, string(sep)), slices.Clone(codes), off})
+	r.walk(0, func(outer []int, base int, last []int32) error {
+		outer = slices.Clone(outer)
+		for j, c := range last {
+			rows = append(rows, row{strings.Join(r.keyOf(outer, c), string(sep)), outer, base, last[j : j+1]})
+		}
 		return nil
 	})
 	slices.SortStableFunc(rows, func(a, b row) int { return strings.Compare(a.key, b.key) })
 	for _, w := range rows {
-		if err := fn(w.codes, w.off); err != nil {
+		if err := fn(w.outer, w.base, w.last); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// key joins a row's member values.
-func (r *Result) key(codes []int, sep string) string {
-	parts := make([]string, len(codes))
-	for i, c := range codes {
-		parts[i] = r.members[i][c]
+// row reports whether the cell at off is a row of the result.
+func (r *Result) row(off int) bool {
+	return (r.mask == nil || r.mask[off]) && (!r.dropEmpty || r.vals[r.spec.Count*r.plane+off] != 0)
+}
+
+// keyOf returns a row's member values: its run's outer members, then its last.
+func (r *Result) keyOf(outer []int, last int32) (key []string) {
+	for i, c := range outer {
+		key = append(key, r.members[i][c])
 	}
-	return strings.Join(parts, sep)
+	if len(r.dims) > 0 {
+		key = append(key, r.members[len(outer)][last])
+	}
+	return key
 }
 
 // values finalises the reported values of the row at off into out. comps is
@@ -310,9 +331,13 @@ func (r *Result) values(off int, comps, out []float64) {
 func (r *Result) Groups() (map[string]float64, error) {
 	out := make(map[string]float64, r.groups())
 	comps, vals := make([]float64, r.width), make([]float64, len(r.aggs))
-	err := r.walk(0, func(codes []int, off int) error {
-		r.values(off, comps, vals)
-		out[r.key(codes, string(relation.UnitSep))] += vals[0]
+	err := r.walk(0, func(outer []int, base int, last []int32) error {
+		for _, c := range last {
+			if off := base + int(c); r.row(off) {
+				r.values(off, comps, vals)
+				out[strings.Join(r.keyOf(outer, c), string(relation.UnitSep))] += vals[0]
+			}
+		}
 		return nil
 	})
 	return out, err
@@ -323,13 +348,16 @@ func (r *Result) Groups() (map[string]float64, error) {
 func (r *Result) QueryResult() (*QueryResult, error) {
 	res := &QueryResult{Columns: r.columns}
 	comps := make([]float64, r.width)
-	err := r.walk(relation.UnitSep, func(codes []int, off int) error {
-		row := QueryRow{Values: make([]float64, len(r.aggs))}
-		for i, c := range codes {
-			row.Key = append(row.Key, r.members[i][c])
+	err := r.walk(relation.UnitSep, func(outer []int, base int, last []int32) error {
+		for _, c := range last {
+			off := base + int(c)
+			if !r.row(off) {
+				continue
+			}
+			row := QueryRow{Key: r.keyOf(outer, c), Values: make([]float64, len(r.aggs))}
+			r.values(off, comps, row.Values)
+			res.Rows = append(res.Rows, row)
 		}
-		r.values(off, comps, row.Values)
-		res.Rows = append(res.Rows, row)
 		return nil
 	})
 	return res, err
@@ -353,78 +381,82 @@ func (r *Result) AppendRowsJSON(dst []byte) ([]byte, error) {
 	return r.appendJSON(dst, relation.UnitSep, "[]", `{"key":[`, `"`, `],"values":[`, "]}")
 }
 
-// appendJSON is the one encoder: per row, open, the key's members — each
-// wrapped in quote, joined by "/" inside one string or "," between strings —
-// then mid, the reported values (all of them in an array, the first alone in
-// an object) and end. dst is grown once, by rows × the mean row length.
+// noKey stands in for the last key position of a result that has none: one
+// empty member, written without quotes.
+var noKey = relation.NewOrder([]string{""})
+
+// appendJSON is the one encoder. Per run it renders what the run's rows
+// share — a comma, open and the outer members, each wrapped in quote and
+// followed by "/" inside one string or "," between strings — once; per row it
+// appends that prefix, the last member, mid, the reported values (all of them
+// in an array, the first alone in an object) and end. The opening bracket
+// overwrites the first row's comma. dst is grown once, by rows × the mean row
+// length.
 func (r *Result) appendJSON(dst []byte, order byte, brackets, open, quote, mid, end string) ([]byte, error) {
 	array := brackets == "[]"
 	sep, nvals := byte(','), len(r.aggs)
 	if !array {
 		sep, nvals = relation.PathSep, 1
 	}
-	perRow := len(open) + len(mid) + len(end) + 1 + 13*nvals
+	perRow := len(open) + len(mid) + len(end) + 1 + 10*nvals
 	for _, o := range r.orders {
-		perRow += o.TextLen()/max(o.Len(), 1) + 2*len(quote) + 2
+		perRow += o.TextLen()/max(o.Len(), 1) + 2*len(quote) + 1
 	}
 	dst = slices.Grow(dst, r.groups()*perRow+2)
 	start := len(dst)
-	dst = append(dst, brackets[0])
+	lastText := noKey
+	if n := len(r.orders); n > 0 {
+		lastText, mid = r.orders[n-1], quote+mid
+	} else {
+		quote = ""
+	}
+	cell := r.width == 1 && nvals == 1 && r.aggs[0] == AggSum // the value is the cell: nothing to finalise
 	comps, vals := make([]float64, r.width), make([]float64, len(r.aggs))
-	err := r.walk(order, func(codes []int, off int) (err error) {
-		if len(dst) > start+1 {
-			dst = append(dst, ',')
+	var prefix []byte
+	err := r.walk(order, func(outer []int, base int, last []int32) (err error) {
+		prefix = append(append(prefix[:0], ','), open...)
+		for i, c := range outer {
+			prefix = append(append(append(prefix, quote...), r.orders[i].Escaped(c)...), quote...)
+			prefix = append(prefix, sep)
 		}
-		dst = append(dst, open...)
-		for i, c := range codes {
-			if i > 0 {
-				dst = append(dst, sep)
+		prefix = append(prefix, quote...)
+		out := dst // a local: the captured dst is not re-read per row
+		for _, c := range last {
+			off := base + int(c)
+			if !r.row(off) {
+				continue
 			}
-			dst = append(append(append(dst, quote...), r.orders[i].Escaped(c)...), quote...)
+			out = append(append(append(out, prefix...), lastText.Escaped(int(c))...), mid...)
+			if cell {
+				vals[0] = r.vals[off] + 0 // a negative zero reads as 0
+			} else {
+				r.values(off, comps, vals)
+			}
+			for j, v := range vals[:nvals] {
+				if j > 0 {
+					out = append(out, ',')
+				}
+				if out, err = relation.AppendJSONFloat(out, v); err != nil {
+					return err
+				}
+			}
+			if end != "" {
+				out = append(out, end...)
+			}
 		}
-		dst = append(dst, mid...)
-		r.values(off, comps, vals)
-		for j, v := range vals[:nvals] {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = appendJSONFloat(dst, v); err != nil {
-				return err
-			}
-		}
-		dst = append(dst, end...)
+		dst = out
 		return nil
 	})
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case len(dst) > start:
+		dst[start] = brackets[0]
+		return append(dst, brackets[1]), nil
+	case array:
+		return append(dst, "null"...), nil
 	}
-	if array && len(dst) == start+1 {
-		return append(dst[:start], "null"...), nil
-	}
-	return append(dst, brackets[1]), nil
-}
-
-// appendJSONFloat appends f as encoding/json formats a float64: the shortest
-// representation that round-trips, 'f' form except 'e' below 1e-6 and from
-// 1e21 with a two-digit exponent's leading zero dropped, and an error for
-// values JSON cannot carry.
-func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
-	abs := math.Abs(f)
-	switch i := int64(f); {
-	case math.IsInf(f, 0) || math.IsNaN(f):
-		return dst, fmt.Errorf("viewcube: unsupported JSON value %v", f)
-	case abs < 1<<53 && float64(i) == f && (i != 0 || !math.Signbit(f)):
-		return strconv.AppendInt(dst, i, 10), nil // the common case, and the same digits
-	case abs != 0 && (abs < 1e-6 || abs >= 1e21):
-		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
-		// clean up e-09 to e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-		return dst, nil
-	}
-	return strconv.AppendFloat(dst, f, 'f', -1, 64), nil
+	return append(dst, brackets...), nil
 }
 
 // MergeResults adds per-shard partial results into one, in slice order — the
@@ -489,15 +521,24 @@ func MergeResults(parts []*Result) (*Result, error) {
 				to[i][c], _ = slices.BinarySearch(out.members[i], m)
 			}
 		}
-		err := p.walk(0, func(codes []int, off int) error {
-			at := 0
-			for i, c := range codes {
-				at += to[i][c] * st[i]
+		err := p.walk(0, func(outer []int, base int, last []int32) error {
+			run := 0 // the merged offset of the run's cell with last code 0
+			for i, c := range outer {
+				run += to[i][c] * st[i]
 			}
-			for c := 0; c < out.width; c++ {
-				out.vals[c*out.plane+at] += p.vals[c*p.plane+off]
+			for _, c := range last {
+				off, at := base+int(c), run
+				if !p.row(off) {
+					continue
+				}
+				if len(to) > 0 {
+					at += to[len(outer)][c]
+				}
+				for w := 0; w < out.width; w++ {
+					out.vals[w*out.plane+at] += p.vals[w*p.plane+off]
+				}
+				out.mask[at] = true
 			}
-			out.mask[at] = true
 			return nil
 		})
 		if err != nil {

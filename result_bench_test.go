@@ -7,6 +7,7 @@ package viewcube_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -73,16 +74,19 @@ func mapGroupsJSON(v *viewcube.View, buf *bytes.Buffer) error {
 	return json.NewEncoder(buf).Encode(out)
 }
 
-// BenchmarkResultEncodeGroups is view → /groupby response bytes, columnar
-// encoder against the retired map path, reporting ns and B per group.
+// BenchmarkResultEncodeGroups is view → /groupby response bytes, reporting ns
+// and B per group: the columnar encoder into a fresh body ("columnar") and
+// into a reused buffer ("reuse": what both servers do), against the retired
+// map path ("map").
 func BenchmarkResultEncodeGroups(b *testing.B) {
 	for _, groups := range []int{16, 1024, 8192} {
-		b.Run(fmt.Sprintf("%d/columnar", groups), benchEncodeGroups(groups, true))
-		b.Run(fmt.Sprintf("%d/map", groups), benchEncodeGroups(groups, false))
+		for _, form := range []string{"columnar", "reuse", "map"} {
+			b.Run(fmt.Sprintf("%d/%s", groups, form), benchEncodeGroups(groups, form))
+		}
 	}
 }
 
-func benchEncodeGroups(groups int, columnar bool) func(*testing.B) {
+func benchEncodeGroups(groups int, form string) func(*testing.B) {
 	keep := map[int][]string{16: {"z"}, 1024: {"y", "z"}, 8192: {"x", "y"}}[groups]
 	return func(b *testing.B) {
 		v := gridView(b, 64, keep...)
@@ -91,13 +95,17 @@ func benchEncodeGroups(groups int, columnar bool) func(*testing.B) {
 			buf.Reset()
 			return mapGroupsJSON(v, &buf)
 		}
-		if columnar {
+		if form != "map" {
+			var body []byte
 			run = func() error {
 				res, err := v.Result()
 				if err != nil {
 					return err
 				}
-				_, err = res.AppendGroupsJSON(nil)
+				out, err := res.AppendGroupsJSON(body[:0])
+				if form == "reuse" {
+					body = out
+				}
 				return err
 			}
 		}
@@ -146,6 +154,44 @@ func BenchmarkLeaseHitBody(b *testing.B) {
 			b.Fatalf("call %d: %d-byte body, hit %v, err %v", i, len(ans.Body), *hit, err)
 		}
 	}
+}
+
+// BenchmarkCoordinatorHitBody is a coordinator /groupby whose merged answer is
+// cached: the cache holds the compact columnar Result, so every hit encodes
+// its 16 384 groups into the handler's reused buffer.
+func BenchmarkCoordinatorHitBody(b *testing.B) {
+	var shards []cluster.Shard
+	for _, name := range []string{"s0", "s1"} {
+		cube := gridCube(b, 128)
+		eng, err := cube.NewEngine(viewcube.EngineOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		shards = append(shards, cluster.Shard{Name: name, Client: cluster.NewLoopback(cluster.NewShardEngine(cube, eng.Safe()))})
+	}
+	coord, err := cluster.NewCoordinator(shards, cluster.Options{Timeout: 5 * time.Second, Cache: &rescache.Options{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { coord.Close() })
+	var body []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N+1; i++ { // the first call is the miss that fills the cache
+		if i == 1 {
+			b.ResetTimer()
+		}
+		res, _, _, err := coord.GroupByResult(context.Background(), false, false, "x", "y")
+		if err == nil {
+			body, err = res.AppendGroupsJSON(body[:0])
+		}
+		if err != nil || len(body) < 16384*8 {
+			b.Fatalf("call %d: %d-byte body, err %v", i, len(body), err)
+		}
+	}
+	if st := coord.ResultCacheStats(); st.Hits != uint64(b.N) {
+		b.Fatalf("%d hits in %d calls after the miss", st.Hits, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/16384, "ns/group")
 }
 
 // appendMapResponse and decodeMapResponse are the retired wire payload of a

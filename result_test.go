@@ -331,6 +331,129 @@ func TestResultJSONDifferential(t *testing.T) {
 	if _, err := viewResult(c, kept, append([]int{1}, shape[1:]...), arr.Data()[:1], 1); err == nil {
 		t.Error("newResult accepted an array that is not the kept view's shape")
 	}
+	checkRunForms(t)
+}
+
+// boundaryValues are the cells the encoder's number paths split on: integers
+// of 1 to 17 digits and at ±(2⁵³−1) and ±2⁵³ around the in-place itoa, −0,
+// the 'e' forms, and decimals, which stay with strconv.
+var boundaryValues = []float64{
+	7, 42, 999, 1000, 12345, 999999, 1234567, 99999999, 123456789, 1234567890, 12345678901, 123456789012,
+	1234567890123, 12345678901234, 123456789012345, 1234567890123456, 12345678901234567,
+	1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), math.Copysign(0, -1), 0, 1e21, -1e21, 1e-7, -1e-7,
+	0.5, -0.25, 0.125, 0.29, 1.005, 2.675, 100.10, 0.001, 0.0005, 0.1 + 0.2, 999999999999.5, 1e12 + 0.5, -17,
+}
+
+// checkRunForms covers what the run-at-a-time encoder adds, on dictionaries
+// chosen for it: a last key position of one member, padding on the last and
+// on an outer position, every boundary value, and — by a row mask, then by
+// zero counts under width-3 AVG and VAR — rows missing from the start, the
+// middle and the end of a run, and a whole run missing.
+func checkRunForms(t *testing.T) {
+	spec := plan.StatsMeasure()
+	for n, counts := range [][]int{{1}, {5}, {5, 1}, {1, 5}, {3, 4}, {4, 3}, {3, 3}, {2, 1, 3}, {3, 5, 1}, {2, 3, 5}} {
+		enc := &relation.Encoding{}
+		for m, count := range counts {
+			dict := relation.NewDictionary()
+			for i := 0; i < count; i++ {
+				dict.Encode(adversarialMembers[(7*m+3*i+n)%len(adversarialMembers)])
+			}
+			enc.Dimensions = append(enc.Dimensions, fmt.Sprintf("d%d", m))
+			enc.Dicts = append(enc.Dicts, dict)
+			enc.Shape = append(enc.Shape, dict.PaddedLen())
+		}
+		c := &Cube{dims: enc.Dimensions, enc: enc}
+		shape, kept, aggregated := viewShape(c, 1<<len(counts)-1)
+		keyOf := func(arr *ndarray.Array, off int) string {
+			var parts []string
+			for m, i := range arr.Index(off) {
+				v, _ := enc.Dicts[m].Value(i)
+				parts = append(parts, v)
+			}
+			return relation.GroupKey(parts...)
+		}
+		// gone marks, run by run along the last position, the first, the
+		// middle, the last or every live cell.
+		lastExt, lastLive := shape[len(shape)-1], counts[len(counts)-1]
+		gone := make([]bool, ndarray.New(shape...).Size())
+		for run := 0; run*lastExt < len(gone); run++ {
+			for j := 0; j < lastLive; j++ {
+				gone[run*lastExt+j] = run%4 == 3 || j == []int{0, lastLive / 2, lastLive - 1}[run%4%3]
+			}
+		}
+
+		next := n
+		arr := ndarray.New(shape...)
+		fillLive(c, arr, func() float64 { next++; return boundaryValues[next%len(boundaryValues)] })
+		sums, err := refViewGroups(enc, arr, aggregated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, masked := range []bool{false, true} {
+			res, err := viewResult(c, kept, shape, arr.Data(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if masked {
+				res.mask = make([]bool, len(gone))
+				for off := range gone {
+					if res.mask[off] = !gone[off]; gone[off] {
+						delete(sums, keyOf(arr, off))
+					}
+				}
+			}
+			got, err := res.AppendGroupsJSON([]byte("scratch"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := append([]byte("scratch"), refGroupsJSON(t, sums)...); !bytes.Equal(got, want) {
+				t.Fatalf("run form %v masked %v groups:\n got %s\nwant %s", counts, masked, got, want)
+			}
+			if res.Len() != len(sums) {
+				t.Fatalf("run form %v masked %v: Len %d, want %d", counts, masked, res.Len(), len(sums))
+			}
+			checkRows(t, n, res, refRows(res.aggs, plan.MeasureSpec{}, sums, nil, nil))
+		}
+
+		// Width 3 beside it: a zero count wherever the mask dropped a row.
+		ma := ndarray.NewMulti(3, shape...)
+		fillLive(c, ma.Component(spec.Count), func() float64 { next++; return float64(1 + next%3) })
+		for off, cnt := range ma.Component(spec.Count).Data() {
+			if gone[off] {
+				ma.Component(spec.Count).Data()[off] = 0
+			} else if cnt > 0 {
+				v := float64(next%2000-1000) / 8
+				next += 37
+				ma.Component(spec.Sum).Data()[off], ma.Component(spec.SumSq).Data()[off] = v*cnt, v*v*cnt+float64(next%5)
+			}
+		}
+		planes := make([]map[string]float64, 3)
+		for comp := range planes {
+			if planes[comp], err = refViewGroups(enc, ma.Component(comp), aggregated); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, kind := range []AggKind{AggAvg, AggVar} {
+			vres, err := viewResult(c, kept, shape, ma.Data(), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vres.spec, vres.aggs, vres.dropEmpty = spec, []AggKind{kind}, true
+			want, err := refFinalizeGroups(enc, ma, aggregated, spec, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := vres.AppendGroupsJSON(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refGroupsJSON(t, want); !bytes.Equal(got, want) {
+				t.Fatalf("run form %v %v groups:\n got %s\nwant %s", counts, kind, got, want)
+			}
+			vres.aggs = []AggKind{AggSum, kind, AggCount}
+			checkRows(t, n, vres, refRows(vres.aggs, spec, planes[spec.Sum], planes[spec.SumSq], planes[spec.Count]))
+		}
+	}
 }
 
 func checkRows(t *testing.T, n int, res *Result, want []refRow) {
