@@ -52,9 +52,12 @@ const (
 // public query methods perform any due automatic reselection inline. Wrap it
 // with Safe to share it across goroutines.
 type AggEngine struct {
-	cube  *Cube               // sum-plane cube: dimension metadata, encoding, workloads
-	mdata *ndarray.MultiArray // nil on a snapshot generation, which is never updated
-	spec  plan.MeasureSpec
+	// cube is the sum-plane cube: dimension metadata, encoding, workloads. Its
+	// cells are the SUM plane of the vector cube the store adopted as its root
+	// element: the one raw plane anything reads (Cube.At), so the one kept
+	// current, and what keeps the planes alive until Cube.ReleaseCells.
+	cube *Cube
+	spec plan.MeasureSpec
 
 	mst  *assembly.MemMultiStore
 	veng *assembly.VectorEngine
@@ -81,23 +84,23 @@ func NewAggEngine(t *Table, opts EngineOptions) (*AggEngine, error) {
 		return nil, err
 	}
 	spec := plan.StatsMeasure()
-	a := &AggEngine{mdata: mdata, spec: spec}
+	a := &AggEngine{spec: spec}
 	a.cube = &Cube{
-		space:   space,
-		data:    mdata.Component(spec.Sum),
-		dims:    append([]string(nil), enc.Dimensions...),
-		measure: t.Measure(),
-		enc:     enc,
+		space:    space,
+		data:     mdata.Component(spec.Sum),
+		attached: true,
+		dims:     append([]string(nil), enc.Dimensions...),
+		measure:  t.Measure(),
+		enc:      enc,
 	}
-	cntCube := &Cube{
+	cntCube := &Cube{ // metadata only: the planes belong to a.cube
 		space:   space,
-		data:    mdata.Component(spec.Count),
 		dims:    append([]string(nil), enc.Dimensions...),
 		measure: "count_" + t.Measure(),
 		enc:     enc,
 	}
 	a.mst = assembly.NewMemMultiStore()
-	if err := a.mst.Put(space.Root(), mdata.Clone()); err != nil {
+	if err := a.mst.Put(space.Root(), mdata); err != nil {
 		return nil, fmt.Errorf("viewcube: storing the vector cube: %w", err)
 	}
 	a.veng = assembly.NewVectorEngine(space, a.mst, spec.Width)
@@ -182,9 +185,10 @@ func (a *AggEngine) ingestable() error { return nil }
 func (a *AggEngine) checkCell(idx []int) error { return a.sum.checkCell(idx) }
 
 // applyDeltaRaw folds one component-vector delta — [Σv, Σv², Σn] summed over
-// the tuples coalesced at the cell — into the base cube and incrementally
-// into every stored vector element (each changes in exactly one cell per
-// component: the scalar linearity argument, applied per component).
+// the tuples coalesced at the cell — incrementally into every stored vector
+// element (each changes in exactly one cell per component: the scalar
+// linearity argument, applied per component) and, while the cube holds it
+// beside the store, into the raw SUM plane.
 func (a *AggEngine) applyDeltaRaw(vals []float64, idx []int) error {
 	if len(vals) != a.spec.Width {
 		return fmt.Errorf("viewcube: delta width %d on a width-%d vector cube", len(vals), a.spec.Width)
@@ -192,13 +196,18 @@ func (a *AggEngine) applyDeltaRaw(vals []float64, idx []int) error {
 	if err := assembly.UpdateCellMulti(a.cube.space, a.mst, vals, idx); err != nil {
 		return err
 	}
-	a.mdata.AddVec(vals, idx...)
+	if a.sum.rawCells() != 0 {
+		a.cube.data.Add(vals[a.spec.Sum], idx...)
+	}
 	a.sum.met.updates.Inc()
 	if a.cnt.met != a.sum.met {
 		a.cnt.met.updates.Inc()
 	}
 	return nil
 }
+
+// rawCells counts every plane: the raw SUM plane keeps them all alive.
+func (a *AggEngine) rawCells() int { return a.spec.Width * a.sum.rawCells() }
 
 // resetDerived drops the range-element caches layered over the vector store
 // (the vector querier's and both scalar views').
@@ -334,7 +343,7 @@ func (a *AggEngine) groupByVector(x *obs.ExecCtx, keep ...string) (*ndarray.Mult
 // result wraps an assembled vector view as the Result reporting aggs per
 // group: one header, every component plane, the finalisers applied per row
 // as it is emitted — no per-component maps in between. The result keeps the
-// array, so it is not recycled. Zero-count semantics are uniform: with
+// array as its lease: nothing else holds it. Zero-count semantics are uniform: with
 // dropEmpty, groups with no tuples are not rows (the count-dividing
 // finalisers are undefined there); without it every group of the cube's
 // group space is reported, a zero where no tuples fall.
@@ -343,7 +352,7 @@ func (a *AggEngine) result(ma *ndarray.MultiArray, el Element, aggs []AggKind, d
 	if err != nil {
 		return nil, err
 	}
-	r.spec, r.aggs, r.dropEmpty = a.spec, aggs, dropEmpty
+	r.spec, r.aggs, r.dropEmpty, r.mlease = a.spec, aggs, dropEmpty, ma
 	return r, nil
 }
 

@@ -90,6 +90,10 @@ func TestBenchJSON(t *testing.T) {
 		{"ResultEncodeGroups/8192/columnar", benchEncodeGroups(8192, "columnar")},
 		{"ResultEncodeGroups/8192/reuse", benchEncodeGroups(8192, "reuse")},
 		{"ResultEncodeGroups/8192/map", benchEncodeGroups(8192, "map")},
+		{"NewEngineResident/scalar", benchNewEngineResident(false)},
+		{"NewEngineResident/agg", benchNewEngineResident(true)},
+		{"ServeGroupByUncached/1024", benchServeGroupByUncached(1024)},
+		{"ServeGroupByUncached/8192", benchServeGroupByUncached(8192)},
 		{"LeaseHitBody", BenchmarkLeaseHitBody},
 		{"CoordinatorHitBody", BenchmarkCoordinatorHitBody},
 		{"WireResponse/columnar", benchWireResponse(true)},

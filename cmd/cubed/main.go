@@ -315,6 +315,7 @@ func runNode(cfg config) error {
 	if err != nil {
 		return err
 	}
+	cube.ReleaseCells() // a server reads cells through the engine only
 	safe := eng.Safe()
 	if cfg.ingest {
 		if err := safe.EnableIngest(viewcube.IngestOptions{

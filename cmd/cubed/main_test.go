@@ -159,10 +159,31 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 	}
 
+	// A node hands its cube's cells over to the engine: after /optimize has
+	// dropped the root element, the stored set is all it holds.
+	resp, err := http.Post("http://"+httpA+"/optimize", "application/json", strings.NewReader(`{"views":[{"keep":["product"],"freq":1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var st struct {
+		Storage  int `json:"storage_cells"`
+		Resident int `json:"resident_cells"`
+	}
+	if resp, err = http.Get("http://" + httpA + "/stats"); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.Storage == 0 || st.Resident != st.Storage {
+		t.Fatalf("shard A after /optimize: %d cells resident, %d stored", st.Resident, st.Storage)
+	}
+
 	// The coordinator names unreachable shards once one goes away; here all
 	// are up, so an exact query also works.
-	resp, err := http.Get("http://" + httpC + "/total")
-	if err != nil {
+	if resp, err = http.Get("http://" + httpC + "/total"); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()

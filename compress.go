@@ -28,6 +28,9 @@ type CompressOptions struct {
 // and stores it sparsely. Intended for cubes up to a few million cells (the
 // selection materialises the element graph).
 func (c *Cube) Compress(opts CompressOptions) (*CompressedCube, error) {
+	if c.data == nil {
+		return nil, errHandedOver("Compress")
+	}
 	cost := bestbasis.NonzeroCost(opts.Threshold)
 	if opts.Entropy {
 		cost = bestbasis.EntropyCost()

@@ -16,11 +16,14 @@ import (
 // SUM measure. Build one with NewCube, NewCubeFromData or Load, then attach
 // an Engine to query it.
 type Cube struct {
-	space   *velement.Space
-	data    *ndarray.Array
-	dims    []string
-	measure string             // measure attribute name; "" for raw cubes
-	enc     *relation.Encoding // nil for cubes built from raw arrays
+	space *velement.Space
+	// data is the cube's cells: the first engine adopts this very array as its
+	// root element, and ReleaseCells then drops the cube's own reference.
+	data     *ndarray.Array
+	attached bool // NewEngine ran: an engine's store holds the cells too
+	dims     []string
+	measure  string             // measure attribute name; "" for raw cubes
+	enc      *relation.Encoding // nil for cubes built from raw arrays
 	// hier maps dimension → level name → hierarchy level (DefineHierarchy).
 	hier map[string]map[string]*hierarchy.Level
 }
@@ -117,17 +120,45 @@ func (c *Cube) Shape() []int { return c.space.Shape() }
 // Volume returns the cube's cell count.
 func (c *Cube) Volume() int { return c.space.CubeVolume() }
 
+// ReleaseCells hands the cells over to the engine attached with NewEngine:
+// the cube drops its own reference, so once a reselection drops the root
+// element the raw array is garbage and the process holds the selected set
+// only. Call it before the engine is shared. The engine serves and updates as
+// before; Total, At, Add, Set, Compress and a further NewEngine fail from here
+// on, naming this method. Without an engine the cells would be lost: a panic.
+func (c *Cube) ReleaseCells() {
+	if !c.attached {
+		panic("viewcube: Cube.ReleaseCells before NewEngine: no engine holds the cells")
+	}
+	c.data = nil
+}
+
+// errHandedOver is how operation op, which needs the cells, fails without them.
+func errHandedOver(op string) error {
+	return fmt.Errorf("viewcube: Cube.%s after ReleaseCells: the engine holds the cells", op)
+}
+
+// cells is the array behind the accessor op, which panics once it is handed over.
+func (c *Cube) cells(op string) *ndarray.Array {
+	if c.data == nil {
+		panic(errHandedOver(op))
+	}
+	return c.data
+}
+
 // Total returns the grand total of the measure.
-func (c *Cube) Total() float64 { return c.data.Total() }
+func (c *Cube) Total() float64 { return c.cells("Total").Total() }
 
 // At returns the cell value at the multi-index.
-func (c *Cube) At(idx ...int) float64 { return c.data.At(idx...) }
+func (c *Cube) At(idx ...int) float64 { return c.cells("At").At(idx...) }
 
-// Add accumulates v into the cell at the multi-index.
-func (c *Cube) Add(v float64, idx ...int) { c.data.Add(v, idx...) }
+// Add accumulates v into the cell at the multi-index. Like Set it is for
+// filling a cube before NewEngine; afterwards, change cells with Engine.Update,
+// which also maintains every materialised element.
+func (c *Cube) Add(v float64, idx ...int) { c.cells("Add").Add(v, idx...) }
 
-// Set stores v at the multi-index.
-func (c *Cube) Set(v float64, idx ...int) { c.data.Set(v, idx...) }
+// Set stores v at the multi-index (before NewEngine: see Add).
+func (c *Cube) Set(v float64, idx ...int) { c.cells("Set").Set(v, idx...) }
 
 // DimIndex returns the position of a named dimension.
 func (c *Cube) DimIndex(name string) (int, error) {

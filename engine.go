@@ -106,14 +106,17 @@ type Engine struct {
 	rq    *rangeagg.Querier
 	met   *Metrics
 	opts  EngineOptions // retained so snapshot generations copy the executor config
+	fork  bool          // a later engine over an attached cube: it works on a copy and never writes cube.data
 }
 
 // Stats re-exports the adaptive engine's counters.
 type Stats = adaptive.Stats
 
 // NewEngine attaches an engine to the cube. Initially the cube itself is
-// the only materialised element; call Optimize (or let automatic
-// re-selection run) to specialise the materialised set.
+// the only materialised element — the cube's own array, adopted rather than
+// copied (a further engine over the same cube copies it and stays
+// independent), so from here on cells change through Engine.Update only;
+// call Optimize (or let automatic re-selection run) to specialise the set.
 func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	var st assembly.Store
 	if opts.DiskDir != "" {
@@ -130,11 +133,22 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 		st = assembly.NewMemStore()
 	}
 	if len(st.Elements()) == 0 {
-		if err := st.Put(c.space.Root(), c.data.Clone()); err != nil {
+		if c.data == nil {
+			return nil, errHandedOver("NewEngine")
+		}
+		root := c.data
+		if c.attached {
+			root = c.data.Clone()
+		}
+		if err := st.Put(c.space.Root(), root); err != nil {
 			return nil, fmt.Errorf("viewcube: storing the cube: %w", err)
 		}
 	}
-	return newEngineWith(c, st, opts)
+	e, err := newEngineWith(c, st, opts)
+	if err == nil {
+		e.fork, c.attached = c.attached, true
+	}
+	return e, err
 }
 
 // newEngineWith wires an Engine over an existing, already-seeded store: the
@@ -196,7 +210,8 @@ func (e *Engine) checkCell(idx []int) error {
 
 // applyDeltaRaw is incremental maintenance of every materialised element
 // (each changes in exactly one cell, by ±delta — O(elements · rank),
-// independent of element volumes) plus the raw cube.
+// independent of element volumes) plus the raw cube while it is an array of
+// its own: as the store's root element UpdateCell has already written it.
 func (e *Engine) applyDeltaRaw(vals []float64, idx []int) error {
 	if len(vals) != 1 {
 		return fmt.Errorf("viewcube: delta width %d on a scalar cube", len(vals))
@@ -204,9 +219,28 @@ func (e *Engine) applyDeltaRaw(vals []float64, idx []int) error {
 	if err := assembly.UpdateCell(e.cube.space, e.st, vals[0], idx); err != nil || vals[0] == 0 {
 		return err
 	}
-	e.cube.data.Add(vals[0], idx...)
+	if e.rawCells() != 0 {
+		e.cube.data.Add(vals[0], idx...)
+	}
 	e.met.updates.Inc()
 	return nil
+}
+
+// rawCells is the size of the raw cube as an array this engine maintains
+// beside its store: 0 once the cells were handed over (ReleaseCells), for a
+// forked engine, and while the store's root element is that very array —
+// adopted by NewEngine, not yet dropped by a reselection. A store that clones
+// on Get never shares one.
+func (e *Engine) rawCells() int {
+	if e.cube.data == nil || e.fork {
+		return 0
+	}
+	if cs, ok := e.st.(assembly.CloningStore); !ok || !cs.ClonesOnGet() {
+		if root, ok := e.st.Get(e.cube.space.Root()); ok && root == e.cube.data {
+			return 0
+		}
+	}
+	return e.cube.data.Size()
 }
 
 func (e *Engine) resetDerived() { e.rq.Reset() }
@@ -321,6 +355,7 @@ func (e *Engine) totalInner(x *obs.ExecCtx, _ struct{}) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	defer ndarray.Recycle(v.arr) // the one-cell view lives no longer than this read
 	return v.Value()
 }
 

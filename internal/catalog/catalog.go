@@ -88,6 +88,7 @@ type Stats struct {
 	PlanCache            viewcube.PlanCacheStats
 	MaterializedElements int
 	StorageCells         int
+	ResidentCells        int // held in memory: StorageCells, a separate raw cube, snapshot generations
 }
 
 // CubeHandle is the uniform serving surface of one catalog entry,

@@ -423,4 +423,13 @@ func TestFileBuildAndRebuild(t *testing.T) {
 	if info := synth.Handle.Info(); len(info.Dimensions) == 0 {
 		t.Fatalf("synth info = %+v", info)
 	}
+
+	// The builder hands the cube's cells over to the engine: once a
+	// reselection drops the root element nothing holds the raw cube.
+	if err := synth.Handle.Optimize([]HotView{{Keep: []string{"product"}, Freq: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if st := synth.Handle.Stats(); st.ResidentCells != st.StorageCells || st.StorageCells != synth.Handle.Info().Volume {
+		t.Fatalf("after optimize: %d cells resident, %d stored, volume %d", st.ResidentCells, st.StorageCells, synth.Handle.Info().Volume)
+	}
 }

@@ -149,6 +149,7 @@ func (f *File) builder(reg *Registry, spec CubeSpec, baseDir string) Builder {
 		if err != nil {
 			return nil, err
 		}
+		cube.ReleaseCells() // a server reads cells through the engine only
 		return NewSafeHandle(cube, eng.Safe()), nil
 	}
 }

@@ -20,6 +20,7 @@ type engine interface {
 	PlanCacheStats() viewcube.PlanCacheStats
 	MaterializedElements() int
 	StorageCells() int
+	ResidentCells() int
 	DataVersion() uint64
 	Metrics() *viewcube.Metrics
 	IngestEnabled() bool
@@ -67,6 +68,7 @@ func (h *engineHandle) Stats() Stats {
 		PlanCache:            h.eng.PlanCacheStats(),
 		MaterializedElements: h.eng.MaterializedElements(),
 		StorageCells:         h.eng.StorageCells(),
+		ResidentCells:        h.eng.ResidentCells(),
 	}
 }
 
@@ -204,6 +206,7 @@ func (h *partitionedHandle) Stats() Stats {
 		sh := h.eng.Shard(i)
 		s.MaterializedElements += sh.MaterializedElements()
 		s.StorageCells += sh.StorageCells()
+		s.ResidentCells += sh.ResidentCells()
 	}
 	return s
 }

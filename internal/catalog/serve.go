@@ -24,8 +24,10 @@ import (
 // (a SQL answer's aliased column names) is spliced around them by the
 // caller, which never mutates the cached value.
 //
-// A body is encoded into the lease's Scratch. With no cache the answer's Body
-// is that buffer — valid until the next Serve* call on the lease, or until the
+// A body is encoded into the lease's Scratch, and the Result it was encoded
+// from is released as the read returns: nothing but the bytes outlives it, so
+// the assembled view goes back to the scratch pool. With no cache the answer's
+// Body is that buffer — valid until the next Serve* call on the lease, or until the
 // buffer's owner reuses it; with one, the miss copies it once and the entry,
 // the caller and every coalesced waiter hold the copy.
 //
@@ -159,6 +161,7 @@ func (l *Lease) ServeGroupBy(traced bool, resolved ...string) (Answer, *viewcube
 			if err != nil {
 				return Answer{}, nil, err
 			}
+			defer res.Release()
 			body, err := res.AppendGroupsJSON(l.Scratch[:0])
 			if err != nil {
 				return Answer{}, tr, err
@@ -192,6 +195,7 @@ func (l *Lease) ServeQuery(traced bool, sql string) (Answer, *viewcube.QueryTrac
 			if err != nil {
 				return Answer{}, nil, err
 			}
+			defer res.Release()
 			body, err := res.AppendRowsJSON(l.Scratch[:0])
 			if err != nil {
 				return Answer{}, tr, err

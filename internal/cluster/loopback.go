@@ -31,6 +31,7 @@ func (l *Loopback) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	resp := l.sh.Execute(decoded)
 	respFrame, err := AppendResponse(nil, resp)
+	resp.Result.Release() // as the TCP server does once the frame exists
 	if err != nil {
 		return nil, err
 	}

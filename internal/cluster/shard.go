@@ -210,6 +210,7 @@ func (s *Server) handle(conn net.Conn) {
 		resp := s.sh.Execute(req)
 		s.sh.met.StageExecute.Observe(time.Since(execStart).Seconds())
 		buf, err := AppendResponse(nil, resp)
+		resp.Result.Release() // the frame is a copy: the assembled view goes back to the pool
 		if err != nil {
 			// The response itself would not fit a frame (e.g. a group map
 			// past MaxFrame); tell the client instead of going silent.

@@ -23,7 +23,7 @@ import (
 // Recycle, which transfers ownership to the pool. After Recycle the caller
 // must not touch the array again — not even to read — because a concurrent
 // lease may already be overwriting it. Never Recycle an array that anything
-// else can still reach (a store, a cache, a returned query result).
+// else can still reach (a store, a cache, a query result somebody holds).
 // Leased contents are undefined; pair Scratch only with kernels that fully
 // overwrite their destination (the Into kernels, copy).
 

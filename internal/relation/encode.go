@@ -98,19 +98,22 @@ type Encoding struct {
 
 // Index encodes one tuple's dimension values to a cube cell index, or an
 // error if any value is unknown to the encoding.
-func (e *Encoding) Index(values []string) ([]int, error) {
+func (e *Encoding) Index(values []string) ([]int, error) { return e.AppendIndex(nil, values) }
+
+// AppendIndex is Index appending to dst, so a loader encodes every row
+// through one buffer.
+func (e *Encoding) AppendIndex(dst []int, values []string) ([]int, error) {
 	if len(values) != len(e.Dicts) {
 		return nil, fmt.Errorf("relation: %d values for %d dimensions", len(values), len(e.Dicts))
 	}
-	idx := make([]int, len(values))
 	for m, v := range values {
 		c, ok := e.Dicts[m].Code(v)
 		if !ok {
 			return nil, fmt.Errorf("relation: value %q unknown for dimension %s", v, e.Dimensions[m])
 		}
-		idx[m] = c
+		dst = append(dst, c)
 	}
-	return idx, nil
+	return dst, nil
 }
 
 // buildEncoding dictionary-encodes every dimension of the relation in
@@ -143,10 +146,11 @@ func buildEncoding(t *Table) *Encoding {
 func BuildCube(t *Table) (*ndarray.Array, *Encoding, error) {
 	enc := buildEncoding(t)
 	cube := ndarray.New(enc.Shape...)
+	var idx []int
 	for i := 0; i < t.Len(); i++ {
 		row := t.Row(i)
-		idx, err := enc.Index(row.Values)
-		if err != nil {
+		var err error
+		if idx, err = enc.AppendIndex(idx[:0], row.Values); err != nil {
 			return nil, nil, err
 		}
 		cube.Add(row.Measure, idx...)
@@ -166,10 +170,11 @@ func BuildMultiCube(t *Table) (*ndarray.MultiArray, *Encoding, error) {
 	enc := buildEncoding(t)
 	cube := ndarray.NewMulti(3, enc.Shape...)
 	var vec [3]float64
+	var idx []int
 	for i := 0; i < t.Len(); i++ {
 		row := t.Row(i)
-		idx, err := enc.Index(row.Values)
-		if err != nil {
+		var err error
+		if idx, err = enc.AppendIndex(idx[:0], row.Values); err != nil {
 			return nil, nil, err
 		}
 		vec[0] = row.Measure

@@ -89,6 +89,7 @@ func (t *Table) Append(values []string, measure float64) error {
 // a dimension, in header order.
 func ReadCSV(r io.Reader, measure string) (*Table, error) {
 	cr := csv.NewReader(r)
+	cr.ReuseRecord = true // Append copies the values out of each record
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading CSV header: %w", err)

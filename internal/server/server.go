@@ -765,6 +765,7 @@ type fullStats struct {
 	Store                viewcube.StoreStats `json:"store"`
 	MaterializedElements int                 `json:"materialized_elements"`
 	StorageCellsNow      int                 `json:"storage_cells"`
+	ResidentCells        int                 `json:"resident_cells"`
 	ResultCache          *rescache.Stats     `json:"result_cache,omitempty"`
 }
 
@@ -775,6 +776,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request, lease *cata
 		Store:                st.Store,
 		MaterializedElements: st.MaterializedElements,
 		StorageCellsNow:      st.StorageCells,
+		ResidentCells:        st.ResidentCells,
 	}
 	if lease.Cached() {
 		rc := lease.ResultCacheStats()
@@ -804,6 +806,12 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request, lease *catal
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	for _, cs := range s.reg.Cubes() {
+		if lease, err := s.reg.Acquire(cs.Name, ""); err == nil {
+			lease.Handle.Stats() // brings each cube's resident-cells gauge up to date
+			lease.Release()
+		}
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := s.met.WritePrometheus(w); err != nil {
 		s.log.Error("writing metrics", "error", err)

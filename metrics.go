@@ -18,8 +18,9 @@ import (
 type Metrics struct {
 	reg *obs.Registry
 
-	latency *obs.Histogram
-	updates *obs.Counter
+	latency  *obs.Histogram
+	updates  *obs.Counter
+	resident *obs.Gauge // set by ResidentCells
 
 	mu         sync.Mutex
 	queryKinds map[string]*obs.Counter
@@ -36,8 +37,16 @@ type Metrics struct {
 // NewMetrics returns a fresh metrics registry with every engine instrument
 // pre-registered, so an exposition is complete (if zero-valued) before any
 // traffic arrives.
-func NewMetrics() *Metrics {
-	reg := obs.NewRegistry()
+func NewMetrics() *Metrics { return newMetrics(obs.NewRegistry()) }
+
+// Sub derives a Metrics whose every instrument carries the given label
+// key/value pairs, writing into the same exposition as the parent. A
+// multi-cube process gives each engine NewMetrics().Sub("cube", name)-style
+// metrics so one /metrics endpoint serves a per-cube label dimension over
+// shared metric families.
+func (m *Metrics) Sub(labels ...string) *Metrics { return newMetrics(m.reg.Sub(labels...)) }
+
+func newMetrics(reg *obs.Registry) *Metrics {
 	m := &Metrics{
 		reg:        reg,
 		queryKinds: make(map[string]*obs.Counter),
@@ -47,6 +56,8 @@ func NewMetrics() *Metrics {
 		"Per-query wall-clock latency of engine queries, in seconds.", nil)
 	m.updates = reg.Counter("viewcube_updates_total",
 		"Incremental cell updates applied to the cube and its materialised elements.")
+	m.resident = reg.Gauge("viewcube_resident_cells",
+		"Cells held in memory: stored elements, the raw cube while it is a separate array, live snapshot generations.")
 	for _, kind := range []string{"view", "groupby", "groupby_where", "range", "sql", "total"} {
 		m.queryCounter(kind)
 	}
@@ -57,34 +68,6 @@ func NewMetrics() *Metrics {
 	m.plans = obs.NewPlanMetrics(reg)
 	m.ingest = obs.NewIngestMetrics(reg)
 	return m
-}
-
-// Sub derives a Metrics whose every instrument carries the given label
-// key/value pairs, writing into the same exposition as the parent. A
-// multi-cube process gives each engine NewMetrics().Sub("cube", name)-style
-// metrics so one /metrics endpoint serves a per-cube label dimension over
-// shared metric families.
-func (m *Metrics) Sub(labels ...string) *Metrics {
-	reg := m.reg.Sub(labels...)
-	sub := &Metrics{
-		reg:        reg,
-		queryKinds: make(map[string]*obs.Counter),
-		errKinds:   make(map[string]*obs.Counter),
-	}
-	sub.latency = reg.Histogram("viewcube_query_seconds",
-		"Per-query wall-clock latency of engine queries, in seconds.", nil)
-	sub.updates = reg.Counter("viewcube_updates_total",
-		"Incremental cell updates applied to the cube and its materialised elements.")
-	for _, kind := range []string{"view", "groupby", "groupby_where", "range", "sql", "total"} {
-		sub.queryCounter(kind)
-	}
-	sub.store = obs.NewStoreMetrics(reg)
-	sub.assembly = obs.NewAssemblyMetrics(reg)
-	sub.adaptive = obs.NewAdaptiveMetrics(reg)
-	sub.ranges = obs.NewRangeMetrics(reg)
-	sub.plans = obs.NewPlanMetrics(reg)
-	sub.ingest = obs.NewIngestMetrics(reg)
-	return sub
 }
 
 func (m *Metrics) queryCounter(kind string) *obs.Counter {

@@ -82,6 +82,15 @@ func TestTracedQueryOverheadGate(t *testing.T) {
 	if hit*10 > leased {
 		t.Errorf("result-cache hit %v/op is not 10x faster than the execute path %v/op", hit, leased)
 	}
+
+	// And a served view goes back to the scratch pool: in steady state the
+	// executor leases every buffer of an uncached request from it, the
+	// answer's included.
+	r := testing.Benchmark(benchServeGroupByUncached(8192))
+	t.Logf("uncached serve: %d B/op, executor pool hit ratio %.4f", r.AllocedBytesPerOp(), r.Extra["pool_hit_ratio"])
+	if ratio := r.Extra["pool_hit_ratio"]; ratio < 0.99 {
+		t.Errorf("assembly.pool_hit_ratio %.4f on the uncached serve path, want ≥ 0.99", ratio)
+	}
 }
 
 // benchCacheDisabledGroupBy serves the overhead fixture's query through the

@@ -157,7 +157,8 @@ func (p *PartitionedEngine) fanOut(fn func(i int, eng *SafeEngine) error) error 
 
 // GroupByResult merges the per-shard GROUP BY results in shard order (SUM is
 // distributive, so addition per group is exact): MergeResults over each
-// shard's columnar Result.
+// shard's columnar Result. The merge sums into a body of its own, so the
+// partials' arrays go back to the scratch pool here.
 func (p *PartitionedEngine) GroupByResult(keep ...string) (*Result, error) {
 	partial := make([]*Result, len(p.engines))
 	err := p.fanOut(func(i int, eng *SafeEngine) (err error) {
@@ -167,7 +168,11 @@ func (p *PartitionedEngine) GroupByResult(keep ...string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MergeResults(partial)
+	merged, err := MergeResults(partial)
+	for _, part := range partial {
+		part.Release()
+	}
+	return merged, err
 }
 
 // GroupBy is GroupByResult in map form, keyed by joined group key.

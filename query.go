@@ -173,7 +173,7 @@ func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 	var r *Result
 	switch {
 	case e.cube.enc != nil:
-		r, err = v.Result()
+		r, err = v.leased()
 	case len(q.GroupBy) > 0:
 		// Raw cube, no dictionaries: only the ungrouped total works.
 		err = fmt.Errorf("viewcube: GROUP BY needs a dictionary-encoded cube")

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"viewcube/internal/ndarray"
 	"viewcube/internal/plan"
 	"viewcube/internal/relation"
 )
@@ -20,7 +21,8 @@ import (
 // emitted, the zero-count rule — a result of count-dividing aggregates has
 // no row where no tuple fell — is applied there too, and a negative zero
 // cell reads as 0, as the map path's += always made it. A Result is
-// immutable and safe for concurrent use.
+// immutable and safe for concurrent use — until Release, which is for the
+// holder of the only reference.
 type Result struct {
 	dims    []string          // kept dimensions in cube order: the key columns
 	members [][]string        // per key position, the members in code order (read-only)
@@ -36,6 +38,27 @@ type Result struct {
 	aggs      []AggKind // one reported value per row and entry
 	columns   []string  // SQL answers: the GROUP BY names, then the aggregate labels
 	dropEmpty bool      // rows whose tuple count is zero are not part of the answer
+
+	// The array vals aliases (a scalar or a measure-vector view's) when nothing
+	// else holds it: what Release gives back.
+	lease  *ndarray.Array
+	mlease *ndarray.MultiArray
+}
+
+// Release ends the life of a served answer: the array its view was assembled
+// into goes back to the scratch pool, and the result is emptied, so a late
+// reader finds the header and no rows — not another query's cells. It is for
+// the holder of the only reference, once the response bytes exist; a result
+// that is kept (cached, returned to a library caller) is never released. A
+// result without a pooled array (merged, off the wire, from NewResult), a nil
+// result and a second Release are no-ops.
+func (r *Result) Release() {
+	if r == nil || r.lease == nil && r.mlease == nil {
+		return
+	}
+	ndarray.Recycle(r.lease)
+	ndarray.RecycleMulti(r.mlease)
+	r.vals, r.mask, r.width, r.lease, r.mlease = nil, nil, 0, nil, nil
 }
 
 // newResult checks a header against its body: width planes of Π ext cells.
@@ -104,8 +127,12 @@ func (r *Result) AggLabel() string {
 	return ""
 }
 
-// groups is the size of the group space: the product of the member counts.
+// groups is the size of the group space: the product of the member counts,
+// and 0 for a released result (the only one without a component plane).
 func (r *Result) groups() int {
+	if r.width == 0 {
+		return 0
+	}
 	n := 1
 	for _, ms := range r.members {
 		n *= len(ms)
@@ -474,6 +501,7 @@ func MergeResults(parts []*Result) (*Result, error) {
 		return nil, fmt.Errorf("viewcube: no results to merge")
 	}
 	out, same := *parts[0], true
+	out.lease, out.mlease = nil, nil // the merged body is fresh: parts[0] keeps its own lease
 	for _, p := range parts {
 		if len(p.dims) != len(out.dims) || p.width != out.width {
 			return nil, fmt.Errorf("viewcube: merging results of different shape")

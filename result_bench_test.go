@@ -156,6 +156,98 @@ func BenchmarkLeaseHitBody(b *testing.B) {
 	}
 }
 
+// benchServeGroupByUncached is an uncached /groupby through the lease: the view
+// is assembled, encoded into the lease's scratch and released, so the next
+// request assembles into the same buffers. pool_hit_ratio is the executor's
+// scratch-lease hit ratio over the timed requests.
+func benchServeGroupByUncached(groups int) func(*testing.B) {
+	keep := map[int][]string{1024: {"y", "z"}, 8192: {"x", "y"}}[groups]
+	return func(b *testing.B) {
+		cube := gridCube(b, 64)
+		eng, err := cube.NewEngine(viewcube.EngineOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg := catalog.NewRegistry()
+		if err := reg.RegisterHandle("grid", catalog.NewSafeHandle(cube, eng.Safe())); err != nil {
+			b.Fatal(err)
+		}
+		lease, err := reg.Acquire("grid", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(lease.Release)
+		mreg := eng.Metrics().Registry()
+		hits, misses := mreg.Counter("viewcube_exec_pool_hits_total", ""), mreg.Counter("viewcube_exec_pool_misses_total", "")
+		var h0, m0 uint64
+		b.ReportAllocs()
+		for i := 0; i < b.N+2; i++ { // two warm-up requests grow the scratch and fill the pool
+			if i == 2 {
+				h0, m0 = hits.Value(), misses.Value()
+				b.ResetTimer()
+			}
+			if ans, _, _, err := lease.ServeGroupBy(false, keep...); err != nil || len(ans.Body) < groups*8 {
+				b.Fatalf("request %d: %d-byte body, err %v", i, len(ans.Body), err)
+			}
+		}
+		h, m := float64(hits.Value()-h0), float64(misses.Value()-m0)
+		b.ReportMetric(h/(h+m), "pool_hit_ratio")
+	}
+}
+
+func BenchmarkServeGroupByUncached(b *testing.B) {
+	for _, groups := range []int{1024, 8192} {
+		b.Run(fmt.Sprint(groups), benchServeGroupByUncached(groups))
+	}
+}
+
+// benchNewEngineResident reports what the process holds per cube cell once an
+// engine is attached to a freshly loaded cube: the cells once (8 B; 24 B for
+// the three planes of a measure-vector cube), not once for the cube and once
+// for the root element.
+func benchNewEngineResident(agg bool) func(*testing.B) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	return func(b *testing.B) {
+		tbl, err := viewcube.NewTable([]string{"x", "y", "z"}, "m")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < 128; i++ {
+			if err := tbl.Append([]string{fmt.Sprint("x", i), fmt.Sprint("y", i%64), fmt.Sprint("z", i%16)}, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for i := 0; i < b.N; i++ {
+			before := heap()
+			var keep any
+			if agg {
+				keep, err = viewcube.NewAggEngine(tbl, viewcube.EngineOptions{})
+			} else {
+				var cube *viewcube.Cube
+				if cube, err = viewcube.FromRelation(tbl); err == nil {
+					keep, err = cube.NewEngine(viewcube.EngineOptions{})
+				}
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(heap()-before)/(128*64*16), "B/cell")
+			runtime.KeepAlive(keep)
+		}
+	}
+}
+
+func BenchmarkNewEngineResident(b *testing.B) {
+	b.Run("scalar", benchNewEngineResident(false))
+	b.Run("agg", benchNewEngineResident(true))
+}
+
 // BenchmarkCoordinatorHitBody is a coordinator /groupby whose merged answer is
 // cached: the cache holds the compact columnar Result, so every hit encodes
 // its 16 384 groups into the handler's reused buffer.

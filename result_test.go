@@ -681,3 +681,93 @@ func TestNewResultValidation(t *testing.T) {
 		t.Errorf("empty dictionary: %v, %v", r, err)
 	}
 }
+
+// TestResultRelease: Release gives the assembled array back and empties the
+// result — of a scalar view, a measure-vector view and a SQL answer — is a
+// no-op the second time, on nil and on a result that owns no pooled array, and
+// a merge never inherits its first part's lease, so it outlives the parts.
+func TestResultRelease(t *testing.T) {
+	tbl, err := NewTable([]string{"x", "y"}, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		if err := tbl.Append([]string{fmt.Sprint("x", i%8), fmt.Sprint("y", i%4)}, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cube, err := FromRelation(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cube.NewEngine(EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := NewAggEngine(tbl, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, sa := eng.Safe(), agg.Safe()
+	for name, ask := range map[string]func() (*Result, *QueryTrace, error){
+		"groupby": func() (*Result, *QueryTrace, error) { return s.GroupByResult(false, "x") },
+		"sql":     func() (*Result, *QueryTrace, error) { return s.Select(false, "SELECT SUM(m) GROUP BY x") },
+		"sql where": func() (*Result, *QueryTrace, error) {
+			return s.Select(false, "SELECT SUM(m) GROUP BY x WHERE y BETWEEN 'y1' AND 'y2'")
+		},
+		"agg groupby": func() (*Result, *QueryTrace, error) { return sa.GroupByResult(false, AggAvg, "x") },
+		"agg sql":     func() (*Result, *QueryTrace, error) { return sa.Select(false, "SELECT AVG(m), COUNT(*) GROUP BY x") },
+	} {
+		r, _, err := ask()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.lease == nil && r.mlease == nil {
+			t.Fatalf("%s: the result does not hold its view's array", name)
+		}
+		want, err := r.AppendRowsJSON(nil)
+		if err != nil || r.Len() != 8 {
+			t.Fatalf("%s: %d rows, %v", name, r.Len(), err)
+		}
+		var merged *Result
+		if r.width == 1 {
+			if merged, err = MergeResults([]*Result{r}); err != nil || merged.lease != nil {
+				t.Fatalf("%s: merge %v, lease inherited %v", name, err, merged != nil)
+			}
+		}
+		r.Release()
+		r.Release()
+		if r.Len() != 0 || r.lease != nil || r.mlease != nil {
+			t.Fatalf("%s: a released result has %d rows", name, r.Len())
+		}
+		if body, err := r.AppendGroupsJSON(nil); err != nil || string(body) != "{}" {
+			t.Fatalf("%s: a released result encodes as %q, %v", name, body, err)
+		}
+		if groups, err := r.Groups(); err != nil || len(groups) != 0 {
+			t.Fatalf("%s: a released result has groups %v, %v", name, groups, err)
+		}
+		// The next query of the shape takes the buffer and overwrites it.
+		again, _, err := ask()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := again.AppendRowsJSON(nil); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: after a release the same query answers %s, want %s", name, got, want)
+		}
+		if merged != nil {
+			merged.Release() // owns nothing: stays whole
+			if got, err := merged.AppendRowsJSON(nil); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: the merge of a released part reads %s, want %s", name, got, want)
+			}
+		}
+	}
+	var none *Result
+	none.Release()
+	built, err := NewResult([]string{"x"}, [][]string{{"a", "b"}}, 1, []float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.Release(); built.Len() != 2 {
+		t.Fatal("Release emptied a result that owns no pooled array")
+	}
+}

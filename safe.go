@@ -20,6 +20,9 @@ type guarded[E any] interface {
 	Stats() Stats
 	MaterializedElements() int
 	StorageCells() int
+	// rawCells is the size of the raw cube while the engine maintains it as an
+	// array of its own beside the store, else 0.
+	rawCells() int
 	// reselectDue is the lock-free "an automatic reselection is pending"
 	// flag; maybeReselect performs it (re-checking the flag, so racing
 	// drainers are idempotent) and reports whether the materialised set
@@ -161,6 +164,21 @@ func (g *guard[E]) MaterializedElements() int { return locked(g, E.MaterializedE
 // StorageCells returns the materialised volume in stored scalars.
 func (g *guard[E]) StorageCells() int { return locked(g, E.StorageCells) }
 
+// ResidentCells counts the cells held in memory — the stored elements, the raw
+// cube while that is an array of its own and, under ingest, a stored set per
+// live snapshot generation — and sets the viewcube_resident_cells gauge to it.
+func (g *guard[E]) ResidentCells() int {
+	g.mu.RLock()
+	gen, n := g.eng.StorageCells(), g.eng.rawCells()
+	g.mu.RUnlock()
+	n += gen
+	if rt := g.ing.Load(); rt != nil {
+		n += rt.lc.Stats().Live * gen
+	}
+	g.eng.metrics().resident.Set(int64(n))
+	return n
+}
+
 // Metrics returns the engine's metrics registry. The registry itself is
 // safe for concurrent use, so no lock is taken to read instruments.
 func (g *guard[E]) Metrics() *Metrics { return g.eng.metrics() }
@@ -240,7 +258,7 @@ func (s *SafeEngine) GroupByResult(traced bool, keep ...string) (*Result, *Query
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := v.Result()
+	r, err := v.leased()
 	return settle(r, qt, err)
 }
 

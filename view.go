@@ -98,6 +98,16 @@ func (v *View) Result() (*Result, error) {
 	return viewResult(v.cube, v.kept, v.arr.Shape(), v.arr.Data(), 1)
 }
 
+// leased is Result for a view nothing else will read again: the result takes
+// the view's array with it, so its Release can recycle the array.
+func (v *View) leased() (*Result, error) {
+	r, err := v.Result()
+	if err == nil {
+		r.lease = v.arr
+	}
+	return r, err
+}
+
 // Groups is Result().Groups(): a map from the kept dimensions' values
 // (joined by GroupKeySeparator when several are kept) to the summed measure,
 // padding coordinates skipped. It is the compatibility shim for library
