@@ -628,10 +628,11 @@ func (e *Engine) StoreStats() StoreStats {
 	return StoreStats{}
 }
 
-// PlanCacheStats reports the plan cache's behaviour: hit/miss counters, the
-// epoch-bump count, and the current epoch. Snapshot is the streaming-ingest
-// snapshot epoch (0 when ingest is not enabled); Epoch+Snapshot together
-// form the monotone data-version counter result caches sync against.
+// PlanCacheStats reports the plan cache's behaviour: hit/miss counters (those
+// of the engine's plan-cache series, so planners sharing a Metrics report
+// their sum), the epoch-bump count, and the current epoch. Snapshot is the
+// streaming-ingest snapshot epoch (0 when ingest is not enabled). Both are
+// for display and the query log: result caches sync against DataVersion.
 type PlanCacheStats struct {
 	Hits          uint64 `json:"hits"`
 	Misses        uint64 `json:"misses"`

@@ -249,7 +249,7 @@ func (r *Registry) EnableResultCache(opt rescache.Options) {
 // instruments. Caller holds r.mu and has checked r.rcOpts is set.
 func (r *Registry) newEntryCacheLocked(name string) *answerCache {
 	c := newAnswerCache(*r.rcOpts)
-	c.SetMetrics(obs.NewResultCacheMetrics(r.met.Sub("cube", name).Registry()))
+	c.SetMetrics(obs.NewCacheMetrics(r.met.Sub("cube", name).Registry(), obs.ResultCachePrefix))
 	return c
 }
 

@@ -31,8 +31,8 @@ import (
 // buffer's owner reuses it; with one, the miss copies it once and the entry,
 // the caller and every coalesced waiter hold the copy.
 //
-// Invalidation is two-tier, mirroring the plan cache's epoch discipline:
-// the registry's lifecycle operations (Load/Unload/Rebuild, and catalog
+// Invalidation is two-tier, under the one epoch contract of rescache: the
+// registry's lifecycle operations (Load/Unload/Rebuild, and catalog
 // hot-reload on top of them) invalidate explicitly on generation changes,
 // and every read first syncs the cache against the handle's data version —
 // which Update/Optimize/Reconfigure and ingest publishes already move — so
@@ -53,7 +53,7 @@ type Answer struct {
 }
 
 // answerCache instantiates the generic cache at the catalog's answer type.
-type answerCache = rescache.Cache[Answer]
+type answerCache = rescache.Cache[string, Answer]
 
 // newAnswerCache builds an entry's cache: the caller's bounds, with an answer
 // sized by what is resident — its body (an exact copy, see serve), plus the
@@ -67,7 +67,7 @@ func newAnswerCache(opt rescache.Options) *answerCache {
 		}
 		return n
 	}
-	return rescache.New[Answer](opt)
+	return rescache.New[string, Answer](opt)
 }
 
 // groupByKey is the canonical cache key of a resolved group-by.

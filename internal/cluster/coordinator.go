@@ -127,7 +127,7 @@ type Coordinator struct {
 	sampler *obs.Sampler
 	qlog    *obs.QueryLog
 	lim     *limiter
-	cache   *rescache.Cache[cachedAnswer]
+	cache   *rescache.Cache[string, cachedAnswer]
 
 	rmu sync.Mutex
 	rng *rand.Rand
@@ -208,8 +208,8 @@ func NewCoordinator(shards []Shard, opts Options) (*Coordinator, error) {
 	if opts.Cache != nil {
 		copt := *opts.Cache
 		copt.Size = answerSize
-		c.cache = rescache.New[cachedAnswer](copt)
-		c.cache.SetMetrics(obs.NewResultCacheMetrics(reg))
+		c.cache = rescache.New[string, cachedAnswer](copt)
+		c.cache.SetMetrics(obs.NewCacheMetrics(reg, obs.ResultCachePrefix))
 	}
 	c.met.ShardsKnown.Set(int64(len(shards)))
 	return c, nil

@@ -110,29 +110,18 @@ func NewAdaptiveMetrics(r *Registry) *AdaptiveMetrics {
 	}
 }
 
-// PlanMetrics instruments the epoch-keyed plan cache: steady-state query
-// populations should converge to hits; invalidations count materialised-set
-// epochs (Optimize/Reconfigure/Update).
-type PlanMetrics struct {
-	Hits          *Counter
-	Misses        *Counter
-	Invalidations *Counter
-}
+// The series prefixes epoch-keyed caches register under: compiled plans
+// (invalidated by Optimize/Reconfigure/Update) and answers (invalidated by
+// data-version changes, rebuilds, catalog reloads and /invalidate).
+const (
+	PlanCachePrefix   = "viewcube_plan_cache"
+	ResultCachePrefix = "viewcube_result_cache"
+)
 
-// NewPlanMetrics registers the plan-cache instrument set.
-func NewPlanMetrics(r *Registry) *PlanMetrics {
-	return &PlanMetrics{
-		Hits:          r.Counter("viewcube_plan_cache_hits_total", "Plan-cache lookups that skipped the Procedure 3 DP (cached or coalesced)."),
-		Misses:        r.Counter("viewcube_plan_cache_misses_total", "Plan-cache lookups that found no current-epoch plan."),
-		Invalidations: r.Counter("viewcube_plan_cache_invalidations_total", "Plan-cache epoch bumps (materialised set or cell values changed)."),
-	}
-}
-
-// ResultCacheMetrics instruments an epoch-invalidated answer cache
-// (internal/rescache): hits skip planning, execution and scatter-gather
-// entirely; invalidations count epochs (updates, reconfigures, rebuilds,
-// catalog reloads).
-type ResultCacheMetrics struct {
+// CacheMetrics instruments one epoch-keyed cache (internal/rescache). Hits
+// are lookups served from a current-epoch entry; misses computed the value
+// or waited on the caller computing it; invalidations count epoch bumps.
+type CacheMetrics struct {
 	Hits          *Counter
 	Misses        *Counter
 	Evictions     *Counter
@@ -141,15 +130,16 @@ type ResultCacheMetrics struct {
 	Entries       *Gauge
 }
 
-// NewResultCacheMetrics registers the result-cache instrument set.
-func NewResultCacheMetrics(r *Registry) *ResultCacheMetrics {
-	return &ResultCacheMetrics{
-		Hits:          r.Counter("viewcube_result_cache_hits_total", "Result-cache lookups served without executing the query (cached or coalesced)."),
-		Misses:        r.Counter("viewcube_result_cache_misses_total", "Result-cache lookups that executed the underlying query."),
-		Evictions:     r.Counter("viewcube_result_cache_evictions_total", "Result-cache entries evicted to stay within the size bounds."),
-		Invalidations: r.Counter("viewcube_result_cache_invalidations_total", "Result-cache epoch bumps (cube state changed)."),
-		Bytes:         r.Gauge("viewcube_result_cache_bytes", "Estimated bytes of answers currently cached."),
-		Entries:       r.Gauge("viewcube_result_cache_entries", "Answers currently cached."),
+// NewCacheMetrics registers a cache instrument set under prefix
+// (PlanCachePrefix or ResultCachePrefix).
+func NewCacheMetrics(r *Registry, prefix string) *CacheMetrics {
+	return &CacheMetrics{
+		Hits:          r.Counter(prefix+"_hits_total", "Cache lookups served from a current-epoch entry."),
+		Misses:        r.Counter(prefix+"_misses_total", "Cache lookups that found no current-epoch entry (computed, or waited on the computing caller)."),
+		Evictions:     r.Counter(prefix+"_evictions_total", "Cache entries evicted to stay within the size bounds."),
+		Invalidations: r.Counter(prefix+"_invalidations_total", "Cache epoch bumps (the state entries derive from changed)."),
+		Bytes:         r.Gauge(prefix+"_bytes", "Estimated size of the cached entries (bytes for answers; one per entry without a sizer)."),
+		Entries:       r.Gauge(prefix+"_entries", "Entries currently cached."),
 	}
 }
 

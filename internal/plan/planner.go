@@ -6,6 +6,7 @@ import (
 	"viewcube/internal/assembly"
 	"viewcube/internal/freq"
 	"viewcube/internal/obs"
+	"viewcube/internal/rescache"
 )
 
 // Planner compiles logical plans into physical plans against one assembly
@@ -21,16 +22,25 @@ import (
 type Planner struct {
 	src   PlanSource
 	spec  MeasureSpec
-	cache *Cache[*assembly.Plan]
+	cache *rescache.Cache[planKey, *assembly.Plan]
 
 	// pinned is set on planners derived by ForSource: the cache epoch
-	// observed when the snapshot generation was published. While the cache
-	// is still at that epoch the derived planner reads and warms the shared
-	// cache as usual; once the epoch moves (a reconfigure invalidated plan
-	// geometry) the draining generation compiles uncached, so it can never
-	// serve or insert stale-geometry plans under the new epoch.
+	// observed when the snapshot generation was published. The derived
+	// planner looks up and stores at that epoch, so while the cache is still
+	// there it reads and warms the shared cache as usual; once the epoch
+	// moves (a reconfigure invalidated plan geometry) the draining generation
+	// compiles uncached, and can never serve or insert stale-geometry plans
+	// under the new epoch.
 	pinned    uint64
 	hasPinned bool
+}
+
+// planKey is a plan's cache key: the element's frequency-plane identity plus
+// the measure layout it was compiled for (MeasureSpec.Key). The scalar
+// layout encodes to measure 0.
+type planKey struct {
+	elem    freq.Key
+	measure uint32
 }
 
 // PlanSource compiles a Procedure 3 assembly plan for one view element.
@@ -52,7 +62,10 @@ func NewPlanner(eng *assembly.Engine) *Planner {
 // {element, layout} key, so planners of different widths may even share a
 // cache without collision.
 func NewPlannerFor(src PlanSource, spec MeasureSpec) *Planner {
-	return &Planner{src: src, spec: spec, cache: NewCache[*assembly.Plan]()}
+	// Plans are few (one per queried element) and tiny: the cache is
+	// unbounded, so its hits share a read lock.
+	cache := rescache.New[planKey, *assembly.Plan](rescache.Options{MaxEntries: -1, MaxBytes: -1})
+	return &Planner{src: src, spec: spec, cache: cache}
 }
 
 // ForSource derives a planner that compiles misses against src (typically
@@ -68,11 +81,9 @@ func (p *Planner) ForSource(src PlanSource) *Planner {
 // Measure returns the measure layout the planner compiles for.
 func (p *Planner) Measure() MeasureSpec { return p.spec }
 
-// SetMetrics attaches plan-cache instruments; nil restores the no-op set.
-func (p *Planner) SetMetrics(m *obs.PlanMetrics) { p.cache.SetMetrics(m) }
-
-// Cache exposes the underlying plan cache (epoch reads, stats).
-func (p *Planner) Cache() *Cache[*assembly.Plan] { return p.cache }
+// SetMetrics attaches plan-cache instruments (which then back Stats); nil
+// restores a private set.
+func (p *Planner) SetMetrics(m *obs.CacheMetrics) { p.cache.SetMetrics(m) }
 
 // Epoch returns the current materialised-set epoch.
 func (p *Planner) Epoch() uint64 { return p.cache.Epoch() }
@@ -82,7 +93,7 @@ func (p *Planner) Epoch() uint64 { return p.cache.Epoch() }
 func (p *Planner) Invalidate() uint64 { return p.cache.Invalidate() }
 
 // Stats snapshots the plan-cache counters.
-func (p *Planner) Stats() Stats { return p.cache.Stats() }
+func (p *Planner) Stats() rescache.Stats { return p.cache.Stats() }
 
 // Element returns the physical plan producing view element r, serving it
 // from the plan cache when the materialised set has not changed since the
@@ -96,19 +107,12 @@ func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
 		defer sp.End()
 	}
 	epoch := p.cache.Epoch()
-	var pl *assembly.Plan
-	var hit bool
-	var err error
-	if p.hasPinned && epoch != p.pinned {
-		// A draining snapshot generation after a geometry change: bypass the
-		// cache entirely rather than pollute the new epoch.
+	if p.hasPinned {
 		epoch = p.pinned
-		pl, err = p.src.ComputePlan(r)
-	} else {
-		pl, hit, err = p.cache.GetOrComputeMeasureAt(epoch, r.Key(), p.spec.Key(), func() (*assembly.Plan, error) {
-			return p.src.ComputePlan(r)
-		})
 	}
+	pl, hit, err := p.cache.GetOrComputeAt(epoch, planKey{r.Key(), p.spec.Key()}, func() (*assembly.Plan, error) {
+		return p.src.ComputePlan(r)
+	})
 	if err != nil {
 		return nil, err
 	}

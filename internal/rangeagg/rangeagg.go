@@ -23,6 +23,7 @@ import (
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
 	"viewcube/internal/plan"
+	"viewcube/internal/rescache"
 	"viewcube/internal/velement"
 )
 
@@ -82,7 +83,7 @@ type CtxElementSource interface {
 }
 
 // Querier answers range-SUM queries from intermediate view elements,
-// caching each element it touches in an epoch-keyed plan.Cache. Queries may
+// caching each element it touches in an epoch-keyed cache. Queries may
 // run concurrently: the pyramid cache is concurrency-safe with singleflight
 // miss coalescing (racing queries for the same intermediate element wait on
 // one fetch instead of duplicating it), and cached arrays are only ever
@@ -93,7 +94,7 @@ type Querier struct {
 	space *velement.Space
 	src   ElementSource
 
-	cache *plan.Cache[*ndarray.Array]
+	cache *rescache.Cache[freq.Key, *ndarray.Array]
 
 	mu sync.Mutex // guards CellsRead
 
@@ -111,21 +112,14 @@ type Querier struct {
 func NewQuerier(space *velement.Space, src ElementSource) *Querier {
 	return &Querier{
 		space: space, src: src,
-		cache: NewCache(),
+		cache: rescache.New[freq.Key, *ndarray.Array](unbounded),
 		met:   obs.NewRangeMetrics(nil),
 	}
 }
 
-// NewCache returns the element-cache type the querier uses — the same
-// epoch-keyed cache the planner caches assembly plans in. Exposed so engine
-// shards (PartitionedEngine) and the root engine can share the type.
-func NewCache() *plan.Cache[*ndarray.Array] {
-	return plan.NewCache[*ndarray.Array]()
-}
-
-// Cache exposes the querier's element cache so the owner can invalidate it
-// together with the plan cache (one epoch protocol for the whole read path).
-func (q *Querier) Cache() *plan.Cache[*ndarray.Array] { return q.cache }
+// unbounded is the pyramid caches' options: they hold at most one element
+// per pyramid level combination and are dropped whole on Reset.
+var unbounded = rescache.Options{MaxEntries: -1, MaxBytes: -1}
 
 // SetMetrics attaches registered instruments; nil restores the no-op set.
 func (q *Querier) SetMetrics(m *obs.RangeMetrics) {

@@ -180,7 +180,7 @@ func TestQuerierCachesElements(t *testing.T) {
 	if q.CellsRead != 2*first {
 		t.Fatalf("cells read %d, want %d (same per query)", q.CellsRead, 2*first)
 	}
-	if q.cache.Len() == 0 {
+	if q.cache.Stats().Entries == 0 {
 		t.Fatal("querier should have cached elements")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
 	"viewcube/internal/plan"
+	"viewcube/internal/rescache"
 	"viewcube/internal/velement"
 )
 
@@ -31,7 +32,7 @@ type VecQuerier struct {
 	src   MultiElementSource
 	width int
 
-	cache *plan.Cache[*ndarray.MultiArray]
+	cache *rescache.Cache[freq.Key, *ndarray.MultiArray]
 
 	mu sync.Mutex // guards CellsRead
 
@@ -46,7 +47,7 @@ type VecQuerier struct {
 func NewVecQuerier(space *velement.Space, src MultiElementSource, width int) *VecQuerier {
 	return &VecQuerier{
 		space: space, src: src, width: width,
-		cache: plan.NewCache[*ndarray.MultiArray](),
+		cache: rescache.New[freq.Key, *ndarray.MultiArray](unbounded),
 		met:   obs.NewRangeMetrics(nil),
 	}
 }
@@ -58,9 +59,6 @@ func (q *VecQuerier) SetMetrics(m *obs.RangeMetrics) {
 	}
 	q.met = m
 }
-
-// Cache exposes the element cache (epoch reads, stats).
-func (q *VecQuerier) Cache() *plan.Cache[*ndarray.MultiArray] { return q.cache }
 
 // Reset bumps the cache epoch, dropping every cached element.
 func (q *VecQuerier) Reset() { q.cache.Invalidate() }

@@ -1,31 +1,31 @@
-// Package rescache is the serving tier's answer cache: a generic,
-// size-bounded (bytes and entries, LRU) cache of fully computed query
-// results keyed by normalized query shape, with the same epoch-invalidation
-// discipline as the plan cache (internal/plan.Cache) one layer below it.
+// Package rescache is the one epoch-keyed cache of the read path. Every
+// cached value in the serving stack is a pure function of some state plus a
+// key — a compiled plan of the materialised set, a range-pyramid element of
+// the stored cells, an answer of the cube or the shard tier — so "valid
+// until that state changes" is the whole contract, stated once here:
 //
-// The plan cache amortises *compilation* — the Procedure 3 DP that turns a
-// query shape into an executable plan — but the answer itself is still
-// re-executed and re-scattered on every request. Under repeat-heavy traffic
-// the answer is the thing worth keeping: a hit here skips planning,
-// execution and scatter-gather entirely and costs one map lookup.
+//   - every entry is tagged with the epoch observed *before* its
+//     computation started, and a lookup serves an entry only at the epoch
+//     the caller observed;
+//   - Invalidate (or an observed upstream change via SyncUpstream) bumps the
+//     epoch and drops every entry under the same lock, and a computation
+//     whose epoch is no longer current when it finishes is returned to its
+//     callers but never stored — so nothing computed before an invalidation
+//     is served after it;
+//   - misses for one key are single-flighted on {epoch, key}: one caller
+//     computes, racing callers of the same epoch wait and share the value,
+//     and a caller that observed the post-invalidation epoch never joins a
+//     flight started before it;
+//   - GetOrComputeAt takes the epoch from the caller, so a reader pinned to
+//     an older epoch (a draining snapshot generation) neither serves nor
+//     stores anything under the current one.
 //
-// Correctness mirrors the plan cache's epoch monotonicity argument:
-//
-//   - every entry is tagged with the epoch current when its computation
-//     *started*;
-//   - Invalidate (or an observed upstream epoch change via SyncUpstream)
-//     bumps the epoch and drops every entry under the same lock, so an
-//     entry tagged with an older epoch is never served again — even if its
-//     computation raced the invalidation and stored afterwards;
-//   - in-flight computations are keyed by {epoch, key}, so a caller that
-//     observes the post-invalidation epoch can never join a flight started
-//     before it (the post-invalidation-never-joins-stale-flights
-//     guarantee).
-//
-// Since the epoch only moves forward and every cached value derives from a
-// single epoch observation taken before its computation began, a served
-// value is always one that was computed entirely within the epoch the
-// caller observed: cache-on answers are bit-identical to cache-off answers.
+// Since the epoch only moves forward and every value derives from one epoch
+// observation taken before its computation began, cache-on answers are
+// bit-identical to cache-off answers. A cache with a bound (entries or
+// bytes) keeps LRU order and takes its lock exclusively on a hit to promote
+// the entry; an unbounded one has no recency to keep, so its hits share a
+// read lock.
 package rescache
 
 import (
@@ -59,46 +59,41 @@ const (
 	DefaultMaxBytes = 64 << 20
 )
 
-// Cache is an epoch-invalidated, size-bounded, singleflight-deduplicated
-// result cache. All methods are safe for concurrent use; the nil *Cache is
-// a valid always-miss cache that never stores (so serving paths can wire it
-// unconditionally and gate on a single nil check).
-type Cache[V any] struct {
+// Cache is an epoch-invalidated, singleflight-deduplicated cache, LRU-bounded
+// when its options set a bound. All methods are safe for concurrent use; the
+// nil *Cache is a valid always-miss cache that never stores (so serving paths
+// can wire it unconditionally and gate on a single nil check).
+type Cache[K comparable, V any] struct {
 	epoch    atomic.Uint64
 	upstream atomic.Uint64 // last upstream epoch observed by SyncUpstream
 
-	// Own counters back Stats(); met mirrors them into a Registry when one
-	// is wired (the default metrics set is no-op and holds nothing).
-	hits          atomic.Uint64
-	misses        atomic.Uint64
-	evictions     atomic.Uint64
-	invalidations atomic.Uint64
-
-	mu      sync.Mutex
-	entries map[string]*list.Element
-	lru     *list.List // front = most recent
+	mu      rwLocker // shared reads when unbounded; exclusive when bounded
+	entries map[K]*item[K, V]
+	lru     *list.List // front = most recent; nil when unbounded
 	bytes   int64
 
 	fmu      sync.Mutex
-	inflight map[flightKey]*flight[V]
+	inflight map[flightKey[K]]*flight[V]
 
 	opt Options
-	met *obs.ResultCacheMetrics
+	met *obs.CacheMetrics // backs Stats; private counters until SetMetrics
 }
 
-// item is one LRU slot.
-type item[V any] struct {
-	key   string
+// item is one entry; immutable once stored, so an unbounded cache's readers
+// may use it after dropping the read lock.
+type item[K comparable, V any] struct {
+	key   K
 	epoch uint64
 	val   V
 	size  int64
+	el    *list.Element // LRU slot; nil when unbounded
 }
 
 // flightKey includes the epoch so a computation started before an
 // invalidation is never joined by callers from the new epoch.
-type flightKey struct {
+type flightKey[K comparable] struct {
 	epoch uint64
-	key   string
+	key   K
 }
 
 type flight[V any] struct {
@@ -107,101 +102,108 @@ type flight[V any] struct {
 	err  error
 }
 
-// New returns an empty cache at epoch 0 with no-op metrics.
-func New[V any](opt Options) *Cache[V] {
+// New returns an empty cache at epoch 0 whose counters are its own until
+// SetMetrics attaches registered ones.
+func New[K comparable, V any](opt Options) *Cache[K, V] {
 	if opt.MaxEntries == 0 {
 		opt.MaxEntries = DefaultMaxEntries
 	}
 	if opt.MaxBytes == 0 {
 		opt.MaxBytes = DefaultMaxBytes
 	}
-	return &Cache[V]{
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[flightKey]*flight[V]),
+	c := &Cache[K, V]{
+		entries:  make(map[K]*item[K, V]),
+		inflight: make(map[flightKey[K]]*flight[V]),
 		opt:      opt,
-		met:      obs.NewResultCacheMetrics(nil),
+		met:      privateMetrics(),
 	}
+	if opt.MaxEntries > 0 || opt.MaxBytes > 0 {
+		c.lru, c.mu = list.New(), new(exclusive)
+	} else {
+		c.mu = new(sync.RWMutex)
+	}
+	return c
 }
 
-// SetMetrics attaches registered instruments; nil restores the no-op set.
-// Call during wiring, before the cache is shared across goroutines. Safe on
-// nil.
-func (c *Cache[V]) SetMetrics(m *obs.ResultCacheMetrics) {
+// rwLocker is the entry lock. A bounded cache's hits move their entry in
+// the LRU, so its read side is exclusive — a plain mutex, cheaper than an
+// RWMutex's write side; an unbounded cache's hits share a read lock.
+type rwLocker interface {
+	sync.Locker
+	RLock()
+	RUnlock()
+}
+
+type exclusive struct{ sync.Mutex }
+
+func (e *exclusive) RLock()   { e.Lock() }
+func (e *exclusive) RUnlock() { e.Unlock() }
+
+// privateMetrics is an unregistered counter set: Stats work without a
+// registry, and nothing is exported.
+func privateMetrics() *obs.CacheMetrics {
+	return &obs.CacheMetrics{Hits: new(obs.Counter), Misses: new(obs.Counter),
+		Evictions: new(obs.Counter), Invalidations: new(obs.Counter)}
+}
+
+// SetMetrics attaches registered instruments, which then back Stats as
+// well; nil restores a private set. Caches given the same instruments
+// report their summed counts. Call during wiring, before the cache is
+// shared across goroutines. Safe on nil.
+func (c *Cache[K, V]) SetMetrics(m *obs.CacheMetrics) {
 	if c == nil {
 		return
 	}
 	if m == nil {
-		m = obs.NewResultCacheMetrics(nil)
+		m = privateMetrics()
 	}
 	c.met = m
 }
 
 // Epoch returns the current epoch. Safe on nil.
-func (c *Cache[V]) Epoch() uint64 {
+func (c *Cache[K, V]) Epoch() uint64 {
 	if c == nil {
 		return 0
 	}
 	return c.epoch.Load()
 }
 
-// Len returns the number of live entries. Safe on nil.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// Bytes returns the estimated size of all live entries. Safe on nil.
-func (c *Cache[V]) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // Invalidate bumps the epoch and drops every entry. Call it whenever the
-// state answers were computed from changes (an update mutated cells, a
+// state the values were computed from changes (an update mutated cells, a
 // reselection rewrote the materialised set, a rebuild swapped the cube
 // generation). Returns the new epoch. Safe on nil (returns 0) and safe to
 // call concurrently with readers: computations from the old epoch finish
-// but their results are tagged stale and never served.
-func (c *Cache[V]) Invalidate() uint64 {
+// and reach their callers but are never stored.
+func (c *Cache[K, V]) Invalidate() uint64 {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
-	n := c.invalidateLocked()
-	c.mu.Unlock()
-	return n
+	defer c.mu.Unlock()
+	return c.invalidateLocked()
 }
 
-// invalidateLocked bumps the epoch and clears the LRU. Caller holds c.mu.
-func (c *Cache[V]) invalidateLocked() uint64 {
+// invalidateLocked bumps the epoch and clears the entries. Caller holds c.mu.
+func (c *Cache[K, V]) invalidateLocked() uint64 {
 	n := c.epoch.Add(1)
-	c.entries = make(map[string]*list.Element)
-	c.lru.Init()
+	c.met.Bytes.Add(-c.bytes)
+	c.met.Entries.Add(-int64(len(c.entries)))
+	c.entries = make(map[K]*item[K, V])
+	if c.lru != nil {
+		c.lru.Init()
+	}
 	c.bytes = 0
-	c.met.Bytes.Set(0)
-	c.met.Entries.Set(0)
-	c.invalidations.Add(1)
 	c.met.Invalidations.Inc()
 	return n
 }
 
-// SyncUpstream observes the authoritative upstream epoch — typically the
-// serving engine's plan-cache epoch, which Update/Optimize/Reconfigure
-// already bump under the engine's write lock. When the observed value
-// differs from the last observation the cache invalidates, so answers
-// derived from pre-change state become unreachable without the mutation
-// paths needing to know this cache exists. Call it before GetOrCompute on
-// every query. Safe on nil.
-func (c *Cache[V]) SyncUpstream(upstream uint64) {
+// SyncUpstream observes the authoritative upstream version — typically the
+// serving engine's DataVersion, which every mutation moves. When the
+// observed value differs from the last observation the cache invalidates, so
+// values derived from pre-change state become unreachable without the
+// mutation paths needing to know this cache exists. Call it before
+// GetOrCompute on every query. Safe on nil.
+func (c *Cache[K, V]) SyncUpstream(upstream uint64) {
 	if c == nil || c.upstream.Load() == upstream {
 		return
 	}
@@ -214,26 +216,27 @@ func (c *Cache[V]) SyncUpstream(upstream uint64) {
 }
 
 // get returns the entry for key if it exists at the given epoch, marking it
-// most recently used.
-func (c *Cache[V]) get(epoch uint64, key string) (V, bool) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		it := el.Value.(*item[V])
-		if it.epoch == epoch {
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			return it.val, true
-		}
+// most recently used in a bounded cache.
+func (c *Cache[K, V]) get(epoch uint64, key K) (V, bool) {
+	c.mu.RLock()
+	it := c.entries[key]
+	hit := it != nil && it.epoch == epoch
+	if hit && c.lru != nil {
+		c.lru.MoveToFront(it.el)
 	}
-	c.mu.Unlock()
-	var zero V
-	return zero, false
+	c.mu.RUnlock()
+	if !hit {
+		var zero V
+		return zero, false
+	}
+	return it.val, true
 }
 
-// store inserts val under key tagged with its compute-start epoch, then
-// evicts from the cold end until the cache is back inside its bounds.
-// Values whose size function reports negative are not stored.
-func (c *Cache[V]) store(epoch uint64, key string, val V) {
+// store inserts val under key tagged with its compute-start epoch — unless
+// that epoch is no longer current — then evicts from the cold end until the
+// cache is back inside its bounds. Values whose size function reports
+// negative are not stored.
+func (c *Cache[K, V]) store(epoch uint64, key K, val V) {
 	size := int64(1)
 	if c.opt.Size != nil {
 		s := c.opt.Size(val)
@@ -248,61 +251,69 @@ func (c *Cache[V]) store(epoch uint64, key string, val V) {
 		return
 	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		// A racing flight from an older epoch (or a re-store) already holds
-		// the slot; replace it in place.
-		it := el.Value.(*item[V])
-		c.bytes -= it.size
-		c.lru.Remove(el)
-		delete(c.entries, key)
+	defer c.mu.Unlock()
+	if epoch != c.epoch.Load() {
+		return // invalidated while computing: unreachable, so not stored
 	}
-	el := c.lru.PushFront(&item[V]{key: key, epoch: epoch, val: val, size: size})
-	c.entries[key] = el
+	if old := c.entries[key]; old != nil {
+		c.removeLocked(old)
+	}
+	it := &item[K, V]{key: key, epoch: epoch, val: val, size: size}
+	if c.lru != nil {
+		it.el = c.lru.PushFront(it)
+	}
+	c.entries[key] = it
 	c.bytes += size
+	c.met.Bytes.Add(size)
+	c.met.Entries.Add(1)
 	for (c.opt.MaxEntries > 0 && len(c.entries) > c.opt.MaxEntries) ||
 		(c.opt.MaxBytes > 0 && c.bytes > c.opt.MaxBytes) {
 		cold := c.lru.Back()
-		if cold == nil || cold == el && len(c.entries) == 1 {
+		if cold == it.el {
 			break
 		}
-		it := cold.Value.(*item[V])
-		c.lru.Remove(cold)
-		delete(c.entries, it.key)
-		c.bytes -= it.size
-		c.evictions.Add(1)
+		c.removeLocked(cold.Value.(*item[K, V]))
 		c.met.Evictions.Inc()
 	}
-	c.met.Bytes.Set(c.bytes)
-	c.met.Entries.Set(int64(len(c.entries)))
-	c.mu.Unlock()
 }
 
-// GetOrCompute returns the cached value for key at the current epoch,
-// computing, caching and LRU-promoting it on a miss. hit reports whether
-// compute was skipped entirely — a cache hit, or a coalesced wait on
-// another caller's identical in-flight computation (singleflight: N
-// identical concurrent queries execute the underlying work exactly once).
-// Errors propagate to every coalesced caller and nothing is cached. Cached
-// values are shared across callers and must be treated as read-only.
+// removeLocked drops one entry. Caller holds c.mu.
+func (c *Cache[K, V]) removeLocked(it *item[K, V]) {
+	delete(c.entries, it.key)
+	if c.lru != nil {
+		c.lru.Remove(it.el)
+	}
+	c.bytes -= it.size
+	c.met.Bytes.Add(-it.size)
+	c.met.Entries.Add(-1)
+}
+
+// GetOrCompute is GetOrComputeAt at the current epoch.
+func (c *Cache[K, V]) GetOrCompute(key K, compute func() (V, error)) (val V, hit bool, err error) {
+	return c.GetOrComputeAt(c.Epoch(), key, compute)
+}
+
+// GetOrComputeAt returns the value for key cached at epoch, computing and
+// caching it on a miss. hit reports whether compute was skipped entirely — a
+// cache hit, or a coalesced wait on another caller's identical in-flight
+// computation (which counts as a miss in Stats). Errors propagate to every
+// coalesced caller and nothing is cached. Cached values are shared across
+// callers and must be treated as read-only.
 //
-// Safe on a nil receiver: compute runs and nothing is cached (hit false).
-func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (val V, hit bool, err error) {
+// The lookup, the flight and the stored entry all use epoch, so a caller
+// pinned to an epoch the cache has since left computes uncached. Safe on a
+// nil receiver: compute runs and nothing is cached (hit false).
+func (c *Cache[K, V]) GetOrComputeAt(epoch uint64, key K, compute func() (V, error)) (val V, hit bool, err error) {
 	if c == nil {
 		val, err = compute()
 		return val, false, err
 	}
-	// The epoch is observed BEFORE the value is computed: if an invalidation
-	// lands in between, the entry is tagged with the old epoch and never
-	// served — the monotonicity invariant every correctness claim rests on.
-	epoch := c.epoch.Load()
 	if v, ok := c.get(epoch, key); ok {
-		c.hits.Add(1)
 		c.met.Hits.Inc()
 		return v, true, nil
 	}
-	c.misses.Add(1)
 	c.met.Misses.Inc()
-	fk := flightKey{epoch: epoch, key: key}
+	fk := flightKey[K]{epoch: epoch, key: key}
 	c.fmu.Lock()
 	if f, ok := c.inflight[fk]; ok {
 		c.fmu.Unlock()
@@ -322,7 +333,7 @@ func (c *Cache[V]) GetOrCompute(key string, compute func() (V, error)) (val V, h
 
 	f.val, f.err = compute()
 	if f.err == nil {
-		c.store(epoch, fk.key, f.val)
+		c.store(epoch, key, f.val)
 	}
 	close(f.done)
 	c.fmu.Lock()
@@ -342,19 +353,19 @@ type Stats struct {
 	Bytes         int64  `json:"bytes"`
 }
 
-// Stats snapshots the cache counters, size and epoch. Safe on nil.
-func (c *Cache[V]) Stats() Stats {
+// Stats snapshots the counters, the live size and the epoch. Safe on nil.
+func (c *Cache[K, V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.Lock()
+	c.mu.RLock()
 	entries, bytes := len(c.entries), c.bytes
-	c.mu.Unlock()
+	c.mu.RUnlock()
 	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
+		Hits:          c.met.Hits.Value(),
+		Misses:        c.met.Misses.Value(),
+		Evictions:     c.met.Evictions.Value(),
+		Invalidations: c.met.Invalidations.Value(),
 		Epoch:         c.Epoch(),
 		Entries:       entries,
 		Bytes:         bytes,

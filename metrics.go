@@ -30,7 +30,7 @@ type Metrics struct {
 	assembly *obs.AssemblyMetrics
 	adaptive *obs.AdaptiveMetrics
 	ranges   *obs.RangeMetrics
-	plans    *obs.PlanMetrics
+	plans    *obs.CacheMetrics
 	ingest   *obs.IngestMetrics
 }
 
@@ -65,7 +65,7 @@ func newMetrics(reg *obs.Registry) *Metrics {
 	m.assembly = obs.NewAssemblyMetrics(reg)
 	m.adaptive = obs.NewAdaptiveMetrics(reg)
 	m.ranges = obs.NewRangeMetrics(reg)
-	m.plans = obs.NewPlanMetrics(reg)
+	m.plans = obs.NewCacheMetrics(reg, obs.PlanCachePrefix)
 	m.ingest = obs.NewIngestMetrics(reg)
 	return m
 }

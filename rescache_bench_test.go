@@ -74,7 +74,7 @@ func BenchmarkResultCacheHitParallel(b *testing.B) {
 // before every round and computing a canned value. The full cost of a real
 // miss is the underlying query plus this.
 func BenchmarkResultCacheMiss(b *testing.B) {
-	c := rescache.New[int](rescache.Options{})
+	c := rescache.New[string, int](rescache.Options{})
 	compute := func() (int, error) { return 42, nil }
 	b.ReportAllocs()
 	b.ResetTimer()
