@@ -90,6 +90,8 @@ func TestBenchJSON(t *testing.T) {
 		{"ResultEncodeGroups/8192/columnar", benchEncodeGroups(8192, "columnar")},
 		{"ResultEncodeGroups/8192/reuse", benchEncodeGroups(8192, "reuse")},
 		{"ResultEncodeGroups/8192/map", benchEncodeGroups(8192, "map")},
+		{"ResultEncodeGroups/16384/columnar", benchEncodeGroups(16384, "columnar")},
+		{"ResultEncodeGroups/16384/reuse", benchEncodeGroups(16384, "reuse")},
 		{"NewEngineResident/scalar", benchNewEngineResident(false)},
 		{"NewEngineResident/agg", benchNewEngineResident(true)},
 		{"ServeGroupByUncached/1024", benchServeGroupByUncached(1024)},

@@ -466,9 +466,12 @@ func runCoordinator(cfg config) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: server.NewCoordinator(coord,
-		server.WithCoordinatorLogger(cfg.requestLogger()),
-		server.WithCoordinatorQueryLog(qlog))}
+	opts := []server.CoordinatorOption{server.WithCoordinatorLogger(cfg.requestLogger()), server.WithCoordinatorQueryLog(qlog)}
+	if cfg.enablePprof {
+		opts = append(opts, server.WithCoordinatorPprof())
+		logger.Info("pprof enabled", "path", "/debug/pprof/")
+	}
+	srv := &http.Server{Handler: server.NewCoordinator(coord, opts...)}
 	errCh := make(chan error, 1)
 	go func() {
 		logger.Info("serving coordinator", "addr", httpLn.Addr().String(), "shards", len(shards))

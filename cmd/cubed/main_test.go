@@ -251,6 +251,25 @@ func TestCoordinatorServingFlags(t *testing.T) {
 	waitStopped(t, doneC, "coordinator")
 }
 
+// TestCoordinatorPprofFlag: -pprof mounts /debug/pprof/ on a coordinator as
+// on a node, and a coordinator started without it has no such route. Shards
+// are dialled lazily, so neither needs one up.
+func TestCoordinatorPprofFlag(t *testing.T) {
+	for _, pprof := range []bool{true, false} {
+		httpC, _, done := startCubed(t, config{coordinator: "127.0.0.1:1", enablePprof: pprof, grace: 5 * time.Second})
+		resp, err := http.Get("http://" + httpC + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusNotFound}[pprof]; resp.StatusCode != want {
+			t.Errorf("-pprof=%v: GET /debug/pprof/ is %d, want %d", pprof, resp.StatusCode, want)
+		}
+		sigterm(t)
+		waitStopped(t, done, "coordinator")
+	}
+}
+
 // TestCatalogReloadFlag edits the catalog file under a running -catalogreload
 // cubed and watches the new cube appear without a restart.
 func TestCatalogReloadFlag(t *testing.T) {

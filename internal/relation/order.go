@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -11,9 +12,10 @@ import (
 )
 
 // What the result encoders derive from a dictionary once and then only read:
-// each member's JSON string text, and the permutations that put codes in the
-// order of the *output's* keys. Both are O(members), never O(groups), and
-// neither depends on which dimensions a query keeps.
+// each member's JSON string text, its tail in each JSON form, and the
+// permutations that put codes in the order of the *output's* keys. All are
+// O(members), never O(groups), and none depends on which dimensions a query
+// keeps.
 
 // The separators composite group keys are joined with: PathSep on the
 // /groupby wire ("ale/east"), UnitSep in library maps and SQL row order.
@@ -22,12 +24,31 @@ const (
 	UnitSep byte = 0x1f
 )
 
+// The JSON forms a result is written in. A row of either is its run's prefix
+// (everything up to the last key member's opening quote), the last member's
+// tail and the row's values.
+const (
+	GroupsForm = 0 // {"ale/east":12,...}: the key is one string
+	RowsForm   = 1 // [{"key":["ale","east"],"values":[12,3]},...]
+)
+
+// tailEnds is what follows a member's escaped text in its tail, per form: the
+// closing quote, then what the form writes up to the row's first value.
+var tailEnds = [2]string{GroupsForm: `":`, RowsForm: `"],"values":[`}
+
+// texts is a list of byte strings stored back to back: string i is
+// b[at[i]:at[i+1]].
+type texts struct {
+	b  []byte
+	at []int32 // one more than there are strings; at[0] is 0
+}
+
 // Order is the immutable encoder view of one dimension's members.
 type Order struct {
-	esc     []byte  // every member's JSON-escaped text (no quotes), back to back
-	end     []int32 // member i is esc[end[i-1]:end[i]]
-	coord   []int32 // the codes in coordinate order: 0, 1, 2, ...
-	byValue []int32 // codes sorted by value; coord itself when codes already are
+	esc     texts    // every member's JSON-escaped text, without quotes
+	tails   [2]texts // per form, every member's tail: its esc, then tailEnds
+	coord   []int32  // the codes in coordinate order: 0, 1, 2, ...
+	byValue []int32  // codes sorted by value; coord itself when codes already are
 	bySep   [2]struct {
 		perm      []int32 // codes sorted by value+sep (PathSep, UnitSep); coord when they are
 		ambiguous bool    // some member contains the separator
@@ -37,10 +58,18 @@ type Order struct {
 // NewOrder derives the encoder view of a member list (members[i] has code
 // i). The list is not retained.
 func NewOrder(members []string) *Order {
-	o := &Order{end: make([]int32, len(members)), coord: make([]int32, len(members))}
+	o := &Order{esc: texts{at: make([]int32, 1, len(members)+1)}, coord: make([]int32, len(members))}
 	for i, v := range members {
-		o.esc = AppendJSONEscaped(o.esc, v)
-		o.end[i], o.coord[i] = int32(len(o.esc)), int32(i)
+		o.esc.b = AppendJSONEscaped(o.esc.b, v)
+		o.esc.at, o.coord[i] = append(o.esc.at, int32(len(o.esc.b))), int32(i)
+	}
+	for form, end := range tailEnds {
+		t := &o.tails[form]
+		t.b, t.at = make([]byte, 0, len(o.esc.b)+len(members)*len(end)), make([]int32, 1, len(members)+1)
+		for i := range members {
+			t.b = append(append(t.b, o.Escaped(i)...), end...)
+			t.at = append(t.at, int32(len(t.b)))
+		}
 	}
 	o.byValue = o.sortedCodes(members, func(a, b string) bool { return a < b })
 	for i, sep := range [2]byte{PathSep, UnitSep} {
@@ -77,17 +106,30 @@ func (o *Order) sortedCodes(members []string, less func(a, b string) bool) []int
 
 // Len returns the number of members, TextLen the total length of their
 // escaped text.
-func (o *Order) Len() int     { return len(o.end) }
-func (o *Order) TextLen() int { return len(o.esc) }
+func (o *Order) Len() int     { return len(o.coord) }
+func (o *Order) TextLen() int { return len(o.esc.b) }
 
 // Escaped returns member code's JSON string text, without the quotes. The
 // slice aliases the Order: read-only.
-func (o *Order) Escaped(code int) []byte {
-	if code == 0 {
-		return o.esc[:o.end[0]]
-	}
-	return o.esc[o.end[code-1]:o.end[code]]
+func (o *Order) Escaped(code int) []byte { return o.esc.b[o.esc.at[code]:o.esc.at[code+1]] }
+
+// Tails returns every member's tail in a form — its escaped text, the closing
+// quote and what the form writes up to the row's first value — back to back:
+// member i's is text[at[i]:at[i+1]]. Both slices alias the Order: read-only.
+func (o *Order) Tails(form int) (text []byte, at []int32) {
+	return o.tails[form].b, o.tails[form].at
 }
+
+// NoKey is the Order a result without key positions writes its one row with:
+// one empty member. Its groups-form tail closes the key string "" that the
+// row's prefix opened; in the rows form the key is [], with no string to
+// close, so its tail starts past the quote.
+var NoKey = func() *Order {
+	o := NewOrder([]string{""})
+	rows := &o.tails[RowsForm]
+	rows.b, rows.at[1] = rows.b[1:], rows.at[1]-1
+	return o
+}()
 
 // Perm returns the codes in output-key order for a key position: coordinate
 // order when sep is 0, otherwise by value when the position is the key's
@@ -190,26 +232,40 @@ const digitPairs = "00010203040506070809101112131415161718192021222324" +
 	"50515253545556575859606162636465666768697071727374" +
 	"75767778798081828384858687888990919293949596979899"
 
-// appendInt appends i in decimal, written in place from its last digit, two
-// digits per division.
+// pow10 is 10ⁱ, except 0 at i = 0, so that 0 has one digit.
+var pow10 = [20]uint64{0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// appendInt appends i in decimal: a sign, then AppendDigits.
 func appendInt(dst []byte, i int64) []byte {
 	u := uint64(i)
 	if i < 0 {
 		dst, u = append(dst, '-'), -u
 	}
-	n := 1 // the number of digits
-	for v := u; v >= 10; v, n = v/10, n+1 {
-		if v >= 1e4 {
-			v, n = v/1e3, n+3
-		}
+	return AppendDigits(dst, u)
+}
+
+// AppendDigits appends u in decimal, written in place from its last digit,
+// two digits per division, into the room dst has past its length — grown
+// only when that room is short (a row of a result encoder reserves it).
+func AppendDigits(dst []byte, u uint64) []byte {
+	// The number of digits is t+1 from 10ᵗ on and t below, where
+	// t = ⌊bits(u) × log₁₀ 2⌋ (1233/4096 ≈ log₁₀ 2).
+	t := bits.Len64(u) * 1233 >> 12
+	n := t + 1
+	if u < pow10[t] {
+		n--
 	}
 	dst = slices.Grow(dst, n)[:len(dst)+n]
 	p := len(dst)
-	for ; u >= 10; u /= 100 {
-		p -= 2
-		dst[p], dst[p+1] = digitPairs[u%100*2], digitPairs[u%100*2+1]
+	for ; u >= 100; p -= 2 {
+		q := u / 100
+		d := (u - q*100) * 2
+		dst[p-2], dst[p-1], u = digitPairs[d], digitPairs[d+1], q
 	}
-	if n%2 == 1 {
+	if u >= 10 {
+		dst[p-2], dst[p-1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
 		dst[p-1] = '0' + byte(u)
 	}
 	return dst

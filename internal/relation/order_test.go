@@ -8,10 +8,51 @@ import (
 	"testing"
 )
 
+// tailMembers are the members whose escaped text and tails TestOrderTails
+// checks: the empty string, quotes, backslashes, HTML characters, control
+// bytes, U+2028/U+2029, invalid UTF-8, multi-byte runes and both separators.
+var tailMembers = []string{
+	"", `"`, `\`, "<>&", "a\"b\\c", "\x00\x01\b\f\n\r\t\x1f\x7f", " ", "x y",
+	"bad\xffutf", "\xc3", "\xe2\x82", "café", "\U0001f37a", "ale", "a/b", "a\x1fb",
+}
+
+// TestOrderTails: every member's tail is its escaped text, the closing quote
+// and the form's mid — in both forms, in code order — and NoKey's one row is
+// keyed "" in the groups form and [] in the rows form.
+func TestOrderTails(t *testing.T) {
+	mids := map[int]string{GroupsForm: ":", RowsForm: `],"values":[`}
+	o := NewOrder(tailMembers)
+	for form, mid := range mids {
+		text, at := o.Tails(form)
+		if len(at) != len(tailMembers)+1 || at[0] != 0 || int(at[len(at)-1]) != len(text) {
+			t.Fatalf("form %d: %d tail offsets over %d bytes for %d members", form, len(at), len(text), len(tailMembers))
+		}
+		for c, m := range tailMembers {
+			esc, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := string(o.Escaped(c)); got != string(esc[1:len(esc)-1]) {
+				t.Errorf("Escaped(%q) = %q, want %q", m, got, esc[1:len(esc)-1])
+			}
+			if got, want := string(text[at[c]:at[c+1]]), string(o.Escaped(c))+`"`+mid; got != want {
+				t.Errorf("form %d: tail of %q = %q, want %q", form, m, got, want)
+			}
+		}
+	}
+	for form, want := range map[int]string{GroupsForm: `":`, RowsForm: `],"values":[`} {
+		if text, at := NoKey.Tails(form); string(text[at[0]:at[1]]) != want {
+			t.Errorf("NoKey form %d tail = %q, want %q", form, text[at[0]:at[1]], want)
+		}
+	}
+}
+
 // TestAppendIntDifferential: the in-place itoa writes what strconv.AppendInt
 // writes — every digit count, both signs, the powers of ten and of a hundred
 // and their neighbours, the int64 limits, random values of every magnitude —
-// after a prefix and into a buffer with no room to spare.
+// after a prefix and into a buffer with no room to spare; and AppendDigits,
+// which it wraps, writes the same digits into exactly the room reserved for
+// them at the end of a buffer, without moving it.
 func TestAppendIntDifferential(t *testing.T) {
 	values := []int64{0, math.MaxInt64, math.MinInt64, 1<<53 - 1, 1 << 53, 1<<53 + 1}
 	for p := int64(1); p > 0 && p <= math.MaxInt64/10; p *= 10 {
@@ -30,7 +71,23 @@ func TestAppendIntDifferential(t *testing.T) {
 			if got := appendInt(make([]byte, 0, 64), i); string(got) != string(want[2:]) {
 				t.Fatalf("appendInt(%d) into a roomy buffer = %q, want %q", i, got, want[2:])
 			}
+			if i >= 0 {
+				checkAppendDigits(t, uint64(i))
+			}
 		}
+	}
+	checkAppendDigits(t, math.MaxUint64)
+}
+
+// checkAppendDigits writes u after a prefix into a buffer whose room past
+// its length is exactly u's digit count.
+func checkAppendDigits(t *testing.T, u uint64) {
+	t.Helper()
+	want := strconv.AppendUint([]byte("row:"), u, 10)
+	buf := append(make([]byte, 0, len(want)), "row:"...)
+	got := AppendDigits(buf, u)
+	if string(got) != string(want) || &got[0] != &buf[0] || len(got) != cap(buf) {
+		t.Fatalf("AppendDigits(%d) into %d bytes of room = %q (moved: %v), want %q", u, cap(buf)-len(buf), got, &got[0] != &buf[0], want)
 	}
 }
 

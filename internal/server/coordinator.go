@@ -26,6 +26,7 @@ import (
 //	GET /metrics
 //	GET /querylog?n=50
 //	GET /healthz
+//	GET /debug/pprof/*    (only with WithCoordinatorPprof)
 //
 // Exact queries fail with 502 when any shard is unreachable; with
 // partial=1 the response carries a "partial" object naming the shards the
@@ -56,6 +57,12 @@ func WithCoordinatorLogger(l *slog.Logger) CoordinatorOption {
 // .QueryLog) — the coordinator records entries, this server exposes them.
 func WithCoordinatorQueryLog(l *obs.QueryLog) CoordinatorOption {
 	return func(s *CoordinatorServer) { s.qlog = l }
+}
+
+// WithCoordinatorPprof mounts net/http/pprof under /debug/pprof/, as
+// WithPprof does on the single-node server; opt-in for the same reason.
+func WithCoordinatorPprof() CoordinatorOption {
+	return func(s *CoordinatorServer) { mountPprof(s.mux) }
 }
 
 // NewCoordinator wraps a cluster coordinator into an HTTP handler.

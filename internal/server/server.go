@@ -73,13 +73,17 @@ type Option func(*Server)
 // WithPprof mounts net/http/pprof under /debug/pprof/. Profiling endpoints
 // expose internals (goroutine dumps, heap contents), so they are opt-in.
 func WithPprof() Option {
-	return func(s *Server) {
-		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+	return func(s *Server) { mountPprof(s.mux) }
+}
+
+// mountPprof registers the net/http/pprof routes, on the single-node server
+// and the coordinator alike.
+func mountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // WithLogger sets the request logger; the default is slog.Default.

@@ -2,6 +2,7 @@ package viewcube
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -400,72 +401,102 @@ func (r *Result) QueryResult() (*QueryResult, error) {
 // groups whose values contain "/" can render the same /groupby key; both
 // rows are written, in coordinate order.
 func (r *Result) AppendGroupsJSON(dst []byte) ([]byte, error) {
-	return r.appendJSON(dst, relation.PathSep, "{}", `"`, "", `":`, "")
+	return r.appendJSON(dst, relation.GroupsForm, relation.PathSep, "{}", `"`, "", "")
 }
 
 // AppendRowsJSON is described with AppendGroupsJSON.
 func (r *Result) AppendRowsJSON(dst []byte) ([]byte, error) {
-	return r.appendJSON(dst, relation.UnitSep, "[]", `{"key":[`, `"`, `],"values":[`, "]}")
+	return r.appendJSON(dst, relation.RowsForm, relation.UnitSep, "[]", `{"key":[`, `"`, "]}")
 }
 
-// noKey stands in for the last key position of a result that has none: one
-// empty member, written without quotes.
-var noKey = relation.NewOrder([]string{""})
+// maxWholeDigits is the most a value written in place takes: the 16 digits of
+// a whole number below 2⁵³, and the comma before it.
+const maxWholeDigits = 17
 
-// appendJSON is the one encoder. Per run it renders what the run's rows
-// share — a comma, open and the outer members, each wrapped in quote and
-// followed by "/" inside one string or "," between strings — once; per row it
-// appends that prefix, the last member, mid, the reported values (all of them
-// in an array, the first alone in an object) and end. The opening bracket
-// overwrites the first row's comma. dst is grown once, by rows × the mean row
-// length.
-func (r *Result) appendJSON(dst []byte, order byte, brackets, open, quote, mid, end string) ([]byte, error) {
+// appendJSON is the one encoder. A prefix holds what a run's rows share — a
+// comma, open and the outer members, each wrapped in quote and followed by
+// "/" inside one string or "," between strings, then the last member's
+// opening quote. A row is that prefix, the last member's tail in the form
+// (its text, closing quote and what leads to the values;
+// relation.Order.Tails), the reported values (all of them in an array, the
+// first alone in an object) and end: the key text is two copies into room
+// checked once per row, and a value that is a whole number below 2⁵³ — every
+// SUM cell of an integer measure — has its digits written in place there
+// too. The opening bracket overwrites the first row's comma. dst is grown
+// once, by rows × the mean row length.
+func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, quote, end string) ([]byte, error) {
 	array := brackets == "[]"
 	sep, nvals := byte(','), len(r.aggs)
 	if !array {
 		sep, nvals = relation.PathSep, 1
 	}
-	perRow := len(open) + len(mid) + len(end) + 1 + 10*nvals
-	for _, o := range r.orders {
+	last, outers := relation.NoKey, r.orders
+	if n := len(r.orders); n > 0 {
+		last, outers = r.orders[n-1], r.orders[:n-1]
+	} else {
+		quote = "" // no key string to open
+	}
+	tails, at := last.Tails(form)
+	perRow := len(open) + len(end) + len(quote) + 2 + 10*nvals + len(tails)/max(last.Len(), 1)
+	for _, o := range outers {
 		perRow += o.TextLen()/max(o.Len(), 1) + 2*len(quote) + 1
 	}
 	dst = slices.Grow(dst, r.groups()*perRow+2)
 	start := len(dst)
-	lastText := noKey
-	if n := len(r.orders); n > 0 {
-		lastText, mid = r.orders[n-1], quote+mid
-	} else {
-		quote = ""
-	}
+	every := r.mask == nil && !r.dropEmpty                    // every cell of a run is a row
 	cell := r.width == 1 && nvals == 1 && r.aggs[0] == AggSum // the value is the cell: nothing to finalise
-	comps, vals := make([]float64, r.width), make([]float64, len(r.aggs))
-	var prefix []byte
-	err := r.walk(order, func(outer []int, base int, last []int32) (err error) {
-		prefix = append(append(prefix[:0], ','), open...)
-		for i, c := range outer {
-			prefix = append(append(append(prefix, quote...), r.orders[i].Escaped(c)...), quote...)
-			prefix = append(prefix, sep)
+	values := nvals*maxWholeDigits + len(end)                 // a row's room past its key text
+	comps, vals, cells := make([]float64, r.width), make([]float64, len(r.aggs)), r.vals
+	// The prefix holds the member held[i] of outer position i from marks[i]
+	// on; a run rewrites it from the first position that changed, so most
+	// runs rewrite only the innermost.
+	prefix := append(append([]byte{','}, open...), quote...)
+	held, marks := make([]int, len(outers)), make([]int, len(outers))
+	for i := range held {
+		held[i], marks[i] = -1, len(open)+1
+	}
+	err := r.walk(order, func(outer []int, base int, lastCodes []int32) (err error) {
+		i := 0
+		for i < len(outer) && outer[i] == held[i] {
+			i++
 		}
-		prefix = append(prefix, quote...)
+		if i < len(outer) {
+			prefix = prefix[:marks[i]]
+			for ; i < len(outer); i++ {
+				held[i], marks[i] = outer[i], len(prefix)
+				prefix = append(append(append(prefix, quote...), r.orders[i].Escaped(outer[i])...), quote...)
+				prefix = append(prefix, sep)
+			}
+			prefix = append(prefix, quote...)
+		}
 		out := dst // a local: the captured dst is not re-read per row
-		for _, c := range last {
+		for j, c := range lastCodes {
 			off := base + int(c)
-			if !r.row(off) {
+			if !every && !r.row(off) {
 				continue
 			}
-			out = append(append(append(out, prefix...), lastText.Escaped(int(c))...), mid...)
-			if cell {
-				vals[0] = r.vals[off] + 0 // a negative zero reads as 0
-			} else {
-				r.values(off, comps, vals)
+			tail := tails[at[c]:at[c+1]]
+			n := len(out)
+			if room := len(prefix) + len(tail) + values; cap(out)-n < room {
+				out = slices.Grow(out, (len(lastCodes)-j)*room) // for the rest of the run
 			}
-			for j, v := range vals[:nvals] {
-				if j > 0 {
-					out = append(out, ',')
-				}
-				if out, err = relation.AppendJSONFloat(out, v); err != nil {
+			out = out[:n+len(prefix)+len(tail)]
+			copy(out[n+copy(out[n:], prefix):], tail)
+			v := cells[off] + 0 // a negative zero reads as 0
+			if !cell {
+				r.values(off, comps, vals)
+				v = vals[0]
+			}
+			for k := 1; ; k++ {
+				if whole := int64(v); float64(whole) == v && uint64(whole) < 1<<53 && (whole != 0 || !math.Signbit(v)) {
+					out = relation.AppendDigits(out, uint64(whole))
+				} else if out, err = relation.AppendJSONFloat(out, v); err != nil {
 					return err
 				}
+				if k == nvals {
+					break
+				}
+				out, v = append(out, ','), vals[k]
 			}
 			if end != "" {
 				out = append(out, end...)

@@ -46,10 +46,39 @@ func gridCube(tb testing.TB, ny int) *viewcube.Cube {
 	return cube
 }
 
+// salesCube has the shape of the benchmark's largest sharded answer:
+// product (128) × region (16) × channel (8), one integer tuple per cell, so
+// keeping all three answers 16 384 groups in runs of 8, every value a whole
+// number as every served SUM of integer measures is.
+func salesCube(tb testing.TB) *viewcube.Cube {
+	tb.Helper()
+	tbl, err := viewcube.NewTable([]string{"product", "region", "channel"}, "sales")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < 128*16*8; i++ {
+		row := []string{fmt.Sprintf("product-%03d", i/128), fmt.Sprintf("region-%02d", i/8%16), fmt.Sprintf("channel-%d", i%8)}
+		if err := tbl.Append(row, float64(1+i*7919%9973)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cube, err := viewcube.FromRelation(tbl)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cube
+}
+
 // gridView assembles the grid cube's view keeping the named dimensions.
 func gridView(tb testing.TB, ny int, keep ...string) *viewcube.View {
 	tb.Helper()
-	eng, err := gridCube(tb, ny).NewEngine(viewcube.EngineOptions{})
+	return cubeView(tb, gridCube(tb, ny), keep...)
+}
+
+// cubeView assembles a cube's view keeping the named dimensions.
+func cubeView(tb testing.TB, cube *viewcube.Cube, keep ...string) *viewcube.View {
+	tb.Helper()
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -74,12 +103,24 @@ func mapGroupsJSON(v *viewcube.View, buf *bytes.Buffer) error {
 	return json.NewEncoder(buf).Encode(out)
 }
 
+// encodeViews are the answers BenchmarkResultEncodeGroups encodes, by group
+// count: keep-sets of the grid cube at ny = 64, whose cells are n + 0.25, so
+// that the 8 192-group answer (one cell a group) has decimal values and the
+// others whole ones; and at 16 384 the served case, salesCube's three-key
+// integer answer.
+var encodeViews = map[int]func(testing.TB) *viewcube.View{
+	16:    func(tb testing.TB) *viewcube.View { return gridView(tb, 64, "z") },
+	1024:  func(tb testing.TB) *viewcube.View { return gridView(tb, 64, "y", "z") },
+	8192:  func(tb testing.TB) *viewcube.View { return gridView(tb, 64, "x", "y") },
+	16384: func(tb testing.TB) *viewcube.View { return cubeView(tb, salesCube(tb), "product", "region", "channel") },
+}
+
 // BenchmarkResultEncodeGroups is view → /groupby response bytes, reporting ns
 // and B per group: the columnar encoder into a fresh body ("columnar") and
 // into a reused buffer ("reuse": what both servers do), against the retired
 // map path ("map").
 func BenchmarkResultEncodeGroups(b *testing.B) {
-	for _, groups := range []int{16, 1024, 8192} {
+	for _, groups := range []int{16, 1024, 8192, 16384} {
 		for _, form := range []string{"columnar", "reuse", "map"} {
 			b.Run(fmt.Sprintf("%d/%s", groups, form), benchEncodeGroups(groups, form))
 		}
@@ -87,9 +128,8 @@ func BenchmarkResultEncodeGroups(b *testing.B) {
 }
 
 func benchEncodeGroups(groups int, form string) func(*testing.B) {
-	keep := map[int][]string{16: {"z"}, 1024: {"y", "z"}, 8192: {"x", "y"}}[groups]
 	return func(b *testing.B) {
-		v := gridView(b, 64, keep...)
+		v := encodeViews[groups](b)
 		var buf bytes.Buffer
 		run := func() error {
 			buf.Reset()
