@@ -68,6 +68,7 @@ func TestBenchJSON(t *testing.T) {
 		{"AdaptiveReconfigure", BenchmarkAdaptiveReconfigure},
 		{"Optimize131kBudget1", benchOptimize131kBudget1},
 		{"Optimize131kBudget2", benchOptimize131kBudget2},
+		{"LoadCSV", BenchmarkLoadCSV},
 		{"PlanCompileViewBasis", benchPlanCompileViewBasis},
 		{"PlanCompileViewRoot", benchPlanCompileViewRoot},
 		{"SelectBasis2M", BenchmarkSelectBasis2M},

@@ -12,6 +12,7 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -403,13 +404,13 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 	}
 
 	current := e.store.Elements()
-	have := make(map[freq.Key]bool, len(current))
-	for _, r := range current {
-		have[r.Key()] = true
-	}
 	want := make(map[freq.Key]bool, len(target))
+	missing := make(map[freq.Key]bool, len(target))
 	for _, r := range target {
-		want[r.Key()] = true
+		want[r.Key()], missing[r.Key()] = true, true
+	}
+	for _, r := range current {
+		delete(missing, r.Key())
 	}
 
 	changed := false
@@ -423,22 +424,33 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 			e.pl.Invalidate()
 		}
 	}()
-	// Phase 1: materialise every missing element from the current set.
+	// Phase 1: materialise every missing element from the current set: the
+	// cascade, then the planner for what is off its tree (Algorithm 2 extras).
+	put := func(r freq.Rect, a *ndarray.Array) error {
+		delete(missing, r.Key())
+		if err := e.store.Put(r, a); err != nil {
+			return fmt.Errorf("adaptive: storing %v: %w", r, err)
+		}
+		e.mutateStats(func(s *Stats) { s.Migrated++ })
+		e.met.Migrated.Inc()
+		sp.AddAttr("migrated", 1)
+		changed = true
+		return nil
+	}
+	if err := e.cascade(x, res.Basis, target, missing, put); err != nil {
+		return changed, err
+	}
 	for _, r := range target {
-		if have[r.Key()] {
+		if !missing[r.Key()] {
 			continue
 		}
 		a, err := e.inner.Answer(x, r)
 		if err != nil {
 			return changed, fmt.Errorf("adaptive: assembling %v for migration: %w", r, err)
 		}
-		if err := e.store.Put(r, a); err != nil {
-			return changed, fmt.Errorf("adaptive: storing %v: %w", r, err)
+		if err := put(r, a); err != nil {
+			return changed, err
 		}
-		e.mutateStats(func(s *Stats) { s.Migrated++ })
-		e.met.Migrated.Inc()
-		sp.AddAttr("migrated", 1)
-		changed = true
 	}
 	// Phase 2: drop elements no longer selected.
 	for _, r := range current {
@@ -476,4 +488,79 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 	}
 	e.rec.mu.Unlock()
 	return changed, nil
+}
+
+// cascade stores the missing target elements on the basis's split tree,
+// leaf or inner, each folded from its parent, never from the root again. It
+// runs when a basis tile is missing and the root is stored; a set without
+// the root leaves its missing elements to the planner, which assembles them
+// from the stored tiles.
+func (e *Engine) cascade(x *obs.ExecCtx, basis, target []freq.Rect, missing map[freq.Key]bool, put func(freq.Rect, *ndarray.Array) error) error {
+	if !slices.ContainsFunc(basis, func(r freq.Rect) bool { return missing[r.Key()] }) {
+		return nil
+	}
+	root := e.space.Root()
+	a, ok := e.store.Get(root)
+	if !ok {
+		return nil
+	}
+	sp := x.Start("cascade")
+	defer sp.End()
+	wanted := slices.DeleteFunc(slices.Clone(target), func(r freq.Rect) bool { return !missing[r.Key()] })
+	_, err := foldDown(root, a, basis, wanted, put)
+	return err
+}
+
+// foldDown stores node's array a if node is wanted, folds a once into each
+// child on the first dimension no tile inside node spans (Algorithm 1's
+// basis always has one), and goes on into each child holding a wanted
+// element. tiles and wanted are the basis tiles and missing target elements
+// inside node. It reports whether a went to the store; if not, the caller
+// recycles a child (the root stays stored either way).
+func foldDown(node freq.Rect, a *ndarray.Array, tiles, wanted []freq.Rect, put func(freq.Rect, *ndarray.Array) error) (stored bool, err error) {
+	if stored = slices.ContainsFunc(wanted, node.Equal); stored {
+		if err := put(node, a); err != nil {
+			return stored, err
+		}
+	}
+	dim := -1
+	for m := 0; m < len(node) && dim < 0 && len(tiles) > 1; m++ {
+		if !slices.ContainsFunc(tiles, func(t freq.Rect) bool { return t[m] == node[m] }) {
+			dim = m
+		}
+	}
+	var in [2][]freq.Rect // the wanted elements inside each child
+	for side := 0; dim >= 0 && side < 2; side++ {
+		in[side] = inside(wanted, node.Child(dim, side == 1))
+	}
+	if len(in[0])+len(in[1]) == 0 {
+		return stored, nil
+	}
+	shape := a.Shape()
+	shape[dim] /= 2
+	p, _ := ndarray.Scratch(shape...)
+	r, _ := ndarray.Scratch(shape...)
+	if err := a.PairSumInto(dim, p); err != nil {
+		return stored, err
+	}
+	if err := a.PairDiffInto(dim, r); err != nil {
+		return stored, err
+	}
+	for side, c := range [2]*ndarray.Array{p, r} {
+		kept := false
+		if child := node.Child(dim, side == 1); len(in[side]) > 0 {
+			if kept, err = foldDown(child, c, inside(tiles, child), in[side], put); err != nil {
+				return stored, err
+			}
+		}
+		if !kept {
+			ndarray.Recycle(c)
+		}
+	}
+	return stored, nil
+}
+
+// inside returns the elements of set that r contains.
+func inside(set []freq.Rect, r freq.Rect) []freq.Rect {
+	return slices.DeleteFunc(slices.Clone(set), func(s freq.Rect) bool { return !r.Contains(s) })
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -98,62 +99,70 @@ type Encoding struct {
 
 // Index encodes one tuple's dimension values to a cube cell index, or an
 // error if any value is unknown to the encoding.
-func (e *Encoding) Index(values []string) ([]int, error) { return e.AppendIndex(nil, values) }
-
-// AppendIndex is Index appending to dst, so a loader encodes every row
-// through one buffer.
-func (e *Encoding) AppendIndex(dst []int, values []string) ([]int, error) {
+func (e *Encoding) Index(values []string) ([]int, error) {
 	if len(values) != len(e.Dicts) {
 		return nil, fmt.Errorf("relation: %d values for %d dimensions", len(values), len(e.Dicts))
 	}
+	idx := make([]int, len(values))
 	for m, v := range values {
 		c, ok := e.Dicts[m].Code(v)
 		if !ok {
 			return nil, fmt.Errorf("relation: value %q unknown for dimension %s", v, e.Dimensions[m])
 		}
-		dst = append(dst, c)
+		idx[m] = c
 	}
-	return dst, nil
+	return idx, nil
 }
 
 // buildEncoding dictionary-encodes every dimension of the relation in
-// sorted value order and pads each domain to a power of two. BuildCube and
-// BuildMultiCube share it, so a scalar cube and a measure-vector cube built
-// from the same table always agree on coordinates.
-func buildEncoding(t *Table) *Encoding {
-	d := len(t.Schema().Dimensions)
+// sorted value order, padding each domain to a power of two, and returns per
+// dimension a table from first-seen code to the value's share of a cell's
+// row-major offset. BuildCube and BuildMultiCube share it, so a scalar cube
+// and a measure-vector cube built from one table agree on coordinates.
+func buildEncoding(t *Table) (*Encoding, [][]int) {
+	d := len(t.dicts)
 	enc := &Encoding{
 		Dimensions: append([]string(nil), t.Schema().Dimensions...),
 		Dicts:      make([]*Dictionary, d),
 		Shape:      make([]int, d),
 	}
-	for m := 0; m < d; m++ {
-		dict := NewDictionary()
-		for _, v := range t.DistinctValues(m) {
+	offsets := make([][]int, d)
+	stride := 1
+	for m := d - 1; m >= 0; m-- {
+		src := t.dicts[m]
+		sorted := slices.Clone(src.values)
+		slices.Sort(sorted)
+		dict, off := NewDictionary(), make([]int, len(sorted))
+		for rank, v := range sorted {
 			dict.Encode(v)
+			off[src.index[v]] = rank * stride
 		}
-		enc.Dicts[m] = dict
-		enc.Shape[m] = dict.PaddedLen()
+		enc.Dicts[m], enc.Shape[m], offsets[m] = dict, dict.PaddedLen(), off
+		stride *= enc.Shape[m]
 	}
-	return enc
+	return enc, offsets
+}
+
+// cellOffset is row i's row-major cell offset under buildEncoding's offsets.
+func (t *Table) cellOffset(offsets [][]int, i int) int {
+	off := 0
+	for m, col := range t.codes {
+		off += offsets[m][col[i]]
+	}
+	return off
 }
 
 // BuildCube loads the relation into a dense data cube. Each dimension's
 // values are dictionary-encoded in sorted order (so cube coordinates are
 // deterministic for a given table) and padded to a power of two; tuples
-// mapping to the same cell are SUM-aggregated. It returns the cube and the
-// encoding needed to interpret its coordinates.
+// mapping to the same cell are SUM-aggregated in row order. It returns the
+// cube and the encoding needed to interpret its coordinates.
 func BuildCube(t *Table) (*ndarray.Array, *Encoding, error) {
-	enc := buildEncoding(t)
+	enc, offsets := buildEncoding(t)
 	cube := ndarray.New(enc.Shape...)
-	var idx []int
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		var err error
-		if idx, err = enc.AppendIndex(idx[:0], row.Values); err != nil {
-			return nil, nil, err
-		}
-		cube.Add(row.Measure, idx...)
+	cells := cube.Data()
+	for i, v := range t.measure {
+		cells[t.cellOffset(offsets, i)] += v
 	}
 	return cube, enc, nil
 }
@@ -167,20 +176,14 @@ func BuildCube(t *Table) (*ndarray.Array, *Encoding, error) {
 // count plane is bit-identical to the scalar cube of the "1 per tuple"
 // count table.
 func BuildMultiCube(t *Table) (*ndarray.MultiArray, *Encoding, error) {
-	enc := buildEncoding(t)
+	enc, offsets := buildEncoding(t)
 	cube := ndarray.NewMulti(3, enc.Shape...)
-	var vec [3]float64
-	var idx []int
-	for i := 0; i < t.Len(); i++ {
-		row := t.Row(i)
-		var err error
-		if idx, err = enc.AppendIndex(idx[:0], row.Values); err != nil {
-			return nil, nil, err
-		}
-		vec[0] = row.Measure
-		vec[1] = row.Measure * row.Measure
-		vec[2] = 1
-		cube.AddVec(vec[:], idx...)
+	sum, sq, count := cube.Component(0).Data(), cube.Component(1).Data(), cube.Component(2).Data()
+	for i, v := range t.measure {
+		off := t.cellOffset(offsets, i)
+		sum[off] += v
+		sq[off] += v * v
+		count[off]++
 	}
 	return cube, enc, nil
 }

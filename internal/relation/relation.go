@@ -12,7 +12,8 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -51,10 +52,13 @@ type Row struct {
 	Measure float64
 }
 
-// Table is an append-only relation.
+// Table is an append-only relation stored by column: per dimension a
+// first-seen Dictionary and one code per row, plus the measure column.
 type Table struct {
-	schema Schema
-	rows   []Row
+	schema  Schema
+	dicts   []*Dictionary // per dimension, codes in first-seen order
+	codes   [][]int32     // codes[m][i] is row i's code in dicts[m]
+	measure []float64
 }
 
 // NewTable returns an empty table with the given schema.
@@ -62,26 +66,82 @@ func NewTable(schema Schema) (*Table, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err
 	}
-	return &Table{schema: schema}, nil
+	t := &Table{schema: schema, dicts: make([]*Dictionary, len(schema.Dimensions)), codes: make([][]int32, len(schema.Dimensions))}
+	for m := range t.dicts {
+		t.dicts[m] = NewDictionary()
+	}
+	return t, nil
 }
 
 // Schema returns the table's schema.
 func (t *Table) Schema() Schema { return t.schema }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.rows) }
+func (t *Table) Len() int { return len(t.measure) }
+
+// value is row i's value of dimension m.
+func (t *Table) value(m, i int) string { return t.dicts[m].values[t.codes[m][i]] }
 
 // Row returns row i.
-func (t *Table) Row(i int) Row { return t.rows[i] }
+func (t *Table) Row(i int) Row {
+	values := make([]string, len(t.dicts))
+	for m := range values {
+		values[m] = t.value(m, i)
+	}
+	return Row{Values: values, Measure: t.measure[i]}
+}
 
-// Append adds a tuple. The value count must match the schema.
+// Append adds a tuple. The value count must match the schema, and the
+// measure must be finite: a NaN or infinity makes its cell unencodable.
 func (t *Table) Append(values []string, measure float64) error {
 	if len(values) != len(t.schema.Dimensions) {
 		return fmt.Errorf("relation: row has %d values, schema has %d dimensions",
 			len(values), len(t.schema.Dimensions))
 	}
-	t.rows = append(t.rows, Row{Values: append([]string(nil), values...), Measure: measure})
+	if math.IsNaN(measure) || math.IsInf(measure, 0) {
+		return fmt.Errorf("relation: measure %v is not finite", measure)
+	}
+	for m, v := range values {
+		c, ok := t.dicts[m].index[v]
+		if !ok { // cloned, so no caller buffer (a whole CSV record) stays alive
+			c = t.dicts[m].Encode(strings.Clone(v))
+		}
+		t.codes[m] = append(t.codes[m], int32(c))
+	}
+	t.measure = append(t.measure, measure)
 	return nil
+}
+
+// Split distributes the rows, in order, over n new tables with t's schema:
+// a row goes to table shard(v) for its value v of dimension dim.
+func (t *Table) Split(n, dim int, shard func(value string) int) []*Table {
+	out := make([]*Table, n)
+	for s := range out {
+		out[s], _ = NewTable(t.schema)
+	}
+	for i, v := range t.measure {
+		o := out[shard(t.value(dim, i))]
+		for m := range o.codes {
+			o.codes[m] = append(o.codes[m], int32(o.dicts[m].Encode(t.value(m, i))))
+		}
+		o.measure = append(o.measure, v)
+	}
+	return out
+}
+
+// CountTable returns a table with t's tuples, the measure named measure and
+// 1 per tuple, so its cube aggregates to COUNTs.
+func (t *Table) CountTable(measure string) (*Table, error) {
+	schema := Schema{Dimensions: t.schema.Dimensions, Measure: measure}
+	if err := schema.Validate(); err != nil {
+		return nil, err
+	}
+	ct := t.Split(1, 0, func(string) int { return 0 })[0]
+	ct.schema = schema
+	for i := range ct.measure {
+		ct.measure[i] = 1
+	}
+	return ct, nil
 }
 
 // ReadCSV parses a relation from CSV. The first record is the header; the
@@ -89,7 +149,7 @@ func (t *Table) Append(values []string, measure float64) error {
 // a dimension, in header order.
 func ReadCSV(r io.Reader, measure string) (*Table, error) {
 	cr := csv.NewReader(r)
-	cr.ReuseRecord = true // Append copies the values out of each record
+	cr.ReuseRecord = true // Append clones each new value out of the record
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("relation: reading CSV header: %w", err)
@@ -143,9 +203,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(header))
-	for _, row := range t.rows {
-		copy(rec, row.Values)
-		rec[len(rec)-1] = strconv.FormatFloat(row.Measure, 'g', -1, 64)
+	for i, v := range t.measure {
+		for m := range t.dicts {
+			rec[m] = t.value(m, i)
+		}
+		rec[len(rec)-1] = strconv.FormatFloat(v, 'g', -1, 64)
 		if err := cw.Write(rec); err != nil {
 			return err
 		}
@@ -180,25 +242,18 @@ func (t *Table) GroupBy(dims []int) (map[string]float64, error) {
 	}
 	out := make(map[string]float64)
 	parts := make([]string, len(dims))
-	for _, row := range t.rows {
-		for i, d := range dims {
-			parts[i] = row.Values[d]
+	for i, v := range t.measure {
+		for j, d := range dims {
+			parts[j] = t.value(d, i)
 		}
-		out[GroupKey(parts...)] += row.Measure
+		out[GroupKey(parts...)] += v
 	}
 	return out, nil
 }
 
 // DistinctValues returns the sorted distinct values of one dimension.
 func (t *Table) DistinctValues(dim int) []string {
-	seen := make(map[string]bool)
-	for _, row := range t.rows {
-		seen[row.Values[dim]] = true
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
+	out := slices.Clone(t.dicts[dim].values)
+	slices.Sort(out)
 	return out
 }

@@ -26,25 +26,18 @@ func PartitionTable(t *Table, dim string, shards int) ([]*Table, error) {
 	if dimIdx < 0 {
 		return nil, fmt.Errorf("viewcube: unknown partition dimension %q (have %v)", dim, dims)
 	}
-	out := make([]*Table, shards)
-	for i := range out {
-		tbl, err := NewTable(dims, t.Measure())
-		if err != nil {
-			return nil, err
-		}
-		out[i] = tbl
-	}
-	for i := 0; i < t.t.Len(); i++ {
-		row := t.t.Row(i)
+	parts := t.t.Split(shards, dimIdx, func(v string) int {
 		h := fnv.New32a()
-		h.Write([]byte(row.Values[dimIdx]))
+		h.Write([]byte(v))
 		shard := int(h.Sum32()) % shards
 		if shard < 0 {
 			shard += shards
 		}
-		if err := out[shard].Append(row.Values, row.Measure); err != nil {
-			return nil, err
-		}
+		return shard
+	})
+	out := make([]*Table, shards)
+	for i, p := range parts {
+		out[i] = &Table{t: p}
 	}
 	return out, nil
 }

@@ -54,17 +54,9 @@ func (t *Table) WriteCSV(w io.Writer) error { return t.t.WriteCSV(w) }
 // so its cube aggregates to COUNTs. The measure attribute is named
 // "count_" + the original measure.
 func (t *Table) CountTable() (*Table, error) {
-	ct, err := relation.NewTable(relation.Schema{
-		Dimensions: t.t.Schema().Dimensions,
-		Measure:    "count_" + t.t.Schema().Measure,
-	})
+	ct, err := t.t.CountTable("count_" + t.t.Schema().Measure)
 	if err != nil {
 		return nil, err
-	}
-	for i := 0; i < t.t.Len(); i++ {
-		if err := ct.Append(t.t.Row(i).Values, 1); err != nil {
-			return nil, err
-		}
 	}
 	return &Table{t: ct}, nil
 }
