@@ -64,8 +64,9 @@ type AggEngine struct {
 	pl   *plan.Planner
 	vq   *rangeagg.VecQuerier
 
-	sum *Engine
-	cnt *Engine
+	sum  *Engine
+	cnt  *Engine
+	mass *mass
 }
 
 // NewAggEngine builds the measure-vector cube [Σv, Σv², Σ1] from the
@@ -84,7 +85,11 @@ func NewAggEngine(t *Table, opts EngineOptions) (*AggEngine, error) {
 		return nil, err
 	}
 	spec := plan.StatsMeasure()
-	a := &AggEngine{spec: spec}
+	m, err := massOf(spec.Width, mdata.Data())
+	if err != nil {
+		return nil, err
+	}
+	a := &AggEngine{spec: spec, mass: m}
 	a.cube = &Cube{
 		space:    space,
 		data:     mdata.Component(spec.Sum),
@@ -183,6 +188,9 @@ func (a *AggEngine) reselectDue() bool { return a.sum.reselectDue() || a.cnt.res
 func (a *AggEngine) ingestable() error { return nil }
 
 func (a *AggEngine) checkCell(idx []int) error { return a.sum.checkCell(idx) }
+
+// admit bounds Σ|v|, Σv² and the count alike.
+func (a *AggEngine) admit(vals []float64) error { return a.mass.admit(vals) }
 
 // applyDeltaRaw folds one component-vector delta — [Σv, Σv², Σn] summed over
 // the tuples coalesced at the cell — incrementally into every stored vector
@@ -423,7 +431,14 @@ func (a *AggEngine) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) 
 // and incrementally into every stored vector element. All plan and element
 // caches are invalidated across the vector engine and both scalar views.
 func (a *AggEngine) Update(measure float64, idx ...int) error {
-	if err := a.applyDeltaRaw(a.observation(measure), idx); err != nil {
+	if err := a.checkCell(idx); err != nil {
+		return err
+	}
+	delta := a.observation(measure)
+	if err := a.admit(delta); err != nil {
+		return err
+	}
+	if err := a.applyDeltaRaw(delta, idx); err != nil {
 		return err
 	}
 	a.invalidate()

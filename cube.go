@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 
+	"viewcube/internal/assembly"
 	"viewcube/internal/freq"
 	"viewcube/internal/hierarchy"
 	"viewcube/internal/ndarray"
@@ -21,9 +22,12 @@ type Cube struct {
 	// root element, and ReleaseCells then drops the cube's own reference.
 	data     *ndarray.Array
 	attached bool // NewEngine ran: an engine's store holds the cells too
-	dims     []string
-	measure  string             // measure attribute name; "" for raw cubes
-	enc      *relation.Encoding // nil for cubes built from raw arrays
+	// holder is the first engine's store when it holds data in memory:
+	// ReleaseCells hands the cells over to it.
+	holder  *assembly.MemStore
+	dims    []string
+	measure string             // measure attribute name; "" for raw cubes
+	enc     *relation.Encoding // nil for cubes built from raw arrays
 	// hier maps dimension → level name → hierarchy level (DefineHierarchy).
 	hier map[string]map[string]*hierarchy.Level
 }
@@ -123,14 +127,19 @@ func (c *Cube) Volume() int { return c.space.CubeVolume() }
 // ReleaseCells hands the cells over to the engine attached with NewEngine:
 // the cube drops its own reference, so once a reselection drops the root
 // element the raw array is garbage and the process holds the selected set
-// only. Call it before the engine is shared. The engine serves and updates as
-// before; Total, At, Add, Set, Compress and a further NewEngine fail from here
-// on, naming this method. Without an engine the cells would be lost: a panic.
+// only. An in-memory engine still holding the cells as its root keeps them as
+// their nonzeros if at most one cell in eight is nonzero (DESIGN §19). Call
+// it before the engine is shared. The engine serves and updates as before;
+// Total, At, Add, Set, Compress and a further NewEngine fail from here on,
+// naming this method. Without an engine the cells would be lost: a panic.
 func (c *Cube) ReleaseCells() {
 	if !c.attached {
 		panic("viewcube: Cube.ReleaseCells before NewEngine: no engine holds the cells")
 	}
-	c.data = nil
+	if c.holder != nil { // set only while data is attached
+		c.holder.HoldSparse(c.space.Root(), c.data)
+	}
+	c.data, c.holder = nil, nil
 }
 
 // errHandedOver is how operation op, which needs the cells, fails without them.

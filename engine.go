@@ -107,6 +107,7 @@ type Engine struct {
 	met   *Metrics
 	opts  EngineOptions // retained so snapshot generations copy the executor config
 	fork  bool          // a later engine over an attached cube: it works on a copy and never writes cube.data
+	mass  *mass         // what the cube has taken in; nil on engines that take no writes
 }
 
 // Stats re-exports the adaptive engine's counters.
@@ -118,6 +119,13 @@ type Stats = adaptive.Stats
 // independent), so from here on cells change through Engine.Update only;
 // call Optimize (or let automatic re-selection run) to specialise the set.
 func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
+	if c.data == nil {
+		return nil, errHandedOver("NewEngine")
+	}
+	m, err := massOf(1, c.data.Data())
+	if err != nil {
+		return nil, err
+	}
 	var st assembly.Store
 	if opts.DiskDir != "" {
 		budget := opts.CacheCells
@@ -133,9 +141,6 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 		st = assembly.NewMemStore()
 	}
 	if len(st.Elements()) == 0 {
-		if c.data == nil {
-			return nil, errHandedOver("NewEngine")
-		}
 		root := c.data
 		if c.attached {
 			root = c.data.Clone()
@@ -146,7 +151,10 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	}
 	e, err := newEngineWith(c, st, opts)
 	if err == nil {
-		e.fork, c.attached = c.attached, true
+		if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
+			c.holder = ms
+		}
+		e.fork, c.attached, e.mass = c.attached, true, m
 	}
 	return e, err
 }
@@ -201,6 +209,10 @@ func (e *Engine) ingestable() error {
 	}
 	return nil
 }
+
+// admit takes a delta into the cube's mass, refusing one that would let a
+// cell overflow.
+func (e *Engine) admit(vals []float64) error { return e.mass.admit(vals) }
 
 // checkCell: UpdateCell with a zero delta validates the index against the
 // space and touches nothing.
@@ -545,9 +557,15 @@ func (e *Engine) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
 // range-query elements are invalidated, and the plan-cache epoch is bumped
 // so no query serves a plan derived from pre-update state.
 func (e *Engine) Update(delta float64, idx ...int) error {
-	if err := e.applyDeltaRaw([]float64{delta}, idx); err != nil || delta == 0 {
+	if err := e.checkCell(idx); err != nil || delta == 0 {
 		// A zero delta validated the index and touched nothing: it must not
 		// invalidate plans, cached range elements or result caches.
+		return err
+	}
+	if err := e.admit([]float64{delta}); err != nil {
+		return err
+	}
+	if err := e.applyDeltaRaw([]float64{delta}, idx); err != nil {
 		return err
 	}
 	e.rq.Reset()

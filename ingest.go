@@ -130,6 +130,9 @@ func (g *guard[E]) EnableIngest(opts IngestOptions) error {
 	if opts.WALPath != "" {
 		wal, err := ingest.OpenWAL(opts.WALPath, ingest.WALOptions{Fsync: opts.Fsync}, func(d ingest.Delta) error {
 			rt.replayed++
+			if err := g.eng.admit(d.Vals); err != nil {
+				return err
+			}
 			return g.eng.applyDeltaRaw(d.Vals, d.Idx)
 		})
 		if err != nil {

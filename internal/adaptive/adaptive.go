@@ -291,7 +291,8 @@ func (e *Engine) Observe(r freq.Rect, weight float64) {
 }
 
 // ObservedQueries converts the recorded access counts into a normalised
-// query population.
+// query population, in element order: equal histories normalise alike and
+// select the same set, ties included.
 func (e *Engine) ObservedQueries() []core.Query {
 	e.rec.mu.Lock()
 	queries := make([]core.Query, 0, len(e.rec.counts))
@@ -299,6 +300,7 @@ func (e *Engine) ObservedQueries() []core.Query {
 		queries = append(queries, core.Query{Rect: k.Rect(), Freq: c})
 	}
 	e.rec.mu.Unlock()
+	slices.SortFunc(queries, func(a, b core.Query) int { return slices.Compare(a.Rect, b.Rect) })
 	core.NormalizeFrequencies(queries)
 	return queries
 }

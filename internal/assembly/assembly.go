@@ -54,27 +54,57 @@ type CloningStore interface {
 // with NewMemStore. MemStore is not safe for concurrent mutation, but any
 // number of concurrent readers may call Get/Elements while no mutation is
 // in flight (reads do not touch shared mutable state).
+//
+// An element handed over sparse (HoldSparse) is held as its nonzeros: the
+// executor reads it with GetSparse, Get returns a fresh dense copy, and a
+// writer Puts that back, dense from then on.
 type MemStore struct {
-	items map[freq.Key]*ndarray.Array
-	cells int
+	items  map[freq.Key]*ndarray.Array
+	sparse map[freq.Key]*ndarray.Coo
+	cells  int
 }
 
 // NewMemStore returns an empty in-memory element store.
 func NewMemStore() *MemStore {
-	return &MemStore{items: make(map[freq.Key]*ndarray.Array)}
+	return &MemStore{items: make(map[freq.Key]*ndarray.Array), sparse: make(map[freq.Key]*ndarray.Coo)}
 }
 
 // Get implements Store.
 func (m *MemStore) Get(r freq.Rect) (*ndarray.Array, bool) {
-	a, ok := m.items[r.Key()]
+	k := r.Key()
+	if c, ok := m.sparse[k]; ok {
+		a := ndarray.New(c.ShapeInto(nil)...)
+		c.DenseInto(a)
+		return a, true
+	}
+	a, ok := m.items[k]
 	return a, ok
+}
+
+// GetSparse returns the element if it is held as its nonzeros.
+func (m *MemStore) GetSparse(r freq.Rect) (*ndarray.Coo, bool) {
+	c, ok := m.sparse[r.Key()]
+	return c, ok
+}
+
+// HoldSparse holds element r as its nonzeros if the store holds a itself
+// there and a is sparse enough (ndarray.ToCoo).
+func (m *MemStore) HoldSparse(r freq.Rect, a *ndarray.Array) {
+	if k := r.Key(); m.items[k] == a {
+		if c := ndarray.ToCoo(a); c != nil {
+			delete(m.items, k)
+			m.sparse[k] = c
+		}
+	}
 }
 
 // Put implements Store.
 func (m *MemStore) Put(r freq.Rect, a *ndarray.Array) error {
 	k := r.Key()
 	if old, ok := m.items[k]; ok {
-		m.cells -= old.Size()
+		m.cells -= old.Size() // replaced in place: no delete and re-insert
+	} else {
+		m.drop(k)
 	}
 	m.items[k] = a
 	m.cells += a.Size()
@@ -83,18 +113,28 @@ func (m *MemStore) Put(r freq.Rect, a *ndarray.Array) error {
 
 // Delete implements Store.
 func (m *MemStore) Delete(r freq.Rect) error {
-	k := r.Key()
+	m.drop(r.Key())
+	return nil
+}
+
+func (m *MemStore) drop(k freq.Key) {
 	if old, ok := m.items[k]; ok {
 		m.cells -= old.Size()
 		delete(m.items, k)
 	}
-	return nil
+	if old, ok := m.sparse[k]; ok {
+		m.cells -= old.Size()
+		delete(m.sparse, k)
+	}
 }
 
 // Elements implements Store.
 func (m *MemStore) Elements() []freq.Rect {
-	out := make([]freq.Rect, 0, len(m.items))
+	out := make([]freq.Rect, 0, len(m.items)+len(m.sparse))
 	for k := range m.items {
+		out = append(out, k.Rect())
+	}
+	for k := range m.sparse {
 		out = append(out, k.Rect())
 	}
 	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync/atomic"
 
+	"viewcube/internal/freq"
 	"viewcube/internal/haar"
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
@@ -106,6 +107,32 @@ func (ex *Executor) leaseCopy(a *ndarray.Array) *ndarray.Array {
 	return dst
 }
 
+// leaseDense leases a buffer shaped like c and writes c's cells into it.
+func (ex *Executor) leaseDense(c *ndarray.Coo) *ndarray.Array {
+	var shapeBuf [8]int
+	dst := ex.lease(c.ShapeInto(shapeBuf[:0])...)
+	c.DenseInto(dst)
+	return dst
+}
+
+// read fetches a stored element: as its nonzeros (c) when a MemStore holds
+// it so — Get would densify it — else as an array (a). Either way every
+// cell counts as read, zeros included.
+func (ex *Executor) read(x *obs.ExecCtx, sp *obs.Span, r freq.Rect) (a *ndarray.Array, c *ndarray.Coo, ok bool) {
+	if ms, isMem := ex.eng.store.(*MemStore); isMem {
+		c, ok = ms.GetSparse(r)
+	}
+	size := 0
+	if ok {
+		size = c.Size()
+	} else if a, ok = ex.eng.get(x, r); ok {
+		size = a.Size()
+	}
+	ex.eng.met.CellsRead.Add(uint64(size))
+	sp.SetAttr("cells", int64(size))
+	return a, c, ok
+}
+
 // node executes one plan node. Every array it returns is private to the
 // caller (never shared with the store or another query), so callers may
 // Recycle it freely; every array it consumes it either recycles or returns.
@@ -122,13 +149,14 @@ func (ex *Executor) node(x *obs.ExecCtx, st *execState, p *Plan) (*ndarray.Array
 			defer sp.End()
 			x = x.Under(sp)
 		}
-		a, ok := e.get(x, p.Rect)
+		a, c, ok := ex.read(x, sp, p.Rect)
 		if !ok {
 			return nil, fmt.Errorf("assembly: plan references %v but it is not stored", p.Rect)
 		}
 		e.met.StoredNodes.Inc()
-		e.met.CellsRead.Add(uint64(a.Size()))
-		sp.SetAttr("cells", int64(a.Size()))
+		if c != nil {
+			return ex.leaseDense(c), nil
+		}
 		if e.cloning {
 			// The store already handed us a private copy; copying again
 			// would be the second of two copies where one suffices.
@@ -144,14 +172,12 @@ func (ex *Executor) node(x *obs.ExecCtx, st *execState, p *Plan) (*ndarray.Array
 			defer sp.End()
 			x = x.Under(sp)
 		}
-		src, ok := e.get(x, p.Source)
+		src, c, ok := ex.read(x, sp, p.Source)
 		if !ok {
 			return nil, fmt.Errorf("assembly: plan references stored ancestor %v but it is absent", p.Source)
 		}
 		e.met.AggregateNodes.Inc()
-		e.met.CellsRead.Add(uint64(src.Size()))
 		e.met.OpsModeled.Add(uint64(p.Ops))
-		sp.SetAttr("cells", int64(src.Size()))
 		folds := p.Folds
 		if folds == nil {
 			// Planner-built aggregates carry their folds; hand-built plans
@@ -161,6 +187,21 @@ func (ex *Executor) node(x *obs.ExecCtx, st *execState, p *Plan) (*ndarray.Array
 			if err != nil {
 				return nil, err
 			}
+		}
+		own := e.cloning // src is ours to recycle once a fold consumed it
+		if c != nil && len(folds) > 0 {
+			// A sparse source: the first fold reads its nonzeros, the rest
+			// run dense. A fold the extent cannot take fails in FoldKInto.
+			f, shapeBuf := folds[0], [8]int{}
+			outShape := c.ShapeInto(shapeBuf[:0])
+			outShape[f.Dim] = max(outShape[f.Dim]>>uint(f.K), 1)
+			src, own, folds = ex.lease(outShape...), true, folds[1:]
+			if err := c.FoldKInto(f.Dim, f.K, f.Signs, src); err != nil {
+				ndarray.Recycle(src)
+				return nil, err
+			}
+		} else if c != nil {
+			src, own = ex.leaseDense(c), true
 		}
 		cur := src
 		var shapeBuf [8]int
@@ -188,14 +229,14 @@ func (ex *Executor) node(x *obs.ExecCtx, st *execState, p *Plan) (*ndarray.Array
 		if cur == src {
 			// Source == Rect never plans as an aggregate, but stay correct
 			// if a hand-built plan does it.
-			if e.cloning {
+			if own {
 				return src, nil
 			}
 			return ex.leaseCopy(src), nil
 		}
-		if e.cloning {
-			// src was a private copy from the store; its storage is ours
-			// to recycle now that the first fold has consumed it.
+		if own {
+			// src was a private copy from the store or the sparse fold's
+			// output; a fold has consumed it.
 			ndarray.Recycle(src)
 		}
 		return cur, nil

@@ -42,8 +42,12 @@ type IncludeList struct {
 	Members []MemberSpec
 }
 
-// UnmarshalJSON accepts "*" or a member array.
+// UnmarshalJSON accepts "*" or a member array; null, like an absent list,
+// includes nothing.
 func (il *IncludeList) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
 	var star string
 	if err := json.Unmarshal(b, &star); err == nil {
 		if star != "*" {

@@ -32,6 +32,26 @@ func TestNonFiniteMeasuresRejected(t *testing.T) {
 	}
 }
 
+// TestMassBound: finite measures whose Σ|v| passes MaxMass could sum a cell
+// to ±Inf, so the row that would take the relation past it is rejected —
+// by the CSV loader with its line — and the table stays as it was.
+func TestMassBound(t *testing.T) {
+	_, err := ReadCSV(strings.NewReader("a,sales\nx,5e307\ny,-5e307\nz,1\n"), "sales")
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "past") {
+		t.Fatalf("err %v, want an error naming line 3 and the bound", err)
+	}
+	tbl := salesTable(t)
+	if err := tbl.Append([]string{"stout", "north"}, 1e308); err == nil {
+		t.Fatal("Append past MaxMass: want an error")
+	}
+	if tbl.Len() != 5 || len(tbl.DistinctValues(0)) != 3 {
+		t.Fatalf("a rejected row changed the table: %d rows", tbl.Len())
+	}
+	if err := tbl.Append([]string{"stout", "north"}, MaxMass/2); err != nil {
+		t.Fatalf("Append within MaxMass: %v", err)
+	}
+}
+
 // maxFuzzCells bounds the cubes FuzzReadCSV builds.
 const maxFuzzCells = 1 << 12
 
@@ -65,10 +85,14 @@ func referenceLoad(data []byte, measure string) (dicts [][]string, cells []float
 	}
 	rows := recs[1:]
 	measures := make([]float64, len(rows))
+	mass := 0.0
 	for i, rec := range rows {
 		v, err := strconv.ParseFloat(strings.TrimSpace(rec[measureCol]), 64)
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, nil, fmt.Errorf("bad measure %q", rec[measureCol])
+		}
+		if mass += math.Abs(v); mass > MaxMass {
+			return nil, nil, fmt.Errorf("measures past MaxMass")
 		}
 		measures[i] = v
 	}

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -271,6 +272,10 @@ func AppendDigits(dst []byte, u uint64) []byte {
 	return dst
 }
 
+// ErrUnencodable is how AppendJSONFloat refuses a value JSON cannot carry: a
+// NaN or an infinity. A served answer holding one is the server's fault.
+var ErrUnencodable = errors.New("relation: unsupported JSON value")
+
 // AppendJSONFloat appends f as encoding/json formats a float64: the shortest
 // representation that round-trips, 'f' form except 'e' below 1e-6 and from
 // 1e21 with a two-digit exponent's leading zero dropped, and an error for
@@ -281,7 +286,7 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	case abs < 1<<53 && float64(i) == f && (i != 0 || !math.Signbit(f)):
 		return appendInt(dst, i), nil // the common case, and the same digits
 	case math.IsInf(f, 0) || math.IsNaN(f):
-		return dst, fmt.Errorf("relation: unsupported JSON value %v", f)
+		return dst, fmt.Errorf("%w %v", ErrUnencodable, f)
 	case abs != 0 && (abs < 1e-6 || abs >= 1e21):
 		dst = strconv.AppendFloat(dst, f, 'e', -1, 64)
 		// clean up e-09 to e-9

@@ -52,6 +52,12 @@ type Row struct {
 	Measure float64
 }
 
+// MaxMass bounds a relation's magnitude Σ|v| over its measures. Every cube
+// cell, and every cell of every view element, is a ± sum of measures, so
+// none can pass it; the factor two below the largest float64 is headroom
+// for rounding. Engines hold deltas to the same bound.
+const MaxMass = math.MaxFloat64 / 2
+
 // Table is an append-only relation stored by column: per dimension a
 // first-seen Dictionary and one code per row, plus the measure column.
 type Table struct {
@@ -59,6 +65,7 @@ type Table struct {
 	dicts   []*Dictionary // per dimension, codes in first-seen order
 	codes   [][]int32     // codes[m][i] is row i's code in dicts[m]
 	measure []float64
+	mass    float64 // Σ|measure|, at most MaxMass
 }
 
 // NewTable returns an empty table with the given schema.
@@ -92,15 +99,17 @@ func (t *Table) Row(i int) Row {
 }
 
 // Append adds a tuple. The value count must match the schema, and the
-// measure must be finite: a NaN or infinity makes its cell unencodable.
+// measure must be finite and keep Σ|v| within MaxMass: a NaN or infinity,
+// or a cell that overflows to one, makes its cell unencodable.
 func (t *Table) Append(values []string, measure float64) error {
 	if len(values) != len(t.schema.Dimensions) {
 		return fmt.Errorf("relation: row has %d values, schema has %d dimensions",
 			len(values), len(t.schema.Dimensions))
 	}
-	if math.IsNaN(measure) || math.IsInf(measure, 0) {
-		return fmt.Errorf("relation: measure %v is not finite", measure)
+	if !(t.mass+math.Abs(measure) <= MaxMass) {
+		return fmt.Errorf("relation: measure %v is not finite or takes Σ|v| past %g, where a cell could overflow", measure, MaxMass)
 	}
+	t.mass += math.Abs(measure)
 	for m, v := range values {
 		c, ok := t.dicts[m].index[v]
 		if !ok { // cloned, so no caller buffer (a whole CSV record) stays alive
@@ -125,6 +134,7 @@ func (t *Table) Split(n, dim int, shard func(value string) int) []*Table {
 			o.codes[m] = append(o.codes[m], int32(o.dicts[m].Encode(t.value(m, i))))
 		}
 		o.measure = append(o.measure, v)
+		o.mass += math.Abs(v)
 	}
 	return out
 }
@@ -141,6 +151,7 @@ func (t *Table) CountTable(measure string) (*Table, error) {
 	for i := range ct.measure {
 		ct.measure[i] = 1
 	}
+	ct.mass = float64(len(ct.measure))
 	return ct, nil
 }
 

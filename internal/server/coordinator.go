@@ -13,6 +13,7 @@ import (
 	"viewcube"
 	"viewcube/internal/cluster"
 	"viewcube/internal/obs"
+	"viewcube/internal/relation"
 )
 
 // CoordinatorServer is the HTTP face of a cluster coordinator — the same
@@ -109,9 +110,12 @@ func wantPartial(q url.Values) bool { return q.Get("partial") == "1" }
 // queryStatus maps a coordinator error to an HTTP status: admission shed
 // is 429 (retry later, the tier is saturated), a fully unreachable tier is
 // 503, some shards unreachable in exact mode is 502, and shard-side query
-// errors (bad dimension, malformed range) are the client's fault.
+// errors (bad dimension, malformed range) are the client's fault. An answer
+// the encoder cannot write is the server's.
 func queryStatus(err error) int {
 	switch {
+	case errors.Is(err, relation.ErrUnencodable):
+		return http.StatusInternalServerError
 	case errors.Is(err, cluster.ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, cluster.ErrUnavailable):

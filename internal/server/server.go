@@ -384,10 +384,12 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
 
 // statusFor maps catalog errors onto the HTTP taxonomy: names that do not
 // resolve (cubes, views, view members) and unloaded cubes are 404, a
-// lifecycle transition in progress is 409, and everything else — malformed
-// requests included — is 400.
+// lifecycle transition in progress is 409, an answer the encoder cannot
+// write is 500, and everything else — malformed requests included — is 400.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, relation.ErrUnencodable):
+		return http.StatusInternalServerError
 	case errors.Is(err, catalog.ErrUnknownCube),
 		errors.Is(err, catalog.ErrUnknownView),
 		errors.Is(err, catalog.ErrUnknownMember),

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +15,7 @@ import (
 	"testing"
 
 	"viewcube"
+	"viewcube/internal/relation"
 )
 
 // quiet discards request logs so test output stays readable.
@@ -209,5 +213,53 @@ func TestConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestUpdateOverflowRejected: finite deltas could sum a cell to +Inf (three
+// of 6e307 do), after which every covering answer failed to encode. The
+// delta that would take the cube's Σ|v| past the bound is rejected instead,
+// and the group-bys stay answerable.
+func TestUpdateOverflowRejected(t *testing.T) {
+	cube, err := viewcube.Load(strings.NewReader("a,b,m\nx,p,1\ny,q,2\n"), "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, New(cube, eng, quiet))
+	update := map[string]any{"delta": 6e307, "values": map[string]string{"a": "x", "b": "p"}}
+	if resp, body := postJSON(t, ts.URL+"/update", update); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first update: %d %v", resp.StatusCode, body)
+	}
+	for i := 2; i <= 3; i++ {
+		resp, body := postJSON(t, ts.URL+"/update", update)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(body["error"]), "past") {
+			t.Fatalf("update %d: %d %v, want a 400 naming the bound", i, resp.StatusCode, body)
+		}
+	}
+	for _, keep := range []string{"a", "b"} {
+		var groups map[string]float64
+		if resp := getJSON(t, ts.URL+"/groupby?keep="+keep, &groups); resp.StatusCode != http.StatusOK {
+			t.Fatalf("groupby keep=%s: status %d", keep, resp.StatusCode)
+		}
+	}
+}
+
+// TestUnencodableAnswerIs500: an answer the encoder cannot write is the
+// server's fault, on a node and on a coordinator.
+func TestUnencodableAnswerIs500(t *testing.T) {
+	_, err := relation.AppendJSONFloat(nil, math.Inf(1))
+	if !errors.Is(err, relation.ErrUnencodable) {
+		t.Fatalf("AppendJSONFloat(+Inf): %v", err)
+	}
+	wrapped := fmt.Errorf("encoding: %w", err)
+	if got := statusFor(wrapped); got != http.StatusInternalServerError {
+		t.Fatalf("statusFor: %d", got)
+	}
+	if got := queryStatus(wrapped); got != http.StatusInternalServerError {
+		t.Fatalf("queryStatus: %d", got)
 	}
 }

@@ -35,6 +35,9 @@ type guarded[E any] interface {
 	// checkCell validates a cell index; it reads only immutable state, so it
 	// needs no lock even while the merger runs.
 	checkCell(idx []int) error
+	// admit takes a delta into the cube's magnitude Σ|v| per component, or
+	// rejects it if a cell could then overflow; it locks for itself.
+	admit(vals []float64) error
 	// applyDeltaRaw is per-delta maintenance — every stored element plus the
 	// raw cube, one cell per component — with no cache invalidation;
 	// resetDerived is the once-per-batch reset of the caches derived from
@@ -138,6 +141,9 @@ func (g *guard[E]) write(vals []float64, idx []int, apply func(E) error) error {
 		return nil
 	}
 	if rt := g.ing.Load(); rt != nil {
+		if err := g.eng.admit(vals); err != nil {
+			return err
+		}
 		return rt.ingestAppend(vals, idx)
 	}
 	return g.mutate(func(e E) (bool, error) {
