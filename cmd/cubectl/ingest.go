@@ -1,40 +1,26 @@
 package main
 
-// The ingest subcommand: batch rows into a running cubed's streaming write
-// path over HTTP. Rows come either as arguments in compact form —
+// The ingest subcommand's rows come as arguments in the compact form
+// dim=val,dim2=val2:delta, as in
 //
-//	cubectl -server http://localhost:8080 ingest 'product=ale,region=east:5' 'product=ipa,region=west:2'
+//	cubectl ingest 'product=ale,region=east:5' 'product=ipa,region=west:2'
 //
-// (dimension=value pairs comma-separated, then :delta) — or as JSON lines
-// on stdin, one {"delta": ..., "values": {...}} object per line:
-//
-//	cubectl -server http://localhost:8080 ingest -
-//
-// By default the request asks the server to flush, so a zero exit means
-// every row is queryable; -noflush returns on acknowledgement only (rows
-// become visible at the server's next background merge).
+// or, with "-" or no argument, as JSON objects {"delta": ..., "values":
+// {...}} on stdin. The request asks the server to flush, so a zero exit
+// means every row is queryable; with -noflush rows are only acknowledged
+// and become visible at the server's next background merge.
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"os"
 	"strconv"
 	"strings"
-	"time"
 )
 
 type ingestRow struct {
 	Delta  float64           `json:"delta"`
 	Values map[string]string `json:"values"`
-}
-
-type ingestPayload struct {
-	Rows  []ingestRow `json:"rows"`
-	Flush bool        `json:"flush,omitempty"`
 }
 
 // parseIngestRow parses the compact argument form "dim=val,dim2=val2:delta".
@@ -60,102 +46,27 @@ func parseIngestRow(arg string) (ingestRow, error) {
 	return row, nil
 }
 
-// readIngestRows collects the batch: compact-form arguments, or JSON lines
-// from r when the sole argument is "-" (or none are given).
+// readIngestRows collects the batch: compact-form arguments, or JSON
+// objects from r when the sole argument is "-" (or none are given).
 func readIngestRows(args []string, r io.Reader) ([]ingestRow, error) {
-	if len(args) > 0 && !(len(args) == 1 && args[0] == "-") {
-		rows := make([]ingestRow, 0, len(args))
-		for _, arg := range args {
-			row, err := parseIngestRow(arg)
-			if err != nil {
-				return nil, err
+	var rows []ingestRow
+	if len(args) == 0 || len(args) == 1 && args[0] == "-" {
+		for dec := json.NewDecoder(r); ; {
+			var row ingestRow
+			if err := dec.Decode(&row); err == io.EOF {
+				return rows, nil
+			} else if err != nil {
+				return nil, fmt.Errorf("stdin row %d: %w", len(rows)+1, err)
 			}
 			rows = append(rows, row)
 		}
-		return rows, nil
 	}
-	var rows []ingestRow
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var row ingestRow
-		if err := json.Unmarshal([]byte(text), &row); err != nil {
-			return nil, fmt.Errorf("stdin line %d: %w", line, err)
+	for _, arg := range args {
+		row, err := parseIngestRow(arg)
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, row)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
 	return rows, nil
-}
-
-// runServerIngest posts the batch to /ingest (or /cubes/{cube}/ingest) and
-// reports the server's acknowledgement.
-func runServerIngest(serverURL, cube string, flush bool, args []string) error {
-	rows, err := readIngestRows(args, os.Stdin)
-	if err != nil {
-		return err
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("no rows to ingest (give dim=val,...:delta arguments or JSON lines on stdin)")
-	}
-	body, err := json.Marshal(ingestPayload{Rows: rows, Flush: flush})
-	if err != nil {
-		return err
-	}
-	url := strings.TrimRight(serverURL, "/") + "/ingest"
-	if cube != "" {
-		url = strings.TrimRight(serverURL, "/") + "/cubes/" + cube + "/ingest"
-	}
-	client := &http.Client{Timeout: 30 * time.Second}
-	resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(payload, &e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(payload)))
-	}
-	var ack struct {
-		Rows     int  `json:"rows"`
-		Streamed bool `json:"streamed"`
-		Ingest   *struct {
-			SnapshotEpoch uint64 `json:"snapshot_epoch"`
-			PendingCells  int    `json:"pending_cells"`
-			WALBytes      uint64 `json:"wal_bytes"`
-		} `json:"ingest"`
-	}
-	if err := json.Unmarshal(payload, &ack); err != nil {
-		return fmt.Errorf("decoding response: %w", err)
-	}
-	mode := "applied synchronously"
-	if ack.Streamed {
-		mode = "streamed"
-		if flush {
-			mode = "streamed and flushed"
-		}
-	}
-	fmt.Printf("ingested %d rows (%s)\n", ack.Rows, mode)
-	if ack.Ingest != nil {
-		fmt.Printf("snapshot epoch %d, %d cells pending, wal %d bytes\n",
-			ack.Ingest.SnapshotEpoch, ack.Ingest.PendingCells, ack.Ingest.WALBytes)
-	}
-	return nil
 }

@@ -12,9 +12,8 @@ import (
 // This file is the catalog's cached read path: Lease.ServeGroupBy /
 // ServeRangeSum / ServeQuery answer through the entry's result cache when
 // the registry has one enabled (EnableResultCache), falling back to the
-// handle directly otherwise. Both serving faces — the HTTP server's
-// handlers and cubectl's catalog shell — route reads through these methods
-// so they share one caching discipline.
+// handle directly otherwise. The HTTP server's handlers route every read
+// through these methods, so all of them share one caching discipline.
 //
 // Keys are formed from the *resolved* query shape (after view aliases
 // rewrite to underlying dimension names), so every view over a cube shares

@@ -337,17 +337,6 @@ func (v *View) RewriteSQL(sql string) (string, error) {
 	return q.String(), nil
 }
 
-// ExposedName maps an underlying dimension back to the name the view
-// exposes it under (for rewriting result columns); ok=false when the view
-// hides the dimension. Safe on nil (identity).
-func (v *View) ExposedName(dim string) (string, bool) {
-	if v == nil {
-		return dim, true
-	}
-	exposed, ok := v.byDim[dim]
-	return exposed, ok
-}
-
 // RewriteColumns maps result column names (underlying dimensions plus
 // aggregate labels) back to the view's exposed member names. Columns that
 // are not dimensions (aggregate labels such as "SUM(sales)") pass through.

@@ -71,7 +71,7 @@ type Options struct {
 	// TraceSampleRate turns on always-on sampled tracing: approximately
 	// this fraction of queries (deterministically, every Nth) runs with a
 	// full distributed trace, recorded into the query log. 0 disables
-	// sampling; explicit Trace* calls always trace.
+	// sampling; a query asked for with traced always traces.
 	TraceSampleRate float64
 	// QueryLog, when non-nil, receives one entry per coordinator query
 	// (shape, duration, per-shard costs, trace ID when sampled).
@@ -107,14 +107,15 @@ type PartialResult struct {
 // Complete reports whether every shard contributed.
 func (p *PartialResult) Complete() bool { return p == nil || len(p.Missing) == 0 }
 
-// Coordinator answers Querier-shaped queries by scattering them across
-// shard clients and combining the partial aggregates exactly (SUM is
-// distributive, so per-key addition in fixed shard order reproduces the
-// single-machine answer bit for bit). Failure handling per shard: a
+// Coordinator answers group-by, total and range-sum queries by scattering
+// them across shard clients and combining the partial aggregates exactly
+// (SUM is distributive, so per-key addition in fixed shard order reproduces
+// the single-machine answer bit for bit). Failure handling per shard: a
 // deadline per attempt, bounded retries with jittered exponential backoff,
 // and optional hedged requests once an attempt outlives the shard's recent
-// latency quantile. Callers opt into degraded answers through the
-// *Partial methods; the plain methods are exact or they fail.
+// latency quantile. Its two read seams, GroupByResult and SumResult, take
+// allowPartial (degrade instead of failing) and traced as arguments; without
+// allowPartial an answer is exact or it fails.
 //
 // A Coordinator is safe for concurrent use.
 type Coordinator struct {
@@ -132,8 +133,6 @@ type Coordinator struct {
 	rmu sync.Mutex
 	rng *rand.Rand
 }
-
-var _ viewcube.Querier = (*Coordinator)(nil)
 
 // NewCoordinator builds a coordinator over the given shards. Shard names
 // must be unique and non-empty.
@@ -252,8 +251,6 @@ func (c *Coordinator) InvalidateResults() uint64 { return c.cache.Invalidate() }
 // without a cache).
 func (c *Coordinator) ResultCacheStats() rescache.Stats { return c.cache.Stats() }
 
-// --- exact-mode Querier surface ---
-
 // GroupByResult merges per-shard GROUP BY partials into one columnar Result
 // — the form the HTTP face encodes and the result cache holds. Without
 // allowPartial it fails if any shard is unreachable after retries; with it,
@@ -275,75 +272,46 @@ func (c *Coordinator) GroupByResult(ctx context.Context, allowPartial, traced bo
 	return a.res, a.part, tr, err
 }
 
-// asGroups is the map form of GroupByResult, for library callers.
-func asGroups(res *viewcube.Result, part *PartialResult, tr *obs.Trace, err error) (map[string]float64, *PartialResult, *obs.Trace, error) {
-	if err != nil {
-		return nil, nil, tr, err
+// SumResult is GroupByResult's counterpart for the sum kinds: the total
+// when ranges is nil, a range sum (lexicographic bounds — see
+// Engine.RangeSumWithin) otherwise. allowPartial and traced mean what they
+// mean there.
+func (c *Coordinator) SumResult(ctx context.Context, allowPartial, traced bool, ranges map[string]viewcube.ValueRange) (float64, *PartialResult, *obs.Trace, error) {
+	req := &Request{Kind: KindTotal}
+	if ranges != nil {
+		req = rangeRequest(ranges)
 	}
-	g, err := res.Groups()
-	return g, part, tr, err
+	var tr *obs.Trace
+	if traced {
+		name := "cluster total"
+		if ranges != nil {
+			name = "cluster range " + requestShape(req)
+		}
+		tr = obs.NewTrace(name)
+		defer tr.Finish()
+	}
+	a, err := c.answer(ctx, allowPartial, tr, req)
+	return a.sum, a.part, tr, err
 }
 
 // GroupBy is the exact-mode GroupByResult in map form, keyed by joined
-// group key (use GroupByPartial to degrade instead of failing).
+// group key.
 func (c *Coordinator) GroupBy(keep ...string) (map[string]float64, error) {
-	g, _, _, err := asGroups(c.GroupByResult(context.Background(), false, false, keep...))
-	return g, err
+	res, _, _, err := c.GroupByResult(context.Background(), false, false, keep...)
+	if err != nil {
+		return nil, err
+	}
+	return res.Groups()
 }
 
-// Total sums the shard totals (exact mode).
-func (c *Coordinator) Total() (float64, error) {
-	t, _, err := c.sumQuery(context.Background(), false, nil, &Request{Kind: KindTotal})
-	return t, err
-}
-
-// RangeSum sums the shard range partials (exact mode, lexicographic
-// bounds — see Engine.RangeSumWithin).
+// RangeSum is the exact-mode, untraced SumResult over ranges. A nil map is
+// a range sum over no ranges, as it always was here, not SumResult's total.
 func (c *Coordinator) RangeSum(ranges map[string]viewcube.ValueRange) (float64, error) {
-	t, _, err := c.sumQuery(context.Background(), false, nil, rangeRequest(ranges))
+	if ranges == nil {
+		ranges = map[string]viewcube.ValueRange{}
+	}
+	t, _, _, err := c.SumResult(context.Background(), false, false, ranges)
 	return t, err
-}
-
-// --- degraded-mode surface (the caller opts into partial answers) ---
-
-// GroupByPartial is GroupBy that degrades instead of failing (GroupByResult
-// with allowPartial, in map form).
-func (c *Coordinator) GroupByPartial(ctx context.Context, keep ...string) (map[string]float64, *PartialResult, error) {
-	g, part, _, err := asGroups(c.GroupByResult(ctx, true, false, keep...))
-	return g, part, err
-}
-
-// TotalPartial is Total with degraded mode.
-func (c *Coordinator) TotalPartial(ctx context.Context) (float64, *PartialResult, error) {
-	return c.sumQuery(ctx, true, nil, &Request{Kind: KindTotal})
-}
-
-// RangeSumPartial is RangeSum with degraded mode.
-func (c *Coordinator) RangeSumPartial(ctx context.Context, ranges map[string]viewcube.ValueRange) (float64, *PartialResult, error) {
-	return c.sumQuery(ctx, true, nil, rangeRequest(ranges))
-}
-
-// TraceGroupBy is GroupByPartial with a full distributed trace (GroupByResult
-// traced, in map form).
-func (c *Coordinator) TraceGroupBy(ctx context.Context, keep ...string) (map[string]float64, *PartialResult, *obs.Trace, error) {
-	return asGroups(c.GroupByResult(ctx, true, true, keep...))
-}
-
-// TraceTotal is TotalPartial with a full distributed trace.
-func (c *Coordinator) TraceTotal(ctx context.Context) (float64, *PartialResult, *obs.Trace, error) {
-	tr := obs.NewTrace("cluster total")
-	t, part, err := c.sumQuery(ctx, true, tr, &Request{Kind: KindTotal})
-	tr.Finish()
-	return t, part, tr, err
-}
-
-// TraceRangeSum is RangeSumPartial with a full distributed trace.
-func (c *Coordinator) TraceRangeSum(ctx context.Context, ranges map[string]viewcube.ValueRange) (float64, *PartialResult, *obs.Trace, error) {
-	req := rangeRequest(ranges)
-	tr := obs.NewTrace("cluster range " + requestShape(req))
-	t, part, err := c.sumQuery(ctx, true, tr, req)
-	tr.Finish()
-	return t, part, tr, err
 }
 
 // --- scatter-gather core ---
@@ -357,11 +325,6 @@ func rangeRequest(ranges map[string]viewcube.ValueRange) *Request {
 	// identical bytes on the wire.
 	sort.Slice(req.Ranges, func(i, j int) bool { return req.Ranges[i].Dim < req.Ranges[j].Dim })
 	return req
-}
-
-func (c *Coordinator) sumQuery(ctx context.Context, allowPartial bool, tr *obs.Trace, req *Request) (float64, *PartialResult, error) {
-	a, err := c.answer(ctx, allowPartial, tr, req)
-	return a.sum, a.part, err
 }
 
 // answer serves req from the result cache when there is one and the query is

@@ -48,7 +48,7 @@ func TestCoordinatorMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTotal, err := coord.Total()
+	gotTotal, _, _, err := coord.SumResult(context.Background(), false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,6 @@ func TestCoordinatorMatchesOracle(t *testing.T) {
 	if gotRange != wantRange {
 		t.Fatalf("RangeSum = %v, want %v", gotRange, wantRange)
 	}
-
-	// Coordinator and PartitionedEngine expose the same query surface.
-	var _ viewcube.Querier = coord
-	var _ viewcube.Querier = oracle
 }
 
 // TestCoordinatorRetriesTransientFailure: a shard that fails twice but has
@@ -137,7 +133,7 @@ func TestCoordinatorPartialResult(t *testing.T) {
 		t.Fatalf("exact-mode error %q does not name shard %s", err, deadName)
 	}
 
-	got, part, err := coord.GroupByPartial(context.Background(), "product")
+	got, part, _, err := asGroups(coord.GroupByResult(context.Background(), true, false, "product"))
 	if err != nil {
 		t.Fatalf("partial-mode GroupBy: %v", err)
 	}
@@ -174,7 +170,7 @@ func TestCoordinatorPartialResult(t *testing.T) {
 	}
 
 	// A sum query degrades the same way.
-	sum, part2, err := coord.TotalPartial(context.Background())
+	sum, part2, _, err := coord.SumResult(context.Background(), true, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +222,7 @@ func TestCoordinatorDeadline(t *testing.T) {
 	}
 	defer coord.Close()
 
-	_, part, err := coord.GroupByPartial(context.Background(), "product")
+	_, part, _, err := coord.GroupByResult(context.Background(), true, false, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +243,7 @@ func TestCoordinatorFatalQueryError(t *testing.T) {
 	}
 	defer coord.Close()
 
-	if _, _, err := coord.GroupByPartial(context.Background(), "no_such_dim"); err == nil {
+	if _, _, _, err := coord.GroupByResult(context.Background(), true, false, "no_such_dim"); err == nil {
 		t.Fatal("unknown dimension should fail even in partial mode")
 	}
 	if _, err := coord.RangeSum(map[string]viewcube.ValueRange{"bogus": {Lo: "a", Hi: "z"}}); err == nil {
@@ -269,7 +265,7 @@ func TestCoordinatorAllShardsDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	if _, _, err := coord.GroupByPartial(context.Background(), "product"); err == nil {
+	if _, _, _, err := coord.GroupByResult(context.Background(), true, false, "product"); err == nil {
 		t.Fatal("all shards down should fail even in partial mode")
 	}
 }
@@ -364,7 +360,7 @@ func TestCoordinatorTraceSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, part, tr, err := coord.TraceGroupBy(context.Background(), "product")
+	got, part, tr, err := asGroups(coord.GroupByResult(context.Background(), true, true, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"viewcube"
 	"viewcube/internal/cluster"
+	"viewcube/internal/obs"
 	"viewcube/internal/workload"
 )
 
@@ -171,4 +172,13 @@ func (f *flakyClient) callCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.calls
+}
+
+// asGroups is a GroupByResult answer with its Result in map form.
+func asGroups(res *viewcube.Result, part *cluster.PartialResult, tr *obs.Trace, err error) (map[string]float64, *cluster.PartialResult, *obs.Trace, error) {
+	if err != nil {
+		return nil, nil, tr, err
+	}
+	g, err := res.Groups()
+	return g, part, tr, err
 }

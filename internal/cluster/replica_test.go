@@ -6,6 +6,7 @@ package cluster_test
 // changes availability, never answers.
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -118,7 +119,7 @@ func TestReplicaFailoverKeepsAnswersBitIdentical(t *testing.T) {
 		}
 		sameGroupsExact(t, got, wantGroups)
 	}
-	total, err := coord.Total()
+	total, _, _, err := coord.SumResult(context.Background(), false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

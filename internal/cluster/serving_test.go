@@ -189,7 +189,7 @@ func TestCoordinatorCacheNeverStoresDegradedAnswers(t *testing.T) {
 	defer coord.Close()
 
 	flaky.set(func(f *flakyClient) { f.failAll = true })
-	got, part, err := coord.GroupByPartial(context.Background(), "region")
+	got, part, _, err := asGroups(coord.GroupByResult(context.Background(), true, false, "region"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestCoordinatorCacheNeverStoresDegradedAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healed, part, err := coord.GroupByPartial(context.Background(), "region")
+	healed, part, _, err := asGroups(coord.GroupByResult(context.Background(), true, false, "region"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCoordinatorCacheNeverStoresDegradedAnswers(t *testing.T) {
 	// down again, partial succeeds degraded while exact fails.
 	coord.InvalidateResults()
 	flaky.set(func(f *flakyClient) { f.failAll = true })
-	if _, _, err := coord.GroupByPartial(context.Background(), "region"); err != nil {
+	if _, _, _, err := coord.GroupByResult(context.Background(), true, false, "region"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := coord.GroupBy("region"); err == nil {
@@ -264,7 +264,7 @@ func TestAdmissionControlShedsAndRecovers(t *testing.T) {
 	admitted := make(chan error, slots)
 	for i := 0; i < slots; i++ {
 		go func() {
-			_, err := coord.Total()
+			_, _, _, err := coord.SumResult(context.Background(), false, false, nil)
 			admitted <- err
 		}()
 	}
@@ -279,7 +279,7 @@ func TestAdmissionControlShedsAndRecovers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = coord.Total()
+			_, _, _, errs[i] = coord.SumResult(context.Background(), false, false, nil)
 		}(i)
 	}
 	wg.Wait()
@@ -297,7 +297,7 @@ func TestAdmissionControlShedsAndRecovers(t *testing.T) {
 			t.Fatalf("admitted query failed: %v", err)
 		}
 	}
-	if _, err := coord.Total(); err != nil {
+	if _, _, _, err := coord.SumResult(context.Background(), false, false, nil); err != nil {
 		t.Fatalf("post-overload query failed: %v", err)
 	}
 
@@ -357,7 +357,7 @@ func TestCacheHitsBypassAdmission(t *testing.T) {
 	// reach the shard gates, the slot is held mid-scatter.
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Total()
+		_, _, _, err := coord.SumResult(context.Background(), false, false, nil)
 		done <- err
 	}()
 	waitFor(t, func() bool { return arrived.Load() >= int32(len(engines)) })

@@ -186,7 +186,7 @@ func TestClusterConcurrentChaos(t *testing.T) {
 				switch q % 3 {
 				case 0:
 					keep := keeps[(w+q)%len(keeps)]
-					got, pr, err := coord.GroupByPartial(ctx, keep...)
+					got, pr, _, err := asGroups(coord.GroupByResult(ctx, true, false, keep...))
 					if err != nil {
 						continue // every shard was down at that instant
 					}
@@ -205,7 +205,7 @@ func TestClusterConcurrentChaos(t *testing.T) {
 						}
 					}
 				case 1:
-					got, pr, err := coord.TotalPartial(ctx)
+					got, pr, _, err := coord.SumResult(ctx, true, false, nil)
 					if err != nil {
 						continue
 					}
@@ -214,7 +214,7 @@ func TestClusterConcurrentChaos(t *testing.T) {
 						return
 					}
 				case 2:
-					got, pr, err := coord.RangeSumPartial(ctx, ranges)
+					got, pr, _, err := coord.SumResult(ctx, true, false, ranges)
 					if err != nil {
 						continue
 					}

@@ -74,7 +74,7 @@ func TestTCPScatterGatherMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotT, err := coord.Total()
+	gotT, _, _, err := coord.SumResult(context.Background(), false, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func TestTCPStitchedTraceMatchesExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, part, tr, err := coord.TraceGroupBy(context.Background(), "product")
+	got, part, tr, err := asGroups(coord.GroupByResult(context.Background(), true, true, "product"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestTracedScatterIsConcurrent(t *testing.T) {
 	}
 	defer coord.Close()
 
-	got, part, tr, err := coord.TraceGroupBy(context.Background(), "region")
+	got, part, tr, err := asGroups(coord.GroupByResult(context.Background(), true, true, "region"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestSampledTracingAndQueryLog(t *testing.T) {
 	if _, err := coord.GroupBy("product"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.Total(); err != nil {
+	if _, _, _, err := coord.SumResult(context.Background(), false, false, nil); err != nil {
 		t.Fatal(err)
 	}
 	entries := qlog.Recent(0)
@@ -247,7 +247,7 @@ func TestSampledTracingAndQueryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An explicit trace logs its ID but leaves the tree to the caller.
-	if _, _, _, err := coord2.TraceGroupBy(context.Background(), "product"); err != nil {
+	if _, _, _, err := coord2.GroupByResult(context.Background(), true, true, "product"); err != nil {
 		t.Fatal(err)
 	}
 	entries = qlog2.Recent(0)

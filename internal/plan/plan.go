@@ -236,8 +236,8 @@ func (d Describer) dim(m int) string {
 
 // Render writes the physical plan as a human-readable tree: a header with
 // the total modelled cost, epoch and cache status, then one line per node.
-// This is the one renderer Explain, traces' textual form, the HTTP /explain
-// endpoint and cubectl share.
+// This is the one renderer Explain, traces' textual form and the HTTP
+// /explain endpoint share.
 func Render(b *strings.Builder, target string, ph *Physical, d Describer) {
 	status := "miss"
 	if ph.CacheHit {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/url"
@@ -160,70 +159,33 @@ func (s *CoordinatorServer) handleGroupBy(w http.ResponseWriter, r *http.Request
 
 func (s *CoordinatorServer) handleRange(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	ranges := make(map[string]viewcube.ValueRange)
-	for dim, vals := range q {
-		if dim == "partial" || dim == "trace" || len(vals) == 0 {
-			continue
-		}
-		lo, hi, ok := strings.Cut(vals[0], ":")
-		if !ok {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("range %q must be lo:hi", vals[0]))
-			return
-		}
-		ranges[dim] = viewcube.ValueRange{Lo: lo, Hi: hi}
-	}
-	if wantTrace(q) {
-		sum, pr, tr, err := s.coord.TraceRangeSum(r.Context(), ranges)
-		if err != nil {
-			s.writeErr(w, queryStatus(err), err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr, "trace": tr.Tree()})
-		return
-	}
-	if wantPartial(q) {
-		sum, pr, err := s.coord.RangeSumPartial(r.Context(), ranges)
-		if err != nil {
-			s.writeErr(w, queryStatus(err), err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr})
-		return
-	}
-	sum, err := s.coord.RangeSum(ranges)
+	ranges, err := parseRanges(q, "trace", "partial")
 	if err != nil {
-		s.writeErr(w, queryStatus(err), err)
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	writeSum(s.log, w, sum)
+	s.serveSum(w, r, q, ranges)
 }
 
 func (s *CoordinatorServer) handleTotal(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	if wantTrace(q) {
-		sum, pr, tr, err := s.coord.TraceTotal(r.Context())
-		if err != nil {
-			s.writeErr(w, queryStatus(err), err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr, "trace": tr.Tree()})
-		return
-	}
-	if wantPartial(q) {
-		sum, pr, err := s.coord.TotalPartial(r.Context())
-		if err != nil {
-			s.writeErr(w, queryStatus(err), err)
-			return
-		}
-		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr})
-		return
-	}
-	sum, err := s.coord.Total()
-	if err != nil {
+	s.serveSum(w, r, r.URL.Query(), nil)
+}
+
+// serveSum answers /range and /total: {"sum":x} for an exact query, with
+// "partial" (and "trace") beside it when either was asked for.
+func (s *CoordinatorServer) serveSum(w http.ResponseWriter, r *http.Request, q url.Values, ranges map[string]viewcube.ValueRange) {
+	traced, partial := wantTrace(q), wantPartial(q)
+	sum, pr, tr, err := s.coord.SumResult(r.Context(), partial || traced, traced, ranges)
+	switch {
+	case err != nil:
 		s.writeErr(w, queryStatus(err), err)
-		return
+	case traced:
+		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr, "trace": tr.Tree()})
+	case partial:
+		s.writeJSON(w, http.StatusOK, map[string]any{"sum": sum, "partial": pr})
+	default:
+		writeSum(s.log, w, sum)
 	}
-	writeSum(s.log, w, sum)
 }
 
 func (s *CoordinatorServer) handleShards(w http.ResponseWriter, r *http.Request) {

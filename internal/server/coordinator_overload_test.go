@@ -76,7 +76,7 @@ func TestCoordinatorServerOverloadAndUnavailable(t *testing.T) {
 
 	hold := make(chan error, 1)
 	go func() {
-		_, err := coord.Total()
+		_, _, _, err := coord.SumResult(context.Background(), false, false, nil)
 		hold <- err
 	}()
 	deadline := time.Now().Add(5 * time.Second)

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"viewcube"
 	"viewcube/internal/catalog"
@@ -536,5 +537,74 @@ func TestCoordinatorGroupByBodies(t *testing.T) {
 	}
 	if st := coord.ResultCacheStats(); st.Hits == 0 {
 		t.Fatalf("no coordinator cache hit: %+v", st)
+	}
+}
+
+// TestCoordinatorSumBodies pins the coordinator's /range and /total bodies:
+// plain (the single node's bytes), ?partial=1 with every shard up and with
+// one down (the missing list and its error exact), and ?trace=1 (the key set
+// and the root span's name).
+func TestCoordinatorSumBodies(t *testing.T) {
+	newCoord := func(shards []cluster.Shard) http.Handler {
+		coord, err := cluster.NewCoordinator(shards, cluster.Options{Backoff: time.Millisecond, Cache: &rescache.Options{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close() })
+		return NewCoordinator(coord, quietCoordLog())
+	}
+	// The wrapped forms go out through encoding/json, which sets no
+	// Content-Length, so this reads bodies without serve's header check.
+	get := func(h http.Handler, target string, status int) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+		if rec.Code != status {
+			t.Fatalf("GET %s: status %d, want %d: %s", target, rec.Code, status, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	s := newCoord(coordShards(t))
+	cube, eng := newCubeEngine(t)
+	single := New(cube, eng, quiet)
+
+	// Each request ends in "?" or "&", so one more parameter can follow.
+	for _, c := range []struct{ path, query, sum, root string }{
+		{"/total?", "", "31", "cluster total"},
+		{"/range?", "day=d1:d2&", "28", "cluster range day=[d1,d2]"},
+		{"/range?", "day=d1:d2&product=bock:cider&", "11", "cluster range day=[d1,d2] product=[bock,cider]"},
+	} {
+		target, want := c.path+c.query, `{"sum":`+c.sum+"}\n"
+		if got := get(single, "/range?"+c.query, http.StatusOK); got != want {
+			t.Fatalf("single node %s: %q, want %q", target, got, want)
+		}
+		for _, again := range []string{"", " cached"} {
+			if got := get(s, target, http.StatusOK); got != want {
+				t.Fatalf("%s%s: %q, want %q", target, again, got, want)
+			}
+		}
+		if got, want := get(s, target+"partial=1", http.StatusOK), `{"partial":null,"sum":`+c.sum+"}\n"; got != want {
+			t.Fatalf("%s partial: %q, want %q", target, got, want)
+		}
+		var traced map[string]json.RawMessage
+		var root obs.SpanNode
+		if err := json.Unmarshal([]byte(get(s, target+"trace=1", http.StatusOK)), &traced); err != nil ||
+			len(traced) != 3 || string(traced["sum"]) != c.sum || string(traced["partial"]) != "null" {
+			t.Fatalf("%s traced keys: %v (%v)", target, traced, err)
+		}
+		if err := json.Unmarshal(traced["trace"], &root); err != nil || root.Name != c.root {
+			t.Fatalf("%s trace root %q (%v), want %q", target, root.Name, err, c.root)
+		}
+	}
+
+	shards := coordShards(t)
+	shards[1].Client = downClient{}
+	degraded := newCoord(shards)
+	for _, target := range []string{"/total?", "/range?day=d1:d2&"} {
+		get(degraded, target, http.StatusBadGateway)
+		want := `{"partial":{"missing":["b"],"errors":{"b":"shard b: connection refused"}},"sum":22}` + "\n"
+		if got := get(degraded, target+"partial=1", http.StatusOK); got != want {
+			t.Fatalf("%s with shard b down: %q, want %q", target, got, want)
+		}
 	}
 }

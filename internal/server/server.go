@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -692,6 +693,23 @@ func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request, lease *ca
 	})
 }
 
+// parseRanges reads a range query's dim=lo:hi parameters, skipping the
+// reserved (non-dimension) parameter names.
+func parseRanges(q url.Values, reserved ...string) (map[string]viewcube.ValueRange, error) {
+	ranges := make(map[string]viewcube.ValueRange)
+	for dim, vals := range q {
+		if len(vals) == 0 || slices.Contains(reserved, dim) {
+			continue
+		}
+		lo, hi, ok := strings.Cut(vals[0], ":")
+		if !ok {
+			return nil, fmt.Errorf("range %q must be lo:hi", vals[0])
+		}
+		ranges[dim] = viewcube.ValueRange{Lo: lo, Hi: hi}
+	}
+	return ranges, nil
+}
+
 // rangeShape renders a range query's shape canonically (dimensions sorted)
 // for the query log.
 func rangeShape(ranges map[string]viewcube.ValueRange) string {
@@ -709,17 +727,10 @@ func rangeShape(ranges map[string]viewcube.ValueRange) string {
 
 func (s *Server) handleRange(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
 	q := r.URL.Query()
-	ranges := make(map[string]viewcube.ValueRange)
-	for dim, vals := range q {
-		if dim == "trace" || len(vals) == 0 {
-			continue
-		}
-		lo, hi, ok := strings.Cut(vals[0], ":")
-		if !ok {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("range %q must be lo:hi", vals[0]))
-			return
-		}
-		ranges[dim] = viewcube.ValueRange{Lo: lo, Hi: hi}
+	ranges, err := parseRanges(q, "trace")
+	if err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
+		return
 	}
 	resolved, err := lease.View.ResolveRanges(ranges)
 	if err != nil {

@@ -42,24 +42,6 @@ func PartitionTable(t *Table, dim string, shards int) ([]*Table, error) {
 	return out, nil
 }
 
-// Querier is the distributive fan-out query surface: SUM-based aggregates
-// that can be answered by combining per-shard partial results exactly (§3
-// of the paper). PartitionedEngine implements it over in-process shards;
-// cluster.Coordinator implements the same interface over networked shard
-// servers, so callers can swap one machine for many without changing query
-// code.
-type Querier interface {
-	// GroupBy returns per-group SUMs keyed by joined group key.
-	GroupBy(keep ...string) (map[string]float64, error)
-	// Total returns the grand total.
-	Total() (float64, error)
-	// RangeSum sums the measure over lexicographic per-dimension value
-	// ranges (see Engine.RangeSumWithin for the bounds semantics).
-	RangeSum(ranges map[string]ValueRange) (float64, error)
-}
-
-var _ Querier = (*PartitionedEngine)(nil)
-
 // PartitionedEngine answers aggregation queries over a sharded relation by
 // fanning out to one engine per shard (in parallel) and merging the
 // distributive results. Shards whose table is empty are skipped.
