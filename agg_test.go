@@ -104,11 +104,12 @@ func TestGroupByAggAllKinds(t *testing.T) {
 // TestAggZeroCountSemantics pins the documented, uniform zero-count
 // behaviour of the count-dividing aggregates:
 //
-//   - GroupByAvg (and GroupByAgg with AVG/VAR/STDDEV) drops groups with no
-//     tuples, so AvgOf reports ok=false for them;
-//   - GroupByCount keeps every group of the group space, zeros included;
-//   - RangeAvg (and RangeAgg with a count-dividing kind) returns an error
-//     for a box holding no tuples, while SUM and COUNT return 0.
+//   - GroupByAgg with AVG, VAR or STDDEV drops groups with no tuples, so
+//     avgOf reports ok=false for them;
+//   - GroupByAgg with COUNT keeps every group of the group space, zeros
+//     included;
+//   - RangeAgg with a count-dividing kind returns an error for a box
+//     holding no tuples, while SUM and COUNT return 0.
 func TestAggZeroCountSemantics(t *testing.T) {
 	// Two dimensions with a hole: no (b2, y1) tuple exists even though both
 	// values do.
@@ -127,21 +128,21 @@ func TestAggZeroCountSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng, err := viewcube.NewAvgEngine(tbl, viewcube.EngineOptions{})
+	eng, err := viewcube.NewAggEngine(tbl, viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Populate a second b value only for x1, leaving (x2, y3) empty:
 	// grow the hole by grouping on both dimensions after filtering.
-	avgs, err := eng.GroupByAvg("a", "b")
+	avgs, err := eng.GroupByAgg(viewcube.AggAvg, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(avgs) != 4 {
 		t.Fatalf("GroupByAvg kept %d groups, want 4 (every (a,b) pair has tuples)", len(avgs))
 	}
-	counts, err := eng.GroupByCount("a", "b")
+	counts, err := eng.GroupByAgg(viewcube.AggCount, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,31 +167,31 @@ func TestAggZeroCountSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng2, err := viewcube.NewAvgEngine(tbl2, viewcube.EngineOptions{})
+	eng2, err := viewcube.NewAggEngine(tbl2, viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgs2, err := eng2.GroupByAvg("a", "b")
+	avgs2, err := eng2.GroupByAgg(viewcube.AggAvg, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(avgs2) != 3 {
 		t.Fatalf("GroupByAvg kept %d groups, want 3 (the empty (x2,y2) cell must be dropped)", len(avgs2))
 	}
-	if _, ok := viewcube.AvgOf(avgs2, "x2", "y2"); ok {
-		t.Fatal("AvgOf must miss a zero-count group")
+	if _, ok := avgOf(avgs2, "x2", "y2"); ok {
+		t.Fatal("avgOf must miss a zero-count group")
 	}
-	if got, ok := viewcube.AvgOf(avgs2, "x1", "y2"); !ok || got != 4 {
-		t.Fatalf("AvgOf(x1,y2) = %g, %v; want 4, true", got, ok)
+	if got, ok := avgOf(avgs2, "x1", "y2"); !ok || got != 4 {
+		t.Fatalf("avgOf(x1,y2) = %g, %v; want 4, true", got, ok)
 	}
-	counts2, err := eng2.GroupByCount("a", "b")
+	counts2, err := eng2.GroupByAgg(viewcube.AggCount, "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(counts2) != 4 {
 		t.Fatalf("GroupByCount %d groups, want 4 (zero groups stay)", len(counts2))
 	}
-	if c, ok := viewcube.AvgOf(counts2, "x2", "y2"); !ok || c != 0 {
+	if c, ok := avgOf(counts2, "x2", "y2"); !ok || c != 0 {
 		t.Fatalf("count(x2,y2) = %g, %v; want 0, true", c, ok)
 	}
 
@@ -198,18 +199,18 @@ func TestAggZeroCountSemantics(t *testing.T) {
 	emptyBox := map[string]viewcube.ValueRange{
 		"a": {Lo: "x2", Hi: "x2"}, "b": {Lo: "y2", Hi: "y2"},
 	}
-	if _, err := eng2.RangeAvg(emptyBox); err == nil ||
+	if _, err := eng2.RangeAgg(viewcube.AggAvg, emptyBox); err == nil ||
 		!strings.Contains(err.Error(), "no tuples in range") {
 		t.Fatalf("RangeAvg over an empty box: err = %v, want 'no tuples in range'", err)
 	}
 	for _, kind := range []viewcube.AggKind{viewcube.AggVar, viewcube.AggStdDev} {
-		if _, err := eng2.Agg().RangeAgg(kind, emptyBox); err == nil ||
+		if _, err := eng2.RangeAgg(kind, emptyBox); err == nil ||
 			!strings.Contains(err.Error(), "no tuples in range") {
 			t.Fatalf("RangeAgg(%v) over an empty box: err = %v", kind, err)
 		}
 	}
 	for _, kind := range []viewcube.AggKind{viewcube.AggSum, viewcube.AggCount} {
-		v, err := eng2.Agg().RangeAgg(kind, emptyBox)
+		v, err := eng2.RangeAgg(kind, emptyBox)
 		if err != nil || v != 0 {
 			t.Fatalf("RangeAgg(%v) over an empty box = %g, %v; want 0, nil", kind, v, err)
 		}
@@ -217,88 +218,186 @@ func TestAggZeroCountSemantics(t *testing.T) {
 }
 
 // TestVectorAvgMatchesTwoEngineOracle pins the refactor's core promise:
-// the one-cube vector path answers AVG bit-identically (==, no tolerance)
-// to the historical two-engine design — a private SUM engine plus a private
-// COUNT engine over their own stores — on randomized relations, before and
-// after an update stream.
+// the one-cube vector path answers bit-identically (==, no tolerance) to the
+// historical two-engine design — a private SUM engine plus a private COUNT
+// engine over their own stores — on randomized relations: grouped AVG, SUM
+// and COUNT, range SUM, COUNT and AVG, and a WHERE-filtered grouped AVG
+// through Select, on the unoptimised root and after Optimize at storage
+// budgets of one and two cube volumes, before and after an update stream.
+//
+// A view rebuilt by synthesis from real-valued elements can leave a padding
+// cell a rounding error away from zero, and reading such a view fails with
+// "nonzero padding cell". A vector view fails when any of its three planes
+// does, so a third private engine over Σv² completes the oracle: the vector
+// path must fail exactly where one of the three scalar views fails, and
+// otherwise answer the same bits.
 func TestVectorAvgMatchesTwoEngineOracle(t *testing.T) {
-	tbl, _ := randomTable(t, 7, 400)
+	for _, budget := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
+			vectorMatchesTwoEngines(t, budget)
+		})
+	}
+}
 
-	eng, err := viewcube.NewAvgEngine(tbl, viewcube.EngineOptions{})
+// vectorMatchesTwoEngines runs the oracle comparison with every engine built
+// at the given storage budget (in cube volumes) and, unless it is 0,
+// optimized for the same workload.
+func vectorMatchesTwoEngines(t *testing.T, budget int) {
+	tbl, tuples := randomTable(t, 7, 400)
+	sqTbl, err := viewcube.NewTable(tbl.Dimensions(), "sales_sq")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The oracle: two full engines over private scalar cubes, exactly the
-	// seed AvgEngine layout.
-	sumCube, err := viewcube.FromRelation(tbl)
-	if err != nil {
-		t.Fatal(err)
+	for _, tp := range tuples {
+		if err := sqTbl.Append(tp.values, tp.measure*tp.measure); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ct, err := tbl.CountTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cntCube, err := viewcube.FromRelation(ct)
+	// The oracle: full engines over private scalar cubes, the seed
+	// two-engine layout plus the Σv² cube.
+	var (
+		cubes   [3]*viewcube.Cube
+		oracles [3]*viewcube.Engine
+	)
+	for i, tb := range []*viewcube.Table{tbl, sqTbl, ct} {
+		if cubes[i], err = viewcube.FromRelation(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := viewcube.EngineOptions{StorageBudget: budget * cubes[0].Volume()}
+	for i, c := range cubes {
+		if oracles[i], err = c.NewEngine(opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sumEng, sqEng, cntEng := oracles[0], oracles[1], oracles[2]
+	eng, err := viewcube.NewAggEngine(tbl, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sumEng, err := sumCube.NewEngine(viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cntEng, err := cntCube.NewEngine(viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
+	if budget > 0 {
+		workload := func(c *viewcube.Cube) *viewcube.Workload {
+			w := c.NewWorkload()
+			for i, keep := range [][]string{{"product"}, {"region", "day"}, {"product", "region"}, nil} {
+				if err := w.AddViewKeeping(float64(4-i), keep...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return w
+		}
+		if err := eng.Optimize(workload(eng.Cube())); err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range oracles {
+			if err := o.Optimize(workload(cubes[i])); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
-	oracleAvg := func(keep ...string) map[string]float64 {
+	// groups is a view's group map, nil when the view fails on a padding
+	// cell.
+	groups := func(v *viewcube.View, err error) map[string]float64 {
 		t.Helper()
-		sv, err := sumEng.GroupBy(keep...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sums, err := sv.Groups()
+		g, err := v.Groups()
 		if err != nil {
-			t.Fatal(err)
+			if !strings.Contains(err.Error(), "nonzero padding cell") {
+				t.Fatal(err)
+			}
+			return nil
 		}
-		cv, err := cntEng.GroupBy(keep...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts, err := cv.Groups()
-		if err != nil {
-			t.Fatal(err)
+		return g
+	}
+	// oracle finalises kind per group from the scalar engines' answers: nil
+	// where any of the three views failed.
+	oracle := func(kind viewcube.AggKind, sums, sqs, counts map[string]float64) map[string]float64 {
+		switch {
+		case sums == nil || sqs == nil || counts == nil:
+			return nil
+		case kind == viewcube.AggSum:
+			return sums
+		case kind == viewcube.AggCount:
+			return counts
 		}
 		out := make(map[string]float64)
 		for k, c := range counts {
-			if c == 0 {
-				continue
+			if c != 0 {
+				out[k] = sums[k] / c
 			}
-			out[k] = sums[k] / c
 		}
 		return out
 	}
+	// same compares a vector answer (nil when it failed on a padding cell)
+	// with the oracle's.
+	same := func(what string, got map[string]float64, err error, want map[string]float64) {
+		t.Helper()
+		if err != nil {
+			if !strings.Contains(err.Error(), "nonzero padding cell") {
+				t.Fatalf("%s: %v", what, err)
+			}
+			got = nil
+		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: vector failed %v, scalar engines failed %v", what, got == nil, want == nil)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d groups, oracle %d", what, len(got), len(want))
+		}
+		for k, w := range want {
+			if g, ok := got[k]; !ok || g != w { // bit-identical, not almost-equal
+				t.Fatalf("%s group %q: vector %v, two-engine %v", what, k, g, w)
+			}
+		}
+	}
+	boxes := []map[string]viewcube.ValueRange{
+		nil,
+		{"day": {Lo: "day-01", Hi: "day-05"}},
+		{"product": {Lo: "product-01", Hi: "product-03"}, "region": {Lo: "region-01", Hi: "region-02"}},
+	}
+	kinds := []viewcube.AggKind{viewcube.AggSum, viewcube.AggCount, viewcube.AggAvg}
 
-	compare := func(stage string) {
+	type aggReader interface {
+		GroupByAgg(kind viewcube.AggKind, keep ...string) (map[string]float64, error)
+		RangeAgg(kind viewcube.AggKind, ranges map[string]viewcube.ValueRange) (float64, error)
+	}
+	compare := func(stage string, a aggReader) {
 		t.Helper()
 		for _, keep := range [][]string{{"product"}, {"region", "day"}, {"product", "region", "day"}, nil} {
-			got, err := eng.GroupByAvg(keep...)
+			sums, sqs, counts := groups(sumEng.GroupBy(keep...)), groups(sqEng.GroupBy(keep...)), groups(cntEng.GroupBy(keep...))
+			for _, kind := range kinds {
+				got, err := a.GroupByAgg(kind, keep...)
+				same(fmt.Sprintf("%s GroupByAgg(%v) keep=%v", stage, kind, keep), got, err, oracle(kind, sums, sqs, counts))
+			}
+		}
+		for _, box := range boxes {
+			sum, err := sumEng.RangeSum(box)
 			if err != nil {
-				t.Fatalf("%s GroupByAvg(%v): %v", stage, keep, err)
+				t.Fatal(err)
 			}
-			want := oracleAvg(keep...)
-			if len(got) != len(want) {
-				t.Fatalf("%s keep=%v: %d groups, oracle %d", stage, keep, len(got), len(want))
+			count, err := cntEng.RangeSum(box)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k, w := range want {
-				if g, ok := got[k]; !ok || g != w { // bit-identical, not almost-equal
-					t.Fatalf("%s keep=%v group %q: vector %v, two-engine %v", stage, keep, k, g, w)
+			for _, kind := range kinds {
+				want := map[viewcube.AggKind]float64{viewcube.AggSum: sum, viewcube.AggCount: count, viewcube.AggAvg: sum / count}[kind]
+				got, err := a.RangeAgg(kind, box)
+				if err != nil {
+					t.Fatalf("%s RangeAgg(%v, %v): %v", stage, kind, box, err)
+				}
+				if got != want {
+					t.Fatalf("%s RangeAgg(%v, %v) = %v, two-engine %v", stage, kind, box, got, want)
 				}
 			}
 		}
 	}
-	compare("initial")
+	compare("initial", eng)
 
 	// A deterministic update stream applied to both designs.
 	rng := rand.New(rand.NewSource(99))
@@ -312,14 +411,25 @@ func TestVectorAvgMatchesTwoEngineOracle(t *testing.T) {
 		if err := eng.UpdateValue(m, vals); err != nil {
 			t.Fatal(err)
 		}
-		if err := sumEng.UpdateValue(m, vals); err != nil {
-			t.Fatal(err)
-		}
-		if err := cntEng.UpdateValue(1, vals); err != nil {
-			t.Fatal(err)
+		for i, d := range []float64{m, m * m, 1} {
+			if err := oracles[i].UpdateValue(d, vals); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	compare("after updates")
+	compare("after updates", eng)
+
+	// The shared face: the same answers, and the SQL path's filtered AVG.
+	safe := eng.Safe()
+	compare("shared", safe)
+	res, _, err := safe.Select(false, "SELECT AVG(sales) GROUP BY product, region WHERE day BETWEEN 'day-02' AND 'day-06'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := res.Groups()
+	keep, where := []string{"product", "region"}, map[string]viewcube.ValueRange{"day": {Lo: "day-02", Hi: "day-06"}}
+	same("Select AVG WHERE", got, err, oracle(viewcube.AggAvg,
+		groups(sumEng.GroupByWhere(keep, where)), groups(sqEng.GroupByWhere(keep, where)), groups(cntEng.GroupByWhere(keep, where))))
 }
 
 // TestVarMatchesScanOracle pins VAR and STDDEV against a naive full-scan

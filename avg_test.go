@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"viewcube"
+	"viewcube/internal/relation"
 )
 
 func loadSalesTable(t *testing.T) *viewcube.Table {
@@ -68,12 +69,19 @@ func TestCountTable(t *testing.T) {
 	}
 }
 
+// avgOf reads one group of a GroupByAgg answer by its dimension values in
+// cube order; ok is false when the answer has no such group.
+func avgOf(groups map[string]float64, values ...string) (float64, bool) {
+	v, ok := groups[relation.GroupKey(values...)]
+	return v, ok
+}
+
 func TestGroupByAvg(t *testing.T) {
-	eng, err := viewcube.NewAvgEngine(loadSalesTable(t), viewcube.EngineOptions{})
+	eng, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	avgs, err := eng.GroupByAvg("product")
+	avgs, err := eng.GroupByAgg(viewcube.AggAvg, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +92,13 @@ func TestGroupByAvg(t *testing.T) {
 			t.Fatalf("avg %q = %g, want %g", k, avgs[k], wv)
 		}
 	}
-	if got, ok := viewcube.AvgOf(avgs, "bock"); !ok || got != 5.5 {
-		t.Fatalf("AvgOf = %g, %v", got, ok)
+	if got, ok := avgOf(avgs, "bock"); !ok || got != 5.5 {
+		t.Fatalf("avgOf = %g, %v", got, ok)
 	}
-	if _, ok := viewcube.AvgOf(avgs, "nope"); ok {
+	if _, ok := avgOf(avgs, "nope"); ok {
 		t.Fatal("missing group must not resolve")
 	}
-	counts, err := eng.GroupByCount("product")
+	counts, err := eng.GroupByAgg(viewcube.AggCount, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,26 +108,26 @@ func TestGroupByAvg(t *testing.T) {
 }
 
 func TestRangeAvg(t *testing.T) {
-	eng, err := viewcube.NewAvgEngine(loadSalesTable(t), viewcube.EngineOptions{})
+	eng, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Days d1..d2: sum 28 over 5 tuples.
-	got, err := eng.RangeAvg(map[string]viewcube.ValueRange{"day": {Lo: "d1", Hi: "d2"}})
+	got, err := eng.RangeAgg(viewcube.AggAvg, map[string]viewcube.ValueRange{"day": {Lo: "d1", Hi: "d2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-28.0/5) > 1e-9 {
 		t.Fatalf("range avg %g, want 5.6", got)
 	}
-	if _, err := eng.RangeAvg(map[string]viewcube.ValueRange{"day": {Lo: "nope"}}); err == nil {
+	if _, err := eng.RangeAgg(viewcube.AggAvg, map[string]viewcube.ValueRange{"day": {Lo: "nope"}}); err == nil {
 		t.Fatal("want error for bad range")
 	}
 }
 
-func TestAvgEngineOptimizeAndUpdate(t *testing.T) {
+func TestAggEngineOptimizeAndUpdate(t *testing.T) {
 	tbl := loadSalesTable(t)
-	eng, err := viewcube.NewAvgEngine(tbl, viewcube.EngineOptions{})
+	eng, err := viewcube.NewAggEngine(tbl, viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,17 +138,17 @@ func TestAvgEngineOptimizeAndUpdate(t *testing.T) {
 	if err := eng.Optimize(w); err != nil {
 		t.Fatal(err)
 	}
-	// Both engines should now answer the hot view for free.
-	if _, err := eng.Sum.GroupBy("product"); err != nil {
+	// Both aggregates should now answer the hot view for free.
+	if _, err := eng.GroupByAgg(viewcube.AggSum, "product"); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Sum.Stats().LastPlanCost != 0 {
+	if eng.Stats().LastPlanCost != 0 {
 		t.Fatal("sum side not optimised")
 	}
-	if _, err := eng.Count.GroupBy("product"); err != nil {
+	if _, err := eng.GroupByAgg(viewcube.AggCount, "product"); err != nil {
 		t.Fatal(err)
 	}
-	if eng.Count.Stats().LastPlanCost != 0 {
+	if eng.Stats().LastPlanCost != 0 {
 		t.Fatal("count side not optimised")
 	}
 	// A new tuple: ale/east/d1 with measure 4 → ale avg becomes 21/4.
@@ -149,7 +157,7 @@ func TestAvgEngineOptimizeAndUpdate(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	avgs, err := eng.GroupByAvg("product")
+	avgs, err := eng.GroupByAgg(viewcube.AggAvg, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +166,8 @@ func TestAvgEngineOptimizeAndUpdate(t *testing.T) {
 	}
 }
 
-func TestAvgEngineRejectsSharedDisk(t *testing.T) {
-	if _, err := viewcube.NewAvgEngine(loadSalesTable(t), viewcube.EngineOptions{DiskDir: t.TempDir()}); err == nil {
-		t.Fatal("want error for shared disk dir")
+func TestAggEngineRejectsDiskDir(t *testing.T) {
+	if _, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{DiskDir: t.TempDir()}); err == nil {
+		t.Fatal("want error for a disk dir")
 	}
 }

@@ -793,14 +793,14 @@ func BenchmarkGroupByAvgTwoEngine(b *testing.B) {
 // vector cube [Σv, Σv², Σ1], one plan, one pooled execution, finalised per
 // group. Compare allocs/op and B/op against BenchmarkGroupByAvgTwoEngine.
 func BenchmarkGroupByAvgVector(b *testing.B) {
-	eng, err := viewcube.NewAvgEngine(benchAvgTable(b, 20000), viewcube.EngineOptions{})
+	eng, err := viewcube.NewAggEngine(benchAvgTable(b, 20000), viewcube.EngineOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		avgs, err := eng.GroupByAvg("product")
+		avgs, err := eng.GroupByAgg(viewcube.AggAvg, "product")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func (c *Cube) Compress(opts CompressOptions) (*CompressedCube, error) {
 	if opts.Entropy {
 		cost = bestbasis.EntropyCost()
 	}
-	comp, err := bestbasis.Compress(c.space, c.data, cost, opts.Threshold)
+	comp, err := bestbasis.Compress(c.space, c.data.Plane(0), cost, opts.Threshold)
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,8 @@ import (
 type Cube struct {
 	space *velement.Space
 	// data is the cube's cells: the first engine adopts this very array as its
-	// root element, and ReleaseCells then drops the cube's own reference.
+	// root element, and ReleaseCells then drops the cube's own reference. An
+	// AggEngine's cube has three planes; the accessors read plane 0, SUM.
 	data     *ndarray.Array
 	attached bool // NewEngine ran: an engine's store holds the cells too
 	// holder is the first engine's store when it holds data in memory:
@@ -147,12 +148,13 @@ func errHandedOver(op string) error {
 	return fmt.Errorf("viewcube: Cube.%s after ReleaseCells: the engine holds the cells", op)
 }
 
-// cells is the array behind the accessor op, which panics once it is handed over.
+// cells is the SUM plane behind the accessor op, which panics once it is
+// handed over.
 func (c *Cube) cells(op string) *ndarray.Array {
 	if c.data == nil {
 		panic(errHandedOver(op))
 	}
-	return c.data
+	return c.data.Plane(0)
 }
 
 // Total returns the grand total of the measure.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"viewcube/internal/adaptive"
 	"viewcube/internal/assembly"
@@ -100,14 +101,15 @@ type EngineOptions struct {
 // read lock and serialises mutations (Optimize, Update, reselection) under
 // the write lock.
 type Engine struct {
-	cube  *Cube
-	st    assembly.Store
-	inner *adaptive.Engine
-	rq    *rangeagg.Querier
-	met   *Metrics
-	opts  EngineOptions // retained so snapshot generations copy the executor config
-	fork  bool          // a later engine over an attached cube: it works on a copy and never writes cube.data
-	mass  *mass         // what the cube has taken in; nil on engines that take no writes
+	cube   *Cube
+	st     assembly.Store
+	inner  *adaptive.Engine
+	rq     *rangeagg.Querier
+	met    *Metrics
+	opts   EngineOptions // retained so snapshot generations copy the executor config
+	fork   bool          // a later engine over an attached cube: it works on a copy and never writes cube.data
+	mass   *mass         // what the cube has taken in; nil on engines that take no writes
+	planes int           // measure planes per cell: 1, or 3 under an AggEngine
 }
 
 // Stats re-exports the adaptive engine's counters.
@@ -122,7 +124,8 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	if c.data == nil {
 		return nil, errHandedOver("NewEngine")
 	}
-	m, err := massOf(1, c.data.Data())
+	planes := c.data.Planes()
+	m, err := massOf(planes, c.data.Data())
 	if err != nil {
 		return nil, err
 	}
@@ -149,22 +152,6 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 			return nil, fmt.Errorf("viewcube: storing the cube: %w", err)
 		}
 	}
-	e, err := newEngineWith(c, st, opts)
-	if err == nil {
-		if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
-			c.holder = ms
-		}
-		e.fork, c.attached, e.mass = c.attached, true, m
-	}
-	return e, err
-}
-
-// newEngineWith wires an Engine over an existing, already-seeded store: the
-// adaptive core, the range querier and all metric instruments. NewEngine
-// calls it after creating and seeding a private store; the measure-vector
-// AggEngine calls it directly with component-plane views of its shared
-// vector store.
-func newEngineWith(c *Cube, st assembly.Store, opts EngineOptions) (*Engine, error) {
 	inner, err := adaptive.New(c.space, st, adaptive.Options{
 		ReselectEvery: opts.ReselectEvery,
 		StorageBudget: opts.StorageBudget,
@@ -177,7 +164,7 @@ func newEngineWith(c *Cube, st assembly.Store, opts EngineOptions) (*Engine, err
 	if met == nil {
 		met = NewMetrics()
 	}
-	e := &Engine{cube: c, st: st, inner: inner, met: met, opts: opts}
+	e := &Engine{cube: c, st: st, inner: inner, met: met, opts: opts, fork: c.attached, mass: m, planes: planes}
 	e.rq = rangeagg.NewQuerier(c.space, engineElementSource{e})
 	if fs, ok := st.(*store.FileStore); ok {
 		fs.SetMetrics(met.store)
@@ -187,6 +174,10 @@ func newEngineWith(c *Cube, st assembly.Store, opts EngineOptions) (*Engine, err
 	inner.Assembler().SetExecutor(opts.ExecWorkers, opts.ParallelExecCells)
 	inner.Planner().SetMetrics(met.plans)
 	e.rq.SetMetrics(met.ranges)
+	if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
+		c.holder = ms
+	}
+	c.attached = true
 	return e, nil
 }
 
@@ -214,28 +205,36 @@ func (e *Engine) ingestable() error {
 // cell overflow.
 func (e *Engine) admit(vals []float64) error { return e.mass.admit(vals) }
 
-// checkCell: UpdateCell with a zero delta validates the index against the
+// checkCell: UpdateCell with no delta validates the index against the
 // space and touches nothing.
 func (e *Engine) checkCell(idx []int) error {
-	return assembly.UpdateCell(e.cube.space, e.st, 0, idx)
+	return assembly.UpdateCell(e.cube.space, e.st, nil, idx)
 }
 
 // applyDeltaRaw is incremental maintenance of every materialised element
-// (each changes in exactly one cell, by ±delta — O(elements · rank),
-// independent of element volumes) plus the raw cube while it is an array of
-// its own: as the store's root element UpdateCell has already written it.
+// (each changes in exactly one cell per plane, by ±delta — O(elements ·
+// rank), independent of element volumes) plus the raw cube while it is an
+// array of its own: as the store's root element UpdateCell has already
+// written it. vals holds one delta per plane.
 func (e *Engine) applyDeltaRaw(vals []float64, idx []int) error {
-	if len(vals) != 1 {
-		return fmt.Errorf("viewcube: delta width %d on a scalar cube", len(vals))
+	if len(vals) != e.planes {
+		return fmt.Errorf("viewcube: delta width %d on a width-%d cube", len(vals), e.planes)
 	}
-	if err := assembly.UpdateCell(e.cube.space, e.st, vals[0], idx); err != nil || vals[0] == 0 {
+	if err := assembly.UpdateCell(e.cube.space, e.st, vals, idx); err != nil || isZero(vals) {
 		return err
 	}
 	if e.rawCells() != 0 {
-		e.cube.data.Add(vals[0], idx...)
+		for p, v := range vals {
+			e.cube.data.Plane(p).Add(v, idx...)
+		}
 	}
 	e.met.updates.Inc()
 	return nil
+}
+
+// isZero reports whether every delta of vals is zero.
+func isZero(vals []float64) bool {
+	return !slices.ContainsFunc(vals, func(v float64) bool { return v != 0 })
 }
 
 // rawCells is the size of the raw cube as an array this engine maintains
@@ -274,7 +273,7 @@ func (e *Engine) snapshot() (*Engine, error) {
 			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
 		}
 	}
-	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, opts: e.opts}
+	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, opts: e.opts, planes: e.planes}
 	g.rq = rangeagg.NewQuerier(e.cube.space, engineElementSource{g})
 	g.inner.Assembler().SetMetrics(e.met.assembly)
 	g.inner.Assembler().SetExecutor(e.opts.ExecWorkers, e.opts.ParallelExecCells)
@@ -556,16 +555,19 @@ func (e *Engine) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
 // ±delta — O(elements · rank), independent of element volumes). Cached
 // range-query elements are invalidated, and the plan-cache epoch is bumped
 // so no query serves a plan derived from pre-update state.
-func (e *Engine) Update(delta float64, idx ...int) error {
-	if err := e.checkCell(idx); err != nil || delta == 0 {
+func (e *Engine) Update(delta float64, idx ...int) error { return e.update([]float64{delta}, idx) }
+
+// update is Update with one delta per plane.
+func (e *Engine) update(vals []float64, idx []int) error {
+	if err := e.checkCell(idx); err != nil || isZero(vals) {
 		// A zero delta validated the index and touched nothing: it must not
 		// invalidate plans, cached range elements or result caches.
 		return err
 	}
-	if err := e.admit([]float64{delta}); err != nil {
+	if err := e.admit(vals); err != nil {
 		return err
 	}
-	if err := e.applyDeltaRaw([]float64{delta}, idx); err != nil {
+	if err := e.applyDeltaRaw(vals, idx); err != nil {
 		return err
 	}
 	e.rq.Reset()
@@ -676,5 +678,6 @@ func (e *Engine) PlanCacheStats() PlanCacheStats {
 // materialised.
 func (e *Engine) MaterializedElements() int { return len(e.st.Elements()) }
 
-// StorageCells returns the current materialised volume in cells.
-func (e *Engine) StorageCells() int { return e.cube.space.SetVolume(e.st.Elements()) }
+// StorageCells returns the current materialised volume in stored scalars:
+// cells times planes.
+func (e *Engine) StorageCells() int { return e.planes * e.cube.space.SetVolume(e.st.Elements()) }

@@ -407,7 +407,7 @@ func TestDataVersion(t *testing.T) {
 		dataVersion(t, &s.guard, &replay.guard, versionOps{
 			read:     func(keep ...string) error { _, err := s.GroupByAgg(AggAvg, keep...); return err },
 			update:   func(v float64) error { return s.UpdateValue(v, cell) },
-			optimize: func() error { return s.Optimize(hot(s.eng.cube)) },
+			optimize: func() error { return s.Optimize(hot(s.eng.Cube())) },
 		})
 	})
 }

@@ -199,13 +199,6 @@ func (e *Engine) observeQuery(r freq.Rect, cost int) {
 	}
 }
 
-// ObserveServed records a query that was answered outside the engine's own
-// Query path but against the same materialised set — e.g. by the
-// measure-vector executor over the shared vector store. It feeds the full
-// query-path bookkeeping (counts, stats, the reselection-due flag), unlike
-// Observe which only seeds frequencies.
-func (e *Engine) ObserveServed(r freq.Rect, cost int) { e.observeQuery(r, cost) }
-
 // ReselectDue reports whether enough queries have accumulated since the
 // last reconfiguration that an automatic reselection should run. It is a
 // lock-free read, safe from any goroutine.
@@ -540,8 +533,8 @@ func foldDown(node freq.Rect, a *ndarray.Array, tiles, wanted []freq.Rect, put f
 	}
 	shape := a.Shape()
 	shape[dim] /= 2
-	p, _ := ndarray.Scratch(shape...)
-	r, _ := ndarray.Scratch(shape...)
+	p, _ := ndarray.ScratchPlanes(a.Planes(), shape...)
+	r, _ := ndarray.ScratchPlanes(a.Planes(), shape...)
 	if err := a.PairSumInto(dim, p); err != nil {
 		return stored, err
 	}

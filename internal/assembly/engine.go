@@ -185,9 +185,8 @@ func (e *Engine) get(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, bool) {
 
 // computePlan reads the argmin tree of Procedure 3 (core.Proc3) for element
 // r over one stored rectangle set. It depends only on the space geometry
-// and that set — never on cell contents or measure width — so the scalar
-// Engine and the measure-vector VectorEngine share it unchanged. The kernel
-// and its memo live for this one compile.
+// and that set — never on cell contents or plane count. The kernel and its
+// memo live for this one compile.
 func computePlan(space *velement.Space, stored []freq.Rect, met *obs.AssemblyMetrics, r freq.Rect) (*Plan, error) {
 	if !space.Valid(r) {
 		return nil, fmt.Errorf("assembly: %v is not a view element of the space", r)

@@ -70,10 +70,12 @@ type execState struct {
 	parallelNodes atomic.Int64
 }
 
-// Run executes a plan and returns the produced element. The result is
-// owned by the caller. While x carries a trace, one span is recorded per
-// plan node plus a "parallel_nodes" attribute on the root span counting
-// synthesize nodes that forked onto another worker.
+// Run executes a plan and returns the produced element, with as many planes
+// as the stored elements it reads. The result is owned by the caller. While
+// x carries a trace, one span is recorded per plan node plus a
+// "parallel_nodes" attribute on the root span counting synthesize nodes
+// that forked onto another worker, and a "measure_width" one when the
+// element has more than one plane.
 func (ex *Executor) Run(x *obs.ExecCtx, p *Plan) (*ndarray.Array, error) {
 	st := &execState{traced: x.Tracing()}
 	if !st.traced {
@@ -83,14 +85,17 @@ func (ex *Executor) Run(x *obs.ExecCtx, p *Plan) (*ndarray.Array, error) {
 	sp.SetAttr("total_ops", int64(p.Ops))
 	defer sp.End()
 	out, err := ex.node(x.Under(sp), st, p)
+	if out != nil && out.Planes() > 1 {
+		sp.SetAttr("measure_width", int64(out.Planes()))
+	}
 	sp.SetAttr("parallel_nodes", st.parallelNodes.Load())
 	return out, err
 }
 
-// lease takes a scratch buffer from the pool, accounting the hit/miss on
-// the engine's metrics.
-func (ex *Executor) lease(shape ...int) *ndarray.Array {
-	a, hit := ndarray.Scratch(shape...)
+// lease takes a scratch buffer of planes planes from the pool, accounting
+// the hit/miss on the engine's metrics.
+func (ex *Executor) lease(planes int, shape ...int) *ndarray.Array {
+	a, hit := ndarray.ScratchPlanes(planes, shape...)
 	if hit {
 		ex.eng.met.PoolHits.Inc()
 	} else {
@@ -102,7 +107,7 @@ func (ex *Executor) lease(shape ...int) *ndarray.Array {
 // leaseCopy leases a buffer shaped like a and copies a into it.
 func (ex *Executor) leaseCopy(a *ndarray.Array) *ndarray.Array {
 	var shapeBuf [8]int
-	dst := ex.lease(a.ShapeInto(shapeBuf[:0])...)
+	dst := ex.lease(a.Planes(), a.ShapeInto(shapeBuf[:0])...)
 	copy(dst.Data(), a.Data())
 	return dst
 }
@@ -110,7 +115,7 @@ func (ex *Executor) leaseCopy(a *ndarray.Array) *ndarray.Array {
 // leaseDense leases a buffer shaped like c and writes c's cells into it.
 func (ex *Executor) leaseDense(c *ndarray.Coo) *ndarray.Array {
 	var shapeBuf [8]int
-	dst := ex.lease(c.ShapeInto(shapeBuf[:0])...)
+	dst := ex.lease(1, c.ShapeInto(shapeBuf[:0])...)
 	c.DenseInto(dst)
 	return dst
 }
@@ -195,7 +200,7 @@ func (ex *Executor) node(x *obs.ExecCtx, st *execState, p *Plan) (*ndarray.Array
 			f, shapeBuf := folds[0], [8]int{}
 			outShape := c.ShapeInto(shapeBuf[:0])
 			outShape[f.Dim] = max(outShape[f.Dim]>>uint(f.K), 1)
-			src, own, folds = ex.lease(outShape...), true, folds[1:]
+			src, own, folds = ex.lease(1, outShape...), true, folds[1:]
 			if err := c.FoldKInto(f.Dim, f.K, f.Signs, src); err != nil {
 				ndarray.Recycle(src)
 				return nil, err
@@ -215,7 +220,7 @@ func (ex *Executor) node(x *obs.ExecCtx, st *execState, p *Plan) (*ndarray.Array
 			}
 			outShape := cur.ShapeInto(shapeBuf[:0])
 			outShape[f.Dim] /= block
-			dst := ex.lease(outShape...)
+			dst := ex.lease(cur.Planes(), outShape...)
 			err := cur.FoldKInto(f.Dim, f.K, f.Signs, dst)
 			if cur != src {
 				ndarray.Recycle(cur)
@@ -296,7 +301,7 @@ func (ex *Executor) node(x *obs.ExecCtx, st *execState, p *Plan) (*ndarray.Array
 		var shapeBuf [8]int
 		outShape := part.ShapeInto(shapeBuf[:0])
 		outShape[p.Dim] *= 2
-		dst := ex.lease(outShape...)
+		dst := ex.lease(part.Planes(), outShape...)
 		err := ndarray.InterleaveInto(p.Dim, part, res, dst)
 		ndarray.Recycle(part)
 		ndarray.Recycle(res)

@@ -2,6 +2,7 @@ package assembly
 
 import (
 	"fmt"
+	"slices"
 
 	"viewcube/internal/haar"
 	"viewcube/internal/velement"
@@ -13,11 +14,12 @@ import (
 // Updating k stored elements costs O(k·d) — independent of any element's
 // volume — versus full rematerialisation.
 
-// UpdateCell applies delta to the cube cell at idx across every element in
-// the store (including the root cube element, if stored). Stores that cache
-// arrays by reference (MemStore) are updated in place; write-through stores
-// are re-Put so durable copies stay consistent.
-func UpdateCell(space *velement.Space, st Store, delta float64, idx []int) error {
+// UpdateCell applies delta — one value per plane, nil for none — to the
+// cube cell at idx across every element in the store (including the root
+// cube element, if stored). Stores that cache arrays by reference
+// (MemStore) are updated in place; write-through stores are re-Put so
+// durable copies stay consistent. An all-zero delta only validates idx.
+func UpdateCell(space *velement.Space, st Store, delta []float64, idx []int) error {
 	if len(idx) != space.Rank() {
 		return fmt.Errorf("assembly: index rank %d does not match space rank %d", len(idx), space.Rank())
 	}
@@ -27,7 +29,7 @@ func UpdateCell(space *velement.Space, st Store, delta float64, idx []int) error
 			return fmt.Errorf("assembly: index %v out of bounds for shape %v", idx, shape)
 		}
 	}
-	if delta == 0 {
+	if !slices.ContainsFunc(delta, func(d float64) bool { return d != 0 }) {
 		return nil
 	}
 	for _, r := range st.Elements() {
@@ -35,11 +37,17 @@ func UpdateCell(space *velement.Space, st Store, delta float64, idx []int) error
 		if !ok {
 			return fmt.Errorf("assembly: element %v listed but not retrievable", r)
 		}
+		if len(delta) != a.Planes() {
+			return fmt.Errorf("assembly: %d deltas for the %d planes of %v", len(delta), a.Planes(), r)
+		}
 		elemIdx, sign, err := haar.CellContribution(r, idx)
 		if err != nil {
 			return err
 		}
-		a.Add(float64(sign)*delta, elemIdx...)
+		off, cells, data := a.Offset(elemIdx), a.Cells(), a.Data()
+		for p, d := range delta {
+			data[p*cells+off] += float64(sign) * d
+		}
 		if err := st.Put(r, a); err != nil {
 			return fmt.Errorf("assembly: persisting update to %v: %w", r, err)
 		}

@@ -68,7 +68,7 @@ func TestUpdateCellMatchesRematerialization(t *testing.T) {
 		// Apply a random update both incrementally and to the cube.
 		idx := []int{rng.Intn(8), rng.Intn(4)}
 		delta := float64(rng.Intn(19) - 9)
-		if err := UpdateCell(s, st, delta, idx); err != nil {
+		if err := UpdateCell(s, st, []float64{delta}, idx); err != nil {
 			return false
 		}
 		cube.Add(delta, idx...)
@@ -93,13 +93,13 @@ func TestUpdateCellMatchesRematerialization(t *testing.T) {
 func TestUpdateCellValidation(t *testing.T) {
 	s := velement.MustSpace(4, 4)
 	st := NewMemStore()
-	if err := UpdateCell(s, st, 1, []int{0}); err == nil {
+	if err := UpdateCell(s, st, []float64{1}, []int{0}); err == nil {
 		t.Fatal("want error for rank mismatch")
 	}
-	if err := UpdateCell(s, st, 1, []int{4, 0}); err == nil {
+	if err := UpdateCell(s, st, []float64{1}, []int{4, 0}); err == nil {
 		t.Fatal("want error for out-of-bounds index")
 	}
-	if err := UpdateCell(s, st, 0, []int{0, 0}); err != nil {
+	if err := UpdateCell(s, st, []float64{0}, []int{0, 0}); err != nil {
 		t.Fatal("zero delta must be a no-op")
 	}
 }
@@ -116,7 +116,7 @@ func TestUpdateCellKeepsEngineAnswersExact(t *testing.T) {
 	for step := 0; step < 20; step++ {
 		idx := []int{rng.Intn(8), rng.Intn(8)}
 		delta := float64(rng.Intn(21) - 10)
-		if err := UpdateCell(s, st, delta, idx); err != nil {
+		if err := UpdateCell(s, st, []float64{delta}, idx); err != nil {
 			t.Fatal(err)
 		}
 		cube.Add(delta, idx...)

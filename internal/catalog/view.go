@@ -203,14 +203,6 @@ func (v *View) Name() string {
 	return v.name
 }
 
-// CubeName returns the name of the cube the view curates.
-func (v *View) CubeName() string {
-	if v == nil {
-		return ""
-	}
-	return v.cube
-}
-
 // Spec returns the declarative spec the view was compiled from.
 func (v *View) Spec() ViewSpec {
 	if v == nil {

@@ -669,16 +669,6 @@ func ReadRequest(r io.Reader) (*Request, error) {
 	return DecodeRequest(frame)
 }
 
-// WriteResponse writes one response frame to w.
-func WriteResponse(w io.Writer, r *Response) error {
-	b, err := AppendResponse(nil, r)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // ReadResponse reads and decodes one response frame from r.
 func ReadResponse(r io.Reader) (*Response, error) {
 	frame, err := readFrame(r, frameResponse)

@@ -107,7 +107,7 @@ func ApplyFolds(a *ndarray.Array, folds []Fold) (*ndarray.Array, error) {
 		}
 		outShape := cur.Shape()
 		outShape[f.Dim] /= block
-		dst, _ := ndarray.Scratch(outShape...)
+		dst, _ := ndarray.ScratchPlanes(cur.Planes(), outShape...)
 		err := cur.FoldKInto(f.Dim, f.K, f.Signs, dst)
 		if cur != a {
 			ndarray.Recycle(cur)

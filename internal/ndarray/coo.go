@@ -27,8 +27,12 @@ type Coo struct {
 }
 
 // ToCoo returns a's nonzeros, or nil when more than one cell in cooDensity is
-// nonzero, an offset overflows int32 or an extent is not a power of two.
+// nonzero, an offset overflows int32, an extent is not a power of two or a
+// has more than one plane.
 func ToCoo(a *Array) *Coo {
+	if a.Planes() != 1 {
+		return nil
+	}
 	nnz := 0
 	for _, v := range a.data {
 		if math.Float64bits(v) != 0 {

@@ -27,6 +27,10 @@ func (a *Array) checkFoldDst(m, k int, dst *Array) (outer, n, inner int, err err
 	if dst == a {
 		return 0, 0, 0, fmt.Errorf("%w: fold destination must not alias the source", ErrShape)
 	}
+	// A Coo's header holds no cells and stands for one plane.
+	if planes := max(a.Planes(), 1); dst.Planes() != planes {
+		return 0, 0, 0, fmt.Errorf("%w: destination has %d planes, source %d", ErrShape, dst.Planes(), planes)
+	}
 	if len(dst.shape) != len(a.shape) {
 		return 0, 0, 0, fmt.Errorf("%w: destination rank %d does not match source rank %d", ErrShape, len(dst.shape), len(a.shape))
 	}
@@ -123,10 +127,13 @@ func (a *Array) pairFoldInto(m int, dst *Array, op func(x, y float64) float64) e
 // child. dst is fully overwritten.
 func InterleaveInto(m int, p, r, dst *Array) error {
 	if !p.SameShape(r) {
-		return fmt.Errorf("%w: partial shape %v does not match residual shape %v", ErrShape, p.shape, r.shape)
+		return fmt.Errorf("%w: partial shape %v × %d planes does not match residual shape %v × %d", ErrShape, p.shape, p.Planes(), r.shape, r.Planes())
 	}
 	if dst == p || dst == r {
 		return fmt.Errorf("%w: interleave destination must not alias a child", ErrShape)
+	}
+	if dst.Planes() != p.Planes() {
+		return fmt.Errorf("%w: destination has %d planes, children %d", ErrShape, dst.Planes(), p.Planes())
 	}
 	outer, n, inner := p.axisSpan(m)
 	if len(dst.shape) != len(p.shape) {
@@ -179,7 +186,7 @@ func (a *Array) FoldK(m, k int, signs uint) (*Array, error) {
 	if outShape[m] == 0 || a.shape[m]%(1<<uint(k)) != 0 {
 		return nil, fmt.Errorf("%w: dimension %d extent %d is not divisible by 2^%d", ErrShape, m, a.shape[m], k)
 	}
-	out := New(outShape...)
+	out := NewPlanes(a.Planes(), outShape...)
 	if err := a.FoldKInto(m, k, signs, out); err != nil {
 		return nil, err
 	}
@@ -242,9 +249,10 @@ func (a *Array) FoldKInto(m, k int, signs uint, dst *Array) error {
 	return nil
 }
 
-// SubArrayInto copies the axis-aligned box [lo, lo+ext) into dst, which
-// must have shape ext. dst is fully overwritten. It is the reusable-buffer
-// form of SubArray for callers that extract many same-shaped slabs.
+// SubArrayInto copies the axis-aligned box [lo, lo+ext) of every plane into
+// dst, which must have shape ext and a's plane count. dst is fully
+// overwritten. It is the reusable-buffer form of SubArray for callers that
+// extract many same-shaped slabs.
 func (a *Array) SubArrayInto(lo, ext []int, dst *Array) error {
 	if len(lo) != len(a.shape) || len(ext) != len(a.shape) {
 		return fmt.Errorf("%w: box rank does not match array rank %d", ErrShape, len(a.shape))
@@ -253,18 +261,25 @@ func (a *Array) SubArrayInto(lo, ext []int, dst *Array) error {
 		if lo[m] < 0 || ext[m] <= 0 || lo[m]+ext[m] > a.shape[m] {
 			return fmt.Errorf("%w: box lo=%v ext=%v outside shape %v", ErrShape, lo, ext, a.shape)
 		}
-		if dst.shape[m] != ext[m] {
+		if len(dst.shape) != len(ext) || dst.shape[m] != ext[m] {
 			return fmt.Errorf("%w: destination shape %v does not match box extents %v", ErrShape, dst.shape, ext)
 		}
 	}
+	planes, n, cells := a.Planes(), dst.Cells(), a.Cells()
+	if dst.Planes() != planes {
+		return fmt.Errorf("%w: destination has %d planes, source %d", ErrShape, dst.Planes(), planes)
+	}
 	idx := make([]int, len(ext))
-	for off := 0; off < len(dst.data); off++ {
-		src := 0
-		for m := range idx {
-			src += (lo[m] + idx[m]) * a.strides[m]
+	for p := 0; p < planes; p++ {
+		in, out := a.data[p*cells:(p+1)*cells], dst.data[p*n:(p+1)*n]
+		for off := range out {
+			src := 0
+			for m := range idx {
+				src += (lo[m] + idx[m]) * a.strides[m]
+			}
+			out[off] = in[src]
+			incIndex(idx, ext)
 		}
-		dst.data[off] = a.data[src]
-		incIndex(idx, ext)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package ndarray
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,8 +37,11 @@ func TestFoldKMatchesStageAtATime(t *testing.T) {
 		{2, 2}, {4, 8}, {16, 2, 4},
 		{8, 4, 8}, {2, 2, 2, 2},
 	}
-	for _, shape := range shapes {
+	for i, shape := range append(shapes, []int{8, 4, 2}) {
 		a := randomArray(r, shape...)
+		if i == len(shapes) { // the last input: three planes fold as one
+			a = randomPlanes(r, 3, shape...)
+		}
 		for m := range shape {
 			maxK := 0
 			for n := shape[m]; n%2 == 0; n /= 2 {
@@ -144,6 +149,16 @@ func TestFoldErrorCases(t *testing.T) {
 	if err := InterleaveInto(0, p, New(4, 3), New(8, 4)); err == nil {
 		t.Fatal("want error: wrong interleave destination shape")
 	}
+	three := NewPlanes(3, 8, 3)
+	if err := three.FoldKInto(0, 1, 0, New(4, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("fold into a one-plane destination: err = %v, want ErrShape", err)
+	}
+	if err := InterleaveInto(0, NewPlanes(3, 4, 3), NewPlanes(3, 4, 3), New(8, 3)); !errors.Is(err, ErrShape) {
+		t.Fatalf("interleave into a one-plane destination: err = %v, want ErrShape", err)
+	}
+	if err := InterleaveInto(0, NewPlanes(3, 4, 3), New(4, 3), three); !errors.Is(err, ErrShape) {
+		t.Fatalf("interleave of children with different planes: err = %v, want ErrShape", err)
+	}
 }
 
 func TestSubArrayInto(t *testing.T) {
@@ -226,4 +241,132 @@ func TestRecycleIgnoresOddCapacity(t *testing.T) {
 		t.Fatalf("pool served a buffer with capacity %d for class 4", cap(got.Data()))
 	}
 	Recycle(got)
+}
+
+// randomPlanes is randomArray with planes planes.
+func randomPlanes(r *rand.Rand, planes int, shape ...int) *Array {
+	a := NewPlanes(planes, shape...)
+	for i := range a.Data() {
+		a.Data()[i] = math.Round(r.Float64()*200 - 100)
+	}
+	return a
+}
+
+// TestMultiKernelsMatchScalarPerPlane pins the linearity claim the
+// measure-vector engine rests on: every kernel over a many-plane array is
+// bit-identical to the same kernel applied to each plane alone.
+func TestMultiKernelsMatchScalarPerPlane(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const planes = 3
+	a := randomPlanes(rng, planes, 4, 8)
+	// same checks plane p of got against the one-plane kernel run on plane
+	// p of each input.
+	same := func(what string, got *Array, kernel func(in []*Array, dst *Array) error, in ...*Array) {
+		t.Helper()
+		for p := 0; p < planes; p++ {
+			own := make([]*Array, len(in))
+			for i, x := range in {
+				own[i] = x.Plane(p).Clone()
+			}
+			want := New(got.Shape()...)
+			if err := kernel(own, want); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range want.Data() {
+				if g := got.Plane(p).Data()[i]; g != v {
+					t.Fatalf("%s plane %d cell %d: %g != %g", what, p, i, g, v)
+				}
+			}
+		}
+	}
+	for m := 0; m < 2; m++ {
+		half := a.Shape()
+		half[m] /= 2
+		gotS, gotD := NewPlanes(planes, half...), NewPlanes(planes, half...)
+		if err := a.PairSumInto(m, gotS); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.PairDiffInto(m, gotD); err != nil {
+			t.Fatal(err)
+		}
+		same("PairSum", gotS, func(in []*Array, dst *Array) error { return in[0].PairSumInto(m, dst) }, a)
+		same("PairDiff", gotD, func(in []*Array, dst *Array) error { return in[0].PairDiffInto(m, dst) }, a)
+	}
+	// FoldK with every sign pattern at depth 2 along dimension 1.
+	for signs := uint(0); signs < 4; signs++ {
+		got := NewPlanes(planes, 4, 2)
+		if err := a.FoldKInto(1, 2, signs, got); err != nil {
+			t.Fatal(err)
+		}
+		same("FoldK", got, func(in []*Array, dst *Array) error { return in[0].FoldKInto(1, 2, signs, dst) }, a)
+	}
+	p, r := randomPlanes(rng, planes, 4, 4), randomPlanes(rng, planes, 4, 4)
+	got := NewPlanes(planes, 4, 8)
+	if err := InterleaveInto(1, p, r, got); err != nil {
+		t.Fatal(err)
+	}
+	same("Interleave", got, func(in []*Array, dst *Array) error { return InterleaveInto(1, in[0], in[1], dst) }, p, r)
+	lo, ext := []int{1, 2}, []int{2, 4}
+	sub := NewPlanes(planes, ext...)
+	if err := a.SubArrayInto(lo, ext, sub); err != nil {
+		t.Fatal(err)
+	}
+	same("SubArray", sub, func(in []*Array, dst *Array) error { return in[0].SubArrayInto(lo, ext, dst) }, a)
+}
+
+func TestPlanesBasics(t *testing.T) {
+	a := NewPlanes(3, 2, 4)
+	if a.Planes() != 3 || a.Cells() != 8 || a.Size() != 24 {
+		t.Fatalf("planes/cells/size = %d/%d/%d", a.Planes(), a.Cells(), a.Size())
+	}
+	a.Add(11, 1, 2) // indexing addresses plane 0
+	if a.Data()[6] != 11 || a.Plane(0).At(1, 2) != 11 {
+		t.Fatal("Add must address plane 0")
+	}
+	// Planes alias the flat buffer.
+	a.Plane(1).Set(-7, 0, 0)
+	if a.Data()[8] != -7 {
+		t.Fatal("Plane(1) must alias plane 1 of the flat buffer")
+	}
+	if one := New(2, 4); one.Plane(0) != one || one.Planes() != 1 {
+		t.Fatal("a one-plane array must be its own plane 0")
+	}
+	b := a.Clone()
+	if b.Planes() != 3 || b.Data()[8] != -7 {
+		t.Fatal("Clone must copy every plane")
+	}
+	b.Plane(2).Add(1, 0, 0)
+	if a.Plane(2).At(0, 0) == b.Plane(2).At(0, 0) {
+		t.Fatal("Clone must not share storage")
+	}
+	if a.SameShape(New(2, 4)) {
+		t.Fatal("SameShape must compare plane counts")
+	}
+}
+
+// TestScratchPlanesRecycle checks the pool round-trip of many-plane leases:
+// a recycled buffer is reissued for any request of its size class —
+// including a different plane count and rank — correctly shaped and strided.
+// Like Scratch, contents are not zeroed.
+func TestScratchPlanesRecycle(t *testing.T) {
+	// Pool hits cannot be asserted here — sync.Pool deliberately drops
+	// items under the race detector — so this checks geometry only.
+	a, _ := ScratchPlanes(3, 4, 4)
+	if a.Planes() != 3 || a.Cells() != 16 {
+		t.Fatalf("leased %d planes of %d cells", a.Planes(), a.Cells())
+	}
+	Recycle(a)
+	c, _ := ScratchPlanes(6, 8)
+	if c.Planes() != 6 || c.Cells() != 8 || c.Rank() != 1 {
+		t.Fatalf("reshaped to %d×%d rank %d", c.Planes(), c.Cells(), c.Rank())
+	}
+	for p := 0; p < 6; p++ {
+		c.Plane(p).Set(float64(p+1), 7)
+	}
+	for p := 0; p < 6; p++ {
+		if got := c.Data()[p*8+7]; got != float64(p+1) {
+			t.Fatalf("plane %d misaligned after reshape: %g", p, got)
+		}
+	}
+	Recycle(c)
 }

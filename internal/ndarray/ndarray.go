@@ -19,6 +19,13 @@ import (
 
 // Array is a dense row-major n-dimensional array of float64.
 // The zero value is not usable; construct arrays with New or NewFrom.
+//
+// An array holds p ≥ 1 planes of its logical shape, plane-major: one
+// contiguous slice holds plane 0's cells, then plane 1's, and so on. A
+// measure vector [Σv, Σv², Σ1] per cell is three planes. Every Haar operator
+// is linear, so it acts on each plane alone, and the per-dimension kernels
+// fold every plane with one loop nest: the plane boundaries fall between
+// their outer slabs. Indexing (Offset, At, Set, Add) addresses plane 0.
 type Array struct {
 	shape   []int
 	strides []int
@@ -28,11 +35,14 @@ type Array struct {
 // ErrShape reports an invalid or mismatched shape.
 var ErrShape = errors.New("ndarray: invalid shape")
 
-// New returns a zero-filled array with the given shape.
+// New returns a zero-filled one-plane array with the given shape.
 // Every extent must be positive. New panics on an invalid shape because a
 // bad shape is always a programming error, never a data error.
-func New(shape ...int) *Array {
-	n := checkShape(shape)
+func New(shape ...int) *Array { return NewPlanes(1, shape...) }
+
+// NewPlanes returns a zero-filled array of planes planes of the given shape.
+func NewPlanes(planes int, shape ...int) *Array {
+	n := checkPlanes(planes, shape)
 	a := &Array{
 		shape: append([]int(nil), shape...),
 		data:  make([]float64, n),
@@ -73,6 +83,15 @@ func checkShape(shape []int) int {
 	return n
 }
 
+// checkPlanes is checkShape for planes planes: the total scalar count.
+func checkPlanes(planes int, shape []int) int {
+	n := checkShape(shape)
+	if planes <= 0 || n > math.MaxInt/planes {
+		panic(fmt.Sprintf("ndarray: %d planes of shape %v", planes, shape))
+	}
+	return planes * n
+}
+
 func computeStrides(shape []int) []int {
 	strides := make([]int, len(shape))
 	acc := 1
@@ -97,10 +116,27 @@ func (a *Array) ShapeInto(dst []int) []int { return append(dst[:0], a.shape...) 
 // Dim returns the extent of dimension m.
 func (a *Array) Dim(m int) int { return a.shape[m] }
 
-// Size returns the total number of cells.
+// Size returns the total number of scalars: cells times planes.
 func (a *Array) Size() int { return len(a.data) }
 
-// Data returns the backing slice. Mutating it mutates the array.
+// Cells returns the number of cells of one plane.
+func (a *Array) Cells() int { return a.shape[0] * a.strides[0] }
+
+// Planes returns the number of planes.
+func (a *Array) Planes() int { return len(a.data) / a.Cells() }
+
+// Plane returns plane p as a one-plane array sharing a's cells: writes
+// through either show in both. A one-plane array is its own plane 0. Never
+// Recycle the plane of a multi-plane array.
+func (a *Array) Plane(p int) *Array {
+	n := a.Cells()
+	if p == 0 && len(a.data) == n {
+		return a
+	}
+	return &Array{shape: a.shape, strides: a.strides, data: a.data[p*n : (p+1)*n : (p+1)*n]}
+}
+
+// Data returns the backing slice, every plane. Mutating it mutates the array.
 func (a *Array) Data() []float64 { return a.data }
 
 // Stride returns the row-major stride of dimension m.
@@ -153,12 +189,12 @@ func (a *Array) Fill(v float64) {
 
 // Clone returns a deep copy.
 func (a *Array) Clone() *Array {
-	b := New(a.shape...)
+	b := NewPlanes(a.Planes(), a.shape...)
 	copy(b.data, a.data)
 	return b
 }
 
-// Total returns the sum of all cells.
+// Total returns the sum of all cells of every plane.
 func (a *Array) Total() float64 {
 	s := 0.0
 	for _, v := range a.data {
@@ -175,9 +211,10 @@ func (a *Array) Scale(v float64) *Array {
 	return a
 }
 
-// SameShape reports whether b has exactly the same shape as a.
+// SameShape reports whether b has exactly the same shape and plane count as
+// a.
 func (a *Array) SameShape(b *Array) bool {
-	if len(a.shape) != len(b.shape) {
+	if len(a.shape) != len(b.shape) || len(a.data) != len(b.data) {
 		return false
 	}
 	for m := range a.shape {
@@ -240,7 +277,7 @@ func (a *Array) halvedDst(m int) (*Array, error) {
 	}
 	outShape := a.Shape()
 	outShape[m] = n / 2
-	return New(outShape...), nil
+	return NewPlanes(a.Planes(), outShape...), nil
 }
 
 // PairFold applies op to each pair of neighbouring slices (2i, 2i+1) along
@@ -302,7 +339,7 @@ func Interleave(m int, p, r *Array) (*Array, error) {
 	outer, n, inner := p.axisSpan(m)
 	outShape := p.Shape()
 	outShape[m] = 2 * n
-	out := New(outShape...)
+	out := NewPlanes(p.Planes(), outShape...)
 	ps, rs, dst := p.data, r.data, out.data
 	for o := 0; o < outer; o++ {
 		sBase := o * n * inner
@@ -328,7 +365,7 @@ func (a *Array) SumAxis(m int) *Array {
 	outer, n, inner := a.axisSpan(m)
 	outShape := a.Shape()
 	outShape[m] = 1
-	out := New(outShape...)
+	out := NewPlanes(a.Planes(), outShape...)
 	src, dst := a.data, out.data
 	for o := 0; o < outer; o++ {
 		sBase := o * n * inner
@@ -361,27 +398,21 @@ func (a *Array) PrefixSumAxis(m int) {
 	}
 }
 
-// SubArray copies the axis-aligned box [lo, lo+ext) into a new array of
-// shape ext. It implements the range-extraction operator G of §6.
+// SubArray copies the axis-aligned box [lo, lo+ext) of every plane into a
+// new array of shape ext. It implements the range-extraction operator G of
+// §6.
 func (a *Array) SubArray(lo, ext []int) (*Array, error) {
 	if len(lo) != len(a.shape) || len(ext) != len(a.shape) {
 		return nil, fmt.Errorf("%w: box rank does not match array rank %d", ErrShape, len(a.shape))
 	}
-	for m := range lo {
-		if lo[m] < 0 || ext[m] <= 0 || lo[m]+ext[m] > a.shape[m] {
+	for m := range ext {
+		if ext[m] <= 0 {
 			return nil, fmt.Errorf("%w: box lo=%v ext=%v outside shape %v", ErrShape, lo, ext, a.shape)
 		}
 	}
-	out := New(ext...)
-	idx := make([]int, len(ext))
-	for off := 0; off < out.Size(); off++ {
-		// idx is the multi-index within the box.
-		src := 0
-		for m := range idx {
-			src += (lo[m] + idx[m]) * a.strides[m]
-		}
-		out.data[off] = a.data[src]
-		incIndex(idx, ext)
+	out := NewPlanes(a.Planes(), ext...)
+	if err := a.SubArrayInto(lo, ext, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

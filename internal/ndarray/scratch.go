@@ -47,13 +47,17 @@ func scratchClass(n int) (int, bool) {
 	return c, c <= maxScratchClass
 }
 
-// Scratch leases an array of the given shape from the pool, reporting
-// whether the lease was served by a recycled buffer (hit) or by a fresh
-// allocation (miss). The contents are undefined — the caller must fully
-// overwrite them. The caller owns the result: keep it forever, or hand it
-// back with Recycle.
-func Scratch(shape ...int) (*Array, bool) {
-	n := checkShape(shape)
+// Scratch leases a one-plane array of the given shape from the pool,
+// reporting whether the lease was served by a recycled buffer (hit) or by a
+// fresh allocation (miss). The contents are undefined — the caller must
+// fully overwrite them. The caller owns the result: keep it forever, or hand
+// it back with Recycle.
+func Scratch(shape ...int) (*Array, bool) { return ScratchPlanes(1, shape...) }
+
+// ScratchPlanes is Scratch for an array of planes planes: one buffer, sized
+// and pooled by its total scalar count.
+func ScratchPlanes(planes int, shape ...int) (*Array, bool) {
+	n := checkPlanes(planes, shape)
 	c, poolable := scratchClass(n)
 	if poolable {
 		if v := scratchPools[c].Get(); v != nil {

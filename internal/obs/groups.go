@@ -58,22 +58,6 @@ func NewAssemblyMetrics(r *Registry) *AssemblyMetrics {
 	}
 }
 
-// NodeCounter returns the per-kind plan node counter.
-func (m *AssemblyMetrics) NodeCounter(kind string) *Counter {
-	if m == nil {
-		return nil
-	}
-	switch kind {
-	case "stored":
-		return m.StoredNodes
-	case "aggregate":
-		return m.AggregateNodes
-	case "synthesize":
-		return m.SynthesizeNodes
-	}
-	return nil
-}
-
 // AdaptiveMetrics instruments Algorithm 1/2 reselection behaviour.
 type AdaptiveMetrics struct {
 	Reselections     *Counter // Reconfigure invocations (manual or automatic)

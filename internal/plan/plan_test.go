@@ -30,7 +30,7 @@ func opsSource(computes *int) sourceFunc {
 
 func TestCacheHitMissInvalidate(t *testing.T) {
 	computes := 0
-	p := NewPlannerFor(opsSource(&computes), ScalarMeasure())
+	p := NewPlanner(opsSource(&computes))
 	r := freq.Rect{1, 2}
 	get := func() (int, bool) {
 		ph, err := p.Element(nil, r)
@@ -63,14 +63,14 @@ func TestCacheHitMissInvalidate(t *testing.T) {
 func TestCacheEntryStoredDuringInvalidationIsStale(t *testing.T) {
 	var p *Planner
 	ops := 10
-	p = NewPlannerFor(sourceFunc(func(r freq.Rect) (*assembly.Plan, error) {
+	p = NewPlanner(sourceFunc(func(r freq.Rect) (*assembly.Plan, error) {
 		if ops == 10 {
 			p.Invalidate() // the materialised set changed under us
 		}
 		pl := &assembly.Plan{Rect: r, Ops: ops}
 		ops = 20
 		return pl, nil
-	}), ScalarMeasure())
+	}))
 	r := freq.Rect{4}
 	if _, err := p.Element(nil, r); err != nil {
 		t.Fatal(err)
@@ -87,12 +87,12 @@ func TestCacheEntryStoredDuringInvalidationIsStale(t *testing.T) {
 func TestCacheErrorNotCachedAndRetried(t *testing.T) {
 	boom := errors.New("boom")
 	fail := true
-	p := NewPlannerFor(sourceFunc(func(r freq.Rect) (*assembly.Plan, error) {
+	p := NewPlanner(sourceFunc(func(r freq.Rect) (*assembly.Plan, error) {
 		if fail {
 			return nil, boom
 		}
 		return &assembly.Plan{Rect: r, Ops: 7}, nil
-	}), ScalarMeasure())
+	}))
 	r := freq.Rect{2}
 	if _, err := p.Element(nil, r); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -112,14 +112,14 @@ func TestCacheInvalidationSplitsFlights(t *testing.T) {
 	oldStarted := make(chan struct{})
 	var first atomic.Bool
 	first.Store(true)
-	p := NewPlannerFor(sourceFunc(func(r freq.Rect) (*assembly.Plan, error) {
+	p := NewPlanner(sourceFunc(func(r freq.Rect) (*assembly.Plan, error) {
 		if first.CompareAndSwap(true, false) {
 			close(oldStarted)
 			<-gate
 			return &assembly.Plan{Rect: r, Ops: 1}, nil
 		}
 		return &assembly.Plan{Rect: r, Ops: 2}, nil
-	}), ScalarMeasure())
+	}))
 	r := freq.Rect{16}
 	done := make(chan struct{})
 	go func() {

@@ -43,30 +43,26 @@ type planKey struct {
 	measure uint32
 }
 
-// PlanSource compiles a Procedure 3 assembly plan for one view element.
-// Both the scalar assembly.Engine and the measure-vector engine implement
-// it: plan geometry depends only on the stored rectangle set, never on the
-// component width, so the planner is shared.
+// PlanSource compiles a Procedure 3 assembly plan for one view element —
+// typically an assembly.Engine. Plan geometry depends only on the stored
+// rectangle set, never on the number of measure planes.
 type PlanSource interface {
 	ComputePlan(r freq.Rect) (*assembly.Plan, error)
 }
 
-// NewPlanner returns a planner over the assembly engine with a fresh cache
-// and the scalar measure layout.
-func NewPlanner(eng *assembly.Engine) *Planner {
-	return NewPlannerFor(eng, ScalarMeasure())
-}
-
-// NewPlannerFor returns a planner over any plan source whose stored cells
-// carry the given measure layout. Plans are cached under the composite
-// {element, layout} key, so planners of different widths may even share a
-// cache without collision.
-func NewPlannerFor(src PlanSource, spec MeasureSpec) *Planner {
+// NewPlanner returns a planner over the plan source with a fresh cache and
+// the scalar measure layout.
+func NewPlanner(src PlanSource) *Planner {
 	// Plans are few (one per queried element) and tiny: the cache is
 	// unbounded, so its hits share a read lock.
 	cache := rescache.New[planKey, *assembly.Plan](rescache.Options{MaxEntries: -1, MaxBytes: -1})
-	return &Planner{src: src, spec: spec, cache: cache}
+	return &Planner{src: src, spec: ScalarMeasure(), cache: cache}
 }
+
+// SetMeasure records the measure layout the stored cells carry, which the
+// plan span and every physical plan report. Call it during wiring, before
+// the first plan is compiled or a planner is derived.
+func (p *Planner) SetMeasure(spec MeasureSpec) { p.spec = spec }
 
 // ForSource derives a planner that compiles misses against src (typically
 // an assembly engine over an immutable snapshot store) while sharing this
@@ -77,9 +73,6 @@ func NewPlannerFor(src PlanSource, spec MeasureSpec) *Planner {
 func (p *Planner) ForSource(src PlanSource) *Planner {
 	return &Planner{src: src, spec: p.spec, cache: p.cache, pinned: p.cache.Epoch(), hasPinned: true}
 }
-
-// Measure returns the measure layout the planner compiles for.
-func (p *Planner) Measure() MeasureSpec { return p.spec }
 
 // SetMetrics attaches plan-cache instruments (which then back Stats); nil
 // restores a private set.

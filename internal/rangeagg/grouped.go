@@ -19,7 +19,7 @@ import (
 //
 // The box must cover the full extent of every kept dimension (a filter on a
 // kept dimension would make the "group" cells outside the filter ambiguous;
-// slice the result instead).
+// slice the result instead). The result has the elements' plane count.
 func (q *Querier) GroupedRangeSum(box Box, keep []bool) (*ndarray.Array, error) {
 	return q.GroupedRangeSumCtx(nil, box, keep)
 }
@@ -49,13 +49,12 @@ func (q *Querier) GroupedRangeSumCtx(x *obs.ExecCtx, box Box, keep []bool) (*nda
 	// Lower through the shared plan IR: kept dimensions become whole-slab
 	// legs, filtered dimensions dyadic block legs.
 	legs := plan.DecomposeBox(box.Lo, box.Ext, keep)
-	out := ndarray.New(outShape...)
-	read := 0
-
 	// Every block combination extracts a slab of the same shape (outShape),
-	// so one pooled buffer serves the whole loop.
-	slab, _ := ndarray.Scratch(outShape...)
-	defer ndarray.Recycle(slab)
+	// so one pooled buffer, leased at the first element, serves the whole
+	// loop.
+	var out, slab *ndarray.Array
+	defer func() { ndarray.Recycle(slab) }()
+	read := 0
 
 	idx := make([]int, d)
 	depths := make([]int, d)
@@ -78,6 +77,10 @@ func (q *Querier) GroupedRangeSumCtx(x *obs.ExecCtx, box Box, keep []bool) (*nda
 		if err != nil {
 			return nil, err
 		}
+		if out == nil {
+			out = ndarray.NewPlanes(el.Planes(), outShape...)
+			slab, _ = ndarray.ScratchPlanes(el.Planes(), outShape...)
+		}
 		if err := el.SubArrayInto(lo, ext, slab); err != nil {
 			return nil, err
 		}
@@ -86,7 +89,7 @@ func (q *Querier) GroupedRangeSumCtx(x *obs.ExecCtx, box Box, keep []bool) (*nda
 		for i, v := range slab.Data() {
 			dst[i] += v
 		}
-		read += slab.Size()
+		read += slab.Cells()
 
 		// Advance over the filtered dimensions' block products.
 		m := d - 1

@@ -83,11 +83,12 @@ type CtxElementSource interface {
 }
 
 // Querier answers range-SUM queries from intermediate view elements,
-// caching each element it touches in an epoch-keyed cache. Queries may
-// run concurrently: the pyramid cache is concurrency-safe with singleflight
-// miss coalescing (racing queries for the same intermediate element wait on
-// one fetch instead of duplicating it), and cached arrays are only ever
-// read after insertion. (Concurrent safety additionally requires an element
+// caching each element it touches in an epoch-keyed cache. Elements may
+// carry several planes (a measure vector per cell); every plane is summed.
+// Queries may run concurrently: the pyramid cache is concurrency-safe with
+// singleflight miss coalescing (racing queries for the same intermediate
+// element wait on one fetch instead of duplicating it), and cached arrays
+// are only ever read after insertion. (Concurrent safety additionally requires an element
 // source that is safe for concurrent calls, such as an assembly engine over
 // a concurrent-read store.)
 type Querier struct {
@@ -155,7 +156,10 @@ func (q *Querier) element(x *obs.ExecCtx, depths []int) (*ndarray.Array, error) 
 			return nil, err
 		}
 		q.met.ElementMiss.Inc()
-		sp.SetAttr("cells", int64(a.Size()))
+		sp.SetAttr("cells", int64(a.Cells()))
+		if a.Planes() > 1 {
+			sp.SetAttr("measure_width", int64(a.Planes()))
+		}
 		return a, nil
 	})
 	return a, err
@@ -179,15 +183,26 @@ func (q *Querier) RangeSum(box Box) (float64, error) {
 
 // RangeSumCtx is RangeSum with an explicit per-query execution context: a
 // non-nil x records a "range_sum" span plus one "element" span per pyramid
-// miss. A nil x means untraced.
+// miss. A nil x means untraced. It is RangeInto for one-plane elements.
 func (q *Querier) RangeSumCtx(x *obs.ExecCtx, box Box) (float64, error) {
+	var out [1]float64
+	err := q.RangeInto(x, box, out[:])
+	return out[0], err
+}
+
+// RangeInto sums the box of every plane into out, one value per plane: the
+// same dyadic decomposition and pyramid walk, one accumulator per plane.
+func (q *Querier) RangeInto(x *obs.ExecCtx, box Box, out []float64) error {
 	shape := q.space.Shape()
 	if err := box.Validate(shape); err != nil {
-		return 0, err
+		return err
 	}
 	q.met.RangeQueries.Inc()
 	sp := x.Start("range_sum")
 	sp.SetAttr("box_cells", int64(box.Cells()))
+	if len(out) > 1 {
+		sp.SetAttr("measure_width", int64(len(out)))
+	}
 	defer sp.End()
 	x = x.Under(sp)
 	d := len(shape)
@@ -199,7 +214,7 @@ func (q *Querier) RangeSumCtx(x *obs.ExecCtx, box Box) (float64, error) {
 	idx := make([]int, d)
 	depths := make([]int, d)
 	cell := make([]int, d)
-	sum := 0.0
+	clear(out)
 	read := 0
 	for {
 		for m := 0; m < d; m++ {
@@ -212,9 +227,15 @@ func (q *Querier) RangeSumCtx(x *obs.ExecCtx, box Box) (float64, error) {
 		}
 		el, err := q.element(x, depths)
 		if err != nil {
-			return 0, err
+			return err
 		}
-		sum += el.At(cell...)
+		if el.Planes() != len(out) {
+			return fmt.Errorf("rangeagg: %d sums for an element of %d planes", len(out), el.Planes())
+		}
+		off, cells, data := el.Offset(cell), el.Cells(), el.Data()
+		for p := range out {
+			out[p] += data[p*cells+off]
+		}
 		read++
 		// Advance the product iterator.
 		m := d - 1
@@ -234,7 +255,7 @@ func (q *Querier) RangeSumCtx(x *obs.ExecCtx, box Box) (float64, error) {
 	q.CellsRead += read
 	q.mu.Unlock()
 	sp.SetAttr("cells_read", int64(read))
-	return sum, nil
+	return nil
 }
 
 // BlocksTouched returns the number of element cells a box's decomposition

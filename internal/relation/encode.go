@@ -167,7 +167,7 @@ func BuildCube(t *Table) (*ndarray.Array, *Encoding, error) {
 	return cube, enc, nil
 }
 
-// BuildMultiCube loads the relation into a width-3 measure-vector cube
+// BuildMultiCube loads the relation into a three-plane measure-vector cube
 // carrying the Gray et al. algebraic components per cell: [sum, sum of
 // squares, count]. Every distributive/algebraic aggregate the engine serves
 // (SUM, COUNT, AVG, VAR, STDDEV) finalises from these three planes. Tuples
@@ -175,10 +175,11 @@ func BuildCube(t *Table) (*ndarray.Array, *Encoding, error) {
 // sum plane is bit-identical to the scalar cube BuildCube produces and the
 // count plane is bit-identical to the scalar cube of the "1 per tuple"
 // count table.
-func BuildMultiCube(t *Table) (*ndarray.MultiArray, *Encoding, error) {
+func BuildMultiCube(t *Table) (*ndarray.Array, *Encoding, error) {
 	enc, offsets := buildEncoding(t)
-	cube := ndarray.NewMulti(3, enc.Shape...)
-	sum, sq, count := cube.Component(0).Data(), cube.Component(1).Data(), cube.Component(2).Data()
+	cube := ndarray.NewPlanes(3, enc.Shape...)
+	n := cube.Cells()
+	sum, sq, count := cube.Data()[:n], cube.Data()[n:2*n], cube.Data()[2*n:]
 	for i, v := range t.measure {
 		off := t.cellOffset(offsets, i)
 		sum[off] += v

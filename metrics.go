@@ -12,9 +12,10 @@ import (
 // queries-by-kind counters, store cache performance, assembly cost counters
 // and reselection behaviour, all exposable in the Prometheus text format.
 //
-// A Metrics may be shared by several engines (for example the SUM and COUNT
-// engines of an AvgEngine); their counters then aggregate into the same
-// series. All instruments are safe for concurrent use.
+// A Metrics may be shared by several engines (for example the partitions of
+// a PartitionedEngine built with EngineOptions.Metrics); their counters then
+// aggregate into the same series. All instruments are safe for concurrent
+// use.
 type Metrics struct {
 	reg *obs.Registry
 

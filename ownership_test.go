@@ -361,20 +361,20 @@ func TestOwnershipDifferentialAgg(t *testing.T) {
 					agg.Cube().ReleaseCells()
 				}
 				s := agg.Safe()
-				o.cube = agg.cube
+				o.cube = agg.Cube()
 				o.update = func(v float64, idx []int) error { return s.Update(v, idx...) }
 				o.optimize = s.Optimize
 				o.flush = s.Flush
-				o.stored = func() bool { _, ok := agg.mst.Get(agg.cube.space.Root()); return ok }
+				o.stored = func() bool { _, ok := agg.eng.st.Get(o.cube.space.Root()); return ok }
 				o.rootView = func() []float64 {
 					e, release := s.reader()
 					defer release()
-					ma, err := e.veng.Answer(nil, agg.cube.space.Root())
+					arr, err := e.eng.inner.Assembler().Answer(nil, o.cube.space.Root())
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer ndarray.RecycleMulti(ma)
-					return slices.Clone(ma.Data())
+					defer ndarray.Recycle(arr)
+					return slices.Clone(arr.Data())
 				}
 				return s
 			}

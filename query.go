@@ -28,17 +28,12 @@ type QueryResult struct {
 //
 //	SELECT SUM(sales) GROUP BY product WHERE day BETWEEN 'd1' AND 'd5'
 //
-// Only SUM aggregates are supported on a plain Engine; use AvgEngine.Query
-// for COUNT and AVG. Grouped dimensions cannot also be filtered.
+// Only SUM aggregates are supported on a plain Engine; use an AggEngine
+// (NewAggEngine) for COUNT, AVG, VAR and STDDEV. Grouped dimensions cannot
+// also be filtered.
 func (e *Engine) Query(sql string) (*QueryResult, error) {
 	return untraced(asQuery(runInline(e, false, sqlRead, sql)))
 }
-
-// Query parses and executes a SQL-like statement supporting SUM, COUNT(*)
-// (or COUNT(measure)), AVG, VAR and STDDEV. It delegates to the underlying
-// measure-vector engine: one assembled vector answers every aggregate in
-// the SELECT list.
-func (a *AvgEngine) Query(sql string) (*QueryResult, error) { return a.agg.Query(sql) }
 
 // Query parses and executes a SQL-like statement against the vector
 // engine. Every aggregate in the SELECT list finalises from the same
@@ -109,34 +104,34 @@ func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranges, err := sqlRanges(a.cube, q)
+	ranges, err := sqlRanges(a.eng.cube, q)
 	if err != nil {
 		return nil, err
 	}
 
 	// One vector query materialises every component plane at once.
 	var (
-		ma *ndarray.MultiArray
-		el Element
+		arr *ndarray.Array
+		el  Element
 	)
 	if len(ranges) == 0 {
-		ma, el, err = a.groupByVector(x, q.GroupBy...)
+		arr, el, err = a.groupByVector(x, q.GroupBy...)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		keepMask, box, berr := a.sum.resolveGroupedBox(q.GroupBy, ranges)
+		keepMask, box, berr := a.eng.resolveGroupedBox(q.GroupBy, ranges)
 		if berr != nil {
 			return nil, berr
 		}
-		if ma, err = a.vq.GroupedRangeVecCtx(x, box, keepMask); err != nil {
+		if arr, err = a.eng.rq.GroupedRangeSumCtx(x, box, keepMask); err != nil {
 			return nil, err
 		}
-		if el, err = a.cube.ViewKeeping(q.GroupBy...); err != nil {
+		if el, err = a.eng.cube.ViewKeeping(q.GroupBy...); err != nil {
 			return nil, err
 		}
 	}
-	r, err := a.result(ma, el, nil, false)
+	r, err := a.result(arr, el, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +147,7 @@ func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 		return nil, err
 	}
 	if q.NeedsCount() {
-		return nil, fmt.Errorf("viewcube: COUNT/AVG need an AvgEngine (this engine has only the SUM cube)")
+		return nil, fmt.Errorf("viewcube: COUNT/AVG need an AggEngine from NewAggEngine (this engine has only the SUM cube)")
 	}
 	if e.cube.enc == nil && len(q.Where) > 0 {
 		return nil, fmt.Errorf("viewcube: WHERE needs a dictionary-encoded cube")

@@ -78,8 +78,8 @@ func TestEngineQueryErrors(t *testing.T) {
 	c := loadSales(t)
 	eng, _ := c.NewEngine(viewcube.EngineOptions{})
 	cases := []string{
-		"SELECT AVG(sales) GROUP BY product",                       // needs AvgEngine
-		"SELECT COUNT(*)",                                          // needs AvgEngine
+		"SELECT AVG(sales) GROUP BY product",                       // needs AggEngine
+		"SELECT COUNT(*)",                                          // needs AggEngine
 		"SELECT SUM(profit)",                                       // unknown measure
 		"SELECT SUM(sales) GROUP BY nope",                          // unknown dimension
 		"SELECT SUM(sales) WHERE nope = 'x'",                       // unknown filter dimension
@@ -94,8 +94,8 @@ func TestEngineQueryErrors(t *testing.T) {
 	}
 }
 
-func TestAvgEngineQuery(t *testing.T) {
-	eng, err := viewcube.NewAvgEngine(loadSalesTable(t), viewcube.EngineOptions{})
+func TestAggEngineQuery(t *testing.T) {
+	eng, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestAvgEngineQuery(t *testing.T) {
 	}
 }
 
-func TestAvgEngineQueryOmitsEmptyGroups(t *testing.T) {
-	eng, err := viewcube.NewAvgEngine(loadSalesTable(t), viewcube.EngineOptions{})
+func TestAggEngineQueryOmitsEmptyGroups(t *testing.T) {
+	eng, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,10 +40,9 @@ type Result struct {
 	columns   []string  // SQL answers: the GROUP BY names, then the aggregate labels
 	dropEmpty bool      // rows whose tuple count is zero are not part of the answer
 
-	// The array vals aliases (a scalar or a measure-vector view's) when nothing
-	// else holds it: what Release gives back.
-	lease  *ndarray.Array
-	mlease *ndarray.MultiArray
+	// The array vals aliases when nothing else holds it: what Release gives
+	// back.
+	lease *ndarray.Array
 }
 
 // Release ends the life of a served answer: the array its view was assembled
@@ -54,12 +53,11 @@ type Result struct {
 // result without a pooled array (merged, off the wire, from NewResult), a nil
 // result and a second Release are no-ops.
 func (r *Result) Release() {
-	if r == nil || r.lease == nil && r.mlease == nil {
+	if r == nil || r.lease == nil {
 		return
 	}
 	ndarray.Recycle(r.lease)
-	ndarray.RecycleMulti(r.mlease)
-	r.vals, r.mask, r.width, r.lease, r.mlease = nil, nil, 0, nil, nil
+	r.vals, r.mask, r.width, r.lease = nil, nil, 0, nil
 }
 
 // newResult checks a header against its body: width planes of Π ext cells.
@@ -532,7 +530,7 @@ func MergeResults(parts []*Result) (*Result, error) {
 		return nil, fmt.Errorf("viewcube: no results to merge")
 	}
 	out, same := *parts[0], true
-	out.lease, out.mlease = nil, nil // the merged body is fresh: parts[0] keeps its own lease
+	out.lease = nil // the merged body is fresh: parts[0] keeps its own lease
 	for _, p := range parts {
 		if len(p.dims) != len(out.dims) || p.width != out.width {
 			return nil, fmt.Errorf("viewcube: merging results of different shape")

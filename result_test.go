@@ -51,16 +51,16 @@ func refViewGroups(e *relation.Encoding, view *ndarray.Array, aggregated []bool)
 // refFinalizeGroups is the retired AggEngine.finalizeGroups over
 // ViewGroupsVec: SUM and COUNT report every group, the count-dividing kinds
 // drop the empty ones.
-func refFinalizeGroups(e *relation.Encoding, ma *ndarray.MultiArray, aggregated []bool, spec plan.MeasureSpec, kind AggKind) (map[string]float64, error) {
+func refFinalizeGroups(e *relation.Encoding, ma *ndarray.Array, aggregated []bool, spec plan.MeasureSpec, kind AggKind) (map[string]float64, error) {
 	switch kind {
 	case AggSum:
-		return refViewGroups(e, ma.Component(spec.Sum), aggregated)
+		return refViewGroups(e, ma.Plane(spec.Sum), aggregated)
 	case AggCount:
-		return refViewGroups(e, ma.Component(spec.Count), aggregated)
+		return refViewGroups(e, ma.Plane(spec.Count), aggregated)
 	}
 	out := make(map[string]float64)
 	vec := make([]float64, spec.Width)
-	comp0 := ma.Component(0)
+	comp0 := ma.Plane(0)
 	var bad error
 	comp0.Each(func(idx []int, _ float64) {
 		var parts []string
@@ -71,7 +71,7 @@ func refFinalizeGroups(e *relation.Encoding, ma *ndarray.MultiArray, aggregated 
 			val, ok := e.Dicts[m].Value(i)
 			if !ok {
 				for c := 0; c < spec.Width; c++ {
-					if ma.At(c, idx...) != 0 {
+					if ma.Plane(c).At(idx...) != 0 {
 						bad = fmt.Errorf("relation: nonzero padding cell at %v", idx)
 					}
 				}
@@ -80,7 +80,7 @@ func refFinalizeGroups(e *relation.Encoding, ma *ndarray.MultiArray, aggregated 
 			parts = append(parts, val)
 		}
 		for c := range vec {
-			vec[c] = ma.At(c, idx...)
+			vec[c] = ma.Plane(c).At(idx...)
 		}
 		if vec[spec.Count] == 0 {
 			return
@@ -258,19 +258,19 @@ func TestResultJSONDifferential(t *testing.T) {
 			checkRows(t, cases, res, refRows(res.aggs, plan.MeasureSpec{}, sums, nil, nil))
 
 			// Width 3: [Σv, Σv², Σ1] with empty groups, every aggregate kind.
-			ma := ndarray.NewMulti(3, shape...)
-			fillLive(c, ma.Component(spec.Count), func() float64 { return float64(rng.Intn(4)) })
-			counts := ma.Component(spec.Count).Data()
+			ma := ndarray.NewPlanes(3, shape...)
+			fillLive(c, ma.Plane(spec.Count), func() float64 { return float64(rng.Intn(4)) })
+			counts := ma.Plane(spec.Count).Data()
 			for off, n := range counts {
 				if n > 0 {
 					v := float64(rng.Intn(2000)-1000) / 8
-					ma.Component(spec.Sum).Data()[off] = v * n
-					ma.Component(spec.SumSq).Data()[off] = v*v*n + float64(rng.Intn(5))
+					ma.Plane(spec.Sum).Data()[off] = v * n
+					ma.Plane(spec.SumSq).Data()[off] = v*v*n + float64(rng.Intn(5))
 				}
 			}
 			planes := make([]map[string]float64, 3)
 			for comp := range planes {
-				if planes[comp], err = refViewGroups(c.enc, ma.Component(comp), aggregated); err != nil {
+				if planes[comp], err = refViewGroups(c.enc, ma.Plane(comp), aggregated); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -416,20 +416,20 @@ func checkRunForms(t *testing.T) {
 		}
 
 		// Width 3 beside it: a zero count wherever the mask dropped a row.
-		ma := ndarray.NewMulti(3, shape...)
-		fillLive(c, ma.Component(spec.Count), func() float64 { next++; return float64(1 + next%3) })
-		for off, cnt := range ma.Component(spec.Count).Data() {
+		ma := ndarray.NewPlanes(3, shape...)
+		fillLive(c, ma.Plane(spec.Count), func() float64 { next++; return float64(1 + next%3) })
+		for off, cnt := range ma.Plane(spec.Count).Data() {
 			if gone[off] {
-				ma.Component(spec.Count).Data()[off] = 0
+				ma.Plane(spec.Count).Data()[off] = 0
 			} else if cnt > 0 {
 				v := float64(next%2000-1000) / 8
 				next += 37
-				ma.Component(spec.Sum).Data()[off], ma.Component(spec.SumSq).Data()[off] = v*cnt, v*v*cnt+float64(next%5)
+				ma.Plane(spec.Sum).Data()[off], ma.Plane(spec.SumSq).Data()[off] = v*cnt, v*v*cnt+float64(next%5)
 			}
 		}
 		planes := make([]map[string]float64, 3)
 		for comp := range planes {
-			if planes[comp], err = refViewGroups(enc, ma.Component(comp), aggregated); err != nil {
+			if planes[comp], err = refViewGroups(enc, ma.Plane(comp), aggregated); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -722,7 +722,7 @@ func TestResultRelease(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if r.lease == nil && r.mlease == nil {
+		if r.lease == nil {
 			t.Fatalf("%s: the result does not hold its view's array", name)
 		}
 		want, err := r.AppendRowsJSON(nil)
@@ -737,7 +737,7 @@ func TestResultRelease(t *testing.T) {
 		}
 		r.Release()
 		r.Release()
-		if r.Len() != 0 || r.lease != nil || r.mlease != nil {
+		if r.Len() != 0 || r.lease != nil {
 			t.Fatalf("%s: a released result has %d rows", name, r.Len())
 		}
 		if body, err := r.AppendGroupsJSON(nil); err != nil || string(body) != "{}" {

@@ -389,8 +389,8 @@ type SafeAggEngine struct {
 // used directly afterwards.
 func (a *AggEngine) Safe() *SafeAggEngine { return &SafeAggEngine{guard[*AggEngine]{eng: a}} }
 
-// Cube returns the SUM-plane cube (dimension metadata, workloads, ...).
-func (s *SafeAggEngine) Cube() *Cube { return s.eng.cube }
+// Cube returns the cube (dimension metadata, workloads, ...).
+func (s *SafeAggEngine) Cube() *Cube { return s.eng.Cube() }
 
 // GroupByResult answers GROUP BY keep... for any aggregate kind on the read
 // path as the columnar Result; the trace is nil unless traced.
@@ -458,7 +458,7 @@ func (s *SafeAggEngine) Update(measure float64, idx ...int) error {
 
 // UpdateValue is Update addressed by dimension values.
 func (s *SafeAggEngine) UpdateValue(measure float64, values map[string]string) error {
-	idx, err := s.eng.sum.resolveUpdateIndex(values)
+	idx, err := s.eng.eng.resolveUpdateIndex(values)
 	if err != nil {
 		return err
 	}
@@ -468,11 +468,10 @@ func (s *SafeAggEngine) UpdateValue(measure float64, values map[string]string) e
 // StoreStats is always the zero value: the vector store is in-memory.
 func (s *SafeAggEngine) StoreStats() StoreStats { return StoreStats{} }
 
-// PlanCacheStats reports the SUM-plane view's plan cache (the one Optimize
-// and reselection plan through), with the streaming snapshot epoch folded
-// in; lock-free like SafeEngine.PlanCacheStats.
+// PlanCacheStats reports the engine's plan cache, with the streaming
+// snapshot epoch folded in; lock-free like SafeEngine.PlanCacheStats.
 func (s *SafeAggEngine) PlanCacheStats() PlanCacheStats {
-	st := s.eng.sum.PlanCacheStats()
+	st := s.eng.eng.PlanCacheStats()
 	st.Snapshot = s.SnapshotEpoch()
 	return st
 }

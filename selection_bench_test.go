@@ -5,7 +5,9 @@
 package viewcube_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"viewcube"
@@ -76,21 +78,57 @@ func benchCube(b *testing.B, shape ...int) *viewcube.Cube {
 	return cube
 }
 
+// benchTable is a relation over benchDims whose dictionaries hold exactly
+// shape[m] values each — every one present — so its cube has that shape,
+// plus 100 000 random tuples.
+func benchTable(b *testing.B, shape ...int) *viewcube.Table {
+	b.Helper()
+	tbl, err := viewcube.NewTable(benchDims, "sales")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]string, len(shape))
+	row := func(pick func(m, n int) int) {
+		for m, n := range shape {
+			vals[m] = fmt.Sprintf("%s-%03d", benchDims[m], pick(m, n))
+		}
+		if err := tbl.Append(vals, float64(1+rng.Intn(99))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < slices.Max(shape); i++ {
+		row(func(_, n int) int { return i % n })
+	}
+	for i := 0; i < 100000; i++ {
+		row(func(_, n int) int { return rng.Intn(n) })
+	}
+	return tbl
+}
+
+// benchWorkload is benchPopulation as a workload on cube.
+func benchWorkload(b *testing.B, cube *viewcube.Cube) *viewcube.Workload {
+	b.Helper()
+	w := cube.NewWorkload()
+	for _, p := range benchPopulation {
+		if err := w.AddViewKeeping(p.freq, p.keep...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return w
+}
+
 func benchOptimize(b *testing.B, cube *viewcube.Cube, budget int) {
 	b.Helper()
 	b.ReportAllocs()
+	b.ResetTimer() // building the fixture is not part of it
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		eng, err := cube.NewEngine(viewcube.EngineOptions{StorageBudget: budget * cube.Volume()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		w := cube.NewWorkload()
-		for _, p := range benchPopulation {
-			if err := w.AddViewKeeping(p.freq, p.keep...); err != nil {
-				b.Fatal(err)
-			}
-		}
+		w := benchWorkload(b, cube)
 		b.StartTimer()
 		if err := eng.Optimize(w); err != nil {
 			b.Fatal(err)
@@ -108,6 +146,41 @@ func BenchmarkOptimize131k(b *testing.B) {
 
 func benchOptimize131kBudget1(b *testing.B) { benchOptimize(b, benchCube(b, 64, 16, 32, 4), 1) }
 func benchOptimize131kBudget2(b *testing.B) { benchOptimize(b, benchCube(b, 64, 16, 32, 4), 2) }
+
+// BenchmarkOptimizeAgg131k is BenchmarkOptimize131k/budget=1 over one
+// table-built cube of the benchmark shape: on the scalar engine of its SUM
+// cube and on the AggEngine of its measure vector [Σv, Σv², Σ1], which
+// selects once and migrates all three planes in one cascade.
+func BenchmarkOptimizeAgg131k(b *testing.B) {
+	b.Run("scalar", benchOptimizeAgg131kScalar)
+	b.Run("agg", benchOptimizeAgg131kAgg)
+}
+
+func benchOptimizeAgg131kScalar(b *testing.B) {
+	cube, err := viewcube.FromRelation(benchTable(b, 64, 16, 32, 4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchOptimize(b, cube, 1)
+}
+
+func benchOptimizeAgg131kAgg(b *testing.B) {
+	tbl := benchTable(b, 64, 16, 32, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, err := viewcube.NewAggEngine(tbl, viewcube.EngineOptions{StorageBudget: 64 * 16 * 32 * 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := benchWorkload(b, eng.Cube())
+		b.StartTimer()
+		if err := eng.Optimize(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkOptimize2M is the same reconfiguration at the 2 097 152-cell
 // shape (budget 1).
