@@ -112,8 +112,6 @@ func (a *AggEngine) applyDeltaRaw(vals []float64, idx []int) error {
 
 func (a *AggEngine) rawCells() int { return a.eng.rawCells() }
 
-func (a *AggEngine) resetDerived() { a.eng.resetDerived() }
-
 // snapshot derives a read-only generation over a deep copy of the store.
 func (a *AggEngine) snapshot() (*AggEngine, error) {
 	g, err := a.eng.snapshot()
@@ -234,8 +232,8 @@ func (a *AggEngine) groupByAggInner(x *obs.ExecCtx, g aggKeep) (*Result, error) 
 }
 
 // RangeAgg answers the aggregate over the box selected by per-dimension
-// value ranges (unnamed dimensions unrestricted), through intermediate
-// vector view elements (§6). Count-dividing kinds (AVG, VAR, STDDEV) return
+// value ranges (unnamed dimensions unrestricted), from one contraction of
+// every plane (DESIGN §6). Count-dividing kinds (AVG, VAR, STDDEV) return
 // an error when the box holds no tuples; SUM and COUNT return 0.
 func (a *AggEngine) RangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, error) {
 	return untraced(runAgg(a, false, rangeAggRead, aggRanges{kind, ranges}))
@@ -257,7 +255,7 @@ func (a *AggEngine) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) 
 		return 0, err
 	}
 	vec := make([]float64, a.spec.Width)
-	if err := a.eng.rq.RangeInto(x, box, vec); err != nil {
+	if err := a.eng.rangeInto(x, box, vec); err != nil {
 		return 0, err
 	}
 	v, ok := a.spec.Finalize(r.kind, vec)
@@ -269,8 +267,7 @@ func (a *AggEngine) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) 
 
 // Update applies one new observation with the given measure to the cube
 // cell at idx: the component delta [v, v², 1] is folded incrementally into
-// every plane of every stored element, and the plan and element caches are
-// invalidated.
+// every plane of every stored element, and the plan cache is invalidated.
 func (a *AggEngine) Update(measure float64, idx ...int) error {
 	return a.eng.update(a.observation(measure), idx)
 }

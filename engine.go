@@ -104,11 +104,10 @@ type Engine struct {
 	cube   *Cube
 	st     assembly.Store
 	inner  *adaptive.Engine
-	rq     *rangeagg.Querier
 	met    *Metrics
 	opts   EngineOptions // retained so snapshot generations copy the executor config
 	fork   bool          // a later engine over an attached cube: it works on a copy and never writes cube.data
-	mass   *mass         // what the cube has taken in; nil on engines that take no writes
+	mass   *mass         // what the cube has taken in, shared with its snapshot generations
 	planes int           // measure planes per cell: 1, or 3 under an AggEngine
 }
 
@@ -165,7 +164,6 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 		met = NewMetrics()
 	}
 	e := &Engine{cube: c, st: st, inner: inner, met: met, opts: opts, fork: c.attached, mass: m, planes: planes}
-	e.rq = rangeagg.NewQuerier(c.space, engineElementSource{e})
 	if fs, ok := st.(*store.FileStore); ok {
 		fs.SetMetrics(met.store)
 	}
@@ -173,7 +171,6 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	inner.Assembler().SetMetrics(met.assembly)
 	inner.Assembler().SetExecutor(opts.ExecWorkers, opts.ParallelExecCells)
 	inner.Planner().SetMetrics(met.plans)
-	e.rq.SetMetrics(met.ranges)
 	if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
 		c.holder = ms
 	}
@@ -254,12 +251,10 @@ func (e *Engine) rawCells() int {
 	return e.cube.data.Size()
 }
 
-func (e *Engine) resetDerived() { e.rq.Reset() }
-
 // snapshot deep-copies every materialised element into a fresh MemStore and
 // derives a read-only sibling engine over it. The sibling shares the cube,
-// the metrics, the adaptive workload profile and the (epoch-pinned) plan
-// cache; the store, the assembly executor and the range-element cache are
+// the metrics, the mass, the adaptive workload profile and the
+// (epoch-pinned) plan cache; the store and the assembly executor are
 // generation-local, so queries against it never touch the base engine's
 // mutable store.
 func (e *Engine) snapshot() (*Engine, error) {
@@ -273,26 +268,10 @@ func (e *Engine) snapshot() (*Engine, error) {
 			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
 		}
 	}
-	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, opts: e.opts, planes: e.planes}
-	g.rq = rangeagg.NewQuerier(e.cube.space, engineElementSource{g})
+	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, opts: e.opts, mass: e.mass, planes: e.planes}
 	g.inner.Assembler().SetMetrics(e.met.assembly)
 	g.inner.Assembler().SetExecutor(e.opts.ExecWorkers, e.opts.ParallelExecCells)
-	g.rq.SetMetrics(e.met.ranges)
 	return g, nil
-}
-
-// engineElementSource feeds the range querier with assembled elements,
-// recording their accesses so adaptation sees range workloads too.
-type engineElementSource struct{ e *Engine }
-
-func (s engineElementSource) Element(r freq.Rect) (*ndarray.Array, error) {
-	return s.ElementCtx(nil, r)
-}
-
-// ElementCtx implements rangeagg.CtxElementSource, forwarding the per-query
-// execution context into assembly.
-func (s engineElementSource) ElementCtx(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
-	return s.e.inner.Query(x, r)
 }
 
 // maybeReselect performs a due automatic reselection, reporting whether the
@@ -380,7 +359,7 @@ type ValueRange struct {
 
 // RangeSum computes the SUM of the measure over the box selected by the
 // per-dimension value ranges (unnamed dimensions are unrestricted),
-// answered through intermediate view elements (§6 of the paper).
+// answered by contracting the stored elements with the box (DESIGN §6).
 func (e *Engine) RangeSum(ranges map[string]ValueRange) (float64, error) {
 	return untraced(runInline(e, false, rangeSumRead, ranges))
 }
@@ -393,7 +372,7 @@ func (e *Engine) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (fl
 	if err != nil {
 		return 0, err
 	}
-	return e.rq.RangeSumCtx(x, box)
+	return e.rangeSum(x, box)
 }
 
 // RangeSumWithin is RangeSum with lexicographic bounds: each restricted
@@ -418,10 +397,10 @@ func (e *Engine) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRang
 	lo := make([]int, len(shape))
 	ext := make([]int, len(shape))
 	for m := range shape {
-		ext[m] = e.cube.enc.Dicts[m].Len()
-		if ext[m] == 0 {
+		if e.cube.enc.Dicts[m].Len() == 0 {
 			return withinSum{}, nil // empty dictionary: this sub-cube holds nothing
 		}
+		ext[m] = shape[m] // unrestricted: the padded axis, whose padding is zero
 	}
 	for name, vr := range ranges {
 		m, err := e.cube.DimIndex(name)
@@ -437,7 +416,7 @@ func (e *Engine) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRang
 		}
 		lo[m], ext[m] = loCode, hiCode-loCode+1
 	}
-	sum, err := e.rq.RangeSumCtx(x, rangeagg.Box{Lo: lo, Ext: ext})
+	sum, err := e.rangeSum(x, rangeagg.Box{Lo: lo, Ext: ext})
 	return withinSum{sum: sum, ok: err == nil}, err
 }
 
@@ -448,15 +427,104 @@ func (e *Engine) RangeSumIndex(lo, ext []int) (float64, error) {
 }
 
 func (e *Engine) rangeSumIndexInner(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
-	return e.rq.RangeSumCtx(x, box)
+	return e.rangeSum(x, box)
+}
+
+// rangeSum is rangeInto for a one-plane cube.
+func (e *Engine) rangeSum(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
+	var out [1]float64
+	err := e.rangeInto(x, box, out[:])
+	return out[0], err
+}
+
+// rangeInto sums the box of every plane into out, one value per plane: one
+// contraction of the stored elements (DESIGN §6), under a "range_sum" span.
+func (e *Engine) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error {
+	if len(out) != e.planes {
+		return fmt.Errorf("viewcube: %d sums for a cube of %d planes", len(out), e.planes)
+	}
+	sp := x.Start("range_sum")
+	defer sp.End()
+	x = x.Under(sp)
+	var loBuf, extBuf [freq.MaxRank]int
+	p, lo, ext, err := e.rangeView(x, box, nil, loBuf[:0], extBuf[:0])
+	if err != nil {
+		return err
+	}
+	w, err := e.inner.Assembler().ContractRange(x, p, lo, ext, e.mass.bound(), out)
+	if err != nil {
+		return err
+	}
+	e.met.ranges.RangeQueries.Inc()
+	e.countContraction(sp, w)
+	sp.SetAttr("box_cells", int64(box.Cells()))
+	if len(out) > 1 {
+		sp.SetAttr("measure_width", int64(len(out)))
+	}
+	return nil
+}
+
+// groupedRange sums the box grouped by the kept dimensions (which it covers
+// whole) into a caller-owned array laid out like the aggregated view keeping
+// them: one contraction, under a "grouped_range" span.
+func (e *Engine) groupedRange(x *obs.ExecCtx, box rangeagg.Box, keep []bool) (*ndarray.Array, error) {
+	sp := x.Start("grouped_range")
+	defer sp.End()
+	x = x.Under(sp)
+	var loBuf, extBuf [freq.MaxRank]int
+	p, lo, ext, err := e.rangeView(x, box, keep, loBuf[:0], extBuf[:0])
+	if err != nil {
+		return nil, err
+	}
+	arr, w, err := e.inner.Assembler().ContractGrouped(x, p, lo, ext, keep, e.planes, e.mass.bound())
+	if err != nil {
+		return nil, err
+	}
+	e.countContraction(sp, w)
+	if e.planes > 1 {
+		sp.SetAttr("measure_width", int64(e.planes))
+	}
+	return arr, nil
+}
+
+// rangeView returns the plan a box is contracted through, and the box (lo,
+// ext, appended to the given buffers) in the coordinates of its element: the
+// view that keeps every dimension the box filters or keeps and aggregates
+// the ones it covers whole. Its plan is compiled over that view's corner of
+// the element graph, often already cached for a group-by, where the root's
+// plan costs a Procedure 3 pass over the whole graph (tens of milliseconds
+// on an optimized 131 072-cell cube).
+func (e *Engine) rangeView(x *obs.ExecCtx, box rangeagg.Box, keep []bool, lo, ext []int) (*assembly.Plan, []int, []int, error) {
+	space := e.cube.space
+	if len(box.Lo) != space.Rank() || len(box.Ext) != space.Rank() {
+		return nil, nil, nil, fmt.Errorf("viewcube: box rank %d does not match cube rank %d", len(box.Lo), space.Rank())
+	}
+	r := space.Root()
+	for m := range r {
+		lo, ext = append(lo, box.Lo[m]), append(ext, box.Ext[m])
+		if n := space.Dim(m); (keep == nil || !keep[m]) && box.Lo[m] == 0 && box.Ext[m] == n {
+			r[m], ext[m] = freq.Node(n), 1 // aggregated: the all-partial leaf
+		}
+	}
+	p, err := e.inner.Planner().Assembly(x, r)
+	return p, lo, ext, err
+}
+
+// countContraction records a contraction's work on the range metrics and
+// its span.
+func (e *Engine) countContraction(sp *obs.Span, w assembly.Work) {
+	e.met.ranges.ElementMiss.Add(uint64(w.Elements))
+	e.met.ranges.CellsRead.Add(uint64(w.Cells))
+	sp.SetAttr("elements", int64(w.Elements))
+	sp.SetAttr("cells_read", int64(w.Cells))
+	sp.SetAttr("cells", int64(w.Cells)) // what QueryTrace.CellsRead sums
 }
 
 // GroupByWhere answers the OLAP "dice" query: SUM grouped by the kept
 // dimensions, restricted to contiguous value ranges on the remaining
 // dimensions (unnamed filtered dimensions are unrestricted). It is answered
-// through intermediate view elements, reading O(groups · Π log n) cells
-// instead of scanning the filtered region. Kept dimensions cannot also be
-// filtered.
+// by one contraction of the stored elements with the filter (DESIGN §6).
+// Kept dimensions cannot also be filtered.
 func (e *Engine) GroupByWhere(keep []string, ranges map[string]ValueRange) (*View, error) {
 	return untraced(runInline(e, false, groupByWhereRead, dice{keep, ranges}))
 }
@@ -469,7 +537,7 @@ func (e *Engine) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	arr, err := e.rq.GroupedRangeSumCtx(x, box, keepMask)
+	arr, err := e.groupedRange(x, box, keepMask)
 	if err != nil {
 		return nil, err
 	}
@@ -481,10 +549,11 @@ func (e *Engine) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
 }
 
 // resolveGroupedBox builds the keep mask and coordinate box of a grouped
-// "dice" query: kept dimensions are full-extent and unfiltered, filtered
-// dimensions resolve through resolveRange, remaining dimensions default to
-// their real (non-padding) domains. With nothing kept it is the box of a
-// plain range query. The cube must be dictionary-encoded.
+// "dice" query: filtered dimensions resolve through resolveRange, every
+// other dimension covers its whole padded axis (padding cells are zero, so
+// the sum is the same and the contraction's weights stay sparse). With
+// nothing kept it is the box of a plain range query. The cube must be
+// dictionary-encoded.
 func (e *Engine) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, rangeagg.Box, error) {
 	shape := e.cube.Shape()
 	keepMask := make([]bool, len(shape))
@@ -500,17 +569,7 @@ func (e *Engine) resolveGroupedBox(keep []string, ranges map[string]ValueRange) 
 	}
 	lo := make([]int, len(shape))
 	ext := make([]int, len(shape))
-	for m := range shape {
-		if keepMask[m] {
-			ext[m] = shape[m] // kept dimensions must be unfiltered and full
-			continue
-		}
-		// Default: the real (non-padding) domain.
-		ext[m] = e.cube.enc.Dicts[m].Len()
-		if ext[m] == 0 {
-			ext[m] = 1
-		}
-	}
+	copy(ext, shape)
 	for name, vr := range ranges {
 		m, err := e.cube.DimIndex(name)
 		if err != nil {
@@ -552,16 +611,16 @@ func (e *Engine) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
 
 // Update applies a delta to one cube cell and incrementally maintains every
 // materialised element (each stored element changes in exactly one cell, by
-// ±delta — O(elements · rank), independent of element volumes). Cached
-// range-query elements are invalidated, and the plan-cache epoch is bumped
-// so no query serves a plan derived from pre-update state.
+// ±delta — O(elements · rank), independent of element volumes). The
+// plan-cache epoch is bumped so no query serves a plan derived from
+// pre-update state.
 func (e *Engine) Update(delta float64, idx ...int) error { return e.update([]float64{delta}, idx) }
 
 // update is Update with one delta per plane.
 func (e *Engine) update(vals []float64, idx []int) error {
 	if err := e.checkCell(idx); err != nil || isZero(vals) {
 		// A zero delta validated the index and touched nothing: it must not
-		// invalidate plans, cached range elements or result caches.
+		// invalidate plans or result caches.
 		return err
 	}
 	if err := e.admit(vals); err != nil {
@@ -570,7 +629,6 @@ func (e *Engine) update(vals []float64, idx []int) error {
 	if err := e.applyDeltaRaw(vals, idx); err != nil {
 		return err
 	}
-	e.rq.Reset()
 	e.inner.InvalidatePlans()
 	return nil
 }

@@ -1,6 +1,7 @@
 package viewcube
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -35,21 +36,27 @@ type IngestOptions struct {
 
 // IngestStats reports the streaming write path's counters.
 type IngestStats struct {
-	Appended      uint64 `json:"appended"`       // deltas acknowledged
-	Coalesced     uint64 `json:"coalesced"`      // folded into a dirty cell pre-merge
-	Blocked       uint64 `json:"blocked"`        // appends that hit backpressure
-	PendingCells  int    `json:"pending_cells"`  // dirty cells awaiting merge
-	WALBytes      uint64 `json:"wal_bytes"`      // bytes appended to the WAL
-	WALReplayed   uint64 `json:"wal_replayed"`   // deltas replayed at startup
-	Merges        uint64 `json:"merges"`         // merge cycles run
-	MergedCells   uint64 `json:"merged_cells"`   // dirty cells folded across merges
-	SnapshotEpoch uint64 `json:"snapshot_epoch"` // current published snapshot
-	Published     uint64 `json:"published"`      // snapshots published
-	Live          int    `json:"live"`           // snapshots not yet retired
-	Pinned        int    `json:"pinned"`         // readers on the current snapshot
-	Retired       uint64 `json:"retired"`        // snapshots compacted away
-	LagSeqs       uint64 `json:"lag_seqs"`       // acknowledged but not yet visible
+	Appended      uint64 `json:"appended"`           // deltas acknowledged
+	Coalesced     uint64 `json:"coalesced"`          // folded into a dirty cell pre-merge
+	Blocked       uint64 `json:"blocked"`            // appends that hit backpressure
+	PendingCells  int    `json:"pending_cells"`      // dirty cells awaiting merge
+	WALBytes      uint64 `json:"wal_bytes"`          // bytes appended to the WAL
+	WALReplayed   uint64 `json:"wal_replayed"`       // deltas replayed at startup
+	Merges        uint64 `json:"merges"`             // merge cycles run
+	MergedCells   uint64 `json:"merged_cells"`       // dirty cells folded across merges
+	SnapshotEpoch uint64 `json:"snapshot_epoch"`     // current published snapshot
+	Published     uint64 `json:"published"`          // snapshots published
+	Live          int    `json:"live"`               // snapshots not yet retired
+	Pinned        int    `json:"pinned"`             // readers on the current snapshot
+	Retired       uint64 `json:"retired"`            // snapshots compacted away
+	LagSeqs       uint64 `json:"lag_seqs"`           // acknowledged but not yet visible
+	Degraded      string `json:"degraded,omitempty"` // why the merger stopped, if it did
 }
+
+// ErrIngestDegraded is what appends and Flush return once a merge failed:
+// the merger has stopped, readers keep the last published generation, and
+// the cube needs a restart (its WAL replays every acknowledged delta).
+var ErrIngestDegraded = errors.New("viewcube: ingest is degraded")
 
 // ingestRuntime is the machinery EnableIngest installs on a guard: the WAL,
 // the coalescing buffer, the background merger, and the snapshot lifecycle
@@ -89,6 +96,9 @@ type ingestRuntime[E guarded[E]] struct {
 	replayed    uint64
 	merges      atomic.Uint64
 	mergedCells atomic.Uint64
+
+	// fault is set, once, when a merge fails (see ErrIngestDegraded).
+	fault atomic.Pointer[error]
 }
 
 // EnableIngest switches the engine's write path to streaming ingest:
@@ -141,10 +151,7 @@ func (g *guard[E]) EnableIngest(opts IngestOptions) error {
 		rt.wal = wal
 		rt.appended.Store(wal.LastSeq())
 		rt.published = wal.LastSeq()
-		if rt.replayed > 0 {
-			g.eng.resetDerived()
-			met.WALReplayed.Add(rt.replayed)
-		}
+		met.WALReplayed.Add(rt.replayed)
 	}
 
 	first, err := g.eng.snapshot()
@@ -155,6 +162,7 @@ func (g *guard[E]) EnableIngest(opts IngestOptions) error {
 		return err
 	}
 	rt.lc = ingest.NewLifecycle(first, func(uint64) { met.Retired.Inc() })
+	met.Degraded.Set(0)
 	met.Published.Inc()
 	met.SnapshotEpoch.Set(int64(rt.lc.Current()))
 
@@ -177,10 +185,11 @@ func (g *guard[E]) DisableIngest() error {
 	close(rt.stop)
 	<-rt.done
 	g.version.Add(1)
+	var err error
 	if rt.wal != nil {
-		return rt.wal.Close()
+		err = rt.wal.Close()
 	}
-	return nil
+	return errors.Join(rt.err(), err)
 }
 
 // IngestEnabled reports whether the streaming write path is active.
@@ -212,6 +221,9 @@ func (g *guard[E]) IngestStats() IngestStats {
 	if rt.wal != nil {
 		st.WALBytes = rt.wal.Bytes()
 	}
+	if err := rt.err(); err != nil {
+		st.Degraded = err.Error()
+	}
 	if pub := rt.watermark(); st.Appended > pub {
 		st.LagSeqs = st.Appended - pub
 	}
@@ -221,10 +233,12 @@ func (g *guard[E]) IngestStats() IngestStats {
 // Flush blocks until every update acknowledged before the call is folded
 // into a published snapshot — the read-your-writes barrier for tests and
 // for clients that need immediate visibility. A no-op when ingest is off
-// (locked writes are immediately visible).
+// (locked writes are immediately visible). Once ingest is degraded it
+// returns at once with the error that stopped the merger.
 func (g *guard[E]) Flush() error {
 	if rt := g.ing.Load(); rt != nil {
 		rt.waitPublished(rt.appended.Load())
+		return rt.err()
 	}
 	return nil
 }
@@ -243,6 +257,9 @@ func (g *guard[E]) SnapshotEpoch() uint64 {
 // into the coalescing buffer, return. Visibility comes later, at the next
 // publish; Flush() waits for it.
 func (rt *ingestRuntime[E]) ingestAppend(vals []float64, idx []int) error {
+	if err := rt.err(); err != nil {
+		return err
+	}
 	d := ingest.Delta{Idx: idx, Vals: vals}
 	var walBytes uint64
 	rt.appendMu.Lock()
@@ -315,13 +332,18 @@ func (rt *ingestRuntime[E]) loop() {
 // mutation (Optimize, Reconfigure, reselection), so a published generation
 // always reflects a prefix-consistent engine state. With an empty batch it
 // normally just advances the watermark; republish forces a fresh generation
-// anyway (forcePublish after a reconfigure).
+// anyway (forcePublish after a reconfigure). A failure to fold or publish
+// degrades ingest (degrade) and leaves the last generation published.
 func (rt *ingestRuntime[E]) mergeOnce(republish bool) {
 	g := rt.g
 	met := g.eng.metrics().ingest
 	start := time.Now()
 
 	g.mu.Lock()
+	if rt.fault.Load() != nil {
+		g.mu.Unlock()
+		return
+	}
 	batch := rt.buf.Drain()
 	if len(batch.Deltas) == 0 && !republish {
 		g.mu.Unlock()
@@ -334,20 +356,19 @@ func (rt *ingestRuntime[E]) mergeOnce(republish bool) {
 		return
 	}
 	for _, d := range batch.Deltas {
-		// Validated at append time; the only failure mode left is a bug.
+		// Validated at append time, so a failure here is a fault of the
+		// engine, which may now hold part of the batch.
 		if err := g.eng.applyDeltaRaw(d.Vals, d.Idx); err != nil {
-			panic(fmt.Sprintf("viewcube: ingest merge applying validated delta: %v", err))
+			rt.degrade(fmt.Errorf("applying a merged delta: %w", err))
+			g.mu.Unlock()
+			return
 		}
-	}
-	if len(batch.Deltas) > 0 {
-		g.eng.resetDerived()
 	}
 	gen, err := g.eng.snapshot()
 	if err != nil {
-		// The store vanished an element mid-clone under the write lock: a
-		// bug, not an operational error.
+		rt.degrade(fmt.Errorf("publishing a snapshot: %w", err))
 		g.mu.Unlock()
-		panic(fmt.Sprintf("viewcube: ingest snapshot: %v", err))
+		return
 	}
 	rt.pubMu.Lock()
 	epoch := rt.lc.Publish(gen)
@@ -377,6 +398,26 @@ func (rt *ingestRuntime[E]) mergeOnce(republish bool) {
 	met.MergeSeconds.Observe(time.Since(start).Seconds())
 }
 
+// degrade records the merge failure that stops ingest: appends and Flush
+// fail with it from now on, readers keep the generation published last, the
+// viewcube_ingest_degraded gauge reads 1 and waiters are woken.
+func (rt *ingestRuntime[E]) degrade(cause error) {
+	err := fmt.Errorf("%w: %w", ErrIngestDegraded, cause)
+	rt.fault.Store(&err)
+	rt.g.eng.metrics().ingest.Degraded.Set(1)
+	rt.pubMu.Lock()
+	rt.pubCond.Broadcast()
+	rt.pubMu.Unlock()
+}
+
+// err is the error that degraded ingest, or nil.
+func (rt *ingestRuntime[E]) err() error {
+	if p := rt.fault.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // watermark returns the publish watermark: every sequence at or below it is
 // visible to readers.
 func (rt *ingestRuntime[E]) watermark() uint64 {
@@ -390,7 +431,7 @@ func (rt *ingestRuntime[E]) watermark() uint64 {
 // than the accumulation interval.
 func (rt *ingestRuntime[E]) waitPublished(target uint64) {
 	rt.pubMu.Lock()
-	for rt.published < target && !rt.stopped {
+	for rt.published < target && !rt.stopped && rt.fault.Load() == nil {
 		select {
 		case rt.flushCh <- struct{}{}:
 		default:
@@ -406,7 +447,7 @@ func (rt *ingestRuntime[E]) waitPublished(target uint64) {
 func (rt *ingestRuntime[E]) forcePublish() {
 	rt.pubMu.Lock()
 	serial := rt.publishSerial
-	for rt.publishSerial == serial && !rt.stopped {
+	for rt.publishSerial == serial && !rt.stopped && rt.fault.Load() == nil {
 		select {
 		case rt.flushCh <- struct{}{}:
 		default:

@@ -56,8 +56,9 @@ type CloningStore interface {
 // in flight (reads do not touch shared mutable state).
 //
 // An element handed over sparse (HoldSparse) is held as its nonzeros: the
-// executor reads it with GetSparse, Get returns a fresh dense copy, and a
-// writer Puts that back, dense from then on.
+// executor and the range contraction read it as such (read, GetSparse), Get
+// returns a fresh dense copy, and a writer Puts that back, dense from then
+// on.
 type MemStore struct {
 	items  map[freq.Key]*ndarray.Array
 	sparse map[freq.Key]*ndarray.Coo
@@ -79,6 +80,18 @@ func (m *MemStore) Get(r freq.Rect) (*ndarray.Array, bool) {
 	}
 	a, ok := m.items[k]
 	return a, ok
+}
+
+// read returns element r as its array, or as its nonzeros when it is held
+// so (Get would densify it): the one lookup the executor and the range
+// contraction make per stored element.
+func (m *MemStore) read(r freq.Rect) (*ndarray.Array, *ndarray.Coo, bool) {
+	k := r.Key()
+	if a, ok := m.items[k]; ok {
+		return a, nil, true
+	}
+	c, ok := m.sparse[k]
+	return nil, c, ok
 }
 
 // GetSparse returns the element if it is held as its nonzeros.

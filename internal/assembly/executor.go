@@ -125,12 +125,15 @@ func (ex *Executor) leaseDense(c *ndarray.Coo) *ndarray.Array {
 // cell counts as read, zeros included.
 func (ex *Executor) read(x *obs.ExecCtx, sp *obs.Span, r freq.Rect) (a *ndarray.Array, c *ndarray.Coo, ok bool) {
 	if ms, isMem := ex.eng.store.(*MemStore); isMem {
-		c, ok = ms.GetSparse(r)
+		a, c, ok = ms.read(r)
+	} else {
+		a, ok = ex.eng.get(x, r)
 	}
 	size := 0
-	if ok {
+	switch {
+	case c != nil:
 		size = c.Size()
-	} else if a, ok = ex.eng.get(x, r); ok {
+	case ok:
 		size = a.Size()
 	}
 	ex.eng.met.CellsRead.Add(uint64(size))

@@ -659,6 +659,20 @@ func (r *Registry) Cubes() []CubeStatus {
 	return out
 }
 
+// Degraded names, in registration order, the cubes whose streaming ingest
+// has stopped on a failed merge (IngestStats.Degraded).
+func (r *Registry) Degraded() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for _, name := range r.order {
+		if ing, ok := r.cubes[name].handle.(Ingester); ok && ing.IngestStats().Degraded != "" {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // ViewStatus describes one compiled view for listings.
 type ViewStatus struct {
 	Name     string   `json:"name"`

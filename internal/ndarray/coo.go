@@ -63,6 +63,10 @@ func ToCoo(a *Array) *Coo {
 // Size returns the logical number of cells, zeros included.
 func (c *Coo) Size() int { return c.size }
 
+// Entries returns the ascending row-major offsets of the held cells and
+// their values. Callers must not modify either slice.
+func (c *Coo) Entries() (off []int32, val []float64) { return c.off, c.val }
+
 // ShapeInto writes a copy of the shape into dst (resliced to length zero).
 func (c *Coo) ShapeInto(dst []int) []int { return c.hdr.ShapeInto(dst) }
 

@@ -238,6 +238,7 @@ type IngestMetrics struct {
 	PendingCells  *Gauge   // dirty cells awaiting the next merge
 	SnapshotEpoch *Gauge   // epoch of the current published snapshot
 	LagSeqs       *Gauge   // acknowledged deltas not yet visible to readers
+	Degraded      *Gauge   // 1 once a merge failed and ingest stopped
 	MergeSeconds  *Histogram
 }
 
@@ -256,22 +257,24 @@ func NewIngestMetrics(r *Registry) *IngestMetrics {
 		PendingCells:  r.Gauge("viewcube_ingest_pending_cells", "Dirty cells in the ingest buffer awaiting the next merge."),
 		SnapshotEpoch: r.Gauge("viewcube_ingest_snapshot_epoch", "Epoch of the currently published snapshot."),
 		LagSeqs:       r.Gauge("viewcube_ingest_lag_seqs", "Acknowledged deltas not yet visible to readers (appended minus published watermark)."),
+		Degraded:      r.Gauge("viewcube_ingest_degraded", "1 once a merge failed: appends fail, readers keep the last published snapshot."),
 		MergeSeconds:  r.Histogram("viewcube_ingest_merge_seconds", "Wall-clock duration of background merge cycles, in seconds.", nil),
 	}
 }
 
-// RangeMetrics instruments §6 range aggregation.
+// RangeMetrics instruments §6 range aggregation: the engine's range and
+// grouped-range contractions, or a §6 Querier's pyramid reads.
 type RangeMetrics struct {
 	RangeQueries *Counter
-	CellsRead    *Counter
-	ElementMiss  *Counter // intermediate elements fetched (pyramid cache misses)
+	CellsRead    *Counter // cells contracted (a Querier: pyramid cells read)
+	ElementMiss  *Counter // stored elements contracted (a Querier: pyramid misses)
 }
 
 // NewRangeMetrics registers the range-aggregation instrument set.
 func NewRangeMetrics(r *Registry) *RangeMetrics {
 	return &RangeMetrics{
-		RangeQueries: r.Counter("viewcube_range_queries_total", "Range-SUM queries answered through intermediate elements."),
-		CellsRead:    r.Counter("viewcube_range_cells_read_total", "Intermediate-element cells read by range queries (the §6 cost)."),
-		ElementMiss:  r.Counter("viewcube_range_element_fetches_total", "Intermediate elements fetched into the range querier's pyramid cache."),
+		RangeQueries: r.Counter("viewcube_range_queries_total", "Range-SUM queries answered by contracting the stored elements."),
+		CellsRead:    r.Counter("viewcube_range_cells_read_total", "Stored cells contracted by range and grouped-range sums (the §6 cost)."),
+		ElementMiss:  r.Counter("viewcube_range_element_fetches_total", "Stored elements contracted by range and grouped-range sums."),
 	}
 }

@@ -137,45 +137,6 @@ func TestCacheInvalidationSplitsFlights(t *testing.T) {
 	<-done
 }
 
-func TestDecomposeBoxLegs(t *testing.T) {
-	legs := DecomposeBox([]int{1, 0}, []int{6, 8}, []bool{false, true})
-	if len(legs) != 2 {
-		t.Fatalf("legs %v", legs)
-	}
-	if legs[0].Keep || len(legs[0].Blocks) != len(DyadicBlocks(1, 6)) {
-		t.Fatalf("filtered leg %+v", legs[0])
-	}
-	if !legs[1].Keep || len(legs[1].Blocks) != 1 {
-		t.Fatalf("kept leg %+v", legs[1])
-	}
-	// Blocks must tile [1,7) exactly.
-	covered := 0
-	for _, b := range legs[0].Blocks {
-		covered += b.Size()
-	}
-	if covered != 6 {
-		t.Fatalf("blocks cover %d cells, want 6", covered)
-	}
-}
-
-func TestLowerRangeCost(t *testing.T) {
-	lg := GroupedRange([]int{1, 0}, []int{6, 8}, []bool{false, true})
-	ph, err := lg.LowerRange()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(DyadicBlocks(1, 6)) // kept dims don't multiply the cost
-	if ph.Cost != want {
-		t.Fatalf("cost %d, want %d", ph.Cost, want)
-	}
-	if ph.Assembly != nil || len(ph.Legs) != 2 {
-		t.Fatalf("physical %+v", ph)
-	}
-	if _, err := Element(freq.Rect{1}).LowerRange(); err == nil {
-		t.Fatal("LowerRange on an element node must fail")
-	}
-}
-
 func newTestEngine(t testing.TB) *assembly.Engine {
 	// Built by hand rather than via internal/workload: that package reaches
 	// rangeagg, which imports plan — a test-only cycle.
@@ -236,29 +197,6 @@ func TestPlannerElementParity(t *testing.T) {
 	}
 	if ph3.Cost != ph1.Cost {
 		t.Fatalf("recompiled cost %d, want %d", ph3.Cost, ph1.Cost)
-	}
-}
-
-// TestPlannerLowerDispatch checks Lower routes element nodes through the
-// cache and range nodes through pure geometry.
-func TestPlannerLowerDispatch(t *testing.T) {
-	eng := newTestEngine(t)
-	p := NewPlanner(eng)
-	el := Element(eng.Space().AggregatedViews()[1])
-	ph, err := p.Lower(nil, el)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Assembly == nil || ph.Logical != el {
-		t.Fatalf("element lowering %+v", ph)
-	}
-	rg := RangeSum([]int{1, 1}, []int{5, 5})
-	ph, err = p.Lower(nil, rg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ph.Assembly != nil || len(ph.Legs) != 2 || ph.Epoch != p.Epoch() {
-		t.Fatalf("range lowering %+v", ph)
 	}
 }
 

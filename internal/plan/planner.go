@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"fmt"
-
 	"viewcube/internal/assembly"
 	"viewcube/internal/freq"
 	"viewcube/internal/obs"
@@ -94,6 +92,30 @@ func (p *Planner) Stats() rescache.Stats { return p.cache.Stats() }
 // entirely. While x carries a trace, a "plan" span is recorded with a
 // cache_hit attribute; a nil x means untraced.
 func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
+	pl, epoch, hit, err := p.compiled(x, r)
+	if err != nil {
+		return nil, err
+	}
+	return &Physical{
+		Logical:  Element(r),
+		Epoch:    epoch,
+		CacheHit: hit,
+		Assembly: pl,
+		Measure:  p.spec,
+		Cost:     assembly.PlanCost(pl),
+	}, nil
+}
+
+// Assembly is Element without the Physical around the operator tree: the
+// cached plan alone, for executors that need nothing else.
+func (p *Planner) Assembly(x *obs.ExecCtx, r freq.Rect) (*assembly.Plan, error) {
+	pl, _, _, err := p.compiled(x, r)
+	return pl, err
+}
+
+// compiled is the cache lookup (and, on a miss, the compile) behind Element
+// and Assembly, with the "plan" span.
+func (p *Planner) compiled(x *obs.ExecCtx, r freq.Rect) (*assembly.Plan, uint64, bool, error) {
 	var sp *obs.Span
 	if x.Tracing() { // the name costs a Sprintf per dimension: traced queries only
 		sp = x.Start("plan " + r.String())
@@ -107,7 +129,7 @@ func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
 		return p.src.ComputePlan(r)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
 	if hit {
 		sp.SetAttr("cache_hit", 1)
@@ -118,37 +140,5 @@ func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
 		sp.SetAttr("measure_width", int64(p.spec.Width))
 	}
 	sp.SetAttr("plan_ops", int64(pl.Ops))
-	return &Physical{
-		Logical:  Element(r),
-		Epoch:    epoch,
-		CacheHit: hit,
-		Assembly: pl,
-		Measure:  p.spec,
-		Cost:     assembly.PlanCost(pl),
-	}, nil
-}
-
-// Lower compiles any logical node to its physical plan: element kinds go
-// through the cache-aware Procedure 3 path, range kinds are lowered by pure
-// geometry and stamped with the current epoch (their per-element assembly
-// work flows through the same cache when executed).
-func (p *Planner) Lower(x *obs.ExecCtx, lg *Logical) (*Physical, error) {
-	switch lg.Kind {
-	case KindElement:
-		ph, err := p.Element(x, lg.Rect)
-		if err != nil {
-			return nil, err
-		}
-		ph.Logical = lg
-		return ph, nil
-	case KindRangeSum, KindGroupedRange:
-		ph, err := lg.LowerRange()
-		if err != nil {
-			return nil, err
-		}
-		ph.Epoch = p.cache.Epoch()
-		return ph, nil
-	default:
-		return nil, fmt.Errorf("plan: unknown logical kind %v", lg.Kind)
-	}
+	return pl, epoch, hit, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
-	"viewcube/internal/plan"
 )
 
 // GroupedRangeSum answers the classic OLAP "dice" query — SUM grouped by
@@ -46,9 +45,9 @@ func (q *Querier) GroupedRangeSumCtx(x *obs.ExecCtx, box Box, keep []bool) (*nda
 		}
 		outShape[m] = 1
 	}
-	// Lower through the shared plan IR: kept dimensions become whole-slab
-	// legs, filtered dimensions dyadic block legs.
-	legs := plan.DecomposeBox(box.Lo, box.Ext, keep)
+	// Kept dimensions become whole-slab legs, filtered dimensions dyadic
+	// block legs.
+	legs := DecomposeBox(box.Lo, box.Ext, keep)
 	// Every block combination extracts a slab of the same shape (outShape),
 	// so one pooled buffer, leased at the first element, serves the whole
 	// loop.

@@ -17,12 +17,12 @@ package rangeagg
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"viewcube/internal/freq"
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
-	"viewcube/internal/plan"
 	"viewcube/internal/rescache"
 	"viewcube/internal/velement"
 )
@@ -57,14 +57,63 @@ func (b Box) Cells() int {
 }
 
 // Block is one maximal aligned dyadic block [Start, Start+2^Level) on a
-// single dimension. It now lives in the shared plan IR; the alias keeps the
-// historical rangeagg API intact.
-type Block = plan.Block
+// single dimension: Start is a multiple of 2^Level. It is the unit of the
+// §6 range decomposition (one cell of an intermediate view element).
+type Block struct {
+	Start int
+	Level int
+}
+
+// Size returns the block length 2^Level.
+func (b Block) Size() int { return 1 << b.Level }
 
 // DyadicBlocks decomposes the 1-D interval [lo, lo+ext) into the canonical
-// minimal sequence of maximal aligned dyadic blocks. It delegates to the
-// shared plan IR (plan.DyadicBlocks); kept here for API compatibility.
-func DyadicBlocks(lo, ext int) []Block { return plan.DyadicBlocks(lo, ext) }
+// minimal sequence of maximal aligned dyadic blocks. For an interval inside
+// a domain of size n it produces at most 2·log2(n) blocks.
+func DyadicBlocks(lo, ext int) []Block {
+	if ext <= 0 || lo < 0 {
+		return nil
+	}
+	var out []Block
+	cur, end := lo, lo+ext
+	for cur < end {
+		// Largest power of two that both aligns with cur and fits.
+		k := bits.TrailingZeros(uint(cur))
+		if cur == 0 {
+			k = bits.Len(uint(end)) // unconstrained by alignment
+		}
+		for (1 << k) > end-cur {
+			k--
+		}
+		out = append(out, Block{Start: cur, Level: k})
+		cur += 1 << k
+	}
+	return out
+}
+
+// Leg is the range decomposition of one dimension: either the dyadic block
+// list of a filtered dimension, or a whole-axis read of a kept (grouped)
+// dimension.
+type Leg struct {
+	Dim    int
+	Keep   bool    // kept dimension: read whole slabs, never decomposed
+	Blocks []Block // dyadic blocks (one placeholder block when Keep)
+}
+
+// DecomposeBox splits a box into per-dimension legs. keep may be nil (no
+// grouped dimensions). Kept dimensions get one placeholder block; the
+// querier reads whole slabs along them.
+func DecomposeBox(lo, ext []int, keep []bool) []Leg {
+	legs := make([]Leg, len(lo))
+	for m := range lo {
+		if keep != nil && keep[m] {
+			legs[m] = Leg{Dim: m, Keep: true, Blocks: []Block{{Start: 0, Level: 0}}}
+			continue
+		}
+		legs[m] = Leg{Dim: m, Blocks: DyadicBlocks(lo[m], ext[m])}
+	}
+	return legs
+}
 
 // ElementSource supplies materialised view elements. Both
 // assembly.Materializer (compute from the cube) and an adapter around
@@ -206,9 +255,8 @@ func (q *Querier) RangeInto(x *obs.ExecCtx, box Box, out []float64) error {
 	defer sp.End()
 	x = x.Under(sp)
 	d := len(shape)
-	// Lower through the shared plan IR: one leg of dyadic blocks per
-	// dimension (§6 decomposition).
-	legs := plan.DecomposeBox(box.Lo, box.Ext, nil)
+	// One leg of dyadic blocks per dimension (§6 decomposition).
+	legs := DecomposeBox(box.Lo, box.Ext, nil)
 	// Iterate over the cartesian product of per-dimension blocks. The
 	// element is chosen by the block levels; the cell by the block starts.
 	idx := make([]int, d)

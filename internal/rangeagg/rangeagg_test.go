@@ -338,3 +338,24 @@ func TestGroupedRangeSumValidation(t *testing.T) {
 		t.Fatal("want error for bad box")
 	}
 }
+
+func TestDecomposeBoxLegs(t *testing.T) {
+	legs := DecomposeBox([]int{1, 0}, []int{6, 8}, []bool{false, true})
+	if len(legs) != 2 {
+		t.Fatalf("legs %v", legs)
+	}
+	if legs[0].Keep || len(legs[0].Blocks) != len(DyadicBlocks(1, 6)) {
+		t.Fatalf("filtered leg %+v", legs[0])
+	}
+	if !legs[1].Keep || len(legs[1].Blocks) != 1 {
+		t.Fatalf("kept leg %+v", legs[1])
+	}
+	// Blocks must tile [1,7) exactly.
+	covered := 0
+	for _, b := range legs[0].Blocks {
+		covered += b.Size()
+	}
+	if covered != 6 {
+		t.Fatalf("blocks cover %d cells, want 6", covered)
+	}
+}

@@ -5,6 +5,9 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"viewcube"
+	"viewcube/internal/catalog"
 )
 
 func getBody(t *testing.T, url string) (*http.Response, string) {
@@ -29,6 +32,43 @@ func TestHealthz(t *testing.T) {
 	}
 	if out["status"] != "ok" {
 		t.Fatalf("healthz body %v", out)
+	}
+}
+
+// ingestHandle is a handle with the streaming-write face.
+type ingestHandle interface {
+	catalog.CubeHandle
+	catalog.Ingester
+}
+
+// degradedHandle reports its ingest as stopped on a failed merge.
+type degradedHandle struct{ ingestHandle }
+
+func (h degradedHandle) IngestStats() viewcube.IngestStats {
+	st := h.ingestHandle.IngestStats()
+	st.Degraded = "viewcube: ingest is degraded: injected"
+	return st
+}
+
+// TestHealthzDegraded: a cube whose ingest is degraded turns /healthz into a
+// 503 that names it.
+func TestHealthzDegraded(t *testing.T) {
+	cube, eng := newCubeEngine(t)
+	h := catalog.NewSafeHandle(cube, eng.Safe())
+	reg := catalog.NewRegistry()
+	if err := reg.RegisterHandle("sales", degradedHandle{h.(ingestHandle)}); err != nil {
+		t.Fatal(err)
+	}
+	ts := newTestServer(t, NewCatalog(reg, quiet))
+	var out struct {
+		Status   string   `json:"status"`
+		Degraded []string `json:"degraded"`
+	}
+	if resp := getJSON(t, ts.URL+"/healthz", &out); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("healthz status %d, want 503", resp.StatusCode)
+	}
+	if out.Status != "degraded" || len(out.Degraded) != 1 || out.Degraded[0] != "sales" {
+		t.Fatalf("healthz body %+v", out)
 	}
 }
 

@@ -835,6 +835,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleHealthz answers 200 {"status":"ok"}, or 503 naming the cubes whose
+// ingest is degraded: they still answer reads, from the last published
+// snapshot, but take no writes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if bad := s.reg.Degraded(); len(bad) > 0 {
+		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "degraded", "degraded": bad})
+		return
+	}
 	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"viewcube/internal/relation"
 )
@@ -15,6 +16,8 @@ import (
 type mass struct {
 	mu  sync.Mutex
 	sum []float64
+	// top is the bits of the largest component of sum, for lock-free reads.
+	top atomic.Uint64
 }
 
 // massOf is the mass of width component planes laid end to end in data.
@@ -39,8 +42,16 @@ func (m *mass) admit(vals []float64) error {
 			return fmt.Errorf("viewcube: %v would take the cube's Σ|v| past %g, where a cell could overflow", vals, relation.MaxMass)
 		}
 	}
+	top := 0.0
 	for c, v := range vals {
 		m.sum[c] += math.Abs(v)
+		top = max(top, m.sum[c])
 	}
+	m.top.Store(math.Float64bits(top))
 	return nil
 }
+
+// bound is the largest component's Σ|v|: every plane of every view element
+// sums to at most this in magnitude. It only grows, so a stale read is still
+// a bound for what it was read against.
+func (m *mass) bound() float64 { return math.Float64frombits(m.top.Load()) }

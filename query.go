@@ -124,7 +124,7 @@ func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 		if berr != nil {
 			return nil, berr
 		}
-		if arr, err = a.eng.rq.GroupedRangeSumCtx(x, box, keepMask); err != nil {
+		if arr, err = a.eng.groupedRange(x, box, keepMask); err != nil {
 			return nil, err
 		}
 		if el, err = a.eng.cube.ViewKeeping(q.GroupBy...); err != nil {

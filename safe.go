@@ -39,12 +39,10 @@ type guarded[E any] interface {
 	// rejects it if a cell could then overflow; it locks for itself.
 	admit(vals []float64) error
 	// applyDeltaRaw is per-delta maintenance — every stored element plus the
-	// raw cube, one cell per component — with no cache invalidation;
-	// resetDerived is the once-per-batch reset of the caches derived from
-	// stored values. Plan geometry is value-independent, so neither touches
-	// the plan cache.
+	// raw cube, one cell per component. Plan geometry is value-independent,
+	// so it leaves the plan cache alone, and nothing else is derived from
+	// stored values.
 	applyDeltaRaw(vals []float64, idx []int) error
-	resetDerived()
 	// snapshot clones the store and derives a read-only generation over the
 	// clone: the payload of one MVCC snapshot.
 	snapshot() (E, error)
