@@ -10,6 +10,7 @@ package viewcube_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,7 +184,7 @@ func BenchmarkMaterializeWaveletBasis(b *testing.B) {
 // one aggregated view from a materialised wavelet basis: cached plan
 // lookup (the PR 3 planner) + pooled fused execution. This is the per-query
 // cost a warmed engine pays — planning runs once per epoch, execution every
-// time — so allocs/op here tracks the executor's pooling, not the DP.
+// time — so allocs/op here tracks the read kernel's pooling, not the DP.
 func BenchmarkAssembleViewFromBasis(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	s := velement.MustSpace(32, 32, 32)
@@ -340,9 +341,40 @@ func BenchmarkRangeSumPrefix(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineGroupBy measures the public API end to end on a relational
-// cube.
+// BenchmarkEngineGroupBy measures the public API end to end: GroupBy on a
+// relational cube's root (root/product), and every group-by of one to three
+// dimensions of a 64×16×32×4, 100 000-row cube on its Algorithm 1 basis,
+// through SafeEngine.GroupByResult (basis131k/<kept dimensions>). The basis
+// stores some of these views and synthesizes the others.
 func BenchmarkEngineGroupBy(b *testing.B) {
+	b.Run("root/product", benchEngineGroupByRoot)
+	var safe *viewcube.SafeEngine
+	dims := []string{"product", "region", "day", "channel"}
+	for mask := 1; mask < 1<<len(dims)-1; mask++ {
+		var keep []string
+		for m, d := range dims {
+			if mask&(1<<m) != 0 {
+				keep = append(keep, d)
+			}
+		}
+		b.Run("basis131k/"+strings.Join(keep, ","), func(b *testing.B) {
+			if safe == nil {
+				safe = basis131k(b).Safe()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, _, err := safe.GroupByResult(false, keep...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r.Release()
+			}
+		})
+	}
+}
+
+func benchEngineGroupByRoot(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	tbl, err := workload.SalesTable(rng, 100, 8, 60, 20000)
 	if err != nil {
@@ -734,7 +766,7 @@ func benchAvgTable(b *testing.B, rows int) *viewcube.Table {
 
 // BenchmarkGroupByAvgTwoEngine measures the historical AVG design this PR
 // replaced: two full engines — a SUM cube and a COUNT cube, each with its
-// own store, planner and executor — answering GROUP BY twice and dividing.
+// own store and planner — answering GROUP BY twice and dividing.
 func BenchmarkGroupByAvgTwoEngine(b *testing.B) {
 	tbl := benchAvgTable(b, 20000)
 	sumCube, err := viewcube.FromRelation(tbl)
@@ -845,6 +877,27 @@ func rangeBenchCube(b *testing.B, shape [4]int, rows int) *viewcube.Cube {
 	return cube
 }
 
+// basis131k is an engine over rangeBenchCube's 64×16×32×4, 100 000-row cube
+// on the Algorithm 1 basis of a workload of four group-bys.
+func basis131k(b *testing.B) *viewcube.Engine {
+	b.Helper()
+	cube := rangeBenchCube(b, [4]int{64, 16, 32, 4}, 100000)
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := cube.NewWorkload()
+	for _, keep := range [][]string{{"product"}, {"region", "day"}, {"channel"}, {}} {
+		if err := w.AddViewKeeping(1, keep...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := eng.Optimize(w); err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
 // rangeBenchBoxes draws a pool of boxes filtering `filtered` dimensions.
 func rangeBenchBoxes(shape [4]int, dims []string, filtered, count int) []map[string]viewcube.ValueRange {
 	rng := rand.New(rand.NewSource(int64(filtered)))
@@ -890,19 +943,7 @@ func BenchmarkRangeContraction(b *testing.B) {
 			var err error
 			switch s.name {
 			case "basis131k":
-				cube = rangeBenchCube(b, s.shape, 100000)
-				if eng, err = cube.NewEngine(viewcube.EngineOptions{}); err != nil {
-					b.Fatal(err)
-				}
-				w := cube.NewWorkload()
-				for _, keep := range [][]string{{"product"}, {"region", "day"}, {"channel"}, {}} {
-					if err := w.AddViewKeeping(1, keep...); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := eng.Optimize(w); err != nil {
-					b.Fatal(err)
-				}
+				eng = basis131k(b)
 				basis = eng
 			case "sparseRoot1M":
 				cube = rangeBenchCube(b, s.shape, 70000)

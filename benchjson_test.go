@@ -53,7 +53,7 @@ func TestBenchJSON(t *testing.T) {
 		name string
 		fn   func(*testing.B)
 	}{
-		{"EngineGroupBy", BenchmarkEngineGroupBy},
+		{"EngineGroupBy", benchEngineGroupByRoot},
 		{"ParallelGroupBy", BenchmarkParallelGroupBy},
 		{"AssembleViewFromBasis", BenchmarkAssembleViewFromBasis},
 		{"PlanCacheMiss", BenchmarkPlanCacheMiss},

@@ -32,7 +32,7 @@ func safeEngine(t *testing.T, rows string) (*viewcube.Cube, *viewcube.SafeEngine
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cube.NewEngine(viewcube.EngineOptions{ExecWorkers: 1})
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

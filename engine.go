@@ -78,16 +78,6 @@ type EngineOptions struct {
 	// private registry, reachable via Engine.Metrics. Sharing one Metrics
 	// across engines aggregates their series.
 	Metrics *Metrics
-	// ExecWorkers bounds intra-query execution parallelism: independent
-	// synthesize subtrees of one plan run on up to this many goroutines.
-	// 0 defaults to GOMAXPROCS; 1 forces serial execution. Traced and
-	// untraced queries parallelise identically (spans attach atomically).
-	ExecWorkers int
-	// ParallelExecCells is the minimum cell count at which a synthesize
-	// node fans out; smaller nodes stay serial (goroutine handoff would
-	// cost more than it hides). 0 defaults to
-	// assembly.DefaultParallelCells.
-	ParallelExecCells int
 }
 
 // Engine answers queries against a cube by dynamically assembling views
@@ -105,10 +95,9 @@ type Engine struct {
 	st     assembly.Store
 	inner  *adaptive.Engine
 	met    *Metrics
-	opts   EngineOptions // retained so snapshot generations copy the executor config
-	fork   bool          // a later engine over an attached cube: it works on a copy and never writes cube.data
-	mass   *mass         // what the cube has taken in, shared with its snapshot generations
-	planes int           // measure planes per cell: 1, or 3 under an AggEngine
+	fork   bool  // a later engine over an attached cube: it works on a copy and never writes cube.data
+	mass   *mass // what the cube has taken in, shared with its snapshot generations
+	planes int   // measure planes per cell: 1, or 3 under an AggEngine
 }
 
 // Stats re-exports the adaptive engine's counters.
@@ -163,13 +152,12 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	if met == nil {
 		met = NewMetrics()
 	}
-	e := &Engine{cube: c, st: st, inner: inner, met: met, opts: opts, fork: c.attached, mass: m, planes: planes}
+	e := &Engine{cube: c, st: st, inner: inner, met: met, fork: c.attached, mass: m, planes: planes}
 	if fs, ok := st.(*store.FileStore); ok {
 		fs.SetMetrics(met.store)
 	}
 	inner.SetMetrics(met.adaptive)
 	inner.Assembler().SetMetrics(met.assembly)
-	inner.Assembler().SetExecutor(opts.ExecWorkers, opts.ParallelExecCells)
 	inner.Planner().SetMetrics(met.plans)
 	if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
 		c.holder = ms
@@ -254,7 +242,7 @@ func (e *Engine) rawCells() int {
 // snapshot deep-copies every materialised element into a fresh MemStore and
 // derives a read-only sibling engine over it. The sibling shares the cube,
 // the metrics, the mass, the adaptive workload profile and the
-// (epoch-pinned) plan cache; the store and the assembly executor are
+// (epoch-pinned) plan cache; the store and the assembly engine are
 // generation-local, so queries against it never touch the base engine's
 // mutable store.
 func (e *Engine) snapshot() (*Engine, error) {
@@ -268,9 +256,8 @@ func (e *Engine) snapshot() (*Engine, error) {
 			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
 		}
 	}
-	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, opts: e.opts, mass: e.mass, planes: e.planes}
+	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, planes: e.planes}
 	g.inner.Assembler().SetMetrics(e.met.assembly)
-	g.inner.Assembler().SetExecutor(e.opts.ExecWorkers, e.opts.ParallelExecCells)
 	return g, nil
 }
 

@@ -123,7 +123,7 @@ func New(space *velement.Space, st assembly.Store, opts Options) (*Engine, error
 // snapshot clone of this engine's store. The derived engine shares the
 // workload recorder, metrics and (epoch-pinned) planner cache, so queries
 // against a pinned snapshot feed the same adaptive profile and warm the
-// same plans as base queries; only the store and the assembly executor are
+// same plans as base queries; only the store and the assembly engine are
 // generation-local. Callers must not Reconfigure the derived engine.
 func (e *Engine) ForStore(st assembly.Store) *Engine {
 	inner := assembly.NewEngine(e.space, st)

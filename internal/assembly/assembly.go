@@ -43,7 +43,7 @@ type CtxStore interface {
 // CloningStore is optionally implemented by stores whose Get already
 // returns a private copy of the element (e.g. a disk-backed store that
 // decodes or clones out of its cache). When ClonesOnGet reports true the
-// executor takes ownership of Get results directly instead of copying them
+// engine takes ownership of Get results directly instead of copying them
 // a second time — one copy per element, not two. Stores that return
 // shared arrays (MemStore) must not implement this or must report false.
 type CloningStore interface {
@@ -56,9 +56,8 @@ type CloningStore interface {
 // in flight (reads do not touch shared mutable state).
 //
 // An element handed over sparse (HoldSparse) is held as its nonzeros: the
-// executor and the range contraction read it as such (read, GetSparse), Get
-// returns a fresh dense copy, and a writer Puts that back, dense from then
-// on.
+// contraction reads it as such (read, GetSparse), Get returns a fresh dense
+// copy, and a writer Puts that back, dense from then on.
 type MemStore struct {
 	items  map[freq.Key]*ndarray.Array
 	sparse map[freq.Key]*ndarray.Coo
@@ -83,8 +82,8 @@ func (m *MemStore) Get(r freq.Rect) (*ndarray.Array, bool) {
 }
 
 // read returns element r as its array, or as its nonzeros when it is held
-// so (Get would densify it): the one lookup the executor and the range
-// contraction make per stored element.
+// so (Get would densify it): the one lookup the contraction makes per
+// stored element.
 func (m *MemStore) read(r freq.Rect) (*ndarray.Array, *ndarray.Coo, bool) {
 	k := r.Key()
 	if a, ok := m.items[k]; ok {

@@ -147,25 +147,27 @@ func TestMaterializeSetStoresClones(t *testing.T) {
 
 func TestEngineAnswersEveryElementFromWaveletBasis(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := velement.MustSpace(4, 4)
-	cube := randomCube(rng, 4, 4)
-	store, err := MaterializeSet(s, cube, velement.WaveletBasis(s))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(s, store)
-	s.Elements(func(r freq.Rect) bool {
-		got, err := eng.Answer(nil, r.Clone())
+	for _, shape := range [][]int{{4, 4}, {8, 4, 4}} {
+		s := velement.MustSpace(shape...)
+		cube := randomCube(rng, shape...)
+		store, err := MaterializeSet(s, cube, velement.WaveletBasis(s))
 		if err != nil {
-			t.Fatalf("%v: %v", r, err)
+			t.Fatal(err)
 		}
-		want, _ := haar.ApplyRect(cube, r)
-		if !got.Equal(want, 1e-6) {
-			t.Fatalf("%v: assembled element differs from direct computation (maxdiff %g)",
-				r, got.MaxAbsDiff(want))
-		}
-		return true
-	})
+		eng := NewEngine(s, store)
+		s.Elements(func(r freq.Rect) bool {
+			got, err := eng.Answer(nil, r.Clone())
+			if err != nil {
+				t.Fatalf("%v: %v", r, err)
+			}
+			want, _ := haar.ApplyRect(cube, r)
+			if !got.Equal(want, 1e-6) {
+				t.Fatalf("%v: assembled element differs from direct computation (maxdiff %g)",
+					r, got.MaxAbsDiff(want))
+			}
+			return true
+		})
+	}
 }
 
 func TestEngineAnswerFromCubeOnly(t *testing.T) {

@@ -13,7 +13,9 @@ import (
 	"viewcube/internal/obs"
 )
 
-// Range sums by contraction (DESIGN §6). A range sum over the box B of the
+// One kernel reads every plan (DESIGN §6, §10): a range sum, a grouped
+// range and the assembly of a whole element (Execute) are all contractions
+// of the stored elements the plan reads. A range sum over the box B of the
 // element a plan produces is linear in the stored elements:
 //
 //	Σ_B A = Σ_S ⟨Synthᵀ_S 1_B, S⟩
@@ -36,6 +38,14 @@ import (
 //     contracted over them and never densified.
 //
 // The cost is Σ_S Π_m nnz(w_m) cells, and nothing is cached between queries.
+//
+// Assembling element r is the contraction whose box is all of r and which
+// keeps every dimension of extent > 1: every summed dimension is a single
+// cell weighted 1. Two cases then need no weights at all. A stored leaf
+// with nothing summed is its own contraction, so a synthesis interleaves
+// the stored arrays in place. An aggregate whose summed dimensions are all
+// single cells weighted 1 is its source folded whole (FoldKInto), the last
+// fold writing straight into the destination.
 //
 // Exactness: weights are dyadic (k/2^L), so on integer cells every product
 // and partial sum is a multiple of 2^-L, L the summed depth of the partially
@@ -118,6 +128,11 @@ type contraction struct {
 	koff   []int     // a leaf's source offset of each output cell
 	toff   []int     // a leaf's gathered terms: source offsets
 	tw     []float64 // and weights
+	// assemble marks Execute's contraction: it counts plan nodes, modelled
+	// ops and cells read on the assembly metrics and, while traced, records
+	// one span per plan node (sp is the open one).
+	assemble, traced bool
+	sp               *obs.Span
 	// inOrder keeps a leaf's terms in the order contractSparse adds them:
 	// set for the root, the one element a store may hold sparse, whose
 	// dense and sparse forms must agree bit for bit on any cells.
@@ -154,20 +169,55 @@ func (e *Engine) ContractGrouped(x *obs.ExecCtx, p *Plan, lo, ext []int, keep []
 	}
 	c := e.contraction(x, p.Rect, planes, keep)
 	defer c.release()
-	var shapeBuf [freq.MaxRank]int
-	out := c.lease(c.keptShape(p.Rect, shapeBuf[:]))
-	var err error
 	if fastExact(bound, c.summedDepth(p.Rect, lo, ext)) {
 		c.start(p.Rect, lo, ext)
-		err = c.node(p, out, true)
-	} else {
-		err = c.groupedExact(p, lo, ext, out)
+		out, err := c.result(p)
+		return out, c.work, err
 	}
-	if err != nil {
+	var shapeBuf [freq.MaxRank]int
+	out := c.lease(planes, c.keptShape(p.Rect, shapeBuf[:]))
+	if err := c.groupedExact(p, lo, ext, out); err != nil {
 		ndarray.Recycle(out)
 		return nil, Work{}, err
 	}
 	return out, c.work, nil
+}
+
+// Execute runs a plan and returns the element it produces: the
+// contraction of the stored elements it reads over the whole element,
+// keeping every dimension of extent > 1. The result is pool-leased and
+// owned by the caller. While x carries a trace, an "execute" span holds one
+// span per plan node, whose "ops" attributes sum to the plan's cost.
+func (e *Engine) Execute(x *obs.ExecCtx, p *Plan) (*ndarray.Array, error) {
+	e.met.Executions.Inc()
+	r := p.Rect
+	if !e.space.Valid(r) {
+		return nil, fmt.Errorf("assembly: %v is not a view element of the space", r)
+	}
+	var keepBuf [freq.MaxRank]bool
+	var loBuf, extBuf [freq.MaxRank]int
+	keep, ext := keepBuf[:len(r)], extBuf[:len(r)]
+	for m := range r {
+		ext[m] = e.space.Dim(m) >> r[m].Depth()
+		keep[m] = ext[m] > 1
+	}
+	// Every operand of a whole element leases by its children's planes.
+	c := e.contraction(x, r, 0, keep)
+	defer c.release()
+	c.assemble, c.traced = true, x.Tracing()
+	c.start(r, loBuf[:len(r)], ext)
+	var sp *obs.Span
+	if c.traced {
+		sp = x.Start("execute " + r.String())
+		sp.SetAttr("total_ops", int64(p.Ops))
+		defer sp.End()
+		c.x = x.Under(sp)
+	}
+	out, err := c.result(p)
+	if err == nil && out.Planes() > 1 {
+		sp.SetAttr("measure_width", int64(out.Planes()))
+	}
+	return out, err
 }
 
 // checkBox validates a box and keep mask against element r's shape.
@@ -205,7 +255,8 @@ func (e *Engine) contraction(x *obs.ExecCtx, r freq.Rect, planes int, keep []boo
 
 // release returns c to the pool, holding no engine or trace.
 func (c *contraction) release() {
-	c.e, c.x, c.w = nil, nil, weights{}
+	c.e, c.x, c.sp, c.w = nil, nil, nil, weights{}
+	c.assemble, c.traced = false, false
 	contractions.Put(c)
 }
 
@@ -246,9 +297,8 @@ func (c *contraction) start(r freq.Rect, lo, ext []int) {
 // rangeInto contracts p over the box with nothing kept.
 func (c *contraction) rangeInto(p *Plan, lo, ext []int, out []float64) error {
 	var shapeBuf [freq.MaxRank]int
-	dst, _ := ndarray.ScratchPlanes(c.planes*c.accPerPlane(), c.keptShape(p.Rect, shapeBuf[:])...)
+	dst := c.lease(c.planes*c.accPerPlane(), c.keptShape(p.Rect, shapeBuf[:]))
 	defer ndarray.Recycle(dst)
-	clear(dst.Data())
 	c.start(p.Rect, lo, ext)
 	if err := c.node(p, dst, true); err != nil {
 		return err
@@ -312,24 +362,41 @@ func (c *contraction) keptShape(r freq.Rect, buf []int) []int {
 	return buf
 }
 
-func (c *contraction) lease(shape []int) *ndarray.Array {
-	a, _ := ndarray.ScratchPlanes(c.planes, shape...)
-	clear(a.Data())
+// lease takes a scratch array from the pool, counting the hit or miss on
+// the assembly metrics. Its contents are undefined.
+func (c *contraction) lease(planes int, shape []int) *ndarray.Array {
+	a, hit := ndarray.ScratchPlanes(planes, shape...)
+	if hit {
+		c.e.met.PoolHits.Inc()
+	} else {
+		c.e.met.PoolMisses.Inc()
+	}
 	return a
 }
 
 // node adds the contraction of the element p produces into dst, laid out
-// over p's kept dimensions. fresh reports that dst is still all zeros.
+// over p's kept dimensions. fresh reports that dst's contents are undefined:
+// the node overwrites it instead of adding.
 func (c *contraction) node(p *Plan, dst *ndarray.Array, fresh bool) error {
 	switch p.Kind {
 	case PlanStored:
-		return c.contractStored(p.Rect, dst)
+		return c.contractStored(p.Rect, dst, fresh)
 	case PlanAggregate:
-		return c.aggregate(p, dst, fresh)
+		_, err := c.aggregate(p, dst, fresh)
+		return err
 	case PlanSynthesize:
 		m := p.Dim
 		if c.keep[m] {
-			return c.synthesizeKept(p, dst, fresh)
+			out, err := c.synthesizeKept(p)
+			if err == nil {
+				if fresh {
+					copy(dst.Data(), out.Data())
+				} else {
+					addInto(dst, out)
+				}
+				ndarray.Recycle(out)
+			}
+			return err
 		}
 		d, w := &c.dims[m], c.w[m]
 		k := p.Partial.Rect[m].Depth()
@@ -349,6 +416,10 @@ func (c *contraction) node(p *Plan, dst *ndarray.Array, fresh bool) error {
 		if !wr.empty() && err == nil {
 			c.w[m] = wr
 			err = c.node(p.Residual, dst, fresh)
+			fresh = false
+		}
+		if fresh {
+			clear(dst.Data())
 		}
 		c.w[m] = w
 		return err
@@ -392,30 +463,174 @@ func push(w, part, res *wvec) {
 	res.idx, res.val = ri[:nr], rv[:nr]
 }
 
+// enter accounts plan node p of an assembly on the metrics and, while
+// traced, opens its span and makes it the parent of what the node reads.
+// The returned func ends the span.
+func (c *contraction) enter(p *Plan) func() {
+	met, ops, name := c.e.met, p.Ops, ""
+	switch p.Kind {
+	case PlanStored:
+		met.StoredNodes.Inc()
+	case PlanAggregate:
+		met.AggregateNodes.Inc()
+	case PlanSynthesize:
+		met.SynthesizeNodes.Inc()
+		ops -= p.Partial.Ops + p.Residual.Ops
+	}
+	met.OpsModeled.Add(uint64(ops))
+	if !c.traced {
+		return func() {}
+	}
+	switch p.Kind {
+	case PlanStored:
+		name = "stored " + p.Rect.String()
+	case PlanAggregate:
+		name = "aggregate " + p.Rect.String() + " from " + p.Source.String()
+	default:
+		name = fmt.Sprintf("synthesize %s dim=%d", p.Rect.String(), p.Dim)
+	}
+	sp, x, parent := c.x.Start(name), c.x, c.sp
+	if p.Kind != PlanStored {
+		sp.SetAttr("ops", int64(ops))
+	}
+	c.x, c.sp = x.Under(sp), sp
+	return func() {
+		sp.End()
+		c.x, c.sp = x, parent
+	}
+}
+
 // synthesizeKept contracts both children of a synthesis on a kept dimension
-// and joins them by perfect reconstruction.
-func (c *contraction) synthesizeKept(p *Plan, dst *ndarray.Array, fresh bool) error {
+// and joins them by perfect reconstruction into a lease.
+func (c *contraction) synthesizeKept(p *Plan) (*ndarray.Array, error) {
+	part, ownPart, err := c.operand(p.Partial)
+	if err != nil {
+		return nil, err
+	}
+	if ownPart {
+		defer ndarray.Recycle(part)
+	}
+	res, ownRes, err := c.operand(p.Residual)
+	if err != nil {
+		return nil, err
+	}
+	if ownRes {
+		defer ndarray.Recycle(res)
+	}
 	var shapeBuf [freq.MaxRank]int
-	shape := c.keptShape(p.Partial.Rect, shapeBuf[:])
-	part, res := c.lease(shape), c.lease(shape)
-	defer ndarray.Recycle(part)
-	defer ndarray.Recycle(res)
-	if err := c.node(p.Partial, part, true); err != nil {
-		return err
+	shape := part.ShapeInto(shapeBuf[:0])
+	shape[p.Dim] *= 2
+	out := c.lease(part.Planes(), shape)
+	if err := ndarray.InterleaveInto(p.Dim, part, res, out); err != nil {
+		ndarray.Recycle(out)
+		return nil, err
 	}
-	if err := c.node(p.Residual, res, true); err != nil {
-		return err
+	return out, nil
+}
+
+// result is the contraction of the element p produces as a lease the
+// caller keeps: a stored element's own array comes back copied.
+func (c *contraction) result(p *Plan) (*ndarray.Array, error) {
+	out, owned, err := c.operand(p)
+	if err == nil && !owned {
+		out, err = c.cascade(out, false, nil, true, nil, true)
 	}
-	if fresh {
-		return ndarray.InterleaveInto(p.Dim, part, res, dst)
+	return out, err
+}
+
+// operand returns the contraction of the element p produces as an array
+// over p's kept dimensions, and whether the caller owns it. With nothing
+// summed (unit) a stored element is its own contraction: the store's array
+// itself, or a CloningStore's private copy. An assembly's plan is unit all
+// the way down, so only range contractions reach node from here.
+func (c *contraction) operand(p *Plan) (*ndarray.Array, bool, error) {
+	if !c.unit(p.Rect) && (p.Kind != PlanSynthesize || !c.keep[p.Dim]) {
+		var shapeBuf [freq.MaxRank]int
+		dst := c.lease(c.planes*c.accPerPlane(), c.keptShape(p.Rect, shapeBuf[:]))
+		if err := c.node(p, dst, true); err != nil {
+			ndarray.Recycle(dst)
+			return nil, false, err
+		}
+		return dst, true, nil
 	}
-	joined := c.lease(dst.ShapeInto(shapeBuf[:0]))
-	defer ndarray.Recycle(joined)
-	if err := ndarray.InterleaveInto(p.Dim, part, res, joined); err != nil {
-		return err
+	if c.assemble {
+		defer c.enter(p)()
 	}
-	addInto(dst, joined)
-	return nil
+	var out *ndarray.Array
+	var err error
+	switch p.Kind {
+	case PlanSynthesize:
+		out, err = c.synthesizeKept(p)
+	case PlanAggregate:
+		out, err = c.aggregate(p, nil, true)
+	case PlanStored:
+		a, coo, err := c.whole(p.Rect)
+		if err != nil || coo == nil {
+			return a, c.e.cloning, err
+		}
+		// Its cells, negative zeros included: a contraction would add them to +0.
+		var shapeBuf [freq.MaxRank]int
+		out = c.lease(1, coo.ShapeInto(shapeBuf[:0]))
+		coo.DenseInto(out)
+	default:
+		err = fmt.Errorf("assembly: unknown plan kind %v", p.Kind)
+	}
+	return out, true, err
+}
+
+// unit reports whether every summed dimension is a single cell of element
+// r weighted 1, so that r's contraction is r itself laid out over the kept
+// dimensions. It holds throughout Execute.
+func (c *contraction) unit(r freq.Rect) bool {
+	for m := 0; m < c.rank; m++ {
+		if w := c.w[m]; !c.keep[m] && (len(w.idx) != 1 || w.val[0] != 1 || c.e.space.Dim(m)>>r[m].Depth() != 1) {
+			return false
+		}
+	}
+	return !c.exact
+}
+
+// read fetches stored element r: as its nonzeros (coo) when a MemStore
+// holds it so, else as an array, a CloningStore's private copy when
+// e.cloning. An assembly counts every cell, zeros included, as read.
+func (c *contraction) read(r freq.Rect) (a *ndarray.Array, coo *ndarray.Coo, err error) {
+	ok := false
+	if ms, isMem := c.e.store.(*MemStore); isMem {
+		a, coo, ok = ms.read(r)
+	} else {
+		a, ok = c.e.get(c.x, r)
+	}
+	if !ok {
+		return nil, nil, fmt.Errorf("assembly: plan references %v but it is not stored", r)
+	}
+	if c.assemble {
+		size := 0
+		if coo != nil {
+			size = coo.Size()
+		} else {
+			size = a.Size()
+		}
+		c.e.met.CellsRead.Add(uint64(size))
+		c.sp.SetAttr("cells", int64(size))
+	}
+	return a, coo, nil
+}
+
+// whole reads stored element r to be contracted whole, counting it and its
+// cells (held nonzeros, if held sparse) on the work.
+func (c *contraction) whole(r freq.Rect) (*ndarray.Array, *ndarray.Coo, error) {
+	a, coo, err := c.read(r)
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case coo != nil:
+		offs, _ := coo.Entries()
+		c.work.Cells += len(offs)
+	default:
+		c.work.Cells += a.Cells()
+	}
+	c.work.Elements++
+	return a, coo, nil
 }
 
 func addInto(dst, src *ndarray.Array) {
@@ -427,14 +642,36 @@ func addInto(dst, src *ndarray.Array) {
 
 // aggregate contracts the stored ancestor of an aggregate node: weights on
 // summed fold dimensions are lifted to the ancestor's resolution, kept fold
-// dimensions are folded after the contraction.
-func (c *contraction) aggregate(p *Plan, dst *ndarray.Array, fresh bool) error {
+// dimensions are folded after the contraction. With nothing summed the
+// ancestor is folded whole. A nil dst asks for the result as a lease.
+func (c *contraction) aggregate(p *Plan, dst *ndarray.Array, fresh bool) (*ndarray.Array, error) {
 	folds := p.Folds
 	if folds == nil {
 		var err error
 		if folds, err = haar.PathFolds(p.Source, p.Rect); err != nil {
-			return err
+			return nil, err
 		}
+	}
+	if len(folds) == 0 {
+		return nil, fmt.Errorf("assembly: aggregate %v from itself", p.Rect)
+	}
+	if c.unit(p.Rect) {
+		a, coo, err := c.whole(p.Source)
+		if err != nil {
+			return nil, err
+		}
+		own := c.e.cloning
+		if coo != nil { // the first fold reads the nonzeros
+			var shapeBuf [freq.MaxRank]int
+			shape, f := coo.ShapeInto(shapeBuf[:0]), folds[0]
+			shape[f.Dim] = max(shape[f.Dim]>>uint(f.K), 1)
+			a, folds, own = c.lease(1, shape), folds[1:], true
+			if err := coo.FoldKInto(f.Dim, f.K, f.Signs, a); err != nil {
+				ndarray.Recycle(a)
+				return nil, err
+			}
+		}
+		return c.cascade(a, own, folds, true, dst, fresh)
 	}
 	keptFolds, at := false, c.w
 	defer func() { c.w = at }()
@@ -452,35 +689,70 @@ func (c *contraction) aggregate(p *Plan, dst *ndarray.Array, fresh bool) error {
 		c.w[f.Dim] = &d.lift
 	}
 	if !keptFolds {
-		return c.contractStored(p.Source, dst)
+		return dst, c.contractStored(p.Source, dst, fresh)
 	}
 	var shapeBuf [freq.MaxRank]int
-	cur := c.lease(c.keptShape(p.Source, shapeBuf[:]))
-	if err := c.contractStored(p.Source, cur); err != nil {
+	cur := c.lease(dst.Planes(), c.keptShape(p.Source, shapeBuf[:]))
+	if err := c.contractStored(p.Source, cur, true); err != nil {
 		ndarray.Recycle(cur)
-		return err
+		return nil, err
 	}
-	for _, f := range folds {
-		if !c.keep[f.Dim] {
+	return c.cascade(cur, true, folds, false, dst, fresh)
+}
+
+// cascade applies folds — all of them, or those on kept dimensions — to
+// cur, owned by the caller when own, and adds the result into dst, the
+// last fold writing straight into a fresh one; a nil dst gets the result
+// as a lease.
+func (c *contraction) cascade(cur *ndarray.Array, own bool, folds []haar.Fold, all bool, dst *ndarray.Array, fresh bool) (*ndarray.Array, error) {
+	var err error
+	last := -1
+	for i, f := range folds {
+		if all || c.keep[f.Dim] {
+			last = i
+		}
+	}
+	var shapeBuf [freq.MaxRank]int
+	for i, f := range folds[:last+1] {
+		if err != nil || !all && !c.keep[f.Dim] {
 			continue
 		}
-		shape := cur.ShapeInto(shapeBuf[:0])
-		shape[f.Dim] >>= uint(f.K)
-		next, _ := ndarray.ScratchPlanes(c.planes, shape...)
-		err := cur.FoldKInto(f.Dim, f.K, f.Signs, next)
-		ndarray.Recycle(cur)
-		if cur = next; err != nil {
-			ndarray.Recycle(cur)
-			return err
+		if cur.Dim(f.Dim)%(1<<uint(f.K)) != 0 {
+			err = fmt.Errorf("assembly: stored extent %d on dim %d is not divisible by 2^%d", cur.Dim(f.Dim), f.Dim, f.K)
+			continue
 		}
+		next := dst
+		if i < last || !fresh || dst == nil {
+			shape := cur.ShapeInto(shapeBuf[:0])
+			shape[f.Dim] >>= uint(f.K)
+			next = c.lease(cur.Planes(), shape)
+		}
+		err = cur.FoldKInto(f.Dim, f.K, f.Signs, next)
+		if own {
+			ndarray.Recycle(cur)
+		}
+		cur, own = next, next != dst
 	}
-	if fresh {
+	switch {
+	case err != nil:
+	case dst == nil && own:
+		return cur, nil
+	case dst == nil: // nothing folded: the stored array itself
+		dst = c.lease(cur.Planes(), cur.ShapeInto(shapeBuf[:0]))
 		copy(dst.Data(), cur.Data())
-	} else {
+	case cur == dst:
+	case fresh:
+		copy(dst.Data(), cur.Data())
+	default:
 		addInto(dst, cur)
 	}
-	ndarray.Recycle(cur)
-	return nil
+	if own {
+		ndarray.Recycle(cur)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // lift writes the weights of a fold's source: w_S[i·2^K + b] = sign(b)·w[i],
@@ -502,26 +774,22 @@ func lift(w *wvec, f haar.Fold, out *wvec) {
 
 // contractStored adds the contraction of stored element r under the current
 // weights into dst, which has r's extent on kept dimensions.
-func (c *contraction) contractStored(r freq.Rect, dst *ndarray.Array) error {
-	var a *ndarray.Array
-	var coo *ndarray.Coo
-	ok := false
-	if ms, isMem := c.e.store.(*MemStore); isMem {
-		a, coo, ok = ms.read(r)
-	} else {
-		a, ok = c.e.get(c.x, r)
-	}
+func (c *contraction) contractStored(r freq.Rect, dst *ndarray.Array, fresh bool) error {
+	a, coo, err := c.read(r)
 	switch {
-	case !ok:
-		return fmt.Errorf("assembly: plan references %v but it is not stored", r)
+	case err != nil:
+		return err
 	case coo != nil:
-		return c.contractSparse(coo, dst)
+		return c.contractSparse(coo, dst, fresh)
 	}
 	if c.e.cloning {
 		defer ndarray.Recycle(a) // a private copy, read once
 	}
 	if a.Planes()*c.accPerPlane() != dst.Planes() {
 		return fmt.Errorf("assembly: contracting %d planes of %v into %d", a.Planes(), r, dst.Planes())
+	}
+	if fresh {
+		clear(dst.Data())
 	}
 	// The summed dimensions in order, and the source offset of each output
 	// cell: dst is laid out row-major over the kept dimensions. A summed
@@ -735,9 +1003,12 @@ func addExact(acc *[2]float64, w, s float64) {
 // contractSparse is contractStored over an element held as its nonzeros:
 // each offset splits into coordinates by shifts and masks (extents are
 // powers of two), and its term enters its output cell as dense adds it.
-func (c *contraction) contractSparse(coo *ndarray.Coo, dst *ndarray.Array) error {
+func (c *contraction) contractSparse(coo *ndarray.Coo, dst *ndarray.Array, fresh bool) error {
 	if c.planes*c.accPerPlane() != dst.Planes() {
 		return fmt.Errorf("assembly: contracting a one-plane sparse element into %d planes", dst.Planes())
+	}
+	if fresh {
+		clear(dst.Data())
 	}
 	var shapeBuf [freq.MaxRank]int
 	shape := coo.ShapeInto(shapeBuf[:0])

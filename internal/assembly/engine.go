@@ -58,8 +58,8 @@ type Plan struct {
 
 	// Folds caches the fused per-dimension cascades for PlanAggregate
 	// (Source → Rect), precomputed at plan time so execution does not
-	// re-derive them per query. May be nil on hand-built plans; the
-	// executor then falls back to haar.PathFolds.
+	// re-derive them per query. May be nil on hand-built plans; execution
+	// then falls back to haar.PathFolds.
 	Folds []haar.Fold
 }
 
@@ -77,32 +77,19 @@ type Engine struct {
 	space *velement.Space
 	store Store
 	met   *obs.AssemblyMetrics
-	ex    *Executor
 	// cloning records whether the store's Get already returns private
-	// copies (CloningStore), letting the executor skip its defensive copy
-	// on stored plan nodes.
+	// copies (CloningStore), letting a read keep them instead of copying
+	// again.
 	cloning bool
 }
 
-// NewEngine returns an engine over the given space and store, executing
-// plans with a default Executor (GOMAXPROCS workers, DefaultParallelCells
-// fan-out threshold); tune it with SetExecutor.
+// NewEngine returns an engine over the given space and store.
 func NewEngine(space *velement.Space, store Store) *Engine {
 	e := &Engine{space: space, store: store, met: obs.NewAssemblyMetrics(nil)}
 	if cs, ok := store.(CloningStore); ok && cs.ClonesOnGet() {
 		e.cloning = true
 	}
-	e.ex = newExecutor(e, 0, 0)
 	return e
-}
-
-// SetExecutor replaces the engine's executor configuration: workers bounds
-// intra-query parallelism (≤ 0 means GOMAXPROCS, 1 means serial) and
-// parallelCells is the minimum own-cell count at which a synthesize node
-// forks (≤ 0 means DefaultParallelCells). Call it during wiring, before
-// the engine is shared across goroutines.
-func (e *Engine) SetExecutor(workers, parallelCells int) {
-	e.ex = newExecutor(e, workers, parallelCells)
 }
 
 // SetMetrics attaches registered instruments; nil restores the no-op set.
@@ -148,7 +135,7 @@ func (e *Engine) Plan(x *obs.ExecCtx, r freq.Rect) (*Plan, error) {
 // ComputePlan runs the Procedure 3 cost recursion for element r with no
 // span bookkeeping — the raw planning primitive the cached planner wraps.
 // The returned tree is freshly built, immutable under execution, and safe
-// to share between concurrent executors.
+// to share between concurrent executions.
 func (e *Engine) ComputePlan(r freq.Rect) (*Plan, error) {
 	return computePlan(e.space, e.store.Elements(), e.met, r)
 }
@@ -162,16 +149,6 @@ func (e *Engine) Answer(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
 		return nil, err
 	}
 	return e.Execute(x, plan)
-}
-
-// Execute runs a plan and returns the produced element. The result is
-// owned by the caller. Execution goes through the engine's Executor:
-// pooled scratch buffers, fused cascade kernels, and (for untraced
-// queries) bounded intra-query parallelism. While x carries a trace, one
-// span is recorded per plan node.
-func (e *Engine) Execute(x *obs.ExecCtx, p *Plan) (*ndarray.Array, error) {
-	e.met.Executions.Inc()
-	return e.ex.Run(x, p)
 }
 
 // get reads one stored element, forwarding the execution context to stores
@@ -223,8 +200,8 @@ func buildPlan(k *core.Proc3, r freq.Rect) *Plan {
 	default:
 		p := &Plan{Rect: r, Kind: PlanAggregate, Source: d.Source.Clone(), Ops: int(d.Cost)}
 		// Source contains r, so PathFolds cannot fail; a nil Folds on any
-		// unexpected error just defers derivation to the executor (which
-		// will surface it).
+		// unexpected error just defers derivation to execution (which will
+		// surface it).
 		p.Folds, _ = haar.PathFolds(p.Source, p.Rect)
 		return p
 	}

@@ -14,10 +14,10 @@ import (
 	"viewcube/internal/workload"
 )
 
-// deterministicOpts forces serial plan execution, so two engines built from
-// the same table produce bit-identical answers — the basis of the
-// exact-equality oracle tests.
-var deterministicOpts = viewcube.EngineOptions{ExecWorkers: 1}
+// deterministicOpts are the options of every engine the oracle tests build:
+// plan execution is deterministic, so two engines built from the same table
+// produce bit-identical answers — the basis of the exact-equality oracles.
+var deterministicOpts = viewcube.EngineOptions{}
 
 // salesTable generates a synthetic sales relation as a public Table.
 func salesTable(t testing.TB, rows int) *viewcube.Table {

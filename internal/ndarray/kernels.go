@@ -149,6 +149,15 @@ func InterleaveInto(m int, p, r, dst *Array) error {
 		}
 	}
 	ps, rs, out := p.data, r.data, dst.data
+	if inner == 1 { // m is innermost: the pairs are adjacent
+		out = out[:2*len(ps)]
+		for t, pv := range ps {
+			rv := rs[t]
+			out[2*t] = (pv + rv) / 2
+			out[2*t+1] = (pv - rv) / 2
+		}
+		return nil
+	}
 	for o := 0; o < outer; o++ {
 		sBase := o * n * inner
 		dBase := o * 2 * n * inner
@@ -221,6 +230,51 @@ func (a *Array) FoldKInto(m, k int, signs uint, dst *Array) error {
 	}
 	src, out := a.data, dst.data
 	nOut := n / block
+	switch {
+	case inner == 1: // m is innermost: each block is a contiguous run
+		out, neg := out[:outer*nOut], neg[1:]
+		for t := range out {
+			run := src[t*block : (t+1)*block]
+			acc := run[0]
+			if signs == 0 {
+				for _, v := range run[1:] {
+					acc += v
+				}
+			} else {
+				for b, v := range run[1:] {
+					if neg[b] {
+						acc -= v
+					} else {
+						acc += v
+					}
+				}
+			}
+			out[t] = acc
+		}
+		return nil
+	case inner <= 8: // short runs: each output cell sums its block in a register
+		for t := range outer * nOut {
+			blk, row := src[t*block*inner:(t+1)*block*inner], out[t*inner:(t+1)*inner]
+			for j := range row {
+				acc := blk[j]
+				if signs == 0 {
+					for s := j + inner; s < len(blk); s += inner {
+						acc += blk[s]
+					}
+				} else {
+					for b, s := 1, j+inner; s < len(blk); b, s = b+1, s+inner {
+						if neg[b] {
+							acc -= blk[s]
+						} else {
+							acc += blk[s]
+						}
+					}
+				}
+				row[j] = acc
+			}
+		}
+		return nil
+	}
 	for o := 0; o < outer; o++ {
 		sBase := o * n * inner
 		dBase := o * nOut * inner

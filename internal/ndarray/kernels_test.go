@@ -3,6 +3,7 @@ package ndarray
 import (
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -58,6 +59,46 @@ func TestFoldKMatchesStageAtATime(t *testing.T) {
 					if !got.SameShape(want) || got.MaxAbsDiff(want) != 0 {
 						t.Fatalf("FoldK(%v, m=%d, k=%d, signs=%#x) diverges from stage-at-a-time (max diff %g)",
 							shape, m, k, signs, got.MaxAbsDiff(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFoldKIntoSumsBlocksInOrder pins FoldKInto's arithmetic on real-valued
+// cells, where order changes bits: every output cell is its block's slot 0,
+// then slots 1, 2, … added or subtracted in turn — whether the folded
+// dimension is innermost, has a short run inside it or a long one.
+func TestFoldKIntoSumsBlocksInOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	for _, shape := range [][]int{{4, 16}, {4, 16, 2}, {2, 16, 8}, {2, 16, 32}} {
+		a := New(shape...)
+		for i := range a.Data() {
+			a.Data()[i] = r.NormFloat64() * 1e3
+		}
+		for _, signs := range []uint{0, 0b1011} {
+			got := New(shape[0], 1, a.Cells()/(shape[0]*16))
+			if len(shape) == 2 {
+				got = New(shape[0], 1)
+			}
+			if err := a.FoldKInto(1, 4, signs, got); err != nil {
+				t.Fatal(err)
+			}
+			inner := a.Stride(1)
+			for o := 0; o < shape[0]; o++ {
+				for j := 0; j < inner; j++ {
+					base := o*16*inner + j
+					want := a.Data()[base]
+					for b := 1; b < 16; b++ {
+						if v := a.Data()[base+b*inner]; bits.OnesCount(uint(b)&signs)%2 == 1 {
+							want -= v
+						} else {
+							want += v
+						}
+					}
+					if g := got.Data()[o*inner+j]; math.Float64bits(g) != math.Float64bits(want) {
+						t.Fatalf("shape %v signs %#x cell (%d, %d) = %v, in-order sum %v", shape, signs, o, j, g, want)
 					}
 				}
 			}

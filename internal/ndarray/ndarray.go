@@ -66,6 +66,9 @@ func NewFrom(data []float64, shape ...int) (*Array, error) {
 	return a, nil
 }
 
+// checkShape returns the cell count of shape, panicking on a bad one. The
+// panics format a copy of shape, so a caller's stack shape buffer does not
+// escape to the heap through them.
 func checkShape(shape []int) int {
 	if len(shape) == 0 {
 		panic("ndarray: empty shape")
@@ -73,10 +76,10 @@ func checkShape(shape []int) int {
 	n := 1
 	for _, s := range shape {
 		if s <= 0 {
-			panic(fmt.Sprintf("ndarray: non-positive extent in shape %v", shape))
+			panic(fmt.Sprintf("ndarray: non-positive extent in shape %v", append([]int(nil), shape...)))
 		}
 		if n > math.MaxInt/s {
-			panic(fmt.Sprintf("ndarray: shape %v overflows int", shape))
+			panic(fmt.Sprintf("ndarray: shape %v overflows int", append([]int(nil), shape...)))
 		}
 		n *= s
 	}
@@ -87,7 +90,7 @@ func checkShape(shape []int) int {
 func checkPlanes(planes int, shape []int) int {
 	n := checkShape(shape)
 	if planes <= 0 || n > math.MaxInt/planes {
-		panic(fmt.Sprintf("ndarray: %d planes of shape %v", planes, shape))
+		panic(fmt.Sprintf("ndarray: %d planes of shape %v", planes, append([]int(nil), shape...)))
 	}
 	return planes * n
 }

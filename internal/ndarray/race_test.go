@@ -1,0 +1,5 @@
+//go:build race
+
+package ndarray
+
+const raceEnabled = true

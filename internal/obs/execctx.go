@@ -54,6 +54,6 @@ func (x *ExecCtx) Under(sp *Span) *ExecCtx {
 }
 
 // Tracing reports whether the context carries a live trace. Safe on a nil
-// receiver. Spans attach atomically under the trace mutex, so traced
-// executions parallelise exactly like untraced ones.
+// receiver. Spans attach atomically under the trace mutex, so traced reads
+// fan out exactly like untraced ones.
 func (x *ExecCtx) Tracing() bool { return x != nil && x.Trace != nil }

@@ -48,13 +48,13 @@ func NewAssemblyMetrics(r *Registry) *AssemblyMetrics {
 		Plans:           r.Counter("viewcube_assembly_plans_total", "Procedure 3 plans computed."),
 		NodesVisited:    r.Counter("viewcube_plan_nodes_visited_total", "View elements the Procedure 3 kernel costed while computing plans."),
 		Executions:      r.Counter("viewcube_assembly_executions_total", "Plans executed (elements assembled)."),
-		CellsRead:       r.Counter("viewcube_assembly_cells_read_total", "Cells read from stored elements during plan execution."),
+		CellsRead:       r.Counter("viewcube_assembly_cells_read_total", "Stored cells (every plane, zeros included) read while assembling views."),
 		OpsModeled:      r.Counter("viewcube_assembly_ops_total", "Modelled add/subtract operations executed (the paper's processing cost)."),
 		StoredNodes:     r.Counter("viewcube_assembly_plan_nodes_total", "Executed plan nodes by kind.", "kind", "stored"),
 		AggregateNodes:  r.Counter("viewcube_assembly_plan_nodes_total", "Executed plan nodes by kind.", "kind", "aggregate"),
 		SynthesizeNodes: r.Counter("viewcube_assembly_plan_nodes_total", "Executed plan nodes by kind.", "kind", "synthesize"),
-		PoolHits:        r.Counter("viewcube_exec_pool_hits_total", "Executor scratch-buffer leases served from the recycled pool."),
-		PoolMisses:      r.Counter("viewcube_exec_pool_misses_total", "Executor scratch-buffer leases that fell through to allocation."),
+		PoolHits:        r.Counter("viewcube_exec_pool_hits_total", "Read-kernel scratch-buffer leases served from the recycled pool."),
+		PoolMisses:      r.Counter("viewcube_exec_pool_misses_total", "Read-kernel scratch-buffer leases that fell through to allocation."),
 	}
 }
 

@@ -190,7 +190,7 @@ func (s *Span) Graft(n *SpanNode) {
 // Traces are safe for concurrent use: spans carry explicit parents, child
 // attachment is atomic under the trace mutex, and sibling spans may be
 // recorded from any number of goroutines — a traced query keeps its full
-// intra-query and scatter parallelism.
+// scatter parallelism.
 type Trace struct {
 	id uint64
 

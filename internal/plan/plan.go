@@ -8,10 +8,10 @@
 // The split mirrors the classical logical/physical plan separation of OLAP
 // engines: a Logical node names *what* is asked for (resolved from
 // dimension names into frequency-plane geometry), a Physical node names
-// *how* the current materialised set answers it, and the executors
-// (assembly.Engine.Execute, and its range contraction) consume the physical
-// plan without re-deriving it. Explain and query traces render the same IR
-// the executor runs.
+// *how* the current materialised set answers it, and the read kernel
+// (assembly.Engine.Execute and the range contractions, one contraction of
+// the stored elements) consumes the physical plan without re-deriving it.
+// Explain and query traces render the same IR the kernel runs.
 package plan
 
 import (
@@ -37,7 +37,7 @@ func (lg *Logical) String() string { return "element " + lg.Rect.String() }
 
 // Physical is one executable plan: the Procedure 3 assembly DAG producing
 // an element. Physical plans are immutable and safe to share between
-// concurrent executions: the executor only reads them.
+// concurrent executions: the read kernel only reads them.
 type Physical struct {
 	Logical *Logical
 

@@ -107,7 +107,7 @@ func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
 }
 
 // Assembly is Element without the Physical around the operator tree: the
-// cached plan alone, for executors that need nothing else.
+// cached plan alone, for readers that need nothing else.
 func (p *Planner) Assembly(x *obs.ExecCtx, r freq.Rect) (*assembly.Plan, error) {
 	pl, _, _, err := p.compiled(x, r)
 	return pl, err

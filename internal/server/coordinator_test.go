@@ -30,7 +30,7 @@ func shardEngineFromCSV(t *testing.T, csv string) *cluster.ShardEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := cube.NewEngine(viewcube.EngineOptions{ExecWorkers: 1})
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

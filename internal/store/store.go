@@ -282,8 +282,8 @@ func (fs *FileStore) Get(r freq.Rect) (*ndarray.Array, bool) {
 }
 
 // ClonesOnGet implements assembly.CloningStore: every Get/GetCtx result is
-// already a private copy (see GetCtx), so the executor may take ownership
-// of it without copying again.
+// already a private copy (see GetCtx), so the read kernel may take
+// ownership of it without copying again.
 func (fs *FileStore) ClonesOnGet() bool { return true }
 
 // GetCtx is Get with per-query tracing (assembly.CtxStore): while x carries

@@ -84,11 +84,15 @@ func TestTracedQueryOverheadGate(t *testing.T) {
 	}
 
 	// And a served view goes back to the scratch pool: in steady state the
-	// executor leases every buffer of an uncached request from it, the
-	// answer's included.
+	// read kernel leases every buffer of an uncached request from it, the
+	// answer's included. Leases must be counted at all, or the ratio
+	// passes on nothing.
 	r := testing.Benchmark(benchServeGroupByUncached(8192))
-	t.Logf("uncached serve: %d B/op, executor pool hit ratio %.4f", r.AllocedBytesPerOp(), r.Extra["pool_hit_ratio"])
-	if ratio := r.Extra["pool_hit_ratio"]; ratio < 0.99 {
+	t.Logf("uncached serve: %d B/op, read-kernel pool hit ratio %.4f over %.1f leases/op", r.AllocedBytesPerOp(), r.Extra["pool_hit_ratio"], r.Extra["pool_leases/op"])
+	if leases := r.Extra["pool_leases/op"]; !(leases > 0) {
+		t.Errorf("the uncached serve path counted %v scratch leases per op, want > 0", leases)
+	}
+	if ratio := r.Extra["pool_hit_ratio"]; !(ratio >= 0.99) {
 		t.Errorf("assembly.pool_hit_ratio %.4f on the uncached serve path, want ≥ 0.99", ratio)
 	}
 }

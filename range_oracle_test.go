@@ -12,9 +12,11 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"viewcube/internal/assembly"
+	"viewcube/internal/relation"
 	"viewcube/internal/velement"
 )
 
@@ -416,5 +418,134 @@ func (o *oracleCube) checkWavelet(t *testing.T, rng *rand.Rand, reads int) {
 			t.Fatal(err)
 		}
 		o.checkGroups(t, fmt.Sprintf("ContractGrouped(%v, %v, keep %v)", lo, ext, q.keep), arr.Data(), q.keep, o.scan(o.sum, q.lo, q.ext, q.keep))
+	}
+}
+
+// TestGroupByContractionEquivalence is the differential group-by oracle:
+// every keep mask, answered by GroupBy (width 1) and by GroupByAgg SUM and
+// COUNT (width 3), compared with == against the scan, over the stored sets
+// of the range oracle and, through the kernel itself, the wavelet basis.
+func TestGroupByContractionEquivalence(t *testing.T) {
+	small := func(rng *rand.Rand) float64 { return float64(rng.Intn(200) - 60) }
+	for ci, c := range []struct {
+		name  string
+		cards []int
+		rows  int
+	}{
+		{"power of two", []int{8, 4, 8, 4}, 110},
+		{"other cardinalities", []int{6, 5, 7, 3}, 160},
+	} {
+		o := newOracleCube(t, int64(ci+1), c.cards, c.rows, small)
+		for _, s := range oracleSets {
+			t.Run(c.name+"/width 1/"+s.name, func(t *testing.T) {
+				eng := o.scalarEngine(t, s)
+				for _, keep := range o.keepMasks() {
+					v, err := eng.GroupBy(o.keptNames(keep)...)
+					if err != nil {
+						t.Fatalf("GroupBy(%v): %v", o.keptNames(keep), err)
+					}
+					o.checkGroups(t, fmt.Sprintf("GroupBy(%v)", o.keptNames(keep)), v.Data(), keep, o.scan(o.sum, o.whole(), o.cardsCopy(), keep))
+				}
+			})
+			if s.handOver {
+				continue
+			}
+			t.Run(c.name+"/width 3/"+s.name, func(t *testing.T) {
+				a, err := NewAggEngine(o.tbl, EngineOptions{StorageBudget: int(s.budget * float64(volumeOf(c.cards)))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, w := range s.workloads(a.Cube(), t) {
+					if err := a.Optimize(w); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, keep := range o.keepMasks() {
+					for _, k := range []struct {
+						kind  AggKind
+						cells []float64
+					}{{AggSum, o.sum}, {AggCount, o.count}} {
+						got, err := a.GroupByAgg(k.kind, o.keptNames(keep)...)
+						if err != nil {
+							t.Fatalf("GroupByAgg(%v, %v): %v", k.kind, o.keptNames(keep), err)
+						}
+						o.checkGroupMap(t, fmt.Sprintf("GroupByAgg(%v, %v)", k.kind, o.keptNames(keep)), got, keep, o.scan(k.cells, o.whole(), o.cardsCopy(), keep))
+					}
+				}
+			})
+		}
+		t.Run(c.name+"/width 1/wavelet basis", func(t *testing.T) {
+			cube, err := FromRelation(o.tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			space := cube.space
+			st, err := assembly.MaterializeSet(space, cube.data, velement.WaveletBasis(space))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := assembly.NewEngine(space, st)
+			for _, keep := range o.keepMasks() {
+				el, err := cube.ViewKeeping(o.keptNames(keep)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				arr, err := eng.Answer(nil, el.rect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				o.checkGroups(t, fmt.Sprintf("Answer(%v)", el.rect), arr.Data(), keep, o.scan(o.sum, o.whole(), o.cardsCopy(), keep))
+			}
+		})
+	}
+}
+
+// keepMasks is every subset of the dimensions, as keep masks.
+func (o *oracleCube) keepMasks() [][]bool {
+	var out [][]bool
+	for mask := 0; mask < 1<<len(o.dims); mask++ {
+		keep := make([]bool, len(o.dims))
+		for m := range keep {
+			keep[m] = mask&(1<<m) != 0
+		}
+		out = append(out, keep)
+	}
+	return out
+}
+
+func (o *oracleCube) keptNames(keep []bool) []string {
+	var out []string
+	for m, k := range keep {
+		if k {
+			out = append(out, o.dims[m])
+		}
+	}
+	return out
+}
+
+// whole and cardsCopy are the box covering every cell.
+func (o *oracleCube) whole() []int     { return make([]int, len(o.cards)) }
+func (o *oracleCube) cardsCopy() []int { return append([]int(nil), o.cards...) }
+
+// checkGroupMap compares a map answer keyed by member names with the scan:
+// one entry per group of the cardinalities, each equal.
+func (o *oracleCube) checkGroupMap(t *testing.T, what string, got map[string]float64, keep []bool, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d groups, scan has %d", what, len(got), len(want))
+	}
+	key := make([]string, 0, len(o.dims))
+	for g, w := range want {
+		key, rest := key[:0], g
+		for m := len(o.dims) - 1; m >= 0; m-- {
+			if keep[m] {
+				key = append([]string{o.member(m, rest%o.cards[m])}, key...)
+				rest /= o.cards[m]
+			}
+		}
+		k := strings.Join(key, string(relation.UnitSep))
+		if v, ok := got[k]; !ok || v != w {
+			t.Fatalf("%s: group %q = %v (present %v), scan %v", what, key, v, ok, w)
+		}
 	}
 }

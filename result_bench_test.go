@@ -198,8 +198,9 @@ func BenchmarkLeaseHitBody(b *testing.B) {
 
 // benchServeGroupByUncached is an uncached /groupby through the lease: the view
 // is assembled, encoded into the lease's scratch and released, so the next
-// request assembles into the same buffers. pool_hit_ratio is the executor's
-// scratch-lease hit ratio over the timed requests.
+// request assembles into the same buffers. pool_hit_ratio is the read
+// kernel's scratch-lease hit ratio over the timed requests, pool_leases/op
+// the leases it counts.
 func benchServeGroupByUncached(groups int) func(*testing.B) {
 	keep := map[int][]string{1024: {"y", "z"}, 8192: {"x", "y"}}[groups]
 	return func(b *testing.B) {
@@ -232,6 +233,7 @@ func benchServeGroupByUncached(groups int) func(*testing.B) {
 		}
 		h, m := float64(hits.Value()-h0), float64(misses.Value()-m0)
 		b.ReportMetric(h/(h+m), "pool_hit_ratio")
+		b.ReportMetric((h+m)/float64(b.N), "pool_leases/op")
 	}
 }
 
