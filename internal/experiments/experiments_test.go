@@ -199,8 +199,9 @@ func TestRangesReport(t *testing.T) {
 	if res.MaxError > 1e-6 {
 		t.Fatalf("methods disagree: max error %g", res.MaxError)
 	}
-	if res.ElementCells >= res.ScanCells {
-		t.Fatalf("element method read %d cells, scan %d — should be far fewer",
+	// The cells each method reads on this seed: the §6 reproduction's figures.
+	if res.ElementCells != 314 || res.ScanCells != 3516 {
+		t.Fatalf("element method read %d cells and scan %d, want 314 and 3516",
 			res.ElementCells, res.ScanCells)
 	}
 	if res.PrefixCells != 40*4 {
