@@ -1,7 +1,7 @@
-// Tests for the measure-vector AggEngine: aggregate correctness against
-// scan oracles, bit-identity of the vector AVG path against the historical
-// two-engine design, and the pinned zero-count semantics shared by every
-// entry point.
+// Tests for the measure-vector engine of NewAggEngine: aggregate
+// correctness against scan oracles, bit-identity of the vector AVG path
+// against the historical two-engine design, and the pinned zero-count
+// semantics shared by every entry point.
 package viewcube_test
 
 import (

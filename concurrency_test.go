@@ -270,9 +270,10 @@ func TestConcurrentTraceIsolation(t *testing.T) {
 
 // TestConcurrentSafeAggEngineAgainstSerialOracle is the measure-vector twin
 // of the stress above: readers mixing every aggregate kind, range, SQL and
-// traced queries overlap under one SafeAggEngine's read lock while automatic
-// reselection and a background Optimize keep rewriting the shared vector
-// store under its write lock. Every answer must match the serial oracle.
+// traced queries overlap under one width-3 SafeEngine's read lock while
+// automatic reselection and a background Optimize keep rewriting the shared
+// vector store under its write lock. Every answer must match the serial
+// oracle.
 func TestConcurrentSafeAggEngineAgainstSerialOracle(t *testing.T) {
 	agg, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{ReselectEvery: 10})
 	if err != nil {

@@ -19,8 +19,8 @@ import (
 type Cube struct {
 	space *velement.Space
 	// data is the cube's cells: the first engine adopts this very array as its
-	// root element, and ReleaseCells then drops the cube's own reference. An
-	// AggEngine's cube has three planes; the accessors read plane 0, SUM.
+	// root element, and ReleaseCells then drops the cube's own reference. The
+	// cube of NewAggEngine has three planes; the accessors read plane 0, SUM.
 	data     *ndarray.Array
 	attached bool // NewEngine ran: an engine's store holds the cells too
 	// holder is the first engine's store when it holds data in memory:

@@ -11,6 +11,7 @@ import (
 	"viewcube/internal/freq"
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
+	"viewcube/internal/plan"
 	"viewcube/internal/rangeagg"
 	"viewcube/internal/store"
 )
@@ -84,6 +85,12 @@ type EngineOptions struct {
 // from its materialised view element set, and adapts that set to the
 // workload.
 //
+// Its measure layout is the cube's: a cube of one plane carries the SUM
+// alone, a cube of three (NewAggEngine) the component vector [Σv, Σv², Σ1]
+// that COUNT, AVG, VAR and STDDEV finalise from. Every operator applies per
+// plane, so one selection, store, plan cache and ingest path serve either
+// width, and the SUM methods read the SUM plane at any width.
+//
 // A plain Engine is not safe for concurrent use: its public query methods
 // perform any due automatic reselection inline, which rewrites the
 // materialised set. Wrap it with Safe to share it across goroutines — the
@@ -91,13 +98,13 @@ type EngineOptions struct {
 // read lock and serialises mutations (Optimize, Update, reselection) under
 // the write lock.
 type Engine struct {
-	cube   *Cube
-	st     assembly.Store
-	inner  *adaptive.Engine
-	met    *Metrics
-	fork   bool  // a later engine over an attached cube: it works on a copy and never writes cube.data
-	mass   *mass // what the cube has taken in, shared with its snapshot generations
-	planes int   // measure planes per cell: 1, or 3 under an AggEngine
+	cube  *Cube
+	st    assembly.Store
+	inner *adaptive.Engine
+	met   *Metrics
+	fork  bool             // a later engine over an attached cube: it works on a copy and never writes cube.data
+	mass  *mass            // what the cube has taken in, shared with its snapshot generations
+	spec  plan.MeasureSpec // the measure layout of the cube's planes
 }
 
 // Stats re-exports the adaptive engine's counters.
@@ -112,8 +119,11 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	if c.data == nil {
 		return nil, errHandedOver("NewEngine")
 	}
-	planes := c.data.Planes()
-	m, err := massOf(planes, c.data.Data())
+	spec, err := measureOf(c.data.Planes())
+	if err != nil {
+		return nil, err
+	}
+	m, err := massOf(spec.Width, c.data.Data())
 	if err != nil {
 		return nil, err
 	}
@@ -152,13 +162,14 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	if met == nil {
 		met = NewMetrics()
 	}
-	e := &Engine{cube: c, st: st, inner: inner, met: met, fork: c.attached, mass: m, planes: planes}
+	e := &Engine{cube: c, st: st, inner: inner, met: met, fork: c.attached, mass: m, spec: spec}
 	if fs, ok := st.(*store.FileStore); ok {
 		fs.SetMetrics(met.store)
 	}
 	inner.SetMetrics(met.adaptive)
 	inner.Assembler().SetMetrics(met.assembly)
 	inner.Planner().SetMetrics(met.plans)
+	inner.Planner().SetMeasure(spec)
 	if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
 		c.holder = ms
 	}
@@ -166,29 +177,28 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	return e, nil
 }
 
+// measureOf is the measure layout of a cube of the given plane count.
+func measureOf(planes int) (plan.MeasureSpec, error) {
+	switch planes {
+	case 1:
+		return plan.ScalarMeasure(), nil
+	case 3:
+		return plan.StatsMeasure(), nil
+	}
+	return plan.MeasureSpec{}, fmt.Errorf("viewcube: a cube of %d measure planes (want 1, or 3 for [Σv, Σv², Σ1])", planes)
+}
+
 // Metrics returns the engine's metrics registry (the one passed in
 // EngineOptions, or the engine's private registry).
 func (e *Engine) Metrics() *Metrics { return e.met }
 
-// The scalar engine's side of the guarded constraint (safe.go).
+// Cube returns the cube the engine serves (dimension metadata, workloads,
+// ...); its cell accessors read the SUM plane.
+func (e *Engine) Cube() *Cube { return e.cube }
 
-func (e *Engine) metrics() *Metrics { return e.met }
-
-func (e *Engine) reselectDue() bool { return e.inner.ReselectDue() }
-
-// ingestable: only MemStore contents are cloneable cheaply, and a WAL
-// replayed into a disk store that already absorbed the deltas would
-// double-apply.
-func (e *Engine) ingestable() error {
-	if _, ok := e.st.(*assembly.MemStore); !ok {
-		return fmt.Errorf("viewcube: ingest requires the in-memory element store (no DiskDir)")
-	}
-	return nil
-}
-
-// admit takes a delta into the cube's mass, refusing one that would let a
-// cell overflow.
-func (e *Engine) admit(vals []float64) error { return e.mass.admit(vals) }
+// Width returns the number of measure components per cell: 1 for a SUM
+// cube, 3 for the [Σv, Σv², Σ1] cube of NewAggEngine.
+func (e *Engine) Width() int { return e.spec.Width }
 
 // checkCell: UpdateCell with no delta validates the index against the
 // space and touches nothing.
@@ -202,8 +212,8 @@ func (e *Engine) checkCell(idx []int) error {
 // array of its own: as the store's root element UpdateCell has already
 // written it. vals holds one delta per plane.
 func (e *Engine) applyDeltaRaw(vals []float64, idx []int) error {
-	if len(vals) != e.planes {
-		return fmt.Errorf("viewcube: delta width %d on a width-%d cube", len(vals), e.planes)
+	if len(vals) != e.spec.Width {
+		return fmt.Errorf("viewcube: delta width %d on a width-%d cube", len(vals), e.spec.Width)
 	}
 	if err := assembly.UpdateCell(e.cube.space, e.st, vals, idx); err != nil || isZero(vals) {
 		return err
@@ -256,7 +266,7 @@ func (e *Engine) snapshot() (*Engine, error) {
 			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
 		}
 	}
-	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, planes: e.planes}
+	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, spec: e.spec}
 	g.inner.Assembler().SetMetrics(e.met.assembly)
 	return g, nil
 }
@@ -293,7 +303,7 @@ func (e *Engine) Reconfigure() (bool, error) { return e.inner.Reconfigure(nil) }
 // View answers a view-element query, assembling it from the materialised
 // set.
 func (e *Engine) View(el Element) (*View, error) {
-	return untraced(runInline(e, false, viewRead, el))
+	return untraced(runInline(e, false, viewRead, (*Engine).viewInner, el))
 }
 
 func (e *Engine) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
@@ -310,7 +320,7 @@ func (e *Engine) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
 // GroupBy answers the aggregated view that keeps the named dimensions and
 // SUM-aggregates all others.
 func (e *Engine) GroupBy(keep ...string) (*View, error) {
-	return untraced(runInline(e, false, groupByRead, keep))
+	return untraced(runInline(e, false, groupByRead, (*Engine).groupByInner, keep))
 }
 
 func (e *Engine) groupByInner(x *obs.ExecCtx, keep []string) (*View, error) {
@@ -324,7 +334,7 @@ func (e *Engine) groupByInner(x *obs.ExecCtx, keep []string) (*View, error) {
 // Total returns the grand total via the engine (exercising assembly rather
 // than scanning the cube).
 func (e *Engine) Total() (float64, error) {
-	return untraced(runInline(e, false, totalRead, struct{}{}))
+	return untraced(runInline(e, false, totalRead, (*Engine).totalInner, struct{}{}))
 }
 
 func (e *Engine) totalInner(x *obs.ExecCtx, _ struct{}) (float64, error) {
@@ -348,7 +358,7 @@ type ValueRange struct {
 // per-dimension value ranges (unnamed dimensions are unrestricted),
 // answered by contracting the stored elements with the box (DESIGN §6).
 func (e *Engine) RangeSum(ranges map[string]ValueRange) (float64, error) {
-	return untraced(runInline(e, false, rangeSumRead, ranges))
+	return untraced(runInline(e, false, rangeRead, (*Engine).rangeSumInner, ranges))
 }
 
 func (e *Engine) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (float64, error) {
@@ -372,7 +382,7 @@ func (e *Engine) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (fl
 // an arbitrary subset of each dimension's values, so exact-bound lookup
 // would spuriously fail on shards that lack the endpoint values.
 func (e *Engine) RangeSumWithin(ranges map[string]ValueRange) (float64, bool, error) {
-	w, err := untraced(runInline(e, false, rangeWithinRead, ranges))
+	w, err := untraced(runInline(e, false, rangeRead, (*Engine).rangeSumWithinInner, ranges))
 	return w.sum, w.ok, err
 }
 
@@ -410,25 +420,25 @@ func (e *Engine) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRang
 // RangeSumIndex computes the SUM over the half-open coordinate box
 // [lo, lo+ext).
 func (e *Engine) RangeSumIndex(lo, ext []int) (float64, error) {
-	return untraced(runInline(e, false, rangeIndexRead, rangeagg.Box{Lo: lo, Ext: ext}))
+	return untraced(runInline(e, false, rangeRead, (*Engine).rangeSumIndexInner, rangeagg.Box{Lo: lo, Ext: ext}))
 }
 
 func (e *Engine) rangeSumIndexInner(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
 	return e.rangeSum(x, box)
 }
 
-// rangeSum is rangeInto for a one-plane cube.
+// rangeSum is rangeInto's SUM component.
 func (e *Engine) rangeSum(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
-	var out [1]float64
-	err := e.rangeInto(x, box, out[:])
-	return out[0], err
+	var out [3]float64 // room for the widest layout, StatsMeasure
+	err := e.rangeInto(x, box, out[:e.spec.Width])
+	return out[e.spec.Sum], err
 }
 
 // rangeInto sums the box of every plane into out, one value per plane: one
 // contraction of the stored elements (DESIGN §6), under a "range_sum" span.
 func (e *Engine) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error {
-	if len(out) != e.planes {
-		return fmt.Errorf("viewcube: %d sums for a cube of %d planes", len(out), e.planes)
+	if len(out) != e.spec.Width {
+		return fmt.Errorf("viewcube: %d sums for a cube of %d planes", len(out), e.spec.Width)
 	}
 	sp := x.Start("range_sum")
 	defer sp.End()
@@ -463,13 +473,13 @@ func (e *Engine) groupedRange(x *obs.ExecCtx, box rangeagg.Box, keep []bool) (*n
 	if err != nil {
 		return nil, err
 	}
-	arr, w, err := e.inner.Assembler().ContractGrouped(x, p, lo, ext, keep, e.planes, e.mass.bound())
+	arr, w, err := e.inner.Assembler().ContractGrouped(x, p, lo, ext, keep, e.spec.Width, e.mass.bound())
 	if err != nil {
 		return nil, err
 	}
 	e.countContraction(sp, w)
-	if e.planes > 1 {
-		sp.SetAttr("measure_width", int64(e.planes))
+	if e.spec.Width > 1 {
+		sp.SetAttr("measure_width", int64(e.spec.Width))
 	}
 	return arr, nil
 }
@@ -513,7 +523,7 @@ func (e *Engine) countContraction(sp *obs.Span, w assembly.Work) {
 // by one contraction of the stored elements with the filter (DESIGN §6).
 // Kept dimensions cannot also be filtered.
 func (e *Engine) GroupByWhere(keep []string, ranges map[string]ValueRange) (*View, error) {
-	return untraced(runInline(e, false, groupByWhereRead, dice{keep, ranges}))
+	return untraced(runInline(e, false, groupByWhereRead, (*Engine).groupByWhereInner, dice{keep, ranges}))
 }
 
 func (e *Engine) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
@@ -539,9 +549,12 @@ func (e *Engine) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
 // "dice" query: filtered dimensions resolve through resolveRange, every
 // other dimension covers its whole padded axis (padding cells are zero, so
 // the sum is the same and the contraction's weights stay sparse). With
-// nothing kept it is the box of a plain range query. The cube must be
-// dictionary-encoded.
+// nothing kept it is the box of a plain range query. Ranges need a
+// dictionary-encoded cube.
 func (e *Engine) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, rangeagg.Box, error) {
+	if e.cube.enc == nil && len(ranges) > 0 {
+		return nil, rangeagg.Box{}, fmt.Errorf("viewcube: value ranges need a dictionary-encoded cube")
+	}
 	shape := e.cube.Shape()
 	keepMask := make([]bool, len(shape))
 	for _, name := range keep {
@@ -600,8 +613,23 @@ func (e *Engine) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
 // materialised element (each stored element changes in exactly one cell, by
 // ±delta — O(elements · rank), independent of element volumes). The
 // plan-cache epoch is bumped so no query serves a plan derived from
-// pre-update state.
-func (e *Engine) Update(delta float64, idx ...int) error { return e.update([]float64{delta}, idx) }
+// pre-update state. On a measure-vector cube the delta is one new tuple
+// with that measure: its components [v, v², 1] are folded into every plane.
+func (e *Engine) Update(delta float64, idx ...int) error { return e.update(e.observation(delta), idx) }
+
+// observation is the component-vector delta of one new tuple with measure
+// v: [v] on a SUM cube, [v, v², 1] on a measure-vector cube.
+func (e *Engine) observation(v float64) []float64 {
+	delta := make([]float64, e.spec.Width)
+	delta[e.spec.Sum] = v
+	if e.spec.SumSq >= 0 {
+		delta[e.spec.SumSq] = v * v
+	}
+	if e.spec.Count >= 0 {
+		delta[e.spec.Count] = 1
+	}
+	return delta
+}
 
 // update is Update with one delta per plane.
 func (e *Engine) update(vals []float64, idx []int) error {
@@ -610,7 +638,7 @@ func (e *Engine) update(vals []float64, idx []int) error {
 		// invalidate plans or result caches.
 		return err
 	}
-	if err := e.admit(vals); err != nil {
+	if err := e.mass.admit(vals); err != nil {
 		return err
 	}
 	if err := e.applyDeltaRaw(vals, idx); err != nil {
@@ -725,4 +753,4 @@ func (e *Engine) MaterializedElements() int { return len(e.st.Elements()) }
 
 // StorageCells returns the current materialised volume in stored scalars:
 // cells times planes.
-func (e *Engine) StorageCells() int { return e.planes * e.cube.space.SetVolume(e.st.Elements()) }
+func (e *Engine) StorageCells() int { return e.spec.Width * e.cube.space.SetVolume(e.st.Elements()) }

@@ -1,6 +1,7 @@
 // Quickstart: load a small CSV relation into a data cube, attach an engine,
 // and run GROUP BY and range-SUM queries through dynamically assembled view
-// elements.
+// elements; then build the measure-vector engine of the same relation and
+// ask it for AVG and COUNT.
 package main
 
 import (
@@ -81,4 +82,24 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsales in days d1..d2: %g\n", early)
+
+	// 6. AVG and COUNT: NewAggEngine builds the cube of the component vector
+	// [Σv, Σv², Σ1] (three planes, one engine), and every aggregate of a
+	// statement finalises from one assembled view.
+	tbl, err := viewcube.ReadTable(strings.NewReader(salesCSV), "sales")
+	if err != nil {
+		log.Fatal(err)
+	}
+	agg, err := viewcube.NewAggEngine(tbl, viewcube.EngineOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := agg.Query("SELECT AVG(sales), COUNT(*) GROUP BY region")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n%v\n", res.Columns)
+	for _, row := range res.Rows {
+		fmt.Printf("  %-8s %6g %6g\n", row.Key[0], row.Values[0], row.Values[1])
+	}
 }

@@ -23,10 +23,17 @@ func (e *Engine) Explain(el Element) (string, error) {
 	if !e.cube.Valid(el) {
 		return "", fmt.Errorf("viewcube: invalid element %v", el)
 	}
+	return e.explain(el, AggSum)
+}
+
+// explain renders the plan of el under the aggregate kind a query of it
+// finalises.
+func (e *Engine) explain(el Element, kind AggKind) (string, error) {
 	ph, err := e.inner.Planner().Element(nil, el.rect)
 	if err != nil {
 		return "", err
 	}
+	ph.Agg = kind
 	var b strings.Builder
 	plan.Render(&b, el.String(), ph, e.describer())
 	return b.String(), nil

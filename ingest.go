@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"viewcube/internal/assembly"
 	"viewcube/internal/ingest"
 )
 
-// IngestOptions configures the streaming write path of a SafeEngine or a
-// SafeAggEngine.
+// IngestOptions configures the streaming write path of a SafeEngine.
 type IngestOptions struct {
 	// WALPath, when non-empty, makes acknowledged updates durable in an
 	// append-only write-ahead log at that path. On EnableIngest the segment
@@ -62,16 +62,15 @@ var ErrIngestDegraded = errors.New("viewcube: ingest is degraded")
 // the coalescing buffer, the background merger, and the snapshot lifecycle
 // readers pin. The base engine (g.eng) stays the mutable truth, touched only
 // under g.mu's write lock; every published snapshot is an immutable
-// generation derived from it. It is stated once for both engine kinds: a
-// scalar cube streams width-1 deltas, a measure-vector cube width-w ones,
-// and everything that differs is behind the guarded constraint.
-type ingestRuntime[E guarded[E]] struct {
-	g    *guard[E]
+// generation derived from it. A SUM cube streams width-1 deltas, a
+// measure-vector cube width-3 ones; the runtime never looks inside them.
+type ingestRuntime struct {
+	g    *guard
 	opts IngestOptions
 
 	buf *ingest.Buffer
 	wal *ingest.WAL // nil without a WALPath
-	lc  *ingest.Lifecycle[E]
+	lc  *ingest.Lifecycle[*Engine]
 
 	// appendMu serialises sequence assignment with buffer absorption so no
 	// acknowledged sequence at or below a drain's watermark can be missing
@@ -108,14 +107,16 @@ type ingestRuntime[E guarded[E]] struct {
 // §16), and every query pins the current snapshot instead of taking the read
 // lock, so reads never block on ingest. Requires the in-memory element
 // store; disk-backed stores would double-apply on WAL replay.
-func (g *guard[E]) EnableIngest(opts IngestOptions) error {
+func (g *guard) EnableIngest(opts IngestOptions) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.ing.Load() != nil {
 		return fmt.Errorf("viewcube: ingest already enabled")
 	}
-	if err := g.eng.ingestable(); err != nil {
-		return err
+	// Only MemStore contents are cloneable cheaply, and a WAL replayed into a
+	// disk store that already absorbed the deltas would double-apply.
+	if _, ok := g.eng.st.(*assembly.MemStore); !ok {
+		return fmt.Errorf("viewcube: ingest requires the in-memory element store (no DiskDir)")
 	}
 	// On every path from here: a WAL replay changes the data even when
 	// enabling then fails.
@@ -126,7 +127,7 @@ func (g *guard[E]) EnableIngest(opts IngestOptions) error {
 	if opts.Interval <= 0 {
 		opts.Interval = 5 * time.Millisecond
 	}
-	rt := &ingestRuntime[E]{
+	rt := &ingestRuntime{
 		g:       g,
 		opts:    opts,
 		buf:     ingest.NewBuffer(opts.MaxPending),
@@ -135,12 +136,12 @@ func (g *guard[E]) EnableIngest(opts IngestOptions) error {
 		done:    make(chan struct{}),
 	}
 	rt.pubCond = sync.NewCond(&rt.pubMu)
-	met := g.eng.metrics().ingest
+	met := g.eng.met.ingest
 
 	if opts.WALPath != "" {
 		wal, err := ingest.OpenWAL(opts.WALPath, ingest.WALOptions{Fsync: opts.Fsync}, func(d ingest.Delta) error {
 			rt.replayed++
-			if err := g.eng.admit(d.Vals); err != nil {
+			if err := g.eng.mass.admit(d.Vals); err != nil {
 				return err
 			}
 			return g.eng.applyDeltaRaw(d.Vals, d.Idx)
@@ -175,7 +176,7 @@ func (g *guard[E]) EnableIngest(opts IngestOptions) error {
 // stops the merger, closes the WAL, and returns the engine to the locked
 // write path. In-flight appends racing the shutdown fail with a closed
 // error.
-func (g *guard[E]) DisableIngest() error {
+func (g *guard) DisableIngest() error {
 	rt := g.ing.Swap(nil)
 	if rt == nil {
 		return nil
@@ -193,11 +194,11 @@ func (g *guard[E]) DisableIngest() error {
 }
 
 // IngestEnabled reports whether the streaming write path is active.
-func (g *guard[E]) IngestEnabled() bool { return g.ing.Load() != nil }
+func (g *guard) IngestEnabled() bool { return g.ing.Load() != nil }
 
 // IngestStats snapshots the streaming write path's counters; the zero value
 // is returned when ingest is not enabled.
-func (g *guard[E]) IngestStats() IngestStats {
+func (g *guard) IngestStats() IngestStats {
 	rt := g.ing.Load()
 	if rt == nil {
 		return IngestStats{}
@@ -235,7 +236,7 @@ func (g *guard[E]) IngestStats() IngestStats {
 // for clients that need immediate visibility. A no-op when ingest is off
 // (locked writes are immediately visible). Once ingest is degraded it
 // returns at once with the error that stopped the merger.
-func (g *guard[E]) Flush() error {
+func (g *guard) Flush() error {
 	if rt := g.ing.Load(); rt != nil {
 		rt.waitPublished(rt.appended.Load())
 		return rt.err()
@@ -245,7 +246,7 @@ func (g *guard[E]) Flush() error {
 
 // SnapshotEpoch returns the current published snapshot epoch, 0 when ingest
 // is not enabled.
-func (g *guard[E]) SnapshotEpoch() uint64 {
+func (g *guard) SnapshotEpoch() uint64 {
 	if rt := g.ing.Load(); rt != nil {
 		return rt.lc.Current()
 	}
@@ -256,7 +257,7 @@ func (g *guard[E]) SnapshotEpoch() uint64 {
 // the validated, non-zero delta (through the WAL when configured), absorb it
 // into the coalescing buffer, return. Visibility comes later, at the next
 // publish; Flush() waits for it.
-func (rt *ingestRuntime[E]) ingestAppend(vals []float64, idx []int) error {
+func (rt *ingestRuntime) ingestAppend(vals []float64, idx []int) error {
 	if err := rt.err(); err != nil {
 		return err
 	}
@@ -286,7 +287,7 @@ func (rt *ingestRuntime[E]) ingestAppend(vals []float64, idx []int) error {
 	if err != nil {
 		return err
 	}
-	met := rt.g.eng.metrics().ingest
+	met := rt.g.eng.met.ingest
 	met.Appended.Inc()
 	met.WALBytes.Add(walBytes)
 	return nil
@@ -294,7 +295,7 @@ func (rt *ingestRuntime[E]) ingestAppend(vals []float64, idx []int) error {
 
 // loop is the background merger: wait for dirt, accumulate for Interval
 // (short-circuited by Flush/ForcePublish pokes and shutdown), fold, publish.
-func (rt *ingestRuntime[E]) loop() {
+func (rt *ingestRuntime) loop() {
 	defer close(rt.done)
 	defer func() {
 		rt.pubMu.Lock()
@@ -334,9 +335,9 @@ func (rt *ingestRuntime[E]) loop() {
 // normally just advances the watermark; republish forces a fresh generation
 // anyway (forcePublish after a reconfigure). A failure to fold or publish
 // degrades ingest (degrade) and leaves the last generation published.
-func (rt *ingestRuntime[E]) mergeOnce(republish bool) {
+func (rt *ingestRuntime) mergeOnce(republish bool) {
 	g := rt.g
-	met := g.eng.metrics().ingest
+	met := g.eng.met.ingest
 	start := time.Now()
 
 	g.mu.Lock()
@@ -401,17 +402,17 @@ func (rt *ingestRuntime[E]) mergeOnce(republish bool) {
 // degrade records the merge failure that stops ingest: appends and Flush
 // fail with it from now on, readers keep the generation published last, the
 // viewcube_ingest_degraded gauge reads 1 and waiters are woken.
-func (rt *ingestRuntime[E]) degrade(cause error) {
+func (rt *ingestRuntime) degrade(cause error) {
 	err := fmt.Errorf("%w: %w", ErrIngestDegraded, cause)
 	rt.fault.Store(&err)
-	rt.g.eng.metrics().ingest.Degraded.Set(1)
+	rt.g.eng.met.ingest.Degraded.Set(1)
 	rt.pubMu.Lock()
 	rt.pubCond.Broadcast()
 	rt.pubMu.Unlock()
 }
 
 // err is the error that degraded ingest, or nil.
-func (rt *ingestRuntime[E]) err() error {
+func (rt *ingestRuntime) err() error {
 	if p := rt.fault.Load(); p != nil {
 		return *p
 	}
@@ -420,7 +421,7 @@ func (rt *ingestRuntime[E]) err() error {
 
 // watermark returns the publish watermark: every sequence at or below it is
 // visible to readers.
-func (rt *ingestRuntime[E]) watermark() uint64 {
+func (rt *ingestRuntime) watermark() uint64 {
 	rt.pubMu.Lock()
 	defer rt.pubMu.Unlock()
 	return rt.published
@@ -429,7 +430,7 @@ func (rt *ingestRuntime[E]) watermark() uint64 {
 // waitPublished blocks until the publish watermark reaches target,
 // repeatedly poking the merger so the wait is bounded by merge time rather
 // than the accumulation interval.
-func (rt *ingestRuntime[E]) waitPublished(target uint64) {
+func (rt *ingestRuntime) waitPublished(target uint64) {
 	rt.pubMu.Lock()
 	for rt.published < target && !rt.stopped && rt.fault.Load() == nil {
 		select {
@@ -444,7 +445,7 @@ func (rt *ingestRuntime[E]) waitPublished(target uint64) {
 // forcePublish blocks until a snapshot generation published after the call
 // — the barrier guard.mutate uses so readers stop pinning a pre-mutation
 // generation. Call without holding g.mu (the merger needs it to publish).
-func (rt *ingestRuntime[E]) forcePublish() {
+func (rt *ingestRuntime) forcePublish() {
 	rt.pubMu.Lock()
 	serial := rt.publishSerial
 	for rt.publishSerial == serial && !rt.stopped && rt.fault.Load() == nil {

@@ -2,44 +2,26 @@ package viewcube
 
 import (
 	"errors"
-	"sync/atomic"
+	"strings"
 	"testing"
 	"time"
 )
-
-// faultyEngine is an Engine whose deltas fail to apply once fail is set, so
-// a merge fails the way an engine fault would.
-type faultyEngine struct {
-	*Engine
-	fail *atomic.Bool
-}
-
-func (f faultyEngine) applyDeltaRaw(vals []float64, idx []int) error {
-	if f.fail.Load() {
-		return errors.New("injected apply failure")
-	}
-	return f.Engine.applyDeltaRaw(vals, idx)
-}
-
-func (f faultyEngine) snapshot() (faultyEngine, error) {
-	g, err := f.Engine.snapshot()
-	return faultyEngine{g, f.fail}, err
-}
 
 // TestIngestMergeFailureDegrades: a merge whose apply fails does not panic.
 // Ingest turns degraded: Flush and later appends fail with
 // ErrIngestDegraded, readers keep the generation published last, the stats
 // and the viewcube_ingest_degraded gauge say so, and DisableIngest reports
-// it.
+// it. The fault is the engine's own check: a delta of the wrong width,
+// appended straight to the runtime past the write path's admission, fails
+// to apply at the merge.
 func TestIngestMergeFailureDegrades(t *testing.T) {
 	s := internalSafeEngine(t)
-	fail := new(atomic.Bool)
-	g := &guard[faultyEngine]{eng: faultyEngine{s.eng, fail}}
+	g := &s.guard
 	if err := g.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	cell := []int{0, 0, 0}
-	add := func(v float64) error { return g.write([]float64{v}, cell, nil) }
+	add := func(v float64) error { return g.write([]float64{v}, cell) }
 	total := func() float64 {
 		t.Helper()
 		e, release := g.reader()
@@ -57,17 +39,21 @@ func TestIngestMergeFailureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	published := total()
-	degraded := func() int64 { return g.eng.metrics().ingest.Degraded.Value() }
+	degraded := func() int64 { return g.eng.met.ingest.Degraded.Value() }
 	if degraded() != 0 || g.IngestStats().Degraded != "" {
 		t.Fatal("healthy ingest reports degraded")
 	}
 
-	fail.Store(true)
-	if err := add(7); err != nil {
+	// A fresh cell, so the bad delta coalesces with nothing.
+	if err := g.ing.Load().ingestAppend([]float64{7, 7}, []int{1, 0, 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Flush(); !errors.Is(err, ErrIngestDegraded) {
+	err := g.Flush()
+	if !errors.Is(err, ErrIngestDegraded) {
 		t.Fatalf("Flush after a failed merge: %v, want ErrIngestDegraded", err)
+	}
+	if !strings.Contains(err.Error(), "delta width") {
+		t.Fatalf("Flush after a failed merge: %v, want the engine's delta width check", err)
 	}
 	if got := total(); got != published {
 		t.Fatalf("readers see %v, want the last published %v", got, published)

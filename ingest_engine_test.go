@@ -447,12 +447,12 @@ func TestIngestConcurrentPublishesMatchSerialOracle(t *testing.T) {
 }
 
 // TestAggConcurrentIngestMatchesOracle runs the measure-vector cube through
-// the same streaming runtime as the scalar one, against a serial AggEngine
-// oracle: concurrent observation streams fold in as width-3 deltas
-// [v, v², 1], unlocked readers pin snapshots mid-stream and must see COUNT
-// totals that only grow and never pass the oracle, and after Flush every
-// aggregate (SUM, COUNT, AVG, VAR) must come out identical because vector
-// deltas coalesce linearly. Then the agg WAL replays into a fresh engine.
+// the same streaming runtime as the scalar one, against a serial
+// measure-vector engine as its oracle: concurrent observation streams fold
+// in as width-3 deltas [v, v², 1], unlocked readers pin snapshots
+// mid-stream and must see COUNT totals that only grow and never pass the
+// oracle, and after Flush every aggregate (SUM, COUNT, AVG, VAR) must come
+// out identical because vector deltas coalesce linearly. Then the agg WAL replays into a fresh engine.
 func TestAggConcurrentIngestMatchesOracle(t *testing.T) {
 	walPath := filepath.Join(t.TempDir(), "agg.wal")
 	cells := []map[string]string{
@@ -502,7 +502,7 @@ func TestAggConcurrentIngestMatchesOracle(t *testing.T) {
 	}
 	oracleCount := count(oracleCounts)
 
-	build := func() *viewcube.SafeAggEngine {
+	build := func() *viewcube.SafeEngine {
 		t.Helper()
 		agg, err := viewcube.NewAggEngine(loadSalesTable(t), viewcube.EngineOptions{})
 		if err != nil {
@@ -572,7 +572,7 @@ func TestAggConcurrentIngestMatchesOracle(t *testing.T) {
 	readers.Wait()
 
 	kinds := []viewcube.AggKind{viewcube.AggSum, viewcube.AggCount, viewcube.AggAvg, viewcube.AggVar}
-	compare := func(eng *viewcube.SafeAggEngine, label string) {
+	compare := func(eng *viewcube.SafeEngine, label string) {
 		t.Helper()
 		for _, kind := range kinds {
 			want, err := oracle.GroupByAgg(kind, "product")

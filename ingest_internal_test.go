@@ -1,6 +1,6 @@
 // Internal proofs of the non-blocking guarantees: these tests hold a
 // guard's write lock directly — something no public API can do — and assert
-// the paths that claim to be lock-free really are, for both engine kinds.
+// the paths that claim to be lock-free really are, at both measure widths.
 // With ingest enabled, readers pin snapshots and appends go through the
 // buffer, so both must complete while the lock is held; zero-delta updates
 // skip the lock on either write path; DataVersion never takes it.
@@ -41,7 +41,7 @@ func internalSafeEngine(t *testing.T) *SafeEngine {
 	return eng.Safe()
 }
 
-func internalSafeAggEngine(t *testing.T, opts EngineOptions) *SafeAggEngine {
+func internalStatsEngine(t *testing.T, opts EngineOptions) *SafeEngine {
 	t.Helper()
 	tbl, err := ReadTable(strings.NewReader(ingestInternalCSV), "sales")
 	if err != nil {
@@ -137,9 +137,9 @@ func safeReads(s *SafeEngine) []readRow {
 	}
 }
 
-// safeAggReads lists every SafeAggEngine read, each aggregate kind its own
-// row.
-func safeAggReads(s *SafeAggEngine) []readRow {
+// safeAggReads lists every aggregate read of a SafeEngine over the
+// measure-vector cube, each aggregate kind its own row.
+func safeAggReads(s *SafeEngine) []readRow {
 	days := map[string]ValueRange{"day": {Lo: "d1", Hi: "d2"}}
 	const sql = "SELECT SUM(sales), COUNT(*), AVG(sales), VAR(sales) GROUP BY product WHERE day BETWEEN 'd1' AND 'd3'"
 	rows := []readRow{
@@ -170,7 +170,7 @@ func safeAggReads(s *SafeAggEngine) []readRow {
 }
 
 // TestIngestReadersIgnoreWriteLock is the barrier test for the MVCC
-// contract, on both engine kinds: with the guard's write lock held (as the
+// contract, at both measure widths: with the guard's write lock held (as the
 // merger or a reconfiguration would), every snapshot-pinned read — each read
 // method, traced and untraced, and the explains — and streamed appends all
 // complete, and each read returns exactly what it returned before the lock
@@ -181,8 +181,8 @@ func TestIngestReadersIgnoreWriteLock(t *testing.T) {
 		s := internalSafeEngine(t)
 		readersIgnoreWriteLock(t, &s.guard, safeReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
 	})
-	t.Run("SafeAggEngine", func(t *testing.T) {
-		s := internalSafeAggEngine(t, EngineOptions{})
+	t.Run("SafeEngineWidth3", func(t *testing.T) {
+		s := internalStatsEngine(t, EngineOptions{})
 		readersIgnoreWriteLock(t, &s.guard, safeAggReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
 	})
 }
@@ -190,7 +190,7 @@ func TestIngestReadersIgnoreWriteLock(t *testing.T) {
 // readersIgnoreWriteLock is the body of TestIngestReadersIgnoreWriteLock.
 // update streams one write adding v to the cube total; the "Total" row reads
 // that total (38 on the fixture).
-func readersIgnoreWriteLock[E guarded[E]](t *testing.T, g *guard[E], reads []readRow, update func(v float64) error) {
+func readersIgnoreWriteLock(t *testing.T, g *guard, reads []readRow, update func(v float64) error) {
 	if err := g.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -322,13 +322,13 @@ func TestIngestStatsDuringWALAppend(t *testing.T) {
 		s := internalSafeEngine(t)
 		statsDuringWALAppend(t, &s.guard, func() error { return s.UpdateValue(1, cell) })
 	})
-	t.Run("SafeAggEngine", func(t *testing.T) {
-		s := internalSafeAggEngine(t, EngineOptions{})
+	t.Run("SafeEngineWidth3", func(t *testing.T) {
+		s := internalStatsEngine(t, EngineOptions{})
 		statsDuringWALAppend(t, &s.guard, func() error { return s.UpdateValue(1, cell) })
 	})
 }
 
-func statsDuringWALAppend[E guarded[E]](t *testing.T, g *guard[E], update func() error) {
+func statsDuringWALAppend(t *testing.T, g *guard, update func() error) {
 	opts := IngestOptions{WALPath: filepath.Join(t.TempDir(), "cube.wal"), Interval: time.Millisecond}
 	if err := g.EnableIngest(opts); err != nil {
 		t.Fatal(err)
@@ -362,13 +362,13 @@ func statsDuringWALAppend[E guarded[E]](t *testing.T, g *guard[E], update func()
 	if st.Appended != appends || st.WALBytes == 0 {
 		t.Fatalf("stats %+v, want %d appends and WAL bytes", st, appends)
 	}
-	if got := g.eng.metrics().ingest.WALBytes.Value(); got != st.WALBytes {
+	if got := g.eng.met.ingest.WALBytes.Value(); got != st.WALBytes {
 		t.Fatalf("viewcube_ingest_wal_bytes_total = %d, want the WAL's exact %d", got, st.WALBytes)
 	}
 }
 
-// TestDataVersion is the property the result caches rest on, for both engine
-// kinds: DataVersion strictly increases across every change to the data or
+// TestDataVersion is the property the result caches rest on, at both measure
+// widths: DataVersion strictly increases across every change to the data or
 // the materialised set — locked update, optimize, automatic reselection,
 // ingest enable, snapshot publish, disable, WAL replay — is left alone by
 // reads and zero deltas, and returns while the write lock is held.
@@ -402,8 +402,8 @@ func TestDataVersion(t *testing.T) {
 			optimize: func() error { return s.Optimize(hot(s.eng.cube)) },
 		})
 	})
-	t.Run("SafeAggEngine", func(t *testing.T) {
-		s, replay := internalSafeAggEngine(t, opts), internalSafeAggEngine(t, opts)
+	t.Run("SafeEngineWidth3", func(t *testing.T) {
+		s, replay := internalStatsEngine(t, opts), internalStatsEngine(t, opts)
 		dataVersion(t, &s.guard, &replay.guard, versionOps{
 			read:     func(keep ...string) error { _, err := s.GroupByAgg(AggAvg, keep...); return err },
 			update:   func(v float64) error { return s.UpdateValue(v, cell) },
@@ -422,7 +422,7 @@ type versionOps struct {
 	optimize func() error
 }
 
-func dataVersion[E guarded[E]](t *testing.T, g, replay *guard[E], ops versionOps) {
+func dataVersion(t *testing.T, g, replay *guard, ops versionOps) {
 	last := g.DataVersion()
 	moved := func(what string) {
 		t.Helper()

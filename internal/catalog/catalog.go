@@ -92,9 +92,9 @@ type Stats struct {
 }
 
 // CubeHandle is the uniform serving surface of one catalog entry,
-// implemented over a SafeEngine, a SafeAggEngine or a PartitionedEngine.
-// Handles must be safe for concurrent use; operations a backing engine
-// cannot perform fail with ErrUnsupported.
+// implemented over a SafeEngine (at any measure width) or a
+// PartitionedEngine. Handles must be safe for concurrent use; operations a
+// backing engine cannot perform fail with ErrUnsupported.
 //
 // The three reads take the trace request as an argument: traced asks for
 // the query's span tree next to its answer. The returned trace is nil when

@@ -6,37 +6,21 @@ import (
 	"viewcube"
 )
 
-// engine is what the two guarded engines — SafeEngine over a scalar cube,
-// SafeAggEngine over a measure-vector cube — have in common: everything a
-// handle does that does not name an aggregate. Both already provide the
-// read/write split and snapshot readers under ingest, so a handle adds no
-// locking of its own.
-type engine interface {
-	Select(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error)
-	UpdateValue(delta float64, values map[string]string) error
-	Optimize(w *viewcube.Workload) error
-	Stats() viewcube.Stats
-	StoreStats() viewcube.StoreStats
-	PlanCacheStats() viewcube.PlanCacheStats
-	MaterializedElements() int
-	StorageCells() int
-	ResidentCells() int
-	DataVersion() uint64
-	Metrics() *viewcube.Metrics
-	IngestEnabled() bool
-	Flush() error
-	IngestStats() viewcube.IngestStats
-	DisableIngest() error
+// NewSafeHandle wraps a SafeEngine (and the cube it serves) as a
+// CubeHandle. The engine already provides the read/write split and snapshot
+// readers under ingest, so the handle adds no locking of its own. Its
+// group-bys, ranges and explains answer SUM at any measure width; on a
+// measure-vector cube the other aggregate kinds are reachable through Query.
+func NewSafeHandle(cube *viewcube.Cube, eng *viewcube.SafeEngine) CubeHandle {
+	return &safeHandle{cube, eng}
 }
 
-// engineHandle is the part of a CubeHandle (and of Ingester / IngestCloser)
-// the two adapters share; each adds only the reads that name SUM.
-type engineHandle struct {
+type safeHandle struct {
 	cube *viewcube.Cube
-	eng  engine
+	eng  *viewcube.SafeEngine
 }
 
-func (h *engineHandle) Info() Info {
+func (h *safeHandle) Info() Info {
 	return Info{
 		Dimensions: h.cube.Dimensions(),
 		Shape:      h.cube.Shape(),
@@ -45,63 +29,8 @@ func (h *engineHandle) Info() Info {
 	}
 }
 
-func (h *engineHandle) Query(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error) {
+func (h *safeHandle) Query(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error) {
 	return h.eng.Select(traced, sql)
-}
-
-func (h *engineHandle) UpdateValue(delta float64, values map[string]string) error {
-	return h.eng.UpdateValue(delta, values)
-}
-
-func (h *engineHandle) Optimize(views []HotView) error {
-	w, err := buildWorkload(h.cube, views)
-	if err != nil {
-		return err
-	}
-	return h.eng.Optimize(w)
-}
-
-func (h *engineHandle) Stats() Stats {
-	return Stats{
-		Engine:               h.eng.Stats(),
-		Store:                h.eng.StoreStats(),
-		PlanCache:            h.eng.PlanCacheStats(),
-		MaterializedElements: h.eng.MaterializedElements(),
-		StorageCells:         h.eng.StorageCells(),
-		ResidentCells:        h.eng.ResidentCells(),
-	}
-}
-
-func (h *engineHandle) PlanCacheStats() viewcube.PlanCacheStats { return h.eng.PlanCacheStats() }
-
-func (h *engineHandle) DataVersion() uint64 { return h.eng.DataVersion() }
-
-func (h *engineHandle) Metrics() *viewcube.Metrics { return h.eng.Metrics() }
-
-func (h *engineHandle) IngestEnabled() bool { return h.eng.IngestEnabled() }
-
-// IngestValue delegates to UpdateValue, which routes through the ingest
-// buffer whenever the streaming path is enabled and degrades to the locked
-// write otherwise.
-func (h *engineHandle) IngestValue(delta float64, values map[string]string) error {
-	return h.eng.UpdateValue(delta, values)
-}
-
-func (h *engineHandle) FlushIngest() error { return h.eng.Flush() }
-
-func (h *engineHandle) IngestStats() viewcube.IngestStats { return h.eng.IngestStats() }
-
-func (h *engineHandle) CloseIngest() error { return h.eng.DisableIngest() }
-
-// NewSafeHandle wraps a SafeEngine (and the cube it serves) as a
-// CubeHandle.
-func NewSafeHandle(cube *viewcube.Cube, eng *viewcube.SafeEngine) CubeHandle {
-	return &safeHandle{engineHandle{cube, eng}, eng}
-}
-
-type safeHandle struct {
-	engineHandle
-	eng *viewcube.SafeEngine
 }
 
 func (h *safeHandle) GroupBy(traced bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error) {
@@ -120,32 +49,49 @@ func (h *safeHandle) ExplainGroupBy(keep ...string) (string, error) {
 	return h.eng.ExplainGroupBy(keep...)
 }
 
-// NewAggHandle wraps a measure-vector SafeAggEngine as a CubeHandle serving
-// its SUM aggregate; the other aggregate kinds are reachable through Query.
-func NewAggHandle(eng *viewcube.SafeAggEngine) CubeHandle {
-	return &aggHandle{engineHandle{eng.Cube(), eng}, eng}
+func (h *safeHandle) UpdateValue(delta float64, values map[string]string) error {
+	return h.eng.UpdateValue(delta, values)
 }
 
-type aggHandle struct {
-	engineHandle
-	eng *viewcube.SafeAggEngine
-}
-
-func (h *aggHandle) GroupBy(traced bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error) {
-	return h.eng.GroupByResult(traced, viewcube.AggSum, keep...)
-}
-
-func (h *aggHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
-	if traced {
-		return h.eng.TraceRangeAgg(viewcube.AggSum, ranges)
+func (h *safeHandle) Optimize(views []HotView) error {
+	w, err := buildWorkload(h.cube, views)
+	if err != nil {
+		return err
 	}
-	sum, err := h.eng.RangeAgg(viewcube.AggSum, ranges)
-	return sum, nil, err
+	return h.eng.Optimize(w)
 }
 
-func (h *aggHandle) ExplainGroupBy(keep ...string) (string, error) {
-	return h.eng.ExplainAgg(viewcube.AggSum, keep...)
+func (h *safeHandle) Stats() Stats {
+	return Stats{
+		Engine:               h.eng.Stats(),
+		Store:                h.eng.StoreStats(),
+		PlanCache:            h.eng.PlanCacheStats(),
+		MaterializedElements: h.eng.MaterializedElements(),
+		StorageCells:         h.eng.StorageCells(),
+		ResidentCells:        h.eng.ResidentCells(),
+	}
 }
+
+func (h *safeHandle) PlanCacheStats() viewcube.PlanCacheStats { return h.eng.PlanCacheStats() }
+
+func (h *safeHandle) DataVersion() uint64 { return h.eng.DataVersion() }
+
+func (h *safeHandle) Metrics() *viewcube.Metrics { return h.eng.Metrics() }
+
+func (h *safeHandle) IngestEnabled() bool { return h.eng.IngestEnabled() }
+
+// IngestValue delegates to UpdateValue, which routes through the ingest
+// buffer whenever the streaming path is enabled and degrades to the locked
+// write otherwise.
+func (h *safeHandle) IngestValue(delta float64, values map[string]string) error {
+	return h.eng.UpdateValue(delta, values)
+}
+
+func (h *safeHandle) FlushIngest() error { return h.eng.Flush() }
+
+func (h *safeHandle) IngestStats() viewcube.IngestStats { return h.eng.IngestStats() }
+
+func (h *safeHandle) CloseIngest() error { return h.eng.DisableIngest() }
 
 // NewPartitionedHandle wraps a sharded PartitionedEngine as a CubeHandle.
 // Distributive reads (GroupBy, RangeSum) fan out to the shards — the

@@ -6,8 +6,9 @@
 //	WHERE day BETWEEN 'd1' AND 'd5' AND region = 'east'
 //
 // The package parses queries into an AST; execution lives in the public
-// viewcube package (SUM through an Engine, COUNT/AVG/VAR/STDDEV through an
-// AggEngine), keeping this package free of engine dependencies.
+// viewcube package (SUM on any Engine, COUNT/AVG/VAR/STDDEV on the
+// measure-vector Engine of NewAggEngine), keeping this package free of
+// engine dependencies.
 package query
 
 import (

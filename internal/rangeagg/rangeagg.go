@@ -18,12 +18,9 @@ package rangeagg
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"viewcube/internal/freq"
 	"viewcube/internal/ndarray"
-	"viewcube/internal/obs"
-	"viewcube/internal/rescache"
 	"viewcube/internal/velement"
 )
 
@@ -122,138 +119,50 @@ type ElementSource interface {
 	Element(r freq.Rect) (*ndarray.Array, error)
 }
 
-// CtxElementSource is optionally implemented by sources that can record
-// per-query spans while producing an element. The querier forwards its
-// execution context through ElementCtx when the source supports it, so
-// element assembly shows up in query traces without the source holding any
-// per-query state.
-type CtxElementSource interface {
-	ElementCtx(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error)
-}
-
-// Querier answers range-SUM queries from intermediate view elements,
-// caching each element it touches in an epoch-keyed cache. Elements may
-// carry several planes (a measure vector per cell); every plane is summed.
-// Queries may run concurrently: the pyramid cache is concurrency-safe with
-// singleflight miss coalescing (racing queries for the same intermediate
-// element wait on one fetch instead of duplicating it), and cached arrays
-// are only ever read after insertion. (Concurrent safety additionally requires an element
-// source that is safe for concurrent calls, such as an assembly engine over
-// a concurrent-read store.)
+// Querier answers range-SUM queries from the intermediate view elements of
+// one-plane cubes, caching each element it touches. It is the §6
+// reproduction, not a serving path, and is not safe for concurrent use.
 type Querier struct {
 	space *velement.Space
 	src   ElementSource
+	cache map[freq.Key]*ndarray.Array
 
-	cache *rescache.Cache[freq.Key, *ndarray.Array]
-
-	mu sync.Mutex // guards CellsRead
-
-	// CellsRead counts element cells fetched across all queries — the
-	// operational cost that §6 argues is logarithmic per dimension. It is
-	// updated once per query under the internal lock; read it only while no
-	// query is in flight.
+	// CellsRead counts element cells read across all queries — the
+	// operational cost that §6 argues is logarithmic per dimension.
 	CellsRead int
-
-	met *obs.RangeMetrics
 }
 
 // NewQuerier returns a range querier over the space, fetching intermediate
 // elements from src on demand.
 func NewQuerier(space *velement.Space, src ElementSource) *Querier {
-	return &Querier{
-		space: space, src: src,
-		cache: rescache.New[freq.Key, *ndarray.Array](unbounded),
-		met:   obs.NewRangeMetrics(nil),
-	}
+	return &Querier{space: space, src: src, cache: make(map[freq.Key]*ndarray.Array)}
 }
-
-// unbounded is the pyramid caches' options: they hold at most one element
-// per pyramid level combination and are dropped whole on Reset.
-var unbounded = rescache.Options{MaxEntries: -1, MaxBytes: -1}
-
-// SetMetrics attaches registered instruments; nil restores the no-op set.
-func (q *Querier) SetMetrics(m *obs.RangeMetrics) {
-	if m == nil {
-		m = obs.NewRangeMetrics(nil)
-	}
-	q.met = m
-}
-
-// Reset bumps the cache epoch, dropping every cached element. Call it after
-// the underlying data changes (e.g. incremental cube updates) so subsequent
-// range queries re-fetch fresh elements.
-func (q *Querier) Reset() { q.cache.Invalidate() }
 
 // element returns the intermediate view element whose per-dimension
-// all-partial depth is levels[m] (the Gaussian-pyramid member P_k). Cached
-// elements are shared read-only between concurrent queries; racing misses
-// for the same element are coalesced onto one fetch, and only the fetching
-// goroutine records the "element" span (waiters did no work).
-func (q *Querier) element(x *obs.ExecCtx, depths []int) (*ndarray.Array, error) {
+// all-partial depth is levels[m] (the Gaussian-pyramid member P_k).
+func (q *Querier) element(depths []int) (*ndarray.Array, error) {
 	r := make(freq.Rect, len(depths))
 	for m, k := range depths {
 		r[m] = freq.Node(1 << uint(k))
 	}
-	a, _, err := q.cache.GetOrCompute(r.Key(), func() (*ndarray.Array, error) {
-		var sp *obs.Span
-		if x.Tracing() {
-			sp = x.Start("element " + r.String())
-			defer sp.End()
-		}
-		a, err := q.fetch(x.Under(sp), r)
-		if err != nil {
-			return nil, err
-		}
-		q.met.ElementMiss.Inc()
-		sp.SetAttr("cells", int64(a.Cells()))
-		if a.Planes() > 1 {
-			sp.SetAttr("measure_width", int64(a.Planes()))
-		}
+	if a, ok := q.cache[r.Key()]; ok {
 		return a, nil
-	})
-	return a, err
-}
-
-// fetch produces one element from the source, forwarding the execution
-// context to sources that can trace their work (CtxElementSource).
-func (q *Querier) fetch(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
-	if cs, ok := q.src.(CtxElementSource); ok {
-		return cs.ElementCtx(x, r)
 	}
-	return q.src.Element(r)
+	a, err := q.src.Element(r)
+	if err != nil {
+		return nil, err
+	}
+	q.cache[r.Key()] = a
+	return a, nil
 }
 
 // RangeSum computes the SUM over the box via the dyadic decomposition: one
-// element-cell read per product of per-dimension blocks. It is the untraced
-// form of RangeSumCtx.
+// element-cell read per product of per-dimension blocks.
 func (q *Querier) RangeSum(box Box) (float64, error) {
-	return q.RangeSumCtx(nil, box)
-}
-
-// RangeSumCtx is RangeSum with an explicit per-query execution context: a
-// non-nil x records a "range_sum" span plus one "element" span per pyramid
-// miss. A nil x means untraced. It is RangeInto for one-plane elements.
-func (q *Querier) RangeSumCtx(x *obs.ExecCtx, box Box) (float64, error) {
-	var out [1]float64
-	err := q.RangeInto(x, box, out[:])
-	return out[0], err
-}
-
-// RangeInto sums the box of every plane into out, one value per plane: the
-// same dyadic decomposition and pyramid walk, one accumulator per plane.
-func (q *Querier) RangeInto(x *obs.ExecCtx, box Box, out []float64) error {
 	shape := q.space.Shape()
 	if err := box.Validate(shape); err != nil {
-		return err
+		return 0, err
 	}
-	q.met.RangeQueries.Inc()
-	sp := x.Start("range_sum")
-	sp.SetAttr("box_cells", int64(box.Cells()))
-	if len(out) > 1 {
-		sp.SetAttr("measure_width", int64(len(out)))
-	}
-	defer sp.End()
-	x = x.Under(sp)
 	d := len(shape)
 	// One leg of dyadic blocks per dimension (§6 decomposition).
 	legs := DecomposeBox(box.Lo, box.Ext, nil)
@@ -262,8 +171,7 @@ func (q *Querier) RangeInto(x *obs.ExecCtx, box Box, out []float64) error {
 	idx := make([]int, d)
 	depths := make([]int, d)
 	cell := make([]int, d)
-	clear(out)
-	read := 0
+	sum := 0.0
 	for {
 		for m := 0; m < d; m++ {
 			b := legs[m].Blocks[idx[m]]
@@ -273,18 +181,12 @@ func (q *Querier) RangeInto(x *obs.ExecCtx, box Box, out []float64) error {
 			depths[m] = b.Level
 			cell[m] = b.Start >> uint(b.Level)
 		}
-		el, err := q.element(x, depths)
+		el, err := q.element(depths)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		if el.Planes() != len(out) {
-			return fmt.Errorf("rangeagg: %d sums for an element of %d planes", len(out), el.Planes())
-		}
-		off, cells, data := el.Offset(cell), el.Cells(), el.Data()
-		for p := range out {
-			out[p] += data[p*cells+off]
-		}
-		read++
+		sum += el.At(cell...)
+		q.CellsRead++
 		// Advance the product iterator.
 		m := d - 1
 		for ; m >= 0; m-- {
@@ -295,15 +197,9 @@ func (q *Querier) RangeInto(x *obs.ExecCtx, box Box, out []float64) error {
 			idx[m] = 0
 		}
 		if m < 0 {
-			break
+			return sum, nil
 		}
 	}
-	q.met.CellsRead.Add(uint64(read))
-	q.mu.Lock()
-	q.CellsRead += read
-	q.mu.Unlock()
-	sp.SetAttr("cells_read", int64(read))
-	return nil
 }
 
 // BlocksTouched returns the number of element cells a box's decomposition

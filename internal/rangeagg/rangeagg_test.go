@@ -180,7 +180,7 @@ func TestQuerierCachesElements(t *testing.T) {
 	if q.CellsRead != 2*first {
 		t.Fatalf("cells read %d, want %d (same per query)", q.CellsRead, 2*first)
 	}
-	if q.cache.Stats().Entries == 0 {
+	if len(q.cache) == 0 {
 		t.Fatal("querier should have cached elements")
 	}
 }
@@ -273,69 +273,6 @@ func TestThreeMethodsAgreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestGroupedRangeSumMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := velement.MustSpace(8, 16, 4)
-	cube := randomCube(rng, 8, 16, 4)
-	mat, _ := assembly.NewMaterializer(s, cube)
-	q := NewQuerier(s, mat)
-	for trial := 0; trial < 40; trial++ {
-		// Keep dim 0; filter dims 1 and 2.
-		lo1, lo2 := rng.Intn(16), rng.Intn(4)
-		box := Box{
-			Lo:  []int{0, lo1, lo2},
-			Ext: []int{8, 1 + rng.Intn(16-lo1), 1 + rng.Intn(4-lo2)},
-		}
-		got, err := q.GroupedRangeSum(box, []bool{true, false, false})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sh := got.Shape(); sh[0] != 8 || sh[1] != 1 || sh[2] != 1 {
-			t.Fatalf("output shape %v", sh)
-		}
-		for i := 0; i < 8; i++ {
-			want, err := cube.BoxSum([]int{i, box.Lo[1], box.Lo[2]}, []int{1, box.Ext[1], box.Ext[2]})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got.At(i, 0, 0)-want) > 1e-6 {
-				t.Fatalf("trial %d group %d: %g, want %g", trial, i, got.At(i, 0, 0), want)
-			}
-		}
-	}
-}
-
-func TestGroupedRangeSumAllKept(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := velement.MustSpace(4, 4)
-	cube := randomCube(rng, 4, 4)
-	mat, _ := assembly.NewMaterializer(s, cube)
-	q := NewQuerier(s, mat)
-	got, err := q.GroupedRangeSum(Box{Lo: []int{0, 0}, Ext: []int{4, 4}}, []bool{true, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(cube, 1e-9) {
-		t.Fatal("all-kept grouped sum must return the cube")
-	}
-}
-
-func TestGroupedRangeSumValidation(t *testing.T) {
-	s := velement.MustSpace(4, 4)
-	mat, _ := assembly.NewMaterializer(s, ndarray.New(4, 4))
-	q := NewQuerier(s, mat)
-	// Kept dimension must be unfiltered.
-	if _, err := q.GroupedRangeSum(Box{Lo: []int{1, 0}, Ext: []int{2, 4}}, []bool{true, true}); err == nil {
-		t.Fatal("want error for filtered kept dimension")
-	}
-	if _, err := q.GroupedRangeSum(Box{Lo: []int{0, 0}, Ext: []int{4, 4}}, []bool{true}); err == nil {
-		t.Fatal("want error for mask rank mismatch")
-	}
-	if _, err := q.GroupedRangeSum(Box{Lo: []int{0, 0}, Ext: []int{9, 4}}, []bool{true, false}); err == nil {
-		t.Fatal("want error for bad box")
 	}
 }
 

@@ -411,7 +411,7 @@ func TestAggQueryTraceOpsMatchExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterHandle("stats", catalog.NewAggHandle(agg.Safe())); err != nil {
+	if err := reg.RegisterHandle("stats", catalog.NewSafeHandle(agg.Cube(), agg.Safe())); err != nil {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, NewCatalog(reg, quiet))

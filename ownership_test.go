@@ -343,7 +343,7 @@ func TestOwnershipDifferentialAgg(t *testing.T) {
 				observe(v, idx)
 				o.apply(v, idx)
 			}
-			build := func() *SafeAggEngine {
+			build := func() *SafeEngine {
 				tbl, err := NewTable(dims, "m")
 				if err != nil {
 					t.Fatal(err)
@@ -365,11 +365,11 @@ func TestOwnershipDifferentialAgg(t *testing.T) {
 				o.update = func(v float64, idx []int) error { return s.Update(v, idx...) }
 				o.optimize = s.Optimize
 				o.flush = s.Flush
-				o.stored = func() bool { _, ok := agg.eng.st.Get(o.cube.space.Root()); return ok }
+				o.stored = func() bool { _, ok := agg.st.Get(o.cube.space.Root()); return ok }
 				o.rootView = func() []float64 {
 					e, release := s.reader()
 					defer release()
-					arr, err := e.eng.inner.Assembler().Answer(nil, o.cube.space.Root())
+					arr, err := e.inner.Assembler().Answer(nil, o.cube.space.Root())
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -28,24 +28,13 @@ type QueryResult struct {
 //
 //	SELECT SUM(sales) GROUP BY product WHERE day BETWEEN 'd1' AND 'd5'
 //
-// Only SUM aggregates are supported on a plain Engine; use an AggEngine
-// (NewAggEngine) for COUNT, AVG, VAR and STDDEV. Grouped dimensions cannot
-// also be filtered.
+// Every aggregate in the SELECT list finalises from the same assembled
+// component planes — one plan, one execution, however many aggregates are
+// selected. A SUM cube serves SUM only; COUNT, AVG, VAR and STDDEV need the
+// measure-vector cube of NewAggEngine. Grouped dimensions cannot also be
+// filtered.
 func (e *Engine) Query(sql string) (*QueryResult, error) {
-	return untraced(asQuery(runInline(e, false, sqlRead, sql)))
-}
-
-// Query parses and executes a SQL-like statement against the vector
-// engine. Every aggregate in the SELECT list finalises from the same
-// assembled component planes — one plan, one execution, however many
-// aggregates are selected.
-func (a *AggEngine) Query(sql string) (*QueryResult, error) {
-	return untraced(asQuery(runAgg(a, false, aggSQLRead, sql)))
-}
-
-// TraceQuery is Query with per-span tracing.
-func (a *AggEngine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	return asQuery(runAgg(a, true, aggSQLRead, sql))
+	return untraced(asQuery(runInline(e, false, sqlRead, (*Engine).queryInner, sql)))
 }
 
 // sqlRanges validates the SELECT list's measure arguments and the WHERE
@@ -96,58 +85,21 @@ func sqlResult(r *Result, q *query.Query) *Result {
 	return r
 }
 
-// queryInner runs the statement through the measure-vector path: one vector
-// GROUP BY (or grouped range query), whose Result finalises every selected
-// aggregate from the component planes as rows are emitted.
-func (a *AggEngine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
-	q, err := query.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	ranges, err := sqlRanges(a.eng.cube, q)
-	if err != nil {
-		return nil, err
-	}
-
-	// One vector query materialises every component plane at once.
-	var (
-		arr *ndarray.Array
-		el  Element
-	)
-	if len(ranges) == 0 {
-		arr, el, err = a.groupByVector(x, q.GroupBy...)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		keepMask, box, berr := a.eng.resolveGroupedBox(q.GroupBy, ranges)
-		if berr != nil {
-			return nil, berr
-		}
-		if arr, err = a.eng.groupedRange(x, box, keepMask); err != nil {
-			return nil, err
-		}
-		if el, err = a.eng.cube.ViewKeeping(q.GroupBy...); err != nil {
-			return nil, err
-		}
-	}
-	r, err := a.result(arr, el, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	return sqlResult(r, q), nil
-}
-
-// queryInner is the scalar (width-1) SQL path of the plain Engine: SUM-only.
-// Its one sub-query goes through the uninstrumented bodies, so the SQL entry
-// point records one "sql" observation, not one per sub-query.
+// queryInner runs the statement as one GROUP BY (or grouped range query)
+// over every measure plane, whose Result finalises each selected aggregate
+// from the component planes as rows are emitted. Its one sub-query goes
+// through the uninstrumented bodies, so the SQL entry point records one
+// "sql" observation, not one per sub-query. A cube without dictionaries
+// answers only the ungrouped, unfiltered statement.
 func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	if q.NeedsCount() {
-		return nil, fmt.Errorf("viewcube: COUNT/AVG need an AggEngine from NewAggEngine (this engine has only the SUM cube)")
+	for _, agg := range q.Aggregates {
+		if err := e.supports(sqlAggKinds[agg.Kind]); err != nil {
+			return nil, err
+		}
 	}
 	if e.cube.enc == nil && len(q.Where) > 0 {
 		return nil, fmt.Errorf("viewcube: WHERE needs a dictionary-encoded cube")
@@ -156,28 +108,27 @@ func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var v *View
-	if len(ranges) > 0 {
-		v, err = e.groupByWhereInner(x, dice{q.GroupBy, ranges})
+	el, err := e.cube.ViewKeeping(q.GroupBy...)
+	if err != nil {
+		return nil, err
+	}
+	if e.cube.enc == nil && len(q.GroupBy) > 0 {
+		return nil, fmt.Errorf("viewcube: GROUP BY needs a dictionary-encoded cube")
+	}
+	var arr *ndarray.Array
+	if len(ranges) == 0 {
+		arr, err = e.inner.Query(x, el.rect)
 	} else {
-		v, err = e.groupByInner(x, q.GroupBy)
+		keepMask, box, berr := e.resolveGroupedBox(q.GroupBy, ranges)
+		if berr != nil {
+			return nil, berr
+		}
+		arr, err = e.groupedRange(x, box, keepMask)
 	}
 	if err != nil {
 		return nil, err
 	}
-	var r *Result
-	switch {
-	case e.cube.enc != nil:
-		r, err = v.leased()
-	case len(q.GroupBy) > 0:
-		// Raw cube, no dictionaries: only the ungrouped total works.
-		err = fmt.Errorf("viewcube: GROUP BY needs a dictionary-encoded cube")
-	default:
-		var total float64
-		if total, err = v.Value(); err == nil {
-			r, err = NewResult(nil, nil, 1, []float64{total})
-		}
-	}
+	r, err := e.result(arr, el, nil, false)
 	if err != nil {
 		return nil, err
 	}

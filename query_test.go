@@ -2,6 +2,7 @@ package viewcube_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"viewcube"
@@ -78,8 +79,8 @@ func TestEngineQueryErrors(t *testing.T) {
 	c := loadSales(t)
 	eng, _ := c.NewEngine(viewcube.EngineOptions{})
 	cases := []string{
-		"SELECT AVG(sales) GROUP BY product",                       // needs AggEngine
-		"SELECT COUNT(*)",                                          // needs AggEngine
+		"SELECT AVG(sales) GROUP BY product",                       // needs NewAggEngine
+		"SELECT COUNT(*)",                                          // needs NewAggEngine
 		"SELECT SUM(profit)",                                       // unknown measure
 		"SELECT SUM(sales) GROUP BY nope",                          // unknown dimension
 		"SELECT SUM(sales) WHERE nope = 'x'",                       // unknown filter dimension
@@ -164,5 +165,22 @@ func TestQueryOnRawCube(t *testing.T) {
 	}
 	if _, err := eng.Query("SELECT SUM(m) WHERE x = 'v'"); err == nil {
 		t.Fatal("raw cubes cannot filter by value")
+	}
+	// The aggregate reads keep the same rules: the ungrouped, unfiltered
+	// SUM answers; groups, value ranges and COUNT fail with an error.
+	if g, err := eng.GroupByAgg(viewcube.AggSum); err != nil || g[""] != 10 {
+		t.Fatalf("raw GroupByAgg total %v (%v)", g, err)
+	}
+	if v, err := eng.RangeAgg(viewcube.AggSum, nil); err != nil || v != 10 {
+		t.Fatalf("raw RangeAgg total %v (%v)", v, err)
+	}
+	if _, err := eng.GroupByAgg(viewcube.AggSum, "x"); err == nil {
+		t.Fatal("raw cubes cannot group by value")
+	}
+	if _, err := eng.RangeAgg(viewcube.AggSum, map[string]viewcube.ValueRange{"x": {}}); err == nil {
+		t.Fatal("raw cubes cannot range by value")
+	}
+	if _, err := eng.RangeAgg(viewcube.AggCount, nil); err == nil || !strings.Contains(err.Error(), "NewAggEngine") {
+		t.Fatalf("COUNT on a SUM cube: %v, want an error naming NewAggEngine", err)
 	}
 }

@@ -5,37 +5,34 @@ import (
 	"time"
 
 	"viewcube/internal/obs"
-	"viewcube/internal/rangeagg"
 )
 
-// read is one query stated once, as data: the Metrics kind it counts under,
-// the root-span name of its trace where that is not the kind itself (built
-// only when the query is traced) and the body that answers it from its
-// arguments. E is the engine the body runs against — *Engine (the plain
-// engine itself, or whichever snapshot generation a SafeEngine pinned) or
-// *AggEngine — and x the per-query execution context (nil = untraced).
-// Bodies never reselect, so they are safe under a read lock.
-type read[E, A, T any] struct {
+// read is one kind of query, stated once as data: the Metrics kind it
+// counts under and, where that is not the kind itself, the root-span name of
+// its trace, built from the query's arguments only when the query is traced.
+// The body that answers it goes beside it to run: an *Engine method taking
+// the per-query execution context x (nil = untraced) and the arguments, run
+// against the plain engine itself or whichever snapshot generation a
+// SafeEngine pinned. Bodies never reselect, so they are safe under a read
+// lock.
+type read struct {
 	kind string
-	name func(args A) string
-	body func(e E, x *obs.ExecCtx, args A) (T, error)
+	name func(args any) string
 }
 
-// The plain engine's reads.
+// The engine's reads.
 var (
-	viewRead         = read[*Engine, Element, *View]{kind: "view", body: (*Engine).viewInner}
-	groupByRead      = read[*Engine, []string, *View]{kind: "groupby", name: groupByName, body: (*Engine).groupByInner}
-	groupByWhereRead = read[*Engine, dice, *View]{kind: "groupby_where", body: (*Engine).groupByWhereInner}
-	totalRead        = read[*Engine, struct{}, float64]{kind: "total", body: (*Engine).totalInner}
-	rangeSumRead     = read[*Engine, map[string]ValueRange, float64]{kind: "range", body: (*Engine).rangeSumInner}
-	rangeWithinRead  = read[*Engine, map[string]ValueRange, withinSum]{kind: "range", body: (*Engine).rangeSumWithinInner}
-	rangeIndexRead   = read[*Engine, rangeagg.Box, float64]{kind: "range", body: (*Engine).rangeSumIndexInner}
-	sqlRead          = read[*Engine, string, *Result]{kind: "sql", name: sqlName, body: (*Engine).queryInner}
+	viewRead         = read{kind: "view"}
+	groupByRead      = read{kind: "groupby", name: groupByName}
+	groupByWhereRead = read{kind: "groupby_where"}
+	totalRead        = read{kind: "total"}
+	rangeRead        = read{kind: "range"}
+	sqlRead          = read{kind: "sql", name: func(any) string { return "query" }}
+	groupByAggRead   = read{kind: "groupby", name: aggKeepName}
+	rangeAggRead     = read{kind: "range", name: aggRangesName}
 )
 
-func groupByName(keep []string) string { return "groupby " + strings.Join(keep, ",") }
-
-func sqlName(string) string { return "query" }
+func groupByName(keep any) string { return "groupby " + strings.Join(keep.([]string), ",") }
 
 // dice is GroupByWhere's argument pair.
 type dice struct {
@@ -49,12 +46,12 @@ type withinSum struct {
 	ok  bool
 }
 
-// run is the package's one read seam: every query of every engine face is
-// timed, counted under its kind in met and — when traced — given a fresh
-// trace here, and nowhere else. Nothing is attached to the engine: the
-// execution context is threaded through the body, so concurrent queries
-// (traced or not) never observe each other's spans.
-func run[E, A, T any](met *Metrics, e E, traced bool, r read[E, A, T], args A) (T, *QueryTrace, error) {
+// run is the package's one read seam: every query of every engine face runs
+// its body on e here, timed, counted under its kind in e's Metrics and —
+// when traced — given a fresh trace, and nowhere else. Nothing is attached
+// to the engine: the execution context is threaded through the body, so
+// concurrent queries (traced or not) never observe each other's spans.
+func run[A, T any](e *Engine, traced bool, r read, body func(*Engine, *obs.ExecCtx, A) (T, error), args A) (T, *QueryTrace, error) {
 	var (
 		qt *QueryTrace
 		x  *obs.ExecCtx
@@ -68,8 +65,8 @@ func run[E, A, T any](met *Metrics, e E, traced bool, r read[E, A, T], args A) (
 		x = obs.Traced(qt.t)
 	}
 	start := time.Now()
-	out, err := r.body(e, x, args)
-	met.observe(r.kind, start, err)
+	out, err := body(e, x, args)
+	e.met.observe(r.kind, start, err)
 	if traced {
 		qt.t.Finish()
 	}
@@ -110,8 +107,8 @@ func asQuery(r *Result, qt *QueryTrace, err error) (*QueryResult, *QueryTrace, e
 // runInline is run for the plain Engine's public entry points: queries on a
 // plain engine are single-threaded by contract, so a due automatic
 // reselection happens inline, right after the read.
-func runInline[A, T any](e *Engine, traced bool, r read[*Engine, A, T], args A) (T, *QueryTrace, error) {
-	out, qt, err := run(e.met, e, traced, r, args)
+func runInline[A, T any](e *Engine, traced bool, r read, body func(*Engine, *obs.ExecCtx, A) (T, error), args A) (T, *QueryTrace, error) {
+	out, qt, err := run(e, traced, r, body, args)
 	if err == nil {
 		_, err = e.maybeReselect()
 	}

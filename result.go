@@ -90,6 +90,9 @@ func NewResult(dims []string, members [][]string, width int, values []float64) (
 // width planes of shape cells, the cube's extent on each kept dimension and 1
 // on every other — which therefore drops out of the addressing.
 func viewResult(c *Cube, kept []int, shape []int, vals []float64, width int) (*Result, error) {
+	if c.enc == nil && len(kept) > 0 {
+		return nil, fmt.Errorf("viewcube: cube has no dictionary encoding")
+	}
 	r := Result{vals: vals, width: width}
 	want := make([]int, len(c.dims))
 	for m := range want {

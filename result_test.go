@@ -48,7 +48,7 @@ func refViewGroups(e *relation.Encoding, view *ndarray.Array, aggregated []bool)
 	return out, bad
 }
 
-// refFinalizeGroups is the retired AggEngine.finalizeGroups over
+// refFinalizeGroups is the retired measure-vector engine's finalizeGroups over
 // ViewGroupsVec: SUM and COUNT report every group, the count-dividing kinds
 // drop the empty ones.
 func refFinalizeGroups(e *relation.Encoding, ma *ndarray.Array, aggregated []bool, spec plan.MeasureSpec, kind AggKind) (map[string]float64, error) {
@@ -715,7 +715,7 @@ func TestResultRelease(t *testing.T) {
 		"sql where": func() (*Result, *QueryTrace, error) {
 			return s.Select(false, "SELECT SUM(m) GROUP BY x WHERE y BETWEEN 'y1' AND 'y2'")
 		},
-		"agg groupby": func() (*Result, *QueryTrace, error) { return sa.GroupByResult(false, AggAvg, "x") },
+		"agg groupby": func() (*Result, *QueryTrace, error) { return sa.GroupByAggResult(false, AggAvg, "x") },
 		"agg sql":     func() (*Result, *QueryTrace, error) { return sa.Select(false, "SELECT AVG(m), COUNT(*) GROUP BY x") },
 	} {
 		r, _, err := ask()

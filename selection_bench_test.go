@@ -149,8 +149,8 @@ func benchOptimize131kBudget2(b *testing.B) { benchOptimize(b, benchCube(b, 64, 
 
 // BenchmarkOptimizeAgg131k is BenchmarkOptimize131k/budget=1 over one
 // table-built cube of the benchmark shape: on the scalar engine of its SUM
-// cube and on the AggEngine of its measure vector [Σv, Σv², Σ1], which
-// selects once and migrates all three planes in one cascade.
+// cube and on the NewAggEngine engine of its measure vector [Σv, Σv², Σ1],
+// which selects once and migrates all three planes in one cascade.
 func BenchmarkOptimizeAgg131k(b *testing.B) {
 	b.Run("scalar", benchOptimizeAgg131kScalar)
 	b.Run("agg", benchOptimizeAgg131kAgg)

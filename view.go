@@ -11,12 +11,14 @@ import (
 
 // View is a materialised query answer: the array of an assembled view
 // element, with helpers for relational interpretation when the cube was
-// built from encoded data.
+// built from encoded data. Its accessors read the SUM plane, which every
+// measure layout keeps in plane 0 (plan.ScalarMeasure, plan.StatsMeasure),
+// so a view of a measure-vector cube answers SUM like any other.
 type View struct {
 	cube *Cube
 	el   Element
-	arr  *ndarray.Array
-	kept []int // cube dimension indices the element keeps unaggregated
+	arr  *ndarray.Array // every measure plane: what the view owns
+	kept []int          // cube dimension indices the element keeps unaggregated
 }
 
 func newView(c *Cube, el Element, arr *ndarray.Array) (*View, error) {
@@ -60,7 +62,7 @@ func (v *View) At(idx ...int) float64 {
 
 // Data returns a copy of the view's cells in row-major order.
 func (v *View) Data() []float64 {
-	out := make([]float64, v.arr.Size())
+	out := make([]float64, v.arr.Cells())
 	copy(out, v.arr.Data())
 	return out
 }
@@ -68,8 +70,8 @@ func (v *View) Data() []float64 {
 // Value returns the single cell of a fully aggregated view, erroring if the
 // view has more than one cell.
 func (v *View) Value() (float64, error) {
-	if v.arr.Size() != 1 {
-		return 0, fmt.Errorf("viewcube: view has %d cells, not 1", v.arr.Size())
+	if v.arr.Cells() != 1 {
+		return 0, fmt.Errorf("viewcube: view has %d cells, not 1", v.arr.Cells())
 	}
 	return v.arr.Data()[0], nil
 }
@@ -86,8 +88,8 @@ func (v *View) KeptDimensions() []string {
 
 // Result interprets an aggregated view of an encoded cube relationally, as
 // the columnar Result every serving path carries: the kept dimensions'
-// dictionaries as its header, the view's own array as its body. Nothing is
-// copied and nothing is allocated per group.
+// dictionaries as its header, the SUM plane of the view's own array as its
+// body. Nothing is copied and nothing is allocated per group.
 func (v *View) Result() (*Result, error) {
 	if v.cube.enc == nil {
 		return nil, fmt.Errorf("viewcube: cube has no dictionary encoding")
@@ -95,11 +97,12 @@ func (v *View) Result() (*Result, error) {
 	if !v.cube.IsAggregatedView(v.el) {
 		return nil, fmt.Errorf("viewcube: %v is not an aggregated view", v.el)
 	}
-	return viewResult(v.cube, v.kept, v.arr.Shape(), v.arr.Data(), 1)
+	return viewResult(v.cube, v.kept, v.arr.Shape(), v.arr.Data()[:v.arr.Cells()], 1)
 }
 
 // leased is Result for a view nothing else will read again: the result takes
-// the view's array with it, so its Release can recycle the array.
+// the view's whole array with it, every plane, so its Release can recycle
+// the array.
 func (v *View) leased() (*Result, error) {
 	r, err := v.Result()
 	if err == nil {
