@@ -249,26 +249,51 @@ func (e *Engine) rawCells() int {
 	return e.cube.data.Size()
 }
 
-// snapshot deep-copies every materialised element into a fresh MemStore and
-// derives a read-only sibling engine over it. The sibling shares the cube,
-// the metrics, the mass, the adaptive workload profile and the
-// (epoch-pinned) plan cache; the store and the assembly engine are
-// generation-local, so queries against it never touch the base engine's
-// mutable store.
+// snapshot copies every materialised element into arrays leased from the
+// scratch pool (a sparse-held one densified straight into its lease), where
+// the arrays of retired generations wait (recycle), and derives a read-only
+// sibling engine over them. The sibling shares the cube, the metrics, the
+// mass, the adaptive workload profile and the (epoch-pinned) plan cache; the
+// store and the assembly engine are generation-local, so queries against it
+// never touch the base engine's mutable store. Ingest runs only on a
+// MemStore.
 func (e *Engine) snapshot() (*Engine, error) {
+	base, ok := e.st.(*assembly.MemStore)
+	if !ok {
+		return nil, fmt.Errorf("viewcube: snapshots need the in-memory element store")
+	}
 	st := assembly.NewMemStore()
-	for _, r := range e.st.Elements() {
-		a, ok := e.st.Get(r)
-		if !ok {
+	var shape [freq.MaxRank]int
+	for _, r := range base.Elements() {
+		var a *ndarray.Array
+		if c, ok := base.GetSparse(r); ok {
+			a, _ = ndarray.Scratch(c.ShapeInto(shape[:0])...)
+			c.DenseInto(a)
+		} else if src, ok := base.Get(r); ok {
+			a, _ = ndarray.ScratchPlanes(src.Planes(), src.ShapeInto(shape[:0])...)
+			copy(a.Data(), src.Data())
+		} else {
 			return nil, fmt.Errorf("viewcube: snapshot element %v vanished mid-clone", r)
 		}
-		if err := st.Put(r, a.Clone()); err != nil {
+		if err := st.Put(r, a); err != nil {
 			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
 		}
 	}
 	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, spec: e.spec}
 	g.inner.Assembler().SetMetrics(e.met.assembly)
 	return g, nil
+}
+
+// recycle hands a retired snapshot generation's arrays back to the scratch
+// pool for the next snapshot to lease. Only the lifecycle's retire hook
+// calls it: no reader pins the generation any more, and no answer aliases a
+// stored array (DESIGN §10).
+func (e *Engine) recycle() {
+	for _, r := range e.st.Elements() {
+		if a, ok := e.st.Get(r); ok {
+			ndarray.Recycle(a)
+		}
+	}
 }
 
 // maybeReselect performs a due automatic reselection, reporting whether the

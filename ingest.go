@@ -80,12 +80,13 @@ type ingestRuntime struct {
 	appended atomic.Uint64 // last acknowledged sequence
 	closed   atomic.Bool
 
-	// pubMu guards the publish watermark and serial; pubCond wakes Flush
-	// and ForcePublish waiters.
+	// pubMu guards the publish watermark, serial and republish request;
+	// pubCond wakes Flush and forcePublish waiters.
 	pubMu         sync.Mutex
 	pubCond       *sync.Cond
 	published     uint64 // watermark of the last merge (covers all seqs ≤ it)
 	publishSerial uint64 // bumped only when a new snapshot generation publishes
+	republish     bool   // forcePublish wants a generation even without deltas; any publish clears it
 	stopped       bool   // merger exited; wake any waiters for good
 
 	flushCh chan struct{} // capacity 1: poke the merger to merge now
@@ -162,7 +163,10 @@ func (g *guard) EnableIngest(opts IngestOptions) error {
 		}
 		return err
 	}
-	rt.lc = ingest.NewLifecycle(first, func(uint64) { met.Retired.Inc() })
+	rt.lc = ingest.NewLifecycle(first, func(_ uint64, gen *Engine) {
+		gen.recycle()
+		met.Retired.Inc()
+	})
 	met.Degraded.Set(0)
 	met.Published.Inc()
 	met.SnapshotEpoch.Set(int64(rt.lc.Current()))
@@ -306,21 +310,21 @@ func (rt *ingestRuntime) loop() {
 	for {
 		select {
 		case <-rt.stop:
-			rt.mergeOnce(false)
+			rt.mergeOnce()
 			return
 		case <-rt.flushCh:
-			rt.mergeOnce(true)
+			rt.mergeOnce()
 		case <-rt.buf.Dirty():
 			t := time.NewTimer(rt.opts.Interval)
 			select {
 			case <-t.C:
-				rt.mergeOnce(false)
+				rt.mergeOnce()
 			case <-rt.flushCh:
 				t.Stop()
-				rt.mergeOnce(true)
+				rt.mergeOnce()
 			case <-rt.stop:
 				t.Stop()
-				rt.mergeOnce(false)
+				rt.mergeOnce()
 				return
 			}
 		}
@@ -332,10 +336,11 @@ func (rt *ingestRuntime) loop() {
 // it. Publishing under the write lock serialises snapshots with every other
 // mutation (Optimize, Reconfigure, reselection), so a published generation
 // always reflects a prefix-consistent engine state. With an empty batch it
-// normally just advances the watermark; republish forces a fresh generation
-// anyway (forcePublish after a reconfigure). A failure to fold or publish
+// just advances the watermark, unless forcePublish asked for a fresh
+// generation (after a reconfigure): a poke left over from a Flush that a
+// timer merge already served publishes nothing. A failure to fold or publish
 // degrades ingest (degrade) and leaves the last generation published.
-func (rt *ingestRuntime) mergeOnce(republish bool) {
+func (rt *ingestRuntime) mergeOnce() {
 	g := rt.g
 	met := g.eng.met.ingest
 	start := time.Now()
@@ -346,6 +351,9 @@ func (rt *ingestRuntime) mergeOnce(republish bool) {
 		return
 	}
 	batch := rt.buf.Drain()
+	rt.pubMu.Lock()
+	republish := rt.republish
+	rt.pubMu.Unlock()
 	if len(batch.Deltas) == 0 && !republish {
 		g.mu.Unlock()
 		rt.pubMu.Lock()
@@ -380,6 +388,7 @@ func (rt *ingestRuntime) mergeOnce(republish bool) {
 		rt.published = batch.Watermark
 	}
 	rt.publishSerial++
+	rt.republish = false
 	rt.pubCond.Broadcast()
 	rt.pubMu.Unlock()
 	g.mu.Unlock()
@@ -448,6 +457,7 @@ func (rt *ingestRuntime) waitPublished(target uint64) {
 func (rt *ingestRuntime) forcePublish() {
 	rt.pubMu.Lock()
 	serial := rt.publishSerial
+	rt.republish = true
 	for rt.publishSerial == serial && !rt.stopped && rt.fault.Load() == nil {
 		select {
 		case rt.flushCh <- struct{}{}:

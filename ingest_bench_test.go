@@ -164,3 +164,45 @@ func TestIngestReadLatencyGate(t *testing.T) {
 		t.Errorf("reads under ingest %v/op exceed 110%% of idle baseline %v/op (%+.2f%%)", busy, idle, overhead)
 	}
 }
+
+// BenchmarkIngestPublish times one merged batch of 100 deltas plus the
+// publish of its snapshot generation on the 131 072-cell basis (basis131k).
+// The publish copies the stored set into the arrays a retired generation
+// handed back to the scratch pool, so in the steady state its B/op is the
+// batch's small change, far below stored_B, the stored set's bytes.
+func BenchmarkIngestPublish(b *testing.B) {
+	safe := basis131k(b).Safe()
+	// Only Flush merges: one generation per batch.
+	if err := safe.EnableIngest(viewcube.IngestOptions{Interval: time.Hour}); err != nil {
+		b.Fatal(err)
+	}
+	shape := safe.Cube().Shape()
+	rng := rand.New(rand.NewSource(1))
+	cells := make([][]int, 100)
+	for i := range cells {
+		cells[i] = []int{rng.Intn(shape[0]), rng.Intn(shape[1]), rng.Intn(shape[2]), rng.Intn(shape[3])}
+	}
+	batch := func() {
+		for _, idx := range cells {
+			if err := safe.Update(1, idx...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := safe.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// The first publish leases fresh arrays; the generation it retires hands
+	// its arrays to the next.
+	batch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		batch()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(8*safe.StorageCells()), "stored_B")
+	if err := safe.DisableIngest(); err != nil {
+		b.Fatal(err)
+	}
+}

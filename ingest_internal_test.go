@@ -7,12 +7,16 @@
 package viewcube
 
 import (
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"viewcube/internal/workload"
 )
 
 const ingestInternalCSV = `product,region,day,sales
@@ -493,4 +497,270 @@ func dataVersion(t *testing.T, g, replay *guard, ops versionOps) {
 		t.Fatalf("after WAL replay: stats %+v, data version %d", replay.IngestStats(), replay.DataVersion())
 	}
 	check(replay.DisableIngest())
+}
+
+// TestIngestFlushAfterTimerMergePublishesNothing: a Flush whose rows a
+// timer merge publishes while the Flush waits leaves its poke behind in the
+// merger's channel. That stale poke must not publish a generation with no
+// deltas — no store copy, no data version move, no result-cache wipe — while
+// Flush still returns once its rows are visible.
+func TestIngestFlushAfterTimerMergePublishesNothing(t *testing.T) {
+	s := internalSafeEngine(t)
+	g := &s.guard
+	if err := g.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	defer g.DisableIngest()
+	rt := g.ing.Load()
+	published := g.eng.met.ingest.Published
+	version, epoch, count := g.DataVersion(), g.SnapshotEpoch(), published.Value()
+
+	// Hold the merger out of its merge: the timer fires, the merge blocks on
+	// the engine lock, and the Flush below pokes while it is blocked.
+	g.mu.RLock()
+	if err := s.Update(5, 0, 0, 0); err != nil {
+		g.mu.RUnlock()
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	flushed := make(chan error, 1)
+	go func() { flushed <- s.Flush() }()
+	time.Sleep(20 * time.Millisecond)
+	g.mu.RUnlock()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	total, err := s.Total()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != 43 {
+		t.Fatalf("total after Flush = %g, want 43 (the flushed row visible)", total)
+	}
+	// Two more pokes: the second is taken only after the merge of whatever
+	// the first found waiting (a stale poke) has finished.
+	rt.flushCh <- struct{}{}
+	rt.flushCh <- struct{}{}
+	if err := g.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	g.mu.Lock() // the merge of the last poke, if it began, has finished
+	g.mu.Unlock()
+	if v, e, c := g.DataVersion(), g.SnapshotEpoch(), published.Value(); v != version+1 || e != epoch+1 || c != count+1 {
+		t.Fatalf("one merged batch moved data version %d→%d, snapshot epoch %d→%d, published %d→%d; want one step each",
+			version, v, epoch, e, count, c)
+	}
+}
+
+// TestIngestRecycledGenerationsStayExact: every publish copies the stored set
+// into arrays that retired generations handed back to the scratch pool.
+// Readers pin generations across several publishes and keep the Views and
+// Results they got; every answer must equal the serial oracle at its epoch,
+// a pinned generation must keep answering it while later ones publish, and
+// a kept View or Result must stay byte-identical after its generation
+// retired and its arrays were reused. Run under -race by CI's concurrency
+// step.
+func TestIngestRecycledGenerationsStayExact(t *testing.T) {
+	build := func(width3 bool) func(t *testing.T) *Engine {
+		return func(t *testing.T) *Engine {
+			tbl, err := workload.SalesTable(rand.New(rand.NewSource(5)), 10, 4, 20, 2000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var eng *Engine
+			if width3 {
+				eng, err = NewAggEngine(&Table{t: tbl}, EngineOptions{})
+			} else {
+				var c *Cube
+				if c, err = FromTable(tbl); err == nil {
+					eng, err = c.NewEngine(EngineOptions{})
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := eng.cube.NewWorkload()
+			for _, keep := range [][]string{{"product"}, {"region", "day"}, {}} {
+				if err := w.AddViewKeeping(1, keep...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Optimize(w); err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+	}
+	t.Run("SafeEngine", func(t *testing.T) { recycledGenerationsStayExact(t, build(false)) })
+	t.Run("SafeEngineWidth3", func(t *testing.T) { recycledGenerationsStayExact(t, build(true)) })
+}
+
+func recycledGenerationsStayExact(t *testing.T, build func(t *testing.T) *Engine) {
+	const rounds, perRound, readers = 30, 8, 3
+	type answer struct {
+		groups []float64 // GroupBy("product") cells
+		total  float64
+	}
+	oracle, live := build(t), build(t).Safe()
+	ask := func(e *Engine) (*View, answer) {
+		v, err := e.groupByInner(nil, []string{"product"})
+		if err != nil {
+			t.Error(err)
+			return nil, answer{}
+		}
+		total, err := e.totalInner(nil, struct{}{})
+		if err != nil {
+			t.Error(err)
+		}
+		return v, answer{v.Data(), total}
+	}
+	var mu sync.Mutex
+	want := map[uint64]answer{}
+	record := func(epoch uint64) {
+		_, a := ask(oracle)
+		mu.Lock()
+		want[epoch] = a
+		mu.Unlock()
+	}
+	wantAt := func(epoch uint64) answer {
+		mu.Lock()
+		defer mu.Unlock()
+		return want[epoch]
+	}
+	same := func(a, b answer) bool { return slices.Equal(a.groups, b.groups) && a.total == b.total }
+
+	record(1)
+	// Only Flush merges: one generation per round, at a known epoch.
+	if err := live.EnableIngest(IngestOptions{Interval: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	defer live.DisableIngest()
+	rt := live.ing.Load()
+
+	type kept struct {
+		epoch uint64
+		view  *View
+		res   *Result
+		cells []float64 // the view's cells when the reader got it
+		dense []float64 // and the result's
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	keptBy := make([][]kept, readers)
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := rt.lc.Acquire()
+				epoch, gen := snap.Epoch(), snap.Payload()
+				v, got := ask(gen)
+				if v == nil {
+					snap.Release()
+					return
+				}
+				if w := wantAt(epoch); !same(got, w) {
+					t.Errorf("epoch %d answered %v, want the serial oracle %v", epoch, got, w)
+				}
+				res, err := v.Result()
+				if err != nil {
+					t.Error(err)
+					snap.Release()
+					return
+				}
+				dense, err := res.Dense()
+				if err != nil {
+					t.Error(err)
+				}
+				keptBy[r] = append(keptBy[r], kept{epoch, v, res, v.Data(), dense})
+				// Keep the pin while two more generations publish: the pinned
+				// one must not be recycled under it.
+			pinned:
+				for rt.lc.Current() < epoch+2 {
+					select {
+					case <-done:
+						break pinned
+					case <-time.After(time.Millisecond):
+					}
+				}
+				if _, again := ask(gen); !same(again, wantAt(epoch)) {
+					t.Errorf("pinned epoch %d drifted to %v while later generations published", epoch, again)
+				}
+				snap.Release()
+			}
+		}()
+	}
+
+	// The writer: one round of deltas per generation, the oracle first.
+	rng := rand.New(rand.NewSource(9))
+	reused, seen := 0, map[*float64]bool{}
+	for round := range rounds {
+		cells := make([][]int, perRound)
+		deltas := make([]float64, perRound)
+		for i := range cells {
+			cells[i] = []int{rng.Intn(10), rng.Intn(4), rng.Intn(20)}
+			deltas[i] = float64(1 + rng.Intn(9))
+			if err := oracle.Update(deltas[i], cells[i]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		epoch := uint64(round + 2)
+		record(epoch)
+		for i := range cells {
+			if err := live.Update(deltas[i], cells[i]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := live.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		snap := rt.lc.Acquire()
+		if snap.Epoch() != epoch {
+			t.Fatalf("round %d published epoch %d, want %d", round, snap.Epoch(), epoch)
+		}
+		gen := snap.Payload()
+		for _, r := range gen.st.Elements() {
+			a, _ := gen.st.Get(r)
+			if p := &a.Data()[0]; seen[p] {
+				reused++
+			} else {
+				seen[p] = true
+			}
+		}
+		snap.Release()
+	}
+	close(done)
+	wg.Wait()
+	if reused == 0 {
+		t.Fatalf("no generation leased an array a retired one handed back")
+	}
+
+	// Every kept answer is as it was, its generation long retired.
+	n := 0
+	for _, ks := range keptBy {
+		for _, k := range ks {
+			n++
+			if !slices.Equal(k.view.Data(), k.cells) {
+				t.Fatalf("epoch %d view changed after retirement: %v, was %v", k.epoch, k.view.Data(), k.cells)
+			}
+			dense, err := k.res.Dense()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(dense, k.dense) {
+				t.Fatalf("epoch %d result changed after retirement: %v, was %v", k.epoch, dense, k.dense)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no reader finished a read")
+	}
+	if st := live.IngestStats(); st.Retired < rounds-readers {
+		t.Fatalf("stats %+v: want at least %d retired generations", st, rounds-readers)
+	}
 }

@@ -294,13 +294,22 @@ func TestBufferDirtySignal(t *testing.T) {
 }
 
 func TestLifecyclePublishDrainRetire(t *testing.T) {
+	type retirement struct {
+		epoch   uint64
+		payload string
+	}
 	var mu sync.Mutex
-	var retired []uint64
-	lc := NewLifecycle("gen1", func(epoch uint64) {
+	var retired []retirement
+	lc := NewLifecycle("gen1", func(epoch uint64, payload string) {
 		mu.Lock()
-		retired = append(retired, epoch)
+		retired = append(retired, retirement{epoch, payload})
 		mu.Unlock()
 	})
+	retiredSoFar := func() []retirement {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]retirement(nil), retired...)
+	}
 	if lc.Current() != 1 {
 		t.Fatalf("initial epoch = %d, want 1", lc.Current())
 	}
@@ -309,32 +318,36 @@ func TestLifecyclePublishDrainRetire(t *testing.T) {
 	if s1.Payload() != "gen1" || s1.Epoch() != 1 {
 		t.Fatalf("acquired %q@%d, want gen1@1", s1.Payload(), s1.Epoch())
 	}
+	s1b := lc.Acquire() // a second reader of the same generation
 
 	// Publishing while s1 is pinned drains rather than retires.
 	if epoch := lc.Publish("gen2"); epoch != 2 {
 		t.Fatalf("publish = %d, want 2", epoch)
 	}
-	mu.Lock()
-	n := len(retired)
-	mu.Unlock()
-	if n != 0 {
-		t.Fatalf("epoch 1 retired while still pinned")
+	if got := retiredSoFar(); len(got) != 0 {
+		t.Fatalf("epoch 1 retired while still pinned: %v", got)
 	}
 	st := lc.Stats()
 	if st.Epoch != 2 || st.Live != 2 || st.Pinned != 0 {
 		t.Fatalf("stats = %+v, want Epoch=2 Live=2 Pinned=0", st)
 	}
 
-	// The pinned reader still sees its generation.
+	// The pinned readers still see their generation, and the first of them
+	// to let go does not retire it.
 	if s1.Payload() != "gen1" {
 		t.Fatalf("pinned snapshot payload changed to %q", s1.Payload())
 	}
 	s1.Release()
-	mu.Lock()
-	got := append([]uint64(nil), retired...)
-	mu.Unlock()
-	if !reflect.DeepEqual(got, []uint64{1}) {
-		t.Fatalf("retired = %v, want [1]", got)
+	if got := retiredSoFar(); len(got) != 0 {
+		t.Fatalf("epoch 1 retired with a reader still pinning it: %v", got)
+	}
+	if s1b.Payload() != "gen1" {
+		t.Fatalf("pinned snapshot payload changed to %q", s1b.Payload())
+	}
+	// The last Release hands the payload to the hook.
+	s1b.Release()
+	if got := retiredSoFar(); !reflect.DeepEqual(got, []retirement{{1, "gen1"}}) {
+		t.Fatalf("retired = %v, want [{1 gen1}]", got)
 	}
 	st = lc.Stats()
 	if st.Live != 1 || st.Retired != 1 {
@@ -343,11 +356,27 @@ func TestLifecyclePublishDrainRetire(t *testing.T) {
 
 	// An unpinned superseded generation retires at publish time.
 	lc.Publish("gen3")
-	mu.Lock()
-	got = append([]uint64(nil), retired...)
-	mu.Unlock()
-	if !reflect.DeepEqual(got, []uint64{1, 2}) {
-		t.Fatalf("retired = %v, want [1 2]", got)
+	want := []retirement{{1, "gen1"}, {2, "gen2"}}
+	if got := retiredSoFar(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("retired = %v, want %v", got, want)
+	}
+
+	// Pins of a generation that already retired its predecessor, released
+	// after further publishes, hand each payload over exactly once.
+	s3 := lc.Acquire()
+	lc.Publish("gen4")
+	lc.Publish("gen5")
+	want = append(want, retirement{4, "gen4"})
+	if got := retiredSoFar(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("retired = %v, want %v", got, want)
+	}
+	s3.Release()
+	want = append(want, retirement{3, "gen3"})
+	if got := retiredSoFar(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("retired = %v, want %v", got, want)
+	}
+	if st := lc.Stats(); st.Live != 1 || st.Retired != 4 {
+		t.Fatalf("stats = %+v, want Live=1 Retired=4", st)
 	}
 }
 

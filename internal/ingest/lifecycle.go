@@ -6,8 +6,9 @@ import "sync"
 // publish → drain → retire state machine (DESIGN §16). Publish installs a
 // new current snapshot; readers Acquire the current one and hold it for a
 // whole query; a superseded snapshot drains until its last reader releases
-// it, then retires — its payload is dropped (background compaction) and an
-// optional callback observes the retirement. The refcounting mirrors the
+// it, then retires — the lifecycle drops its payload and hands it, once, to
+// an optional callback, which may reclaim it (the ingest runtime recycles a
+// retired generation's arrays). The refcounting mirrors the
 // catalog's lease discipline, generalising the plan cache's epoch counter
 // from "a number that changed" into a full snapshot lifecycle.
 type Lifecycle[T any] struct {
@@ -16,7 +17,7 @@ type Lifecycle[T any] struct {
 	epoch    uint64
 	live     int // published, not yet retired
 	retired  uint64
-	onRetire func(epoch uint64)
+	onRetire func(epoch uint64, payload T)
 }
 
 // Snapshot is one refcounted generation. The zero refcount plus loss of
@@ -41,8 +42,10 @@ type LifecycleStats struct {
 
 // NewLifecycle starts the lifecycle with first as the current snapshot at
 // epoch 1. onRetire, when non-nil, is invoked (outside the lifecycle lock)
-// with the epoch of each snapshot as it retires.
-func NewLifecycle[T any](first T, onRetire func(epoch uint64)) *Lifecycle[T] {
+// with the epoch and payload of each snapshot as it retires: exactly once
+// per snapshot, after its last Release, when no reader can reach the
+// payload any more.
+func NewLifecycle[T any](first T, onRetire func(epoch uint64, payload T)) *Lifecycle[T] {
 	lc := &Lifecycle[T]{onRetire: onRetire}
 	lc.Publish(first)
 	return lc
@@ -70,10 +73,10 @@ func (s *Snapshot[T]) Release() {
 	lc := s.lc
 	lc.mu.Lock()
 	s.refs--
-	retire := lc.maybeRetire(s)
+	payload, retire := lc.maybeRetire(s)
 	lc.mu.Unlock()
 	if retire && lc.onRetire != nil {
-		lc.onRetire(s.epoch)
+		lc.onRetire(s.epoch, payload)
 	}
 }
 
@@ -87,33 +90,33 @@ func (lc *Lifecycle[T]) Publish(payload T) uint64 {
 	lc.current = &Snapshot[T]{lc: lc, payload: payload, epoch: lc.epoch, isCur: true}
 	lc.live++
 	epoch := lc.epoch
-	var retired *Snapshot[T]
+	var old T
+	retire := false
 	if prev != nil {
 		prev.isCur = false
-		if lc.maybeRetire(prev) {
-			retired = prev
-		}
+		old, retire = lc.maybeRetire(prev)
 	}
 	lc.mu.Unlock()
-	if retired != nil && lc.onRetire != nil {
-		lc.onRetire(retired.epoch)
+	if retire && lc.onRetire != nil {
+		lc.onRetire(prev.epoch, old)
 	}
 	return epoch
 }
 
-// maybeRetire retires s when it is unpinned and no longer current; the
-// payload is dropped so the generation's memory is reclaimable. Caller
-// holds lc.mu; reports whether s retired on this call.
-func (lc *Lifecycle[T]) maybeRetire(s *Snapshot[T]) bool {
+// maybeRetire retires s when it is unpinned and no longer current: s drops
+// its payload and returns it for the retire callback. Caller holds lc.mu;
+// reports whether s retired on this call.
+func (lc *Lifecycle[T]) maybeRetire(s *Snapshot[T]) (T, bool) {
+	var zero T
 	if s.dead || s.isCur || s.refs > 0 {
-		return false
+		return zero, false
 	}
 	s.dead = true
-	var zero T
+	payload := s.payload
 	s.payload = zero
 	lc.live--
 	lc.retired++
-	return true
+	return payload, true
 }
 
 // Current returns the current snapshot's epoch without pinning it.

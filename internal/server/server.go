@@ -504,14 +504,33 @@ func (s *Server) handleViewList(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"views": views})
 }
 
+// maxBodyBytes caps a JSON request body, far above any real batch: a larger
+// body is refused with 413 instead of being buffered.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v. On
+// failure it writes the error response (413 for an oversized body, 400
+// otherwise) and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeErr(w, status, fmt.Errorf("decoding request: %w", err))
+	return false
+}
+
 type queryRequest struct {
 	SQL string `json:"sql"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	// Resolve view aliases and reject excluded members before planning; the
@@ -558,8 +577,7 @@ type updateRequest struct {
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := lease.Handle.UpdateValue(req.Delta, req.Values); err != nil {
@@ -596,8 +614,7 @@ type ingestResponse struct {
 // how many were accepted.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
 	var req ingestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -638,8 +655,7 @@ type optimizeRequest struct {
 
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, lease *catalog.Lease) {
 	var req optimizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := lease.Handle.Optimize(req.Views); err != nil {

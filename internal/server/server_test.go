@@ -263,3 +263,33 @@ func TestUnencodableAnswerIs500(t *testing.T) {
 		t.Fatalf("queryStatus: %d", got)
 	}
 }
+
+// postOversized posts a JSON body just past maxBodyBytes to path and wants a
+// 413 with the usual JSON error body; a well-formed request on the same
+// server still answers afterwards.
+func postOversized(t *testing.T, path string) {
+	t.Helper()
+	ts := newServer(t)
+	body := `{"pad":"` + strings.Repeat("a", maxBodyBytes+1024) + `"}`
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || out.Code != http.StatusRequestEntityTooLarge || out.Error == "" {
+		t.Fatalf("%s: status %d body %+v, want 413 with an error body", path, resp.StatusCode, out)
+	}
+	var groups map[string]float64
+	if resp := getJSON(t, ts.URL+"/groupby?keep=product", &groups); resp.StatusCode != http.StatusOK || groups["ale"] != 17 {
+		t.Fatalf("groupby after the oversized body: status %d groups %v", resp.StatusCode, groups)
+	}
+}
+
+func TestQueryBodyTooLarge(t *testing.T)    { postOversized(t, "/query") }
+func TestUpdateBodyTooLarge(t *testing.T)   { postOversized(t, "/update") }
+func TestIngestBodyTooLarge(t *testing.T)   { postOversized(t, "/ingest") }
+func TestOptimizeBodyTooLarge(t *testing.T) { postOversized(t, "/optimize") }
