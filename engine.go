@@ -105,6 +105,14 @@ type Engine struct {
 	fork  bool             // a later engine over an attached cube: it works on a copy and never writes cube.data
 	mass  *mass            // what the cube has taken in, shared with its snapshot generations
 	spec  plan.MeasureSpec // the measure layout of the cube's planes
+
+	// Under ingest (DESIGN §10): lent says the current snapshot generation
+	// reads this store's dense arrays, which own copies before the next
+	// write. owned lists the copies own leased since the last publish, which
+	// hands the ones still stored to its generation; on a generation it is
+	// what the retire hook recycles.
+	lent  bool
+	owned []*ndarray.Array
 }
 
 // Stats re-exports the adaptive engine's counters.
@@ -249,50 +257,78 @@ func (e *Engine) rawCells() int {
 	return e.cube.data.Size()
 }
 
-// snapshot copies every materialised element into arrays leased from the
-// scratch pool (a sparse-held one densified straight into its lease), where
-// the arrays of retired generations wait (recycle), and derives a read-only
-// sibling engine over them. The sibling shares the cube, the metrics, the
-// mass, the adaptive workload profile and the (epoch-pinned) plan cache; the
-// store and the assembly engine are generation-local, so queries against it
-// never touch the base engine's mutable store. Ingest runs only on a
-// MemStore.
+// snapshot derives a read-only sibling engine over the materialised set and
+// lends it the store's own dense arrays: the base reads them too, and own
+// copies them before its next write. A sparse-held element is densified into
+// an array leased from the scratch pool. The sibling owns that lease and the
+// copies own leased since the previous publish, and nothing else: its retire
+// hook hands exactly those back (recycle). It shares the cube, the metrics,
+// the mass, the adaptive workload profile and the (epoch-pinned) plan cache;
+// its store and assembly engine are its own. Ingest runs only on a MemStore.
 func (e *Engine) snapshot() (*Engine, error) {
 	base, ok := e.st.(*assembly.MemStore)
 	if !ok {
 		return nil, fmt.Errorf("viewcube: snapshots need the in-memory element store")
 	}
 	st := assembly.NewMemStore()
+	var owned []*ndarray.Array
 	var shape [freq.MaxRank]int
 	for _, r := range base.Elements() {
 		var a *ndarray.Array
 		if c, ok := base.GetSparse(r); ok {
 			a, _ = ndarray.Scratch(c.ShapeInto(shape[:0])...)
 			c.DenseInto(a)
-		} else if src, ok := base.Get(r); ok {
-			a, _ = ndarray.ScratchPlanes(src.Planes(), src.ShapeInto(shape[:0])...)
-			copy(a.Data(), src.Data())
-		} else {
-			return nil, fmt.Errorf("viewcube: snapshot element %v vanished mid-clone", r)
+			owned = append(owned, a)
+		} else if a, ok = base.Get(r); !ok {
+			return nil, fmt.Errorf("viewcube: snapshot element %v vanished mid-publish", r)
+		} else if slices.Contains(e.owned, a) {
+			owned = append(owned, a)
 		}
 		if err := st.Put(r, a); err != nil {
 			return nil, fmt.Errorf("viewcube: storing snapshot element %v: %w", r, err)
 		}
 	}
-	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, spec: e.spec}
+	e.lent, e.owned = true, e.owned[:0]
+	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, spec: e.spec, owned: owned}
 	g.inner.Assembler().SetMetrics(e.met.assembly)
 	return g, nil
 }
 
-// recycle hands a retired snapshot generation's arrays back to the scratch
-// pool for the next snapshot to lease. Only the lifecycle's retire hook
-// calls it: no reader pins the generation any more, and no answer aliases a
-// stored array (DESIGN §10).
-func (e *Engine) recycle() {
-	for _, r := range e.st.Elements() {
-		if a, ok := e.st.Get(r); ok {
-			ndarray.Recycle(a)
+// own gives the engine private copies, leased from the scratch pool, of the
+// dense arrays its last snapshot lent the current generation, so a write
+// never reaches an array a reader may pin. The cube's adopted root follows
+// its copy. Every writer of stored cells calls it first; it is a no-op while
+// nothing is lent.
+func (e *Engine) own() {
+	if !e.lent {
+		return
+	}
+	e.lent = false
+	base := e.st.(*assembly.MemStore) // only a MemStore lends
+	var shape [freq.MaxRank]int
+	for _, r := range base.Elements() {
+		if _, ok := base.GetSparse(r); ok {
+			continue // never lent: its generation densified a copy
 		}
+		src, _ := base.Get(r)
+		a, _ := ndarray.ScratchPlanes(src.Planes(), src.ShapeInto(shape[:0])...)
+		copy(a.Data(), src.Data())
+		base.Put(r, a)
+		e.owned = append(e.owned, a)
+		if src == e.cube.data {
+			e.cube.data = a
+		}
+	}
+}
+
+// recycle hands a retired snapshot generation's own arrays back to the
+// scratch pool for own and the next snapshot to lease. Only the lifecycle's
+// retire hook calls it: no reader pins the generation any more, the base
+// copied away from it before the publish that retired it, and no answer
+// aliases a stored array (DESIGN §10).
+func (e *Engine) recycle() {
+	for _, a := range e.owned {
+		ndarray.Recycle(a)
 	}
 }
 

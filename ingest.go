@@ -60,10 +60,13 @@ var ErrIngestDegraded = errors.New("viewcube: ingest is degraded")
 
 // ingestRuntime is the machinery EnableIngest installs on a guard: the WAL,
 // the coalescing buffer, the background merger, and the snapshot lifecycle
-// readers pin. The base engine (g.eng) stays the mutable truth, touched only
-// under g.mu's write lock; every published snapshot is an immutable
-// generation derived from it. A SUM cube streams width-1 deltas, a
-// measure-vector cube width-3 ones; the runtime never looks inside them.
+// readers pin. The base engine (g.eng) is the one writer, touched only under
+// g.mu's write lock; every published snapshot is an immutable generation
+// holding the base's arrays of the moment. The base reads those arrays until
+// its next write, which first copies them (Engine.own), so at rest the
+// current generation's arrays are the only copy of the stored set. A SUM
+// cube streams width-1 deltas, a measure-vector cube width-3 ones; the
+// runtime never looks inside them.
 type ingestRuntime struct {
 	g    *guard
 	opts IngestOptions
@@ -138,6 +141,7 @@ func (g *guard) EnableIngest(opts IngestOptions) error {
 	}
 	rt.pubCond = sync.NewCond(&rt.pubMu)
 	met := g.eng.met.ingest
+	g.eng.own() // a previous runtime's last generation may still be pinned
 
 	if opts.WALPath != "" {
 		wal, err := ingest.OpenWAL(opts.WALPath, ingest.WALOptions{Fsync: opts.Fsync}, func(d ingest.Delta) error {
@@ -364,6 +368,9 @@ func (rt *ingestRuntime) mergeOnce() {
 		rt.pubMu.Unlock()
 		return
 	}
+	// Before the batch, and before a republish without one: no two
+	// generations share an array.
+	g.eng.own()
 	for _, d := range batch.Deltas {
 		// Validated at append time, so a failure here is a fault of the
 		// engine, which may now hold part of the batch.

@@ -58,6 +58,7 @@ func (g *guard) reader() (*Engine, func()) {
 // after it, so readers stop pinning the pre-mutation materialised set.
 func (g *guard) mutate(fn func(*Engine) (bool, error)) error {
 	g.mu.Lock()
+	g.eng.own() // a reader may pin the generation the base's arrays belong to
 	changed, err := fn(g.eng)
 	if changed {
 		g.version.Add(1)
@@ -123,15 +124,19 @@ func (g *guard) StorageCells() int { return locked(g, (*Engine).StorageCells) }
 
 // ResidentCells counts the cells held in memory — the stored elements, the raw
 // cube while that is an array of its own and, under ingest, a stored set per
-// live snapshot generation — and sets the viewcube_resident_cells gauge to it.
+// live snapshot generation, the base's counted once while it reads the current
+// generation's arrays — and sets the viewcube_resident_cells gauge to it.
 func (g *guard) ResidentCells() int {
 	g.mu.RLock()
-	gen, n := g.eng.StorageCells(), g.eng.rawCells()
-	g.mu.RUnlock()
-	n += gen
+	stored, n, sets := g.eng.StorageCells(), g.eng.rawCells(), 1
 	if rt := g.ing.Load(); rt != nil {
-		n += rt.lc.Stats().Live * gen
+		sets += rt.lc.Stats().Live
+		if g.eng.lent {
+			sets--
+		}
 	}
+	g.mu.RUnlock()
+	n += sets * stored
 	g.eng.met.resident.Set(int64(n))
 	return n
 }
