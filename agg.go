@@ -81,7 +81,7 @@ func aggRangesName(args any) string { return "range_agg " + args.(aggRanges).kin
 
 // supports rejects an aggregate kind the engine's measure layout cannot
 // finalise: on a SUM cube, everything but SUM.
-func (e *Engine) supports(kind AggKind) error {
+func (e *core) supports(kind AggKind) error {
 	if err := e.spec.Supports(kind); err != nil {
 		return fmt.Errorf("viewcube: %v needs a measure-vector engine from NewAggEngine: %w", kind, err)
 	}
@@ -92,7 +92,7 @@ func (e *Engine) supports(kind AggKind) error {
 // RangeAgg nests its execution under, carrying the aggregate kind and
 // measure width. Untraced it returns x unchanged and a nil span, whose End
 // is a no-op.
-func (e *Engine) aggregateSpan(x *obs.ExecCtx, kind AggKind) (*obs.ExecCtx, *obs.Span) {
+func (e *core) aggregateSpan(x *obs.ExecCtx, kind AggKind) (*obs.ExecCtx, *obs.Span) {
 	if !x.Tracing() {
 		return x, nil
 	}
@@ -109,7 +109,7 @@ func (e *Engine) aggregateSpan(x *obs.ExecCtx, kind AggKind) (*obs.ExecCtx, *obs
 // dropEmpty, groups with no tuples are not rows (the count-dividing
 // finalisers are undefined there); without it every group of the cube's
 // group space is reported, a zero where no tuples fall.
-func (e *Engine) result(arr *ndarray.Array, el Element, aggs []AggKind, dropEmpty bool) (*Result, error) {
+func (e *core) result(arr *ndarray.Array, el Element, aggs []AggKind, dropEmpty bool) (*Result, error) {
 	r, err := viewResult(e.cube, el.kept(), arr.Shape(), arr.Data(), e.spec.Width)
 	if err != nil {
 		return nil, err
@@ -120,21 +120,22 @@ func (e *Engine) result(arr *ndarray.Array, el Element, aggs []AggKind, dropEmpt
 
 // GroupByAgg answers GROUP BY keep... for any aggregate kind the engine's
 // measure layout supports, from one assembled view, as the map form of
-// SafeEngine.GroupByAggResult. Groups with no tuples are dropped for the
-// count-dividing kinds (AVG, VAR, STDDEV), while SUM and COUNT report every
-// group of the cube's group space.
+// GroupByAggResult. Groups with no tuples are dropped for the count-dividing
+// kinds (AVG, VAR, STDDEV), while SUM and COUNT report every group of the
+// cube's group space.
 func (e *Engine) GroupByAgg(kind AggKind, keep ...string) (map[string]float64, error) {
-	return untraced(asGroups(runInline(e, false, groupByAggRead, (*Engine).groupByAggInner, aggKeep{kind, keep})))
+	return untraced(asGroups(e.GroupByAggResult(false, kind, keep...)))
 }
 
-// TraceGroupByAgg is GroupByAgg with per-span tracing: an "aggregate KIND"
-// span under the root carries agg_kind and measure_width attributes, and
-// every assembly span below it reports the vector execution.
-func (e *Engine) TraceGroupByAgg(kind AggKind, keep ...string) (map[string]float64, *QueryTrace, error) {
-	return asGroups(runInline(e, true, groupByAggRead, (*Engine).groupByAggInner, aggKeep{kind, keep}))
+// GroupByAggResult is GroupByAgg as the columnar Result; the trace is nil
+// unless traced. A traced read nests an "aggregate KIND" span under the
+// root, carrying agg_kind and measure_width attributes, and every assembly
+// span below it reports the vector execution.
+func (e *Engine) GroupByAggResult(traced bool, kind AggKind, keep ...string) (*Result, *QueryTrace, error) {
+	return runSafe(e, traced, groupByAggRead, (*core).groupByAggInner, aggKeep{kind, keep})
 }
 
-func (e *Engine) groupByAggInner(x *obs.ExecCtx, g aggKeep) (*Result, error) {
+func (e *core) groupByAggInner(x *obs.ExecCtx, g aggKeep) (*Result, error) {
 	x, sp := e.aggregateSpan(x, g.kind)
 	defer sp.End()
 	if err := e.supports(g.kind); err != nil {
@@ -156,15 +157,10 @@ func (e *Engine) groupByAggInner(x *obs.ExecCtx, g aggKeep) (*Result, error) {
 // every plane (DESIGN §6). Count-dividing kinds (AVG, VAR, STDDEV) return
 // an error when the box holds no tuples; SUM and COUNT return 0.
 func (e *Engine) RangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, error) {
-	return untraced(runInline(e, false, rangeAggRead, (*Engine).rangeAggInner, aggRanges{kind, ranges}))
+	return untraced(runSafe(e, false, rangeAggRead, (*core).rangeAggInner, aggRanges{kind, ranges}))
 }
 
-// TraceRangeAgg is RangeAgg with per-span tracing.
-func (e *Engine) TraceRangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, *QueryTrace, error) {
-	return runInline(e, true, rangeAggRead, (*Engine).rangeAggInner, aggRanges{kind, ranges})
-}
-
-func (e *Engine) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) {
+func (e *core) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) {
 	x, sp := e.aggregateSpan(x, r.kind)
 	defer sp.End()
 	if err := e.supports(r.kind); err != nil {
@@ -190,10 +186,10 @@ func (e *Engine) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) {
 // the header carries the aggregate kind and measure width next to the epoch
 // and cache status.
 func (e *Engine) ExplainAgg(kind AggKind, keep ...string) (string, error) {
-	if err := e.supports(kind); err != nil {
+	if err := e.core.supports(kind); err != nil {
 		return "", err
 	}
-	el, err := e.cube.ViewKeeping(keep...)
+	el, err := e.Cube().ViewKeeping(keep...)
 	if err != nil {
 		return "", err
 	}

@@ -530,7 +530,11 @@ func TestVectorAggExplainAndTrace(t *testing.T) {
 	if !strings.Contains(text, "agg var") || !strings.Contains(text, "width 3") {
 		t.Fatalf("ExplainAgg header must name aggregate and width:\n%s", text)
 	}
-	groups, tr, err := eng.TraceGroupByAgg(viewcube.AggAvg, "product")
+	res, tr, err := eng.GroupByAggResult(true, viewcube.AggAvg, "product")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := res.Groups()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,9 +548,10 @@ func TestVectorAggExplainAndTrace(t *testing.T) {
 	if k := tree.MaxAttr("agg_kind"); viewcube.AggKind(k) != viewcube.AggAvg {
 		t.Fatalf("trace agg_kind = %d, want AVG", k)
 	}
-	v, tr, err := eng.TraceRangeAgg(viewcube.AggStdDev, map[string]viewcube.ValueRange{
+	stddev := viewcube.AggStdDev
+	v, _, tr, err := eng.RangeResult(true, viewcube.RangeQuery{Agg: &stddev, Ranges: map[string]viewcube.ValueRange{
 		"day": {Lo: "d1", Hi: "d2"},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +628,7 @@ func TestVectorAggConcurrent(t *testing.T) {
 						return
 					}
 				default:
-					if _, _, err := eng.TraceGroupByAgg(viewcube.AggStdDev, "region"); err != nil {
+					if _, _, err := eng.GroupByAggResult(true, viewcube.AggStdDev, "region"); err != nil {
 						errc <- err
 						return
 					}

@@ -488,7 +488,7 @@ func benchTracedSampled(b *testing.B) {
 			b.Fatal("rate-1 sampler skipped")
 		}
 		start := time.Now()
-		_, tr, err := eng.TraceGroupBy("product")
+		_, tr, err := eng.GroupByResult(true, "product")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -505,14 +505,14 @@ func benchTracedSampled(b *testing.B) {
 	}
 }
 
-// benchTracedFull is the explicit full-trace tier: the TraceGroupBy API,
+// benchTracedFull is the explicit full-trace tier: GroupByResult traced,
 // which builds the span tree and hands it back to the caller.
 func benchTracedFull(b *testing.B) {
 	eng := tracedOverheadFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, tr, err := eng.TraceGroupBy("product")
+		_, tr, err := eng.GroupByResult(true, "product")
 		if err != nil {
 			b.Fatal(err)
 		}

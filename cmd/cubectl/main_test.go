@@ -26,7 +26,7 @@ var shardRows = []string{"ale,east,d1,10\nale,west,d1,5\nbock,east,d1,7\n", "ale
 
 var quietLog = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-func safeEngine(t *testing.T, rows string) (*viewcube.Cube, *viewcube.SafeEngine) {
+func safeEngine(t *testing.T, rows string) (*viewcube.Cube, *viewcube.Engine) {
 	t.Helper()
 	cube, err := viewcube.Load(strings.NewReader("product,region,day,sales\n"+rows), "sales")
 	if err != nil {
@@ -36,7 +36,7 @@ func safeEngine(t *testing.T, rows string) (*viewcube.Cube, *viewcube.SafeEngine
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cube, eng.Safe()
+	return cube, eng
 }
 
 // catalogServer serves the sales cube through a catalog, with the view

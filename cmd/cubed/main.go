@@ -297,8 +297,8 @@ func runCatalog(cfg config) error {
 }
 
 // runNode serves a cube: always the HTTP API on -addr, plus the binary
-// shard protocol on -shardaddr in -shard mode. Both share one SafeEngine
-// lock, so HTTP updates and shard reads serialise correctly.
+// shard protocol on -shardaddr in -shard mode. Both share one Engine and
+// its lock, so HTTP updates and shard reads serialise correctly.
 func runNode(cfg config) error {
 	logger := cfg.logger()
 
@@ -316,9 +316,8 @@ func runNode(cfg config) error {
 		return err
 	}
 	cube.ReleaseCells() // a server reads cells through the engine only
-	safe := eng.Safe()
 	if cfg.ingest {
-		if err := safe.EnableIngest(viewcube.IngestOptions{
+		if err := eng.EnableIngest(viewcube.IngestOptions{
 			WALPath:    cfg.walPath,
 			Fsync:      cfg.walFsync,
 			Interval:   cfg.ingestInterval,
@@ -326,10 +325,10 @@ func runNode(cfg config) error {
 		}); err != nil {
 			return fmt.Errorf("enabling ingest: %w", err)
 		}
-		defer safe.DisableIngest()
+		defer eng.DisableIngest()
 		logger.Info("streaming ingest enabled",
 			"wal", cfg.walPath, "fsync", cfg.walFsync,
-			"replayed", safe.IngestStats().WALReplayed)
+			"replayed", eng.IngestStats().WALReplayed)
 	}
 	qlog, err := cfg.openQueryLog()
 	if err != nil {
@@ -354,7 +353,7 @@ func runNode(cfg config) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: server.NewSafe(cube, safe, opts...)}
+	srv := &http.Server{Handler: server.New(cube, eng, opts...)}
 	errCh := make(chan error, 2)
 	go func() {
 		logger.Info("serving",
@@ -375,7 +374,7 @@ func runNode(cfg config) error {
 		}
 		shardAddr = shardLn.Addr().String()
 		shardSrv = cluster.NewServer(
-			cluster.NewShardEngine(cube, safe),
+			cluster.NewShardEngine(cube, eng),
 			cluster.WithServerLogger(logger),
 		)
 		go func() {

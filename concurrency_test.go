@@ -1,4 +1,4 @@
-// Concurrent stress tests for the SafeEngine read path. Run under the race
+// Concurrent stress tests for the Engine read path. Run under the race
 // detector (CI runs `go test -race -run Concurrent ./...`): the point is
 // not just that answers stay correct, but that overlapping reads, traced
 // queries, and background reconfigurations share no unsynchronised state.
@@ -32,6 +32,61 @@ func sameGroups(t *testing.T, got, want map[string]float64) {
 		if g, ok := got[k]; !ok || !almostEqual(g, w) {
 			t.Fatalf("group %q = %g, want %g", k, got[k], w)
 		}
+	}
+}
+
+// TestConcurrentSafeIsTheEngine: Safe returns the engine itself, so updates
+// through one Safe() and Total reads through the engine and through a second
+// Safe() serialise on one lock. Run under -race; once the writers finish the
+// total equals the serial sum exactly (integer deltas).
+func TestConcurrentSafeIsTheEngine(t *testing.T) {
+	cube, err := viewcube.NewCube([]string{"a", "b"}, []int{4, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cube.NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, reader := eng.Safe(), eng.Safe()
+	const writers, perWriter = 4, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, writers+2)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if err := writer.Update(float64(w+1), i%4, w); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for _, r := range []interface{ Total() (float64, error) }{eng, reader} {
+		wg.Add(1)
+		go func(r interface{ Total() (float64, error) }) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				if _, err := r.Total(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for w := 0; w < writers; w++ {
+		want += float64(perWriter * (w + 1))
+	}
+	if got, err := eng.Total(); err != nil || got != want {
+		t.Fatalf("total %v (%v), want %v", got, err, want)
 	}
 }
 
@@ -151,7 +206,12 @@ func TestConcurrentStressAgainstSerialOracle(t *testing.T) {
 						return
 					}
 				case 3:
-					res, tr, err := safe.TraceQuery(sql)
+					r, tr, err := safe.Select(true, sql)
+					if err != nil {
+						fail(err)
+						return
+					}
+					res, err := r.QueryResult()
 					if err != nil {
 						fail(err)
 						return
@@ -235,7 +295,7 @@ func TestConcurrentTraceIsolation(t *testing.T) {
 	}
 	safe := eng.Safe()
 	// Reference trace, serially.
-	_, want, err := safe.TraceGroupBy("product")
+	_, want, err := safe.GroupByResult(true, "product")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +307,7 @@ func TestConcurrentTraceIsolation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				_, tr, err := safe.TraceGroupBy("product")
+				_, tr, err := safe.GroupByResult(true, "product")
 				if err != nil {
 					errs <- err
 					return
@@ -336,7 +396,10 @@ func TestConcurrentSafeAggEngineAgainstSerialOracle(t *testing.T) {
 				if i%2 == 0 {
 					groups, err = safe.GroupByAgg(kind, "product")
 				} else {
-					groups, _, err = safe.TraceGroupByAgg(kind, "product")
+					var r *viewcube.Result
+					if r, _, err = safe.GroupByAggResult(true, kind, "product"); err == nil {
+						groups, err = r.Groups()
+					}
 				}
 				if err != nil {
 					t.Errorf("GroupByAgg %v: %v", kind, err)

@@ -26,6 +26,9 @@
 //     set to the observed workload online (EngineOptions.ReselectEvery).
 //   - Optional disk-backed element storage with an LRU cache
 //     (EngineOptions.DiskDir).
+//   - One Engine, safe for concurrent use: reads overlap (or pin a snapshot
+//     under streaming ingest, Engine.EnableIngest), writes take its lock,
+//     and the serving reads take a traced flag (Engine.Select).
 //
 // # Quick start
 //

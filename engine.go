@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"viewcube/internal/adaptive"
 	"viewcube/internal/assembly"
@@ -91,13 +93,43 @@ type EngineOptions struct {
 // plane, so one selection, store, plan cache and ingest path serve either
 // width, and the SUM methods read the SUM plane at any width.
 //
-// A plain Engine is not safe for concurrent use: its public query methods
-// perform any due automatic reselection inline, which rewrites the
-// materialised set. Wrap it with Safe to share it across goroutines — the
-// SafeEngine routes queries through the side-effect-free read path under a
-// read lock and serialises mutations (Optimize, Update, reselection) under
-// the write lock.
+// An Engine is safe for concurrent use. Queries are pure reads of the
+// materialised set (Procedure 3 planning plus Haar synthesis allocate only
+// per-query state), so any number of them overlap under the read lock; only
+// operations that rewrite the materialised set or its values — Optimize,
+// Update, Reconfigure, and automatic reselection — take the write lock. A
+// query that pushes the adaptive recorder past its reselection threshold
+// drains the due flag afterwards under the write lock. Traced queries carry
+// their own execution context, so concurrent traces never observe each
+// other.
+//
+// With streaming ingest enabled (EnableIngest), reads pin the current
+// immutable snapshot generation for their whole duration instead of taking
+// the read lock, so they never block on (or are blocked by) the write path;
+// writes append to the ingest buffer and return, and the background merger
+// is the only mutator of the base's values.
 type Engine struct {
+	mu   sync.RWMutex
+	core core // the base: the one writer, touched only under mu
+	ing  atomic.Pointer[ingestRuntime]
+	// version is the data version: see DataVersion.
+	version atomic.Uint64
+}
+
+// SafeEngine is the former name of the concurrency-safe engine.
+//
+// Deprecated: Engine is safe for concurrent use; use it directly.
+type SafeEngine = Engine
+
+// Safe returns the engine itself, which is safe for concurrent use.
+//
+// Deprecated: call the Engine's methods directly.
+func (e *Engine) Safe() *Engine { return e }
+
+// core is the state one read runs against and every body is a method of:
+// the base an Engine writes, and each snapshot generation it publishes under
+// ingest.
+type core struct {
 	cube  *Cube
 	st    assembly.Store
 	inner *adaptive.Engine
@@ -170,7 +202,7 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	if met == nil {
 		met = NewMetrics()
 	}
-	e := &Engine{cube: c, st: st, inner: inner, met: met, fork: c.attached, mass: m, spec: spec}
+	eng := &Engine{core: core{cube: c, st: st, inner: inner, met: met, fork: c.attached, mass: m, spec: spec}}
 	if fs, ok := st.(*store.FileStore); ok {
 		fs.SetMetrics(met.store)
 	}
@@ -182,7 +214,7 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 		c.holder = ms
 	}
 	c.attached = true
-	return e, nil
+	return eng, nil
 }
 
 // measureOf is the measure layout of a cube of the given plane count.
@@ -198,19 +230,19 @@ func measureOf(planes int) (plan.MeasureSpec, error) {
 
 // Metrics returns the engine's metrics registry (the one passed in
 // EngineOptions, or the engine's private registry).
-func (e *Engine) Metrics() *Metrics { return e.met }
+func (e *Engine) Metrics() *Metrics { return e.core.met }
 
 // Cube returns the cube the engine serves (dimension metadata, workloads,
 // ...); its cell accessors read the SUM plane.
-func (e *Engine) Cube() *Cube { return e.cube }
+func (e *Engine) Cube() *Cube { return e.core.cube }
 
 // Width returns the number of measure components per cell: 1 for a SUM
 // cube, 3 for the [Σv, Σv², Σ1] cube of NewAggEngine.
-func (e *Engine) Width() int { return e.spec.Width }
+func (e *Engine) Width() int { return e.core.spec.Width }
 
 // checkCell: UpdateCell with no delta validates the index against the
 // space and touches nothing.
-func (e *Engine) checkCell(idx []int) error {
+func (e *core) checkCell(idx []int) error {
 	return assembly.UpdateCell(e.cube.space, e.st, nil, idx)
 }
 
@@ -219,7 +251,7 @@ func (e *Engine) checkCell(idx []int) error {
 // rank), independent of element volumes) plus the raw cube while it is an
 // array of its own: as the store's root element UpdateCell has already
 // written it. vals holds one delta per plane.
-func (e *Engine) applyDeltaRaw(vals []float64, idx []int) error {
+func (e *core) applyDeltaRaw(vals []float64, idx []int) error {
 	if len(vals) != e.spec.Width {
 		return fmt.Errorf("viewcube: delta width %d on a width-%d cube", len(vals), e.spec.Width)
 	}
@@ -245,7 +277,7 @@ func isZero(vals []float64) bool {
 // forked engine, and while the store's root element is that very array —
 // adopted by NewEngine, not yet dropped by a reselection. A store that clones
 // on Get never shares one.
-func (e *Engine) rawCells() int {
+func (e *core) rawCells() int {
 	if e.cube.data == nil || e.fork {
 		return 0
 	}
@@ -265,7 +297,7 @@ func (e *Engine) rawCells() int {
 // hook hands exactly those back (recycle). It shares the cube, the metrics,
 // the mass, the adaptive workload profile and the (epoch-pinned) plan cache;
 // its store and assembly engine are its own. Ingest runs only on a MemStore.
-func (e *Engine) snapshot() (*Engine, error) {
+func (e *core) snapshot() (*core, error) {
 	base, ok := e.st.(*assembly.MemStore)
 	if !ok {
 		return nil, fmt.Errorf("viewcube: snapshots need the in-memory element store")
@@ -289,7 +321,7 @@ func (e *Engine) snapshot() (*Engine, error) {
 		}
 	}
 	e.lent, e.owned = true, e.owned[:0]
-	g := &Engine{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, spec: e.spec, owned: owned}
+	g := &core{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, spec: e.spec, owned: owned}
 	g.inner.Assembler().SetMetrics(e.met.assembly)
 	return g, nil
 }
@@ -299,7 +331,7 @@ func (e *Engine) snapshot() (*Engine, error) {
 // never reaches an array a reader may pin. The cube's adopted root follows
 // its copy. Every writer of stored cells calls it first; it is a no-op while
 // nothing is lent.
-func (e *Engine) own() {
+func (e *core) own() {
 	if !e.lent {
 		return
 	}
@@ -326,17 +358,16 @@ func (e *Engine) own() {
 // retire hook calls it: no reader pins the generation any more, the base
 // copied away from it before the publish that retired it, and no answer
 // aliases a stored array (DESIGN §10).
-func (e *Engine) recycle() {
+func (e *core) recycle() {
 	for _, a := range e.owned {
 		ndarray.Recycle(a)
 	}
 }
 
 // maybeReselect performs a due automatic reselection, reporting whether the
-// materialised set changed. The plain Engine's entry points call it inline
-// (runInline); a guard instead drains the due flag under its write lock
-// after the read completes.
-func (e *Engine) maybeReselect() (bool, error) {
+// materialised set changed. Engine.reselectIfDue runs it under the write
+// lock after a read completes.
+func (e *core) maybeReselect() (bool, error) {
 	if !e.inner.ReselectDue() {
 		return false, nil
 	}
@@ -346,28 +377,39 @@ func (e *Engine) maybeReselect() (bool, error) {
 // Optimize selects and materialises the best element set for an
 // anticipated workload: Algorithm 1 for the non-redundant basis, then
 // Algorithm 2 up to the storage budget. Observed query history is also
-// taken into account.
+// taken into account. It runs under the write lock; under ingest, the new
+// materialised set reaches readers at the forced republish.
 func (e *Engine) Optimize(w *Workload) error {
-	if w != nil {
-		for _, ent := range w.entries {
-			e.inner.Observe(ent.rect, ent.freq)
+	return e.mutate(func(c *core) (bool, error) {
+		if w != nil {
+			for _, ent := range w.entries {
+				c.inner.Observe(ent.rect, ent.freq)
+			}
 		}
-	}
-	_, err := e.inner.Reconfigure(nil)
-	return err
+		_, err := c.inner.Reconfigure(nil)
+		return true, err
+	})
 }
 
 // Reconfigure re-selects the materialised set from the observed query
-// frequencies, reporting whether anything changed.
-func (e *Engine) Reconfigure() (bool, error) { return e.inner.Reconfigure(nil) }
+// frequencies under the write lock, reporting whether anything changed.
+// Under ingest, the new materialised set reaches readers at the forced
+// republish.
+func (e *Engine) Reconfigure() (changed bool, err error) {
+	err = e.mutate(func(c *core) (bool, error) {
+		changed, err = c.inner.Reconfigure(nil)
+		return changed, err
+	})
+	return changed, err
+}
 
 // View answers a view-element query, assembling it from the materialised
 // set.
 func (e *Engine) View(el Element) (*View, error) {
-	return untraced(runInline(e, false, viewRead, (*Engine).viewInner, el))
+	return untraced(runSafe(e, false, viewRead, (*core).viewInner, el))
 }
 
-func (e *Engine) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
+func (e *core) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
 	if !e.cube.Valid(el) {
 		return nil, fmt.Errorf("viewcube: invalid element %v", el)
 	}
@@ -381,10 +423,21 @@ func (e *Engine) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
 // GroupBy answers the aggregated view that keeps the named dimensions and
 // SUM-aggregates all others.
 func (e *Engine) GroupBy(keep ...string) (*View, error) {
-	return untraced(runInline(e, false, groupByRead, (*Engine).groupByInner, keep))
+	return untraced(runSafe(e, false, groupByRead, (*core).groupByInner, keep))
 }
 
-func (e *Engine) groupByInner(x *obs.ExecCtx, keep []string) (*View, error) {
+// GroupByResult is GroupBy answered as the columnar Result servers encode
+// directly; the trace is nil unless traced.
+func (e *Engine) GroupByResult(traced bool, keep ...string) (*Result, *QueryTrace, error) {
+	v, qt, err := runSafe(e, traced, groupByRead, (*core).groupByInner, keep)
+	if err != nil {
+		return nil, nil, err
+	}
+	r, err := v.leased()
+	return settle(r, qt, err)
+}
+
+func (e *core) groupByInner(x *obs.ExecCtx, keep []string) (*View, error) {
 	el, err := e.cube.ViewKeeping(keep...)
 	if err != nil {
 		return nil, err
@@ -395,10 +448,10 @@ func (e *Engine) groupByInner(x *obs.ExecCtx, keep []string) (*View, error) {
 // Total returns the grand total via the engine (exercising assembly rather
 // than scanning the cube).
 func (e *Engine) Total() (float64, error) {
-	return untraced(runInline(e, false, totalRead, (*Engine).totalInner, struct{}{}))
+	return untraced(runSafe(e, false, totalRead, (*core).totalInner, struct{}{}))
 }
 
-func (e *Engine) totalInner(x *obs.ExecCtx, _ struct{}) (float64, error) {
+func (e *core) totalInner(x *obs.ExecCtx, _ struct{}) (float64, error) {
 	v, err := e.viewInner(x, e.cube.GrandTotal())
 	if err != nil {
 		return 0, err
@@ -419,10 +472,10 @@ type ValueRange struct {
 // per-dimension value ranges (unnamed dimensions are unrestricted),
 // answered by contracting the stored elements with the box (DESIGN §6).
 func (e *Engine) RangeSum(ranges map[string]ValueRange) (float64, error) {
-	return untraced(runInline(e, false, rangeRead, (*Engine).rangeSumInner, ranges))
+	return untraced(runSafe(e, false, rangeRead, (*core).rangeSumInner, ranges))
 }
 
-func (e *Engine) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (float64, error) {
+func (e *core) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (float64, error) {
 	if e.cube.enc == nil {
 		return 0, fmt.Errorf("viewcube: RangeSum by value needs a dictionary-encoded cube; use RangeSumIndex")
 	}
@@ -443,11 +496,11 @@ func (e *Engine) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (fl
 // an arbitrary subset of each dimension's values, so exact-bound lookup
 // would spuriously fail on shards that lack the endpoint values.
 func (e *Engine) RangeSumWithin(ranges map[string]ValueRange) (float64, bool, error) {
-	w, err := untraced(runInline(e, false, rangeRead, (*Engine).rangeSumWithinInner, ranges))
+	w, err := untraced(runSafe(e, false, rangeRead, (*core).rangeSumWithinInner, ranges))
 	return w.sum, w.ok, err
 }
 
-func (e *Engine) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRange) (withinSum, error) {
+func (e *core) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRange) (withinSum, error) {
 	if e.cube.enc == nil {
 		return withinSum{}, fmt.Errorf("viewcube: RangeSumWithin needs a dictionary-encoded cube; use RangeSumIndex")
 	}
@@ -481,15 +534,41 @@ func (e *Engine) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRang
 // RangeSumIndex computes the SUM over the half-open coordinate box
 // [lo, lo+ext).
 func (e *Engine) RangeSumIndex(lo, ext []int) (float64, error) {
-	return untraced(runInline(e, false, rangeRead, (*Engine).rangeSumIndexInner, rangeagg.Box{Lo: lo, Ext: ext}))
+	return untraced(runSafe(e, false, rangeRead, (*core).rangeSum, rangeagg.Box{Lo: lo, Ext: ext}))
 }
 
-func (e *Engine) rangeSumIndexInner(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
-	return e.rangeSum(x, box)
+// RangeQuery is one scalar read of the range seam, RangeResult: the SUM
+// over the box Ranges select (RangeSum), with lexicographic bounds when
+// Within (RangeSumWithin), finalised as *Agg when Agg is set (RangeAgg), or
+// the grand total when Total (Total; Ranges is then unused).
+type RangeQuery struct {
+	Ranges map[string]ValueRange
+	Within bool
+	Agg    *AggKind
+	Total  bool
+}
+
+// RangeResult answers q with the answer, Metrics kind and span tree of the
+// method it names; the trace is nil unless traced. ok is false when the read
+// failed or, for Within, when the box held no values.
+func (e *Engine) RangeResult(traced bool, q RangeQuery) (v float64, ok bool, qt *QueryTrace, err error) {
+	switch {
+	case q.Total:
+		v, qt, err = runSafe(e, traced, totalRead, (*core).totalInner, struct{}{})
+	case q.Agg != nil:
+		v, qt, err = runSafe(e, traced, rangeAggRead, (*core).rangeAggInner, aggRanges{*q.Agg, q.Ranges})
+	case q.Within:
+		var w withinSum
+		w, qt, err = runSafe(e, traced, rangeRead, (*core).rangeSumWithinInner, q.Ranges)
+		return w.sum, w.ok, qt, err
+	default:
+		v, qt, err = runSafe(e, traced, rangeRead, (*core).rangeSumInner, q.Ranges)
+	}
+	return v, err == nil, qt, err
 }
 
 // rangeSum is rangeInto's SUM component.
-func (e *Engine) rangeSum(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
+func (e *core) rangeSum(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
 	var out [3]float64 // room for the widest layout, StatsMeasure
 	err := e.rangeInto(x, box, out[:e.spec.Width])
 	return out[e.spec.Sum], err
@@ -497,7 +576,7 @@ func (e *Engine) rangeSum(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
 
 // rangeInto sums the box of every plane into out, one value per plane: one
 // contraction of the stored elements (DESIGN §6), under a "range_sum" span.
-func (e *Engine) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error {
+func (e *core) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error {
 	if len(out) != e.spec.Width {
 		return fmt.Errorf("viewcube: %d sums for a cube of %d planes", len(out), e.spec.Width)
 	}
@@ -525,7 +604,7 @@ func (e *Engine) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) erro
 // groupedRange sums the box grouped by the kept dimensions (which it covers
 // whole) into a caller-owned array laid out like the aggregated view keeping
 // them: one contraction, under a "grouped_range" span.
-func (e *Engine) groupedRange(x *obs.ExecCtx, box rangeagg.Box, keep []bool) (*ndarray.Array, error) {
+func (e *core) groupedRange(x *obs.ExecCtx, box rangeagg.Box, keep []bool) (*ndarray.Array, error) {
 	sp := x.Start("grouped_range")
 	defer sp.End()
 	x = x.Under(sp)
@@ -552,7 +631,7 @@ func (e *Engine) groupedRange(x *obs.ExecCtx, box rangeagg.Box, keep []bool) (*n
 // the element graph, often already cached for a group-by, where the root's
 // plan costs a Procedure 3 pass over the whole graph (tens of milliseconds
 // on an optimized 131 072-cell cube).
-func (e *Engine) rangeView(x *obs.ExecCtx, box rangeagg.Box, keep []bool, lo, ext []int) (*assembly.Plan, []int, []int, error) {
+func (e *core) rangeView(x *obs.ExecCtx, box rangeagg.Box, keep []bool, lo, ext []int) (*assembly.Plan, []int, []int, error) {
 	space := e.cube.space
 	if len(box.Lo) != space.Rank() || len(box.Ext) != space.Rank() {
 		return nil, nil, nil, fmt.Errorf("viewcube: box rank %d does not match cube rank %d", len(box.Lo), space.Rank())
@@ -570,7 +649,7 @@ func (e *Engine) rangeView(x *obs.ExecCtx, box rangeagg.Box, keep []bool, lo, ex
 
 // countContraction records a contraction's work on the range metrics and
 // its span.
-func (e *Engine) countContraction(sp *obs.Span, w assembly.Work) {
+func (e *core) countContraction(sp *obs.Span, w assembly.Work) {
 	e.met.ranges.ElementMiss.Add(uint64(w.Elements))
 	e.met.ranges.CellsRead.Add(uint64(w.Cells))
 	sp.SetAttr("elements", int64(w.Elements))
@@ -584,10 +663,10 @@ func (e *Engine) countContraction(sp *obs.Span, w assembly.Work) {
 // by one contraction of the stored elements with the filter (DESIGN §6).
 // Kept dimensions cannot also be filtered.
 func (e *Engine) GroupByWhere(keep []string, ranges map[string]ValueRange) (*View, error) {
-	return untraced(runInline(e, false, groupByWhereRead, (*Engine).groupByWhereInner, dice{keep, ranges}))
+	return untraced(runSafe(e, false, groupByWhereRead, (*core).groupByWhereInner, dice{keep, ranges}))
 }
 
-func (e *Engine) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
+func (e *core) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
 	if e.cube.enc == nil {
 		return nil, fmt.Errorf("viewcube: GroupByWhere needs a dictionary-encoded cube")
 	}
@@ -612,7 +691,7 @@ func (e *Engine) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
 // the sum is the same and the contraction's weights stay sparse). With
 // nothing kept it is the box of a plain range query. Ranges need a
 // dictionary-encoded cube.
-func (e *Engine) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, rangeagg.Box, error) {
+func (e *core) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, rangeagg.Box, error) {
 	if e.cube.enc == nil && len(ranges) > 0 {
 		return nil, rangeagg.Box{}, fmt.Errorf("viewcube: value ranges need a dictionary-encoded cube")
 	}
@@ -646,7 +725,7 @@ func (e *Engine) resolveGroupedBox(keep []string, ranges map[string]ValueRange) 
 }
 
 // resolveRange maps a ValueRange on dimension m to a coordinate interval.
-func (e *Engine) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
+func (e *core) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
 	dict := e.cube.enc.Dicts[m]
 	loCode := 0
 	hiCode := dict.Len() - 1
@@ -676,11 +755,18 @@ func (e *Engine) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
 // plan-cache epoch is bumped so no query serves a plan derived from
 // pre-update state. On a measure-vector cube the delta is one new tuple
 // with that measure: its components [v, v², 1] are folded into every plane.
-func (e *Engine) Update(delta float64, idx ...int) error { return e.update(e.observation(delta), idx) }
+//
+// It runs under the write lock. With ingest enabled the delta is instead
+// appended to the WAL and coalescing buffer and Update returns — visibility
+// comes at the next snapshot publish (Flush waits for it). Zero deltas
+// validate and return without locking either way.
+func (e *Engine) Update(delta float64, idx ...int) error {
+	return e.write(e.core.observation(delta), idx)
+}
 
 // observation is the component-vector delta of one new tuple with measure
 // v: [v] on a SUM cube, [v, v², 1] on a measure-vector cube.
-func (e *Engine) observation(v float64) []float64 {
+func (e *core) observation(v float64) []float64 {
 	delta := make([]float64, e.spec.Width)
 	delta[e.spec.Sum] = v
 	if e.spec.SumSq >= 0 {
@@ -693,7 +779,7 @@ func (e *Engine) observation(v float64) []float64 {
 }
 
 // update is Update with one delta per plane.
-func (e *Engine) update(vals []float64, idx []int) error {
+func (e *core) update(vals []float64, idx []int) error {
 	if err := e.checkCell(idx); err != nil || isZero(vals) {
 		// A zero delta validated the index and touched nothing: it must not
 		// invalidate plans or result caches.
@@ -713,7 +799,7 @@ func (e *Engine) update(vals []float64, idx []int) error {
 // the tuple's cell is located through the dictionaries, then maintained
 // incrementally.
 func (e *Engine) UpdateValue(delta float64, values map[string]string) error {
-	idx, err := e.resolveUpdateIndex(values)
+	idx, err := e.core.resolveUpdateIndex(values)
 	if err != nil {
 		return err
 	}
@@ -723,7 +809,7 @@ func (e *Engine) UpdateValue(delta float64, values map[string]string) error {
 // resolveUpdateIndex maps a full tuple of dimension values to its cell
 // index through the dictionaries. It only reads immutable encoding state,
 // so it is safe without any lock.
-func (e *Engine) resolveUpdateIndex(values map[string]string) ([]int, error) {
+func (e *core) resolveUpdateIndex(values map[string]string) ([]int, error) {
 	if e.cube.enc == nil {
 		return nil, fmt.Errorf("viewcube: UpdateValue needs a dictionary-encoded cube; use Update")
 	}
@@ -750,9 +836,11 @@ func (e *Engine) resolveUpdateIndex(values map[string]string) ([]int, error) {
 // Materialised elements themselves persist via a DiskDir store; SaveState
 // covers only the frequency statistics.
 func (e *Engine) SaveState(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(e.inner.State())
+	return locked(e, func(c *core) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(c.inner.State())
+	})
 }
 
 // LoadState merges a previously saved workload profile into the engine.
@@ -761,25 +849,28 @@ func (e *Engine) LoadState(r io.Reader) error {
 	if err := json.NewDecoder(r).Decode(&state); err != nil {
 		return fmt.Errorf("viewcube: decoding engine state: %w", err)
 	}
-	return e.inner.RestoreState(state)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.core.inner.RestoreState(state)
 }
 
-// Stats returns the engine's counters.
-func (e *Engine) Stats() Stats { return e.inner.Stats() }
+// Stats returns the adaptive counters of the materialised set.
+func (e *Engine) Stats() Stats { return locked(e, func(c *core) Stats { return c.inner.Stats() }) }
 
 // StoreStats reports the element store's cache behaviour; for an in-memory
 // store every field is zero and Disk is false.
 func (e *Engine) StoreStats() StoreStats {
-	if fs, ok := e.st.(*store.FileStore); ok {
-		return StoreStats{
-			Disk:           true,
-			CacheHits:      fs.Hits(),
-			CacheMisses:    fs.Misses(),
-			CacheEvictions: fs.Evictions(),
-			CachedCells:    fs.CachedCells(),
-		}
+	fs, ok := e.core.st.(*store.FileStore) // the base's store never changes
+	if !ok {
+		return StoreStats{}
 	}
-	return StoreStats{}
+	return StoreStats{
+		Disk:           true,
+		CacheHits:      fs.Hits(),
+		CacheMisses:    fs.Misses(),
+		CacheEvictions: fs.Evictions(),
+		CachedCells:    fs.CachedCells(),
+	}
 }
 
 // PlanCacheStats reports the plan cache's behaviour: hit/miss counters (those
@@ -796,22 +887,30 @@ type PlanCacheStats struct {
 	Entries       int    `json:"entries"`
 }
 
-// PlanCacheStats snapshots the engine's plan-cache counters.
+// PlanCacheStats snapshots the engine's plan-cache counters, with the
+// streaming snapshot epoch folded in when ingest is enabled. It takes no
+// engine lock: the planner's counters are atomics behind the plan cache's
+// own lock.
 func (e *Engine) PlanCacheStats() PlanCacheStats {
-	s := e.inner.Planner().Stats()
+	s := e.core.inner.Planner().Stats()
 	return PlanCacheStats{
 		Hits:          s.Hits,
 		Misses:        s.Misses,
 		Invalidations: s.Invalidations,
 		Epoch:         s.Epoch,
+		Snapshot:      e.SnapshotEpoch(),
 		Entries:       s.Entries,
 	}
 }
 
 // MaterializedElements returns how many view elements are currently
 // materialised.
-func (e *Engine) MaterializedElements() int { return len(e.st.Elements()) }
+func (e *Engine) MaterializedElements() int {
+	return locked(e, func(c *core) int { return len(c.st.Elements()) })
+}
 
 // StorageCells returns the current materialised volume in stored scalars:
 // cells times planes.
-func (e *Engine) StorageCells() int { return e.spec.Width * e.cube.space.SetVolume(e.st.Elements()) }
+func (e *Engine) StorageCells() int { return locked(e, (*core).storageCells) }
+
+func (e *core) storageCells() int { return e.spec.Width * e.cube.space.SetVolume(e.st.Elements()) }

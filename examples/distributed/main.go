@@ -3,7 +3,7 @@
 // merge — exact because SUM is distributive over the partition. Each shard
 // independently runs Algorithm 1 on its own sub-cube.
 //
-// Shard engines are reentrant (SafeEngine read path), so whole global
+// Shard engines are safe for concurrent use, so whole global
 // queries are also issued concurrently with each other: three overlapping
 // fan-outs below share the four shards without serialising.
 package main

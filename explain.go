@@ -20,15 +20,25 @@ import (
 // the shared plan cache). Planning through the planner never records an
 // access for adaptation; only executed queries do.
 func (e *Engine) Explain(el Element) (string, error) {
-	if !e.cube.Valid(el) {
+	if !e.Cube().Valid(el) {
 		return "", fmt.Errorf("viewcube: invalid element %v", el)
 	}
 	return e.explain(el, AggSum)
 }
 
 // explain renders the plan of el under the aggregate kind a query of it
-// finalises.
+// finalises, against the state a query would run on — the pinned snapshot
+// under ingest, the base under the read lock otherwise — so it renders the
+// plan queries actually execute and never waits out the merger. Planning is
+// a pure read of the materialised set (and of the shared plan cache, which
+// is concurrency-safe), so explains overlap queries freely.
 func (e *Engine) explain(el Element, kind AggKind) (string, error) {
+	c, snap := e.reader()
+	defer e.release(snap)
+	return c.explain(el, kind)
+}
+
+func (e *core) explain(el Element, kind AggKind) (string, error) {
 	ph, err := e.inner.Planner().Element(nil, el.rect)
 	if err != nil {
 		return "", err
@@ -41,16 +51,16 @@ func (e *Engine) explain(el Element, kind AggKind) (string, error) {
 
 // ExplainGroupBy is Explain for the view that keeps the named dimensions.
 func (e *Engine) ExplainGroupBy(keep ...string) (string, error) {
-	el, err := e.cube.ViewKeeping(keep...)
+	el, err := e.Cube().ViewKeeping(keep...)
 	if err != nil {
 		return "", err
 	}
-	return e.Explain(el)
+	return e.explain(el, AggSum)
 }
 
 // describer maps frequency-plane geometry back to the cube's dimension
 // names for plan rendering.
-func (e *Engine) describer() plan.Describer {
+func (e *core) describer() plan.Describer {
 	return plan.Describer{
 		Rect: func(r freq.Rect) string { return describeRect(e.cube, r) },
 		Dim:  func(m int) string { return e.cube.dims[m] },

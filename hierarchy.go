@@ -66,32 +66,33 @@ func (c *Cube) level(dim, levelName string) (*hierarchy.Level, error) {
 // maps each group name to its SUM. Each group is answered as one range
 // aggregation through intermediate view elements.
 func (e *Engine) RollUp(dim, levelName string, ranges map[string]ValueRange) (map[string]float64, error) {
-	lv, err := e.cube.level(dim, levelName)
+	cube := e.Cube()
+	lv, err := cube.level(dim, levelName)
 	if err != nil {
 		return nil, err
 	}
 	if _, filtered := ranges[dim]; filtered {
 		return nil, fmt.Errorf("viewcube: dimension %q cannot be filtered while rolling it up", dim)
 	}
-	m, err := e.cube.DimIndex(dim)
+	m, err := cube.DimIndex(dim)
 	if err != nil {
 		return nil, err
 	}
-	shape := e.cube.Shape()
+	shape := cube.Shape()
 	lo := make([]int, len(shape))
 	ext := make([]int, len(shape))
 	for q := range shape {
-		ext[q] = e.cube.enc.Dicts[q].Len()
+		ext[q] = cube.enc.Dicts[q].Len()
 		if ext[q] == 0 {
 			ext[q] = 1
 		}
 	}
 	for name, vr := range ranges {
-		q, err := e.cube.DimIndex(name)
+		q, err := cube.DimIndex(name)
 		if err != nil {
 			return nil, err
 		}
-		loCode, extCode, err := e.resolveRange(q, vr)
+		loCode, extCode, err := e.core.resolveRange(q, vr)
 		if err != nil {
 			return nil, err
 		}
@@ -112,7 +113,8 @@ func (e *Engine) RollUp(dim, levelName string, ranges map[string]ValueRange) (ma
 // DrillDown lists the base values of one hierarchy group together with
 // their individual SUMs — the inverse navigation of RollUp.
 func (e *Engine) DrillDown(dim, levelName, groupName string) (map[string]float64, error) {
-	lv, err := e.cube.level(dim, levelName)
+	cube := e.Cube()
+	lv, err := cube.level(dim, levelName)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +122,7 @@ func (e *Engine) DrillDown(dim, levelName, groupName string) (map[string]float64
 	if err != nil {
 		return nil, err
 	}
-	m, err := e.cube.DimIndex(dim)
+	m, err := cube.DimIndex(dim)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +136,7 @@ func (e *Engine) DrillDown(dim, levelName, groupName string) (map[string]float64
 	}
 	out := make(map[string]float64, g.Size())
 	for code := g.Lo; code <= g.Hi; code++ {
-		val, ok := e.cube.enc.Dicts[m].Value(code)
+		val, ok := cube.enc.Dicts[m].Value(code)
 		if !ok {
 			continue
 		}

@@ -11,7 +11,7 @@ import (
 	"viewcube/internal/ingest"
 )
 
-// IngestOptions configures the streaming write path of a SafeEngine.
+// IngestOptions configures the streaming write path of an Engine.
 type IngestOptions struct {
 	// WALPath, when non-empty, makes acknowledged updates durable in an
 	// append-only write-ahead log at that path. On EnableIngest the segment
@@ -58,22 +58,22 @@ type IngestStats struct {
 // the cube needs a restart (its WAL replays every acknowledged delta).
 var ErrIngestDegraded = errors.New("viewcube: ingest is degraded")
 
-// ingestRuntime is the machinery EnableIngest installs on a guard: the WAL,
-// the coalescing buffer, the background merger, and the snapshot lifecycle
-// readers pin. The base engine (g.eng) is the one writer, touched only under
-// g.mu's write lock; every published snapshot is an immutable generation
+// ingestRuntime is the machinery EnableIngest installs on an Engine: the
+// WAL, the coalescing buffer, the background merger, and the snapshot
+// lifecycle readers pin. The base (e.core) is the one writer, touched only
+// under e.mu's write lock; every published snapshot is an immutable generation
 // holding the base's arrays of the moment. The base reads those arrays until
-// its next write, which first copies them (Engine.own), so at rest the
+// its next write, which first copies them (core.own), so at rest the
 // current generation's arrays are the only copy of the stored set. A SUM
 // cube streams width-1 deltas, a measure-vector cube width-3 ones; the
 // runtime never looks inside them.
 type ingestRuntime struct {
-	g    *guard
+	e    *Engine
 	opts IngestOptions
 
 	buf *ingest.Buffer
 	wal *ingest.WAL // nil without a WALPath
-	lc  *ingest.Lifecycle[*Engine]
+	lc  *ingest.Lifecycle[*core]
 
 	// appendMu serialises sequence assignment with buffer absorption so no
 	// acknowledged sequence at or below a drain's watermark can be missing
@@ -111,20 +111,20 @@ type ingestRuntime struct {
 // §16), and every query pins the current snapshot instead of taking the read
 // lock, so reads never block on ingest. Requires the in-memory element
 // store; disk-backed stores would double-apply on WAL replay.
-func (g *guard) EnableIngest(opts IngestOptions) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ing.Load() != nil {
+func (e *Engine) EnableIngest(opts IngestOptions) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.ing.Load() != nil {
 		return fmt.Errorf("viewcube: ingest already enabled")
 	}
 	// Only MemStore contents are cloneable cheaply, and a WAL replayed into a
 	// disk store that already absorbed the deltas would double-apply.
-	if _, ok := g.eng.st.(*assembly.MemStore); !ok {
+	if _, ok := e.core.st.(*assembly.MemStore); !ok {
 		return fmt.Errorf("viewcube: ingest requires the in-memory element store (no DiskDir)")
 	}
 	// On every path from here: a WAL replay changes the data even when
 	// enabling then fails.
-	defer g.version.Add(1)
+	defer e.version.Add(1)
 	if opts.MaxPending == 0 {
 		opts.MaxPending = 1 << 16
 	}
@@ -132,7 +132,7 @@ func (g *guard) EnableIngest(opts IngestOptions) error {
 		opts.Interval = 5 * time.Millisecond
 	}
 	rt := &ingestRuntime{
-		g:       g,
+		e:       e,
 		opts:    opts,
 		buf:     ingest.NewBuffer(opts.MaxPending),
 		flushCh: make(chan struct{}, 1),
@@ -140,16 +140,16 @@ func (g *guard) EnableIngest(opts IngestOptions) error {
 		done:    make(chan struct{}),
 	}
 	rt.pubCond = sync.NewCond(&rt.pubMu)
-	met := g.eng.met.ingest
-	g.eng.own() // a previous runtime's last generation may still be pinned
+	met := e.core.met.ingest
+	e.core.own() // a previous runtime's last generation may still be pinned
 
 	if opts.WALPath != "" {
 		wal, err := ingest.OpenWAL(opts.WALPath, ingest.WALOptions{Fsync: opts.Fsync}, func(d ingest.Delta) error {
 			rt.replayed++
-			if err := g.eng.mass.admit(d.Vals); err != nil {
+			if err := e.core.mass.admit(d.Vals); err != nil {
 				return err
 			}
-			return g.eng.applyDeltaRaw(d.Vals, d.Idx)
+			return e.core.applyDeltaRaw(d.Vals, d.Idx)
 		})
 		if err != nil {
 			return err
@@ -160,14 +160,14 @@ func (g *guard) EnableIngest(opts IngestOptions) error {
 		met.WALReplayed.Add(rt.replayed)
 	}
 
-	first, err := g.eng.snapshot()
+	first, err := e.core.snapshot()
 	if err != nil {
 		if rt.wal != nil {
 			rt.wal.Close()
 		}
 		return err
 	}
-	rt.lc = ingest.NewLifecycle(first, func(_ uint64, gen *Engine) {
+	rt.lc = ingest.NewLifecycle(first, func(_ uint64, gen *core) {
 		gen.recycle()
 		met.Retired.Inc()
 	})
@@ -176,7 +176,7 @@ func (g *guard) EnableIngest(opts IngestOptions) error {
 	met.SnapshotEpoch.Set(int64(rt.lc.Current()))
 
 	go rt.loop()
-	g.ing.Store(rt)
+	e.ing.Store(rt)
 	return nil
 }
 
@@ -184,8 +184,8 @@ func (g *guard) EnableIngest(opts IngestOptions) error {
 // stops the merger, closes the WAL, and returns the engine to the locked
 // write path. In-flight appends racing the shutdown fail with a closed
 // error.
-func (g *guard) DisableIngest() error {
-	rt := g.ing.Swap(nil)
+func (e *Engine) DisableIngest() error {
+	rt := e.ing.Swap(nil)
 	if rt == nil {
 		return nil
 	}
@@ -193,7 +193,7 @@ func (g *guard) DisableIngest() error {
 	rt.buf.Close()
 	close(rt.stop)
 	<-rt.done
-	g.version.Add(1)
+	e.version.Add(1)
 	var err error
 	if rt.wal != nil {
 		err = rt.wal.Close()
@@ -202,12 +202,12 @@ func (g *guard) DisableIngest() error {
 }
 
 // IngestEnabled reports whether the streaming write path is active.
-func (g *guard) IngestEnabled() bool { return g.ing.Load() != nil }
+func (e *Engine) IngestEnabled() bool { return e.ing.Load() != nil }
 
 // IngestStats snapshots the streaming write path's counters; the zero value
 // is returned when ingest is not enabled.
-func (g *guard) IngestStats() IngestStats {
-	rt := g.ing.Load()
+func (e *Engine) IngestStats() IngestStats {
+	rt := e.ing.Load()
 	if rt == nil {
 		return IngestStats{}
 	}
@@ -244,8 +244,8 @@ func (g *guard) IngestStats() IngestStats {
 // for clients that need immediate visibility. A no-op when ingest is off
 // (locked writes are immediately visible). Once ingest is degraded it
 // returns at once with the error that stopped the merger.
-func (g *guard) Flush() error {
-	if rt := g.ing.Load(); rt != nil {
+func (e *Engine) Flush() error {
+	if rt := e.ing.Load(); rt != nil {
 		rt.waitPublished(rt.appended.Load())
 		return rt.err()
 	}
@@ -254,14 +254,14 @@ func (g *guard) Flush() error {
 
 // SnapshotEpoch returns the current published snapshot epoch, 0 when ingest
 // is not enabled.
-func (g *guard) SnapshotEpoch() uint64 {
-	if rt := g.ing.Load(); rt != nil {
+func (e *Engine) SnapshotEpoch() uint64 {
+	if rt := e.ing.Load(); rt != nil {
 		return rt.lc.Current()
 	}
 	return 0
 }
 
-// ingestAppend is the streaming half of guard.write: assign a sequence to
+// ingestAppend is the streaming half of Engine.write: assign a sequence to
 // the validated, non-zero delta (through the WAL when configured), absorb it
 // into the coalescing buffer, return. Visibility comes later, at the next
 // publish; Flush() waits for it.
@@ -295,7 +295,7 @@ func (rt *ingestRuntime) ingestAppend(vals []float64, idx []int) error {
 	if err != nil {
 		return err
 	}
-	met := rt.g.eng.met.ingest
+	met := rt.e.core.met.ingest
 	met.Appended.Inc()
 	met.WALBytes.Add(walBytes)
 	return nil
@@ -345,13 +345,13 @@ func (rt *ingestRuntime) loop() {
 // timer merge already served publishes nothing. A failure to fold or publish
 // degrades ingest (degrade) and leaves the last generation published.
 func (rt *ingestRuntime) mergeOnce() {
-	g := rt.g
-	met := g.eng.met.ingest
+	e := rt.e
+	met := e.core.met.ingest
 	start := time.Now()
 
-	g.mu.Lock()
+	e.mu.Lock()
 	if rt.fault.Load() != nil {
-		g.mu.Unlock()
+		e.mu.Unlock()
 		return
 	}
 	batch := rt.buf.Drain()
@@ -359,7 +359,7 @@ func (rt *ingestRuntime) mergeOnce() {
 	republish := rt.republish
 	rt.pubMu.Unlock()
 	if len(batch.Deltas) == 0 && !republish {
-		g.mu.Unlock()
+		e.mu.Unlock()
 		rt.pubMu.Lock()
 		if batch.Watermark > rt.published {
 			rt.published = batch.Watermark
@@ -370,27 +370,27 @@ func (rt *ingestRuntime) mergeOnce() {
 	}
 	// Before the batch, and before a republish without one: no two
 	// generations share an array.
-	g.eng.own()
+	e.core.own()
 	for _, d := range batch.Deltas {
 		// Validated at append time, so a failure here is a fault of the
 		// engine, which may now hold part of the batch.
-		if err := g.eng.applyDeltaRaw(d.Vals, d.Idx); err != nil {
+		if err := e.core.applyDeltaRaw(d.Vals, d.Idx); err != nil {
 			rt.degrade(fmt.Errorf("applying a merged delta: %w", err))
-			g.mu.Unlock()
+			e.mu.Unlock()
 			return
 		}
 	}
-	gen, err := g.eng.snapshot()
+	gen, err := e.core.snapshot()
 	if err != nil {
 		rt.degrade(fmt.Errorf("publishing a snapshot: %w", err))
-		g.mu.Unlock()
+		e.mu.Unlock()
 		return
 	}
 	rt.pubMu.Lock()
 	epoch := rt.lc.Publish(gen)
 	// After Publish, never before: a reader that syncs its result cache to
 	// the new version must already pin the generation that earned it.
-	g.version.Add(1)
+	e.version.Add(1)
 	if batch.Watermark > rt.published {
 		rt.published = batch.Watermark
 	}
@@ -398,7 +398,7 @@ func (rt *ingestRuntime) mergeOnce() {
 	rt.republish = false
 	rt.pubCond.Broadcast()
 	rt.pubMu.Unlock()
-	g.mu.Unlock()
+	e.mu.Unlock()
 
 	rt.merges.Add(1)
 	rt.mergedCells.Add(uint64(len(batch.Deltas)))
@@ -421,7 +421,7 @@ func (rt *ingestRuntime) mergeOnce() {
 func (rt *ingestRuntime) degrade(cause error) {
 	err := fmt.Errorf("%w: %w", ErrIngestDegraded, cause)
 	rt.fault.Store(&err)
-	rt.g.eng.met.ingest.Degraded.Set(1)
+	rt.e.core.met.ingest.Degraded.Set(1)
 	rt.pubMu.Lock()
 	rt.pubCond.Broadcast()
 	rt.pubMu.Unlock()
@@ -459,8 +459,8 @@ func (rt *ingestRuntime) waitPublished(target uint64) {
 }
 
 // forcePublish blocks until a snapshot generation published after the call
-// — the barrier guard.mutate uses so readers stop pinning a pre-mutation
-// generation. Call without holding g.mu (the merger needs it to publish).
+// — the barrier Engine.mutate uses so readers stop pinning a pre-mutation
+// generation. Call without holding e.mu (the merger needs it to publish).
 func (rt *ingestRuntime) forcePublish() {
 	rt.pubMu.Lock()
 	serial := rt.publishSerial

@@ -16,7 +16,7 @@ import (
 // to apply at the merge.
 func TestIngestMergeFailureDegrades(t *testing.T) {
 	s := internalSafeEngine(t)
-	g := &s.guard
+	g := s
 	if err := g.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -24,8 +24,8 @@ func TestIngestMergeFailureDegrades(t *testing.T) {
 	add := func(v float64) error { return g.write([]float64{v}, cell) }
 	total := func() float64 {
 		t.Helper()
-		e, release := g.reader()
-		defer release()
+		e, snap := g.reader()
+		defer g.release(snap)
 		v, err := e.totalInner(nil, struct{}{})
 		if err != nil {
 			t.Fatal(err)
@@ -39,7 +39,7 @@ func TestIngestMergeFailureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	published := total()
-	degraded := func() int64 { return g.eng.met.ingest.Degraded.Value() }
+	degraded := func() int64 { return g.core.met.ingest.Degraded.Value() }
 	if degraded() != 0 || g.IngestStats().Degraded != "" {
 		t.Fatal("healthy ingest reports degraded")
 	}

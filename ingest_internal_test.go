@@ -100,7 +100,7 @@ func safeReads(s *SafeEngine) []readRow {
 	}
 	return []readRow{
 		{"View", "", func() (any, error) {
-			el, err := s.eng.cube.ViewKeeping("region")
+			el, err := s.core.cube.ViewKeeping("region")
 			if err != nil {
 				return nil, err
 			}
@@ -117,26 +117,26 @@ func safeReads(s *SafeEngine) []readRow {
 		{"RangeSumIndex", "", func() (any, error) { return s.RangeSumIndex([]int{0, 0, 0}, []int{2, 2, 2}) }},
 		{"Query", "", func() (any, error) { return s.Query(sql) }},
 		{"TraceQuery", "Query", func() (any, error) {
-			res, _, err := s.TraceQuery(sql)
+			res, _, err := asQuery(s.Select(true, sql))
 			return res, err
 		}},
 		{"TraceGroupBy", "GroupBy", func() (any, error) {
-			v, _, err := s.TraceGroupBy("product")
-			return groups(v, err)
+			groups, _, err := asGroups(s.GroupByResult(true, "product"))
+			return groups, err
 		}},
 		{"TraceTotal", "Total", func() (any, error) {
-			total, _, err := s.TraceTotal()
+			total, _, _, err := s.RangeResult(true, RangeQuery{Total: true})
 			return total, err
 		}},
 		{"TraceRangeSum", "RangeSum", func() (any, error) {
-			sum, _, err := s.TraceRangeSum(days)
+			sum, _, _, err := s.RangeResult(true, RangeQuery{Ranges: days})
 			return sum, err
 		}},
 		{"TraceRangeSumWithin", "RangeSumWithin", func() (any, error) {
-			sum, ok, _, err := s.TraceRangeSumWithin(days)
+			sum, ok, _, err := s.RangeResult(true, RangeQuery{Ranges: days, Within: true})
 			return within{sum, ok}, err
 		}},
-		{"Explain", "", func() (any, error) { return s.Explain(s.eng.cube.GrandTotal()) }},
+		{"Explain", "", func() (any, error) { return s.Explain(s.core.cube.GrandTotal()) }},
 		{"ExplainGroupBy", "", func() (any, error) { return s.ExplainGroupBy("product") }},
 	}
 }
@@ -150,7 +150,7 @@ func safeAggReads(s *SafeEngine) []readRow {
 		{"Total", "", func() (any, error) { return s.RangeAgg(AggSum, nil) }},
 		{"Query", "", func() (any, error) { return s.Query(sql) }},
 		{"TraceQuery", "Query", func() (any, error) {
-			res, _, err := s.TraceQuery(sql)
+			res, _, err := asQuery(s.Select(true, sql))
 			return res, err
 		}},
 	}
@@ -159,12 +159,12 @@ func safeAggReads(s *SafeEngine) []readRow {
 		rows = append(rows,
 			readRow{"GroupByAgg " + kind.String(), "", func() (any, error) { return s.GroupByAgg(kind, "product") }},
 			readRow{"TraceGroupByAgg " + kind.String(), "GroupByAgg " + kind.String(), func() (any, error) {
-				groups, _, err := s.TraceGroupByAgg(kind, "product")
+				groups, _, err := asGroups(s.GroupByAggResult(true, kind, "product"))
 				return groups, err
 			}},
 			readRow{"RangeAgg " + kind.String(), "", func() (any, error) { return s.RangeAgg(kind, days) }},
 			readRow{"TraceRangeAgg " + kind.String(), "RangeAgg " + kind.String(), func() (any, error) {
-				v, _, err := s.TraceRangeAgg(kind, days)
+				v, _, _, err := s.RangeResult(true, RangeQuery{Ranges: days, Agg: &kind})
 				return v, err
 			}},
 			readRow{"ExplainAgg " + kind.String(), "", func() (any, error) { return s.ExplainAgg(kind, "product") }},
@@ -183,18 +183,18 @@ func TestIngestReadersIgnoreWriteLock(t *testing.T) {
 	cell := map[string]string{"product": "ale", "region": "east", "day": "d2"}
 	t.Run("SafeEngine", func(t *testing.T) {
 		s := internalSafeEngine(t)
-		readersIgnoreWriteLock(t, &s.guard, safeReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
+		readersIgnoreWriteLock(t, s, safeReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
 	})
 	t.Run("SafeEngineWidth3", func(t *testing.T) {
 		s := internalStatsEngine(t, EngineOptions{})
-		readersIgnoreWriteLock(t, &s.guard, safeAggReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
+		readersIgnoreWriteLock(t, s, safeAggReads(s), func(v float64) error { return s.UpdateValue(v, cell) })
 	})
 }
 
 // readersIgnoreWriteLock is the body of TestIngestReadersIgnoreWriteLock.
 // update streams one write adding v to the cube total; the "Total" row reads
 // that total (38 on the fixture).
-func readersIgnoreWriteLock(t *testing.T, g *guard, reads []readRow, update func(v float64) error) {
+func readersIgnoreWriteLock(t *testing.T, g *Engine, reads []readRow, update func(v float64) error) {
 	if err := g.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -324,15 +324,15 @@ func TestIngestStatsDuringWALAppend(t *testing.T) {
 	cell := map[string]string{"product": "ale", "region": "east", "day": "d2"}
 	t.Run("SafeEngine", func(t *testing.T) {
 		s := internalSafeEngine(t)
-		statsDuringWALAppend(t, &s.guard, func() error { return s.UpdateValue(1, cell) })
+		statsDuringWALAppend(t, s, func() error { return s.UpdateValue(1, cell) })
 	})
 	t.Run("SafeEngineWidth3", func(t *testing.T) {
 		s := internalStatsEngine(t, EngineOptions{})
-		statsDuringWALAppend(t, &s.guard, func() error { return s.UpdateValue(1, cell) })
+		statsDuringWALAppend(t, s, func() error { return s.UpdateValue(1, cell) })
 	})
 }
 
-func statsDuringWALAppend(t *testing.T, g *guard, update func() error) {
+func statsDuringWALAppend(t *testing.T, g *Engine, update func() error) {
 	opts := IngestOptions{WALPath: filepath.Join(t.TempDir(), "cube.wal"), Interval: time.Millisecond}
 	if err := g.EnableIngest(opts); err != nil {
 		t.Fatal(err)
@@ -366,7 +366,7 @@ func statsDuringWALAppend(t *testing.T, g *guard, update func() error) {
 	if st.Appended != appends || st.WALBytes == 0 {
 		t.Fatalf("stats %+v, want %d appends and WAL bytes", st, appends)
 	}
-	if got := g.eng.met.ingest.WALBytes.Value(); got != st.WALBytes {
+	if got := g.core.met.ingest.WALBytes.Value(); got != st.WALBytes {
 		t.Fatalf("viewcube_ingest_wal_bytes_total = %d, want the WAL's exact %d", got, st.WALBytes)
 	}
 }
@@ -399,19 +399,19 @@ func TestDataVersion(t *testing.T) {
 			return eng.Safe()
 		}
 		s, replay := build(), build()
-		dataVersion(t, &s.guard, &replay.guard, versionOps{
+		dataVersion(t, s, replay, versionOps{
 			read:     func(keep ...string) error { _, err := s.GroupBy(keep...); return err },
 			update:   func(v float64) error { return s.UpdateValue(v, cell) },
 			zero:     true,
-			optimize: func() error { return s.Optimize(hot(s.eng.cube)) },
+			optimize: func() error { return s.Optimize(hot(s.core.cube)) },
 		})
 	})
 	t.Run("SafeEngineWidth3", func(t *testing.T) {
 		s, replay := internalStatsEngine(t, opts), internalStatsEngine(t, opts)
-		dataVersion(t, &s.guard, &replay.guard, versionOps{
+		dataVersion(t, s, replay, versionOps{
 			read:     func(keep ...string) error { _, err := s.GroupByAgg(AggAvg, keep...); return err },
 			update:   func(v float64) error { return s.UpdateValue(v, cell) },
-			optimize: func() error { return s.Optimize(hot(s.eng.Cube())) },
+			optimize: func() error { return s.Optimize(hot(s.Cube())) },
 		})
 	})
 }
@@ -426,7 +426,7 @@ type versionOps struct {
 	optimize func() error
 }
 
-func dataVersion(t *testing.T, g, replay *guard, ops versionOps) {
+func dataVersion(t *testing.T, g, replay *Engine, ops versionOps) {
 	last := g.DataVersion()
 	moved := func(what string) {
 		t.Helper()
@@ -506,13 +506,13 @@ func dataVersion(t *testing.T, g, replay *guard, ops versionOps) {
 // Flush still returns once its rows are visible.
 func TestIngestFlushAfterTimerMergePublishesNothing(t *testing.T) {
 	s := internalSafeEngine(t)
-	g := &s.guard
+	g := s
 	if err := g.EnableIngest(IngestOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	defer g.DisableIngest()
 	rt := g.ing.Load()
-	published := g.eng.met.ingest.Published
+	published := g.core.met.ingest.Published
 	version, epoch, count := g.DataVersion(), g.SnapshotEpoch(), published.Value()
 
 	// Hold the merger out of its merge: the timer fires, the merge blocks on
@@ -579,7 +579,7 @@ func TestIngestRecycledGenerationsStayExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := eng.cube.NewWorkload()
+			w := eng.core.cube.NewWorkload()
 			for _, keep := range [][]string{{"product"}, {"region", "day"}, {}} {
 				if err := w.AddViewKeeping(1, keep...); err != nil {
 					t.Fatal(err)
@@ -602,7 +602,7 @@ func recycledGenerationsStayExact(t *testing.T, build func(t *testing.T) *Engine
 		total  float64
 	}
 	oracle, live := build(t), build(t).Safe()
-	ask := func(e *Engine) (*View, answer) {
+	ask := func(e *core) (*View, answer) {
 		v, err := e.groupByInner(nil, []string{"product"})
 		if err != nil {
 			t.Error(err)
@@ -617,7 +617,7 @@ func recycledGenerationsStayExact(t *testing.T, build func(t *testing.T) *Engine
 	var mu sync.Mutex
 	want := map[uint64]answer{}
 	record := func(epoch uint64) {
-		_, a := ask(oracle)
+		_, a := ask(&oracle.core)
 		mu.Lock()
 		want[epoch] = a
 		mu.Unlock()

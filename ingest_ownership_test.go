@@ -40,7 +40,7 @@ func TestIngestResidencyAtRest(t *testing.T) {
 				t.Fatal(err)
 			}
 			eng.Cube().ReleaseCells()
-			w := eng.cube.NewWorkload()
+			w := eng.core.cube.NewWorkload()
 			for _, keep := range [][]string{{"product"}, {"region", "day"}} {
 				if err := w.AddViewKeeping(1, keep...); err != nil {
 					t.Fatal(err)
@@ -67,7 +67,7 @@ func residencyAtRest(t *testing.T, s *SafeEngine) {
 		if got != sets*stored {
 			t.Fatalf("%s: %d resident cells, want %d × the stored %d", what, got, sets, stored)
 		}
-		if g := s.eng.met.resident.Value(); g != int64(got) {
+		if g := s.core.met.resident.Value(); g != int64(got) {
 			t.Fatalf("%s: viewcube_resident_cells reads %d, ResidentCells %d", what, g, got)
 		}
 	}
@@ -118,7 +118,7 @@ type pinnedAnswer struct {
 	total  float64
 }
 
-func askGeneration(t *testing.T, e *Engine) pinnedAnswer {
+func askGeneration(t *testing.T, e *core) pinnedAnswer {
 	t.Helper()
 	v, err := e.groupByInner(nil, []string{"product"})
 	if err != nil {
@@ -169,7 +169,7 @@ func pinnedGenerationSurvivesWrites(t *testing.T, width3 bool) {
 			if err := s.Optimize(w); err != nil {
 				t.Fatal(err)
 			}
-			if locked(&s.guard, func(e *Engine) bool { _, ok := e.st.Get(e.cube.space.Root()); return ok }) {
+			if locked(s, func(e *core) bool { _, ok := e.st.Get(e.cube.space.Root()); return ok }) {
 				t.Fatal("fixture: Optimize kept the root element")
 			}
 			update(t, s, 4) // a merge after the migration
@@ -189,11 +189,11 @@ func pinnedGenerationSurvivesWrites(t *testing.T, width3 bool) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			idx, err := s.eng.resolveUpdateIndex(cell)
+			idx, err := s.core.resolveUpdateIndex(cell)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := wal.Append(ingest.Delta{Idx: idx, Vals: s.eng.observation(6)}); err != nil {
+			if _, err := wal.Append(ingest.Delta{Idx: idx, Vals: s.core.observation(6)}); err != nil {
 				t.Fatal(err)
 			}
 			if err := wal.Close(); err != nil {
@@ -236,7 +236,7 @@ func pinnedGenerationSurvivesWrites(t *testing.T, width3 bool) {
 				t.Fatalf("hand-over %v, %s: the total stayed %g, want the write visible", handOver, st.name, total)
 			}
 			if !handOver {
-				if c := locked(&s.guard, func(e *Engine) float64 { return e.cube.Total() }); c != total {
+				if c := locked(s, func(e *core) float64 { return e.cube.Total() }); c != total {
 					t.Fatalf("%s: Cube.Total() = %g, the engine's Total() = %g", st.name, c, total)
 				}
 			}

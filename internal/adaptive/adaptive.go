@@ -78,7 +78,7 @@ type recorder struct {
 // any number of Query calls may run concurrently (given a store that is
 // safe for concurrent reads). Reconfigure is the only writer: it must not
 // overlap queries — callers serialise it externally (see the root package's
-// SafeEngine, which runs it under a write lock).
+// Engine, which runs it under a write lock).
 type Engine struct {
 	space *velement.Space
 	store assembly.Store
@@ -150,7 +150,7 @@ func (e *Engine) Planner() *plan.Planner { return e.pl }
 // plan. The root engine calls it whenever stored cell values change
 // (incremental updates); Reconfigure calls it itself when the materialised
 // set changes. Callers serialise it against queries exactly like the
-// mutation that motivated it (SafeEngine's write lock).
+// mutation that motivated it (the root Engine's write lock).
 func (e *Engine) InvalidatePlans() { e.pl.Invalidate() }
 
 // SetMetrics attaches registered instruments; nil restores the no-op set.

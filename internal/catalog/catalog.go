@@ -92,7 +92,7 @@ type Stats struct {
 }
 
 // CubeHandle is the uniform serving surface of one catalog entry,
-// implemented over a SafeEngine (at any measure width) or a
+// implemented over an Engine (at any measure width) or a
 // PartitionedEngine. Handles must be safe for concurrent use; operations a
 // backing engine cannot perform fail with ErrUnsupported.
 //

@@ -30,7 +30,7 @@ func salesHandle(t *testing.T) CubeHandle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSafeHandle(cube, eng.Safe())
+	return NewSafeHandle(cube, eng)
 }
 
 func salesRegistry(t *testing.T) *Registry {

@@ -150,7 +150,7 @@ func (f *File) builder(reg *Registry, spec CubeSpec, baseDir string) Builder {
 			return nil, err
 		}
 		cube.ReleaseCells() // a server reads cells through the engine only
-		return NewSafeHandle(cube, eng.Safe()), nil
+		return NewSafeHandle(cube, eng), nil
 	}
 }
 

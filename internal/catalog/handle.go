@@ -6,18 +6,18 @@ import (
 	"viewcube"
 )
 
-// NewSafeHandle wraps a SafeEngine (and the cube it serves) as a
-// CubeHandle. The engine already provides the read/write split and snapshot
-// readers under ingest, so the handle adds no locking of its own. Its
+// NewSafeHandle wraps an Engine (and the cube it serves) as a CubeHandle.
+// The engine already provides the read/write split and snapshot readers
+// under ingest, so the handle adds no locking of its own. Its
 // group-bys, ranges and explains answer SUM at any measure width; on a
 // measure-vector cube the other aggregate kinds are reachable through Query.
-func NewSafeHandle(cube *viewcube.Cube, eng *viewcube.SafeEngine) CubeHandle {
+func NewSafeHandle(cube *viewcube.Cube, eng *viewcube.Engine) CubeHandle {
 	return &safeHandle{cube, eng}
 }
 
 type safeHandle struct {
 	cube *viewcube.Cube
-	eng  *viewcube.SafeEngine
+	eng  *viewcube.Engine
 }
 
 func (h *safeHandle) Info() Info {
@@ -38,11 +38,8 @@ func (h *safeHandle) GroupBy(traced bool, keep ...string) (*viewcube.Result, *vi
 }
 
 func (h *safeHandle) RangeSum(traced bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
-	if traced {
-		return h.eng.TraceRangeSum(ranges)
-	}
-	sum, err := h.eng.RangeSum(ranges)
-	return sum, nil, err
+	sum, _, qt, err := h.eng.RangeResult(traced, viewcube.RangeQuery{Ranges: ranges})
+	return sum, qt, err
 }
 
 func (h *safeHandle) ExplainGroupBy(keep ...string) (string, error) {

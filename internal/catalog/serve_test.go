@@ -454,7 +454,7 @@ func TestCacheHitIgnoresEngineWriteLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	safe := eng.Safe()
+	safe := eng
 	reg := NewRegistry()
 	if err := reg.RegisterHandle("sales", NewSafeHandle(cube, safe)); err != nil {
 		t.Fatal(err)

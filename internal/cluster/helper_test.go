@@ -65,7 +65,7 @@ func shardEngines(t testing.TB, tables []*viewcube.Table) []*cluster.ShardEngine
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, cluster.NewShardEngine(cube, eng.Safe()))
+		out = append(out, cluster.NewShardEngine(cube, eng))
 	}
 	return out
 }

@@ -19,19 +19,19 @@ import (
 // Loopback drives it in-process — either way every request produces the
 // shard's partial aggregate, exact for its sub-cube by distributivity.
 //
-// The engine is a SafeEngine, so one ShardEngine serves any number of
-// concurrent requests through the shard's concurrent read path, and keeps
-// its plan cache, adaptive reselection and metrics registry.
+// The engine is safe for concurrent use, so one ShardEngine serves any
+// number of concurrent requests through the shard's concurrent read path,
+// and keeps its plan cache, adaptive reselection and metrics registry.
 type ShardEngine struct {
 	cube *viewcube.Cube
-	eng  *viewcube.SafeEngine
+	eng  *viewcube.Engine
 	met  *obs.ClusterMetrics
 }
 
 // NewShardEngine wraps a shard's cube and engine. Cluster instruments are
 // registered into the engine's own metrics registry, so the shard's
 // existing /metrics surface exposes them.
-func NewShardEngine(cube *viewcube.Cube, eng *viewcube.SafeEngine) *ShardEngine {
+func NewShardEngine(cube *viewcube.Cube, eng *viewcube.Engine) *ShardEngine {
 	return &ShardEngine{
 		cube: cube,
 		eng:  eng,
@@ -39,19 +39,8 @@ func NewShardEngine(cube *viewcube.Cube, eng *viewcube.SafeEngine) *ShardEngine 
 	}
 }
 
-// Engine returns the wrapped SafeEngine (for the shard's HTTP surface).
-func (s *ShardEngine) Engine() *viewcube.SafeEngine { return s.eng }
-
-// traceable calls a shard read in its plain or its traced form — the one
-// place a request's Trace flag is consulted. The trace is nil when trace is
-// false.
-func traceable[T any](trace bool, plain func() (T, error), traced func() (T, *viewcube.QueryTrace, error)) (T, *viewcube.QueryTrace, error) {
-	if trace {
-		return traced()
-	}
-	out, err := plain()
-	return out, nil, err
-}
+// Engine returns the wrapped engine (for the shard's HTTP surface).
+func (s *ShardEngine) Engine() *viewcube.Engine { return s.eng }
 
 // Execute answers one request with the shard's partial aggregate. Execution
 // failures are carried in Response.Err, never as a transport error: a
@@ -71,7 +60,7 @@ func (s *ShardEngine) Execute(req *Request) *Response {
 	case KindGroupBy:
 		resp.Result, qt, err = s.eng.GroupByResult(req.Trace, req.Keep...)
 	case KindTotal:
-		resp.Sum, qt, err = traceable(req.Trace, s.eng.Total, s.eng.TraceTotal)
+		resp.Sum, _, qt, err = s.eng.RangeResult(req.Trace, viewcube.RangeQuery{Total: true})
 	case KindRangeSum:
 		ranges := make(map[string]viewcube.ValueRange, len(req.Ranges))
 		for _, vr := range req.Ranges {
@@ -79,15 +68,7 @@ func (s *ShardEngine) Execute(req *Request) *Response {
 		}
 		// ok is dropped: with no values in range on this shard the sum is
 		// already 0, the distributive identity.
-		resp.Sum, qt, err = traceable(req.Trace,
-			func() (float64, error) {
-				sum, _, err := s.eng.RangeSumWithin(ranges)
-				return sum, err
-			},
-			func() (float64, *viewcube.QueryTrace, error) {
-				sum, _, qt, err := s.eng.TraceRangeSumWithin(ranges)
-				return sum, qt, err
-			})
+		resp.Sum, _, qt, err = s.eng.RangeResult(req.Trace, viewcube.RangeQuery{Ranges: ranges, Within: true})
 	default:
 		err = fmt.Errorf("cluster: unsupported request kind %d", req.Kind)
 	}

@@ -36,7 +36,7 @@ func startShardServer(t *testing.T, sh *cluster.ShardEngine) (string, *cluster.S
 }
 
 // TestTCPScatterGatherMatchesOracle runs the full stack — coordinator, TCP
-// clients, shard servers, SafeEngines — over real sockets and pins the
+// clients, shard servers, engines — over real sockets and pins the
 // answers to the serial oracle.
 func TestTCPScatterGatherMatchesOracle(t *testing.T) {
 	tables := shardTables(t, 2000, 3)

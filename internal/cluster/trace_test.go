@@ -23,7 +23,7 @@ var clusterExplainCostRe = regexp.MustCompile(`total cost (\d+) ops`)
 
 // shardExplainCost extracts the planner's modelled op total for a group-by
 // from one shard engine's own Explain output.
-func shardExplainCost(t *testing.T, eng *viewcube.SafeEngine, keep ...string) int64 {
+func shardExplainCost(t *testing.T, eng *viewcube.Engine, keep ...string) int64 {
 	t.Helper()
 	text, err := eng.ExplainGroupBy(keep...)
 	if err != nil {

@@ -12,7 +12,7 @@
 //   - a compact, versioned, length-prefixed binary wire codec for query
 //     requests and partial-aggregate responses (this file);
 //   - ShardEngine/Server: the shard side, executing requests against a
-//     SafeEngine and serving them over TCP;
+//     viewcube.Engine and serving them over TCP;
 //   - TCPClient/Loopback: transports — real sockets, or an in-process
 //     loopback that still round-trips every message through the codec;
 //   - Coordinator: scatter-gather with per-shard deadlines, bounded
@@ -148,7 +148,7 @@ type Response struct {
 	// the coordinator grafts under its per-shard span. Error responses never
 	// carry spans.
 	Spans *obs.SpanNode
-	// Epoch is the shard's data version (SafeEngine.DataVersion) at serving
+	// Epoch is the shard's data version (Engine.DataVersion) at serving
 	// time. Zero means "not reported" and error responses never carry one.
 	// Coordinators sum shard epochs into their result cache's upstream
 	// version, so a write on any shard invalidates coordinator-cached

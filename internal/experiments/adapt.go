@@ -78,7 +78,7 @@ func Adaptation(shape []int, phases, queriesPerPhase int, seed int64) (*AdaptRes
 				return nil, err
 			}
 			// Queries only raise the due flag; the experiment loop drains it,
-			// standing in for the SafeEngine's write-locked drain.
+			// standing in for the Engine's write-locked drain.
 			if adaptEng.ReselectDue() {
 				if _, err := adaptEng.AutoReconfigure(nil); err != nil {
 					return nil, err

@@ -8,8 +8,8 @@
 // The package is engine-agnostic: a Delta is a cell index plus a component
 // vector (width 1 for scalar SUM cubes, the measure-vector width for
 // [Σv, Σv², Σ1] cubes), and the lifecycle is generic over the snapshot
-// payload. The root package's guard (SafeEngine, at any measure width)
-// wires the three pieces into an MVCC write path; exactness of delta folding
+// payload. The root package's Engine (at any measure width) wires the
+// three pieces into an MVCC write path; exactness of delta folding
 // rests on the linearity of the Haar partial/residual operators (every
 // stored element changes in exactly one cell per component — see DESIGN
 // §16).

@@ -98,7 +98,8 @@ func stridesInto(dst []int, shape []int) []int {
 // array — leased or fresh — whose backing capacity is exactly a pool class
 // (always true for power-of-two cell counts, the common case here); others
 // are silently left to the garbage collector. The caller must own a
-// exclusively and must not use it after the call.
+// exclusively and must not use it after the call; under the race detector
+// a pooled array is filled with NaN, so a use after Recycle shows.
 func Recycle(a *Array) {
 	if a == nil {
 		return
@@ -109,6 +110,7 @@ func Recycle(a *Array) {
 		return
 	}
 	a.data = a.data[:cap_]
+	poison(a.data)
 	scratchPools[c].Put(a)
 }
 

@@ -1,6 +1,9 @@
 package ndarray
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestScratchLeaseFromStackShapeAllocatesNothing pins the read path's lease
 // idiom: a pool-hit ScratchPlanes lease whose shape lives in a stack buffer
@@ -27,5 +30,25 @@ func TestScratchLeaseFromStackShapeAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("pool-hit lease from a stack shape buffer: %v allocs, want 0", allocs)
+	}
+}
+
+// TestRecyclePoisonsUnderRace: under the race detector Recycle fills a
+// pooled array with NaN, so a holder that kept it past Recycle reads NaN
+// rather than the numbers of whoever leases it next.
+func TestRecyclePoisonsUnderRace(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("poison mode is on only under the race detector")
+	}
+	a, _ := Scratch(4, 8)
+	stale := a.Data()
+	for i := range stale {
+		stale[i] = float64(i)
+	}
+	Recycle(a)
+	for i, v := range stale {
+		if !math.IsNaN(v) {
+			t.Fatalf("cell %d of a recycled array reads %g, want NaN", i, v)
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 //
 // A Planner is safe for concurrent use; the owner must call Invalidate
 // whenever the materialised set or stored cell values change (the root
-// engine does this on Optimize/Reconfigure/Update, under SafeEngine's
-// write lock when shared).
+// engine does this on Optimize/Reconfigure/Update, under its write
+// lock).
 type Planner struct {
 	src   PlanSource
 	spec  MeasureSpec

@@ -40,7 +40,7 @@ func newCatalogRegistry(t *testing.T) *catalog.Registry {
 			if err != nil {
 				return nil, err
 			}
-			return catalog.NewSafeHandle(cube, eng.Safe()), nil
+			return catalog.NewSafeHandle(cube, eng), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -411,7 +411,7 @@ func TestAggQueryTraceOpsMatchExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.RegisterHandle("stats", catalog.NewSafeHandle(agg.Cube(), agg.Safe())); err != nil {
+	if err := reg.RegisterHandle("stats", catalog.NewSafeHandle(agg.Cube(), agg)); err != nil {
 		t.Fatal(err)
 	}
 	ts := newTestServer(t, NewCatalog(reg, quiet))

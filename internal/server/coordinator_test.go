@@ -34,7 +34,7 @@ func shardEngineFromCSV(t *testing.T, csv string) *cluster.ShardEngine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster.NewShardEngine(cube, eng.Safe())
+	return cluster.NewShardEngine(cube, eng)
 }
 
 func newCoordinatorServer(t *testing.T, shards []cluster.Shard) (*httptest.Server, *cluster.Coordinator) {

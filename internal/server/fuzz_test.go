@@ -30,12 +30,12 @@ func fuzzServer(t *testing.T) http.Handler {
 		t.Fatal(err)
 	}
 	cube.ReleaseCells()
-	safe := eng.Safe()
+	safe := eng
 	if err := safe.EnableIngest(viewcube.IngestOptions{Interval: time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { safe.DisableIngest() })
-	return NewSafe(cube, safe, quiet)
+	return New(cube, safe, quiet)
 }
 
 // FuzzRequestDecoding sends a fuzzed query string to every GET query route

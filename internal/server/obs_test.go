@@ -54,7 +54,7 @@ func (h degradedHandle) IngestStats() viewcube.IngestStats {
 // 503 that names it.
 func TestHealthzDegraded(t *testing.T) {
 	cube, eng := newCubeEngine(t)
-	h := catalog.NewSafeHandle(cube, eng.Safe())
+	h := catalog.NewSafeHandle(cube, eng)
 	reg := catalog.NewRegistry()
 	if err := reg.RegisterHandle("sales", degradedHandle{h.(ingestHandle)}); err != nil {
 		t.Fatal(err)

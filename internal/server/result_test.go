@@ -412,7 +412,7 @@ func TestAccessLogLevels(t *testing.T) {
 		ok, failed bool
 	}{{slog.LevelInfo, true, true}, {slog.LevelWarn, false, true}} {
 		var buf bytes.Buffer
-		s := NewSafe(cube, eng.Safe(), WithLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: tc.level}))))
+		s := New(cube, eng, WithLogger(slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: tc.level}))))
 		s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/groupby?keep=product", nil))
 		if got := strings.Contains(buf.String(), "msg=request"); got != tc.ok {
 			t.Errorf("level %v: 200 logged = %v, want %v: %s", tc.level, got, tc.ok, buf.String())

@@ -117,18 +117,11 @@ func WithTraceSampling(rate float64) Option {
 }
 
 // New wraps a cube and its engine into an HTTP handler serving it as the
-// catalog's default cube.
+// default cube of a one-entry catalog. Another subsystem (the cluster shard
+// server) may serve the same engine: reads and writes serialise on its one
+// lock. HTTP instruments land in the engine's own metrics registry, exactly
+// as before the catalog existed.
 func New(cube *viewcube.Cube, eng *viewcube.Engine, opts ...Option) *Server {
-	return NewSafe(cube, eng.Safe(), opts...)
-}
-
-// NewSafe builds the handler over an existing SafeEngine, registered as the
-// default cube of a one-entry catalog. Use this when another subsystem (the
-// cluster shard server) serves the same engine: both must share one
-// SafeEngine so reads and writes serialise on one lock. HTTP instruments
-// land in the engine's own metrics registry, exactly as before the catalog
-// existed.
-func NewSafe(cube *viewcube.Cube, eng *viewcube.SafeEngine, opts ...Option) *Server {
 	reg := catalog.NewRegistry()
 	if err := reg.RegisterHandle("default", catalog.NewSafeHandle(cube, eng)); err != nil {
 		panic(err) // unreachable: fresh registry, fixed name

@@ -198,8 +198,8 @@ func parseFileName(name string) (freq.Rect, bool) {
 // atomics, so the incidental bookkeeping a read performs never races.
 // Mutations (Put, Delete) still require external serialisation against
 // each other — concurrent readers during a mutation are only safe when the
-// caller enforces a read/write discipline (e.g. viewcube.SafeEngine's
-// write lock).
+// caller enforces a read/write discipline (e.g. viewcube.Engine's write
+// lock).
 type FileStore struct {
 	dir string
 

@@ -68,7 +68,7 @@ func TestTraceOpsMatchExplain(t *testing.T) {
 	for _, keep := range [][]string{{"product"}, {"region"}, {"product", "day"}, {}} {
 		// Cold run: nothing has planned this view yet, so the plan span
 		// must record a cache miss.
-		_, cold, err := eng.TraceGroupBy(keep...)
+		_, cold, err := eng.GroupByResult(true, keep...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestTraceOpsMatchExplain(t *testing.T) {
 		}
 		// Warm run: the plan comes from the cache, and the executed ops
 		// must still agree with Explain exactly.
-		_, warm, err := eng.TraceGroupBy(keep...)
+		_, warm, err := eng.GroupByResult(true, keep...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,8 +214,8 @@ func TestReselectionCounters(t *testing.T) {
 	}
 }
 
-// TestTraceQueryEndToEnd exercises the public TraceQuery API: result rows
-// are identical to an untraced Query and the span tree is non-trivial.
+// TestTraceQueryEndToEnd exercises the traced Select: result rows are
+// identical to an untraced Query and the span tree is non-trivial.
 func TestTraceQueryEndToEnd(t *testing.T) {
 	cube := loadSales(t)
 	eng, err := cube.NewEngine(viewcube.EngineOptions{})
@@ -227,7 +227,11 @@ func TestTraceQueryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, tr, err := eng.TraceQuery(sql)
+	r, tr, err := eng.Select(true, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.QueryResult()
 	if err != nil {
 		t.Fatal(err)
 	}

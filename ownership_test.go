@@ -68,7 +68,7 @@ func TestResidencyEngine(t *testing.T) {
 	if err := eng.Optimize(w); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := eng.st.Get(cube.space.Root()); ok {
+	if _, ok := eng.core.st.Get(cube.space.Root()); ok {
 		t.Fatal("fixture: Optimize kept the root element")
 	}
 	if held := heapAlloc() - base; float64(held) > 1.15*float64(cells) {
@@ -248,16 +248,16 @@ func scalarTrial(o *ownership, data []float64, diskDir string) *SafeEngine {
 			return s.Optimize(w)
 		}
 		for _, ent := range w.entries {
-			eng.inner.Observe(ent.rect, ent.freq)
+			eng.core.inner.Observe(ent.rect, ent.freq)
 		}
 		_, err := s.Reconfigure()
 		return err
 	}
 	o.flush = s.Flush
-	o.stored = func() bool { _, ok := eng.st.Get(cube.space.Root()); return ok }
+	o.stored = func() bool { _, ok := eng.core.st.Get(cube.space.Root()); return ok }
 	o.rootView = func() []float64 {
-		e, release := s.reader()
-		defer release()
+		e, snap := s.reader()
+		defer s.release(snap)
 		arr, err := e.inner.Assembler().Answer(nil, cube.space.Root())
 		if err != nil {
 			o.t.Fatal(err)
@@ -365,10 +365,10 @@ func TestOwnershipDifferentialAgg(t *testing.T) {
 				o.update = func(v float64, idx []int) error { return s.Update(v, idx...) }
 				o.optimize = s.Optimize
 				o.flush = s.Flush
-				o.stored = func() bool { _, ok := agg.st.Get(o.cube.space.Root()); return ok }
+				o.stored = func() bool { _, ok := agg.core.st.Get(o.cube.space.Root()); return ok }
 				o.rootView = func() []float64 {
-					e, release := s.reader()
-					defer release()
+					e, snap := s.reader()
+					defer s.release(snap)
 					arr, err := e.inner.Assembler().Answer(nil, o.cube.space.Root())
 					if err != nil {
 						t.Fatal(err)
@@ -428,7 +428,7 @@ func TestTwoEnginesOneCube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rootOf := func(e *Engine) *ndarray.Array { a, _ := e.st.Get(cube.space.Root()); return a }
+	rootOf := func(e *Engine) *ndarray.Array { a, _ := e.core.st.Get(cube.space.Root()); return a }
 	if rootOf(first) != cube.data || rootOf(second) == cube.data {
 		t.Fatal("the first engine adopts the cube's array, the second copies it")
 	}

@@ -46,13 +46,13 @@ func PartitionTable(t *Table, dim string, shards int) ([]*Table, error) {
 // fanning out to one engine per shard (in parallel) and merging the
 // distributive results. Shards whose table is empty are skipped.
 //
-// Each shard engine is wrapped in a SafeEngine, so any number of
+// Shard engines are safe for concurrent use, so any number of
 // PartitionedEngine queries may run concurrently: a shard serves the
 // overlapping fan-out legs through its concurrent read path, and per-shard
 // adaptation serialises against them on the shard's own lock.
 type PartitionedEngine struct {
 	dims    []string
-	engines []*SafeEngine
+	engines []*Engine
 	cubes   []*Cube
 }
 
@@ -88,7 +88,7 @@ func NewPartitionedEngine(tables []*Table, opts EngineOptions) (*PartitionedEngi
 			return nil, err
 		}
 		p.cubes = append(p.cubes, cube)
-		p.engines = append(p.engines, eng.Safe())
+		p.engines = append(p.engines, eng)
 	}
 	if len(p.engines) == 0 {
 		return nil, fmt.Errorf("viewcube: all shards are empty")
@@ -106,12 +106,12 @@ func (p *PartitionedEngine) Measure() string { return p.cubes[0].Measure() }
 func (p *PartitionedEngine) Shards() int { return len(p.engines) }
 
 // Shard returns shard i's engine, e.g. for per-shard statistics or timing.
-func (p *PartitionedEngine) Shard(i int) *SafeEngine { return p.engines[i] }
+func (p *PartitionedEngine) Shard(i int) *Engine { return p.engines[i] }
 
 // fanOut runs fn on every shard concurrently and returns the first error.
-// Shard engines are SafeEngines, so fan-out legs from overlapping
+// Shard engines are safe for concurrent use, so fan-out legs from overlapping
 // PartitionedEngine calls may hit the same shard simultaneously.
-func (p *PartitionedEngine) fanOut(fn func(i int, eng *SafeEngine) error) error {
+func (p *PartitionedEngine) fanOut(fn func(i int, eng *Engine) error) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(p.engines))
 	for i := range p.engines {
@@ -136,7 +136,7 @@ func (p *PartitionedEngine) fanOut(fn func(i int, eng *SafeEngine) error) error 
 // partials' arrays go back to the scratch pool here.
 func (p *PartitionedEngine) GroupByResult(keep ...string) (*Result, error) {
 	partial := make([]*Result, len(p.engines))
-	err := p.fanOut(func(i int, eng *SafeEngine) (err error) {
+	err := p.fanOut(func(i int, eng *Engine) (err error) {
 		partial[i], _, err = eng.GroupByResult(false, keep...)
 		return err
 	})
@@ -157,9 +157,9 @@ func (p *PartitionedEngine) GroupBy(keep ...string) (map[string]float64, error) 
 }
 
 // sumShards adds up one partial aggregate per shard, in shard order.
-func (p *PartitionedEngine) sumShards(part func(eng *SafeEngine) (float64, error)) (float64, error) {
+func (p *PartitionedEngine) sumShards(part func(eng *Engine) (float64, error)) (float64, error) {
 	parts := make([]float64, len(p.engines))
-	err := p.fanOut(func(i int, eng *SafeEngine) (err error) {
+	err := p.fanOut(func(i int, eng *Engine) (err error) {
 		parts[i], err = part(eng)
 		return err
 	})
@@ -174,7 +174,7 @@ func (p *PartitionedEngine) sumShards(part func(eng *SafeEngine) (float64, error
 }
 
 // Total sums the shard totals.
-func (p *PartitionedEngine) Total() (float64, error) { return p.sumShards((*SafeEngine).Total) }
+func (p *PartitionedEngine) Total() (float64, error) { return p.sumShards((*Engine).Total) }
 
 // RangeSum answers a value-range SUM across shards. Unlike Engine.RangeSum,
 // bounds are interpreted lexicographically (first value ≥ Lo through last
@@ -193,7 +193,7 @@ func (p *PartitionedEngine) RangeSum(ranges map[string]ValueRange) (float64, err
 			return 0, fmt.Errorf("viewcube: unknown dimension %q", name)
 		}
 	}
-	return p.sumShards(func(eng *SafeEngine) (float64, error) {
+	return p.sumShards(func(eng *Engine) (float64, error) {
 		// ok is dropped: with no values in range a shard contributes 0.
 		sum, _, err := eng.RangeSumWithin(ranges)
 		return sum, err
@@ -236,7 +236,7 @@ func (p *PartitionedEngine) Optimize(hotViews [][]string, freqs []float64) error
 	if len(hotViews) != len(freqs) {
 		return fmt.Errorf("viewcube: %d hot views but %d frequencies", len(hotViews), len(freqs))
 	}
-	return p.fanOut(func(i int, eng *SafeEngine) error {
+	return p.fanOut(func(i int, eng *Engine) error {
 		w := p.cubes[i].NewWorkload()
 		for j, keep := range hotViews {
 			if err := w.AddViewKeeping(freqs[j], keep...); err != nil {

@@ -34,7 +34,13 @@ type QueryResult struct {
 // measure-vector cube of NewAggEngine. Grouped dimensions cannot also be
 // filtered.
 func (e *Engine) Query(sql string) (*QueryResult, error) {
-	return untraced(asQuery(runInline(e, false, sqlRead, (*Engine).queryInner, sql)))
+	return untraced(asQuery(e.Select(false, sql)))
+}
+
+// Select is Query answered as the columnar Result servers encode directly;
+// the trace is nil unless traced.
+func (e *Engine) Select(traced bool, sql string) (*Result, *QueryTrace, error) {
+	return runSafe(e, traced, sqlRead, (*core).queryInner, sql)
 }
 
 // sqlRanges validates the SELECT list's measure arguments and the WHERE
@@ -91,7 +97,7 @@ func sqlResult(r *Result, q *query.Query) *Result {
 // through the uninstrumented bodies, so the SQL entry point records one
 // "sql" observation, not one per sub-query. A cube without dictionaries
 // answers only the ungrouped, unfiltered statement.
-func (e *Engine) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
+func (e *core) queryInner(x *obs.ExecCtx, sql string) (*Result, error) {
 	q, err := query.Parse(sql)
 	if err != nil {
 		return nil, err

@@ -10,10 +10,10 @@ import (
 // read is one kind of query, stated once as data: the Metrics kind it
 // counts under and, where that is not the kind itself, the root-span name of
 // its trace, built from the query's arguments only when the query is traced.
-// The body that answers it goes beside it to run: an *Engine method taking
-// the per-query execution context x (nil = untraced) and the arguments, run
-// against the plain engine itself or whichever snapshot generation a
-// SafeEngine pinned. Bodies never reselect, so they are safe under a read
+// The body that answers it goes beside it to run: a *core method taking the
+// per-query execution context x (nil = untraced) and the arguments, run
+// against whatever the Engine pinned — its base under the read lock, or a
+// snapshot generation. Bodies never reselect, so they are safe under a read
 // lock.
 type read struct {
 	kind string
@@ -46,12 +46,12 @@ type withinSum struct {
 	ok  bool
 }
 
-// run is the package's one read seam: every query of every engine face runs
-// its body on e here, timed, counted under its kind in e's Metrics and —
-// when traced — given a fresh trace, and nowhere else. Nothing is attached
-// to the engine: the execution context is threaded through the body, so
-// concurrent queries (traced or not) never observe each other's spans.
-func run[A, T any](e *Engine, traced bool, r read, body func(*Engine, *obs.ExecCtx, A) (T, error), args A) (T, *QueryTrace, error) {
+// run executes one read: every query runs its body on e here, timed,
+// counted under its kind in e's Metrics and — when traced — given a fresh
+// trace, and nowhere else. Nothing is attached to the engine: the execution
+// context is threaded through the body, so concurrent queries (traced or
+// not) never observe each other's spans.
+func run[A, T any](e *core, traced bool, r read, body func(*core, *obs.ExecCtx, A) (T, error), args A) (T, *QueryTrace, error) {
 	var (
 		qt *QueryTrace
 		x  *obs.ExecCtx
@@ -102,15 +102,4 @@ func asQuery(r *Result, qt *QueryTrace, err error) (*QueryResult, *QueryTrace, e
 	}
 	res, err := r.QueryResult()
 	return settle(res, qt, err)
-}
-
-// runInline is run for the plain Engine's public entry points: queries on a
-// plain engine are single-threaded by contract, so a due automatic
-// reselection happens inline, right after the read.
-func runInline[A, T any](e *Engine, traced bool, r read, body func(*Engine, *obs.ExecCtx, A) (T, error), args A) (T, *QueryTrace, error) {
-	out, qt, err := run(e, traced, r, body, args)
-	if err == nil {
-		_, err = e.maybeReselect()
-	}
-	return settle(out, qt, err)
 }

@@ -83,11 +83,11 @@ func sparseCube(t *testing.T, seed int64, shape []int, nnz int) *Cube {
 
 // sparseRoot reports whether the engine holds its root as its nonzeros.
 func sparseRoot(e *Engine) bool {
-	ms, ok := e.st.(*assembly.MemStore)
+	ms, ok := e.core.st.(*assembly.MemStore)
 	if !ok {
 		return false
 	}
-	_, ok = ms.GetSparse(e.cube.space.Root())
+	_, ok = ms.GetSparse(e.core.cube.space.Root())
 	return ok
 }
 
@@ -284,7 +284,7 @@ func TestSparseRootDifferential(t *testing.T) {
 				optimize := func(step string, keep ...string) {
 					weight *= 100
 					p.both(step, func(s *SafeEngine) error {
-						w := s.eng.cube.NewWorkload()
+						w := s.core.cube.NewWorkload()
 						if err := w.AddViewKeeping(weight, keep...); err != nil {
 							return err
 						}

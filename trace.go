@@ -73,33 +73,3 @@ func CacheHitTrace(name string) *QueryTrace {
 	t.Finish()
 	return &QueryTrace{t: t}
 }
-
-// TraceQuery is Query with per-span tracing: it answers the SQL-like
-// statement and returns the span tree of its execution alongside the
-// result.
-func (e *Engine) TraceQuery(sql string) (*QueryResult, *QueryTrace, error) {
-	return asQuery(runInline(e, true, sqlRead, (*Engine).queryInner, sql))
-}
-
-// TraceGroupBy is GroupBy with per-span tracing.
-func (e *Engine) TraceGroupBy(keep ...string) (*View, *QueryTrace, error) {
-	return runInline(e, true, groupByRead, (*Engine).groupByInner, keep)
-}
-
-// TraceTotal is Total with per-span tracing.
-func (e *Engine) TraceTotal() (float64, *QueryTrace, error) {
-	return runInline(e, true, totalRead, (*Engine).totalInner, struct{}{})
-}
-
-// TraceRangeSum is RangeSum with per-span tracing.
-func (e *Engine) TraceRangeSum(ranges map[string]ValueRange) (float64, *QueryTrace, error) {
-	return runInline(e, true, rangeRead, (*Engine).rangeSumInner, ranges)
-}
-
-// TraceRangeSumWithin is RangeSumWithin with per-span tracing (the shard
-// servers' traced range path: out-of-domain ranges report ok=false rather
-// than erroring).
-func (e *Engine) TraceRangeSumWithin(ranges map[string]ValueRange) (float64, bool, *QueryTrace, error) {
-	w, qt, err := runInline(e, true, rangeRead, (*Engine).rangeSumWithinInner, ranges)
-	return w.sum, w.ok, qt, err
-}
