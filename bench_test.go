@@ -300,7 +300,7 @@ func rangeFixture(b *testing.B) (*velement.Space, *rangeagg.Querier, []rangeagg.
 		b.Fatal(err)
 	}
 	q := rangeagg.NewQuerier(s, mat)
-	boxes := workload.RandomBoxes(shape, rng, 256)
+	boxes := rangeagg.RandomBoxes(shape, rng, 256)
 	// Warm the pyramid so the benchmark measures steady-state queries.
 	if _, err := q.RangeSum(boxes[0]); err != nil {
 		b.Fatal(err)

@@ -131,7 +131,7 @@ func (c *Cube) Volume() int { return c.space.CubeVolume() }
 // only. An in-memory engine still holding the cells as its root keeps them as
 // their nonzeros if at most one cell in eight is nonzero (DESIGN §19). Call
 // it before the engine is shared. The engine serves and updates as before;
-// Total, At, Add, Set, Compress and a further NewEngine fail from here on,
+// Total, At, Add, Set and a further NewEngine fail from here on,
 // naming this method. Without an engine the cells would be lost: a panic.
 func (c *Cube) ReleaseCells() {
 	if !c.attached {

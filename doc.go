@@ -21,14 +21,19 @@
 //     storage budget (Algorithm 2), via Engine.Optimize.
 //   - A query engine that dynamically assembles any aggregated view or
 //     view element from whatever is materialised (Engine.View,
-//     Engine.GroupBy), answers range-SUM queries through intermediate view
-//     elements (Engine.RangeSum), and optionally adapts its materialised
-//     set to the observed workload online (EngineOptions.ReselectEvery).
+//     Engine.GroupBy), answers range-SUM queries by one contraction of the
+//     stored elements (Engine.RangeSum), and optionally adapts its
+//     materialised set to the observed workload online
+//     (EngineOptions.ReselectEvery).
 //   - Optional disk-backed element storage with an LRU cache
 //     (EngineOptions.DiskDir).
 //   - One Engine, safe for concurrent use: reads overlap (or pin a snapshot
 //     under streaming ingest, Engine.EnableIngest), writes take its lock,
 //     and the serving reads take a traced flag (Engine.Select).
+//   - Hash partitioning of a relation across shards (PartitionTable). SUM
+//     is distributive, so a coordinator (internal/cluster, cubed
+//     -coordinator) that merges one engine's answer per shard answers
+//     exactly what one engine over the whole relation would.
 //
 // # Quick start
 //

@@ -14,7 +14,6 @@ import (
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
 	"viewcube/internal/plan"
-	"viewcube/internal/rangeagg"
 	"viewcube/internal/store"
 )
 
@@ -492,9 +491,9 @@ func (e *core) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (floa
 // present. ok reports whether the box was non-empty; when a restricted
 // dimension has no values in range (or a dictionary is empty) the sum is 0
 // and ok is false, with no error. This is the per-shard query of the
-// distributive fan-out (PartitionedEngine, cluster shards): a shard holds
-// an arbitrary subset of each dimension's values, so exact-bound lookup
-// would spuriously fail on shards that lack the endpoint values.
+// distributive fan-out (internal/cluster): a shard holds an arbitrary
+// subset of each dimension's values, so exact-bound lookup would spuriously
+// fail on shards that lack the endpoint values.
 func (e *Engine) RangeSumWithin(ranges map[string]ValueRange) (float64, bool, error) {
 	w, err := untraced(runSafe(e, false, rangeRead, (*core).rangeSumWithinInner, ranges))
 	return w.sum, w.ok, err
@@ -527,14 +526,14 @@ func (e *core) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRange)
 		}
 		lo[m], ext[m] = loCode, hiCode-loCode+1
 	}
-	sum, err := e.rangeSum(x, rangeagg.Box{Lo: lo, Ext: ext})
+	sum, err := e.rangeSum(x, box{lo, ext})
 	return withinSum{sum: sum, ok: err == nil}, err
 }
 
 // RangeSumIndex computes the SUM over the half-open coordinate box
 // [lo, lo+ext).
 func (e *Engine) RangeSumIndex(lo, ext []int) (float64, error) {
-	return untraced(runSafe(e, false, rangeRead, (*core).rangeSum, rangeagg.Box{Lo: lo, Ext: ext}))
+	return untraced(runSafe(e, false, rangeRead, (*core).rangeSum, box{lo, ext}))
 }
 
 // RangeQuery is one scalar read of the range seam, RangeResult: the SUM
@@ -567,16 +566,28 @@ func (e *Engine) RangeResult(traced bool, q RangeQuery) (v float64, ok bool, qt 
 	return v, err == nil, qt, err
 }
 
+// box is the half-open coordinate box [lo, lo+ext) a range read sums.
+type box struct{ lo, ext []int }
+
+// cells returns the number of cells the box covers.
+func (b box) cells() int {
+	n := 1
+	for _, e := range b.ext {
+		n *= e
+	}
+	return n
+}
+
 // rangeSum is rangeInto's SUM component.
-func (e *core) rangeSum(x *obs.ExecCtx, box rangeagg.Box) (float64, error) {
+func (e *core) rangeSum(x *obs.ExecCtx, b box) (float64, error) {
 	var out [3]float64 // room for the widest layout, StatsMeasure
-	err := e.rangeInto(x, box, out[:e.spec.Width])
+	err := e.rangeInto(x, b, out[:e.spec.Width])
 	return out[e.spec.Sum], err
 }
 
 // rangeInto sums the box of every plane into out, one value per plane: one
 // contraction of the stored elements (DESIGN §6), under a "range_sum" span.
-func (e *core) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error {
+func (e *core) rangeInto(x *obs.ExecCtx, b box, out []float64) error {
 	if len(out) != e.spec.Width {
 		return fmt.Errorf("viewcube: %d sums for a cube of %d planes", len(out), e.spec.Width)
 	}
@@ -584,7 +595,7 @@ func (e *core) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error 
 	defer sp.End()
 	x = x.Under(sp)
 	var loBuf, extBuf [freq.MaxRank]int
-	p, lo, ext, err := e.rangeView(x, box, nil, loBuf[:0], extBuf[:0])
+	p, lo, ext, err := e.rangeView(x, b, nil, loBuf[:0], extBuf[:0])
 	if err != nil {
 		return err
 	}
@@ -594,7 +605,7 @@ func (e *core) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error 
 	}
 	e.met.ranges.RangeQueries.Inc()
 	e.countContraction(sp, w)
-	sp.SetAttr("box_cells", int64(box.Cells()))
+	sp.SetAttr("box_cells", int64(b.cells()))
 	if len(out) > 1 {
 		sp.SetAttr("measure_width", int64(len(out)))
 	}
@@ -604,12 +615,12 @@ func (e *core) rangeInto(x *obs.ExecCtx, box rangeagg.Box, out []float64) error 
 // groupedRange sums the box grouped by the kept dimensions (which it covers
 // whole) into a caller-owned array laid out like the aggregated view keeping
 // them: one contraction, under a "grouped_range" span.
-func (e *core) groupedRange(x *obs.ExecCtx, box rangeagg.Box, keep []bool) (*ndarray.Array, error) {
+func (e *core) groupedRange(x *obs.ExecCtx, b box, keep []bool) (*ndarray.Array, error) {
 	sp := x.Start("grouped_range")
 	defer sp.End()
 	x = x.Under(sp)
 	var loBuf, extBuf [freq.MaxRank]int
-	p, lo, ext, err := e.rangeView(x, box, keep, loBuf[:0], extBuf[:0])
+	p, lo, ext, err := e.rangeView(x, b, keep, loBuf[:0], extBuf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -631,15 +642,15 @@ func (e *core) groupedRange(x *obs.ExecCtx, box rangeagg.Box, keep []bool) (*nda
 // the element graph, often already cached for a group-by, where the root's
 // plan costs a Procedure 3 pass over the whole graph (tens of milliseconds
 // on an optimized 131 072-cell cube).
-func (e *core) rangeView(x *obs.ExecCtx, box rangeagg.Box, keep []bool, lo, ext []int) (*assembly.Plan, []int, []int, error) {
+func (e *core) rangeView(x *obs.ExecCtx, b box, keep []bool, lo, ext []int) (*assembly.Plan, []int, []int, error) {
 	space := e.cube.space
-	if len(box.Lo) != space.Rank() || len(box.Ext) != space.Rank() {
-		return nil, nil, nil, fmt.Errorf("viewcube: box rank %d does not match cube rank %d", len(box.Lo), space.Rank())
+	if len(b.lo) != space.Rank() || len(b.ext) != space.Rank() {
+		return nil, nil, nil, fmt.Errorf("viewcube: box rank %d does not match cube rank %d", len(b.lo), space.Rank())
 	}
 	r := space.Root()
 	for m := range r {
-		lo, ext = append(lo, box.Lo[m]), append(ext, box.Ext[m])
-		if n := space.Dim(m); (keep == nil || !keep[m]) && box.Lo[m] == 0 && box.Ext[m] == n {
+		lo, ext = append(lo, b.lo[m]), append(ext, b.ext[m])
+		if n := space.Dim(m); (keep == nil || !keep[m]) && b.lo[m] == 0 && b.ext[m] == n {
 			r[m], ext[m] = freq.Node(n), 1 // aggregated: the all-partial leaf
 		}
 	}
@@ -691,19 +702,19 @@ func (e *core) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
 // the sum is the same and the contraction's weights stay sparse). With
 // nothing kept it is the box of a plain range query. Ranges need a
 // dictionary-encoded cube.
-func (e *core) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, rangeagg.Box, error) {
+func (e *core) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, box, error) {
 	if e.cube.enc == nil && len(ranges) > 0 {
-		return nil, rangeagg.Box{}, fmt.Errorf("viewcube: value ranges need a dictionary-encoded cube")
+		return nil, box{}, fmt.Errorf("viewcube: value ranges need a dictionary-encoded cube")
 	}
 	shape := e.cube.Shape()
 	keepMask := make([]bool, len(shape))
 	for _, name := range keep {
 		m, err := e.cube.DimIndex(name)
 		if err != nil {
-			return nil, rangeagg.Box{}, err
+			return nil, box{}, err
 		}
 		if _, filtered := ranges[name]; filtered {
-			return nil, rangeagg.Box{}, fmt.Errorf("viewcube: dimension %q cannot be both kept and filtered", name)
+			return nil, box{}, fmt.Errorf("viewcube: dimension %q cannot be both kept and filtered", name)
 		}
 		keepMask[m] = true
 	}
@@ -713,15 +724,15 @@ func (e *core) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([
 	for name, vr := range ranges {
 		m, err := e.cube.DimIndex(name)
 		if err != nil {
-			return nil, rangeagg.Box{}, err
+			return nil, box{}, err
 		}
 		loCode, extCode, err := e.resolveRange(m, vr)
 		if err != nil {
-			return nil, rangeagg.Box{}, err
+			return nil, box{}, err
 		}
 		lo[m], ext[m] = loCode, extCode
 	}
-	return keepMask, rangeagg.Box{Lo: lo, Ext: ext}, nil
+	return keepMask, box{lo, ext}, nil
 }
 
 // resolveRange maps a ValueRange on dimension m to a coordinate interval.

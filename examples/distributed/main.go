@@ -1,15 +1,19 @@
 // Distributed: shards a fact table by product, builds one view-element
-// engine per shard, and answers global queries by parallel fan-out and
-// merge — exact because SUM is distributive over the partition. Each shard
-// independently runs Algorithm 1 on its own sub-cube.
+// engine per shard, and answers global queries through a cluster
+// coordinator that scatters each query to the shards and merges their
+// answers — exact because SUM is distributive over the partition. Each
+// shard independently runs Algorithm 1 on its own sub-cube. The shards sit
+// behind in-process Loopback transports, so every query crosses the same
+// wire codec as a networked shard.
 //
-// Shard engines are safe for concurrent use, so whole global
-// queries are also issued concurrently with each other: three overlapping
-// fan-outs below share the four shards without serialising.
+// Shard engines and the coordinator are safe for concurrent use, so whole
+// global queries are also issued concurrently with each other: three
+// overlapping fan-outs below share the four shards without serialising.
 package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -18,6 +22,7 @@ import (
 	"time"
 
 	"viewcube"
+	"viewcube/internal/cluster"
 	"viewcube/internal/workload"
 )
 
@@ -47,17 +52,48 @@ func main() {
 	}
 	fmt.Println(" rows")
 
-	pe, err := viewcube.NewPartitionedEngine(parts, viewcube.EngineOptions{})
+	// One engine per non-empty shard, optimized for this shard's cube.
+	var (
+		engines []*viewcube.Engine
+		members []cluster.Shard
+	)
+	for i, p := range parts {
+		if p.Len() == 0 {
+			continue
+		}
+		cube, err := viewcube.FromRelation(p)
+		if err != nil {
+			log.Fatal(err)
+		}
+		eng, err := cube.NewEngine(viewcube.EngineOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		w := cube.NewWorkload()
+		if err := w.AddViewKeeping(0.6, "region"); err != nil {
+			log.Fatal(err)
+		}
+		if err := w.AddViewKeeping(0.4, "day"); err != nil {
+			log.Fatal(err)
+		}
+		if err := eng.Optimize(w); err != nil {
+			log.Fatal(err)
+		}
+		engines = append(engines, eng)
+		members = append(members, cluster.Shard{
+			Name:   fmt.Sprintf("shard-%d", i),
+			Client: cluster.NewLoopback(cluster.NewShardEngine(cube, eng)),
+		})
+	}
+	coord, err := cluster.NewCoordinator(members, cluster.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := pe.Optimize([][]string{{"region"}, {"day"}}, []float64{0.6, 0.4}); err != nil {
-		log.Fatal(err)
-	}
+	defer coord.Close()
 
 	// Issue all three global queries concurrently: every one fans out to
-	// every shard, and the reentrant shard engines serve the overlapping
-	// legs in parallel.
+	// every shard, and the shard engines serve the overlapping legs in
+	// parallel.
 	var (
 		total    float64
 		byRegion map[string]float64
@@ -80,19 +116,19 @@ func main() {
 	go func() {
 		defer wg.Done()
 		var err error
-		total, err = pe.Total()
+		total, _, _, err = coord.SumResult(context.Background(), false, false, nil)
 		report(err)
 	}()
 	go func() {
 		defer wg.Done()
 		var err error
-		byRegion, err = pe.GroupBy("region")
+		byRegion, err = coord.GroupBy("region")
 		report(err)
 	}()
 	go func() {
 		defer wg.Done()
 		var err error
-		window, err = pe.RangeSum(map[string]viewcube.ValueRange{
+		window, err = coord.RangeSum(map[string]viewcube.ValueRange{
 			"day": {Lo: "day-000", Hi: "day-013"},
 		})
 		report(err)
@@ -117,17 +153,17 @@ func main() {
 	fmt.Printf("three overlapping fan-out queries in %v\n", elapsed)
 
 	// Per-shard timings for one more fan-out, legs timed individually.
-	perShard := make([]time.Duration, pe.Shards())
+	perShard := make([]time.Duration, len(engines))
 	shardStart := time.Now()
-	wg.Add(pe.Shards())
-	for i := 0; i < pe.Shards(); i++ {
-		go func(i int) {
+	wg.Add(len(engines))
+	for i, eng := range engines {
+		go func(i int, eng *viewcube.Engine) {
 			defer wg.Done()
 			legStart := time.Now()
-			_, err := pe.Shard(i).GroupBy("region")
+			_, err := eng.GroupBy("region")
 			perShard[i] = time.Since(legStart)
 			report(err)
-		}(i)
+		}(i, eng)
 	}
 	wg.Wait()
 	shardElapsed := time.Since(shardStart)
@@ -153,7 +189,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if diff := total - singleTotal; diff > 1e-6 || diff < -1e-6 {
+	if total != singleTotal { // integer measures: the merge is exact
 		log.Fatalf("sharded total %g disagrees with single engine %g", total, singleTotal)
 	}
 	fmt.Println("verified: sharded answers equal the single-engine answers")

@@ -24,7 +24,7 @@ func main() {
 	space := velement.MustSpace(shape...)
 	fmt.Printf("cube %v (%d cells), 500 random range-SUM queries\n\n", shape, cube.Size())
 
-	boxes := workload.RandomBoxes(shape, rng, 500)
+	boxes := rangeagg.RandomBoxes(shape, rng, 500)
 
 	// Direct scan.
 	scanStart := time.Now()

@@ -171,23 +171,28 @@ func TestCompressDecompressLossless(t *testing.T) {
 }
 
 func TestCompressConstantCube(t *testing.T) {
-	// A constant cube compresses to a single coefficient: the grand total.
-	s := velement.MustSpace(8, 8)
-	cube := ndarray.New(8, 8)
-	cube.Fill(3)
-	comp, err := Compress(s, cube, NonzeroCost(0), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.StoredValues() != 1 {
-		t.Fatalf("constant cube stored %d values, want 1", comp.StoredValues())
-	}
-	back, err := comp.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(cube, 1e-9) {
-		t.Fatal("constant cube reconstruction failed")
+	// A constant cube compresses to a single coefficient, the grand total,
+	// under either functional: the entropy basis collapses it as well.
+	for name, cost := range map[string]CostFn{"nonzero": NonzeroCost(0), "entropy": EntropyCost()} {
+		for _, shape := range [][]int{{8, 8}, {16}} {
+			s := velement.MustSpace(shape...)
+			cube := ndarray.New(shape...)
+			cube.Fill(3)
+			comp, err := Compress(s, cube, cost, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comp.StoredValues() != 1 {
+				t.Fatalf("%s %v: constant cube stored %d values, want 1", name, shape, comp.StoredValues())
+			}
+			back, err := comp.Decompress()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !back.Equal(cube, 1e-9) {
+				t.Fatalf("%s %v: constant cube reconstruction failed", name, shape)
+			}
+		}
 	}
 }
 

@@ -40,8 +40,6 @@ var (
 	ErrCubeUnloaded = errors.New("cube is unloaded")
 	// ErrCubeBusy: a lifecycle transition is in progress (409).
 	ErrCubeBusy = errors.New("cube lifecycle operation in progress")
-	// ErrUnsupported: this handle kind cannot perform the operation (400).
-	ErrUnsupported = errors.New("operation not supported by this cube")
 	// ErrInvalidWorkload: an Optimize hot-view list failed validation
 	// against the cube schema (400, as opposed to a 500 engine failure).
 	ErrInvalidWorkload = errors.New("invalid workload")
@@ -92,15 +90,12 @@ type Stats struct {
 }
 
 // CubeHandle is the uniform serving surface of one catalog entry,
-// implemented over an Engine (at any measure width) or a
-// PartitionedEngine. Handles must be safe for concurrent use; operations a
-// backing engine cannot perform fail with ErrUnsupported.
+// implemented over an Engine at any measure width (NewSafeHandle). Handles
+// must be safe for concurrent use.
 //
 // The three reads take the trace request as an argument: traced asks for
 // the query's span tree next to its answer. The returned trace is nil when
-// traced is false, and also when the backing engine has no traced form of
-// the read (a PartitionedEngine's fan-out); callers treat nil as "not
-// traced".
+// traced is false; callers treat nil as "not traced".
 type CubeHandle interface {
 	Info() Info
 	Query(traced bool, sql string) (*viewcube.Result, *viewcube.QueryTrace, error)

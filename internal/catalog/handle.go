@@ -90,80 +90,6 @@ func (h *safeHandle) IngestStats() viewcube.IngestStats { return h.eng.IngestSta
 
 func (h *safeHandle) CloseIngest() error { return h.eng.DisableIngest() }
 
-// NewPartitionedHandle wraps a sharded PartitionedEngine as a CubeHandle.
-// Distributive reads (GroupBy, RangeSum) fan out to the shards — the
-// in-process fan-out has no traced form, so their trace is always nil; SQL,
-// updates and explains are not distributive across shard encodings and
-// fail with ErrUnsupported. Shape/Volume are per-shard properties and are
-// left zero in Info.
-func NewPartitionedHandle(eng *viewcube.PartitionedEngine) CubeHandle {
-	return &partitionedHandle{eng: eng}
-}
-
-type partitionedHandle struct {
-	eng *viewcube.PartitionedEngine
-}
-
-func (h *partitionedHandle) Info() Info {
-	return Info{
-		Dimensions: h.eng.Dimensions(),
-		Measure:    h.eng.Measure(),
-	}
-}
-
-func (h *partitionedHandle) Query(bool, string) (*viewcube.Result, *viewcube.QueryTrace, error) {
-	return nil, nil, fmt.Errorf("sql over a partitioned cube: %w", ErrUnsupported)
-}
-
-func (h *partitionedHandle) GroupBy(_ bool, keep ...string) (*viewcube.Result, *viewcube.QueryTrace, error) {
-	res, err := h.eng.GroupByResult(keep...)
-	return res, nil, err
-}
-
-func (h *partitionedHandle) RangeSum(_ bool, ranges map[string]viewcube.ValueRange) (float64, *viewcube.QueryTrace, error) {
-	sum, err := h.eng.RangeSum(ranges)
-	return sum, nil, err
-}
-
-func (h *partitionedHandle) UpdateValue(float64, map[string]string) error {
-	return fmt.Errorf("update over a partitioned cube: %w", ErrUnsupported)
-}
-
-func (h *partitionedHandle) Optimize(views []HotView) error {
-	keeps := make([][]string, len(views))
-	freqs := make([]float64, len(views))
-	for i, v := range views {
-		keeps[i] = v.Keep
-		freqs[i] = v.Freq
-	}
-	return h.eng.Optimize(keeps, freqs)
-}
-
-func (h *partitionedHandle) ExplainGroupBy(...string) (string, error) {
-	return "", fmt.Errorf("explain over a partitioned cube: %w", ErrUnsupported)
-}
-
-func (h *partitionedHandle) Stats() Stats {
-	s := Stats{PlanCache: h.eng.PlanCacheStats()}
-	for i := 0; i < h.eng.Shards(); i++ {
-		sh := h.eng.Shard(i)
-		s.MaterializedElements += sh.MaterializedElements()
-		s.StorageCells += sh.StorageCells()
-		s.ResidentCells += sh.ResidentCells()
-	}
-	return s
-}
-
-func (h *partitionedHandle) PlanCacheStats() viewcube.PlanCacheStats {
-	return h.eng.PlanCacheStats()
-}
-
-func (h *partitionedHandle) DataVersion() uint64 { return h.eng.DataVersion() }
-
-func (h *partitionedHandle) Metrics() *viewcube.Metrics {
-	return h.eng.Shard(0).Metrics()
-}
-
 // buildWorkload converts the serializable hot-view form into an engine
 // Workload against a concrete cube.
 func buildWorkload(c *viewcube.Cube, views []HotView) (*viewcube.Workload, error) {

@@ -382,63 +382,6 @@ func TestUncachedLeaseServesDirect(t *testing.T) {
 	}
 }
 
-// TestPartitionedUpdateInvalidatesCachedAnswer: an update to ANY shard of a
-// partitioned cube must invalidate cached answers. The handle's data version
-// is the sum of its shards' versions; a max (the plan-cache display epoch)
-// would hide an update to a shard whose version is not the highest and serve
-// the old total as a hit.
-func TestPartitionedUpdateInvalidatesCachedAnswer(t *testing.T) {
-	tbl, err := viewcube.ReadTable(strings.NewReader(salesCSV), "sales")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := viewcube.PartitionTable(tbl, "product", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := viewcube.NewPartitionedEngine(shards, viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Shards() != 2 {
-		t.Fatalf("fixture hashes into %d live shards, want 2", p.Shards())
-	}
-	reg := NewRegistry()
-	if err := reg.RegisterHandle("sharded", NewPartitionedHandle(p)); err != nil {
-		t.Fatal(err)
-	}
-	reg.EnableResultCache(rescache.Options{})
-	lease := acquire(t, reg)
-	total := func(wantHit bool) float64 {
-		t.Helper()
-		groups, _, hit, err := servedGroups(lease.ServeGroupBy(false))
-		if err != nil || hit == nil {
-			t.Fatalf("ServeGroupBy: hit=%v err=%v", hit, err)
-		}
-		if *hit != wantHit {
-			t.Fatalf("ServeGroupBy: hit=%v, want %v (total %g)", *hit, wantHit, groups[""])
-		}
-		return groups[""]
-	}
-
-	// Shard 0 runs ahead: two updates that cancel out.
-	for _, delta := range []float64{1, -1} {
-		if err := p.Shard(0).Update(delta, 0, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := total(false)
-	if got := total(true); got != before {
-		t.Fatalf("warm total %g, cold total %g", got, before)
-	}
-	if err := p.Shard(1).Update(100, 0, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := total(false); got != before+100 {
-		t.Fatalf("total after updating shard 1 = %g, want %g", got, before+100)
-	}
-}
-
 // TestCacheHitIgnoresEngineWriteLock: a result-cache hit reads the handle's
 // data version with no engine lock, so it completes while a writer holds (or
 // waits for) the engine's write lock — a merge, a reconfiguration. The lock

@@ -479,7 +479,7 @@ func requestShape(req *Request) string {
 
 // scatter fans req out to every shard and gathers outcomes in shard order
 // (the fixed merge order that makes the combined answer bit-identical to
-// the serial PartitionedEngine). Traced or not, the legs run concurrently;
+// a serial fan-out in shard order). Traced or not, the legs run concurrently;
 // with a trace, per-shard spans are opened in shard order before the
 // fan-out (deterministic child order) and each shard's returned span
 // subtree is grafted under its leg. resps[i] is nil for a missing shard;

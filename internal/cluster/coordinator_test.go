@@ -20,56 +20,111 @@ var fastOpts = cluster.Options{
 }
 
 // TestCoordinatorMatchesOracle pins the scatter-gather answers to the
-// serial PartitionedEngine: with every shard healthy, the networked merge
-// must be bit-identical (distributivity in fixed shard order is exact, not
-// approximate).
+// serial oracle: with every shard healthy, the networked merge must be
+// bit-identical (distributivity in fixed shard order is exact, not
+// approximate). The measures are integers, so the coordinator must also
+// equal one unsharded engine over the whole relation exactly, even on a
+// range whose bounds are no value any shard holds.
 func TestCoordinatorMatchesOracle(t *testing.T) {
-	tables := shardTables(t, 3000, 4)
-	oracle := newOracle(t, tables)
-	coord, err := cluster.NewCoordinator(loopbackShards(shardEngines(t, tables)), fastOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	for _, keep := range [][]string{{"product"}, {"region"}, {"day"}, {"product", "region"}, {}} {
-		want, err := oracle.GroupBy(keep...)
+	_, single := tableEngine(t, salesTable(t, 3000))
+	for _, n := range []int{4, 5} {
+		tables := shardTables(t, 3000, n)
+		oracle := newOracle(t, tables)
+		coord, err := cluster.NewCoordinator(loopbackShards(shardEngines(t, tables)), fastOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := coord.GroupBy(keep...)
-		if err != nil {
-			t.Fatalf("GroupBy(%v): %v", keep, err)
+		defer coord.Close()
+
+		for _, keep := range [][]string{{"product"}, {"region"}, {"day"}, {"product", "region"}, {}} {
+			want, err := oracle.GroupBy(keep...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := coord.GroupBy(keep...)
+			if err != nil {
+				t.Fatalf("%d shards: GroupBy(%v): %v", n, keep, err)
+			}
+			sameGroupsExact(t, got, want)
 		}
-		sameGroupsExact(t, got, want)
-	}
+		v, err := single.GroupBy("region")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRegion, err := v.Groups()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRegion, err := coord.GroupBy("region")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameGroupsExact(t, gotRegion, wantRegion)
 
-	wantTotal, err := oracle.Total()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTotal, _, _, err := coord.SumResult(context.Background(), false, false, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTotal != wantTotal {
-		t.Fatalf("Total = %v, want %v", gotTotal, wantTotal)
-	}
+		wantTotal, err := oracle.Total()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if singleTotal, err := single.Total(); err != nil || singleTotal != wantTotal {
+			t.Fatalf("unsharded total %v (%v), oracle %v", singleTotal, err, wantTotal)
+		}
+		gotTotal, _, _, err := coord.SumResult(context.Background(), false, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotTotal != wantTotal {
+			t.Fatalf("%d shards: Total = %v, want %v", n, gotTotal, wantTotal)
+		}
 
-	ranges := map[string]viewcube.ValueRange{
-		"day":     {Lo: "day-005", Hi: "day-020"},
-		"product": {Lo: "prod-00", Hi: "prod-25"},
-	}
-	wantRange, err := oracle.RangeSum(ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRange, err := coord.RangeSum(ranges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRange != wantRange {
-		t.Fatalf("RangeSum = %v, want %v", gotRange, wantRange)
+		// The unsharded engine takes exact bounds. Each shard lacks some of
+		// them, and between's bounds are no value at all.
+		days := map[string]viewcube.ValueRange{"day": {Lo: "day-005", Hi: "day-019"}}
+		products := map[string]viewcube.ValueRange{"product": {Lo: "product-010", Hi: "product-019"}}
+		between := map[string]viewcube.ValueRange{"product": {Lo: "product-0095", Hi: "product-0195"}}
+		for _, ranges := range []map[string]viewcube.ValueRange{
+			{"day": {Lo: "day-005", Hi: "day-020"}, "product": {Lo: "prod-00", Hi: "prod-25"}},
+			days, products, between,
+		} {
+			wantRange, err := oracle.RangeSum(ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotRange, err := coord.RangeSum(ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotRange != wantRange {
+				t.Fatalf("%d shards: RangeSum(%v) = %v, want %v", n, ranges, gotRange, wantRange)
+			}
+		}
+		for _, c := range []struct {
+			ranges, exact map[string]viewcube.ValueRange
+		}{
+			{days, days}, {products, products}, {between, products},
+		} {
+			want, err := single.RangeSum(c.exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == 0 {
+				t.Fatalf("fixture: range %v is empty on the unsharded cube", c.exact)
+			}
+			got, err := coord.RangeSum(c.ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("%d shards: RangeSum(%v) = %v, unsharded %v", n, c.ranges, got, want)
+			}
+		}
+
+		unknown := map[string]viewcube.ValueRange{"nope": {}}
+		if _, err := coord.RangeSum(unknown); err == nil {
+			t.Fatalf("%d shards: want an error for an unknown range dimension", n)
+		}
+		if _, err := oracle.RangeSum(unknown); err == nil {
+			t.Fatal("oracle: want an error for an unknown range dimension")
+		}
 	}
 }
 

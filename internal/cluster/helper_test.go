@@ -48,8 +48,8 @@ func shardTables(t testing.TB, rows, n int) []*viewcube.Table {
 }
 
 // shardEngines builds one ShardEngine per non-empty shard table, in table
-// order — the same skip rule and order as NewPartitionedEngine, so merge
-// order matches the oracle exactly.
+// order. The oracle is built by the same function, so its shard order and
+// merge order match the coordinator's exactly.
 func shardEngines(t testing.TB, tables []*viewcube.Table) []*cluster.ShardEngine {
 	t.Helper()
 	var out []*cluster.ShardEngine
@@ -57,17 +57,23 @@ func shardEngines(t testing.TB, tables []*viewcube.Table) []*cluster.ShardEngine
 		if tbl.Len() == 0 {
 			continue
 		}
-		cube, err := viewcube.FromRelation(tbl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := cube.NewEngine(deterministicOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, cluster.NewShardEngine(cube, eng))
+		out = append(out, cluster.NewShardEngine(tableEngine(t, tbl)))
 	}
 	return out
+}
+
+// tableEngine builds a cube and its engine over one table.
+func tableEngine(t testing.TB, tbl *viewcube.Table) (*viewcube.Cube, *viewcube.Engine) {
+	t.Helper()
+	cube, err := viewcube.FromRelation(tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := cube.NewEngine(deterministicOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cube, eng
 }
 
 // shardNames names shards s0, s1, ... in order.
@@ -90,15 +96,63 @@ func loopbackShards(engines []*cluster.ShardEngine) []cluster.Shard {
 	return shards
 }
 
-// newOracle builds the serial in-process PartitionedEngine over the same
-// shard tables.
-func newOracle(t testing.TB, tables []*viewcube.Table) *viewcube.PartitionedEngine {
+// oracle answers the coordinator's reads by a serial fan-out over one
+// engine per shard: each read runs on every shard in shard order, group-bys
+// merge with viewcube.MergeResults and sums add up in shard order. That is
+// the merge the coordinator does, so its answers must equal the oracle's
+// bit for bit.
+type oracle []*viewcube.Engine
+
+// newOracle builds the oracle over fresh shard engines for the same tables.
+func newOracle(t testing.TB, tables []*viewcube.Table) oracle {
 	t.Helper()
-	p, err := viewcube.NewPartitionedEngine(tables, deterministicOpts)
-	if err != nil {
-		t.Fatal(err)
+	var o oracle
+	for _, sh := range shardEngines(t, tables) {
+		o = append(o, sh.Engine())
 	}
-	return p
+	return o
+}
+
+func (o oracle) GroupBy(keep ...string) (map[string]float64, error) {
+	parts := make([]*viewcube.Result, len(o))
+	defer func() {
+		for _, part := range parts {
+			part.Release()
+		}
+	}()
+	for i, eng := range o {
+		var err error
+		if parts[i], _, err = eng.GroupByResult(false, keep...); err != nil {
+			return nil, err
+		}
+	}
+	merged, err := viewcube.MergeResults(parts)
+	if err != nil {
+		return nil, err
+	}
+	return merged.Groups()
+}
+
+func (o oracle) Total() (float64, error) { return o.sum((*viewcube.Engine).Total) }
+
+// RangeSum takes lexicographic bounds, as each shard does.
+func (o oracle) RangeSum(ranges map[string]viewcube.ValueRange) (float64, error) {
+	return o.sum(func(eng *viewcube.Engine) (float64, error) {
+		v, _, err := eng.RangeSumWithin(ranges)
+		return v, err
+	})
+}
+
+func (o oracle) sum(part func(*viewcube.Engine) (float64, error)) (float64, error) {
+	sum := 0.0
+	for _, eng := range o {
+		v, err := part(eng)
+		if err != nil {
+			return 0, err
+		}
+		sum += v
+	}
+	return sum, nil
 }
 
 // sameGroupsExact requires bitwise equality — the distributivity merge in

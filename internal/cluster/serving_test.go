@@ -3,7 +3,7 @@ package cluster_test
 // Serving-tier hardening: the coordinator result cache, admission control
 // and replica-balanced fan-out. The oracle discipline is the same as the
 // rest of the package — merged answers must be bit-identical to the serial
-// PartitionedEngine, whatever the cache or the replica tier did.
+// oracle, whatever the cache or the replica tier did.
 
 import (
 	"context"
@@ -169,6 +169,35 @@ func TestCoordinatorResultCacheHitsAndSingleflight(t *testing.T) {
 	sameGroupsExact(t, g, want)
 	if counters[0].calls.Load() != before+1 {
 		t.Fatal("post-invalidation query did not re-scatter")
+	}
+
+	// A write to any shard invalidates through the epoch piggyback, whose
+	// epoch is the sum of the shards' data versions: shard 0 runs ahead
+	// with two writes that cancel out, so a max would hide the later write
+	// to shard 1 and keep serving the old total.
+	for _, delta := range []float64{1, -1} {
+		if err := engines[0].Engine().Update(delta, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := func() float64 {
+		t.Helper()
+		v, _, _, err := coord.SumResult(context.Background(), false, false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	total()
+	old := total() // stored after shard 0's writes were seen
+	if err := engines[1].Engine().Update(100, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.GroupBy("region"); err != nil { // a scatter carries the new epochs
+		t.Fatal(err)
+	}
+	if got := total(); got != old+100 {
+		t.Fatalf("total after a write to shard 1 = %v, want %v", got, old+100)
 	}
 }
 

@@ -1,11 +1,11 @@
-// Package cluster turns the in-process shard fan-out of
-// viewcube.PartitionedEngine into a networked serving tier. The paper's §3
-// distributivity result is what makes this lossless: a view element of a
-// union of sub-cubes is exactly the combination of the per-sub-cube
-// elements, so a coordinator can scatter a query to shard servers, gather
-// their partial aggregates and merge them with plain addition — the answer
-// is bit-identical to evaluating the whole relation on one machine (merge
-// order fixed by shard index).
+// Package cluster serves a relation partitioned across shards (see
+// viewcube.PartitionTable) as one cube. The paper's §3 distributivity result
+// is what makes this lossless: a view element of a union of sub-cubes is
+// exactly the combination of the per-sub-cube elements, so a coordinator
+// can scatter a query to shard servers, gather their partial aggregates and
+// merge them with plain addition — the answer is bit-identical to
+// evaluating the whole relation on one machine (merge order fixed by shard
+// index).
 //
 // The package has four parts:
 //
@@ -94,7 +94,7 @@ const (
 	KindTotal Kind = 2
 	// KindRangeSum asks for the shard's partial SUM over lexicographic
 	// value ranges (first value ≥ Lo through last value ≤ Hi per
-	// dimension, matching PartitionedEngine semantics).
+	// dimension, as in Engine.RangeSumWithin).
 	KindRangeSum Kind = 3
 )
 

@@ -115,7 +115,7 @@ func Ranges(shape []int, queries int, seed int64) (*RangeResult, error) {
 	q := rangeagg.NewQuerier(s, mat)
 	pc := rangeagg.NewPrefixCube(cube)
 	res := &RangeResult{Shape: append([]int(nil), shape...), Queries: queries}
-	for _, box := range workload.RandomBoxes(shape, rng, queries) {
+	for _, box := range rangeagg.RandomBoxes(shape, rng, queries) {
 		direct, err := rangeagg.DirectScan(cube, box)
 		if err != nil {
 			return nil, err

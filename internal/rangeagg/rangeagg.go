@@ -18,6 +18,7 @@ package rangeagg
 import (
 	"fmt"
 	"math/bits"
+	"math/rand"
 
 	"viewcube/internal/freq"
 	"viewcube/internal/ndarray"
@@ -51,6 +52,22 @@ func (b Box) Cells() int {
 		n *= e
 	}
 	return n
+}
+
+// RandomBoxes generates count random non-degenerate range-query boxes
+// inside the given cube shape.
+func RandomBoxes(shape []int, rng *rand.Rand, count int) []Box {
+	out := make([]Box, count)
+	for i := range out {
+		lo := make([]int, len(shape))
+		ext := make([]int, len(shape))
+		for m, n := range shape {
+			lo[m] = rng.Intn(n)
+			ext[m] = 1 + rng.Intn(n-lo[m])
+		}
+		out[i] = Box{Lo: lo, Ext: ext}
+	}
+	return out
 }
 
 // Block is one maximal aligned dyadic block [Start, Start+2^Level) on a

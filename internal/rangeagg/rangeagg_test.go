@@ -296,3 +296,17 @@ func TestDecomposeBoxLegs(t *testing.T) {
 		t.Fatalf("blocks cover %d cells, want 6", covered)
 	}
 }
+
+func TestRandomBoxes(t *testing.T) {
+	shape := []int{8, 16}
+	rng := rand.New(rand.NewSource(4))
+	boxes := RandomBoxes(shape, rng, 50)
+	if len(boxes) != 50 {
+		t.Fatalf("%d boxes, want 50", len(boxes))
+	}
+	for _, b := range boxes {
+		if err := b.Validate(shape); err != nil {
+			t.Fatalf("invalid box %v: %v", b, err)
+		}
+	}
+}

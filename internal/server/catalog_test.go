@@ -365,37 +365,6 @@ func TestPerCubeMetricsLabels(t *testing.T) {
 	}
 }
 
-// TestUnsupportedOnPartitioned pins the 400 mapping for handle kinds that
-// cannot serve an operation.
-func TestUnsupportedOnPartitioned(t *testing.T) {
-	tbl, err := viewcube.ReadTable(strings.NewReader(salesCSV), "sales")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shards, err := viewcube.PartitionTable(tbl, "product", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := viewcube.NewPartitionedEngine(shards, viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := catalog.NewRegistry()
-	if err := reg.RegisterHandle("sharded", catalog.NewPartitionedHandle(p)); err != nil {
-		t.Fatal(err)
-	}
-	ts := newTestServer(t, NewCatalog(reg, quiet))
-
-	var groups map[string]float64
-	if resp := getJSON(t, ts.URL+"/cubes/sharded/groupby?keep=product", &groups); resp.StatusCode != 200 || groups["ale"] != 17 {
-		t.Fatalf("sharded groupby: %d %v", resp.StatusCode, groups)
-	}
-	resp, out := postJSON(t, ts.URL+"/cubes/sharded/query", map[string]string{"sql": "SELECT SUM(sales)"})
-	if resp.StatusCode != http.StatusBadRequest || out["code"].(float64) != 400 {
-		t.Fatalf("sharded sql: %d %v", resp.StatusCode, out)
-	}
-}
-
 // TestAggQueryTraceOpsMatchExplain mirrors TestTraceOpsMatchExplain for the
 // vector SQL path: ?trace=1 on a measure-vector cube's /query returns a real
 // span tree, and its summed "ops" reproduce exactly the cost ExplainAgg

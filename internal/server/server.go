@@ -655,7 +655,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request, lease *c
 		// A hot-view list the schema rejects is the client's fault; an
 		// engine failure during re-selection is ours.
 		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrInvalidWorkload) || errors.Is(err, catalog.ErrUnsupported) {
+		if errors.Is(err, catalog.ErrInvalidWorkload) {
 			status = http.StatusBadRequest
 		}
 		s.writeErr(w, status, err)

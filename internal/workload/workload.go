@@ -16,7 +16,6 @@ import (
 
 	"viewcube/internal/core"
 	"viewcube/internal/ndarray"
-	"viewcube/internal/rangeagg"
 	"viewcube/internal/relation"
 	"viewcube/internal/velement"
 )
@@ -80,22 +79,6 @@ func HotSpotPopulation(s *velement.Space, rng *rand.Rand, k int, includeRoot boo
 		queries = append(queries, core.Query{Rect: views[vi], Freq: 1 / float64(k)})
 	}
 	return queries
-}
-
-// RandomBoxes generates count random non-degenerate range-query boxes
-// inside the given cube shape.
-func RandomBoxes(shape []int, rng *rand.Rand, count int) []rangeagg.Box {
-	out := make([]rangeagg.Box, count)
-	for i := range out {
-		lo := make([]int, len(shape))
-		ext := make([]int, len(shape))
-		for m, n := range shape {
-			lo[m] = rng.Intn(n)
-			ext[m] = 1 + rng.Intn(n-lo[m])
-		}
-		out[i] = rangeagg.Box{Lo: lo, Ext: ext}
-	}
-	return out
 }
 
 // RandomCube fills a cube of the given shape with integer-valued measures

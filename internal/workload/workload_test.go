@@ -104,20 +104,6 @@ func TestHotSpotPopulation(t *testing.T) {
 	}
 }
 
-func TestRandomBoxes(t *testing.T) {
-	shape := []int{8, 16}
-	rng := rand.New(rand.NewSource(4))
-	boxes := RandomBoxes(shape, rng, 50)
-	if len(boxes) != 50 {
-		t.Fatalf("%d boxes, want 50", len(boxes))
-	}
-	for _, b := range boxes {
-		if err := b.Validate(shape); err != nil {
-			t.Fatalf("invalid box %v: %v", b, err)
-		}
-	}
-}
-
 func TestRandomCubeAndSparseCube(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := RandomCube(rng, 10, 8, 8)

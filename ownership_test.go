@@ -496,9 +496,6 @@ func TestHandedOverCubeAccessors(t *testing.T) {
 	mustPanic("Cube.Total", func() { cube.Total() })
 	mustPanic("Cube.Add", func() { cube.Add(1, 0, 0) })
 	mustPanic("Cube.Set", func() { cube.Set(1, 0, 0) })
-	if _, err := cube.Compress(CompressOptions{}); err == nil || !strings.Contains(err.Error(), "Cube.Compress after ReleaseCells") {
-		t.Errorf("Compress: %v", err)
-	}
 	if _, err := cube.NewEngine(EngineOptions{}); err == nil || !strings.Contains(err.Error(), "Cube.NewEngine after ReleaseCells") {
 		t.Errorf("NewEngine: %v", err)
 	}

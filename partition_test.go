@@ -2,7 +2,6 @@ package viewcube_test
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -10,7 +9,7 @@ import (
 	"viewcube/internal/workload"
 )
 
-func bigSalesTable(t *testing.T, rows int) (*viewcube.Table, *viewcube.Cube) {
+func bigSalesTable(t *testing.T, rows int) *viewcube.Table {
 	t.Helper()
 	raw, err := workload.SalesTable(rand.New(rand.NewSource(17)), 40, 6, 30, rows)
 	if err != nil {
@@ -25,15 +24,11 @@ func bigSalesTable(t *testing.T, rows int) (*viewcube.Table, *viewcube.Cube) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cube, err := viewcube.FromRelation(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tbl, cube
+	return tbl
 }
 
 func TestPartitionTable(t *testing.T) {
-	tbl, _ := bigSalesTable(t, 2000)
+	tbl := bigSalesTable(t, 2000)
 	shards, err := viewcube.PartitionTable(tbl, "product", 4)
 	if err != nil {
 		t.Fatal(err)
@@ -69,172 +64,5 @@ func TestPartitionTable(t *testing.T) {
 	}
 	if _, err := viewcube.PartitionTable(tbl, "product", 0); err == nil {
 		t.Fatal("want error for zero shards")
-	}
-}
-
-func TestPartitionedEngineMatchesSingleEngine(t *testing.T) {
-	tbl, cube := bigSalesTable(t, 3000)
-	shards, err := viewcube.PartitionTable(tbl, "product", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := viewcube.NewPartitionedEngine(shards, viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pe.Shards() < 2 {
-		t.Fatalf("expected several live shards, got %d", pe.Shards())
-	}
-	single, err := cube.NewEngine(viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Totals agree.
-	pt, err := pe.Total()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := single.Total()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(pt-st) > 1e-6 {
-		t.Fatalf("partitioned total %g, single %g", pt, st)
-	}
-
-	// GROUP BY region agrees group-by-group.
-	pg, err := pe.GroupBy("region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err := single.GroupBy("region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := sv.Groups()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, want := range sg {
-		if math.Abs(pg[k]-want) > 1e-6 {
-			t.Fatalf("group %q: partitioned %g, single %g", k, pg[k], want)
-		}
-	}
-
-	// GROUP BY the partition dimension itself also agrees.
-	pg, err = pe.GroupBy("product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, err = single.GroupBy("product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, _ = sv.Groups()
-	for k, want := range sg {
-		if want == 0 {
-			continue // padding groups exist only on the single cube
-		}
-		if math.Abs(pg[k]-want) > 1e-6 {
-			t.Fatalf("product %q: partitioned %g, single %g", k, pg[k], want)
-		}
-	}
-}
-
-func TestPartitionedRangeSum(t *testing.T) {
-	tbl, cube := bigSalesTable(t, 3000)
-	shards, err := viewcube.PartitionTable(tbl, "product", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := viewcube.NewPartitionedEngine(shards, viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, _ := cube.NewEngine(viewcube.EngineOptions{})
-	// Day range: both engines use exact day values (days exist everywhere).
-	want, err := single.RangeSum(map[string]viewcube.ValueRange{
-		"day": {Lo: "day-005", Hi: "day-019"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pe.RangeSum(map[string]viewcube.ValueRange{
-		"day": {Lo: "day-005", Hi: "day-019"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("partitioned range %g, single %g", got, want)
-	}
-	// Product range: lexicographic bounds work even though each shard holds
-	// a different product subset.
-	got, err = pe.RangeSum(map[string]viewcube.ValueRange{
-		"product": {Lo: "product-010", Hi: "product-019"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err = single.RangeSum(map[string]viewcube.ValueRange{
-		"product": {Lo: "product-010", Hi: "product-019"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-want) > 1e-6 {
-		t.Fatalf("partitioned product range %g, single %g", got, want)
-	}
-	if _, err := pe.RangeSum(map[string]viewcube.ValueRange{"nope": {}}); err == nil {
-		t.Fatal("want error for unknown dimension")
-	}
-}
-
-func TestPartitionedOptimize(t *testing.T) {
-	tbl, _ := bigSalesTable(t, 2000)
-	shards, err := viewcube.PartitionTable(tbl, "product", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pe, err := viewcube.NewPartitionedEngine(shards, viewcube.EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pe.Optimize([][]string{{"region"}}, []float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	// Still correct after optimisation.
-	g, err := pe.GroupBy("region")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g) == 0 {
-		t.Fatal("no groups after optimize")
-	}
-	if err := pe.Optimize([][]string{{"region"}}, nil); err == nil {
-		t.Fatal("want error for mismatched freqs")
-	}
-}
-
-func TestPartitionedEngineValidation(t *testing.T) {
-	if _, err := viewcube.NewPartitionedEngine(nil, viewcube.EngineOptions{}); err == nil {
-		t.Fatal("want error for no shards")
-	}
-	empty, _ := viewcube.NewTable([]string{"a"}, "m")
-	if _, err := viewcube.NewPartitionedEngine([]*viewcube.Table{empty}, viewcube.EngineOptions{}); err == nil {
-		t.Fatal("want error for all-empty shards")
-	}
-	t1, _ := viewcube.NewTable([]string{"a"}, "m")
-	_ = t1.Append([]string{"x"}, 1)
-	t2, _ := viewcube.NewTable([]string{"b"}, "m")
-	_ = t2.Append([]string{"y"}, 1)
-	if _, err := viewcube.NewPartitionedEngine([]*viewcube.Table{t1, t2}, viewcube.EngineOptions{}); err == nil {
-		t.Fatal("want error for schema mismatch")
-	}
-	full, _ := viewcube.NewTable([]string{"a"}, "m")
-	_ = full.Append([]string{"x"}, 1)
-	if _, err := viewcube.NewPartitionedEngine([]*viewcube.Table{full}, viewcube.EngineOptions{DiskDir: "/tmp/x"}); err == nil {
-		t.Fatal("want error for shared disk dir")
 	}
 }

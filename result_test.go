@@ -542,7 +542,7 @@ func TestResultGroupsSeparatorCollision(t *testing.T) {
 	}
 }
 
-// mapMerge is the retired coordinator/PartitionedEngine merge.
+// mapMerge is the retired map-based coordinator merge.
 func mapMerge(parts []map[string]float64) map[string]float64 {
 	out := make(map[string]float64)
 	for _, g := range parts {
