@@ -382,6 +382,94 @@ func TestUncachedLeaseServesDirect(t *testing.T) {
 	}
 }
 
+// TestPartitionedUpdateInvalidatesCachedAnswer: the shards of a partitioned
+// table served as catalog entries each sync their answer cache against
+// their own handle's data version. An update to a lagging shard, whose
+// version is below its sibling's, must invalidate that shard's cached
+// answers; a registry-wide max version would hide it and serve the old
+// total as a hit. The sibling's cached answers stay valid.
+func TestPartitionedUpdateInvalidatesCachedAnswer(t *testing.T) {
+	tbl, err := viewcube.ReadTable(strings.NewReader(salesCSV), "sales")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := viewcube.PartitionTable(tbl, "product", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	var engines []*viewcube.Engine
+	var names []string
+	for i, st := range tables {
+		if st.Len() == 0 {
+			continue
+		}
+		cube, err := viewcube.FromRelation(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := cube.NewEngine(viewcube.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := "shard" + string(rune('0'+i))
+		if err := reg.RegisterHandle(name, NewSafeHandle(cube, eng)); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, eng)
+		names = append(names, name)
+	}
+	if len(engines) != 2 {
+		t.Fatalf("fixture hashes into %d live shards, want 2", len(engines))
+	}
+	reg.EnableResultCache(rescache.Options{})
+	leases := make([]*Lease, len(names))
+	for i, name := range names {
+		lease, err := reg.Acquire(name, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(lease.Release)
+		leases[i] = lease
+	}
+	total := func(shard int, wantHit bool) float64 {
+		t.Helper()
+		groups, _, hit, err := servedGroups(leases[shard].ServeGroupBy(false))
+		if err != nil || hit == nil {
+			t.Fatalf("shard %d ServeGroupBy: hit=%v err=%v", shard, hit, err)
+		}
+		if *hit != wantHit {
+			t.Fatalf("shard %d ServeGroupBy: hit=%v, want %v (total %g)", shard, *hit, wantHit, groups[""])
+		}
+		return groups[""]
+	}
+
+	// Shard 0 runs ahead: two updates that cancel out.
+	for _, delta := range []float64{1, -1} {
+		if err := engines[0].Update(delta, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := []float64{total(0, false), total(1, false)}
+	for shard, want := range before {
+		if got := total(shard, true); got != want {
+			t.Fatalf("shard %d: warm total %g, cold total %g", shard, got, want)
+		}
+	}
+	if v0, v1 := engines[0].DataVersion(), engines[1].DataVersion(); v1 >= v0 {
+		t.Fatalf("shard 1 should lag: versions %d, %d", v0, v1)
+	}
+	if err := engines[1].Update(100, 0, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := total(1, false); got != before[1]+100 {
+		t.Fatalf("total after updating shard 1 = %g, want %g", got, before[1]+100)
+	}
+	if got := total(0, true); got != before[0] {
+		t.Fatalf("shard 0 total after updating shard 1 = %g, want %g", got, before[0])
+	}
+}
+
 // TestCacheHitIgnoresEngineWriteLock: a result-cache hit reads the handle's
 // data version with no engine lock, so it completes while a writer holds (or
 // waits for) the engine's write lock — a merge, a reconfiguration. The lock
