@@ -2,9 +2,7 @@ package viewcube
 
 import (
 	"fmt"
-	"strings"
 
-	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
 	"viewcube/internal/plan"
 	"viewcube/internal/relation"
@@ -60,25 +58,6 @@ func NewAggEngine(t *Table, opts EngineOptions) (*Engine, error) {
 	return cube.NewEngine(opts)
 }
 
-// aggKeep is GroupByAgg's argument pair.
-type aggKeep struct {
-	kind AggKind
-	keep []string
-}
-
-func aggKeepName(args any) string {
-	g := args.(aggKeep)
-	return "groupby_agg " + g.kind.String() + " " + strings.Join(g.keep, ",")
-}
-
-// aggRanges is RangeAgg's argument pair.
-type aggRanges struct {
-	kind   AggKind
-	ranges map[string]ValueRange
-}
-
-func aggRangesName(args any) string { return "range_agg " + args.(aggRanges).kind.String() }
-
 // supports rejects an aggregate kind the engine's measure layout cannot
 // finalise: on a SUM cube, everything but SUM.
 func (e *core) supports(kind AggKind) error {
@@ -88,34 +67,19 @@ func (e *core) supports(kind AggKind) error {
 	return nil
 }
 
-// aggregateSpan opens the "aggregate KIND" span every traced GroupByAgg /
-// RangeAgg nests its execution under, carrying the aggregate kind and
-// measure width. Untraced it returns x unchanged and a nil span, whose End
-// is a no-op.
-func (e *core) aggregateSpan(x *obs.ExecCtx, kind AggKind) (*obs.ExecCtx, *obs.Span) {
-	if !x.Tracing() {
-		return x, nil
+// aggregate opens the "aggregate KIND" span a GroupByAgg or RangeAgg read
+// nests its execution under, carrying the aggregate kind and measure width,
+// and rejects a kind the measure layout cannot finalise. Untraced it returns
+// x unchanged and a nil span, whose End is a no-op.
+func (e *core) aggregate(x *obs.ExecCtx, kind AggKind) (*obs.ExecCtx, *obs.Span, error) {
+	var sp *obs.Span
+	if x.Tracing() {
+		sp = x.Start("aggregate " + kind.String())
+		sp.SetAttr("agg_kind", int64(kind))
+		sp.SetAttr("measure_width", int64(e.spec.Width))
+		x = x.Under(sp)
 	}
-	sp := x.Start("aggregate " + kind.String())
-	sp.SetAttr("agg_kind", int64(kind))
-	sp.SetAttr("measure_width", int64(e.spec.Width))
-	return x.Under(sp), sp
-}
-
-// result wraps an assembled view as the Result reporting aggs per group: one
-// header, every component plane, the finalisers applied per row as it is
-// emitted — no per-component maps in between. The result keeps the array as
-// its lease: nothing else holds it. Zero-count semantics are uniform: with
-// dropEmpty, groups with no tuples are not rows (the count-dividing
-// finalisers are undefined there); without it every group of the cube's
-// group space is reported, a zero where no tuples fall.
-func (e *core) result(arr *ndarray.Array, el Element, aggs []AggKind, dropEmpty bool) (*Result, error) {
-	r, err := viewResult(e.cube, el.kept(), arr.Shape(), arr.Data(), e.spec.Width)
-	if err != nil {
-		return nil, err
-	}
-	r.spec, r.aggs, r.dropEmpty, r.lease = e.spec, aggs, dropEmpty, arr
-	return r, nil
+	return x, sp, e.supports(kind)
 }
 
 // GroupByAgg answers GROUP BY keep... for any aggregate kind the engine's
@@ -132,24 +96,9 @@ func (e *Engine) GroupByAgg(kind AggKind, keep ...string) (map[string]float64, e
 // root, carrying agg_kind and measure_width attributes, and every assembly
 // span below it reports the vector execution.
 func (e *Engine) GroupByAggResult(traced bool, kind AggKind, keep ...string) (*Result, *QueryTrace, error) {
-	return runSafe(e, traced, groupByAggRead, (*core).groupByAggInner, aggKeep{kind, keep})
-}
-
-func (e *core) groupByAggInner(x *obs.ExecCtx, g aggKeep) (*Result, error) {
-	x, sp := e.aggregateSpan(x, g.kind)
-	defer sp.End()
-	if err := e.supports(g.kind); err != nil {
-		return nil, err
-	}
-	el, err := e.cube.ViewKeeping(g.keep...)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := e.inner.Query(x, el.rect)
-	if err != nil {
-		return nil, err
-	}
-	return e.result(arr, el, []AggKind{g.kind}, g.kind.NeedsCount())
+	a := ask{r: &groupByAggRead, form: resultForm, keep: keep, aggs: []AggKind{kind}, dropEmpty: kind.NeedsCount()}
+	ans, qt, err := runSafe(e, traced, a)
+	return ans.res, qt, err
 }
 
 // RangeAgg answers the aggregate over the box selected by per-dimension
@@ -157,28 +106,8 @@ func (e *core) groupByAggInner(x *obs.ExecCtx, g aggKeep) (*Result, error) {
 // every plane (DESIGN §6). Count-dividing kinds (AVG, VAR, STDDEV) return
 // an error when the box holds no tuples; SUM and COUNT return 0.
 func (e *Engine) RangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, error) {
-	return untraced(runSafe(e, false, rangeAggRead, (*core).rangeAggInner, aggRanges{kind, ranges}))
-}
-
-func (e *core) rangeAggInner(x *obs.ExecCtx, r aggRanges) (float64, error) {
-	x, sp := e.aggregateSpan(x, r.kind)
-	defer sp.End()
-	if err := e.supports(r.kind); err != nil {
-		return 0, err
-	}
-	_, box, err := e.resolveGroupedBox(nil, r.ranges)
-	if err != nil {
-		return 0, err
-	}
-	vec := make([]float64, e.spec.Width)
-	if err := e.rangeInto(x, box, vec); err != nil {
-		return 0, err
-	}
-	v, ok := e.spec.Finalize(r.kind, vec)
-	if !ok {
-		return 0, fmt.Errorf("viewcube: no tuples in range")
-	}
-	return v, nil
+	a, _, err := runSafe(e, false, ask{r: &rangeAggRead, boxed: true, ranges: ranges, aggs: []AggKind{kind}})
+	return a.v, err
 }
 
 // ExplainAgg renders the current execution plan for GROUP BY keep... under

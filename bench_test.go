@@ -667,25 +667,6 @@ func BenchmarkAdaptiveReconfigure(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationParallelMaterialize compares serial materialisation
-// against worker pools (each worker re-derives shared cascade prefixes).
-func BenchmarkAblationParallelMaterialize(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	s := velement.MustSpace(64, 64, 16)
-	cube := workload.RandomCube(rng, 100, 64, 64, 16)
-	set := append(velement.WaveletBasis(s), s.AggregatedViews()...)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st := assembly.NewMemStore()
-				if err := assembly.MaterializeParallel(s, cube, set, st, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkQueryLanguage measures parse + plan + execute of a filtered
 // GROUP BY through the SQL-like layer.
 func BenchmarkQueryLanguage(b *testing.B) {

@@ -72,9 +72,6 @@ type EngineOptions struct {
 	// DiskDir, when non-empty, stores materialised elements in that
 	// directory instead of in memory.
 	DiskDir string
-	// CacheCells bounds the disk store's in-memory LRU cache (cells);
-	// ignored for in-memory stores. 0 defaults to one cube volume.
-	CacheCells int
 	// Metrics receives the engine's instruments (latency histograms,
 	// cache and reselection counters, ...). nil gives the engine a
 	// private registry, reachable via Engine.Metrics. Sharing one Metrics
@@ -168,11 +165,7 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	}
 	var st assembly.Store
 	if opts.DiskDir != "" {
-		budget := opts.CacheCells
-		if budget == 0 {
-			budget = c.Volume()
-		}
-		fs, err := store.Open(opts.DiskDir, budget)
+		fs, err := store.Open(opts.DiskDir, c.Volume()) // an LRU of one cube volume
 		if err != nil {
 			return nil, err
 		}
@@ -405,58 +398,29 @@ func (e *Engine) Reconfigure() (changed bool, err error) {
 // View answers a view-element query, assembling it from the materialised
 // set.
 func (e *Engine) View(el Element) (*View, error) {
-	return untraced(runSafe(e, false, viewRead, (*core).viewInner, el))
-}
-
-func (e *core) viewInner(x *obs.ExecCtx, el Element) (*View, error) {
-	if !e.cube.Valid(el) {
-		return nil, fmt.Errorf("viewcube: invalid element %v", el)
-	}
-	arr, err := e.inner.Query(x, el.rect)
-	if err != nil {
-		return nil, err
-	}
-	return newView(e.cube, el, arr)
+	a, _, err := runSafe(e, false, ask{r: &viewRead, form: viewForm, el: el})
+	return a.view, err
 }
 
 // GroupBy answers the aggregated view that keeps the named dimensions and
 // SUM-aggregates all others.
 func (e *Engine) GroupBy(keep ...string) (*View, error) {
-	return untraced(runSafe(e, false, groupByRead, (*core).groupByInner, keep))
+	a, _, err := runSafe(e, false, ask{r: &groupByRead, form: viewForm, keep: keep})
+	return a.view, err
 }
 
 // GroupByResult is GroupBy answered as the columnar Result servers encode
 // directly; the trace is nil unless traced.
 func (e *Engine) GroupByResult(traced bool, keep ...string) (*Result, *QueryTrace, error) {
-	v, qt, err := runSafe(e, traced, groupByRead, (*core).groupByInner, keep)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := v.leased()
-	return settle(r, qt, err)
-}
-
-func (e *core) groupByInner(x *obs.ExecCtx, keep []string) (*View, error) {
-	el, err := e.cube.ViewKeeping(keep...)
-	if err != nil {
-		return nil, err
-	}
-	return e.viewInner(x, el)
+	a, qt, err := runSafe(e, traced, ask{r: &groupByRead, form: resultForm, keep: keep})
+	return a.res, qt, err
 }
 
 // Total returns the grand total via the engine (exercising assembly rather
 // than scanning the cube).
 func (e *Engine) Total() (float64, error) {
-	return untraced(runSafe(e, false, totalRead, (*core).totalInner, struct{}{}))
-}
-
-func (e *core) totalInner(x *obs.ExecCtx, _ struct{}) (float64, error) {
-	v, err := e.viewInner(x, e.cube.GrandTotal())
-	if err != nil {
-		return 0, err
-	}
-	defer ndarray.Recycle(v.arr) // the one-cell view lives no longer than this read
-	return v.Value()
+	a, _, err := runSafe(e, false, ask{r: &totalRead})
+	return a.v, err
 }
 
 // ValueRange selects an inclusive range of a dictionary-encoded dimension
@@ -471,18 +435,8 @@ type ValueRange struct {
 // per-dimension value ranges (unnamed dimensions are unrestricted),
 // answered by contracting the stored elements with the box (DESIGN §6).
 func (e *Engine) RangeSum(ranges map[string]ValueRange) (float64, error) {
-	return untraced(runSafe(e, false, rangeRead, (*core).rangeSumInner, ranges))
-}
-
-func (e *core) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (float64, error) {
-	if e.cube.enc == nil {
-		return 0, fmt.Errorf("viewcube: RangeSum by value needs a dictionary-encoded cube; use RangeSumIndex")
-	}
-	_, box, err := e.resolveGroupedBox(nil, ranges)
-	if err != nil {
-		return 0, err
-	}
-	return e.rangeSum(x, box)
+	v, _, _, err := e.RangeResult(false, RangeQuery{Ranges: ranges})
+	return v, err
 }
 
 // RangeSumWithin is RangeSum with lexicographic bounds: each restricted
@@ -495,45 +449,15 @@ func (e *core) rangeSumInner(x *obs.ExecCtx, ranges map[string]ValueRange) (floa
 // subset of each dimension's values, so exact-bound lookup would spuriously
 // fail on shards that lack the endpoint values.
 func (e *Engine) RangeSumWithin(ranges map[string]ValueRange) (float64, bool, error) {
-	w, err := untraced(runSafe(e, false, rangeRead, (*core).rangeSumWithinInner, ranges))
-	return w.sum, w.ok, err
-}
-
-func (e *core) rangeSumWithinInner(x *obs.ExecCtx, ranges map[string]ValueRange) (withinSum, error) {
-	if e.cube.enc == nil {
-		return withinSum{}, fmt.Errorf("viewcube: RangeSumWithin needs a dictionary-encoded cube; use RangeSumIndex")
-	}
-	shape := e.cube.Shape()
-	lo := make([]int, len(shape))
-	ext := make([]int, len(shape))
-	for m := range shape {
-		if e.cube.enc.Dicts[m].Len() == 0 {
-			return withinSum{}, nil // empty dictionary: this sub-cube holds nothing
-		}
-		ext[m] = shape[m] // unrestricted: the padded axis, whose padding is zero
-	}
-	for name, vr := range ranges {
-		m, err := e.cube.DimIndex(name)
-		if err != nil {
-			return withinSum{}, err
-		}
-		loCode, hiCode, ok, err := e.cube.enc.Dicts[m].BoundsWithin(vr.Lo, vr.Hi)
-		if err != nil {
-			return withinSum{}, err
-		}
-		if !ok {
-			return withinSum{}, nil // no values in range here
-		}
-		lo[m], ext[m] = loCode, hiCode-loCode+1
-	}
-	sum, err := e.rangeSum(x, box{lo, ext})
-	return withinSum{sum: sum, ok: err == nil}, err
+	v, ok, _, err := e.RangeResult(false, RangeQuery{Ranges: ranges, Within: true})
+	return v, ok, err
 }
 
 // RangeSumIndex computes the SUM over the half-open coordinate box
 // [lo, lo+ext).
 func (e *Engine) RangeSumIndex(lo, ext []int) (float64, error) {
-	return untraced(runSafe(e, false, rangeRead, (*core).rangeSum, box{lo, ext}))
+	a, _, err := runSafe(e, false, ask{r: &indexRead, boxed: true, b: box{lo, ext}})
+	return a.v, err
 }
 
 // RangeQuery is one scalar read of the range seam, RangeResult: the SUM
@@ -550,47 +474,23 @@ type RangeQuery struct {
 // RangeResult answers q with the answer, Metrics kind and span tree of the
 // method it names; the trace is nil unless traced. ok is false when the read
 // failed or, for Within, when the box held no values.
-func (e *Engine) RangeResult(traced bool, q RangeQuery) (v float64, ok bool, qt *QueryTrace, err error) {
+func (e *Engine) RangeResult(traced bool, q RangeQuery) (float64, bool, *QueryTrace, error) {
+	a := ask{r: &rangeRead, boxed: true, ranges: q.Ranges, within: q.Within}
 	switch {
 	case q.Total:
-		v, qt, err = runSafe(e, traced, totalRead, (*core).totalInner, struct{}{})
+		a = ask{r: &totalRead}
 	case q.Agg != nil:
-		v, qt, err = runSafe(e, traced, rangeAggRead, (*core).rangeAggInner, aggRanges{*q.Agg, q.Ranges})
+		a = ask{r: &rangeAggRead, boxed: true, ranges: q.Ranges, aggs: []AggKind{*q.Agg}}
 	case q.Within:
-		var w withinSum
-		w, qt, err = runSafe(e, traced, rangeRead, (*core).rangeSumWithinInner, q.Ranges)
-		return w.sum, w.ok, qt, err
-	default:
-		v, qt, err = runSafe(e, traced, rangeRead, (*core).rangeSumInner, q.Ranges)
+		a.r = &withinRead
 	}
-	return v, err == nil, qt, err
-}
-
-// box is the half-open coordinate box [lo, lo+ext) a range read sums.
-type box struct{ lo, ext []int }
-
-// cells returns the number of cells the box covers.
-func (b box) cells() int {
-	n := 1
-	for _, e := range b.ext {
-		n *= e
-	}
-	return n
-}
-
-// rangeSum is rangeInto's SUM component.
-func (e *core) rangeSum(x *obs.ExecCtx, b box) (float64, error) {
-	var out [3]float64 // room for the widest layout, StatsMeasure
-	err := e.rangeInto(x, b, out[:e.spec.Width])
-	return out[e.spec.Sum], err
+	ans, qt, err := runSafe(e, traced, a)
+	return ans.v, err == nil && !ans.empty, qt, err
 }
 
 // rangeInto sums the box of every plane into out, one value per plane: one
 // contraction of the stored elements (DESIGN §6), under a "range_sum" span.
 func (e *core) rangeInto(x *obs.ExecCtx, b box, out []float64) error {
-	if len(out) != e.spec.Width {
-		return fmt.Errorf("viewcube: %d sums for a cube of %d planes", len(out), e.spec.Width)
-	}
 	sp := x.Start("range_sum")
 	defer sp.End()
 	x = x.Under(sp)
@@ -674,90 +574,8 @@ func (e *core) countContraction(sp *obs.Span, w assembly.Work) {
 // by one contraction of the stored elements with the filter (DESIGN §6).
 // Kept dimensions cannot also be filtered.
 func (e *Engine) GroupByWhere(keep []string, ranges map[string]ValueRange) (*View, error) {
-	return untraced(runSafe(e, false, groupByWhereRead, (*core).groupByWhereInner, dice{keep, ranges}))
-}
-
-func (e *core) groupByWhereInner(x *obs.ExecCtx, d dice) (*View, error) {
-	if e.cube.enc == nil {
-		return nil, fmt.Errorf("viewcube: GroupByWhere needs a dictionary-encoded cube")
-	}
-	keepMask, box, err := e.resolveGroupedBox(d.keep, d.ranges)
-	if err != nil {
-		return nil, err
-	}
-	arr, err := e.groupedRange(x, box, keepMask)
-	if err != nil {
-		return nil, err
-	}
-	el, err := e.cube.ViewKeeping(d.keep...)
-	if err != nil {
-		return nil, err
-	}
-	return newView(e.cube, el, arr)
-}
-
-// resolveGroupedBox builds the keep mask and coordinate box of a grouped
-// "dice" query: filtered dimensions resolve through resolveRange, every
-// other dimension covers its whole padded axis (padding cells are zero, so
-// the sum is the same and the contraction's weights stay sparse). With
-// nothing kept it is the box of a plain range query. Ranges need a
-// dictionary-encoded cube.
-func (e *core) resolveGroupedBox(keep []string, ranges map[string]ValueRange) ([]bool, box, error) {
-	if e.cube.enc == nil && len(ranges) > 0 {
-		return nil, box{}, fmt.Errorf("viewcube: value ranges need a dictionary-encoded cube")
-	}
-	shape := e.cube.Shape()
-	keepMask := make([]bool, len(shape))
-	for _, name := range keep {
-		m, err := e.cube.DimIndex(name)
-		if err != nil {
-			return nil, box{}, err
-		}
-		if _, filtered := ranges[name]; filtered {
-			return nil, box{}, fmt.Errorf("viewcube: dimension %q cannot be both kept and filtered", name)
-		}
-		keepMask[m] = true
-	}
-	lo := make([]int, len(shape))
-	ext := make([]int, len(shape))
-	copy(ext, shape)
-	for name, vr := range ranges {
-		m, err := e.cube.DimIndex(name)
-		if err != nil {
-			return nil, box{}, err
-		}
-		loCode, extCode, err := e.resolveRange(m, vr)
-		if err != nil {
-			return nil, box{}, err
-		}
-		lo[m], ext[m] = loCode, extCode
-	}
-	return keepMask, box{lo, ext}, nil
-}
-
-// resolveRange maps a ValueRange on dimension m to a coordinate interval.
-func (e *core) resolveRange(m int, vr ValueRange) (lo, ext int, err error) {
-	dict := e.cube.enc.Dicts[m]
-	loCode := 0
-	hiCode := dict.Len() - 1
-	if vr.Lo != "" {
-		c, ok := dict.Code(vr.Lo)
-		if !ok {
-			return 0, 0, fmt.Errorf("viewcube: value %q not in dimension %q", vr.Lo, e.cube.dims[m])
-		}
-		loCode = c
-	}
-	if vr.Hi != "" {
-		c, ok := dict.Code(vr.Hi)
-		if !ok {
-			return 0, 0, fmt.Errorf("viewcube: value %q not in dimension %q", vr.Hi, e.cube.dims[m])
-		}
-		hiCode = c
-	}
-	if hiCode < loCode {
-		return 0, 0, fmt.Errorf("viewcube: empty range on dimension %q", e.cube.dims[m])
-	}
-	return loCode, hiCode - loCode + 1, nil
+	a, _, err := runSafe(e, false, ask{r: &groupByWhereRead, form: viewForm, keep: keep, boxed: true, ranges: ranges})
+	return a.view, err
 }
 
 // Update applies a delta to one cube cell and incrementally maintains every

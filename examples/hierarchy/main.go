@@ -1,7 +1,7 @@
 // Hierarchy: dimension hierarchies and the SQL-like query layer on a
 // synthetic retail cube — weeks roll up from days, categories from
-// products, and every roll-up is answered as range aggregations through
-// intermediate view elements.
+// products, and every roll-up is answered as one grouped range aggregation
+// through intermediate view elements.
 package main
 
 import (

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"viewcube/internal/hierarchy"
+	"viewcube/internal/ndarray"
 )
 
 // DefineHierarchy registers a hierarchy level on a dictionary-encoded
@@ -63,47 +64,27 @@ func (c *Cube) level(dim, levelName string) (*hierarchy.Level, error) {
 
 // RollUp aggregates the measure to a hierarchy level of one dimension,
 // optionally restricted by value ranges on *other* dimensions: the result
-// maps each group name to its SUM. Each group is answered as one range
-// aggregation through intermediate view elements.
+// maps each group name to its SUM. It is one read, the GroupByWhere that
+// keeps dim, whose cells are then summed over each group's code range.
 func (e *Engine) RollUp(dim, levelName string, ranges map[string]ValueRange) (map[string]float64, error) {
-	cube := e.Cube()
-	lv, err := cube.level(dim, levelName)
+	lv, err := e.Cube().level(dim, levelName)
 	if err != nil {
 		return nil, err
 	}
 	if _, filtered := ranges[dim]; filtered {
 		return nil, fmt.Errorf("viewcube: dimension %q cannot be filtered while rolling it up", dim)
 	}
-	m, err := cube.DimIndex(dim)
+	v, err := e.GroupByWhere([]string{dim}, ranges)
 	if err != nil {
 		return nil, err
 	}
-	shape := cube.Shape()
-	lo := make([]int, len(shape))
-	ext := make([]int, len(shape))
-	for q := range shape {
-		ext[q] = cube.enc.Dicts[q].Len()
-		if ext[q] == 0 {
-			ext[q] = 1
-		}
-	}
-	for name, vr := range ranges {
-		q, err := cube.DimIndex(name)
-		if err != nil {
-			return nil, err
-		}
-		loCode, extCode, err := e.core.resolveRange(q, vr)
-		if err != nil {
-			return nil, err
-		}
-		lo[q], ext[q] = loCode, extCode
-	}
+	defer ndarray.Recycle(v.arr) // the view lives no longer than this roll-up
+	cells := v.arr.Data()        // the SUM plane leads, one cell per code of dim
 	out := make(map[string]float64, lv.NumGroups())
 	for _, g := range lv.Groups() {
-		lo[m], ext[m] = g.Lo, g.Size()
-		sum, err := e.RangeSumIndex(lo, ext)
-		if err != nil {
-			return nil, err
+		var sum float64
+		for _, c := range cells[g.Lo : g.Hi+1] {
+			sum += c
 		}
 		out[g.Name] = sum
 	}

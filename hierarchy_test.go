@@ -2,6 +2,7 @@ package viewcube_test
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -150,5 +151,52 @@ func TestRollUpDrillDownConsistency(t *testing.T) {
 		if math.Abs(sum-total) > 1e-9 {
 			t.Fatalf("group %q: members sum to %g, rollup says %g", group, sum, total)
 		}
+	}
+}
+
+// TestRollUpIsOneRead pins that a roll-up is one read of one pinned
+// generation, whatever the number of groups: it adds exactly one query to
+// viewcube_queries_total, of kind groupby_where, and no per-group range read.
+func TestRollUpIsOneRead(t *testing.T) {
+	c := loadSales(t)
+	if err := c.DefineHierarchy("day", "half", halfOf); err != nil {
+		t.Fatal(err)
+	}
+	met := viewcube.NewMetrics()
+	eng, err := c.NewEngine(viewcube.EngineOptions{Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := func() (all, where float64) {
+		var b strings.Builder
+		if err := met.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(b.String(), "\n") {
+			series, val, ok := strings.Cut(line, " ")
+			if !ok || !strings.HasPrefix(series, "viewcube_queries_total{") {
+				continue
+			}
+			n, err := strconv.ParseFloat(val, 64)
+			if err != nil {
+				t.Fatalf("series %s: bad value %q", series, val)
+			}
+			all += n
+			if strings.Contains(series, `kind="groupby_where"`) {
+				where += n
+			}
+		}
+		return all, where
+	}
+	all0, where0 := queries()
+	got, err := eng.RollUp("day", "half", map[string]viewcube.ValueRange{"region": {Lo: "east", Hi: "east"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("rollup %v, want two groups", got)
+	}
+	if all, where := queries(); all-all0 != 1 || where-where0 != 1 {
+		t.Fatalf("one RollUp counted %v queries, %v of kind groupby_where; want 1 and 1", all-all0, where-where0)
 	}
 }

@@ -26,11 +26,11 @@ func TestIngestMergeFailureDegrades(t *testing.T) {
 		t.Helper()
 		e, snap := g.reader()
 		defer g.release(snap)
-		v, err := e.totalInner(nil, struct{}{})
+		a, err := e.exec(nil, ask{r: &totalRead})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v
+		return a.v
 	}
 	if err := add(5); err != nil {
 		t.Fatal(err)

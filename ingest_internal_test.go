@@ -603,16 +603,16 @@ func recycledGenerationsStayExact(t *testing.T, build func(t *testing.T) *Engine
 	}
 	oracle, live := build(t), build(t).Safe()
 	ask := func(e *core) (*View, answer) {
-		v, err := e.groupByInner(nil, []string{"product"})
+		g, err := e.exec(nil, ask{r: &groupByRead, form: viewForm, keep: []string{"product"}})
 		if err != nil {
 			t.Error(err)
 			return nil, answer{}
 		}
-		total, err := e.totalInner(nil, struct{}{})
+		total, err := e.exec(nil, ask{r: &totalRead})
 		if err != nil {
 			t.Error(err)
 		}
-		return v, answer{v.Data(), total}
+		return g.view, answer{g.view.Data(), total.v}
 	}
 	var mu sync.Mutex
 	want := map[uint64]answer{}

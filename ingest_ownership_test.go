@@ -120,19 +120,19 @@ type pinnedAnswer struct {
 
 func askGeneration(t *testing.T, e *core) pinnedAnswer {
 	t.Helper()
-	v, err := e.groupByInner(nil, []string{"product"})
+	g, err := e.exec(nil, ask{r: &groupByRead, form: viewForm, keep: []string{"product"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := e.rangeSumInner(nil, map[string]ValueRange{"day": {Lo: "d1", Hi: "d2"}})
+	sum, err := e.exec(nil, ask{r: &rangeRead, boxed: true, ranges: map[string]ValueRange{"day": {Lo: "d1", Hi: "d2"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := e.totalInner(nil, struct{}{})
+	total, err := e.exec(nil, ask{r: &totalRead})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pinnedAnswer{slices.Clone(v.Data()), sum, total}
+	return pinnedAnswer{slices.Clone(g.view.Data()), sum.v, total.v}
 }
 
 func pinnedGenerationSurvivesWrites(t *testing.T, width3 bool) {

@@ -217,25 +217,6 @@ func (mat *Materializer) Element(r freq.Rect) (*ndarray.Array, error) {
 	return mat.element(r)
 }
 
-// ElementOwned returns the materialised array for r without the defensive
-// copy Element callers otherwise need: the root element (whose cache entry
-// IS the caller's cube) comes back as a clone, while every other element is
-// the cache's own array, handed over for keeps. The array remains readable
-// by the materialiser for prefix sharing, so the caller must not mutate it
-// until the materialiser is discarded — the contract Materialize and
-// MaterializeParallel satisfy by construction (stores are only mutated
-// after materialisation ends).
-func (mat *Materializer) ElementOwned(r freq.Rect) (*ndarray.Array, error) {
-	a, err := mat.Element(r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Key() == mat.space.Root().Key() {
-		return a.Clone(), nil
-	}
-	return a, nil
-}
-
 func (mat *Materializer) element(r freq.Rect) (*ndarray.Array, error) {
 	if a, ok := mat.cache[r.Key()]; ok {
 		return a, nil

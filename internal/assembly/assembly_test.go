@@ -351,46 +351,3 @@ func TestExecuteMissingStoredElement(t *testing.T) {
 		t.Fatal("want error for unknown plan kind")
 	}
 }
-
-func TestMaterializeParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	s := velement.MustSpace(16, 16)
-	cube := randomCube(rng, 16, 16)
-	set := append(velement.WaveletBasis(s), s.AggregatedViews()...)
-	serial, err := MaterializeSet(s, cube, set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4, 99} {
-		par := NewMemStore()
-		if err := MaterializeParallel(s, cube, set, par, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(par.Elements()) != len(serial.Elements()) {
-			t.Fatalf("workers=%d: element count mismatch", workers)
-		}
-		for _, r := range serial.Elements() {
-			want, _ := serial.Get(r)
-			got, ok := par.Get(r)
-			if !ok || !got.Equal(want, 1e-9) {
-				t.Fatalf("workers=%d: element %v differs", workers, r)
-			}
-		}
-	}
-}
-
-func TestMaterializeParallelInvalidElement(t *testing.T) {
-	s := velement.MustSpace(4, 4)
-	cube := ndarray.New(4, 4)
-	bad := []freq.Rect{{2, 1}, {64, 1}, {3, 1}}
-	if err := MaterializeParallel(s, cube, bad, NewMemStore(), 4); err == nil {
-		t.Fatal("want error for invalid element")
-	}
-}
-
-func TestMaterializeParallelEmptySet(t *testing.T) {
-	s := velement.MustSpace(4, 4)
-	if err := MaterializeParallel(s, ndarray.New(4, 4), nil, NewMemStore(), 4); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -91,7 +91,10 @@ type Options struct {
 	// queries bypass the cache. Invalidation is twofold: explicit via
 	// InvalidateResults (reshards, reloads), and automatic via the epoch
 	// piggyback — every complete answer carries each shard's data version,
-	// and a change in the sum invalidates cached answers on the next query.
+	// and a change in the sum invalidates cached answers. A cache hit never
+	// contacts the shards, so that change is seen only at the next scatter
+	// (some query that misses): until then, or until InvalidateResults, a
+	// repeated query returns the answer cached before the shard write.
 	Cache *rescache.Options
 }
 
@@ -552,10 +555,13 @@ func (c *Coordinator) scatter(ctx context.Context, allowPartial bool, tr *obs.Tr
 		// Epoch piggyback: a complete answer carries every shard's data
 		// version (a shard that never changed reports none and contributes 0,
 		// stably). Each is monotone, so feeding the sum to SyncUpstream invalidates
-		// coordinator-cached answers exactly when some shard's state moved —
+		// coordinator-cached answers once some shard's state moved —
 		// including streamed ingest merges the coordinator never sees as
-		// requests. Degraded answers skip the sync: a missing shard's epoch
-		// is unknown and summing without it would oscillate.
+		// requests — but only here, after a scatter: a cache hit asks no
+		// shard, so a repeated query keeps its cached answer until some miss
+		// brings the new versions back. Degraded answers skip the sync: a
+		// missing shard's epoch is unknown and summing without it would
+		// oscillate.
 		var epoch uint64
 		for _, r := range resps {
 			epoch += r.Epoch

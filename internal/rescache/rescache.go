@@ -1,8 +1,8 @@
 // Package rescache is the one epoch-keyed cache of the read path. Every
 // cached value in the serving stack is a pure function of some state plus a
-// key — a compiled plan of the materialised set, a range-pyramid element of
-// the stored cells, an answer of the cube or the shard tier — so "valid
-// until that state changes" is the whole contract, stated once here:
+// key — a compiled plan of the materialised set, an answer of the cube or
+// the shard tier — so "valid until that state changes" is the whole
+// contract, stated once here:
 //
 //   - every entry is tagged with the epoch observed *before* its
 //     computation started, and a lookup serves an entry only at the epoch

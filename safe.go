@@ -1,9 +1,6 @@
 package viewcube
 
-import (
-	"viewcube/internal/ingest"
-	"viewcube/internal/obs"
-)
+import "viewcube/internal/ingest"
 
 // DataVersion is the one counter caches of this engine's answers sync
 // against. It never decreases and never repeats a value: every locked
@@ -117,12 +114,12 @@ func (e *Engine) ResidentCells() int {
 }
 
 // runSafe is the engine's read seam, the one place a read is pinned and
-// drained: it runs body through run against whatever reader() hands out,
+// drained: it runs the ask through run against whatever reader() hands out,
 // releases the pin, then drains a due reselection under the write lock.
-// Every query method is a one-line instance of it.
-func runSafe[A, T any](e *Engine, traced bool, r read, body func(*core, *obs.ExecCtx, A) (T, error), args A) (T, *QueryTrace, error) {
+// Every query method states its ask and calls it.
+func runSafe(e *Engine, traced bool, a ask) (answer, *QueryTrace, error) {
 	c, snap := e.reader()
-	out, qt, err := run(c, traced, r, body, args)
+	out, qt, err := run(c, traced, a)
 	e.release(snap)
 	if err == nil {
 		err = e.reselectIfDue()

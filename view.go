@@ -21,10 +21,6 @@ type View struct {
 	kept []int          // cube dimension indices the element keeps unaggregated
 }
 
-func newView(c *Cube, el Element, arr *ndarray.Array) (*View, error) {
-	return &View{cube: c, el: el, arr: arr, kept: el.kept()}, nil
-}
-
 // kept lists the cube dimension indices the element keeps unaggregated.
 func (el Element) kept() []int {
 	var kept []int
@@ -98,17 +94,6 @@ func (v *View) Result() (*Result, error) {
 		return nil, fmt.Errorf("viewcube: %v is not an aggregated view", v.el)
 	}
 	return viewResult(v.cube, v.kept, v.arr.Shape(), v.arr.Data()[:v.arr.Cells()], 1)
-}
-
-// leased is Result for a view nothing else will read again: the result takes
-// the view's whole array with it, every plane, so its Release can recycle
-// the array.
-func (v *View) leased() (*Result, error) {
-	r, err := v.Result()
-	if err == nil {
-		r.lease = v.arr
-	}
-	return r, err
 }
 
 // Groups is Result().Groups(): a map from the kept dimensions' values
