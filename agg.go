@@ -25,6 +25,19 @@ const (
 	AggStdDev = plan.AggStdDev
 )
 
+// aggKinds lists the aggregate kinds at their own values. oneAgg slices it
+// into the one-kind list a read or a Result reports, so neither allocates
+// one: nothing writes or appends to an ask's or a Result's aggs.
+var aggKinds = [...]AggKind{AggSum, AggCount, AggAvg, AggVar, AggStdDev}
+
+// oneAgg is the read-only list of the one aggregate k.
+func oneAgg(k AggKind) []AggKind {
+	if k < 0 || int(k) >= len(aggKinds) {
+		return []AggKind{k} // not a kind: the read fails naming it
+	}
+	return aggKinds[k : k+1 : k+1]
+}
+
 // NewAggEngine builds the measure-vector cube [Σv, Σv², Σ1] from the
 // relation and attaches one engine to it: every cell carries the component
 // vector as three planes of one array, every Haar operator (fold, partial,
@@ -96,7 +109,7 @@ func (e *Engine) GroupByAgg(kind AggKind, keep ...string) (map[string]float64, e
 // root, carrying agg_kind and measure_width attributes, and every assembly
 // span below it reports the vector execution.
 func (e *Engine) GroupByAggResult(traced bool, kind AggKind, keep ...string) (*Result, *QueryTrace, error) {
-	a := ask{r: &groupByAggRead, form: resultForm, keep: keep, aggs: []AggKind{kind}, dropEmpty: kind.NeedsCount()}
+	a := ask{r: &groupByAggRead, form: resultForm, keep: keep, aggs: oneAgg(kind), dropEmpty: kind.NeedsCount()}
 	ans, qt, err := runSafe(e, traced, a)
 	return ans.res, qt, err
 }
@@ -106,7 +119,7 @@ func (e *Engine) GroupByAggResult(traced bool, kind AggKind, keep ...string) (*R
 // every plane (DESIGN §6). Count-dividing kinds (AVG, VAR, STDDEV) return
 // an error when the box holds no tuples; SUM and COUNT return 0.
 func (e *Engine) RangeAgg(kind AggKind, ranges map[string]ValueRange) (float64, error) {
-	a, _, err := runSafe(e, false, ask{r: &rangeAggRead, boxed: true, ranges: ranges, aggs: []AggKind{kind}})
+	a, _, err := runSafe(e, false, ask{r: &rangeAggRead, boxed: true, ranges: ranges, aggs: oneAgg(kind)})
 	return a.v, err
 }
 

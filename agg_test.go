@@ -566,7 +566,7 @@ func TestVectorAggExplainAndTrace(t *testing.T) {
 // TestVectorAggConcurrent hammers the vector read path from many
 // goroutines (CI runs it under -race): grouped aggregates, range
 // aggregates, SQL and traced queries against fixed oracles computed up
-// front. Reads share the plan cache, scratch pools and adaptive recorders.
+// front. Reads share the plan cache, scratch pools and workload profile.
 func TestVectorAggConcurrent(t *testing.T) {
 	tbl, _ := randomTable(t, 21, 1000)
 	eng, err := viewcube.NewAggEngine(tbl, viewcube.EngineOptions{})

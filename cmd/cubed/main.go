@@ -234,13 +234,18 @@ func runCatalog(cfg config) error {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	httpLn, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
+	var quit func()
+	if cfg.catalogReload > 0 {
+		stopReload := make(chan struct{})
+		rl := catalog.NewReloader(reg, cfg.catalogPath, f, raw)
+		go rl.Run(cfg.catalogReload, stopReload, func(format string, args ...any) {
+			logger.Info(fmt.Sprintf(format, args...))
+		})
+		logger.Info("catalog hot-reload enabled", "interval", cfg.catalogReload.String())
+		quit = func() { close(stopReload) }
 	}
 	srv := &http.Server{Handler: server.NewCatalog(reg, opts...)}
-	errCh := make(chan error, 1)
-	go func() {
+	return cfg.serve(logger, srv, nil, func(addr string) {
 		cubes := reg.Cubes()
 		for _, cs := range cubes {
 			attrs := []any{"cube", cs.Name, "default", cs.Default}
@@ -252,48 +257,8 @@ func runCatalog(cfg config) error {
 			}
 			logger.Info("cube registered", attrs...)
 		}
-		logger.Info("serving catalog", "addr", httpLn.Addr().String(), "cubes", len(cubes))
-		errCh <- srv.Serve(httpLn)
-	}()
-	var stopReload chan struct{}
-	if cfg.catalogReload > 0 {
-		stopReload = make(chan struct{})
-		rl := catalog.NewReloader(reg, cfg.catalogPath, f, raw)
-		go rl.Run(cfg.catalogReload, stopReload, func(format string, args ...any) {
-			logger.Info(fmt.Sprintf(format, args...))
-		})
-		logger.Info("catalog hot-reload enabled", "interval", cfg.catalogReload.String())
-	}
-	// Registered before ready is announced: a SIGTERM that arrives in between
-	// must drain the server, not kill the process.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if cfg.ready != nil {
-		cfg.ready(httpLn.Addr().String(), "")
-	}
-	select {
-	case err := <-errCh:
-		if stopReload != nil {
-			close(stopReload)
-		}
-		return err
-	case <-ctx.Done():
-	}
-	if stopReload != nil {
-		close(stopReload)
-	}
-
-	logger.Info("shutting down", "grace", cfg.grace.String())
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.grace)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Info("stopped")
-	return nil
+		logger.Info("serving catalog", "addr", addr, "cubes", len(cubes))
+	}, quit)
 }
 
 // runNode serves a cube: always the HTTP API on -addr, plus the binary
@@ -349,75 +314,18 @@ func runNode(cfg config) error {
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 
-	httpLn, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
+	var shard *cluster.Server
+	if cfg.shard {
+		shard = cluster.NewServer(cluster.NewShardEngine(cube, eng), cluster.WithServerLogger(logger))
 	}
 	srv := &http.Server{Handler: server.New(cube, eng, opts...)}
-	errCh := make(chan error, 2)
-	go func() {
+	return cfg.serve(logger, srv, shard, func(addr string) {
 		logger.Info("serving",
-			"addr", httpLn.Addr().String(),
+			"addr", addr,
 			"shape", fmt.Sprint(cube.Shape()),
 			"dimensions", fmt.Sprint(cube.Dimensions()),
 		)
-		errCh <- srv.Serve(httpLn)
-	}()
-
-	var shardSrv *cluster.Server
-	shardAddr := ""
-	if cfg.shard {
-		shardLn, err := net.Listen("tcp", cfg.shardAddr)
-		if err != nil {
-			srv.Close()
-			return err
-		}
-		shardAddr = shardLn.Addr().String()
-		shardSrv = cluster.NewServer(
-			cluster.NewShardEngine(cube, eng),
-			cluster.WithServerLogger(logger),
-		)
-		go func() {
-			logger.Info("serving shard protocol", "addr", shardAddr)
-			errCh <- shardSrv.Serve(shardLn)
-		}()
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if cfg.ready != nil {
-		cfg.ready(httpLn.Addr().String(), shardAddr)
-	}
-	select {
-	case err := <-errCh:
-		srv.Close()
-		if shardSrv != nil {
-			shardSrv.Shutdown(context.Background())
-		}
-		return err
-	case <-ctx.Done():
-	}
-
-	// Finish in-flight requests, then close; a stuck client cannot hold the
-	// process beyond the grace period.
-	logger.Info("shutting down", "grace", cfg.grace.String())
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.grace)
-	defer cancel()
-	if shardSrv != nil {
-		if err := shardSrv.Shutdown(sctx); err != nil {
-			return fmt.Errorf("shard shutdown: %w", err)
-		}
-		if err := <-errCh; !errors.Is(err, cluster.ErrServerClosed) {
-			return err
-		}
-	}
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errCh; !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	logger.Info("stopped")
-	return nil
+	}, nil)
 }
 
 // runCoordinator serves the scatter-gather HTTP front end over a set of
@@ -461,35 +369,82 @@ func runCoordinator(cfg config) error {
 		logger.Info("admission control enabled", "max_in_flight", cfg.maxInFlight, "queue_timeout", cfg.queueTimeout.String())
 	}
 
-	httpLn, err := net.Listen("tcp", cfg.addr)
-	if err != nil {
-		return err
-	}
 	opts := []server.CoordinatorOption{server.WithCoordinatorLogger(cfg.requestLogger()), server.WithCoordinatorQueryLog(qlog)}
 	if cfg.enablePprof {
 		opts = append(opts, server.WithCoordinatorPprof())
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	srv := &http.Server{Handler: server.NewCoordinator(coord, opts...)}
-	errCh := make(chan error, 1)
+	return cfg.serve(logger, srv, nil, func(addr string) {
+		logger.Info("serving coordinator", "addr", addr, "shards", len(shards))
+	}, nil)
+}
+
+// serve is every mode's listen, serve and drain. It serves srv on cfg.addr
+// and, when shard is set, the shard protocol on cfg.shardAddr, logging
+// banner with the bound HTTP address, until a server fails or SIGINT or
+// SIGTERM arrives. quit, when set, runs first on every way out (the
+// catalog's reloader stops there). On a signal both servers drain within
+// the grace period: the shard server first, then HTTP, and a stuck client
+// cannot hold the process beyond it.
+func (cfg *config) serve(logger *slog.Logger, srv *http.Server, shard *cluster.Server, banner func(addr string), quit func()) error {
+	if quit == nil {
+		quit = func() {}
+	}
+	httpLn, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		quit()
+		return err
+	}
+	errCh := make(chan error, 2)
 	go func() {
-		logger.Info("serving coordinator", "addr", httpLn.Addr().String(), "shards", len(shards))
+		banner(httpLn.Addr().String())
 		errCh <- srv.Serve(httpLn)
 	}()
+	shardAddr := ""
+	if shard != nil {
+		shardLn, err := net.Listen("tcp", cfg.shardAddr)
+		if err != nil {
+			quit()
+			srv.Close()
+			return err
+		}
+		shardAddr = shardLn.Addr().String()
+		go func() {
+			logger.Info("serving shard protocol", "addr", shardAddr)
+			errCh <- shard.Serve(shardLn)
+		}()
+	}
+	// Registered before ready is announced: a SIGTERM that arrives in between
+	// must drain the servers, not kill the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if cfg.ready != nil {
-		cfg.ready(httpLn.Addr().String(), "")
+		cfg.ready(httpLn.Addr().String(), shardAddr)
 	}
 	select {
 	case err := <-errCh:
+		quit()
+		srv.Close()
+		if shard != nil {
+			shard.Shutdown(context.Background())
+		}
 		return err
 	case <-ctx.Done():
 	}
+	quit()
 
 	logger.Info("shutting down", "grace", cfg.grace.String())
 	sctx, cancel := context.WithTimeout(context.Background(), cfg.grace)
 	defer cancel()
+	if shard != nil {
+		if err := shard.Shutdown(sctx); err != nil {
+			return fmt.Errorf("shard shutdown: %w", err)
+		}
+		if err := <-errCh; !errors.Is(err, cluster.ErrServerClosed) {
+			return err
+		}
+	}
 	if err := srv.Shutdown(sctx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}

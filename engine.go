@@ -94,7 +94,7 @@ type EngineOptions struct {
 // per-query state), so any number of them overlap under the read lock; only
 // operations that rewrite the materialised set or its values — Optimize,
 // Update, Reconfigure, and automatic reselection — take the write lock. A
-// query that pushes the adaptive recorder past its reselection threshold
+// query that pushes the workload profile past its reselection threshold
 // drains the due flag afterwards under the write lock. Traced queries carry
 // their own execution context, so concurrent traces never observe each
 // other.
@@ -128,7 +128,9 @@ func (e *Engine) Safe() *Engine { return e }
 type core struct {
 	cube  *Cube
 	st    assembly.Store
-	inner *adaptive.Engine
+	asm   *assembly.Engine  // the read kernel over st
+	plans *plan.Planner     // the epoch-keyed plan cache; a generation's is pinned to its publish epoch
+	prof  *adaptive.Profile // the workload profile, shared with the snapshot generations
 	met   *Metrics
 	fork  bool             // a later engine over an attached cube: it works on a copy and never writes cube.data
 	mass  *mass            // what the cube has taken in, shared with its snapshot generations
@@ -143,7 +145,7 @@ type core struct {
 	owned []*ndarray.Array
 }
 
-// Stats re-exports the adaptive engine's counters.
+// Stats re-exports the workload profile's counters.
 type Stats = adaptive.Stats
 
 // NewEngine attaches an engine to the cube. Initially the cube itself is
@@ -182,7 +184,7 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 			return nil, fmt.Errorf("viewcube: storing the cube: %w", err)
 		}
 	}
-	inner, err := adaptive.New(c.space, st, adaptive.Options{
+	prof, err := adaptive.NewProfile(c.space, st.Elements(), adaptive.Options{
 		ReselectEvery: opts.ReselectEvery,
 		StorageBudget: opts.StorageBudget,
 		Decay:         opts.Decay,
@@ -194,14 +196,16 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	if met == nil {
 		met = NewMetrics()
 	}
-	eng := &Engine{core: core{cube: c, st: st, inner: inner, met: met, fork: c.attached, mass: m, spec: spec}}
 	if fs, ok := st.(*store.FileStore); ok {
 		fs.SetMetrics(met.store)
 	}
-	inner.SetMetrics(met.adaptive)
-	inner.Assembler().SetMetrics(met.assembly)
-	inner.Planner().SetMetrics(met.plans)
-	inner.Planner().SetMeasure(spec)
+	asm := assembly.NewEngine(c.space, st)
+	asm.SetMetrics(met.assembly)
+	plans := plan.NewPlanner(asm)
+	plans.SetMetrics(met.plans)
+	plans.SetMeasure(spec)
+	prof.SetMetrics(met.adaptive)
+	eng := &Engine{core: core{cube: c, st: st, asm: asm, plans: plans, prof: prof, met: met, fork: c.attached, mass: m, spec: spec}}
 	if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
 		c.holder = ms
 	}
@@ -287,8 +291,9 @@ func (e *core) rawCells() int {
 // an array leased from the scratch pool. The sibling owns that lease and the
 // copies own leased since the previous publish, and nothing else: its retire
 // hook hands exactly those back (recycle). It shares the cube, the metrics,
-// the mass, the adaptive workload profile and the (epoch-pinned) plan cache;
-// its store and assembly engine are its own. Ingest runs only on a MemStore.
+// the mass, the workload profile and the plan cache, pinned to the current
+// epoch; its store and read kernel are its own. Ingest runs only on a
+// MemStore.
 func (e *core) snapshot() (*core, error) {
 	base, ok := e.st.(*assembly.MemStore)
 	if !ok {
@@ -313,9 +318,9 @@ func (e *core) snapshot() (*core, error) {
 		}
 	}
 	e.lent, e.owned = true, e.owned[:0]
-	g := &core{cube: e.cube, st: st, inner: e.inner.ForStore(st), met: e.met, mass: e.mass, spec: e.spec, owned: owned}
-	g.inner.Assembler().SetMetrics(e.met.assembly)
-	return g, nil
+	asm := assembly.NewEngine(e.cube.space, st)
+	asm.SetMetrics(e.met.assembly)
+	return &core{cube: e.cube, st: st, asm: asm, plans: e.plans.ForSource(asm), prof: e.prof, met: e.met, mass: e.mass, spec: e.spec, owned: owned}, nil
 }
 
 // own gives the engine private copies, leased from the scratch pool, of the
@@ -360,10 +365,10 @@ func (e *core) recycle() {
 // materialised set changed. Engine.reselectIfDue runs it under the write
 // lock after a read completes.
 func (e *core) maybeReselect() (bool, error) {
-	if !e.inner.ReselectDue() {
+	if !e.prof.ReselectDue() {
 		return false, nil
 	}
-	return e.inner.AutoReconfigure(nil)
+	return adaptive.AutoReconfigure(nil, e.asm, e.plans, e.prof)
 }
 
 // Optimize selects and materialises the best element set for an
@@ -375,10 +380,10 @@ func (e *Engine) Optimize(w *Workload) error {
 	return e.mutate(func(c *core) (bool, error) {
 		if w != nil {
 			for _, ent := range w.entries {
-				c.inner.Observe(ent.rect, ent.freq)
+				c.prof.Observe(ent.rect, ent.freq)
 			}
 		}
-		_, err := c.inner.Reconfigure(nil)
+		_, err := adaptive.Reconfigure(nil, c.asm, c.plans, c.prof)
 		return true, err
 	})
 }
@@ -389,7 +394,7 @@ func (e *Engine) Optimize(w *Workload) error {
 // republish.
 func (e *Engine) Reconfigure() (changed bool, err error) {
 	err = e.mutate(func(c *core) (bool, error) {
-		changed, err = c.inner.Reconfigure(nil)
+		changed, err = adaptive.Reconfigure(nil, c.asm, c.plans, c.prof)
 		return changed, err
 	})
 	return changed, err
@@ -480,7 +485,7 @@ func (e *Engine) RangeResult(traced bool, q RangeQuery) (float64, bool, *QueryTr
 	case q.Total:
 		a = ask{r: &totalRead}
 	case q.Agg != nil:
-		a = ask{r: &rangeAggRead, boxed: true, ranges: q.Ranges, aggs: []AggKind{*q.Agg}}
+		a = ask{r: &rangeAggRead, boxed: true, ranges: q.Ranges, aggs: oneAgg(*q.Agg)}
 	case q.Within:
 		a.r = &withinRead
 	}
@@ -499,7 +504,7 @@ func (e *core) rangeInto(x *obs.ExecCtx, b box, out []float64) error {
 	if err != nil {
 		return err
 	}
-	w, err := e.inner.Assembler().ContractRange(x, p, lo, ext, e.mass.bound(), out)
+	w, err := e.asm.ContractRange(x, p, lo, ext, e.mass.bound(), out)
 	if err != nil {
 		return err
 	}
@@ -524,7 +529,7 @@ func (e *core) groupedRange(x *obs.ExecCtx, b box, keep []bool) (*ndarray.Array,
 	if err != nil {
 		return nil, err
 	}
-	arr, w, err := e.inner.Assembler().ContractGrouped(x, p, lo, ext, keep, e.spec.Width, e.mass.bound())
+	arr, w, err := e.asm.ContractGrouped(x, p, lo, ext, keep, e.spec.Width, e.mass.bound())
 	if err != nil {
 		return nil, err
 	}
@@ -554,7 +559,7 @@ func (e *core) rangeView(x *obs.ExecCtx, b box, keep []bool, lo, ext []int) (*as
 			r[m], ext[m] = freq.Node(n), 1 // aggregated: the all-partial leaf
 		}
 	}
-	p, err := e.inner.Planner().Assembly(x, r)
+	p, err := e.plans.Assembly(x, r)
 	return p, lo, ext, err
 }
 
@@ -620,7 +625,7 @@ func (e *core) update(vals []float64, idx []int) error {
 	if err := e.applyDeltaRaw(vals, idx); err != nil {
 		return err
 	}
-	e.inner.InvalidatePlans()
+	e.plans.Invalidate()
 	return nil
 }
 
@@ -668,7 +673,7 @@ func (e *Engine) SaveState(w io.Writer) error {
 	return locked(e, func(c *core) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(c.inner.State())
+		return enc.Encode(c.prof.State())
 	})
 }
 
@@ -680,11 +685,11 @@ func (e *Engine) LoadState(r io.Reader) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.core.inner.RestoreState(state)
+	return e.core.prof.RestoreState(state)
 }
 
 // Stats returns the adaptive counters of the materialised set.
-func (e *Engine) Stats() Stats { return locked(e, func(c *core) Stats { return c.inner.Stats() }) }
+func (e *Engine) Stats() Stats { return locked(e, func(c *core) Stats { return c.prof.Stats() }) }
 
 // StoreStats reports the element store's cache behaviour; for an in-memory
 // store every field is zero and Disk is false.
@@ -721,7 +726,7 @@ type PlanCacheStats struct {
 // engine lock: the planner's counters are atomics behind the plan cache's
 // own lock.
 func (e *Engine) PlanCacheStats() PlanCacheStats {
-	s := e.core.inner.Planner().Stats()
+	s := e.core.plans.Stats()
 	return PlanCacheStats{
 		Hits:          s.Hits,
 		Misses:        s.Misses,

@@ -39,7 +39,7 @@ func (e *Engine) explain(el Element, kind AggKind) (string, error) {
 }
 
 func (e *core) explain(el Element, kind AggKind) (string, error) {
-	ph, err := e.inner.Planner().Element(nil, el.rect)
+	ph, err := e.plans.Element(nil, el.rect)
 	if err != nil {
 		return "", err
 	}

@@ -461,7 +461,7 @@ func dataVersion(t *testing.T, g, replay *Engine, ops versionOps) {
 	moved("optimize")
 
 	// Automatic reselection: a run of queries the product-only set serves
-	// badly pushes the recorder past ReselectEvery and rewrites the set.
+	// badly pushes the workload profile past ReselectEvery and rewrites the set.
 	before := last
 	for i := 0; i < 12 && g.DataVersion() == before; i++ {
 		check(ops.read("region", "day"))

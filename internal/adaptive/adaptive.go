@@ -1,9 +1,9 @@
 // Package adaptive implements the "dynamic" part of the paper's title: "the
 // frequencies of access can be observed on-line, allowing the system to
-// dynamically reconfigure" (§5). An adaptive Engine serves view-element
-// queries from its materialised set, records the observed access
-// frequencies, and periodically re-runs the selection algorithms to migrate
-// the materialised set toward the optimum for the observed workload.
+// dynamically reconfigure" (§5). A Profile records the access frequencies
+// of the reads an engine serves, and Reconfigure periodically re-runs the
+// selection algorithms over them to migrate the materialised set toward the
+// optimum for the observed workload.
 //
 // Migration never touches the original relation or cube: every newly
 // selected element is assembled from the currently materialised set (which
@@ -28,13 +28,13 @@ import (
 	"viewcube/internal/velement"
 )
 
-// Options tunes the adaptive engine.
+// Options tunes reselection.
 type Options struct {
 	// ReselectEvery marks a reconfiguration as due after this many queries;
 	// 0 disables automatic reconfiguration (call Reconfigure manually).
-	// Query itself never reconfigures: it only raises the due flag, and the
-	// caller (see ReselectDue/AutoReconfigure) performs the reselection at a
-	// point where exclusive access is held.
+	// Recording a query never reconfigures: it only raises the due flag, and
+	// the caller (see ReselectDue/AutoReconfigure) performs the reselection
+	// at a point where exclusive access is held.
 	ReselectEvery int
 	// StorageBudget is the Algorithm 2 target storage in cells. If it is 0
 	// or no larger than the cube volume, only the non-redundant Algorithm 1
@@ -59,13 +59,19 @@ type Stats struct {
 	LastTotalCost   float64 // Procedure 3 population cost after last reconfig
 }
 
-// recorder is the only mutable state touched by the query path: the
-// observed access counts, the running Stats, and the queries-since-last-
+// Profile is an engine's workload profile and reselection policy: the
+// observed access counts, the running Stats and the queries-since-last-
 // reconfiguration counter, all guarded by one mutex, plus the lock-free
-// "reselection due" flag. Keeping it separate from the planning state means
-// answering a query never writes anything a concurrent query could read
-// unsynchronised.
-type recorder struct {
+// "reselection due" flag. It is the only mutable state the read path
+// touches, so recording a read never writes anything a concurrent read
+// could see unsynchronised. An engine shares one Profile with every
+// snapshot generation it publishes: reads against a pinned snapshot feed
+// the same profile as reads of the base.
+type Profile struct {
+	space *velement.Space
+	opts  Options
+	met   *obs.AdaptiveMetrics
+
 	mu            sync.Mutex
 	counts        map[freq.Key]float64
 	stats         Stats
@@ -73,179 +79,84 @@ type recorder struct {
 	due           atomic.Bool
 }
 
-// Engine is an adaptive view-element engine. Answering a query is a pure
-// read of the materialised set plus a short locked workload observation, so
-// any number of Query calls may run concurrently (given a store that is
-// safe for concurrent reads). Reconfigure is the only writer: it must not
-// overlap queries — callers serialise it externally (see the root package's
-// Engine, which runs it under a write lock).
-type Engine struct {
-	space *velement.Space
-	store assembly.Store
-	inner *assembly.Engine
-	pl    *plan.Planner
-	opts  Options
-
-	// rec is a pointer so snapshot generations derived by ForStore share one
-	// workload profile with the base engine.
-	rec *recorder
-
-	met *obs.AdaptiveMetrics
-}
-
-// New returns an adaptive engine over an existing store. The store must
-// already hold a set that is complete with respect to the cube (e.g. the
-// cube itself, or any materialised basis).
-func New(space *velement.Space, st assembly.Store, opts Options) (*Engine, error) {
+// NewProfile returns an empty profile for an engine whose store holds
+// stored, which must be complete with respect to the cube (e.g. the cube
+// itself, or any materialised basis).
+func NewProfile(space *velement.Space, stored []freq.Rect, opts Options) (*Profile, error) {
 	if opts.Decay <= 0 || opts.Decay > 1 {
 		opts.Decay = 1
 	}
-	els := st.Elements()
-	if !freq.Complete(els, space.Root(), space.MaxDepths()) {
+	if !freq.Complete(stored, space.Root(), space.MaxDepths()) {
 		return nil, fmt.Errorf("adaptive: store content is not a basis of the cube")
 	}
-	e := &Engine{
-		space: space,
-		store: st,
-		inner: assembly.NewEngine(space, st),
-		opts:  opts,
-		rec:   &recorder{},
-		met:   obs.NewAdaptiveMetrics(nil),
-	}
-	e.pl = plan.NewPlanner(e.inner)
-	e.rec.counts = make(map[freq.Key]float64)
-	e.rec.stats.StorageCells = space.SetVolume(els)
-	e.rec.stats.CurrentElements = len(els)
-	return e, nil
+	p := &Profile{space: space, opts: opts, met: obs.NewAdaptiveMetrics(nil), counts: make(map[freq.Key]float64)}
+	p.stats.StorageCells = space.SetVolume(stored)
+	p.stats.CurrentElements = len(stored)
+	return p, nil
 }
-
-// ForStore derives a read-only sibling engine over st — an immutable
-// snapshot clone of this engine's store. The derived engine shares the
-// workload recorder, metrics and (epoch-pinned) planner cache, so queries
-// against a pinned snapshot feed the same adaptive profile and warm the
-// same plans as base queries; only the store and the assembly engine are
-// generation-local. Callers must not Reconfigure the derived engine.
-func (e *Engine) ForStore(st assembly.Store) *Engine {
-	inner := assembly.NewEngine(e.space, st)
-	return &Engine{
-		space: e.space,
-		store: st,
-		inner: inner,
-		pl:    e.pl.ForSource(inner),
-		opts:  e.opts,
-		rec:   e.rec,
-		met:   e.met,
-	}
-}
-
-// Assembler returns the inner assembly engine, so callers can attach
-// observability instruments to the plan/execute hot path.
-func (e *Engine) Assembler() *assembly.Engine { return e.inner }
-
-// Planner returns the engine's cached planner — the single planning entry
-// point queries, Explain and traces share.
-func (e *Engine) Planner() *plan.Planner { return e.pl }
-
-// InvalidatePlans bumps the plan-cache epoch, discarding every cached
-// plan. The root engine calls it whenever stored cell values change
-// (incremental updates); Reconfigure calls it itself when the materialised
-// set changes. Callers serialise it against queries exactly like the
-// mutation that motivated it (the root Engine's write lock).
-func (e *Engine) InvalidatePlans() { e.pl.Invalidate() }
 
 // SetMetrics attaches registered instruments; nil restores the no-op set.
 // The materialised-set gauges are initialised from the current state. Call
-// it during wiring, before the engine is shared across goroutines.
-func (e *Engine) SetMetrics(m *obs.AdaptiveMetrics) {
+// it during wiring, before the profile is shared across goroutines.
+func (p *Profile) SetMetrics(m *obs.AdaptiveMetrics) {
 	if m == nil {
 		m = obs.NewAdaptiveMetrics(nil)
 	}
-	e.met = m
-	st := e.Stats()
-	e.met.BasisElements.Set(int64(st.CurrentElements))
-	e.met.StorageCells.Set(int64(st.StorageCells))
+	p.met = m
+	st := p.Stats()
+	p.met.BasisElements.Set(int64(st.CurrentElements))
+	p.met.StorageCells.Set(int64(st.StorageCells))
 }
 
-// Query answers a view-element query and records the access. It never
-// reconfigures: when the observation pushes the engine past ReselectEvery
-// it raises the due flag, and the caller decides when to run
-// AutoReconfigure with exclusive access.
-func (e *Engine) Query(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
-	ph, err := e.pl.Element(x, r)
-	if err != nil {
-		return nil, err
-	}
-	out, err := e.inner.Execute(x, ph.Assembly)
-	if err != nil {
-		return nil, err
-	}
-	e.observeQuery(r, ph.Cost)
-	return out, nil
-}
-
-// observeQuery folds one served query into the recorder.
-func (e *Engine) observeQuery(r freq.Rect, cost int) {
-	rec := e.rec
-	rec.mu.Lock()
-	rec.counts[r.Key()]++
-	rec.stats.Queries++
-	rec.stats.LastPlanCost = cost
-	rec.stats.ModelOps += int64(cost)
-	rec.sinceReconfig++
-	due := e.opts.ReselectEvery > 0 && rec.sinceReconfig >= e.opts.ReselectEvery
-	rec.mu.Unlock()
+// Record folds one served query of element r, whose plan cost ops, into the
+// profile. It never reconfigures: when the observation pushes the profile
+// past ReselectEvery it raises the due flag, and the caller decides when to
+// run AutoReconfigure with exclusive access.
+func (p *Profile) Record(r freq.Rect, ops int) {
+	p.mu.Lock()
+	p.counts[r.Key()]++
+	p.stats.Queries++
+	p.stats.LastPlanCost = ops
+	p.stats.ModelOps += int64(ops)
+	p.sinceReconfig++
+	due := p.opts.ReselectEvery > 0 && p.sinceReconfig >= p.opts.ReselectEvery
+	p.mu.Unlock()
 	if due {
-		rec.due.Store(true)
+		p.due.Store(true)
 	}
 }
 
 // ReselectDue reports whether enough queries have accumulated since the
 // last reconfiguration that an automatic reselection should run. It is a
 // lock-free read, safe from any goroutine.
-func (e *Engine) ReselectDue() bool { return e.rec.due.Load() }
-
-// AutoReconfigure performs the reconfiguration that ReselectDue announced,
-// counting it as an automatic reselection. Like Reconfigure it must not
-// overlap queries.
-func (e *Engine) AutoReconfigure(x *obs.ExecCtx) (bool, error) {
-	e.met.AutoReselects.Inc()
-	changed, err := e.Reconfigure(x)
-	if err != nil {
-		return changed, fmt.Errorf("adaptive: automatic reconfiguration: %w", err)
-	}
-	return changed, nil
-}
+func (p *Profile) ReselectDue() bool { return p.due.Load() }
 
 // State exports the observed access counts keyed by a stable textual
 // element id (per-dimension node indices joined by '-'), suitable for JSON
 // persistence; RestoreState imports them. Together they let an engine
 // restart with a warm workload profile.
-func (e *Engine) State() map[string]float64 {
-	e.rec.mu.Lock()
-	defer e.rec.mu.Unlock()
-	out := make(map[string]float64, len(e.rec.counts))
-	for k, c := range e.rec.counts {
+func (p *Profile) State() map[string]float64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := make(map[string]float64, len(p.counts))
+	for k, c := range p.counts {
 		out[encodeRect(k.Rect())] = c
 	}
 	return out
 }
 
-// RestoreState merges previously exported counts into the engine,
+// RestoreState merges previously exported counts into the profile,
 // rejecting ids that do not name elements of this cube.
-func (e *Engine) RestoreState(state map[string]float64) error {
+func (p *Profile) RestoreState(state map[string]float64) error {
 	for id, c := range state {
 		r, err := decodeRect(id)
 		if err != nil {
 			return err
 		}
-		if !e.space.Valid(r) {
+		if !p.space.Valid(r) {
 			return fmt.Errorf("adaptive: state id %q is not an element of this cube", id)
 		}
-		if c > 0 {
-			e.rec.mu.Lock()
-			e.rec.counts[r.Key()] += c
-			e.rec.mu.Unlock()
-		}
+		p.Observe(r, c)
 	}
 	return nil
 }
@@ -275,45 +186,42 @@ func decodeRect(id string) (freq.Rect, error) {
 // Callers with a-priori workload knowledge use it to seed the frequencies
 // before an explicit Reconfigure (the paper's "database administrator
 // anticipates the relative frequency" mode of §5).
-func (e *Engine) Observe(r freq.Rect, weight float64) {
+func (p *Profile) Observe(r freq.Rect, weight float64) {
 	if weight > 0 {
-		e.rec.mu.Lock()
-		e.rec.counts[r.Key()] += weight
-		e.rec.mu.Unlock()
+		p.mu.Lock()
+		p.counts[r.Key()] += weight
+		p.mu.Unlock()
 	}
 }
 
 // ObservedQueries converts the recorded access counts into a normalised
 // query population, in element order: equal histories normalise alike and
 // select the same set, ties included.
-func (e *Engine) ObservedQueries() []core.Query {
-	e.rec.mu.Lock()
-	queries := make([]core.Query, 0, len(e.rec.counts))
-	for k, c := range e.rec.counts {
+func (p *Profile) ObservedQueries() []core.Query {
+	p.mu.Lock()
+	queries := make([]core.Query, 0, len(p.counts))
+	for k, c := range p.counts {
 		queries = append(queries, core.Query{Rect: k.Rect(), Freq: c})
 	}
-	e.rec.mu.Unlock()
+	p.mu.Unlock()
 	slices.SortFunc(queries, func(a, b core.Query) int { return slices.Compare(a.Rect, b.Rect) })
 	core.NormalizeFrequencies(queries)
 	return queries
 }
 
-// Stats returns a snapshot of the engine's counters.
-func (e *Engine) Stats() Stats {
-	e.rec.mu.Lock()
-	defer e.rec.mu.Unlock()
-	return e.rec.stats
+// Stats returns a snapshot of the profile's counters.
+func (p *Profile) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.stats
 }
 
-// mutateStats applies f to the running stats under the recorder lock.
-func (e *Engine) mutateStats(f func(*Stats)) {
-	e.rec.mu.Lock()
-	f(&e.rec.stats)
-	e.rec.mu.Unlock()
+// mutateStats applies f to the running stats under the profile lock.
+func (p *Profile) mutateStats(f func(*Stats)) {
+	p.mu.Lock()
+	f(&p.stats)
+	p.mu.Unlock()
 }
-
-// Elements returns the currently materialised set.
-func (e *Engine) Elements() []freq.Rect { return e.store.Elements() }
 
 // greedyCandidates returns the Algorithm 2 candidate pool for online
 // reconfiguration: the observed query elements plus all 2^d aggregated
@@ -322,7 +230,7 @@ func (e *Engine) Elements() []freq.Rect { return e.store.Elements() }
 // queried elements and whole views are where redundant storage pays off, so
 // the restriction keeps reconfiguration interactive without changing what
 // greedy would pick in practice.
-func (e *Engine) greedyCandidates(queries []core.Query) []freq.Rect {
+func (p *Profile) greedyCandidates(queries []core.Query) []freq.Rect {
 	seen := make(map[freq.Key]bool)
 	var out []freq.Rect
 	add := func(r freq.Rect) {
@@ -335,7 +243,7 @@ func (e *Engine) greedyCandidates(queries []core.Query) []freq.Rect {
 	for _, q := range queries {
 		add(q.Rect)
 	}
-	for _, v := range e.space.AggregatedViews() {
+	for _, v := range p.space.AggregatedViews() {
 		add(v)
 	}
 	return out
@@ -343,29 +251,42 @@ func (e *Engine) greedyCandidates(queries []core.Query) []freq.Rect {
 
 // phase times one stage of a reconfiguration: a child span of x and a sample
 // of viewcube_reselection_seconds{phase=name} when the returned func runs.
-func (e *Engine) phase(x *obs.ExecCtx, name string) (*obs.ExecCtx, func()) {
+func (p *Profile) phase(x *obs.ExecCtx, name string) (*obs.ExecCtx, func()) {
 	sp, start := x.Start(name), time.Now()
 	return x.Under(sp), func() {
 		sp.End()
-		e.met.PhaseSeconds[name].Observe(time.Since(start).Seconds())
+		p.met.PhaseSeconds[name].Observe(time.Since(start).Seconds())
 	}
 }
 
-// Reconfigure re-selects the materialised set for the observed frequencies:
-// Algorithm 1 for the basis, then Algorithm 2 up to the storage budget. New
-// elements are assembled from the current set before anything is dropped,
-// so the store is never left unable to answer. It reports whether the
-// materialised set changed.
+// AutoReconfigure performs the reconfiguration that ReselectDue announced,
+// counting it as an automatic reselection. Like Reconfigure it must not
+// overlap reads.
+func AutoReconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profile) (bool, error) {
+	p.met.AutoReselects.Inc()
+	changed, err := Reconfigure(x, k, pl, p)
+	if err != nil {
+		return changed, fmt.Errorf("adaptive: automatic reconfiguration: %w", err)
+	}
+	return changed, nil
+}
+
+// Reconfigure re-selects the materialised set of kernel k's store for the
+// frequencies p observed: Algorithm 1 for the basis, then Algorithm 2 up to
+// the storage budget. New elements are assembled from the current set before
+// anything is dropped, so the store is never left unable to answer. A change
+// bumps pl's epoch. It reports whether the materialised set changed.
 //
-// Reconfigure is the engine's only writer of planning state (the store
-// content). It must not overlap Query calls; serialise it externally.
-func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
-	e.rec.mu.Lock()
-	e.rec.sinceReconfig = 0
-	e.rec.mu.Unlock()
-	e.rec.due.Store(false)
-	e.met.Reselections.Inc()
-	queries := e.ObservedQueries()
+// Reconfigure is the only writer of planning state (the store content). It
+// must not overlap reads of k or pl; serialise it externally (the root
+// package's Engine runs it under its write lock).
+func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profile) (bool, error) {
+	p.mu.Lock()
+	p.sinceReconfig = 0
+	p.mu.Unlock()
+	p.due.Store(false)
+	p.met.Reselections.Inc()
+	queries := p.ObservedQueries()
 	if len(queries) == 0 {
 		return false, nil
 	}
@@ -373,16 +294,17 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 	sp.SetAttr("observed_queries", int64(len(queries)))
 	defer sp.End()
 	x = x.Under(sp)
-	_, done := e.phase(x, "select_basis")
-	res, err := core.SelectBasis(e.space, queries)
+	space, st := p.space, k.Store()
+	_, done := p.phase(x, "select_basis")
+	res, err := core.SelectBasis(space, queries)
 	done()
 	if err != nil {
 		return false, err
 	}
 	target := res.Basis
-	if e.opts.StorageBudget > e.space.SetVolume(target) {
-		_, done := e.phase(x, "greedy")
-		greedy, err := core.GreedyRedundantPruned(e.space, target, e.greedyCandidates(queries), queries, e.opts.StorageBudget)
+	if p.opts.StorageBudget > space.SetVolume(target) {
+		_, done := p.phase(x, "greedy")
+		greedy, err := core.GreedyRedundantPruned(space, target, p.greedyCandidates(queries), queries, p.opts.StorageBudget)
 		done()
 		if err != nil {
 			return false, err
@@ -392,13 +314,13 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 		if n := len(greedy.Steps); n > 0 {
 			cost = greedy.Steps[n-1].Cost
 		}
-		e.mutateStats(func(s *Stats) { s.LastTotalCost = cost })
+		p.mutateStats(func(s *Stats) { s.LastTotalCost = cost })
 	} else {
-		cost := core.TotalProcessingCost(e.space, target, queries)
-		e.mutateStats(func(s *Stats) { s.LastTotalCost = cost })
+		cost := core.TotalProcessingCost(space, target, queries)
+		p.mutateStats(func(s *Stats) { s.LastTotalCost = cost })
 	}
 
-	current := e.store.Elements()
+	current := st.Elements()
 	want := make(map[freq.Key]bool, len(target))
 	missing := make(map[freq.Key]bool, len(target))
 	for _, r := range target {
@@ -409,37 +331,42 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 	}
 
 	changed := false
-	x, done = e.phase(x, "migrate")
+	x, done = p.phase(x, "migrate")
 	defer done()
 	// Any store mutation invalidates cached plans — deferred so error
 	// returns after a partially-applied migration invalidate too. Unchanged
 	// reconfigurations leave the epoch (and every cached plan) intact.
 	defer func() {
 		if changed {
-			e.pl.Invalidate()
+			pl.Invalidate()
 		}
 	}()
 	// Phase 1: materialise every missing element from the current set: the
-	// cascade, then the planner for what is off its tree (Algorithm 2 extras).
+	// cascade, then Procedure 3 for what is off its tree (Algorithm 2
+	// extras), each plan compiled afresh since the set changes under it.
 	put := func(r freq.Rect, a *ndarray.Array) error {
 		delete(missing, r.Key())
-		if err := e.store.Put(r, a); err != nil {
+		if err := st.Put(r, a); err != nil {
 			return fmt.Errorf("adaptive: storing %v: %w", r, err)
 		}
-		e.mutateStats(func(s *Stats) { s.Migrated++ })
-		e.met.Migrated.Inc()
+		p.mutateStats(func(s *Stats) { s.Migrated++ })
+		p.met.Migrated.Inc()
 		sp.AddAttr("migrated", 1)
 		changed = true
 		return nil
 	}
-	if err := e.cascade(x, res.Basis, target, missing, put); err != nil {
+	if err := cascade(x, space, st, res.Basis, target, missing, put); err != nil {
 		return changed, err
 	}
 	for _, r := range target {
 		if !missing[r.Key()] {
 			continue
 		}
-		a, err := e.inner.Answer(x, r)
+		var a *ndarray.Array
+		tree, err := k.ComputePlan(r)
+		if err == nil {
+			a, err = k.Execute(x, tree)
+		}
 		if err != nil {
 			return changed, fmt.Errorf("adaptive: assembling %v for migration: %w", r, err)
 		}
@@ -452,17 +379,17 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 		if want[r.Key()] {
 			continue
 		}
-		if err := e.store.Delete(r); err != nil {
+		if err := st.Delete(r); err != nil {
 			return changed, fmt.Errorf("adaptive: dropping %v: %w", r, err)
 		}
-		e.mutateStats(func(s *Stats) { s.Dropped++ })
-		e.met.Dropped.Inc()
+		p.mutateStats(func(s *Stats) { s.Dropped++ })
+		p.met.Dropped.Inc()
 		sp.AddAttr("dropped", 1)
 		changed = true
 	}
-	els := e.store.Elements()
-	cells := e.space.SetVolume(els)
-	e.mutateStats(func(s *Stats) {
+	els := st.Elements()
+	cells := space.SetVolume(els)
+	p.mutateStats(func(s *Stats) {
 		if changed {
 			s.Reconfigs++
 		}
@@ -470,32 +397,32 @@ func (e *Engine) Reconfigure(x *obs.ExecCtx) (bool, error) {
 		s.CurrentElements = len(els)
 	})
 	if changed {
-		e.met.ChangedReconfigs.Inc()
+		p.met.ChangedReconfigs.Inc()
 	}
-	e.met.BasisElements.Set(int64(len(els)))
-	e.met.StorageCells.Set(int64(cells))
-	if e.opts.Decay < 1 {
-		e.met.DecayApplied.Inc()
+	p.met.BasisElements.Set(int64(len(els)))
+	p.met.StorageCells.Set(int64(cells))
+	if p.opts.Decay < 1 {
+		p.met.DecayApplied.Inc()
 	}
-	e.rec.mu.Lock()
-	for k := range e.rec.counts {
-		e.rec.counts[k] *= e.opts.Decay
+	p.mu.Lock()
+	for key := range p.counts {
+		p.counts[key] *= p.opts.Decay
 	}
-	e.rec.mu.Unlock()
+	p.mu.Unlock()
 	return changed, nil
 }
 
 // cascade stores the missing target elements on the basis's split tree,
 // leaf or inner, each folded from its parent, never from the root again. It
 // runs when a basis tile is missing and the root is stored; a set without
-// the root leaves its missing elements to the planner, which assembles them
+// the root leaves its missing elements to Procedure 3, which assembles them
 // from the stored tiles.
-func (e *Engine) cascade(x *obs.ExecCtx, basis, target []freq.Rect, missing map[freq.Key]bool, put func(freq.Rect, *ndarray.Array) error) error {
+func cascade(x *obs.ExecCtx, space *velement.Space, st assembly.Store, basis, target []freq.Rect, missing map[freq.Key]bool, put func(freq.Rect, *ndarray.Array) error) error {
 	if !slices.ContainsFunc(basis, func(r freq.Rect) bool { return missing[r.Key()] }) {
 		return nil
 	}
-	root := e.space.Root()
-	a, ok := e.store.Get(root)
+	root := space.Root()
+	a, ok := st.Get(root)
 	if !ok {
 		return nil
 	}

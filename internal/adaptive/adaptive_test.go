@@ -11,6 +11,7 @@ import (
 	"viewcube/internal/haar"
 	"viewcube/internal/ndarray"
 	"viewcube/internal/obs"
+	"viewcube/internal/plan"
 	"viewcube/internal/velement"
 )
 
@@ -22,16 +23,57 @@ func randomCube(r *rand.Rand, shape ...int) *ndarray.Array {
 	return a
 }
 
-// newEngine builds an adaptive engine whose store initially holds just the
-// cube.
-func newEngine(t *testing.T, cube *ndarray.Array, opts Options) (*Engine, *velement.Space) {
+// gen is one engine generation as the root package holds it: a store, the
+// kernel over it, the plan cache and the workload profile, with the read
+// and reselection the root package runs.
+type gen struct {
+	*Profile
+	st assembly.Store
+	k  *assembly.Engine
+	pl *plan.Planner
+}
+
+func newGen(s *velement.Space, st assembly.Store, opts Options) (*gen, error) {
+	p, err := NewProfile(s, st.Elements(), opts)
+	if err != nil {
+		return nil, err
+	}
+	k := assembly.NewEngine(s, st)
+	return &gen{Profile: p, st: st, k: k, pl: plan.NewPlanner(k)}, nil
+}
+
+// Query answers element r from the materialised set and records it.
+func (g *gen) Query(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
+	p, err := g.pl.Assembly(x, r)
+	if err != nil {
+		return nil, err
+	}
+	out, err := g.k.Execute(x, p)
+	if err != nil {
+		return nil, err
+	}
+	g.Record(r, p.Ops)
+	return out, nil
+}
+
+func (g *gen) Reconfigure(x *obs.ExecCtx) (bool, error) { return Reconfigure(x, g.k, g.pl, g.Profile) }
+
+func (g *gen) AutoReconfigure(x *obs.ExecCtx) (bool, error) {
+	return AutoReconfigure(x, g.k, g.pl, g.Profile)
+}
+
+func (g *gen) Elements() []freq.Rect { return g.st.Elements() }
+
+// newEngine builds an engine generation whose store initially holds just
+// the cube.
+func newEngine(t *testing.T, cube *ndarray.Array, opts Options) (*gen, *velement.Space) {
 	t.Helper()
 	s := velement.MustSpace(cube.Shape()...)
 	st := assembly.NewMemStore()
 	if err := st.Put(s.Root(), cube.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(s, st, opts)
+	e, err := newGen(s, st, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,13 +83,13 @@ func newEngine(t *testing.T, cube *ndarray.Array, opts Options) (*Engine, *velem
 func TestNewRequiresCompleteStore(t *testing.T) {
 	s := velement.MustSpace(4, 4)
 	st := assembly.NewMemStore()
-	if _, err := New(s, st, Options{}); err == nil {
+	if _, err := newGen(s, st, Options{}); err == nil {
 		t.Fatal("want error for empty store")
 	}
 	if err := st.Put(freq.Rect{2, 1}, ndarray.New(2, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(s, st, Options{}); err == nil {
+	if _, err := newGen(s, st, Options{}); err == nil {
 		t.Fatal("want error for incomplete store")
 	}
 }
@@ -175,7 +217,7 @@ func TestStorageBudgetGreedy(t *testing.T) {
 		t.Fatal(err)
 	}
 	budget := 2 * s.CubeVolume()
-	e, err := New(s, st, Options{StorageBudget: budget})
+	e, err := newGen(s, st, Options{StorageBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // selectedSet is the set a reconfiguration for queries must leave stored:
 // Algorithm 1's basis, plus pruned Algorithm 2 over the engine's candidate
 // pool when the budget leaves room. It returns the basis too.
-func selectedSet(t *testing.T, e *Engine, queries []core.Query) (target, basis []freq.Rect) {
+func selectedSet(t *testing.T, e *gen, queries []core.Query) (target, basis []freq.Rect) {
 	t.Helper()
 	res, err := core.SelectBasis(e.space, queries)
 	if err != nil {
@@ -48,7 +48,7 @@ func rectKeys(set []freq.Rect) []string {
 // again from the set the first reconfiguration left (which no longer holds
 // the root), untraced and traced, the migration stores exactly the selected
 // set, and every stored array is bit-identical to what the per-element
-// Answer over the starting set produces.
+// plan and execution over the starting set produces.
 func TestMigrationMatchesPerElementAnswer(t *testing.T) {
 	rootless := 0
 	for seed := int64(0); seed < 6; seed++ {
@@ -73,7 +73,7 @@ func TestMigrationMatchesPerElementAnswer(t *testing.T) {
 				if err := st.Put(s.Root(), cube.Clone()); err != nil {
 					t.Fatal(err)
 				}
-				e, err := New(s, st, Options{StorageBudget: budget})
+				e, err := newGen(s, st, Options{StorageBudget: budget})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,7 +121,11 @@ func TestMigrationMatchesPerElementAnswer(t *testing.T) {
 					refEng := assembly.NewEngine(s, ref)
 					for _, r := range got {
 						a, _ := st.Get(r)
-						w, err := refEng.Answer(nil, r)
+						p, err := refEng.ComputePlan(r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						w, err := refEng.Execute(nil, p)
 						if err != nil {
 							t.Fatal(err)
 						}

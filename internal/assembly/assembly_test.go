@@ -10,8 +10,18 @@ import (
 	"viewcube/internal/freq"
 	"viewcube/internal/haar"
 	"viewcube/internal/ndarray"
+	"viewcube/internal/obs"
 	"viewcube/internal/velement"
 )
+
+// answer plans element r with Procedure 3 and executes the plan.
+func answer(eng *Engine, x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
+	p, err := eng.ComputePlan(r)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Execute(x, p)
+}
 
 func randomCube(r *rand.Rand, shape ...int) *ndarray.Array {
 	a := ndarray.New(shape...)
@@ -156,7 +166,7 @@ func TestEngineAnswersEveryElementFromWaveletBasis(t *testing.T) {
 		}
 		eng := NewEngine(s, store)
 		s.Elements(func(r freq.Rect) bool {
-			got, err := eng.Answer(nil, r.Clone())
+			got, err := answer(eng, nil, r.Clone())
 			if err != nil {
 				t.Fatalf("%v: %v", r, err)
 			}
@@ -181,7 +191,7 @@ func TestEngineAnswerFromCubeOnly(t *testing.T) {
 	eng := NewEngine(s, store)
 	// Every aggregated view must come out exactly right.
 	for _, v := range s.AggregatedViews() {
-		got, err := eng.Answer(nil, v)
+		got, err := answer(eng, nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,17 +210,17 @@ func TestEngineIncompleteStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(s, store)
-	if _, err := eng.Answer(nil, s.Root()); err == nil {
+	if _, err := answer(eng, nil, s.Root()); err == nil {
 		t.Fatal("want error for unreachable element")
 	}
-	if _, err := eng.Answer(nil, freq.Rect{99, 1}); err == nil {
+	if _, err := answer(eng, nil, freq.Rect{99, 1}); err == nil {
 		t.Fatal("want error for invalid rectangle")
 	}
 	// The stored element itself and its descendants remain answerable.
-	if _, err := eng.Answer(nil, freq.Rect{2, 1}); err != nil {
+	if _, err := answer(eng, nil, freq.Rect{2, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Answer(nil, freq.Rect{4, 1}); err != nil {
+	if _, err := answer(eng, nil, freq.Rect{4, 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -228,38 +238,35 @@ func TestPlanKindsAndOps(t *testing.T) {
 	eng := NewEngine(s, store)
 
 	// V1 is stored: plan must be a direct read with zero ops.
-	p, err := eng.Plan(nil, freq.Rect{2, 1})
+	p, err := eng.ComputePlan(freq.Rect{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != PlanStored || PlanCost(p) != 0 {
+	if p.Kind != PlanStored || p.Ops != 0 {
 		t.Fatalf("stored plan: kind %v ops %d", p.Kind, p.Ops)
 	}
 
 	// V2 (total aggregation) aggregates from V1 at cost 1.
-	p, err = eng.Plan(nil, freq.Rect{2, 2})
+	p, err = eng.ComputePlan(freq.Rect{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != PlanAggregate || PlanCost(p) != 1 {
+	if p.Kind != PlanAggregate || p.Ops != 1 {
 		t.Fatalf("V2 plan: kind %v ops %d, want aggregate/1", p.Kind, p.Ops)
 	}
 
 	// V7 must be synthesised from V2 and V5 at total cost 3 (Table 2).
-	p, err = eng.Plan(nil, freq.Rect{1, 2})
+	p, err = eng.ComputePlan(freq.Rect{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kind != PlanSynthesize || PlanCost(p) != 3 {
+	if p.Kind != PlanSynthesize || p.Ops != 3 {
 		t.Fatalf("V7 plan: kind %v ops %d, want synthesize/3", p.Kind, p.Ops)
 	}
 	if p.Dim != 0 {
 		t.Fatalf("V7 synthesis dim %d, want 0", p.Dim)
 	}
 
-	if PlanCost(nil) != 0 {
-		t.Fatal("PlanCost(nil) must be 0")
-	}
 	for _, k := range []PlanKind{PlanStored, PlanAggregate, PlanSynthesize, PlanKind(9)} {
 		if k.String() == "" {
 			t.Fatal("PlanKind.String must be non-empty")
@@ -285,12 +292,12 @@ func TestPlanCostMatchesProcedure3(t *testing.T) {
 		ok := true
 		s.Elements(func(r freq.Rect) bool {
 			want := ev.ElementCost(r)
-			plan, err := eng.Plan(nil, r.Clone())
+			plan, err := eng.ComputePlan(r.Clone())
 			if err != nil {
 				ok = !math.IsInf(want, 1) == false // error iff model says unreachable
 				return ok
 			}
-			if float64(PlanCost(plan)) != want {
+			if float64(plan.Ops) != want {
 				ok = false
 				return false
 			}
@@ -317,7 +324,7 @@ func TestAssemblyCorrectnessProperty(t *testing.T) {
 		}
 		eng := NewEngine(s, store)
 		for _, v := range s.AggregatedViews() {
-			got, err := eng.Answer(nil, v)
+			got, err := answer(eng, nil, v)
 			if err != nil {
 				return false
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -220,7 +221,9 @@ func (e *Engine) Execute(x *obs.ExecCtx, p *Plan) (*ndarray.Array, error) {
 	return out, err
 }
 
-// checkBox validates a box and keep mask against element r's shape.
+// checkBox validates a box and keep mask against element r's shape. Its
+// errors format copies of lo and ext, so the caller's bounds never escape
+// and can live on its stack.
 func (e *Engine) checkBox(r freq.Rect, lo, ext []int, keep []bool) error {
 	if !e.space.Valid(r) || len(lo) != len(r) || len(ext) != len(r) || len(keep) != len(r) {
 		return fmt.Errorf("assembly: box rank %d does not match element %v", len(lo), r)
@@ -228,10 +231,10 @@ func (e *Engine) checkBox(r freq.Rect, lo, ext []int, keep []bool) error {
 	for m := range r {
 		n := e.space.Dim(m) >> r[m].Depth()
 		if lo[m] < 0 || ext[m] <= 0 || lo[m]+ext[m] > n {
-			return fmt.Errorf("assembly: box lo=%v ext=%v outside element %v", lo, ext, r)
+			return fmt.Errorf("assembly: box lo=%v ext=%v outside element %v", slices.Clone(lo), slices.Clone(ext), r)
 		}
 		if keep[m] && ext[m] != n {
-			return fmt.Errorf("assembly: kept dimension %d must be unfiltered (box lo=%v ext=%v)", m, lo, ext)
+			return fmt.Errorf("assembly: kept dimension %d must be unfiltered (box lo=%v ext=%v)", m, slices.Clone(lo), slices.Clone(ext))
 		}
 	}
 	return nil

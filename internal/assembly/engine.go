@@ -70,9 +70,9 @@ type Plan struct {
 //
 // The engine holds only immutable planning state (space, store handle,
 // metrics wiring): answering a query writes nothing through the receiver,
-// so any number of Plan/Execute calls may run concurrently as long as the
-// store itself is safe for concurrent reads. Per-query state (the trace)
-// arrives via an explicit *obs.ExecCtx.
+// so any number of ComputePlan/Execute calls may run concurrently as long
+// as the store itself is safe for concurrent reads. Per-query state (the
+// trace) arrives via an explicit *obs.ExecCtx.
 type Engine struct {
 	space *velement.Space
 	store Store
@@ -109,46 +109,12 @@ func (e *Engine) Space() *velement.Space { return e.space }
 // Store returns the engine's element store.
 func (e *Engine) Store() Store { return e.store }
 
-// Plan returns the minimum-cost operator tree producing element r from the
-// stored set, or an error if the stored set cannot generate r. While x
-// carries a trace, a "plan" span is recorded; a nil x means untraced.
-//
-// Plan always runs the Procedure 3 DP. The engine stack's hot path instead
-// goes through plan.Planner, which caches ComputePlan results per
-// materialised-set epoch.
-func (e *Engine) Plan(x *obs.ExecCtx, r freq.Rect) (*Plan, error) {
-	var sp *obs.Span
-	if x.Tracing() {
-		sp = x.Start("plan " + r.String())
-		defer sp.End()
-	}
-	plan, err := e.ComputePlan(r)
-	if err != nil {
-		return nil, err
-	}
-	// "plan_ops", not "ops": the execute spans below account the same work
-	// node by node, and summing "ops" over the tree must count it once.
-	sp.SetAttr("plan_ops", int64(plan.Ops))
-	return plan, nil
-}
-
 // ComputePlan runs the Procedure 3 cost recursion for element r with no
 // span bookkeeping — the raw planning primitive the cached planner wraps.
 // The returned tree is freshly built, immutable under execution, and safe
 // to share between concurrent executions.
 func (e *Engine) ComputePlan(r freq.Rect) (*Plan, error) {
 	return computePlan(e.space, e.store.Elements(), e.met, r)
-}
-
-// Answer plans and executes the query for element r, returning the
-// materialised result. The result is freshly allocated and owned by the
-// caller.
-func (e *Engine) Answer(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
-	plan, err := e.Plan(x, r)
-	if err != nil {
-		return nil, err
-	}
-	return e.Execute(x, plan)
 }
 
 // get reads one stored element, forwarding the execution context to stores
@@ -205,13 +171,4 @@ func buildPlan(k *core.Proc3, r freq.Rect) *Plan {
 		p.Folds, _ = haar.PathFolds(p.Source, p.Rect)
 		return p
 	}
-}
-
-// PlanCost returns the modelled operation count of the plan tree. It
-// matches core.SetEvaluator.ElementCost for the same stored set.
-func PlanCost(p *Plan) int {
-	if p == nil {
-		return 0
-	}
-	return p.Ops
 }

@@ -27,7 +27,7 @@ func TestExecutorSerialMatchesOracle(t *testing.T) {
 	}
 	eng := NewEngine(s, store)
 	for _, v := range s.AggregatedViews() {
-		got, err := eng.Answer(nil, v)
+		got, err := answer(eng, nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestExecutorResultIsPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := NewEngine(s, store)
-	got, err := eng.Answer(nil, s.Root())
+	got, err := answer(eng, nil, s.Root())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestConcurrentExecutorScratchIsolation(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				i := (g + round) % len(views)
-				got, err := eng.Answer(nil, views[i].Clone())
+				got, err := answer(eng, nil, views[i].Clone())
 				if err != nil {
 					errs <- err
 					return
@@ -133,7 +133,7 @@ func TestExecutorPoolCounters(t *testing.T) {
 	eng.SetMetrics(obs.NewAssemblyMetrics(obs.NewRegistry()))
 	v := s.AggregatedViews()[1]
 	for i := 0; i < 10; i++ {
-		got, err := eng.Answer(nil, v.Clone())
+		got, err := answer(eng, nil, v.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestTracedConcurrentQueriesIsolated(t *testing.T) {
 	wantOps := make([]int64, len(views))
 	for i, v := range views {
 		tr := obs.NewTrace("q")
-		if _, err := eng.Answer(obs.Traced(tr), v.Clone()); err != nil {
+		if _, err := answer(eng, obs.Traced(tr), v.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish()
@@ -180,7 +180,7 @@ func TestTracedConcurrentQueriesIsolated(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				i := (g + round) % len(views)
 				tr := obs.NewTrace("q")
-				if _, err := eng.Answer(obs.Traced(tr), views[i].Clone()); err != nil {
+				if _, err := answer(eng, obs.Traced(tr), views[i].Clone()); err != nil {
 					errs <- err
 					return
 				}

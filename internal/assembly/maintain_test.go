@@ -122,7 +122,7 @@ func TestUpdateCellKeepsEngineAnswersExact(t *testing.T) {
 		cube.Add(delta, idx...)
 	}
 	for _, v := range s.AggregatedViews() {
-		got, err := eng.Answer(nil, v)
+		got, err := answer(eng, nil, v)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -249,5 +249,9 @@ func (c *Compressed) Decompress() (*ndarray.Array, error) {
 		}
 	}
 	eng := assembly.NewEngine(c.Space, st)
-	return eng.Answer(nil, c.Space.Root())
+	p, err := eng.ComputePlan(c.Space.Root())
+	if err != nil {
+		return nil, err
+	}
+	return eng.Execute(nil, p)
 }

@@ -7,6 +7,7 @@ import (
 
 	"viewcube/internal/adaptive"
 	"viewcube/internal/assembly"
+	"viewcube/internal/plan"
 	"viewcube/internal/velement"
 	"viewcube/internal/workload"
 )
@@ -32,7 +33,8 @@ type AdaptResult struct {
 // Adaptation runs E10: across phases, a fresh pair of hot aggregated views
 // is drawn and queried repeatedly; the adaptive engine re-selects its
 // element basis from observed frequencies while the static engine keeps
-// only the cube.
+// only the cube. Only modelled costs are compared, so a query is planned
+// (through the adaptive engine's plan cache) and recorded, never executed.
 func Adaptation(shape []int, phases, queriesPerPhase int, seed int64) (*AdaptResult, error) {
 	s, err := velement.NewSpace(shape)
 	if err != nil {
@@ -51,7 +53,9 @@ func Adaptation(shape []int, phases, queriesPerPhase int, seed int64) (*AdaptRes
 	if err := adaptStore.Put(s.Root(), cube.Clone()); err != nil {
 		return nil, err
 	}
-	adaptEng, err := adaptive.New(s, adaptStore, adaptive.Options{
+	adaptEng := assembly.NewEngine(s, adaptStore)
+	plans := plan.NewPlanner(adaptEng)
+	prof, err := adaptive.NewProfile(s, adaptStore.Elements(), adaptive.Options{
 		ReselectEvery: queriesPerPhase / 4,
 		Decay:         0.2,
 	})
@@ -68,30 +72,32 @@ func Adaptation(shape []int, phases, queriesPerPhase int, seed int64) (*AdaptRes
 		var staticOps, adaptOps float64
 		for q := 0; q < queriesPerPhase; q++ {
 			target := views[hot[q%len(hot)]]
-			plan, err := staticEng.Plan(nil, target)
+			static, err := staticEng.ComputePlan(target)
 			if err != nil {
 				return nil, err
 			}
-			staticOps += float64(assembly.PlanCost(plan))
-			before := adaptEng.Stats().ModelOps
-			if _, err := adaptEng.Query(nil, target); err != nil {
+			staticOps += float64(static.Ops)
+			adapt, err := plans.Assembly(nil, target)
+			if err != nil {
 				return nil, err
 			}
-			// Queries only raise the due flag; the experiment loop drains it,
-			// standing in for the Engine's write-locked drain.
-			if adaptEng.ReselectDue() {
-				if _, err := adaptEng.AutoReconfigure(nil); err != nil {
+			prof.Record(target, adapt.Ops)
+			adaptOps += float64(adapt.Ops)
+			// Recording only raises the due flag; the experiment loop drains
+			// it, standing in for the Engine's write-locked drain.
+			if prof.ReselectDue() {
+				if _, err := adaptive.AutoReconfigure(nil, adaptEng, plans, prof); err != nil {
 					return nil, err
 				}
 			}
-			adaptOps += float64(adaptEng.Stats().ModelOps - before)
 		}
+		st := prof.Stats()
 		res.Phases = append(res.Phases, AdaptPhase{
 			Phase:        phase + 1,
 			StaticOps:    staticOps / float64(queriesPerPhase),
 			AdaptiveOps:  adaptOps / float64(queriesPerPhase),
-			Reconfigs:    adaptEng.Stats().Reconfigs,
-			StorageCells: adaptEng.Stats().StorageCells,
+			Reconfigs:    st.Reconfigs,
+			StorageCells: st.StorageCells,
 		})
 	}
 	return res, nil

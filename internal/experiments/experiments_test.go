@@ -311,6 +311,24 @@ func TestAdaptationReport(t *testing.T) {
 	}
 }
 
+// TestAdaptationGolden pins the E10 report byte for byte, so a change to the
+// adaptive engine's selection, migration or cost accounting shows up here.
+func TestAdaptationGolden(t *testing.T) {
+	res, err := Adaptation([]int{8, 8, 8}, 4, 80, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "Online adaptation (E10) on shape [8 8 8]: avg modelled ops/query per phase\n" +
+		"phase    static (cube)       adaptive   reconfigs    storage\n" +
+		"1                479.5          143.5           1        512\n" +
+		"2                479.5           31.5           1        512\n" +
+		"3                507.5           77.9           3        512\n" +
+		"4                479.5           99.8           4        512\n"
+	if got := FormatAdaptation(res); got != want {
+		t.Fatalf("E10 report changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestLossyReport(t *testing.T) {
 	rows, err := Lossy([]int{32, 32}, []float64{0, 1, 8}, 2)
 	if err != nil {

@@ -1,17 +1,16 @@
 // Package plan is the shared query-plan layer of the engine stack: every
-// read (view-element queries, GROUP BYs, and — through the root element's
-// plan — range SUMs and grouped "dice" queries) compiles to the Procedure 3
-// assembly DAG of package assembly, with an epoch-keyed concurrency-safe
-// plan cache so the Procedure 3 dynamic program runs once per
-// (materialised set, target) rather than once per query.
+// read (view-element queries, GROUP BYs, and — through the plan of the view
+// a box is cut from — range SUMs and grouped "dice" queries) compiles to the
+// Procedure 3 assembly DAG of package assembly, with an epoch-keyed
+// concurrency-safe plan cache so the Procedure 3 dynamic program runs once
+// per (materialised set, target) rather than once per query.
 //
-// The split mirrors the classical logical/physical plan separation of OLAP
-// engines: a Logical node names *what* is asked for (resolved from
-// dimension names into frequency-plane geometry), a Physical node names
-// *how* the current materialised set answers it, and the read kernel
-// (assembly.Engine.Execute and the range contractions, one contraction of
-// the stored elements) consumes the physical plan without re-deriving it.
-// Explain and query traces render the same IR the kernel runs.
+// What a read asks for is resolved by the caller into a frequency
+// rectangle; the Planner compiles it into the assembly DAG that the read
+// kernel (assembly.Engine.Execute and the range contractions, one
+// contraction of the stored elements) consumes without re-deriving it.
+// Explain renders a Physical: the same DAG annotated with its epoch, cache
+// status and measure layout.
 package plan
 
 import (
@@ -22,25 +21,10 @@ import (
 	"viewcube/internal/freq"
 )
 
-// Logical is one resolved query: the view element it asks for, with
-// dimension names already mapped to a frequency rectangle. Logical nodes are
-// immutable once built.
-type Logical struct {
-	Rect freq.Rect
-}
-
-// Element returns the logical plan for one view-element query.
-func Element(r freq.Rect) *Logical { return &Logical{Rect: r.Clone()} }
-
-// String renders the logical node compactly.
-func (lg *Logical) String() string { return "element " + lg.Rect.String() }
-
-// Physical is one executable plan: the Procedure 3 assembly DAG producing
-// an element. Physical plans are immutable and safe to share between
-// concurrent executions: the read kernel only reads them.
+// Physical is one executable plan as Explain renders it: the Procedure 3
+// assembly DAG producing an element. Physical plans are immutable and safe
+// to share between concurrent executions: the read kernel only reads them.
 type Physical struct {
-	Logical *Logical
-
 	// Epoch is the materialised-set epoch the plan was derived under; a
 	// cached plan is only served while the cache is still at this epoch.
 	Epoch uint64
@@ -58,8 +42,8 @@ type Physical struct {
 	// is finaliser-agnostic).
 	Agg AggKind
 
-	// Cost is the modelled cost: add/subtract operations
-	// (assembly.PlanCost).
+	// Cost is the modelled cost: the add/subtract operations of the whole
+	// DAG (Assembly.Ops).
 	Cost int
 }
 

@@ -7,11 +7,10 @@ import (
 	"viewcube/internal/rescache"
 )
 
-// Planner compiles logical plans into physical plans against one assembly
-// engine, caching compiled element plans in an epoch-keyed Cache. It is the
-// single planning entry point of the engine stack: queries, Explain and
-// traced queries all go through the same Planner, so they see (and warm)
-// the same cache and render the same IR.
+// Planner compiles element plans against one assembly engine, caching them
+// in an epoch-keyed Cache. It is the single planning entry point of the
+// engine stack: queries, Explain and traced queries all go through the same
+// Planner, so they see (and warm) the same cache and render the same IR.
 //
 // A Planner is safe for concurrent use; the owner must call Invalidate
 // whenever the materialised set or stored cell values change (the root
@@ -86,28 +85,22 @@ func (p *Planner) Invalidate() uint64 { return p.cache.Invalidate() }
 // Stats snapshots the plan-cache counters.
 func (p *Planner) Stats() rescache.Stats { return p.cache.Stats() }
 
-// Element returns the physical plan producing view element r, serving it
-// from the plan cache when the materialised set has not changed since the
-// plan was compiled — the cache-hit path skips the Procedure 3 DP
-// entirely. While x carries a trace, a "plan" span is recorded with a
-// cache_hit attribute; a nil x means untraced.
+// Element returns the physical plan producing view element r, the form
+// Explain renders: Assembly's plan with its epoch, cache status and measure
+// layout.
 func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
 	pl, epoch, hit, err := p.compiled(x, r)
 	if err != nil {
 		return nil, err
 	}
-	return &Physical{
-		Logical:  Element(r),
-		Epoch:    epoch,
-		CacheHit: hit,
-		Assembly: pl,
-		Measure:  p.spec,
-		Cost:     assembly.PlanCost(pl),
-	}, nil
+	return &Physical{Epoch: epoch, CacheHit: hit, Assembly: pl, Measure: p.spec, Cost: pl.Ops}, nil
 }
 
-// Assembly is Element without the Physical around the operator tree: the
-// cached plan alone, for readers that need nothing else.
+// Assembly returns the plan producing view element r, serving it from the
+// plan cache when the materialised set has not changed since the plan was
+// compiled — the cache-hit path skips the Procedure 3 DP entirely. Every
+// read plans through it. While x carries a trace, a "plan" span is recorded
+// with a cache_hit attribute; a nil x means untraced.
 func (p *Planner) Assembly(x *obs.ExecCtx, r freq.Rect) (*assembly.Plan, error) {
 	pl, _, _, err := p.compiled(x, r)
 	return pl, err

@@ -152,7 +152,13 @@ func TestRangeSumFromAssembledElements(t *testing.T) {
 
 type engineSource struct{ eng *assembly.Engine }
 
-func (e engineSource) Element(r freq.Rect) (*ndarray.Array, error) { return e.eng.Answer(nil, r) }
+func (e engineSource) Element(r freq.Rect) (*ndarray.Array, error) {
+	p, err := e.eng.ComputePlan(r)
+	if err != nil {
+		return nil, err
+	}
+	return e.eng.Execute(nil, p)
+}
 
 func TestRangeSumValidation(t *testing.T) {
 	s := velement.MustSpace(4, 4)

@@ -783,7 +783,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, lease *ca
 	})
 }
 
-// fullStats embeds the adaptive engine counters (flattened into the
+// fullStats embeds the workload profile's counters (flattened into the
 // top-level JSON object, preserving the historical /stats shape) and adds
 // the store cache and materialised-set figures.
 type fullStats struct {

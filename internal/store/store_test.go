@@ -282,7 +282,11 @@ func TestFileStoreDrivesEngine(t *testing.T) {
 	}
 	eng := assembly.NewEngine(s, fs)
 	for _, v := range s.AggregatedViews() {
-		got, err := eng.Answer(nil, v)
+		p, err := eng.ComputePlan(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := eng.Execute(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -248,7 +248,7 @@ func scalarTrial(o *ownership, data []float64, diskDir string) *SafeEngine {
 			return s.Optimize(w)
 		}
 		for _, ent := range w.entries {
-			eng.core.inner.Observe(ent.rect, ent.freq)
+			eng.core.prof.Observe(ent.rect, ent.freq)
 		}
 		_, err := s.Reconfigure()
 		return err
@@ -258,7 +258,7 @@ func scalarTrial(o *ownership, data []float64, diskDir string) *SafeEngine {
 	o.rootView = func() []float64 {
 		e, snap := s.reader()
 		defer s.release(snap)
-		arr, err := e.inner.Assembler().Answer(nil, cube.space.Root())
+		arr, err := assemble(e.asm, cube.space.Root())
 		if err != nil {
 			o.t.Fatal(err)
 		}
@@ -369,7 +369,7 @@ func TestOwnershipDifferentialAgg(t *testing.T) {
 				o.rootView = func() []float64 {
 					e, snap := s.reader()
 					defer s.release(snap)
-					arr, err := e.inner.Assembler().Answer(nil, o.cube.space.Root())
+					arr, err := assemble(e.asm, o.cube.space.Root())
 					if err != nil {
 						t.Fatal(err)
 					}

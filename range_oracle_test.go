@@ -17,6 +17,8 @@ import (
 	"testing"
 
 	"viewcube/internal/assembly"
+	"viewcube/internal/freq"
+	"viewcube/internal/ndarray"
 	"viewcube/internal/relation"
 	"viewcube/internal/velement"
 )
@@ -556,7 +558,7 @@ func TestGroupByContractionEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				arr, err := eng.Answer(nil, el.rect)
+				arr, err := assemble(eng, el.rect)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -564,6 +566,16 @@ func TestGroupByContractionEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// assemble plans element r with Procedure 3 over k's stored set and executes
+// the plan.
+func assemble(k *assembly.Engine, r freq.Rect) (*ndarray.Array, error) {
+	p, err := k.ComputePlan(r)
+	if err != nil {
+		return nil, err
+	}
+	return k.Execute(nil, p)
 }
 
 // keepMasks is every subset of the dimensions, as keep masks.

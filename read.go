@@ -94,7 +94,7 @@ func (b box) cells() int {
 }
 
 // exec answers one ask against whatever the Engine pinned, with the kernel
-// its shape calls for: a whole element is assembled (inner.Query), a box is
+// its shape calls for: a whole element is assembled (element), a box is
 // contracted with the stored elements (DESIGN §6), to one vector of sums or
 // grouped by the kept dimensions. The answer is wrapped once, in the ask's
 // form. exec never reselects, so it is safe under a read lock.
@@ -125,7 +125,7 @@ func (c *core) exec(x *obs.ExecCtx, a ask) (answer, error) {
 	var arr *ndarray.Array
 	switch {
 	case !a.boxed:
-		arr, err = c.inner.Query(x, a.el.rect)
+		arr, err = c.element(x, a.el.rect)
 	case a.form == scalarForm:
 		err = c.rangeInto(x, b, out[:c.spec.Width])
 	default:
@@ -168,6 +168,22 @@ func (c *core) exec(x *obs.ExecCtx, a ask) (answer, error) {
 	}
 	r.columns, r.dropEmpty, r.lease = a.columns, a.dropEmpty, arr
 	return answer{res: r}, nil
+}
+
+// element assembles view element r from the materialised set through its
+// cached plan and records the access, with the plan's cost, in the workload
+// profile.
+func (c *core) element(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
+	p, err := c.plans.Assembly(x, r)
+	if err != nil {
+		return nil, err
+	}
+	arr, err := c.asm.Execute(x, p)
+	if err != nil {
+		return nil, err
+	}
+	c.prof.Record(r, p.Ops)
+	return arr, nil
 }
 
 // resolve is the one resolver of names into coordinates. Kept dimensions

@@ -63,7 +63,7 @@ func (r *Result) Release() {
 // newResult checks a header against its body: width planes of Π ext cells.
 // The division keeps a forged width or extent from overflowing the product.
 func newResult(r Result) (*Result, error) {
-	r.plane, r.spec, r.aggs = 1, plan.ScalarMeasure(), []AggKind{AggSum}
+	r.plane, r.spec, r.aggs = 1, plan.ScalarMeasure(), oneAgg(AggSum)
 	for _, e := range r.ext {
 		if r.plane *= e; r.plane > len(r.vals) {
 			break

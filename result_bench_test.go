@@ -70,9 +70,12 @@ func salesCube(tb testing.TB) *viewcube.Cube {
 }
 
 // TestEngineReadAllocs pins the allocations of a warm read on salesCube:
-// Total 6, GroupBy("product") 11, whether through the engine or through
-// Safe(). The read pins its state without building a release closure, so a
-// read that takes the read lock costs nothing on the heap for it.
+// Total 2, GroupBy("product") 8 and RangeSum over a region range 1, whether
+// through the engine or through Safe(). The read pins its state without
+// building a release closure, so a read that takes the read lock costs
+// nothing on the heap for it; a whole element is planned straight from the
+// plan cache, with no physical-plan wrapper; and a range keeps its box on
+// the stack.
 func TestEngineReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop recycled buffers at random")
@@ -84,7 +87,9 @@ func TestEngineReadAllocs(t *testing.T) {
 	type reads interface {
 		Total() (float64, error)
 		GroupBy(keep ...string) (*viewcube.View, error)
+		RangeSum(ranges map[string]viewcube.ValueRange) (float64, error)
 	}
+	ranges := map[string]viewcube.ValueRange{"region": {Lo: "region-02", Hi: "region-09"}}
 	for _, face := range []struct {
 		name string
 		eng  reads
@@ -99,8 +104,13 @@ func TestEngineReadAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if total > 6 || groupBy > 11 {
-			t.Errorf("%s: Total allocates %v objects, GroupBy(product) %v; want ≤ 6 and ≤ 11", face.name, total, groupBy)
+		rangeSum := testing.AllocsPerRun(50, func() {
+			if _, err := face.eng.RangeSum(ranges); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if total > 2 || groupBy > 8 || rangeSum > 1 {
+			t.Errorf("%s: Total allocates %v objects, GroupBy(product) %v, RangeSum %v; want ≤ 2, ≤ 8 and ≤ 1", face.name, total, groupBy, rangeSum)
 		}
 	}
 }

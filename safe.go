@@ -58,7 +58,7 @@ func (e *Engine) mutate(fn func(*core) (bool, error)) error {
 // is due; maybeReselect's re-check under the lock makes racing drainers
 // idempotent (reconfiguring clears the flag first).
 func (e *Engine) reselectIfDue() error {
-	if !e.core.inner.ReselectDue() {
+	if !e.core.prof.ReselectDue() {
 		return nil
 	}
 	return e.mutate((*core).maybeReselect)
