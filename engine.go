@@ -135,6 +135,7 @@ type core struct {
 	fork  bool             // a later engine over an attached cube: it works on a copy and never writes cube.data
 	mass  *mass            // what the cube has taken in, shared with its snapshot generations
 	spec  plan.MeasureSpec // the measure layout of the cube's planes
+	views []freq.Rect      // the 2^d aggregated views by mask of aggregated dimensions; read-only, shared with the snapshot generations
 
 	// Under ingest (DESIGN §10): lent says the current snapshot generation
 	// reads this store's dense arrays, which own copies before the next
@@ -205,7 +206,7 @@ func (c *Cube) NewEngine(opts EngineOptions) (*Engine, error) {
 	plans.SetMetrics(met.plans)
 	plans.SetMeasure(spec)
 	prof.SetMetrics(met.adaptive)
-	eng := &Engine{core: core{cube: c, st: st, asm: asm, plans: plans, prof: prof, met: met, fork: c.attached, mass: m, spec: spec}}
+	eng := &Engine{core: core{cube: c, st: st, asm: asm, plans: plans, prof: prof, met: met, fork: c.attached, mass: m, spec: spec, views: c.space.AggregatedViews()}}
 	if ms, ok := st.(*assembly.MemStore); ok && !c.attached {
 		c.holder = ms
 	}
@@ -320,7 +321,7 @@ func (e *core) snapshot() (*core, error) {
 	e.lent, e.owned = true, e.owned[:0]
 	asm := assembly.NewEngine(e.cube.space, st)
 	asm.SetMetrics(e.met.assembly)
-	return &core{cube: e.cube, st: st, asm: asm, plans: e.plans.ForSource(asm), prof: e.prof, met: e.met, mass: e.mass, spec: e.spec, owned: owned}, nil
+	return &core{cube: e.cube, st: st, asm: asm, plans: e.plans.ForSource(asm), prof: e.prof, met: e.met, mass: e.mass, spec: e.spec, views: e.views, owned: owned}, nil
 }
 
 // own gives the engine private copies, leased from the scratch pool, of the
@@ -552,14 +553,14 @@ func (e *core) rangeView(x *obs.ExecCtx, b box, keep []bool, lo, ext []int) (*as
 	if len(b.lo) != space.Rank() || len(b.ext) != space.Rank() {
 		return nil, nil, nil, fmt.Errorf("viewcube: box rank %d does not match cube rank %d", len(b.lo), space.Rank())
 	}
-	r := space.Root()
-	for m := range r {
+	agg := uint(0)
+	for m := range space.Rank() {
 		lo, ext = append(lo, b.lo[m]), append(ext, b.ext[m])
-		if n := space.Dim(m); (keep == nil || !keep[m]) && b.lo[m] == 0 && b.ext[m] == n {
-			r[m], ext[m] = freq.Node(n), 1 // aggregated: the all-partial leaf
+		if (keep == nil || !keep[m]) && b.lo[m] == 0 && b.ext[m] == space.Dim(m) {
+			agg, ext[m] = agg|1<<uint(m), 1 // aggregated: the all-partial leaf
 		}
 	}
-	p, err := e.plans.Assembly(x, r)
+	p, err := e.plans.Assembly(x, e.views[agg])
 	return p, lo, ext, err
 }
 

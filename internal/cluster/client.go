@@ -12,7 +12,7 @@ import (
 
 // ShardClient sends one request to one shard and returns its partial
 // aggregate. Implementations must be safe for concurrent use: the
-// coordinator fans out, retries and hedges over the same client.
+// coordinator fans out and retries over the same client.
 type ShardClient interface {
 	// Do sends req and waits for the matching response, honouring ctx's
 	// deadline and cancellation. The request's ID field is owned by the
@@ -105,8 +105,8 @@ func (c *TCPClient) Do(ctx context.Context, req *Request) (*Response, error) {
 	} else {
 		pc.SetDeadline(time.Time{})
 	}
-	// A cancelled context must unblock a blocked read promptly (hedging
-	// cancels the losing attempt): yank the deadline to the past.
+	// A cancelled context must unblock a blocked read promptly (the caller
+	// gave up before the deadline): yank the deadline to the past.
 	stop := make(chan struct{})
 	var cancelled atomic.Bool
 	go func() {

@@ -27,15 +27,17 @@ var ErrUnavailable = errors.New("cluster: unavailable")
 // Shard is one member of the serving tier: a name (stable across restarts,
 // used in errors, metrics and PartialResult), a transport to reach it, and
 // optionally more transports to replicas holding the same partition.
-// Requests balance across the copies by least-outstanding count, and the
-// retry and hedge paths deliberately go to a *different* copy than the one
-// that is slow or failing, so a speculative duplicate races a real second
-// machine instead of re-queueing behind the same straggler.
+// Requests balance across the copies by least-outstanding count, and a
+// retry deliberately goes to a *different* copy than the one that just
+// failed or timed out, so it does not re-queue behind the same straggler.
 type Shard struct {
 	Name     string
 	Client   ShardClient
 	Replicas []ShardClient
 }
+
+// maxBackoff caps one retry's backoff sleep.
+const maxBackoff = time.Second
 
 // Options tunes the coordinator's failure handling.
 type Options struct {
@@ -45,29 +47,8 @@ type Options struct {
 	// first attempt. Negative disables retries; 0 defaults to 2.
 	Retries int
 	// Backoff is the base of the exponential retry backoff (doubled per
-	// attempt, ±50% jitter). 0 defaults to 10ms.
+	// attempt up to maxBackoff, ±50% jitter). 0 defaults to 10ms.
 	Backoff time.Duration
-	// MaxBackoff caps one backoff sleep. 0 defaults to 1s.
-	MaxBackoff time.Duration
-	// HedgeQuantile, in (0,1), launches a speculative duplicate request
-	// when an attempt outlives that quantile of the shard's recent
-	// latencies (the tail-at-scale defence: the duplicate races the
-	// straggler and the first answer wins — correct here because shard
-	// reads are idempotent). 0 disables hedging.
-	HedgeQuantile float64
-	// HedgeAfter is the static hedge delay used until a shard has enough
-	// latency samples for the quantile. 0 means no hedging until then.
-	HedgeAfter time.Duration
-	// HedgeMin floors the adaptive hedge delay so a burst of fast
-	// responses cannot make the coordinator hedge everything. 0 defaults
-	// to 1ms.
-	HedgeMin time.Duration
-	// Metrics receives the viewcube_cluster_* instruments. nil gives the
-	// coordinator a private registry, reachable via Registry.
-	Metrics *viewcube.Metrics
-	// Seed seeds the jitter source; 0 uses a fixed default, which is fine
-	// because jitter only decorrelates retry storms.
-	Seed int64
 	// TraceSampleRate turns on always-on sampled tracing: approximately
 	// this fraction of queries (deterministically, every Nth) runs with a
 	// full distributed trace, recorded into the query log. 0 disables
@@ -114,11 +95,11 @@ func (p *PartialResult) Complete() bool { return p == nil || len(p.Missing) == 0
 // them across shard clients and combining the partial aggregates exactly
 // (SUM is distributive, so per-key addition in fixed shard order reproduces
 // the single-machine answer bit for bit). Failure handling per shard: a
-// deadline per attempt, bounded retries with jittered exponential backoff,
-// and optional hedged requests once an attempt outlives the shard's recent
-// latency quantile. Its two read seams, GroupByResult and SumResult, take
-// allowPartial (degrade instead of failing) and traced as arguments; without
-// allowPartial an answer is exact or it fails.
+// deadline per attempt, and bounded retries with jittered exponential
+// backoff, each sent to another copy when the shard has one. Its two read
+// seams, GroupByResult and SumResult, take allowPartial (degrade instead of
+// failing) and traced as arguments; without allowPartial an answer is exact
+// or it fails.
 //
 // A Coordinator is safe for concurrent use.
 type Coordinator struct {
@@ -127,7 +108,6 @@ type Coordinator struct {
 	opts    Options
 	met     *obs.ClusterMetrics
 	reg     *obs.Registry
-	lat     []*latRing
 	sampler *obs.Sampler
 	qlog    *obs.QueryLog
 	lim     *limiter
@@ -173,36 +153,17 @@ func NewCoordinator(shards []Shard, opts Options) (*Coordinator, error) {
 	if opts.Backoff == 0 {
 		opts.Backoff = 10 * time.Millisecond
 	}
-	if opts.MaxBackoff == 0 {
-		opts.MaxBackoff = time.Second
-	}
-	if opts.HedgeMin == 0 {
-		opts.HedgeMin = time.Millisecond
-	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	var reg *obs.Registry
-	if opts.Metrics != nil {
-		reg = opts.Metrics.Registry()
-	} else {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	c := &Coordinator{
 		shards:  shards,
 		reps:    make([]*replicaSet, len(shards)),
 		opts:    opts,
 		met:     obs.NewClusterMetrics(reg),
 		reg:     reg,
-		lat:     make([]*latRing, len(shards)),
 		sampler: obs.NewSampler(opts.TraceSampleRate),
 		qlog:    opts.QueryLog,
 		lim:     newLimiter(opts.MaxInFlight, opts.QueueTimeout, obs.NewAdmissionMetrics(reg)),
-		rng:     rand.New(rand.NewSource(seed)),
-	}
-	for i := range c.lat {
-		c.lat[i] = &latRing{}
+		rng:     rand.New(rand.NewSource(1)), // a fixed seed: jitter only decorrelates retry storms
 	}
 	for i := range shards {
 		c.reps[i] = newReplicaSet(shards[i])
@@ -261,10 +222,10 @@ func (c *Coordinator) ResultCacheStats() rescache.Stats { return c.cache.Stats()
 // PartialResult, and the error is non-nil only for query errors or when no
 // shard at all answered. traced runs the query under a full distributed
 // trace (which bypasses the cache): the scatter fans out concurrently (span
-// attachment is concurrency-safe), every leg records its retries, hedging
-// and group count on a "shard <name>" span, and each shard's own span
-// subtree — plan-cache hits, Haar ops, store reads — is stitched underneath
-// it, so the tree prices the whole cluster query.
+// attachment is concurrency-safe), every leg records its retries and group
+// count on a "shard <name>" span, and each shard's own span subtree —
+// plan-cache hits, Haar ops, store reads — is stitched underneath it, so the
+// tree prices the whole cluster query.
 func (c *Coordinator) GroupByResult(ctx context.Context, allowPartial, traced bool, keep ...string) (*viewcube.Result, *PartialResult, *obs.Trace, error) {
 	var tr *obs.Trace
 	if traced {
@@ -454,13 +415,12 @@ func (c *Coordinator) logCacheHit(req *Request, dur time.Duration) {
 
 func boolPtr(b bool) *bool { return &b }
 
-// outcome is one shard's final state after retries and hedging.
+// outcome is one shard's final state after retries.
 type outcome struct {
 	resp    *Response
 	err     error
 	fatal   bool // a shard-side query error: deterministic, never degraded away
 	retries int
-	hedged  bool
 	dur     time.Duration
 }
 
@@ -529,7 +489,6 @@ func (c *Coordinator) scatter(ctx context.Context, allowPartial bool, tr *obs.Tr
 			outs[i].dur = time.Since(legStart)
 			if sp := spans[i]; sp != nil {
 				sp.SetAttr("retries", int64(outs[i].retries))
-				sp.SetAttr("hedged", boolAttr(outs[i].hedged))
 				sp.SetAttr("ok", boolAttr(outs[i].err == nil))
 				if r := outs[i].resp; r != nil {
 					sp.SetAttr("groups", int64(r.Result.Len()))
@@ -644,7 +603,6 @@ func (c *Coordinator) logQuery(req *Request, tr *obs.Trace, sampled bool, outs [
 			Shard:      c.shards[i].Name,
 			DurationUS: o.dur.Microseconds(),
 			Retries:    o.retries,
-			Hedged:     o.hedged,
 			OK:         o.err == nil,
 		}
 		if o.resp != nil {
@@ -664,8 +622,8 @@ func boolAttr(b bool) int64 {
 }
 
 // askShard drives one shard to a final outcome: up to 1+Retries attempts,
-// each with its own deadline and optional hedge. Each retry is steered to
-// a different replica than the one that just failed, when one exists.
+// each with its own deadline. Each retry is steered to a different replica
+// than the one that just failed, when one exists.
 func (c *Coordinator) askShard(ctx context.Context, i int, req *Request) outcome {
 	var o outcome
 	var lastErr error
@@ -681,9 +639,8 @@ func (c *Coordinator) askShard(ctx context.Context, i int, req *Request) outcome
 				return o
 			}
 		}
-		resp, hedged, used, err := c.attempt(ctx, i, req, lastRep)
+		resp, used, err := c.attempt(ctx, i, req, lastRep)
 		lastRep = used
-		o.hedged = o.hedged || hedged
 		if err == nil {
 			if resp.Err != "" {
 				// The shard executed the query and the query itself is bad
@@ -705,141 +662,34 @@ func (c *Coordinator) askShard(ctx context.Context, i int, req *Request) outcome
 	return o
 }
 
-// attempt performs one deadline-bounded exchange with shard i, hedging a
-// speculative duplicate if the primary outlives the hedge delay. The first
-// successful response wins; the loser is cancelled and its connection
-// discarded, so its late answer cannot leak into a later exchange. The
-// primary leg goes to the least-outstanding replica (skipping `avoid`, the
-// replica a previous attempt just failed on); the hedge goes to a replica
-// other than the primary, so the speculative duplicate races a genuinely
-// different copy of the data. Returns the primary's replica index so the
-// caller can steer its next retry elsewhere.
-func (c *Coordinator) attempt(parent context.Context, i int, req *Request, avoid int) (resp *Response, hedged bool, primary int, err error) {
+// attempt performs one deadline-bounded exchange with shard i through the
+// least-outstanding replica, skipping `avoid` (the replica a previous
+// attempt just failed on). The transport honours the deadline, so a stalled
+// copy returns its context error once the attempt's timeout passes. Returns
+// the replica used so the caller can steer its next retry elsewhere.
+func (c *Coordinator) attempt(parent context.Context, i int, req *Request, avoid int) (*Response, int, error) {
 	ctx, cancel := context.WithTimeout(parent, c.opts.Timeout)
 	defer cancel()
-
-	type result struct {
-		resp *Response
-		err  error
-		idx  int
-	}
 	rs := c.reps[i]
-	ch := make(chan result, 2) // buffered: the losing attempt must not leak
-	send := func(idx, rep int) {
-		c.met.ShardCalls.Inc()
-		sent := time.Now()
-		r, err := rs.do(ctx, rep, req)
-		c.met.RPCDuration.Observe(time.Since(sent).Seconds())
-		ch <- result{r, err, idx}
+	rep := rs.pick(avoid)
+	c.met.ShardCalls.Inc()
+	sent := time.Now()
+	resp, err := rs.do(ctx, rep, req)
+	c.met.RPCDuration.Observe(time.Since(sent).Seconds())
+	if err != nil {
+		c.met.ShardErrors.Inc()
 	}
-	start := time.Now()
-	primary = rs.pick(avoid)
-	go send(0, primary)
-	outstanding := 1
-
-	var hedgeC <-chan time.Time
-	if d, ok := c.hedgeDelay(i); ok {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				c.lat[i].record(time.Since(start))
-				if r.idx == 1 {
-					c.met.HedgeWins.Inc()
-				}
-				return r.resp, hedged, primary, nil
-			}
-			c.met.ShardErrors.Inc()
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding == 0 {
-				// Both (or the only) attempts failed; don't wait for a
-				// hedge timer that can no longer help.
-				return nil, hedged, primary, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			hedged = true
-			c.met.Hedges.Inc()
-			outstanding++
-			go send(1, rs.pick(primary))
-		}
-	}
+	return resp, rep, err
 }
 
 func (c *Coordinator) backoffDelay(attempt int) time.Duration {
 	d := c.opts.Backoff << (attempt - 1)
-	if d > c.opts.MaxBackoff {
-		d = c.opts.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	// ±50% jitter decorrelates retry storms across coordinators.
 	c.rmu.Lock()
 	f := 0.5 + c.rng.Float64()
 	c.rmu.Unlock()
 	return time.Duration(float64(d) * f)
-}
-
-// hedgeDelay picks the speculative-duplicate delay for shard i: the
-// configured quantile of its recent latencies once enough samples exist,
-// the static HedgeAfter before that, floored by HedgeMin.
-func (c *Coordinator) hedgeDelay(i int) (time.Duration, bool) {
-	if c.opts.HedgeQuantile <= 0 || c.opts.HedgeQuantile >= 1 {
-		return 0, false
-	}
-	d, ok := c.lat[i].quantile(c.opts.HedgeQuantile)
-	if !ok {
-		if c.opts.HedgeAfter <= 0 {
-			return 0, false
-		}
-		d = c.opts.HedgeAfter
-	}
-	if d < c.opts.HedgeMin {
-		d = c.opts.HedgeMin
-	}
-	return d, true
-}
-
-// latRing keeps a shard's recent attempt latencies for the hedge quantile.
-type latRing struct {
-	mu   sync.Mutex
-	buf  [64]time.Duration
-	n    int // filled entries
-	next int // ring cursor
-}
-
-// minHedgeSamples is how many observations a shard needs before the
-// adaptive quantile replaces the static HedgeAfter delay.
-const minHedgeSamples = 8
-
-func (r *latRing) record(d time.Duration) {
-	r.mu.Lock()
-	r.buf[r.next] = d
-	r.next = (r.next + 1) % len(r.buf)
-	if r.n < len(r.buf) {
-		r.n++
-	}
-	r.mu.Unlock()
-}
-
-func (r *latRing) quantile(q float64) (time.Duration, bool) {
-	r.mu.Lock()
-	n := r.n
-	if n < minHedgeSamples {
-		r.mu.Unlock()
-		return 0, false
-	}
-	tmp := make([]time.Duration, n)
-	copy(tmp, r.buf[:n])
-	r.mu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	idx := int(q * float64(n-1))
-	return tmp[idx], true
 }

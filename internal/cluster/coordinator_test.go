@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -324,80 +323,6 @@ func TestCoordinatorAllShardsDown(t *testing.T) {
 		t.Fatal("all shards down should fail even in partial mode")
 	}
 }
-
-// TestCoordinatorHedging: with a static hedge delay, a stalled primary is
-// raced by a speculative duplicate and the query still answers fast.
-func TestCoordinatorHedging(t *testing.T) {
-	tables := shardTables(t, 800, 2)
-	shards := loopbackShards(shardEngines(t, tables))
-
-	// Stall odd-numbered calls: the primary hangs, its hedge flies.
-	stall := &stallEveryOther{inner: shards[0].Client, stall: 300 * time.Millisecond}
-	shards[0].Client = stall
-
-	coord, err := cluster.NewCoordinator(shards, cluster.Options{
-		Timeout:       time.Second,
-		Retries:       1,
-		Backoff:       time.Millisecond,
-		HedgeQuantile: 0.9,
-		HedgeAfter:    5 * time.Millisecond,
-		HedgeMin:      time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	oracle := newOracle(t, tables)
-	want, err := oracle.GroupBy("product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	got, err := coord.GroupBy("product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 250*time.Millisecond {
-		t.Fatalf("hedged query took %v; the duplicate should have beaten the 300ms stall", d)
-	}
-	sameGroupsExact(t, got, want)
-
-	met := obs.NewClusterMetrics(coord.Registry())
-	if met.Hedges.Value() == 0 {
-		t.Fatal("no hedge was launched")
-	}
-	if met.HedgeWins.Value() == 0 {
-		t.Fatal("hedge never won against a 300ms stall")
-	}
-}
-
-// stallEveryOther delays calls 1, 3, 5, ... and passes even calls through
-// immediately — so a primary stalls while its hedge succeeds.
-type stallEveryOther struct {
-	inner cluster.ShardClient
-	stall time.Duration
-
-	mu    sync.Mutex
-	calls int
-}
-
-func (s *stallEveryOther) Do(ctx context.Context, req *cluster.Request) (*cluster.Response, error) {
-	s.mu.Lock()
-	s.calls++
-	odd := s.calls%2 == 1
-	s.mu.Unlock()
-	if odd {
-		select {
-		case <-time.After(s.stall):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	return s.inner.Do(ctx, req)
-}
-
-func (s *stallEveryOther) Close() error { return s.inner.Close() }
 
 // TestCoordinatorTraceSpans: the traced scatter records one span per shard
 // with its outcome attributes.

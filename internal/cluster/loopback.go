@@ -36,8 +36,8 @@ func (l *Loopback) Do(ctx context.Context, req *Request) (*Response, error) {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		// The engine finished after the caller gave up (deadline or a
-		// hedge won); the result must not be double-counted.
+		// The engine finished after the caller gave up (the attempt's
+		// deadline passed); the result must not be double-counted.
 		return nil, err
 	}
 	return DecodeResponse(respFrame)

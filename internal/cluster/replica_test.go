@@ -1,8 +1,8 @@
 package cluster_test
 
 // Replica-balanced fan-out: with each shard served by several
-// interchangeable copies, load spreads by least-outstanding count and the
-// retry/hedge paths land on a different copy — so losing one replica
+// interchangeable copies, load spreads by least-outstanding count and a
+// retry lands on a different copy — so losing one replica, or one stalling,
 // changes availability, never answers.
 
 import (
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"viewcube/internal/cluster"
+	"viewcube/internal/obs"
 )
 
 // replicatedShards wires each shard engine behind a counting primary and a
@@ -125,5 +126,64 @@ func TestReplicaFailoverKeepsAnswersBitIdentical(t *testing.T) {
 	}
 	if total != wantTotal {
 		t.Fatalf("total %v, want exactly %v", total, wantTotal)
+	}
+}
+
+// TestReplicaStalledPrimaryRetriedOnReplica: shard 0's primary stalls
+// (waits until the attempt's deadline, honouring its context) instead of
+// failing. Every attempt that lands on it times out and is retried on the
+// replica, so exact-mode answers stay bit-identical to the oracle and each
+// call the stalled copy received costs exactly one retry.
+func TestReplicaStalledPrimaryRetriedOnReplica(t *testing.T) {
+	tables := shardTables(t, 1200, 3)
+	engines := shardEngines(t, tables)
+	oracle := newOracle(t, tables)
+	wantTotal, err := oracle.Total()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	shards := loopbackShards(engines)
+	stalled := &flakyClient{inner: cluster.NewLoopback(engines[0])}
+	stalled.set(func(f *flakyClient) { f.delay = time.Minute })
+	shards[0].Client = stalled
+	shards[0].Replicas = []cluster.ShardClient{cluster.NewLoopback(engines[0])}
+	coord, err := cluster.NewCoordinator(shards, cluster.Options{
+		Timeout: 50 * time.Millisecond,
+		Retries: 2,
+		Backoff: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	for q := 0; q < 3; q++ {
+		for _, keep := range [][]string{{"product"}, {"region"}, {"product", "region"}} {
+			want, err := oracle.GroupBy(keep...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := coord.GroupBy(keep...)
+			if err != nil {
+				t.Fatalf("GroupBy(%v) with a stalled primary: %v", keep, err)
+			}
+			sameGroupsExact(t, got, want)
+		}
+		total, _, _, err := coord.SumResult(context.Background(), false, false, nil)
+		if err != nil {
+			t.Fatalf("total with a stalled primary: %v", err)
+		}
+		if total != wantTotal {
+			t.Fatalf("total %v, want exactly %v", total, wantTotal)
+		}
+	}
+
+	calls := stalled.callCount()
+	if calls == 0 {
+		t.Fatal("the balancer never sent a call to the stalled primary")
+	}
+	if got := obs.NewClusterMetrics(coord.Registry()).Retries.Value(); got != uint64(calls) {
+		t.Fatalf("viewcube_cluster_retries_total = %d, want %d (one per call the stalled copy received)", got, calls)
 	}
 }

@@ -11,10 +11,9 @@ import (
 // replicaSet is the set of interchangeable transports for one shard: the
 // primary client plus any configured replicas, all serving the same
 // partition of the data. Requests are balanced by least-outstanding count
-// (with a rotating tie-break so an idle tier still spreads load), and the
-// retry/hedge paths ask for a replica *different* from the one that is
-// slow or failing — a hedge against a struggling copy only helps if it
-// lands on another copy.
+// (with a rotating tie-break so an idle tier still spreads load), and a
+// retry asks for a replica *different* from the one that just failed or
+// timed out, since re-asking a struggling copy rarely helps.
 type replicaSet struct {
 	clients     []ShardClient
 	outstanding []atomic.Int64
@@ -30,8 +29,6 @@ func newReplicaSet(s Shard) *replicaSet {
 		outstanding: make([]atomic.Int64, len(clients)),
 	}
 }
-
-func (rs *replicaSet) size() int { return len(rs.clients) }
 
 // pick chooses the replica with the fewest outstanding calls, skipping
 // `avoid` (pass -1 to consider all) unless it is the only copy. Ties go to

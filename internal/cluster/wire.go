@@ -16,8 +16,9 @@
 //   - TCPClient/Loopback: transports — real sockets, or an in-process
 //     loopback that still round-trips every message through the codec;
 //   - Coordinator: scatter-gather with per-shard deadlines, bounded
-//     retries, hedged requests and an opt-in degraded mode that returns
-//     the partial answer plus the unreachable shards.
+//     retries (each to another copy of the shard when it has one) and an
+//     opt-in degraded mode that returns the partial answer plus the
+//     unreachable shards.
 package cluster
 
 import (

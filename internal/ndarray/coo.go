@@ -103,7 +103,7 @@ func (c *Coo) FoldKInto(m, k int, signs uint, dst *Array) error {
 		switch b := uint(i & mask); {
 		case b == 0:
 			out[d] = c.val[x]
-		case bits.OnesCount(b&signs)&1 == 1:
+		case parity(b, signs) == 1:
 			out[d] -= c.val[x]
 		default:
 			out[d] += c.val[x]
@@ -129,7 +129,7 @@ func (c *Coo) settleNegZeros(n, inner, k int, signs uint, out []float64) {
 		d := (q/n*(n/block)+q%n/block)*inner + int(o)%inner
 		for b := 1; b < block && math.Float64bits(out[d]) == negZero; b++ {
 			_, held := slices.BinarySearch(c.off, int32(int(o)+b*inner))
-			if !held && bits.OnesCount(uint(b)&signs)&1 == 0 {
+			if !held && parity(uint(b), signs) == 0 {
 				out[d] = 0
 			}
 		}

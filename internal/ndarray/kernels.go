@@ -2,6 +2,7 @@ package ndarray
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -202,6 +203,19 @@ func (a *Array) FoldK(m, k int, signs uint) (*Array, error) {
 	return out, nil
 }
 
+// parity is 1 when source slot b of a fold block enters with a minus sign:
+// the parity of the residual stages (set bits of signs) that see it as the
+// second element of a pair. It is computed inline, so no cascade depth needs
+// a table.
+func parity(b, signs uint) int { return bits.OnesCount(b&signs) & 1 }
+
+// signed is v with the sign slot b of a fold block gives it: its sign bit
+// flipped when parity(b, signs) is 1. Adding it is bit for bit subtracting
+// v (IEEE 754 defines x − y as x + (−y)), without a branch.
+func signed(v float64, b, signs uint) float64 {
+	return math.Float64frombits(math.Float64bits(v) ^ uint64(parity(b, signs))<<63)
+}
+
 // FoldKInto is FoldK with a caller-provided destination: dst must have a's
 // shape with dimension m divided by 2^k and must not alias a. dst is fully
 // overwritten.
@@ -214,93 +228,83 @@ func (a *Array) FoldKInto(m, k int, signs uint, dst *Array) error {
 	if signs >= uint(block) {
 		return fmt.Errorf("%w: signs %#x does not fit in %d cascade stages", ErrShape, signs, k)
 	}
-	// neg[b] is whether source slot b enters with a minus sign: the parity
-	// of the residual stages that see it as the second element of a pair.
-	// Cascades deeper than 6 stages are rare; the fixed buffer keeps the
-	// common case off the heap.
-	var negBuf [64]bool
-	var neg []bool
-	if block <= len(negBuf) {
-		neg = negBuf[:block]
-	} else {
-		neg = make([]bool, block)
-	}
-	for b := 1; b < block; b++ {
-		neg[b] = bits.OnesCount(uint(b)&signs)%2 == 1
-	}
-	src, out := a.data, dst.data
-	nOut := n / block
+	out := dst.data[:outer*(n/block)*inner]
 	switch {
-	case inner == 1: // m is innermost: each block is a contiguous run
-		out, neg := out[:outer*nOut], neg[1:]
-		for t := range out {
-			run := src[t*block : (t+1)*block]
-			acc := run[0]
-			if signs == 0 {
-				for _, v := range run[1:] {
-					acc += v
-				}
-			} else {
-				for b, v := range run[1:] {
-					if neg[b] {
-						acc -= v
-					} else {
-						acc += v
-					}
-				}
-			}
-			out[t] = acc
-		}
-		return nil
-	case inner <= 8: // short runs: each output cell sums its block in a register
-		for t := range outer * nOut {
-			blk, row := src[t*block*inner:(t+1)*block*inner], out[t*inner:(t+1)*inner]
-			for j := range row {
-				acc := blk[j]
-				if signs == 0 {
-					for s := j + inner; s < len(blk); s += inner {
-						acc += blk[s]
-					}
-				} else {
-					for b, s := 1, j+inner; s < len(blk); b, s = b+1, s+inner {
-						if neg[b] {
-							acc -= blk[s]
-						} else {
-							acc += blk[s]
-						}
-					}
-				}
-				row[j] = acc
-			}
-		}
-		return nil
-	}
-	for o := 0; o < outer; o++ {
-		sBase := o * n * inner
-		dBase := o * nOut * inner
-		for i := 0; i < nOut; i++ {
-			d := dBase + i*inner
-			s0 := sBase + i*block*inner
-			// Slot 0 always enters positively (bit parity of 0 is even);
-			// it initialises the accumulator so dst needs no zeroing.
-			for j := 0; j < inner; j++ {
-				out[d+j] = src[s0+j]
-			}
-			for b := 1; b < block; b++ {
-				s := s0 + b*inner
-				if neg[b] {
-					for j := 0; j < inner; j++ {
-						out[d+j] -= src[s+j]
-					}
-				} else {
-					for j := 0; j < inner; j++ {
-						out[d+j] += src[s+j]
-					}
-				}
-			}
-		}
+	case inner == 1:
+		foldRuns(out, a.data, block, signs)
+	case inner <= 8:
+		foldShortRuns(out, a.data, inner, block, signs)
+	default:
+		foldLongRuns(out, a.data, inner, block, signs)
 	}
 	return nil
+}
+
+// The three FoldKInto kernels fold src, a sequence of blocks of block
+// slots each, into out, one output cell per slot offset within a block
+// (inner of them). Each output cell is its block's slot 0 — which always
+// enters positively (bit parity of 0 is even), so out needs no zeroing —
+// then slots 1, 2, … added or subtracted in turn, as parity says.
+
+// foldRuns is the kernel for inner = 1 (m is innermost): each block is a
+// contiguous run.
+func foldRuns(out, src []float64, block int, signs uint) {
+	for t := range out {
+		run := src[t*block : (t+1)*block]
+		acc := run[0]
+		if signs == 0 {
+			for _, v := range run[1:] {
+				acc += v
+			}
+		} else {
+			for b := 1; b < len(run); b++ {
+				acc += signed(run[b], uint(b), signs)
+			}
+		}
+		out[t] = acc
+	}
+}
+
+// foldShortRuns is the kernel for 1 < inner ≤ 8: each output cell sums its
+// strided block in a register.
+func foldShortRuns(out, src []float64, inner, block int, signs uint) {
+	for t := range len(out) / inner {
+		blk, row := src[t*block*inner:(t+1)*block*inner], out[t*inner:(t+1)*inner]
+		for j := range row {
+			acc := blk[j]
+			if signs == 0 {
+				for s := j + inner; s < len(blk); s += inner {
+					acc += blk[s]
+				}
+			} else {
+				for b, s := 1, j+inner; s < len(blk); b, s = b+1, s+inner {
+					acc += signed(blk[s], uint(b), signs)
+				}
+			}
+			row[j] = acc
+		}
+	}
+}
+
+// foldLongRuns is the kernel for inner > 8: each slot's run of inner cells
+// is added to, or subtracted from, the output row at once.
+func foldLongRuns(out, src []float64, inner, block int, signs uint) {
+	for t := range len(out) / inner {
+		row, blk := out[t*inner:(t+1)*inner], src[t*block*inner:(t+1)*block*inner]
+		copy(row, blk[:inner])
+		for b := 1; b < block; b++ {
+			run := blk[b*inner : (b+1)*inner]
+			if parity(uint(b), signs) == 1 {
+				for j, v := range run {
+					row[j] -= v
+				}
+			} else {
+				for j, v := range run {
+					row[j] += v
+				}
+			}
+		}
+	}
 }
 
 // SubArrayInto copies the axis-aligned box [lo, lo+ext) of every plane into

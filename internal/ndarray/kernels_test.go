@@ -69,39 +69,60 @@ func TestFoldKMatchesStageAtATime(t *testing.T) {
 // TestFoldKIntoSumsBlocksInOrder pins FoldKInto's arithmetic on real-valued
 // cells, where order changes bits: every output cell is its block's slot 0,
 // then slots 1, 2, … added or subtracted in turn — whether the folded
-// dimension is innermost, has a short run inside it or a long one.
+// dimension is innermost, has a short run inside it or a long one, and for
+// cascades deeper than six stages, with residual stages above the sixth.
 func TestFoldKIntoSumsBlocksInOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(10))
-	for _, shape := range [][]int{{4, 16}, {4, 16, 2}, {2, 16, 8}, {2, 16, 32}} {
-		a := New(shape...)
-		for i := range a.Data() {
-			a.Data()[i] = r.NormFloat64() * 1e3
-		}
-		for _, signs := range []uint{0, 0b1011} {
-			got := New(shape[0], 1, a.Cells()/(shape[0]*16))
-			if len(shape) == 2 {
-				got = New(shape[0], 1)
+	for _, k := range []int{4, 7, 8} {
+		block := 1 << uint(k)
+		for _, shape := range [][]int{{4, block}, {4, block, 2}, {2, block, 8}, {2, block, 32}} {
+			a := New(shape...)
+			for i := range a.Data() {
+				a.Data()[i] = r.NormFloat64() * 1e3
 			}
-			if err := a.FoldKInto(1, 4, signs, got); err != nil {
-				t.Fatal(err)
-			}
-			inner := a.Stride(1)
-			for o := 0; o < shape[0]; o++ {
-				for j := 0; j < inner; j++ {
-					base := o*16*inner + j
-					want := a.Data()[base]
-					for b := 1; b < 16; b++ {
-						if v := a.Data()[base+b*inner]; bits.OnesCount(uint(b)&signs)%2 == 1 {
-							want -= v
-						} else {
-							want += v
+			for _, signs := range []uint{0, 0b1011, uint(block)>>1 | 0b101} {
+				got := New(shape[0], 1, a.Cells()/(shape[0]*block))
+				if len(shape) == 2 {
+					got = New(shape[0], 1)
+				}
+				if err := a.FoldKInto(1, k, signs, got); err != nil {
+					t.Fatal(err)
+				}
+				inner := a.Stride(1)
+				for o := 0; o < shape[0]; o++ {
+					for j := 0; j < inner; j++ {
+						base := o*block*inner + j
+						want := a.Data()[base]
+						for b := 1; b < block; b++ {
+							if v := a.Data()[base+b*inner]; bits.OnesCount(uint(b)&signs)%2 == 1 {
+								want -= v
+							} else {
+								want += v
+							}
 						}
-					}
-					if g := got.Data()[o*inner+j]; math.Float64bits(g) != math.Float64bits(want) {
-						t.Fatalf("shape %v signs %#x cell (%d, %d) = %v, in-order sum %v", shape, signs, o, j, g, want)
+						if g := got.Data()[o*inner+j]; math.Float64bits(g) != math.Float64bits(want) {
+							t.Fatalf("shape %v k=%d signs %#x cell (%d, %d) = %v, in-order sum %v", shape, k, signs, o, j, g, want)
+						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFoldKIntoDeepCascadeAllocatesNothing: folding a 128-value dimension
+// (seven stages, as a group-by over 128 products does) computes its signs
+// with no table on the heap.
+func TestFoldKIntoDeepCascadeAllocatesNothing(t *testing.T) {
+	for _, inner := range []int{1, 4, 16} {
+		a, dst := New(4, 128, inner), New(4, 1, inner)
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := a.FoldKInto(1, 7, 0b1000101, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("FoldKInto at k = 7, inner %d: %v allocs, want 0", inner, allocs)
 		}
 	}
 }

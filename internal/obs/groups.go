@@ -146,22 +146,20 @@ func NewAdmissionMetrics(r *Registry) *AdmissionMetrics {
 }
 
 // ClusterMetrics instruments the networked serving tier: the coordinator's
-// scatter-gather behaviour (retries, hedges, degraded answers) and the
+// scatter-gather behaviour (retries, degraded answers) and the
 // shard server's request handling. Coordinator and shard processes each
 // use their half of the group; the other half stays zero.
 type ClusterMetrics struct {
 	// Coordinator side.
 	Queries     *Counter // scatter-gather queries started
-	ShardCalls  *Counter // shard attempts sent (including retries and hedges)
+	ShardCalls  *Counter // shard attempts sent (including retries)
 	ShardErrors *Counter // shard attempts that failed (transport or deadline)
 	Retries     *Counter // attempts re-sent after backoff
-	Hedges      *Counter // speculative duplicate requests launched
-	HedgeWins   *Counter // hedged requests that beat the primary
 	Partials    *Counter // degraded answers returned with shards missing
 	ShardsLive  *Gauge   // shards that answered the most recent query
 	ShardsKnown *Gauge   // shards configured
 	// RPCDuration observes each shard attempt's round-trip latency at the
-	// coordinator (including retries and hedges).
+	// coordinator (including retries).
 	RPCDuration *Histogram
 	// QueryDuration observes whole scatter-gather query latency at the
 	// coordinator, by query kind.
@@ -187,16 +185,14 @@ func NewClusterMetrics(r *Registry) *ClusterMetrics {
 	}
 	return &ClusterMetrics{
 		Queries:     r.Counter("viewcube_cluster_queries_total", "Scatter-gather queries started by the coordinator."),
-		ShardCalls:  r.Counter("viewcube_cluster_shard_requests_total", "Shard requests sent by the coordinator, including retries and hedges."),
+		ShardCalls:  r.Counter("viewcube_cluster_shard_requests_total", "Shard requests sent by the coordinator, including retries."),
 		ShardErrors: r.Counter("viewcube_cluster_shard_errors_total", "Shard requests that failed in transport or timed out."),
 		Retries:     r.Counter("viewcube_cluster_retries_total", "Shard requests re-sent after backoff."),
-		Hedges:      r.Counter("viewcube_cluster_hedges_total", "Speculative duplicate shard requests launched after the hedge delay."),
-		HedgeWins:   r.Counter("viewcube_cluster_hedge_wins_total", "Hedged shard requests that answered before the primary."),
 		Partials:    r.Counter("viewcube_cluster_partial_results_total", "Degraded answers returned with one or more shards missing."),
 		ShardsLive:  r.Gauge("viewcube_cluster_shards_live", "Shards that contributed to the most recent scatter-gather query."),
 		ShardsKnown: r.Gauge("viewcube_cluster_shards_known", "Shards configured at the coordinator."),
 		RPCDuration: r.Histogram("viewcube_cluster_rpc_duration_seconds",
-			"Round-trip latency of individual shard attempts at the coordinator, including retries and hedges.", nil),
+			"Round-trip latency of individual shard attempts at the coordinator, including retries.", nil),
 		QueryDuration: queryDur,
 		Served:        r.Counter("viewcube_cluster_shard_served_total", "Requests executed by this shard server."),
 		ServedErrors:  r.Counter("viewcube_cluster_shard_served_errors_total", "Shard-server requests that returned an execution error."),

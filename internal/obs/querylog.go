@@ -52,7 +52,6 @@ type ShardLegEntry struct {
 	Shard      string `json:"shard"`
 	DurationUS int64  `json:"duration_us"`
 	Retries    int    `json:"retries,omitempty"`
-	Hedged     bool   `json:"hedged,omitempty"`
 	OK         bool   `json:"ok"`
 	Ops        int64  `json:"ops,omitempty"`
 	Groups     int    `json:"groups,omitempty"`

@@ -46,9 +46,8 @@ func (k AggKind) NeedsCount() bool {
 // MeasureSpec is the component layout of a measure vector: which component
 // plane holds which distributive ingredient. A scalar SUM engine has
 // Width 1 with only Sum; the stats engine carries [Σv, Σv², Σ1] and can
-// finalise every AggKind. The spec travels in the physical IR and in the
-// plan-cache key, so plans compiled for different measure layouts never
-// collide even when their frequency rectangles agree.
+// finalise every AggKind. The spec travels in the physical IR; plan
+// geometry does not depend on it.
 type MeasureSpec struct {
 	// Width is the number of float64 components per logical cell.
 	Width int
@@ -64,15 +63,6 @@ func ScalarMeasure() MeasureSpec { return MeasureSpec{Width: 1, Sum: 0, SumSq: -
 // StatsMeasure is the three-component layout [Σv, Σv², Σ1] that finalises
 // SUM, COUNT, AVG, VAR and STDDEV from one assembled vector.
 func StatsMeasure() MeasureSpec { return MeasureSpec{Width: 3, Sum: 0, SumSq: 1, Count: 2} }
-
-// Key encodes the layout for the plan-cache key. The scalar layout encodes
-// to 0 so legacy cache users (which never pass a measure) share its space.
-func (s MeasureSpec) Key() uint32 {
-	if s.Width <= 1 {
-		return 0
-	}
-	return uint32(s.Width)<<24 | uint32(s.Sum+1)<<16 | uint32(s.SumSq+1)<<8 | uint32(s.Count+1)
-}
 
 // Supports reports whether the layout carries every component k's
 // finaliser reads.

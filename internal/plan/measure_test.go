@@ -5,15 +5,6 @@ import (
 	"testing"
 )
 
-func TestMeasureSpecKeys(t *testing.T) {
-	if k := ScalarMeasure().Key(); k != 0 {
-		t.Fatalf("scalar layout key %d, want 0 (legacy cache-key space)", k)
-	}
-	if ScalarMeasure().Key() == StatsMeasure().Key() {
-		t.Fatal("scalar and stats layouts must not collide in the plan cache")
-	}
-}
-
 func TestMeasureSpecSupports(t *testing.T) {
 	stats := StatsMeasure()
 	for _, k := range []AggKind{AggSum, AggCount, AggAvg, AggVar, AggStdDev} {

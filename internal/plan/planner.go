@@ -17,9 +17,11 @@ import (
 // engine does this on Optimize/Reconfigure/Update, under its write
 // lock).
 type Planner struct {
-	src   PlanSource
-	spec  MeasureSpec
-	cache *rescache.Cache[planKey, *assembly.Plan]
+	src  PlanSource
+	spec MeasureSpec
+	// cache is keyed by the element alone: a planner and every planner
+	// ForSource derives from it share one measure layout.
+	cache *rescache.Cache[freq.Key, *assembly.Plan]
 
 	// pinned is set on planners derived by ForSource: the cache epoch
 	// observed when the snapshot generation was published. The derived
@@ -30,14 +32,6 @@ type Planner struct {
 	// under the new epoch.
 	pinned    uint64
 	hasPinned bool
-}
-
-// planKey is a plan's cache key: the element's frequency-plane identity plus
-// the measure layout it was compiled for (MeasureSpec.Key). The scalar
-// layout encodes to measure 0.
-type planKey struct {
-	elem    freq.Key
-	measure uint32
 }
 
 // PlanSource compiles a Procedure 3 assembly plan for one view element —
@@ -52,7 +46,7 @@ type PlanSource interface {
 func NewPlanner(src PlanSource) *Planner {
 	// Plans are few (one per queried element) and tiny: the cache is
 	// unbounded, so its hits share a read lock.
-	cache := rescache.New[planKey, *assembly.Plan](rescache.Options{MaxEntries: -1, MaxBytes: -1})
+	cache := rescache.New[freq.Key, *assembly.Plan](rescache.Options{MaxEntries: -1, MaxBytes: -1})
 	return &Planner{src: src, spec: ScalarMeasure(), cache: cache}
 }
 
@@ -74,9 +68,6 @@ func (p *Planner) ForSource(src PlanSource) *Planner {
 // SetMetrics attaches plan-cache instruments (which then back Stats); nil
 // restores a private set.
 func (p *Planner) SetMetrics(m *obs.CacheMetrics) { p.cache.SetMetrics(m) }
-
-// Epoch returns the current materialised-set epoch.
-func (p *Planner) Epoch() uint64 { return p.cache.Epoch() }
 
 // Invalidate bumps the epoch, discarding every cached plan. It returns the
 // new epoch.
@@ -118,7 +109,7 @@ func (p *Planner) compiled(x *obs.ExecCtx, r freq.Rect) (*assembly.Plan, uint64,
 	if p.hasPinned {
 		epoch = p.pinned
 	}
-	pl, hit, err := p.cache.GetOrComputeAt(epoch, planKey{r.Key(), p.spec.Key()}, func() (*assembly.Plan, error) {
+	pl, hit, err := p.cache.GetOrComputeAt(epoch, r.Key(), func() (*assembly.Plan, error) {
 		return p.src.ComputePlan(r)
 	})
 	if err != nil {

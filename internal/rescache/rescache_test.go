@@ -321,8 +321,8 @@ func TestPinnedEpochNeitherServesNorInserts(t *testing.T) {
 	}
 }
 
-// TestStructKeyWidthsNeverCollide caches one element under the planner's
-// composite {element, measure layout} key for two widths: two entries, each
+// TestStructKeyWidthsNeverCollide caches one element under a composite
+// {element, measure layout} struct key for two widths: two entries, each
 // serving its own value.
 func TestStructKeyWidthsNeverCollide(t *testing.T) {
 	type planKey struct {

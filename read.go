@@ -213,7 +213,7 @@ func (c *core) resolve(a ask, lo, ext []int) (_ ask, _ box, ok bool, err error) 
 			return a, box{}, false, fmt.Errorf("viewcube: invalid element %s", a.el.String())
 		}
 	case !a.boxed || a.form != scalarForm:
-		a.el = Element{rect: c.cube.space.ViewForMask(agg)}
+		a.el = Element{rect: c.views[agg]}
 	}
 	if !a.boxed || a.r == &indexRead { // RangeSumIndex gives its box in coordinates
 		return a, a.b, true, nil
