@@ -99,6 +99,7 @@ func TestBenchJSON(t *testing.T) {
 		{"ServeGroupByUncached/8192", benchServeGroupByUncached(8192)},
 		{"LeaseHitBody", BenchmarkLeaseHitBody},
 		{"CoordinatorHitBody", BenchmarkCoordinatorHitBody},
+		{"CoordinatorHitBodyInt", BenchmarkCoordinatorHitBodyInt},
 		{"WireResponse/columnar", benchWireResponse(true)},
 		{"WireResponse/map", benchWireResponse(false)},
 		{"CoordinatorMerge16k/columnar", benchCoordinatorMerge16k(true)},

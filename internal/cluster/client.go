@@ -107,23 +107,17 @@ func (c *TCPClient) Do(ctx context.Context, req *Request) (*Response, error) {
 	}
 	// A cancelled context must unblock a blocked read promptly (the caller
 	// gave up before the deadline): yank the deadline to the past.
-	stop := make(chan struct{})
-	var cancelled atomic.Bool
-	go func() {
-		select {
-		case <-ctx.Done():
-			cancelled.Store(true)
-			pc.SetDeadline(time.Unix(1, 0))
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() { pc.SetDeadline(time.Unix(1, 0)) })
 	resp, err := c.exchange(pc, req)
-	close(stop)
-	if err != nil {
-		pc.Close() // connection state is unknown; never reuse it
-		if cancelled.Load() && ctx.Err() != nil {
+	if !stop() {
+		pc.Close() // its deadline was yanked: never reuse it
+		if err != nil {
 			return nil, ctx.Err()
 		}
+		return resp, nil
+	}
+	if err != nil {
+		pc.Close() // connection state is unknown; never reuse it
 		return nil, fmt.Errorf("cluster: shard %s: %w", c.addr, err)
 	}
 	c.release(pc)

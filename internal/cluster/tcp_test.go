@@ -192,3 +192,24 @@ func TestTCPServerShutdown(t *testing.T) {
 	}
 	client.Close()
 }
+
+// TestTCPClientCancelAfterAnswer: cancelling a call's context once its answer
+// is in must not reach the pooled connection the next call leases — the
+// pattern of every coordinator attempt, whose deadline context is cancelled
+// as the attempt returns. A per-call watcher goroutine that could still see
+// that cancellation and yank the deadline of a connection already handed to
+// the next call failed here with an i/o timeout.
+func TestTCPClientCancelAfterAnswer(t *testing.T) {
+	addr, _ := startShardServer(t, shardEngines(t, shardTables(t, 200, 1))[0])
+	c := cluster.DialShard(addr, time.Second)
+	defer c.Close()
+	req := &cluster.Request{Kind: cluster.KindGroupBy, Keep: []string{"region"}}
+	for i := 0; i < 10000; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		_, err := c.Do(ctx, req)
+		cancel()
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+}

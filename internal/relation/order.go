@@ -66,7 +66,7 @@ func NewOrder(members []string) *Order {
 	}
 	for form, end := range tailEnds {
 		t := &o.tails[form]
-		t.b, t.at = make([]byte, 0, len(o.esc.b)+len(members)*len(end)), make([]int32, 1, len(members)+1)
+		t.b, t.at = make([]byte, 0, len(o.esc.b)+len(members)*len(end)+Pad), make([]int32, 1, len(members)+1)
 		for i := range members {
 			t.b = append(append(t.b, o.Escaped(i)...), end...)
 			t.at = append(t.at, int32(len(t.b)))
@@ -114,9 +114,15 @@ func (o *Order) TextLen() int { return len(o.esc.b) }
 // slice aliases the Order: read-only.
 func (o *Order) Escaped(code int) []byte { return o.esc.b[o.esc.at[code]:o.esc.at[code+1]] }
 
+// Pad is the capacity every text a result encoder copies in 16-byte stores
+// has past its last byte, so that the last store may read past the text and
+// stay in bounds: each tails table has it.
+const Pad = 16
+
 // Tails returns every member's tail in a form — its escaped text, the closing
 // quote and what the form writes up to the row's first value — back to back:
-// member i's is text[at[i]:at[i+1]]. Both slices alias the Order: read-only.
+// member i's is text[at[i]:at[i+1]], with at least Pad bytes of capacity past
+// the last tail. Both slices alias the Order: read-only.
 func (o *Order) Tails(form int) (text []byte, at []int32) {
 	return o.tails[form].b, o.tails[form].at
 }
@@ -228,48 +234,47 @@ func AppendJSONEscaped(dst []byte, s string) []byte {
 }
 
 // digitPairs is "00", "01", ... "99", back to back.
-const digitPairs = "00010203040506070809101112131415161718192021222324" +
+var digitPairs = [200]byte([]byte("00010203040506070809101112131415161718192021222324" +
 	"25262728293031323334353637383940414243444546474849" +
 	"50515253545556575859606162636465666768697071727374" +
-	"75767778798081828384858687888990919293949596979899"
+	"75767778798081828384858687888990919293949596979899"))
 
 // pow10 is 10ⁱ, except 0 at i = 0, so that 0 has one digit.
 var pow10 = [20]uint64{0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
 
-// appendInt appends i in decimal: a sign, then AppendDigits.
+// appendInt appends i in decimal: a sign, then PutDigits.
 func appendInt(dst []byte, i int64) []byte {
 	u := uint64(i)
 	if i < 0 {
 		dst, u = append(dst, '-'), -u
 	}
-	return AppendDigits(dst, u)
+	dst = slices.Grow(dst, 20) // the digits of any uint64
+	return dst[:PutDigits(dst[:cap(dst)], len(dst), u)]
 }
 
-// AppendDigits appends u in decimal, written in place from its last digit,
-// two digits per division, into the room dst has past its length — grown
-// only when that room is short (a row of a result encoder reserves it).
-func AppendDigits(dst []byte, u uint64) []byte {
+// PutDigits writes u in decimal into b from index n and returns the index
+// past its last digit: from the last digit, two at a time by one division and
+// one 2-byte store, then the leading digit of an odd count. b must have room
+// for them (a row of a result encoder reserves it). It is small enough to be
+// inlined into the encoder's row loop.
+func PutDigits(b []byte, n int, u uint64) int {
 	// The number of digits is t+1 from 10ᵗ on and t below, where
 	// t = ⌊bits(u) × log₁₀ 2⌋ (1233/4096 ≈ log₁₀ 2).
 	t := bits.Len64(u) * 1233 >> 12
-	n := t + 1
-	if u < pow10[t] {
-		n--
+	if u >= pow10[t] {
+		t++
 	}
-	dst = slices.Grow(dst, n)[:len(dst)+n]
-	p := len(dst)
-	for ; u >= 100; p -= 2 {
-		q := u / 100
-		d := (u - q*100) * 2
-		dst[p-2], dst[p-1], u = digitPairs[d], digitPairs[d+1], q
+	n += t
+	p := n
+	for ; u >= 10; u /= 100 {
+		p -= 2
+		*(*[2]byte)(b[p:]) = *(*[2]byte)(digitPairs[u%100*2:])
 	}
-	if u >= 10 {
-		dst[p-2], dst[p-1] = digitPairs[u*2], digitPairs[u*2+1]
-	} else {
-		dst[p-1] = '0' + byte(u)
+	if t&1 != 0 {
+		b[p-1] = '0' + byte(u)
 	}
-	return dst
+	return n
 }
 
 // ErrUnencodable is how AppendJSONFloat refuses a value JSON cannot carry: a

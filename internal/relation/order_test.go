@@ -18,14 +18,16 @@ var tailMembers = []string{
 
 // TestOrderTails: every member's tail is its escaped text, the closing quote
 // and the form's mid — in both forms, in code order — and NoKey's one row is
-// keyed "" in the groups form and [] in the rows form.
+// keyed "" in the groups form and [] in the rows form. Every tails table,
+// NoKey's too, has Pad bytes of capacity past its last tail, for the
+// encoder's 16-byte stores.
 func TestOrderTails(t *testing.T) {
 	mids := map[int]string{GroupsForm: ":", RowsForm: `],"values":[`}
 	o := NewOrder(tailMembers)
 	for form, mid := range mids {
 		text, at := o.Tails(form)
-		if len(at) != len(tailMembers)+1 || at[0] != 0 || int(at[len(at)-1]) != len(text) {
-			t.Fatalf("form %d: %d tail offsets over %d bytes for %d members", form, len(at), len(text), len(tailMembers))
+		if len(at) != len(tailMembers)+1 || at[0] != 0 || int(at[len(at)-1]) != len(text) || cap(text)-len(text) < Pad {
+			t.Fatalf("form %d: %d tail offsets over %d bytes (capacity %d) for %d members", form, len(at), len(text), cap(text), len(tailMembers))
 		}
 		for c, m := range tailMembers {
 			esc, err := json.Marshal(m)
@@ -41,8 +43,8 @@ func TestOrderTails(t *testing.T) {
 		}
 	}
 	for form, want := range map[int]string{GroupsForm: `":`, RowsForm: `],"values":[`} {
-		if text, at := NoKey.Tails(form); string(text[at[0]:at[1]]) != want {
-			t.Errorf("NoKey form %d tail = %q, want %q", form, text[at[0]:at[1]], want)
+		if text, at := NoKey.Tails(form); string(text[at[0]:at[1]]) != want || cap(text)-len(text) < Pad {
+			t.Errorf("NoKey form %d tail = %q, capacity %d past it, want %q and %d", form, text[at[0]:at[1]], cap(text)-len(text), want, Pad)
 		}
 	}
 }
@@ -50,9 +52,9 @@ func TestOrderTails(t *testing.T) {
 // TestAppendIntDifferential: the in-place itoa writes what strconv.AppendInt
 // writes — every digit count, both signs, the powers of ten and of a hundred
 // and their neighbours, the int64 limits, random values of every magnitude —
-// after a prefix and into a buffer with no room to spare; and AppendDigits,
+// after a prefix and into a buffer with no room to spare; and PutDigits,
 // which it wraps, writes the same digits into exactly the room reserved for
-// them at the end of a buffer, without moving it.
+// them at the end of a buffer.
 func TestAppendIntDifferential(t *testing.T) {
 	values := []int64{0, math.MaxInt64, math.MinInt64, 1<<53 - 1, 1 << 53, 1<<53 + 1}
 	for p := int64(1); p > 0 && p <= math.MaxInt64/10; p *= 10 {
@@ -72,22 +74,22 @@ func TestAppendIntDifferential(t *testing.T) {
 				t.Fatalf("appendInt(%d) into a roomy buffer = %q, want %q", i, got, want[2:])
 			}
 			if i >= 0 {
-				checkAppendDigits(t, uint64(i))
+				checkPutDigits(t, uint64(i))
 			}
 		}
 	}
-	checkAppendDigits(t, math.MaxUint64)
+	checkPutDigits(t, math.MaxUint64)
 }
 
-// checkAppendDigits writes u after a prefix into a buffer whose room past
-// its length is exactly u's digit count.
-func checkAppendDigits(t *testing.T, u uint64) {
+// checkPutDigits writes u after a prefix into a buffer whose room past the
+// prefix is exactly u's digit count.
+func checkPutDigits(t *testing.T, u uint64) {
 	t.Helper()
 	want := strconv.AppendUint([]byte("row:"), u, 10)
-	buf := append(make([]byte, 0, len(want)), "row:"...)
-	got := AppendDigits(buf, u)
-	if string(got) != string(want) || &got[0] != &buf[0] || len(got) != cap(buf) {
-		t.Fatalf("AppendDigits(%d) into %d bytes of room = %q (moved: %v), want %q", u, cap(buf)-len(buf), got, &got[0] != &buf[0], want)
+	buf := append(make([]byte, len(want)), "garbage past the digits"...)[:len(want)]
+	copy(buf, "row:")
+	if n := PutDigits(buf, len("row:"), u); string(buf) != string(want) || n != len(want) {
+		t.Fatalf("PutDigits(%d) into %d bytes of room = %q, end %d, want %q", u, len(buf)-len("row:"), buf, n, want)
 	}
 }
 

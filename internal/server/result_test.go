@@ -182,6 +182,62 @@ func TestGroupByHitAllocs(t *testing.T) {
 	}
 }
 
+// TestCoordinatorGroupByHitAllocs: a coordinator /groupby whose merged answer
+// is cached re-encodes that Result on every hit, and allocates the same
+// number of objects for a 16-group answer as for a 16 384-group one — both
+// keyed by three dimensions, since the encoder's scratch is per key
+// position: the body goes into a pooled buffer, and the row kernel builds no
+// table per call or per member. The shards have the shape of the benchmark's
+// largest sharded answer (product 128 × region 16 × channel 8, integer
+// cells) and two one-member dimensions, u and v, so that region, u and v
+// key 16 groups.
+func TestCoordinatorGroupByHitAllocs(t *testing.T) {
+	var shards []cluster.Shard
+	for s := 0; s < 2; s++ {
+		tbl, err := viewcube.NewTable([]string{"product", "region", "channel", "u", "v"}, "sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 128*16*8; i++ {
+			row := []string{fmt.Sprintf("product-%03d", i/128), fmt.Sprintf("region-%02d", i/8%16), fmt.Sprintf("channel-%d", i%8), "u0", "v0"}
+			if err := tbl.Append(row, float64(1+(i+s)*7919%9973)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cube, err := viewcube.FromRelation(tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := cube.NewEngine(viewcube.EngineOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, cluster.Shard{Name: fmt.Sprint("s", s), Client: cluster.NewLoopback(cluster.NewShardEngine(cube, eng))})
+	}
+	coord, err := cluster.NewCoordinator(shards, cluster.Options{Timeout: 5 * time.Second, Cache: &rescache.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { coord.Close() })
+	s := NewCoordinator(coord, WithCoordinatorLogger(slog.New(slog.NewTextHandler(io.Discard, nil))))
+	small, smallBytes := allocsPerRequest(t, s, "/groupby?keep=region,u,v")
+	big, bigBytes := allocsPerRequest(t, s, "/groupby?keep=product,region,channel")
+	if smallBytes >= 1<<10 || bigBytes <= 16384*20 {
+		t.Fatalf("fixture: %d-byte and %d-byte answers", smallBytes, bigBytes)
+	}
+	if st := coord.ResultCacheStats(); st.Hits < 100 {
+		t.Fatalf("%d cache hits: the requests did not hit", st.Hits)
+	}
+	if raceEnabled {
+		return // the race detector makes sync.Pool drop the pooled body at random
+	}
+	// 26 is what a 16 384-group hit allocated before the row kernel wrote
+	// into a window (its prefix grew by appends from 8 bytes); it is 23 since.
+	if small != big || big > 26 {
+		t.Errorf("cached coordinator hit: %v allocations for 16 groups, %v for 16384; want the same, ≤ 26", small, big)
+	}
+}
+
 // TestConcurrentBodyOwnership: a response body is encoded into a pooled,
 // request-scoped buffer, and nothing that outlives the request may alias it.
 // Leases that miss together on a fresh cache — one computes, the others wait

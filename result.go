@@ -61,11 +61,12 @@ func (r *Result) Release() {
 }
 
 // newResult checks a header against its body: width planes of Π ext cells.
-// The division keeps a forged width or extent from overflowing the product.
+// The division keeps a forged width or extent from overflowing the product,
+// and so does stopping once it passes the body — unless an extent is 0.
 func newResult(r Result) (*Result, error) {
 	r.plane, r.spec, r.aggs = 1, plan.ScalarMeasure(), oneAgg(AggSum)
 	for _, e := range r.ext {
-		if r.plane *= e; r.plane > len(r.vals) {
+		if r.plane *= e; r.plane > len(r.vals) && !slices.Contains(r.ext, 0) {
 			break
 		}
 	}
@@ -414,17 +415,33 @@ func (r *Result) AppendRowsJSON(dst []byte) ([]byte, error) {
 // a whole number below 2⁵³, and the comma before it.
 const maxWholeDigits = 17
 
+// put16 writes text into b at n in 16-byte stores and returns the index past
+// it. The last store reads and writes up to 15 bytes past the text's end, so
+// text has relation.Pad bytes of capacity past it, and b as much room past n
+// as the caller checked for.
+func put16(b []byte, n int, text []byte) int {
+	src := text[:cap(text)]
+	*(*[16]byte)(b[n:]) = *(*[16]byte)(src)
+	for k := 16; k < len(text); k += 16 {
+		*(*[16]byte)(b[n+k:]) = *(*[16]byte)(src[k:])
+	}
+	return n + len(text)
+}
+
 // appendJSON is the one encoder. A prefix holds what a run's rows share — a
 // comma, open and the outer members, each wrapped in quote and followed by
 // "/" inside one string or "," between strings, then the last member's
 // opening quote. A row is that prefix, the last member's tail in the form
 // (its text, closing quote and what leads to the values;
 // relation.Order.Tails), the reported values (all of them in an array, the
-// first alone in an object) and end: the key text is two copies into room
-// checked once per row, and a value that is a whole number below 2⁵³ — every
-// SUM cell of an integer measure — has its digits written in place there
-// too. The opening bracket overwrites the first row's comma. dst is grown
-// once, by rows × the mean row length.
+// first alone in an object) and end. A run writes its rows into a window —
+// dst's whole capacity and a cursor into it, resliced once per run: each row
+// checks its room once, copies the prefix and the tail in 16-byte stores and
+// writes a value that is a whole number below 2⁵³ — every SUM cell of an
+// integer measure — as digits at the cursor; any other value goes through
+// relation.AppendJSONFloat and re-enters the window. The opening bracket
+// overwrites the first row's comma. dst is grown once, by rows × the mean
+// row length.
 func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, quote, end string) ([]byte, error) {
 	array := brackets == "[]"
 	sep, nvals := byte(','), len(r.aggs)
@@ -446,17 +463,20 @@ func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, qu
 	start := len(dst)
 	every := r.mask == nil && !r.dropEmpty                    // every cell of a run is a row
 	cell := r.width == 1 && nvals == 1 && r.aggs[0] == AggSum // the value is the cell: nothing to finalise
-	values := nvals*maxWholeDigits + len(end)                 // a row's room past its key text
+	// A row's room past its key text: its values and end, and at least the
+	// 15 bytes the tail's last store writes past it.
+	values := nvals*maxWholeDigits + len(end)
 	comps, vals, cells := make([]float64, r.width), make([]float64, len(r.aggs)), r.vals
 	// The prefix holds the member held[i] of outer position i from marks[i]
 	// on; a run rewrites it from the first position that changed, so most
-	// runs rewrite only the innermost.
-	prefix := append(append([]byte{','}, open...), quote...)
+	// runs rewrite only the innermost. It keeps relation.Pad bytes of
+	// capacity past its text for its last store.
+	prefix := append(append(append(make([]byte, 0, 64), ','), open...), quote...)
 	held, marks := make([]int, len(outers)), make([]int, len(outers))
 	for i := range held {
 		held[i], marks[i] = -1, len(open)+1
 	}
-	err := r.walk(order, func(outer []int, base int, lastCodes []int32) (err error) {
+	err := r.walk(order, func(outer []int, base int, lastCodes []int32) error {
 		i := 0
 		for i < len(outer) && outer[i] == held[i] {
 			i++
@@ -468,42 +488,49 @@ func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, qu
 				prefix = append(append(append(prefix, quote...), r.orders[i].Escaped(outer[i])...), quote...)
 				prefix = append(prefix, sep)
 			}
-			prefix = append(prefix, quote...)
+			prefix = slices.Grow(append(prefix, quote...), relation.Pad)
 		}
-		out := dst // a local: the captured dst is not re-read per row
+		b, n := dst[:cap(dst)], len(dst) // the window: rows go to b[n:]
 		for j, c := range lastCodes {
 			off := base + int(c)
 			if !every && !r.row(off) {
 				continue
 			}
 			tail := tails[at[c]:at[c+1]]
-			n := len(out)
-			if room := len(prefix) + len(tail) + values; cap(out)-n < room {
-				out = slices.Grow(out, (len(lastCodes)-j)*room) // for the rest of the run
+			if room := len(prefix) + len(tail) + values; len(b)-n < room {
+				b = slices.Grow(b[:n], (len(lastCodes)-j)*room) // for the rest of the run
+				b = b[:cap(b)]
 			}
-			out = out[:n+len(prefix)+len(tail)]
-			copy(out[n+copy(out[n:], prefix):], tail)
+			n = put16(b, put16(b, n, prefix), tail)
 			v := cells[off] + 0 // a negative zero reads as 0
 			if !cell {
 				r.values(off, comps, vals)
 				v = vals[0]
 			}
 			for k := 1; ; k++ {
-				if whole := int64(v); float64(whole) == v && uint64(whole) < 1<<53 && (whole != 0 || !math.Signbit(v)) {
-					out = relation.AppendDigits(out, uint64(whole))
-				} else if out, err = relation.AppendJSONFloat(out, v); err != nil {
-					return err
+				if whole := int64(v); float64(whole) == v && uint64(whole) < 1<<53 && math.Float64bits(v) != 1<<63 { // not −0
+					n = relation.PutDigits(b, n, uint64(whole))
+				} else {
+					out, err := relation.AppendJSONFloat(b[:n], v)
+					if err != nil {
+						return err
+					}
+					if b, n = out[:cap(out)], len(out); len(b)-n < values {
+						b = slices.Grow(b[:n], values)
+						b = b[:cap(b)]
+					}
 				}
 				if k == nvals {
 					break
 				}
-				out, v = append(out, ','), vals[k]
+				b[n], v = ',', vals[k]
+				n++
 			}
 			if end != "" {
-				out = append(out, end...)
+				n += copy(b[n:], end)
 			}
 		}
-		dst = out
+		dst = b[:n]
 		return nil
 	})
 	switch {

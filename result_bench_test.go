@@ -339,11 +339,23 @@ func BenchmarkNewEngineResident(b *testing.B) {
 
 // BenchmarkCoordinatorHitBody is a coordinator /groupby whose merged answer is
 // cached: the cache holds the compact columnar Result, so every hit encodes
-// its 16 384 groups into the handler's reused buffer.
+// its 16 384 groups into the handler's reused buffer. Its shards are grid
+// cubes, whose cells are n + 0.25, so every value takes strconv's path.
 func BenchmarkCoordinatorHitBody(b *testing.B) {
+	benchCoordinatorHitBody(b, func(tb testing.TB) *viewcube.Cube { return gridCube(tb, 128) }, "x", "y")
+}
+
+// BenchmarkCoordinatorHitBodyInt is the same hit over two salesCube shards:
+// three integer keys in runs of 8 and whole-number sums, the answer
+// scatter_gather serves.
+func BenchmarkCoordinatorHitBodyInt(b *testing.B) {
+	benchCoordinatorHitBody(b, salesCube, "product", "region", "channel")
+}
+
+func benchCoordinatorHitBody(b *testing.B, shardCube func(testing.TB) *viewcube.Cube, keep ...string) {
 	var shards []cluster.Shard
 	for _, name := range []string{"s0", "s1"} {
-		cube := gridCube(b, 128)
+		cube := shardCube(b)
 		eng, err := cube.NewEngine(viewcube.EngineOptions{})
 		if err != nil {
 			b.Fatal(err)
@@ -361,7 +373,7 @@ func BenchmarkCoordinatorHitBody(b *testing.B) {
 		if i == 1 {
 			b.ResetTimer()
 		}
-		res, _, _, err := coord.GroupByResult(context.Background(), false, false, "x", "y")
+		res, _, _, err := coord.GroupByResult(context.Background(), false, false, keep...)
 		if err == nil {
 			body, err = res.AppendGroupsJSON(body[:0])
 		}

@@ -160,12 +160,19 @@ func refGroupsJSON(t *testing.T, groups map[string]float64) []byte {
 // quotes, backslashes, HTML characters, control bytes, U+2028, invalid
 // UTF-8, multi-byte runes, and values that are prefixes of one another. (Nor
 // the empty string: as a dimension's lone kept value the map path split its
-// key "" back into no values at all, which is not worth reproducing.)
+// key "" back into no values at all, which is not worth reproducing.) The
+// last members are long: their escaped text is 15, 16, 17, 31, 32, 33 and
+// 71 bytes, and 20 with a \u00XX escape across byte 16, so the encoder's
+// 16-byte stores run to a second and later chunk, and two or three keys
+// make a prefix longer than 32 bytes.
 var adversarialMembers = []string{
 	"ale", "ale-dark", "ale dark", "ale.x", "ale0", "ale~", "al", "a",
 	"b\"q", "b\\q", "<b>", "a&b", "tab\there", "nl\nhere", "bell\x07", "del\x7f",
 	"\u2028sep", "x\u2029", "caf\u00e9", "\u65e5\u672c", "\U0001f37a", "bad\xffutf", "\xc3", "\xe2\x82",
 	"-", ".", " ", "!", "+", ",", "0", "A", "Z", "z", "~",
+	"fifteen-bytes-x", "sixteen-bytes-xx", "seventeen-bytes-x", "thirteen-char<x",
+	"thirty-one-bytes-of-member-text", "thirty-two-bytes-of-member-text!", "a \"quoted\" thirty-one byte text",
+	"seventy-bytes-of-member-text-so-that-one-tail-takes-five-16-byte-stores",
 }
 
 var adversarialValues = []float64{
@@ -247,7 +254,7 @@ func TestResultJSONDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := res.AppendGroupsJSON(nil)
+			got, err := encodeThreeWays(t, res.AppendGroupsJSON)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +291,7 @@ func TestResultJSONDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := vres.AppendGroupsJSON(nil)
+				got, err := encodeThreeWays(t, vres.AppendGroupsJSON)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -332,6 +339,33 @@ func TestResultJSONDifferential(t *testing.T) {
 		t.Error("newResult accepted an array that is not the kept view's shape")
 	}
 	checkRunForms(t)
+}
+
+// encodeThreeWays encodes into nil, into a non-empty dst with no spare
+// capacity, and into a reused dst whose spare capacity holds garbage and
+// room for the whole answer. The three must write the same bytes, or all
+// fail, and leave the bytes before their start as they were. It returns the
+// first.
+func encodeThreeWays(t *testing.T, encode func([]byte) ([]byte, error)) ([]byte, error) {
+	t.Helper()
+	got, err := encode(nil)
+	exact, exactErr := encode(append(make([]byte, 0, 5), "head:"...))
+	reused := bytes.Repeat([]byte("garbage\xff"), len(got)/8+16)
+	copy(reused, "reused:")
+	again, againErr := encode(reused[:7])
+	if (err != nil) != (exactErr != nil) || (err != nil) != (againErr != nil) {
+		t.Fatalf("encode errors differ by destination: %v, %v, %v", err, exactErr, againErr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if string(exact[:5]) != "head:" || !bytes.Equal(exact[5:], got) {
+		t.Fatalf("encoded into a full dst:\n got %q\nwant %q", exact, append([]byte("head:"), got...))
+	}
+	if string(reused[:7]) != "reused:" || string(again[:7]) != "reused:" || !bytes.Equal(again[7:], got) {
+		t.Fatalf("encoded into a reused dst:\n got %q\nwant %q", again, append([]byte("reused:"), got...))
+	}
+	return got, nil
 }
 
 // boundaryValues are the cells the encoder's number paths split on: integers
@@ -458,7 +492,7 @@ func checkRunForms(t *testing.T) {
 
 func checkRows(t *testing.T, n int, res *Result, want []refRow) {
 	t.Helper()
-	got, err := res.AppendRowsJSON(nil)
+	got, err := encodeThreeWays(t, res.AppendRowsJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
