@@ -82,17 +82,15 @@ func (e *core) supports(kind AggKind) error {
 
 // aggregate opens the "aggregate KIND" span a GroupByAgg or RangeAgg read
 // nests its execution under, carrying the aggregate kind and measure width,
-// and rejects a kind the measure layout cannot finalise. Untraced it returns
-// x unchanged and a nil span, whose End is a no-op.
-func (e *core) aggregate(x *obs.ExecCtx, kind AggKind) (*obs.ExecCtx, *obs.Span, error) {
-	var sp *obs.Span
-	if x.Tracing() {
-		sp = x.Start("aggregate " + kind.String())
+// and rejects a kind the measure layout cannot finalise. It returns the new
+// span, under which the read goes on; untraced (sp nil) it is nil too.
+func (e *core) aggregate(sp *obs.Span, kind AggKind) (*obs.Span, error) {
+	if sp != nil { // the name costs a concatenation: traced reads only
+		sp = sp.Start("aggregate " + kind.String())
 		sp.SetAttr("agg_kind", int64(kind))
 		sp.SetAttr("measure_width", int64(e.spec.Width))
-		x = x.Under(sp)
 	}
-	return x, sp, e.supports(kind)
+	return sp, e.supports(kind)
 }
 
 // GroupByAgg answers GROUP BY keep... for any aggregate kind the engine's

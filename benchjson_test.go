@@ -93,6 +93,7 @@ func TestBenchJSON(t *testing.T) {
 		{"ResultEncodeGroups/8192/map", benchEncodeGroups(8192, "map")},
 		{"ResultEncodeGroups/16384/columnar", benchEncodeGroups(16384, "columnar")},
 		{"ResultEncodeGroups/16384/reuse", benchEncodeGroups(16384, "reuse")},
+		{"ResultEncodeGroups/65536/short", benchEncodeGroups(65536, "short")},
 		{"NewEngineResident/scalar", benchNewEngineResident(false)},
 		{"NewEngineResident/agg", benchNewEngineResident(true)},
 		{"ServeGroupByUncached/1024", benchServeGroupByUncached(1024)},

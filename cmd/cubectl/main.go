@@ -198,7 +198,7 @@ func (r *request) do(prefix string) ([]byte, error) {
 // cube and view labels, and any shards a partial answer is missing.
 func printTrace(w io.Writer, body []byte) error {
 	var resp struct {
-		Trace   *obs.SpanNode `json:"trace"`
+		Trace   *obs.Span `json:"trace"`
 		Partial *struct {
 			Missing []string `json:"missing"`
 		} `json:"partial"`

@@ -126,7 +126,7 @@ func checkTrace(t *testing.T, url string, last func() string, suffix string, arg
 	t.Helper()
 	out, err := cubectl(url, "", args...)
 	var resp struct {
-		Trace *obs.SpanNode `json:"trace"`
+		Trace *obs.Span `json:"trace"`
 	}
 	if jerr := json.Unmarshal([]byte(last()), &resp); err != nil || jerr != nil || resp.Trace == nil {
 		t.Fatalf("%v: %v; response %q (%v)", args, err, last(), jerr)

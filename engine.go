@@ -496,16 +496,15 @@ func (e *Engine) RangeResult(traced bool, q RangeQuery) (float64, bool, *QueryTr
 
 // rangeInto sums the box of every plane into out, one value per plane: one
 // contraction of the stored elements (DESIGN §6), under a "range_sum" span.
-func (e *core) rangeInto(x *obs.ExecCtx, b box, out []float64) error {
-	sp := x.Start("range_sum")
+func (e *core) rangeInto(sp *obs.Span, b box, out []float64) error {
+	sp = sp.Start("range_sum")
 	defer sp.End()
-	x = x.Under(sp)
 	var loBuf, extBuf [freq.MaxRank]int
-	p, lo, ext, err := e.rangeView(x, b, nil, loBuf[:0], extBuf[:0])
+	p, lo, ext, err := e.rangeView(sp, b, nil, loBuf[:0], extBuf[:0])
 	if err != nil {
 		return err
 	}
-	w, err := e.asm.ContractRange(x, p, lo, ext, e.mass.bound(), out)
+	w, err := e.asm.ContractRange(sp, p, lo, ext, e.mass.bound(), out)
 	if err != nil {
 		return err
 	}
@@ -521,16 +520,15 @@ func (e *core) rangeInto(x *obs.ExecCtx, b box, out []float64) error {
 // groupedRange sums the box grouped by the kept dimensions (which it covers
 // whole) into a caller-owned array laid out like the aggregated view keeping
 // them: one contraction, under a "grouped_range" span.
-func (e *core) groupedRange(x *obs.ExecCtx, b box, keep []bool) (*ndarray.Array, error) {
-	sp := x.Start("grouped_range")
+func (e *core) groupedRange(sp *obs.Span, b box, keep []bool) (*ndarray.Array, error) {
+	sp = sp.Start("grouped_range")
 	defer sp.End()
-	x = x.Under(sp)
 	var loBuf, extBuf [freq.MaxRank]int
-	p, lo, ext, err := e.rangeView(x, b, keep, loBuf[:0], extBuf[:0])
+	p, lo, ext, err := e.rangeView(sp, b, keep, loBuf[:0], extBuf[:0])
 	if err != nil {
 		return nil, err
 	}
-	arr, w, err := e.asm.ContractGrouped(x, p, lo, ext, keep, e.spec.Width, e.mass.bound())
+	arr, w, err := e.asm.ContractGrouped(sp, p, lo, ext, keep, e.spec.Width, e.mass.bound())
 	if err != nil {
 		return nil, err
 	}
@@ -548,7 +546,7 @@ func (e *core) groupedRange(x *obs.ExecCtx, b box, keep []bool) (*ndarray.Array,
 // the element graph, often already cached for a group-by, where the root's
 // plan costs a Procedure 3 pass over the whole graph (tens of milliseconds
 // on an optimized 131 072-cell cube).
-func (e *core) rangeView(x *obs.ExecCtx, b box, keep []bool, lo, ext []int) (*assembly.Plan, []int, []int, error) {
+func (e *core) rangeView(sp *obs.Span, b box, keep []bool, lo, ext []int) (*assembly.Plan, []int, []int, error) {
 	space := e.cube.space
 	if len(b.lo) != space.Rank() || len(b.ext) != space.Rank() {
 		return nil, nil, nil, fmt.Errorf("viewcube: box rank %d does not match cube rank %d", len(b.lo), space.Rank())
@@ -560,7 +558,7 @@ func (e *core) rangeView(x *obs.ExecCtx, b box, keep []bool, lo, ext []int) (*as
 			agg, ext[m] = agg|1<<uint(m), 1 // aggregated: the all-partial leaf
 		}
 	}
-	p, err := e.plans.Assembly(x, e.views[agg])
+	p, err := e.plans.Assembly(sp, e.views[agg])
 	return p, lo, ext, err
 }
 
@@ -613,21 +611,18 @@ func (e *core) observation(v float64) []float64 {
 	return delta
 }
 
-// update is Update with one delta per plane.
+// update is Update with one delta per plane. It changes cell values, never
+// the stored rectangle set, so compiled plans stay valid.
 func (e *core) update(vals []float64, idx []int) error {
 	if err := e.checkCell(idx); err != nil || isZero(vals) {
 		// A zero delta validated the index and touched nothing: it must not
-		// invalidate plans or result caches.
+		// move the data version the result caches sync to.
 		return err
 	}
 	if err := e.mass.admit(vals); err != nil {
 		return err
 	}
-	if err := e.applyDeltaRaw(vals, idx); err != nil {
-		return err
-	}
-	e.plans.Invalidate()
-	return nil
+	return e.applyDeltaRaw(vals, idx)
 }
 
 // UpdateValue is Update addressed by dimension values on an encoded cube:

@@ -31,7 +31,7 @@ func TestZeroDeltaUpdateKeepsPlanEpoch(t *testing.T) {
 	if _, err := eng.GroupBy("product"); err != nil { // warm a plan
 		t.Fatal(err)
 	}
-	before := eng.PlanCacheStats()
+	before, version := eng.PlanCacheStats(), eng.DataVersion()
 	if err := eng.Update(0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,9 @@ func TestZeroDeltaUpdateKeepsPlanEpoch(t *testing.T) {
 	if after.Invalidations != before.Invalidations {
 		t.Fatalf("zero-delta update invalidated plans %d -> %d", before.Invalidations, after.Invalidations)
 	}
+	if got := eng.DataVersion(); got != version {
+		t.Fatalf("zero-delta update moved the data version %d -> %d", version, got)
+	}
 	// Validation still runs on the fast path.
 	if err := eng.Update(0, 99, 0, 0); err == nil {
 		t.Fatal("zero-delta update with out-of-range index must fail")
@@ -54,12 +57,16 @@ func TestZeroDeltaUpdateKeepsPlanEpoch(t *testing.T) {
 	if err := eng.Update(0, 0, 0); err == nil {
 		t.Fatal("zero-delta update with wrong rank must fail")
 	}
-	// A real delta still bumps the epoch.
+	// A real delta moves the data version the result caches sync to; plans
+	// depend only on the stored rectangle set, so it keeps the epoch too.
 	if err := eng.Update(1, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.PlanCacheStats().Epoch; got == before.Epoch {
-		t.Fatal("non-zero update did not bump the plan epoch")
+	if got := eng.DataVersion(); got == version {
+		t.Fatal("non-zero update did not move the data version")
+	}
+	if got := eng.PlanCacheStats().Epoch; got != before.Epoch {
+		t.Fatalf("non-zero update bumped the plan epoch %d -> %d", before.Epoch, got)
 	}
 }
 

@@ -249,11 +249,12 @@ func (p *Profile) greedyCandidates(queries []core.Query) []freq.Rect {
 	return out
 }
 
-// phase times one stage of a reconfiguration: a child span of x and a sample
-// of viewcube_reselection_seconds{phase=name} when the returned func runs.
-func (p *Profile) phase(x *obs.ExecCtx, name string) (*obs.ExecCtx, func()) {
-	sp, start := x.Start(name), time.Now()
-	return x.Under(sp), func() {
+// phase times one stage of a reconfiguration: a child span of sp, which it
+// returns, and a sample of viewcube_reselection_seconds{phase=name} when the
+// returned func runs.
+func (p *Profile) phase(sp *obs.Span, name string) (*obs.Span, func()) {
+	sp, start := sp.Start(name), time.Now()
+	return sp, func() {
 		sp.End()
 		p.met.PhaseSeconds[name].Observe(time.Since(start).Seconds())
 	}
@@ -262,9 +263,9 @@ func (p *Profile) phase(x *obs.ExecCtx, name string) (*obs.ExecCtx, func()) {
 // AutoReconfigure performs the reconfiguration that ReselectDue announced,
 // counting it as an automatic reselection. Like Reconfigure it must not
 // overlap reads.
-func AutoReconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profile) (bool, error) {
+func AutoReconfigure(sp *obs.Span, k *assembly.Engine, pl *plan.Planner, p *Profile) (bool, error) {
 	p.met.AutoReselects.Inc()
-	changed, err := Reconfigure(x, k, pl, p)
+	changed, err := Reconfigure(sp, k, pl, p)
 	if err != nil {
 		return changed, fmt.Errorf("adaptive: automatic reconfiguration: %w", err)
 	}
@@ -280,7 +281,7 @@ func AutoReconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Pr
 // Reconfigure is the only writer of planning state (the store content). It
 // must not overlap reads of k or pl; serialise it externally (the root
 // package's Engine runs it under its write lock).
-func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profile) (bool, error) {
+func Reconfigure(sp *obs.Span, k *assembly.Engine, pl *plan.Planner, p *Profile) (bool, error) {
 	p.mu.Lock()
 	p.sinceReconfig = 0
 	p.mu.Unlock()
@@ -290,12 +291,11 @@ func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profil
 	if len(queries) == 0 {
 		return false, nil
 	}
-	sp := x.Start("reconfigure")
+	sp = sp.Start("reconfigure")
 	sp.SetAttr("observed_queries", int64(len(queries)))
 	defer sp.End()
-	x = x.Under(sp)
 	space, st := p.space, k.Store()
-	_, done := p.phase(x, "select_basis")
+	_, done := p.phase(sp, "select_basis")
 	res, err := core.SelectBasis(space, queries)
 	done()
 	if err != nil {
@@ -303,7 +303,7 @@ func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profil
 	}
 	target := res.Basis
 	if p.opts.StorageBudget > space.SetVolume(target) {
-		_, done := p.phase(x, "greedy")
+		_, done := p.phase(sp, "greedy")
 		greedy, err := core.GreedyRedundantPruned(space, target, p.greedyCandidates(queries), queries, p.opts.StorageBudget)
 		done()
 		if err != nil {
@@ -331,7 +331,7 @@ func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profil
 	}
 
 	changed := false
-	x, done = p.phase(x, "migrate")
+	migrate, done := p.phase(sp, "migrate")
 	defer done()
 	// Any store mutation invalidates cached plans — deferred so error
 	// returns after a partially-applied migration invalidate too. Unchanged
@@ -355,7 +355,7 @@ func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profil
 		changed = true
 		return nil
 	}
-	if err := cascade(x, space, st, res.Basis, target, missing, put); err != nil {
+	if err := cascade(migrate, space, st, res.Basis, target, missing, put); err != nil {
 		return changed, err
 	}
 	for _, r := range target {
@@ -365,7 +365,7 @@ func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profil
 		var a *ndarray.Array
 		tree, err := k.ComputePlan(r)
 		if err == nil {
-			a, err = k.Execute(x, tree)
+			a, err = k.Execute(migrate, tree)
 		}
 		if err != nil {
 			return changed, fmt.Errorf("adaptive: assembling %v for migration: %w", r, err)
@@ -417,7 +417,7 @@ func Reconfigure(x *obs.ExecCtx, k *assembly.Engine, pl *plan.Planner, p *Profil
 // runs when a basis tile is missing and the root is stored; a set without
 // the root leaves its missing elements to Procedure 3, which assembles them
 // from the stored tiles.
-func cascade(x *obs.ExecCtx, space *velement.Space, st assembly.Store, basis, target []freq.Rect, missing map[freq.Key]bool, put func(freq.Rect, *ndarray.Array) error) error {
+func cascade(sp *obs.Span, space *velement.Space, st assembly.Store, basis, target []freq.Rect, missing map[freq.Key]bool, put func(freq.Rect, *ndarray.Array) error) error {
 	if !slices.ContainsFunc(basis, func(r freq.Rect) bool { return missing[r.Key()] }) {
 		return nil
 	}
@@ -426,7 +426,7 @@ func cascade(x *obs.ExecCtx, space *velement.Space, st assembly.Store, basis, ta
 	if !ok {
 		return nil
 	}
-	sp := x.Start("cascade")
+	sp = sp.Start("cascade")
 	defer sp.End()
 	wanted := slices.DeleteFunc(slices.Clone(target), func(r freq.Rect) bool { return !missing[r.Key()] })
 	_, err := foldDown(root, a, basis, wanted, put)

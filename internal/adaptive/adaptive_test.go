@@ -43,12 +43,12 @@ func newGen(s *velement.Space, st assembly.Store, opts Options) (*gen, error) {
 }
 
 // Query answers element r from the materialised set and records it.
-func (g *gen) Query(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
-	p, err := g.pl.Assembly(x, r)
+func (g *gen) Query(sp *obs.Span, r freq.Rect) (*ndarray.Array, error) {
+	p, err := g.pl.Assembly(sp, r)
 	if err != nil {
 		return nil, err
 	}
-	out, err := g.k.Execute(x, p)
+	out, err := g.k.Execute(sp, p)
 	if err != nil {
 		return nil, err
 	}
@@ -56,10 +56,10 @@ func (g *gen) Query(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
 	return out, nil
 }
 
-func (g *gen) Reconfigure(x *obs.ExecCtx) (bool, error) { return Reconfigure(x, g.k, g.pl, g.Profile) }
+func (g *gen) Reconfigure(sp *obs.Span) (bool, error) { return Reconfigure(sp, g.k, g.pl, g.Profile) }
 
-func (g *gen) AutoReconfigure(x *obs.ExecCtx) (bool, error) {
-	return AutoReconfigure(x, g.k, g.pl, g.Profile)
+func (g *gen) AutoReconfigure(sp *obs.Span) (bool, error) {
+	return AutoReconfigure(sp, g.k, g.pl, g.Profile)
 }
 
 func (g *gen) Elements() []freq.Rect { return g.st.Elements() }
@@ -388,7 +388,7 @@ func TestReconfigurePhases(t *testing.T) {
 		e.Observe(s.ViewForMask(0b011), 3)
 		e.Observe(s.ViewForMask(0b101), 1)
 		tr := obs.NewTrace("test")
-		if changed, err := e.Reconfigure(obs.Traced(tr)); err != nil || !changed {
+		if changed, err := e.Reconfigure(tr.Root()); err != nil || !changed {
 			t.Fatalf("budget %d: changed=%v err=%v", c.budget, changed, err)
 		}
 		tr.Finish()

@@ -111,7 +111,7 @@ func TestMigrationMatchesPerElementAnswer(t *testing.T) {
 					if round == 1 {
 						tr = obs.NewTrace("test")
 					}
-					if _, err := e.Reconfigure(obs.Traced(tr)); err != nil {
+					if _, err := e.Reconfigure(tr.Root()); err != nil {
 						t.Fatal(err)
 					}
 					got := st.Elements()
@@ -150,7 +150,7 @@ func TestMigrationMatchesPerElementAnswer(t *testing.T) {
 	}
 }
 
-func hasSpan(n *obs.SpanNode, name string) bool {
+func hasSpan(n *obs.Span, name string) bool {
 	if n == nil {
 		return false
 	}

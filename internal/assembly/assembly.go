@@ -33,11 +33,11 @@ type Store interface {
 }
 
 // CtxStore is optionally implemented by stores that can record per-query
-// spans on element reads. The assembly engine forwards its execution
-// context through GetCtx when the store supports it, so store access shows
-// up in query traces without the store holding any per-query state.
+// spans on element reads. The assembly engine forwards its current span
+// through GetCtx when the store supports it, so store access shows up in
+// query traces without the store holding any per-query state.
 type CtxStore interface {
-	GetCtx(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, bool)
+	GetCtx(sp *obs.Span, r freq.Rect) (*ndarray.Array, bool)
 }
 
 // CloningStore is optionally implemented by stores whose Get already

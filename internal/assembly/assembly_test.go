@@ -15,12 +15,12 @@ import (
 )
 
 // answer plans element r with Procedure 3 and executes the plan.
-func answer(eng *Engine, x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
+func answer(eng *Engine, sp *obs.Span, r freq.Rect) (*ndarray.Array, error) {
 	p, err := eng.ComputePlan(r)
 	if err != nil {
 		return nil, err
 	}
-	return eng.Execute(x, p)
+	return eng.Execute(sp, p)
 }
 
 func randomCube(r *rand.Rand, shape ...int) *ndarray.Array {

@@ -118,7 +118,7 @@ type weights [freq.MaxRank]*wvec
 // allocate nothing.
 type contraction struct {
 	e      *Engine
-	x      *obs.ExecCtx
+	sp     *obs.Span // the current span: new spans nest under it; nil untraced
 	rank   int
 	planes int // value planes; accumulators of an exact sum hold two per plane
 	exact  bool
@@ -132,8 +132,7 @@ type contraction struct {
 	// assemble marks Execute's contraction: it counts plan nodes, modelled
 	// ops and cells read on the assembly metrics and, while traced, records
 	// one span per plan node (sp is the open one).
-	assemble, traced bool
-	sp               *obs.Span
+	assemble bool
 	// inOrder keeps a leaf's terms in the order contractSparse adds them:
 	// set for the root, the one element a store may hold sparse, whose
 	// dense and sparse forms must agree bit for bit on any cells.
@@ -147,13 +146,13 @@ var contractions = sync.Pool{New: func() any { return new(contraction) }}
 // element p produces into out, one value per plane, by contracting the
 // stored elements p reads. bound must be at least Σ|v| of every plane of the
 // cube (it decides the exact accumulation; +Inf always takes it).
-func (e *Engine) ContractRange(x *obs.ExecCtx, p *Plan, lo, ext []int, bound float64, out []float64) (Work, error) {
+func (e *Engine) ContractRange(sp *obs.Span, p *Plan, lo, ext []int, bound float64, out []float64) (Work, error) {
 	var none [freq.MaxRank]bool
 	keep := none[:min(len(lo), freq.MaxRank)]
 	if err := e.checkBox(p.Rect, lo, ext, keep); err != nil {
 		return Work{}, err
 	}
-	c := e.contraction(x, p.Rect, len(out), keep)
+	c := e.contraction(sp, p.Rect, len(out), keep)
 	defer c.release()
 	c.exact = !fastExact(bound, c.summedDepth(p.Rect, lo, ext))
 	err := c.rangeInto(p, lo, ext, out)
@@ -164,11 +163,11 @@ func (e *Engine) ContractRange(x *obs.ExecCtx, p *Plan, lo, ext []int, bound flo
 // grouped by the kept dimensions: the result has the element's extent on
 // kept dimensions (which the box must cover whole), 1 elsewhere, and planes
 // planes. It is pool-leased and owned by the caller.
-func (e *Engine) ContractGrouped(x *obs.ExecCtx, p *Plan, lo, ext []int, keep []bool, planes int, bound float64) (*ndarray.Array, Work, error) {
+func (e *Engine) ContractGrouped(sp *obs.Span, p *Plan, lo, ext []int, keep []bool, planes int, bound float64) (*ndarray.Array, Work, error) {
 	if err := e.checkBox(p.Rect, lo, ext, keep); err != nil {
 		return nil, Work{}, err
 	}
-	c := e.contraction(x, p.Rect, planes, keep)
+	c := e.contraction(sp, p.Rect, planes, keep)
 	defer c.release()
 	if fastExact(bound, c.summedDepth(p.Rect, lo, ext)) {
 		c.start(p.Rect, lo, ext)
@@ -187,9 +186,9 @@ func (e *Engine) ContractGrouped(x *obs.ExecCtx, p *Plan, lo, ext []int, keep []
 // Execute runs a plan and returns the element it produces: the
 // contraction of the stored elements it reads over the whole element,
 // keeping every dimension of extent > 1. The result is pool-leased and
-// owned by the caller. While x carries a trace, an "execute" span holds one
-// span per plan node, whose "ops" attributes sum to the plan's cost.
-func (e *Engine) Execute(x *obs.ExecCtx, p *Plan) (*ndarray.Array, error) {
+// owned by the caller. Under a span (nil means untraced), an "execute" child
+// holds one span per plan node, whose "ops" attributes sum to the plan's cost.
+func (e *Engine) Execute(sp *obs.Span, p *Plan) (*ndarray.Array, error) {
 	e.met.Executions.Inc()
 	r := p.Rect
 	if !e.space.Valid(r) {
@@ -203,17 +202,15 @@ func (e *Engine) Execute(x *obs.ExecCtx, p *Plan) (*ndarray.Array, error) {
 		keep[m] = ext[m] > 1
 	}
 	// Every operand of a whole element leases by its children's planes.
-	c := e.contraction(x, r, 0, keep)
-	defer c.release()
-	c.assemble, c.traced = true, x.Tracing()
-	c.start(r, loBuf[:len(r)], ext)
-	var sp *obs.Span
-	if c.traced {
-		sp = x.Start("execute " + r.String())
+	if sp != nil { // the name costs a Sprintf per dimension: traced queries only
+		sp = sp.Start("execute " + r.String())
 		sp.SetAttr("total_ops", int64(p.Ops))
 		defer sp.End()
-		c.x = x.Under(sp)
 	}
+	c := e.contraction(sp, r, 0, keep)
+	defer c.release()
+	c.assemble = true
+	c.start(r, loBuf[:len(r)], ext)
 	out, err := c.result(p)
 	if err == nil && out.Planes() > 1 {
 		sp.SetAttr("measure_width", int64(out.Planes()))
@@ -240,9 +237,9 @@ func (e *Engine) checkBox(r freq.Rect, lo, ext []int, keep []bool) error {
 	return nil
 }
 
-func (e *Engine) contraction(x *obs.ExecCtx, r freq.Rect, planes int, keep []bool) *contraction {
+func (e *Engine) contraction(sp *obs.Span, r freq.Rect, planes int, keep []bool) *contraction {
 	c := contractions.Get().(*contraction)
-	c.e, c.x, c.rank, c.planes, c.exact, c.work = e, x, len(r), planes, false, Work{}
+	c.e, c.sp, c.rank, c.planes, c.exact, c.work = e, sp, len(r), planes, false, Work{}
 	for m := range r {
 		c.keep[m] = keep[m]
 		if d, n := &c.dims[m], e.space.Dim(m); d.n != n {
@@ -258,8 +255,7 @@ func (e *Engine) contraction(x *obs.ExecCtx, r freq.Rect, planes int, keep []boo
 
 // release returns c to the pool, holding no engine or trace.
 func (c *contraction) release() {
-	c.e, c.x, c.sp, c.w = nil, nil, nil, weights{}
-	c.assemble, c.traced = false, false
+	c.e, c.sp, c.w, c.assemble = nil, nil, weights{}, false
 	contractions.Put(c)
 }
 
@@ -481,7 +477,7 @@ func (c *contraction) enter(p *Plan) func() {
 		ops -= p.Partial.Ops + p.Residual.Ops
 	}
 	met.OpsModeled.Add(uint64(ops))
-	if !c.traced {
+	if c.sp == nil {
 		return func() {}
 	}
 	switch p.Kind {
@@ -492,14 +488,14 @@ func (c *contraction) enter(p *Plan) func() {
 	default:
 		name = fmt.Sprintf("synthesize %s dim=%d", p.Rect.String(), p.Dim)
 	}
-	sp, x, parent := c.x.Start(name), c.x, c.sp
+	sp, parent := c.sp.Start(name), c.sp
 	if p.Kind != PlanStored {
 		sp.SetAttr("ops", int64(ops))
 	}
-	c.x, c.sp = x.Under(sp), sp
+	c.sp = sp
 	return func() {
 		sp.End()
-		c.x, c.sp = x, parent
+		c.sp = parent
 	}
 }
 
@@ -601,7 +597,7 @@ func (c *contraction) read(r freq.Rect) (a *ndarray.Array, coo *ndarray.Coo, err
 	if ms, isMem := c.e.store.(*MemStore); isMem {
 		a, coo, ok = ms.read(r)
 	} else {
-		a, ok = c.e.get(c.x, r)
+		a, ok = c.e.get(c.sp, r)
 	}
 	if !ok {
 		return nil, nil, fmt.Errorf("assembly: plan references %v but it is not stored", r)

@@ -72,7 +72,7 @@ type Plan struct {
 // metrics wiring): answering a query writes nothing through the receiver,
 // so any number of ComputePlan/Execute calls may run concurrently as long
 // as the store itself is safe for concurrent reads. Per-query state (the
-// trace) arrives via an explicit *obs.ExecCtx.
+// trace) arrives as an explicit *obs.Span, the span the work nests under.
 type Engine struct {
 	space *velement.Space
 	store Store
@@ -117,11 +117,11 @@ func (e *Engine) ComputePlan(r freq.Rect) (*Plan, error) {
 	return computePlan(e.space, e.store.Elements(), e.met, r)
 }
 
-// get reads one stored element, forwarding the execution context to stores
-// that can record per-query spans (CtxStore).
-func (e *Engine) get(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, bool) {
+// get reads one stored element, forwarding the current span to stores that
+// can record per-query spans (CtxStore).
+func (e *Engine) get(sp *obs.Span, r freq.Rect) (*ndarray.Array, bool) {
 	if cs, ok := e.store.(CtxStore); ok {
-		return cs.GetCtx(x, r)
+		return cs.GetCtx(sp, r)
 	}
 	return e.store.Get(r)
 }

@@ -166,7 +166,7 @@ func TestTracedConcurrentQueriesIsolated(t *testing.T) {
 	wantOps := make([]int64, len(views))
 	for i, v := range views {
 		tr := obs.NewTrace("q")
-		if _, err := answer(eng, obs.Traced(tr), v.Clone()); err != nil {
+		if _, err := answer(eng, tr.Root(), v.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish()
@@ -180,7 +180,7 @@ func TestTracedConcurrentQueriesIsolated(t *testing.T) {
 			for round := 0; round < rounds; round++ {
 				i := (g + round) % len(views)
 				tr := obs.NewTrace("q")
-				if _, err := answer(eng, obs.Traced(tr), views[i].Clone()); err != nil {
+				if _, err := answer(eng, tr.Root(), views[i].Clone()); err != nil {
 					errs <- err
 					return
 				}
@@ -226,8 +226,8 @@ func TestExecuteSpanPerPlanNode(t *testing.T) {
 		sort.Strings(kids)
 		return fmt.Sprintf("synthesize %s dim=%d[ops]{%s}", p.Rect, p.Dim, strings.Join(kids, ";"))
 	}
-	var got func(n *obs.SpanNode) string
-	got = func(n *obs.SpanNode) string {
+	var got func(n *obs.Span) string
+	got = func(n *obs.Span) string {
 		var attrs, kids []string
 		for k := range n.Attrs {
 			attrs = append(attrs, k)
@@ -245,7 +245,7 @@ func TestExecuteSpanPerPlanNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := obs.NewTrace("q")
-		a, err := eng.Execute(obs.Traced(tr), p)
+		a, err := eng.Execute(tr.Root(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,7 +148,7 @@ type Response struct {
 	// Spans is the shard-internal span subtree of a traced request, which
 	// the coordinator grafts under its per-shard span. Error responses never
 	// carry spans.
-	Spans *obs.SpanNode
+	Spans *obs.Span
 	// Epoch is the shard's data version (Engine.DataVersion) at serving
 	// time. Zero means "not reported" and error responses never carry one.
 	// Coordinators sum shard epochs into their result cache's upstream
@@ -177,9 +177,9 @@ func appendFrame(dst []byte, ftype byte, payload []byte) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
-// appendSpanNode appends one span subtree in its canonical encoding: name,
+// appendSpan appends one span subtree in its canonical encoding: name,
 // duration (µs, clamped non-negative), attrs sorted by key, then children.
-func appendSpanNode(dst []byte, n *obs.SpanNode) []byte {
+func appendSpan(dst []byte, n *obs.Span) []byte {
 	dst = appendString(dst, n.Name)
 	dur := n.DurationUS
 	if dur < 0 {
@@ -198,7 +198,7 @@ func appendSpanNode(dst []byte, n *obs.SpanNode) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
 	for _, c := range n.Children {
-		dst = appendSpanNode(dst, c)
+		dst = appendSpan(dst, c)
 	}
 	return dst
 }
@@ -286,7 +286,7 @@ func AppendResponse(dst []byte, r *Response) ([]byte, error) {
 		}
 	}
 	if r.Spans != nil {
-		p = appendSpanNode(p, r.Spans)
+		p = appendSpan(p, r.Spans)
 	}
 	if r.Epoch != 0 {
 		p = binary.AppendUvarint(p, r.Epoch)
@@ -408,9 +408,9 @@ func decodeHeader(b []byte, wantType byte) (payload []byte, err error) {
 	return b[headerLen:], nil
 }
 
-// decodeSpanNode decodes one span subtree. total counts nodes across the
+// span decodes one span subtree. total counts nodes across the
 // whole tree (bounded by obs.MaxSpans) and depth bounds the recursion.
-func (d *decoder) spanNode(total *int, depth int) (*obs.SpanNode, error) {
+func (d *decoder) span(total *int, depth int) (*obs.Span, error) {
 	if depth > maxSpanDepth {
 		return nil, fmt.Errorf("cluster: span tree deeper than %d", maxSpanDepth)
 	}
@@ -418,7 +418,7 @@ func (d *decoder) spanNode(total *int, depth int) (*obs.SpanNode, error) {
 	if *total > obs.MaxSpans {
 		return nil, fmt.Errorf("cluster: span tree larger than %d spans", obs.MaxSpans)
 	}
-	n := &obs.SpanNode{}
+	n := &obs.Span{}
 	var err error
 	if n.Name, err = d.string(); err != nil {
 		return nil, err
@@ -457,7 +457,7 @@ func (d *decoder) spanNode(total *int, depth int) (*obs.SpanNode, error) {
 		return nil, err
 	}
 	for i := 0; i < nchildren; i++ {
-		c, err := d.spanNode(total, depth+1)
+		c, err := d.span(total, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -615,7 +615,7 @@ func DecodeResponse(b []byte) (*Response, error) {
 	}
 	if flags&respFlagSpans != 0 {
 		total := 0
-		if r.Spans, err = d.spanNode(&total, 1); err != nil {
+		if r.Spans, err = d.span(&total, 1); err != nil {
 			return nil, err
 		}
 	}

@@ -17,7 +17,7 @@ func TestEpochResponseRoundTrip(t *testing.T) {
 		{ID: 1, Kind: KindTotal, Sum: 12.5, Epoch: 1},
 		{ID: 2, Kind: KindGroupBy, Result: groupsResult(map[string]float64{"ale": 3, "ipa": 4}), Epoch: 1<<63 + 17},
 		{ID: 3, Kind: KindRangeSum, Sum: -2,
-			Spans: &obs.SpanNode{Name: "range", DurationUS: 5, Attrs: map[string]int64{"ops": 9}},
+			Spans: &obs.Span{Name: "range", DurationUS: 5, Attrs: map[string]int64{"ops": 9}},
 			Epoch: 7},
 	}
 	for _, want := range resps {

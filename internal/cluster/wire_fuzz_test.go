@@ -104,11 +104,11 @@ func FuzzWireCodec(f *testing.F) {
 	// Trace-bearing and epoch-bearing frames.
 	tracedReq, _ := AppendRequest(nil, &Request{ID: 3, Kind: KindTotal, Trace: true})
 	f.Add(tracedReq)
-	spanResp, _ := AppendResponse(nil, &Response{ID: 3, Kind: KindTotal, Sum: 7, Spans: &obs.SpanNode{
+	spanResp, _ := AppendResponse(nil, &Response{ID: 3, Kind: KindTotal, Sum: 7, Spans: &obs.Span{
 		Name:       "total",
 		DurationUS: 1500,
 		Attrs:      map[string]int64{"ops": 12, "cells": 4},
-		Children: []*obs.SpanNode{
+		Children: []*obs.Span{
 			{Name: "plan total", Attrs: map[string]int64{"cache_hit": 1}},
 			{Name: "assemble", DurationUS: 900, Attrs: map[string]int64{"ops": 12}},
 		},

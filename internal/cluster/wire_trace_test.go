@@ -45,7 +45,7 @@ func TestDownLevelFrameRejected(t *testing.T) {
 	}
 	resps := []*Response{
 		{ID: 9, Kind: KindTotal, Sum: 4},
-		{ID: 9, Kind: KindTotal, Sum: 4, Spans: &obs.SpanNode{Name: "total"}},
+		{ID: 9, Kind: KindTotal, Sum: 4, Spans: &obs.Span{Name: "total"}},
 		{ID: 9, Kind: KindTotal, Sum: 4, Epoch: 42},
 		{ID: 9, Kind: KindTotal, Err: "boom"},
 	}
@@ -74,7 +74,7 @@ func TestDownLevelFrameRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadedErr, err := AppendResponse(nil, &Response{ID: 1, Kind: KindTotal, Err: "boom",
-		Spans: &obs.SpanNode{Name: "total"}, Epoch: 9})
+		Spans: &obs.Span{Name: "total"}, Epoch: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,9 +107,9 @@ func TestTracedRequestRoundTrip(t *testing.T) {
 
 // randSpanTree builds a deterministic pseudo-random span subtree with at
 // most the given node budget (always using at least one node).
-func randSpanTree(rng *rand.Rand, budget *int, depth int) *obs.SpanNode {
+func randSpanTree(rng *rand.Rand, budget *int, depth int) *obs.Span {
 	*budget--
-	n := &obs.SpanNode{
+	n := &obs.Span{
 		Name:       fmt.Sprintf("span-%d", rng.Intn(1000)),
 		DurationUS: rng.Int63n(1 << 40),
 	}
@@ -169,9 +169,9 @@ func TestSpanSubtreeRoundTripBitExact(t *testing.T) {
 // nodes, duplicate attrs, spans on an error response — are rejected, never
 // crash the decoder.
 func TestSpanDecodeHardening(t *testing.T) {
-	deep := &obs.SpanNode{Name: "leaf"}
+	deep := &obs.Span{Name: "leaf"}
 	for i := 0; i < maxSpanDepth+4; i++ {
-		deep = &obs.SpanNode{Name: "n", Children: []*obs.SpanNode{deep}}
+		deep = &obs.Span{Name: "n", Children: []*obs.Span{deep}}
 	}
 	b, err := AppendResponse(nil, &Response{ID: 1, Kind: KindTotal, Spans: deep})
 	if err != nil {
@@ -181,9 +181,9 @@ func TestSpanDecodeHardening(t *testing.T) {
 		t.Error("over-deep span tree accepted")
 	}
 
-	wide := &obs.SpanNode{Name: "root"}
+	wide := &obs.Span{Name: "root"}
 	for i := 0; i < obs.MaxSpans; i++ {
-		wide.Children = append(wide.Children, &obs.SpanNode{Name: "c"})
+		wide.Children = append(wide.Children, &obs.Span{Name: "c"})
 	}
 	b, err = AppendResponse(nil, &Response{ID: 1, Kind: KindTotal, Spans: wide})
 	if err != nil {

@@ -95,8 +95,9 @@ func NewAdaptiveMetrics(r *Registry) *AdaptiveMetrics {
 }
 
 // The series prefixes epoch-keyed caches register under: compiled plans
-// (invalidated by Optimize/Reconfigure/Update) and answers (invalidated by
-// data-version changes, rebuilds, catalog reloads and /invalidate).
+// (invalidated by an Optimize or Reconfigure that changed the stored set)
+// and answers (invalidated by data-version changes, rebuilds, catalog
+// reloads and /invalidate).
 const (
 	PlanCachePrefix   = "viewcube_plan_cache"
 	ResultCachePrefix = "viewcube_result_cache"

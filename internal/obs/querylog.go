@@ -44,7 +44,7 @@ type QueryEntry struct {
 	Error         string          `json:"error,omitempty"`
 	MissingShards []string        `json:"missing_shards,omitempty"`
 	Shards        []ShardLegEntry `json:"shards,omitempty"`
-	Trace         *SpanNode       `json:"trace,omitempty"`
+	Trace         *Span           `json:"trace,omitempty"`
 }
 
 // ShardLegEntry is the per-shard cost breakdown of one cluster query.

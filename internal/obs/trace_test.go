@@ -81,7 +81,7 @@ func TestNilTraceNoops(t *testing.T) {
 	if s.Start("child") != nil {
 		t.Fatal("nil span must hand out nil children")
 	}
-	s.Graft(&SpanNode{Name: "n"})
+	s.Graft(&Span{Name: "n"})
 	tr.Finish()
 	if tr.Tree() != nil || tr.String() != "" || tr.Dropped() != 0 || tr.ID() != 0 {
 		t.Fatal("nil trace must render empty")
@@ -90,7 +90,7 @@ func TestNilTraceNoops(t *testing.T) {
 
 func TestTraceSpanCap(t *testing.T) {
 	tr := NewTrace("root")
-	for i := 0; i < maxSpans+10; i++ {
+	for i := 0; i < MaxSpans+10; i++ {
 		sp := tr.Start("s")
 		sp.End()
 	}
@@ -145,13 +145,14 @@ func grandchild(parent *Span) *Span {
 
 func TestSpanIDsAndParents(t *testing.T) {
 	tr := NewTrace("q")
-	if tr.Root().ID() != 1 || tr.Root().ParentID() != 0 {
-		t.Fatalf("root id/parent = %d/%d", tr.Root().ID(), tr.Root().ParentID())
-	}
 	a := tr.Start("a")
 	b := a.Start("b")
-	if a.ParentID() != 1 || b.ParentID() != a.ID() {
-		t.Fatalf("parent chain: a.parent=%d b.parent=%d a.id=%d", a.ParentID(), b.ParentID(), a.ID())
+	root := tr.Tree()
+	if root != tr.Root() || len(root.Children) != 1 || root.Children[0] != a {
+		t.Fatalf("root = %+v, want the root span with child a", root)
+	}
+	if len(a.Children) != 1 || a.Children[0] != b || len(b.Children) != 0 {
+		t.Fatalf("a's children = %+v, want [b]", a.Children)
 	}
 	if tr.ID() == 0 || tr.ID() == NewTrace("q2").ID() {
 		t.Fatal("trace IDs must be unique and nonzero")
@@ -161,11 +162,11 @@ func TestSpanIDsAndParents(t *testing.T) {
 func TestGraft(t *testing.T) {
 	tr := NewTrace("coordinator")
 	leg := tr.Start("shard a")
-	sub := &SpanNode{
+	sub := &Span{
 		Name:       "groupby product",
 		DurationUS: 120,
 		Attrs:      map[string]int64{"ops": 24},
-		Children: []*SpanNode{
+		Children: []*Span{
 			{Name: "stored", DurationUS: 40, Attrs: map[string]int64{"cells": 8}},
 		},
 	}
@@ -188,37 +189,38 @@ func TestGraft(t *testing.T) {
 
 func TestGraftHonorsCap(t *testing.T) {
 	tr := NewTrace("root")
-	for tr.Spans() < maxSpans {
+	for tr.Spans() < MaxSpans {
 		tr.Start("fill")
 	}
 	leg := tr.Root()
-	leg.Graft(&SpanNode{Name: "over", Children: []*SpanNode{{Name: "child"}}})
+	leg.Graft(&Span{Name: "over", Children: []*Span{{Name: "child"}}})
 	if tr.Dropped() != 2 {
 		t.Fatalf("dropped = %d", tr.Dropped())
 	}
 }
 
-func TestExecCtxUnder(t *testing.T) {
+// TestSpanIsTheContext: work handed a span nests its spans under it, and a
+// nil span — an untraced read, or a span dropped over the cap — records
+// nothing below it.
+func TestSpanIsTheContext(t *testing.T) {
 	tr := NewTrace("q")
-	x := Traced(tr)
-	sp := x.Start("execute")
-	child := x.Under(sp).Start("synthesize")
-	if child.ParentID() != sp.ID() {
-		t.Fatalf("Under must nest: parent=%d want %d", child.ParentID(), sp.ID())
+	sp := tr.Root().Start("execute")
+	child := sp.Start("synthesize")
+	if len(sp.Children) != 1 || sp.Children[0] != child {
+		t.Fatalf("Start must nest: execute's children = %+v", sp.Children)
 	}
-	// Deriving under a nil span (e.g. dropped over the cap) is a no-op.
-	if got := x.Under(nil); got != x {
-		t.Fatal("Under(nil) must return the context unchanged")
+	var untraced *Span
+	if untraced.Start("x") != nil || tr.Spans() != 3 {
+		t.Fatalf("a nil span must open nothing: %d spans", tr.Spans())
 	}
-	var nilCtx *ExecCtx
-	if nilCtx.Under(sp) != nil {
-		t.Fatal("nil ctx stays nil")
+	if (*Trace)(nil).Root() != nil {
+		t.Fatal("a nil trace's root must be nil")
 	}
 }
 
 func TestRenderNode(t *testing.T) {
-	n := &SpanNode{Name: "query", DurationUS: 1500, Attrs: map[string]int64{"ops": 3},
-		Children: []*SpanNode{{Name: "plan", DurationUS: 200}}}
+	n := &Span{Name: "query", DurationUS: 1500, Attrs: map[string]int64{"ops": 3},
+		Children: []*Span{{Name: "plan", DurationUS: 200}}}
 	out := RenderNode(n)
 	if !strings.Contains(out, "query (1.5ms) ops=3") || !strings.Contains(out, "  plan (") {
 		t.Fatalf("render:\n%s", out)

@@ -9,7 +9,6 @@ import (
 	"viewcube/internal/assembly"
 	"viewcube/internal/freq"
 	"viewcube/internal/ndarray"
-	"viewcube/internal/obs"
 	"viewcube/internal/velement"
 )
 
@@ -211,13 +210,11 @@ func TestPlannerHitAllocs(t *testing.T) {
 	if _, err := p.Element(nil, target); err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range []*obs.ExecCtx{nil, obs.Traced(nil)} {
-		if got := testing.AllocsPerRun(100, func() {
-			if ph, err := p.Element(x, target); err != nil || !ph.CacheHit {
-				t.Fatalf("hit=%v err=%v", ph != nil && ph.CacheHit, err)
-			}
-		}); got > 1 {
-			t.Fatalf("untraced plan-cache hit allocates %v times, want ≤ 1", got)
+	if got := testing.AllocsPerRun(100, func() {
+		if ph, err := p.Element(nil, target); err != nil || !ph.CacheHit {
+			t.Fatalf("hit=%v err=%v", ph != nil && ph.CacheHit, err)
 		}
+	}); got > 1 {
+		t.Fatalf("untraced plan-cache hit allocates %v times, want ≤ 1", got)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // Planner, so they see (and warm) the same cache and render the same IR.
 //
 // A Planner is safe for concurrent use; the owner must call Invalidate
-// whenever the materialised set or stored cell values change (the root
-// engine does this on Optimize/Reconfigure/Update, under its write
-// lock).
+// whenever the materialised set changes (a reselection that changed it,
+// under the root engine's write lock). Cell values never enter a plan, so
+// an Update or an ingest merge keeps every compiled plan.
 type Planner struct {
 	src  PlanSource
 	spec MeasureSpec
@@ -41,12 +41,11 @@ type PlanSource interface {
 	ComputePlan(r freq.Rect) (*assembly.Plan, error)
 }
 
-// NewPlanner returns a planner over the plan source with a fresh cache and
-// the scalar measure layout.
+// NewPlanner returns a planner over the plan source with a fresh cache, at
+// the default bounds (rescache.DefaultMaxEntries plans), and the scalar
+// measure layout.
 func NewPlanner(src PlanSource) *Planner {
-	// Plans are few (one per queried element) and tiny: the cache is
-	// unbounded, so its hits share a read lock.
-	cache := rescache.New[freq.Key, *assembly.Plan](rescache.Options{MaxEntries: -1, MaxBytes: -1})
+	cache := rescache.New[freq.Key, *assembly.Plan](rescache.Options{})
 	return &Planner{src: src, spec: ScalarMeasure(), cache: cache}
 }
 
@@ -79,8 +78,8 @@ func (p *Planner) Stats() rescache.Stats { return p.cache.Stats() }
 // Element returns the physical plan producing view element r, the form
 // Explain renders: Assembly's plan with its epoch, cache status and measure
 // layout.
-func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
-	pl, epoch, hit, err := p.compiled(x, r)
+func (p *Planner) Element(sp *obs.Span, r freq.Rect) (*Physical, error) {
+	pl, epoch, hit, err := p.compiled(sp, r)
 	if err != nil {
 		return nil, err
 	}
@@ -90,19 +89,18 @@ func (p *Planner) Element(x *obs.ExecCtx, r freq.Rect) (*Physical, error) {
 // Assembly returns the plan producing view element r, serving it from the
 // plan cache when the materialised set has not changed since the plan was
 // compiled — the cache-hit path skips the Procedure 3 DP entirely. Every
-// read plans through it. While x carries a trace, a "plan" span is recorded
-// with a cache_hit attribute; a nil x means untraced.
-func (p *Planner) Assembly(x *obs.ExecCtx, r freq.Rect) (*assembly.Plan, error) {
-	pl, _, _, err := p.compiled(x, r)
+// read plans through it. Under a span (nil means untraced), a "plan" child
+// is recorded with a cache_hit attribute.
+func (p *Planner) Assembly(sp *obs.Span, r freq.Rect) (*assembly.Plan, error) {
+	pl, _, _, err := p.compiled(sp, r)
 	return pl, err
 }
 
 // compiled is the cache lookup (and, on a miss, the compile) behind Element
 // and Assembly, with the "plan" span.
-func (p *Planner) compiled(x *obs.ExecCtx, r freq.Rect) (*assembly.Plan, uint64, bool, error) {
-	var sp *obs.Span
-	if x.Tracing() { // the name costs a Sprintf per dimension: traced queries only
-		sp = x.Start("plan " + r.String())
+func (p *Planner) compiled(sp *obs.Span, r freq.Rect) (*assembly.Plan, uint64, bool, error) {
+	if sp != nil { // the name costs a Sprintf per dimension: traced queries only
+		sp = sp.Start("plan " + r.String())
 		defer sp.End()
 	}
 	epoch := p.cache.Epoch()

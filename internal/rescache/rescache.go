@@ -22,10 +22,9 @@
 //
 // Since the epoch only moves forward and every value derives from one epoch
 // observation taken before its computation began, cache-on answers are
-// bit-identical to cache-off answers. A cache with a bound (entries or
-// bytes) keeps LRU order and takes its lock exclusively on a hit to promote
-// the entry; an unbounded one has no recency to keep, so its hits share a
-// read lock.
+// bit-identical to cache-off answers. Every cache keeps its entries in LRU
+// order under one mutex, which a hit takes to promote its entry; the
+// bounds (entries, bytes) decide when the cold end is evicted.
 package rescache
 
 import (
@@ -59,17 +58,17 @@ const (
 	DefaultMaxBytes = 64 << 20
 )
 
-// Cache is an epoch-invalidated, singleflight-deduplicated cache, LRU-bounded
-// when its options set a bound. All methods are safe for concurrent use; the
-// nil *Cache is a valid always-miss cache that never stores (so serving paths
-// can wire it unconditionally and gate on a single nil check).
+// Cache is an epoch-invalidated, singleflight-deduplicated LRU cache. All
+// methods are safe for concurrent use; the nil *Cache is a valid always-miss
+// cache that never stores (so serving paths can wire it unconditionally and
+// gate on a single nil check).
 type Cache[K comparable, V any] struct {
 	epoch    atomic.Uint64
 	upstream atomic.Uint64 // last upstream epoch observed by SyncUpstream
 
-	mu      rwLocker // shared reads when unbounded; exclusive when bounded
+	mu      sync.Mutex
 	entries map[K]*item[K, V]
-	lru     *list.List // front = most recent; nil when unbounded
+	lru     *list.List // front = most recent
 	bytes   int64
 
 	fmu      sync.Mutex
@@ -79,14 +78,14 @@ type Cache[K comparable, V any] struct {
 	met *obs.CacheMetrics // backs Stats; private counters until SetMetrics
 }
 
-// item is one entry; immutable once stored, so an unbounded cache's readers
-// may use it after dropping the read lock.
+// item is one entry; immutable once stored, so a reader may use it after
+// dropping the lock.
 type item[K comparable, V any] struct {
 	key   K
 	epoch uint64
 	val   V
 	size  int64
-	el    *list.Element // LRU slot; nil when unbounded
+	el    *list.Element // LRU slot
 }
 
 // flightKey includes the epoch so a computation started before an
@@ -111,33 +110,14 @@ func New[K comparable, V any](opt Options) *Cache[K, V] {
 	if opt.MaxBytes == 0 {
 		opt.MaxBytes = DefaultMaxBytes
 	}
-	c := &Cache[K, V]{
+	return &Cache[K, V]{
 		entries:  make(map[K]*item[K, V]),
+		lru:      list.New(),
 		inflight: make(map[flightKey[K]]*flight[V]),
 		opt:      opt,
 		met:      privateMetrics(),
 	}
-	if opt.MaxEntries > 0 || opt.MaxBytes > 0 {
-		c.lru, c.mu = list.New(), new(exclusive)
-	} else {
-		c.mu = new(sync.RWMutex)
-	}
-	return c
 }
-
-// rwLocker is the entry lock. A bounded cache's hits move their entry in
-// the LRU, so its read side is exclusive — a plain mutex, cheaper than an
-// RWMutex's write side; an unbounded cache's hits share a read lock.
-type rwLocker interface {
-	sync.Locker
-	RLock()
-	RUnlock()
-}
-
-type exclusive struct{ sync.Mutex }
-
-func (e *exclusive) RLock()   { e.Lock() }
-func (e *exclusive) RUnlock() { e.Unlock() }
 
 // privateMetrics is an unregistered counter set: Stats work without a
 // registry, and nothing is exported.
@@ -189,9 +169,7 @@ func (c *Cache[K, V]) invalidateLocked() uint64 {
 	c.met.Bytes.Add(-c.bytes)
 	c.met.Entries.Add(-int64(len(c.entries)))
 	c.entries = make(map[K]*item[K, V])
-	if c.lru != nil {
-		c.lru.Init()
-	}
+	c.lru.Init()
 	c.bytes = 0
 	c.met.Invalidations.Inc()
 	return n
@@ -216,15 +194,15 @@ func (c *Cache[K, V]) SyncUpstream(upstream uint64) {
 }
 
 // get returns the entry for key if it exists at the given epoch, marking it
-// most recently used in a bounded cache.
+// most recently used.
 func (c *Cache[K, V]) get(epoch uint64, key K) (V, bool) {
-	c.mu.RLock()
+	c.mu.Lock()
 	it := c.entries[key]
 	hit := it != nil && it.epoch == epoch
-	if hit && c.lru != nil {
+	if hit {
 		c.lru.MoveToFront(it.el)
 	}
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	if !hit {
 		var zero V
 		return zero, false
@@ -259,9 +237,7 @@ func (c *Cache[K, V]) store(epoch uint64, key K, val V) {
 		c.removeLocked(old)
 	}
 	it := &item[K, V]{key: key, epoch: epoch, val: val, size: size}
-	if c.lru != nil {
-		it.el = c.lru.PushFront(it)
-	}
+	it.el = c.lru.PushFront(it)
 	c.entries[key] = it
 	c.bytes += size
 	c.met.Bytes.Add(size)
@@ -280,9 +256,7 @@ func (c *Cache[K, V]) store(epoch uint64, key K, val V) {
 // removeLocked drops one entry. Caller holds c.mu.
 func (c *Cache[K, V]) removeLocked(it *item[K, V]) {
 	delete(c.entries, it.key)
-	if c.lru != nil {
-		c.lru.Remove(it.el)
-	}
+	c.lru.Remove(it.el)
 	c.bytes -= it.size
 	c.met.Bytes.Add(-it.size)
 	c.met.Entries.Add(-1)
@@ -358,9 +332,9 @@ func (c *Cache[K, V]) Stats() Stats {
 	if c == nil {
 		return Stats{}
 	}
-	c.mu.RLock()
+	c.mu.Lock()
 	entries, bytes := len(c.entries), c.bytes
-	c.mu.RUnlock()
+	c.mu.Unlock()
 	return Stats{
 		Hits:          c.met.Hits.Value(),
 		Misses:        c.met.Misses.Value(),

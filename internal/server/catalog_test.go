@@ -388,7 +388,7 @@ func TestAggQueryTraceOpsMatchExplain(t *testing.T) {
 	var nonZero bool
 	for _, keep := range []string{"product", "region", "product,day"} {
 		var out struct {
-			Trace *obs.SpanNode `json:"trace"`
+			Trace *obs.Span `json:"trace"`
 		}
 		resp, err := http.Post(ts.URL+"/cubes/stats/query?trace=1", "application/json",
 			strings.NewReader(`{"sql":"SELECT AVG(sales), COUNT(*) GROUP BY `+keep+`"}`))

@@ -122,7 +122,7 @@ func TestCoordinatorServerTraceAndQueryLog(t *testing.T) {
 	var out struct {
 		Groups  map[string]float64 `json:"groups"`
 		Partial *struct{}          `json:"partial"`
-		Trace   *obs.SpanNode      `json:"trace"`
+		Trace   *obs.Span          `json:"trace"`
 	}
 	if code := getJSONBody(t, ts.URL+"/groupby?keep=product&trace=1", &out); code != 200 {
 		t.Fatalf("traced groupby status %d", code)

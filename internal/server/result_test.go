@@ -643,7 +643,7 @@ func TestCoordinatorSumBodies(t *testing.T) {
 			t.Fatalf("%s partial: %q, want %q", target, got, want)
 		}
 		var traced map[string]json.RawMessage
-		var root obs.SpanNode
+		var root obs.Span
 		if err := json.Unmarshal([]byte(get(s, target+"trace=1", http.StatusOK)), &traced); err != nil ||
 			len(traced) != 3 || string(traced["sum"]) != c.sum || string(traced["partial"]) != "null" {
 			t.Fatalf("%s traced keys: %v (%v)", target, traced, err)

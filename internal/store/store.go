@@ -286,13 +286,14 @@ func (fs *FileStore) Get(r freq.Rect) (*ndarray.Array, bool) {
 // ownership of it without copying again.
 func (fs *FileStore) ClonesOnGet() bool { return true }
 
-// GetCtx is Get with per-query tracing (assembly.CtxStore): while x carries
-// a trace, the read records a "store.get" span with its cache outcome.
+// GetCtx is Get with per-query tracing (assembly.CtxStore): under a span
+// (nil means untraced), the read records a "store.get" child with its cache
+// outcome.
 //
 // The returned array is always a private copy: the cached arrays are shared
 // across every concurrent reader, so handing out an aliased slice would let
 // one caller's mutation corrupt every later read of the same element.
-func (fs *FileStore) GetCtx(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, bool) {
+func (fs *FileStore) GetCtx(sp *obs.Span, r freq.Rect) (*ndarray.Array, bool) {
 	k := r.Key()
 	fs.mu.Lock()
 	if !fs.index[k] {
@@ -306,8 +307,10 @@ func (fs *FileStore) GetCtx(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, bool) 
 	}
 	fs.mu.Unlock()
 
-	sp := x.Start("store.get " + r.String())
-	defer sp.End()
+	if sp != nil { // the name costs a concatenation: traced reads only
+		sp = sp.Start("store.get " + r.String())
+		defer sp.End()
+	}
 	if cached != nil {
 		fs.hits.Add(1)
 		fs.met.CacheHits.Inc()

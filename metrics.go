@@ -23,9 +23,10 @@ type Metrics struct {
 	updates  *obs.Counter
 	resident *obs.Gauge // set by ResidentCells
 
-	mu         sync.Mutex
-	queryKinds map[string]*obs.Counter
-	errKinds   map[string]*obs.Counter
+	queries [numKinds]*obs.Counter // resolved once: a read counts itself without a lock
+
+	mu       sync.Mutex
+	errKinds map[string]*obs.Counter
 
 	store    *obs.StoreMetrics
 	assembly *obs.AssemblyMetrics
@@ -48,19 +49,16 @@ func NewMetrics() *Metrics { return newMetrics(obs.NewRegistry()) }
 func (m *Metrics) Sub(labels ...string) *Metrics { return newMetrics(m.reg.Sub(labels...)) }
 
 func newMetrics(reg *obs.Registry) *Metrics {
-	m := &Metrics{
-		reg:        reg,
-		queryKinds: make(map[string]*obs.Counter),
-		errKinds:   make(map[string]*obs.Counter),
-	}
+	m := &Metrics{reg: reg, errKinds: make(map[string]*obs.Counter)}
 	m.latency = reg.Histogram("viewcube_query_seconds",
 		"Per-query wall-clock latency of engine queries, in seconds.", nil)
 	m.updates = reg.Counter("viewcube_updates_total",
 		"Incremental cell updates applied to the cube and its materialised elements.")
 	m.resident = reg.Gauge("viewcube_resident_cells",
 		"Cells held in memory: stored elements, the raw cube while it is a separate array, live snapshot generations.")
-	for _, kind := range []string{"view", "groupby", "groupby_where", "range", "sql", "total"} {
-		m.queryCounter(kind)
+	for k, name := range kindNames {
+		m.queries[k] = reg.Counter("viewcube_queries_total",
+			"Engine queries served, by query kind.", "kind", name)
 	}
 	m.store = obs.NewStoreMetrics(reg)
 	m.assembly = obs.NewAssemblyMetrics(reg)
@@ -71,17 +69,21 @@ func newMetrics(reg *obs.Registry) *Metrics {
 	return m
 }
 
-func (m *Metrics) queryCounter(kind string) *obs.Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.queryKinds[kind]
-	if !ok {
-		c = m.reg.Counter("viewcube_queries_total",
-			"Engine queries served, by query kind.", "kind", kind)
-		m.queryKinds[kind] = c
-	}
-	return c
-}
+// queryKind is the kind a query counts under in viewcube_queries_total.
+type queryKind uint8
+
+const (
+	viewKind queryKind = iota
+	groupByKind
+	groupByWhereKind
+	rangeKind
+	sqlKind
+	totalKind
+	numKinds
+)
+
+// kindNames is each kind's label value, in registration order.
+var kindNames = [numKinds]string{"view", "groupby", "groupby_where", "range", "sql", "total"}
 
 func (m *Metrics) errCounter(kind string) *obs.Counter {
 	m.mu.Lock()
@@ -105,11 +107,11 @@ func (m *Metrics) WritePrometheus(w io.Writer) error { return m.reg.WriteText(w)
 func (m *Metrics) Registry() *obs.Registry { return m.reg }
 
 // observe records one completed engine query of the given kind.
-func (m *Metrics) observe(kind string, start time.Time, err error) {
+func (m *Metrics) observe(kind queryKind, start time.Time, err error) {
 	m.latency.Observe(time.Since(start).Seconds())
-	m.queryCounter(kind).Inc()
+	m.queries[kind].Inc()
 	if err != nil {
-		m.errCounter(kind).Inc()
+		m.errCounter(kindNames[kind]).Inc()
 	}
 }
 

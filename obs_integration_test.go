@@ -37,7 +37,7 @@ func explainCost(t *testing.T, eng *viewcube.Engine, keep ...string) int64 {
 
 // findSpan returns the first span in the tree whose name starts with the
 // prefix, or nil.
-func findSpan(n *obs.SpanNode, prefix string) *obs.SpanNode {
+func findSpan(n *obs.Span, prefix string) *obs.Span {
 	if n == nil {
 		return nil
 	}

@@ -18,7 +18,7 @@ import (
 // without dictionaries fails it with, for the reads that name values; and
 // whether it nests under an "aggregate KIND" span.
 type read struct {
-	kind  string
+	kind  queryKind
 	name  func(a ask) string
 	dicts string
 	agg   bool
@@ -26,18 +26,18 @@ type read struct {
 
 // The engine's reads.
 var (
-	viewRead         = read{kind: "view"}
-	groupByRead      = read{kind: "groupby", name: func(a ask) string { return "groupby " + strings.Join(a.keep, ",") }}
-	groupByWhereRead = read{kind: "groupby_where", dicts: "viewcube: GroupByWhere needs a dictionary-encoded cube"}
-	totalRead        = read{kind: "total"}
-	rangeRead        = read{kind: "range", dicts: "viewcube: RangeSum by value needs a dictionary-encoded cube; use RangeSumIndex"}
-	withinRead       = read{kind: "range", dicts: "viewcube: RangeSumWithin needs a dictionary-encoded cube; use RangeSumIndex"}
-	indexRead        = read{kind: "range"}
-	sqlRead          = read{kind: "sql", name: func(ask) string { return "query" }}
-	groupByAggRead   = read{kind: "groupby", agg: true, name: func(a ask) string {
+	viewRead         = read{kind: viewKind}
+	groupByRead      = read{kind: groupByKind, name: func(a ask) string { return "groupby " + strings.Join(a.keep, ",") }}
+	groupByWhereRead = read{kind: groupByWhereKind, dicts: "viewcube: GroupByWhere needs a dictionary-encoded cube"}
+	totalRead        = read{kind: totalKind}
+	rangeRead        = read{kind: rangeKind, dicts: "viewcube: RangeSum by value needs a dictionary-encoded cube; use RangeSumIndex"}
+	withinRead       = read{kind: rangeKind, dicts: "viewcube: RangeSumWithin needs a dictionary-encoded cube; use RangeSumIndex"}
+	indexRead        = read{kind: rangeKind}
+	sqlRead          = read{kind: sqlKind, name: func(ask) string { return "query" }}
+	groupByAggRead   = read{kind: groupByKind, agg: true, name: func(a ask) string {
 		return "groupby_agg " + a.aggs[0].String() + " " + strings.Join(a.keep, ",")
 	}}
-	rangeAggRead = read{kind: "range", agg: true, name: func(a ask) string { return "range_agg " + a.aggs[0].String() }}
+	rangeAggRead = read{kind: rangeKind, agg: true, name: func(a ask) string { return "range_agg " + a.aggs[0].String() }}
 )
 
 // form is what an answer is wrapped as.
@@ -98,11 +98,10 @@ func (b box) cells() int {
 // contracted with the stored elements (DESIGN §6), to one vector of sums or
 // grouped by the kept dimensions. The answer is wrapped once, in the ask's
 // form. exec never reselects, so it is safe under a read lock.
-func (c *core) exec(x *obs.ExecCtx, a ask) (answer, error) {
+func (c *core) exec(sp *obs.Span, a ask) (answer, error) {
 	if a.r.agg {
-		var sp *obs.Span
 		var err error
-		x, sp, err = c.aggregate(x, a.aggs[0])
+		sp, err = c.aggregate(sp, a.aggs[0])
 		defer sp.End()
 		if err != nil {
 			return answer{}, err
@@ -125,11 +124,11 @@ func (c *core) exec(x *obs.ExecCtx, a ask) (answer, error) {
 	var arr *ndarray.Array
 	switch {
 	case !a.boxed:
-		arr, err = c.element(x, a.el.rect)
+		arr, err = c.element(sp, a.el.rect)
 	case a.form == scalarForm:
-		err = c.rangeInto(x, b, out[:c.spec.Width])
+		err = c.rangeInto(sp, b, out[:c.spec.Width])
 	default:
-		arr, err = c.groupedRange(x, b, a.mask[:c.cube.space.Rank()])
+		arr, err = c.groupedRange(sp, b, a.mask[:c.cube.space.Rank()])
 	}
 	if err != nil {
 		return answer{}, err
@@ -173,12 +172,12 @@ func (c *core) exec(x *obs.ExecCtx, a ask) (answer, error) {
 // element assembles view element r from the materialised set through its
 // cached plan and records the access, with the plan's cost, in the workload
 // profile.
-func (c *core) element(x *obs.ExecCtx, r freq.Rect) (*ndarray.Array, error) {
-	p, err := c.plans.Assembly(x, r)
+func (c *core) element(sp *obs.Span, r freq.Rect) (*ndarray.Array, error) {
+	p, err := c.plans.Assembly(sp, r)
 	if err != nil {
 		return nil, err
 	}
-	arr, err := c.asm.Execute(x, p)
+	arr, err := c.asm.Execute(sp, p)
 	if err != nil {
 		return nil, err
 	}
@@ -309,24 +308,20 @@ func (c *core) statement(a *ask) error {
 
 // run executes one ask: every query runs exec on c here, timed, counted
 // under its kind in c's Metrics and — when traced — given a fresh trace, and
-// nowhere else. Nothing is attached to the engine: the execution context is
-// threaded through exec, so concurrent queries (traced or not) never observe
-// each other's spans.
+// nowhere else. Nothing is attached to the engine: the execution context —
+// the trace's root span, nil untraced — is threaded through exec, so
+// concurrent queries (traced or not) never observe each other's spans.
 func run(c *core, traced bool, a ask) (answer, *QueryTrace, error) {
-	var (
-		qt *QueryTrace
-		x  *obs.ExecCtx
-	)
+	var qt *QueryTrace
 	if traced {
-		name := a.r.kind
+		name := kindNames[a.r.kind]
 		if a.r.name != nil {
 			name = a.r.name(a)
 		}
 		qt = &QueryTrace{t: obs.NewTrace(name)}
-		x = obs.Traced(qt.t)
 	}
 	start := time.Now()
-	out, err := c.exec(x, a)
+	out, err := c.exec(qt.Tree(), a)
 	c.met.observe(a.r.kind, start, err)
 	if traced {
 		qt.t.Finish()

@@ -415,6 +415,16 @@ func (r *Result) AppendRowsJSON(dst []byte) ([]byte, error) {
 // a whole number below 2⁵³, and the comma before it.
 const maxWholeDigits = 17
 
+// grow returns b with room for n more bytes past its length. Reallocating,
+// it copies only b's length: slices.Grow would copy the stale bytes of its
+// whole capacity, which a reused body too short for an answer is full of.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) < n {
+		b = slices.Grow(b[:len(b):len(b)], n)
+	}
+	return b
+}
+
 // put16 writes text into b at n in 16-byte stores and returns the index past
 // it. The last store reads and writes up to 15 bytes past the text's end, so
 // text has relation.Pad bytes of capacity past it, and b as much room past n
@@ -459,7 +469,7 @@ func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, qu
 	for _, o := range outers {
 		perRow += o.TextLen()/max(o.Len(), 1) + 2*len(quote) + 1
 	}
-	dst = slices.Grow(dst, r.groups()*perRow+2)
+	dst = grow(dst, r.groups()*perRow+2)
 	start := len(dst)
 	every := r.mask == nil && !r.dropEmpty                    // every cell of a run is a row
 	cell := r.width == 1 && nvals == 1 && r.aggs[0] == AggSum // the value is the cell: nothing to finalise
@@ -488,7 +498,7 @@ func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, qu
 				prefix = append(append(append(prefix, quote...), r.orders[i].Escaped(outer[i])...), quote...)
 				prefix = append(prefix, sep)
 			}
-			prefix = slices.Grow(append(prefix, quote...), relation.Pad)
+			prefix = grow(append(prefix, quote...), relation.Pad)
 		}
 		b, n := dst[:cap(dst)], len(dst) // the window: rows go to b[n:]
 		for j, c := range lastCodes {
@@ -498,7 +508,7 @@ func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, qu
 			}
 			tail := tails[at[c]:at[c+1]]
 			if room := len(prefix) + len(tail) + values; len(b)-n < room {
-				b = slices.Grow(b[:n], (len(lastCodes)-j)*room) // for the rest of the run
+				b = grow(b[:n], (len(lastCodes)-j)*room) // for the rest of the run
 				b = b[:cap(b)]
 			}
 			n = put16(b, put16(b, n, prefix), tail)
@@ -516,7 +526,7 @@ func (r *Result) appendJSON(dst []byte, form int, order byte, brackets, open, qu
 						return err
 					}
 					if b, n = out[:cap(out)], len(out); len(b)-n < values {
-						b = slices.Grow(b[:n], values)
+						b = grow(b[:n], values)
 						b = b[:cap(b)]
 					}
 				}

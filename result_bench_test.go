@@ -116,6 +116,33 @@ func TestEngineReadAllocs(t *testing.T) {
 	}
 }
 
+// TestTracedReadAllocs pins the allocations of a warm traced group-by on
+// salesCube, read back as its span tree: GroupByResult(true, "product") plus
+// Tree(). The trace is recorded as the tree it is served as, so Tree
+// converts nothing; what remains is the trace, one span and one attr map
+// per step, and the span names.
+func TestTracedReadAllocs(t *testing.T) {
+	const maxTracedReadAllocs = 56 // 72 when Tree converted a second tree
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop recycled buffers at random")
+	}
+	eng, err := salesCube(t).NewEngine(viewcube.EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		res, qt, err := eng.GroupByResult(true, "product")
+		if err != nil || qt.Tree() == nil {
+			t.Fatalf("traced read: tree %v, err %v", qt.Tree(), err)
+		}
+		res.Release()
+	}
+	read() // warm the plan
+	if got := testing.AllocsPerRun(50, read); got > maxTracedReadAllocs {
+		t.Errorf("traced GroupByResult plus Tree allocates %v objects, want ≤ %d", got, maxTracedReadAllocs)
+	}
+}
+
 // gridView assembles the grid cube's view keeping the named dimensions.
 func gridView(tb testing.TB, ny int, keep ...string) *viewcube.View {
 	tb.Helper()
@@ -153,25 +180,34 @@ func mapGroupsJSON(v *viewcube.View, buf *bytes.Buffer) error {
 // encodeViews are the answers BenchmarkResultEncodeGroups encodes, by group
 // count: keep-sets of the grid cube at ny = 64, whose cells are n + 0.25, so
 // that the 8 192-group answer (one cell a group) has decimal values and the
-// others whole ones; and at 16 384 the served case, salesCube's three-key
-// integer answer.
+// others whole ones; at 16 384 the served case, salesCube's three-key
+// integer answer; and at 65 536 an answer longer than a pooled body
+// (shortBody) at ny = 512.
 var encodeViews = map[int]func(testing.TB) *viewcube.View{
 	16:    func(tb testing.TB) *viewcube.View { return gridView(tb, 64, "z") },
 	1024:  func(tb testing.TB) *viewcube.View { return gridView(tb, 64, "y", "z") },
 	8192:  func(tb testing.TB) *viewcube.View { return gridView(tb, 64, "x", "y") },
 	16384: func(tb testing.TB) *viewcube.View { return cubeView(tb, salesCube(tb), "product", "region", "channel") },
+	65536: func(tb testing.TB) *viewcube.View { return gridView(tb, 512, "x", "y") },
 }
+
+// shortBody is the capacity of the reused body the "short" form encodes
+// into: the largest body the servers pool, too short for the 65 536-group
+// answer, so every encode regrows it.
+const shortBody = 1 << 20
 
 // BenchmarkResultEncodeGroups is view → /groupby response bytes, reporting ns
 // and B per group: the columnar encoder into a fresh body ("columnar") and
 // into a reused buffer ("reuse": what both servers do), against the retired
-// map path ("map").
+// map path ("map"); and at 65 536 groups into a reused body shorter than the
+// answer ("short": a pooled body's growth copies only its length).
 func BenchmarkResultEncodeGroups(b *testing.B) {
 	for _, groups := range []int{16, 1024, 8192, 16384} {
 		for _, form := range []string{"columnar", "reuse", "map"} {
 			b.Run(fmt.Sprintf("%d/%s", groups, form), benchEncodeGroups(groups, form))
 		}
 	}
+	b.Run("65536/short", benchEncodeGroups(65536, "short"))
 }
 
 func benchEncodeGroups(groups int, form string) func(*testing.B) {
@@ -184,6 +220,9 @@ func benchEncodeGroups(groups int, form string) func(*testing.B) {
 		}
 		if form != "map" {
 			var body []byte
+			if form == "short" {
+				body = make([]byte, 0, shortBody)
+			}
 			run = func() error {
 				res, err := v.Result()
 				if err != nil {

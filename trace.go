@@ -36,15 +36,11 @@ func (qt *QueryTrace) TraceID() string {
 // onto the trace's root span. Labels render in String, marshal under
 // "labels" in the JSON tree and ride into the query log with sampled
 // traces. Safe on nil.
-func (qt *QueryTrace) SetLabel(key, val string) {
-	if qt == nil {
-		return
-	}
-	qt.t.Root().SetLabel(key, val)
-}
+func (qt *QueryTrace) SetLabel(key, val string) { qt.Tree().SetLabel(key, val) }
 
-// Tree returns the span tree in its JSON-able shape.
-func (qt *QueryTrace) Tree() *obs.SpanNode {
+// Tree returns the recorded span tree: its root span, under which the read
+// ran. Safe on nil.
+func (qt *QueryTrace) Tree() *obs.Span {
 	if qt == nil {
 		return nil
 	}
